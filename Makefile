@@ -4,7 +4,8 @@
 	test-incremental test-topk test-hierarchy test-parallel-heavy \
 	fuzz-smoke fuzz-incremental fuzz-topk fuzz-hierarchy coverage fmt \
 	check bench-phases bench-retarget bench-warmstart bench-serve \
-	bench-incremental bench-topk bench-hierarchy bench-parallel clean
+	bench-incremental bench-topk bench-hierarchy bench-parallel perfbench \
+	perfbench-trace clean
 
 all: build
 
@@ -196,6 +197,21 @@ bench-hierarchy:
 bench-parallel:
 	dune exec bench/main.exe -- --only parallel
 	dune exec bench/compare.exe -- BENCH_parallel.json
+
+# The repository benchmark (perfbench/, declared in BENCHMARK.json):
+# every workload untraced at SEED, end-to-end metrics only.  Runs that
+# overlap another CPU-heavy job are not comparable.
+SEED ?= 1
+perfbench:
+	for w in exact_batch approx_large serve_stream; do \
+		bash perfbench/run.sh --workload $$w --seed $(SEED) --seconds 15 --trace 0 || exit 1; \
+	done
+
+# One workload traced at SEED: per-layer self times and counts, e.g.
+# `make perfbench-trace W=exact_batch`.
+perfbench-trace:
+	@test -n "$(W)" || { echo "usage: make perfbench-trace W=exact_batch|approx_large|serve_stream [SEED=n]"; exit 2; }
+	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds 15 --trace 1
 
 clean:
 	dune clean

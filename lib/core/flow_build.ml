@@ -27,7 +27,8 @@ let vertex_node v = v + 1
 let solve t =
   Dsd_obs.Span.with_ Dsd_obs.Phase.flow @@ fun () ->
   let aug0 = Dsd_obs.Counter.get Dsd_obs.Counter.Flow_augmentations in
-  let _flow, side = Dsd_flow.Min_cut.solve t.net ~s:t.source ~t:t.sink in
+  let (_ : float) = Dsd_flow.Dinic.max_flow t.net ~s:t.source ~t:t.sink in
+  let side = Dsd_flow.Min_cut.source_side t.net ~s:t.source in
   Dsd_obs.Probe.record
     (Dsd_obs.Counter.get Dsd_obs.Counter.Flow_augmentations - aug0);
   let out = Dsd_util.Vec.Int.create () in

@@ -246,15 +246,9 @@ let retarget t alpha =
   Array.iter (fun a -> ignore (F.restore_arc t.net ~s:t.source a)) t.alpha_arc
 
 let solve t =
-  Dsd_obs.Span.with_ Dsd_obs.Phase.flow @@ fun () ->
-  let aug0 = Counter.get Counter.Flow_augmentations in
-  let _flow, side = Dsd_flow.Min_cut.solve t.net ~s:t.source ~t:t.sink in
-  Dsd_obs.Probe.record (Counter.get Counter.Flow_augmentations - aug0);
-  let out = Dsd_util.Vec.Int.create () in
-  for v = 0 to Dyn.n t.dyn - 1 do
-    if side.(v + 1) then Dsd_util.Vec.Int.push out v
-  done;
-  Dsd_util.Vec.Int.to_array out
+  Flow_build.solve
+    { Flow_build.net = t.net; source = t.source; sink = t.sink;
+      n_vertices = Dyn.n t.dyn; node_count = F.node_count t.net }
 
 let query t =
   Dsd_obs.Span.with_ Dsd_obs.Phase.incremental @@ fun () ->

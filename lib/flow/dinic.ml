@@ -1,70 +1,88 @@
 module F = Flow_network
 
 (* Level graph + DFS blocking flow with per-node arc cursors ("current
-   arc" optimisation).  Float capacities: an arc is usable while its
-   residual exceeds [F.eps]. *)
+   arc" optimisation), read straight off the network's CSR view.  Float
+   capacities: an arc is usable while its residual exceeds [F.eps].
+
+   Nothing in the phase loop allocates.  The BFS queue is an int array
+   (the cursor array, idle until the BFS is done), and the DFS passes
+   its float limit and result through [lim] and [got], indexed by
+   recursion depth, so no call boxes a float. *)
 
 let max_flow net ~s ~t =
-  let n = F.node_count net in
   if s = t then invalid_arg "Dinic.max_flow: s = t";
+  let { F.nodes = n; start; arcs; dst; cap; flow } = F.view net in
+  let eps = F.eps in
   let level = Array.make n (-1) in
   let cursor = Array.make n 0 in
-  let arcs = Array.init n (fun v -> F.arcs_from net v) in
-  let queue = Queue.create () in
+  let lim = Array.make (n + 1) infinity in
+  let got = Array.make (n + 1) 0. in
   let build_levels () =
     Dsd_obs.Counter.incr Dsd_obs.Counter.Flow_level_builds;
     Array.fill level 0 n (-1);
-    Queue.clear queue;
+    let queue = cursor in
     level.(s) <- 0;
-    Queue.add s queue;
-    while not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      Array.iter
-        (fun e ->
-          let v = F.arc_dst net e in
-          if level.(v) < 0 && F.residual net e > F.eps then begin
-            level.(v) <- level.(u) + 1;
-            Queue.add v queue
-          end)
-        arcs.(u)
+    queue.(0) <- s;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      let next = level.(u) + 1 in
+      for i = start.(u) to start.(u + 1) - 1 do
+        let e = arcs.(i) in
+        let v = dst.(e) in
+        if level.(v) < 0 && cap.(e) -. flow.(e) > eps then begin
+          level.(v) <- next;
+          queue.(!tail) <- v;
+          incr tail
+        end
+      done
     done;
     level.(t) >= 0
   in
-  let rec dfs u limit =
+  (* Push at most [lim.(d)] from [u] (at depth [d]) towards [t] and
+     leave the amount pushed in [got.(d)].  Only [lim.(0)] is never
+     written: every search from [s] starts unbounded. *)
+  let rec dfs u d =
     if u = t then begin
       Dsd_obs.Counter.incr Dsd_obs.Counter.Flow_augmentations;
-      limit
+      got.(d) <- lim.(d)
     end
     else begin
-      let pushed = ref 0. in
+      got.(d) <- 0.;
+      let next = level.(u) + 1 in
+      let stop = start.(u + 1) in
       let continue = ref true in
-      while !continue && cursor.(u) < Array.length arcs.(u) do
-        let e = arcs.(u).(cursor.(u)) in
-        let v = F.arc_dst net e in
-        let r = F.residual net e in
-        if level.(v) = level.(u) + 1 && r > F.eps then begin
-          let f = dfs v (min (limit -. !pushed) r) in
-          if f > F.eps then begin
-            F.push net e f;
-            pushed := !pushed +. f;
-            if limit -. !pushed <= F.eps then continue := false
+      while !continue && cursor.(u) < stop do
+        let e = arcs.(cursor.(u)) in
+        let v = dst.(e) in
+        let r = cap.(e) -. flow.(e) in
+        if level.(v) = next && r > eps then begin
+          let room = lim.(d) -. got.(d) in
+          lim.(d + 1) <- (if room <= r then room else r);
+          dfs v (d + 1);
+          let f = got.(d + 1) in
+          if f > eps then begin
+            flow.(e) <- flow.(e) +. f;
+            flow.(e lxor 1) <- flow.(e lxor 1) -. f;
+            got.(d) <- got.(d) +. f;
+            if lim.(d) -. got.(d) <= eps then continue := false
           end
           else
             (* Dead end below; advance past this arc. *)
             cursor.(u) <- cursor.(u) + 1
         end
         else cursor.(u) <- cursor.(u) + 1
-      done;
-      !pushed
+      done
     end
   in
   let total = ref 0. in
   while build_levels () do
-    Array.fill cursor 0 n 0;
-    let f = ref (dfs s infinity) in
-    while !f > F.eps do
-      total := !total +. !f;
-      f := dfs s infinity
+    Array.blit start 0 cursor 0 n;
+    dfs s 0;
+    while got.(0) > eps do
+      total := !total +. got.(0);
+      dfs s 0
     done
   done;
   !total

@@ -4,7 +4,17 @@
     layered networks produced by DSD binary search (source -> vertices
     -> clique nodes -> sink is depth 3).  This plays the role of
     Gusfield's min-cut routine in the paper's Exact/CoreExact; both
-    compute exact min-cuts, and DSD only consumes the cut. *)
+    compute exact min-cuts, and DSD only consumes the cut.
+
+    The solver reads the network's CSR view ({!Flow_network.view})
+    directly and writes flow into it in place.  A call allocates four
+    arrays of about [node_count] words (levels, arc cursors doubling as
+    the BFS queue, and the per-depth DFS limit and result floats) and
+    nothing per arc or per augmenting path.  Each node's arcs are tried
+    in insertion order, so the augmenting paths, level builds and
+    resulting flow depend only on the arcs and their creation order,
+    not on whether the network was built in one go or grown between
+    solves. *)
 
 (** [max_flow net ~s ~t] saturates the network in place and returns the
     flow pushed {e by this call}.  The solver works purely on residual

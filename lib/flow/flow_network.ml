@@ -1,11 +1,25 @@
+type view = {
+  nodes : int;
+  start : int array;
+  arcs : int array;
+  dst : int array;
+  cap : float array;
+  flow : float array;
+}
+
 type t = {
   mutable n : int;
-  dst : Dsd_util.Vec.Int.t;        (* arc -> head node *)
-  cap : Dsd_util.Vec.Float.t;      (* arc -> capacity *)
-  flow : Dsd_util.Vec.Float.t;     (* arc -> current flow (may be < 0 on twins) *)
-  mutable out : Dsd_util.Vec.Int.t array;  (* node -> arc ids *)
-  mutable edges : int;
-  (* Scratch for [restore_arc]'s path searches: a node is visited in
+  mutable m : int;                (* arc count: ids 0 .. m-1 are live *)
+  (* Arc arrays, indexed by arc id; their length is a capacity >= m so
+     appends are amortised O(1).  The twin of arc [e] is [e lxor 1]. *)
+  mutable dst : int array;        (* arc -> head node *)
+  mutable cap : float array;      (* arc -> capacity *)
+  mutable flow : float array;     (* arc -> current flow (< 0 on twins) *)
+  (* The CSR index over the arrays above, valid iff [indexed].  Growth
+     clears the flag; the next read rebuilds it (see [view]). *)
+  mutable index : view;
+  mutable indexed : bool;
+  (* Scratch for the drain walks' path searches: a node is visited in
      the current search iff [drain_mark.(u) = drain_epoch], so starting
      a new search is one increment instead of an O(n) clear (or worse,
      an O(n) allocation) per drained path. *)
@@ -16,315 +30,279 @@ type t = {
 let eps = Dsd_util.Float_guard.eps
 
 let create n =
+  let dst = Array.make 64 0 and cap = Array.make 64 0. in
+  let flow = Array.make 64 0. in
   {
     n;
-    dst = Dsd_util.Vec.Int.create ~capacity:64 ();
-    cap = Dsd_util.Vec.Float.create ~capacity:64 ();
-    flow = Dsd_util.Vec.Float.create ~capacity:64 ();
-    out = Array.init (max 1 n) (fun _ -> Dsd_util.Vec.Int.create ~capacity:2 ());
-    edges = 0;
+    m = 0;
+    dst;
+    cap;
+    flow;
+    index = { nodes = 0; start = [||]; arcs = [||]; dst; cap; flow };
+    indexed = false;
     drain_mark = [||];
     drain_epoch = 0;
   }
 
 let node_count t = t.n
-let edge_count t = t.edges
-let arc_count t = Dsd_util.Vec.Int.length t.dst
+let edge_count t = t.m / 2
+let arc_count t = t.m
 
 let add_node t =
   let id = t.n in
-  if id >= Array.length t.out then begin
-    let old = t.out in
-    let grown =
-      Array.init
-        (max 4 (2 * Array.length old))
-        (fun i ->
-          if i < Array.length old then old.(i)
-          else Dsd_util.Vec.Int.create ~capacity:2 ())
-    in
-    t.out <- grown
-  end;
   t.n <- t.n + 1;
+  t.indexed <- false;
   id
+
+let grow_arcs t =
+  let len = 2 * Array.length t.dst in
+  let dst = Array.make len 0 and cap = Array.make len 0. in
+  let flow = Array.make len 0. in
+  Array.blit t.dst 0 dst 0 t.m;
+  Array.blit t.cap 0 cap 0 t.m;
+  Array.blit t.flow 0 flow 0 t.m;
+  t.dst <- dst;
+  t.cap <- cap;
+  t.flow <- flow
 
 let add_edge t ~src ~dst ~cap =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Flow_network.add_edge: node out of range";
   if not (cap >= 0.) then invalid_arg "Flow_network.add_edge: negative capacity";
-  let id = arc_count t in
-  Dsd_util.Vec.Int.push t.dst dst;
-  Dsd_util.Vec.Float.push t.cap cap;
-  Dsd_util.Vec.Float.push t.flow 0.;
-  Dsd_util.Vec.Int.push t.out.(src) id;
-  Dsd_util.Vec.Int.push t.dst src;
-  Dsd_util.Vec.Float.push t.cap 0.;
-  Dsd_util.Vec.Float.push t.flow 0.;
-  Dsd_util.Vec.Int.push t.out.(dst) (id + 1);
-  t.edges <- t.edges + 1;
+  let id = t.m in
+  if id + 2 > Array.length t.dst then grow_arcs t;
+  t.dst.(id) <- dst;
+  t.cap.(id) <- cap;
+  t.flow.(id) <- 0.;
+  t.dst.(id + 1) <- src;
+  t.cap.(id + 1) <- 0.;
+  t.flow.(id + 1) <- 0.;
+  t.m <- id + 2;
+  t.indexed <- false;
   id
 
-let arc_dst t e = Dsd_util.Vec.Int.get t.dst e
-let arc_cap t e = Dsd_util.Vec.Float.get t.cap e
-let arc_flow t e = Dsd_util.Vec.Float.get t.flow e
+(* Counting sort of arc ids by tail ([dst] of the twin).  Filling each
+   tail's segment from its end with descending ids leaves every segment
+   in ascending id order — the order [add_edge] created the arcs in.
+   The index arrays are reused while they fit and doubled when growth
+   outruns them, so an arena that grows between solves rebuilds in
+   place. *)
+let rebuild_index t =
+  let n = t.n and m = t.m in
+  let old = t.index in
+  let start =
+    if Array.length old.start > n then old.start
+    else Array.make (max (n + 1) (2 * Array.length old.start)) 0
+  in
+  let arcs =
+    if Array.length old.arcs >= m then old.arcs
+    else Array.make (max m (2 * Array.length old.arcs)) 0
+  in
+  let dst = t.dst in
+  Array.fill start 0 (n + 1) 0;
+  for e = 0 to m - 1 do
+    let u = dst.(e lxor 1) in
+    start.(u) <- start.(u) + 1
+  done;
+  for u = 1 to n do
+    start.(u) <- start.(u) + start.(u - 1)
+  done;
+  for e = m - 1 downto 0 do
+    let u = dst.(e lxor 1) in
+    let p = start.(u) - 1 in
+    start.(u) <- p;
+    arcs.(p) <- e
+  done;
+  let ix = { nodes = n; start; arcs; dst; cap = t.cap; flow = t.flow } in
+  t.index <- ix;
+  t.indexed <- true;
+  ix
+
+let view t = if t.indexed then t.index else rebuild_index t
+
+let check_arc fn t e =
+  if e < 0 || e >= t.m then invalid_arg ("Flow_network." ^ fn ^ ": arc out of range")
+
+let check_node fn t v =
+  if v < 0 || v >= t.n then invalid_arg ("Flow_network." ^ fn ^ ": node out of range")
+
+let arc_dst t e = check_arc "arc_dst" t e; t.dst.(e)
+let arc_cap t e = check_arc "arc_cap" t e; t.cap.(e)
+let arc_flow t e = check_arc "arc_flow" t e; t.flow.(e)
 
 let set_cap t e cap =
-  if e < 0 || e >= arc_count t then
-    invalid_arg "Flow_network.set_cap: arc out of range";
+  check_arc "set_cap" t e;
   if not (cap >= 0.) then invalid_arg "Flow_network.set_cap: negative capacity";
   (* Lowering a capacity below flow already pushed through the arc
      would leave a negative residual the solvers never repair; callers
      must [reset_flow] first (the retarget fast path does). *)
-  if cap +. eps < Dsd_util.Vec.Float.get t.flow e then
+  if cap +. eps < t.flow.(e) then
     invalid_arg "Flow_network.set_cap: capacity below committed flow";
-  Dsd_util.Vec.Float.set t.cap e cap
+  t.cap.(e) <- cap
 
 let set_cap_carry t e cap =
-  if e < 0 || e >= arc_count t then
-    invalid_arg "Flow_network.set_cap_carry: arc out of range";
+  check_arc "set_cap_carry" t e;
   if not (cap >= 0.) then
     invalid_arg "Flow_network.set_cap_carry: negative capacity";
   (* Unlike [set_cap], committed flow is kept even when it now exceeds
      the capacity; callers must follow up with [restore_arc] before
      handing the network back to a solver. *)
-  Dsd_util.Vec.Float.set t.cap e cap
+  t.cap.(e) <- cap
 
-let residual t e =
-  Dsd_util.Vec.Float.get t.cap e -. Dsd_util.Vec.Float.get t.flow e
+let residual t e = check_arc "residual" t e; t.cap.(e) -. t.flow.(e)
 
 let push t e f =
-  Dsd_util.Vec.Float.set t.flow e (Dsd_util.Vec.Float.get t.flow e +. f);
+  check_arc "push" t e;
+  t.flow.(e) <- t.flow.(e) +. f;
   let twin = e lxor 1 in
-  Dsd_util.Vec.Float.set t.flow twin (Dsd_util.Vec.Float.get t.flow twin -. f)
+  t.flow.(twin) <- t.flow.(twin) -. f
 
-let iter_arcs_from t v ~f = Dsd_util.Vec.Int.iter f t.out.(v)
-
-let arcs_from t v = Dsd_util.Vec.Int.to_array t.out.(v)
-
-let reset_flow t =
-  for e = 0 to arc_count t - 1 do
-    Dsd_util.Vec.Float.set t.flow e 0.
+let iter_arcs_from t v ~f =
+  check_node "iter_arcs_from" t v;
+  let ix = view t in
+  for i = ix.start.(v) to ix.start.(v + 1) - 1 do
+    f ix.arcs.(i)
   done
+
+let arcs_from t v =
+  check_node "arcs_from" t v;
+  let ix = view t in
+  Array.sub ix.arcs ix.start.(v) (ix.start.(v + 1) - ix.start.(v))
+
+let reset_flow t = Array.fill t.flow 0 t.m 0.
 
 let flow_value t ~s =
   (* Net outflow at [s]: twins of arcs into [s] carry the negated
-     incoming flow, so summing over every arc id in [out.(s)] yields
-     outflow - inflow. *)
+     incoming flow, so summing over every arc leaving [s] in the index
+     yields outflow - inflow. *)
+  check_node "flow_value" t s;
+  let ix = view t in
   let total = ref 0. in
-  iter_arcs_from t s ~f:(fun e -> total := !total +. arc_flow t e);
+  for i = ix.start.(s) to ix.start.(s + 1) - 1 do
+    total := !total +. t.flow.(ix.arcs.(i))
+  done;
   !total
 
-(* Walk backwards from [v] to [s] along flow-carrying arcs.  From node
-   [u] we traverse arc ids [a] with [flow a < -eps]: those are the
-   residual twins of arcs currently pushing flow *into* [u], and
-   [arc_dst a] is the upstream node.  The epoch mark persists across
-   backtracking inside one search — a dead end stays dead because no
-   flow changes mid-search. *)
-let rec drain_path t ~s u path =
-  if u = s then Some path
-  else begin
-    t.drain_mark.(u) <- t.drain_epoch;
-    let arcs = t.out.(u) in
-    let len = Dsd_util.Vec.Int.length arcs in
-    let result = ref None in
-    let found = ref false in
-    let i = ref 0 in
-    while (not !found) && !i < len do
-      let a = Dsd_util.Vec.Int.get arcs !i in
-      incr i;
-      if arc_flow t a < -.eps then begin
-        let w = arc_dst t a in
-        if t.drain_mark.(w) <> t.drain_epoch then
-          match drain_path t ~s w (a :: path) with
-          | Some _ as r ->
-            result := r;
-            found := true
-          | None -> ()
-      end
-    done;
-    !result
-  end
-
-let restore_arc t ~s e =
-  if e < 0 || e >= arc_count t then
-    invalid_arg "Flow_network.restore_arc: arc out of range";
-  let excess = arc_flow t e -. arc_cap t e in
-  if excess <= eps then 0
-  else begin
-    (* Pull the arc back to capacity; its tail is now a surplus node. *)
-    push t e (-.excess);
-    let v = arc_dst t (e lxor 1) in
-    if Array.length t.drain_mark < t.n then begin
-      t.drain_mark <- Array.make t.n 0;
-      t.drain_epoch <- 0
-    end;
-    let remaining = ref excess in
-    let paths = ref 0 in
-    while !remaining > eps do
-      t.drain_epoch <- t.drain_epoch + 1;
-      match drain_path t ~s v [] with
-      | None ->
-        invalid_arg "Flow_network.restore_arc: no flow-carrying path to source"
-      | Some path ->
-        (* Pushing along residual twins cancels the committed flow on
-           the corresponding upstream arcs. *)
-        let bottleneck =
-          List.fold_left
-            (fun acc a -> Float.min acc (-.arc_flow t a))
-            !remaining path
-        in
-        List.iter (fun a -> push t a bottleneck) path;
-        remaining := !remaining -. bottleneck;
-        incr paths
-    done;
-    Dsd_obs.Counter.add Dsd_obs.Counter.Flow_excess_drained !paths;
-    !paths
-  end
-
-(* Walk forwards from [v] towards [dst] along arcs with committed
-   positive flow — the mirror image of [drain_path], used to repair the
-   *head* side of a lowered arc by cancelling downstream flow. *)
-let rec drain_path_fwd t ~dst u path =
+(* Walk from [u] to [dst] along arcs [a] with [sign *. flow a > eps].
+   With [sign = 1.] that follows committed flow forwards; with
+   [sign = -1.] it takes the residual twins of the arcs pushing flow
+   *into* [u], i.e. walks the flow backwards to where it came from.
+   The epoch mark persists across backtracking inside one search — a
+   dead end stays dead because no flow changes mid-search. *)
+let rec walk t ix ~sign ~dst u path =
   if u = dst then Some path
   else begin
     t.drain_mark.(u) <- t.drain_epoch;
-    let arcs = t.out.(u) in
-    let len = Dsd_util.Vec.Int.length arcs in
+    let stop = ix.start.(u + 1) in
     let result = ref None in
-    let found = ref false in
-    let i = ref 0 in
-    while (not !found) && !i < len do
-      let a = Dsd_util.Vec.Int.get arcs !i in
+    let i = ref ix.start.(u) in
+    while Option.is_none !result && !i < stop do
+      let a = ix.arcs.(!i) in
       incr i;
-      if arc_flow t a > eps then begin
-        let w = arc_dst t a in
+      if sign *. t.flow.(a) > eps then begin
+        let w = t.dst.(a) in
         if t.drain_mark.(w) <> t.drain_epoch then
-          match drain_path_fwd t ~dst w (a :: path) with
-          | Some _ as r ->
-            result := r;
-            found := true
-          | None -> ()
+          result := walk t ix ~sign ~dst w (a :: path)
       end
     done;
     !result
   end
 
-let ensure_drain_mark t =
+(* Cancel up to [amount] units of flow along [walk] paths from [v] to
+   [dst], one bottleneck per path.  With [cycles], once no path is
+   left, flow circulating through [v] is cancelled around a cycle
+   instead: the first arc of [v] the walk may take, closed back to
+   [v].  Returns the paths used and the amount left, which exceeds
+   [eps] only when the walks ran dry. *)
+let cancel t ~sign ~dst ~cycles v amount =
+  let ix = view t in
   if Array.length t.drain_mark < t.n then begin
     t.drain_mark <- Array.make t.n 0;
     t.drain_epoch <- 0
+  end;
+  let find_cycle () =
+    let stop = ix.start.(v + 1) in
+    let cycle = ref None in
+    let i = ref ix.start.(v) in
+    while Option.is_none !cycle && !i < stop do
+      let a = ix.arcs.(!i) in
+      incr i;
+      if sign *. t.flow.(a) > eps then begin
+        t.drain_epoch <- t.drain_epoch + 1;
+        cycle := walk t ix ~sign ~dst:v t.dst.(a) [ a ]
+      end
+    done;
+    !cycle
+  in
+  let remaining = ref amount in
+  let paths = ref 0 in
+  let dry = ref false in
+  while (not !dry) && !remaining > eps do
+    t.drain_epoch <- t.drain_epoch + 1;
+    let path =
+      match walk t ix ~sign ~dst v [] with
+      | None when cycles -> find_cycle ()
+      | p -> p
+    in
+    match path with
+    | None -> dry := true
+    | Some path ->
+      let bottleneck =
+        List.fold_left
+          (fun acc a -> Float.min acc (sign *. t.flow.(a)))
+          !remaining path
+      in
+      List.iter (fun a -> push t a (-.sign *. bottleneck)) path;
+      remaining := !remaining -. bottleneck;
+      incr paths
+  done;
+  (!paths, !remaining)
+
+(* [cancel] where a feasible flow guarantees the walks cannot run dry. *)
+let drain what t ~sign ~dst ~cycles v amount =
+  let paths, remaining = cancel t ~sign ~dst ~cycles v amount in
+  if remaining > eps then
+    invalid_arg ("Flow_network." ^ what ^ ": no flow-carrying path to drain along");
+  paths
+
+(* Pull arc [e] back to its capacity; returns the excess it carried,
+   0 when it was feasible. *)
+let lower what t e =
+  check_arc what t e;
+  let excess = t.flow.(e) -. t.cap.(e) in
+  if excess <= eps then 0.
+  else begin
+    push t e (-.excess);
+    excess
   end
 
-(* [v] receives [amount] more flow than it sends (a lowered *outgoing*
-   arc left it with a surplus): cancel incoming flow back to [s], or
-   around flow-carrying cycles through [v] when the inflow is purely
-   circulatory. *)
-let drain_surplus t ~s v amount =
-  let remaining = ref amount in
-  let paths = ref 0 in
-  while !remaining > eps do
-    t.drain_epoch <- t.drain_epoch + 1;
-    let path =
-      match drain_path t ~s v [] with
-      | Some _ as p -> p
-      | None ->
-        (* All remaining inflow circulates through [v]: pick an in-arc
-           and walk its upstream side back around to [v]. *)
-        let arcs = t.out.(v) in
-        let len = Dsd_util.Vec.Int.length arcs in
-        let cycle = ref None in
-        let i = ref 0 in
-        while !cycle = None && !i < len do
-          let a = Dsd_util.Vec.Int.get arcs !i in
-          incr i;
-          if arc_flow t a < -.eps then begin
-            t.drain_epoch <- t.drain_epoch + 1;
-            match drain_path t ~s:v (arc_dst t a) [ a ] with
-            | Some _ as p -> cycle := p
-            | None -> ()
-          end
-        done;
-        !cycle
-    in
-    match path with
-    | None ->
-      invalid_arg "Flow_network.drain_surplus: no flow-carrying path or cycle"
-    | Some path ->
-      let bottleneck =
-        List.fold_left
-          (fun acc a -> Float.min acc (-.arc_flow t a))
-          !remaining path
-      in
-      List.iter (fun a -> push t a bottleneck) path;
-      remaining := !remaining -. bottleneck;
-      incr paths
-  done;
-  !paths
+let counted paths =
+  Dsd_obs.Counter.add Dsd_obs.Counter.Flow_excess_drained paths;
+  paths
 
-(* [v] sends [amount] more flow than it receives (a lowered *incoming*
-   arc left it with a deficit): cancel outgoing flow forward to the
-   sink, or around flow-carrying cycles through [v]. *)
-let drain_deficit t ~sink v amount =
-  let remaining = ref amount in
-  let paths = ref 0 in
-  while !remaining > eps do
-    t.drain_epoch <- t.drain_epoch + 1;
-    let path =
-      match drain_path_fwd t ~dst:sink v [] with
-      | Some _ as p -> p
-      | None ->
-        let arcs = t.out.(v) in
-        let len = Dsd_util.Vec.Int.length arcs in
-        let cycle = ref None in
-        let i = ref 0 in
-        while !cycle = None && !i < len do
-          let a = Dsd_util.Vec.Int.get arcs !i in
-          incr i;
-          if arc_flow t a > eps then begin
-            t.drain_epoch <- t.drain_epoch + 1;
-            match drain_path_fwd t ~dst:v (arc_dst t a) [ a ] with
-            | Some _ as p -> cycle := p
-            | None -> ()
-          end
-        done;
-        !cycle
-    in
-    match path with
-    | None ->
-      invalid_arg "Flow_network.drain_deficit: no flow-carrying path or cycle"
-    | Some path ->
-      let bottleneck =
-        List.fold_left
-          (fun acc a -> Float.min acc (arc_flow t a))
-          !remaining path
-      in
-      List.iter (fun a -> push t a (-.bottleneck)) path;
-      remaining := !remaining -. bottleneck;
-      incr paths
-  done;
-  !paths
+let restore_arc t ~s e =
+  let excess = lower "restore_arc" t e in
+  if excess = 0. then 0
+  else
+    (* The tail is now a surplus node: cancel its inflow back to [s]. *)
+    counted
+      (drain "restore_arc" t ~sign:(-1.) ~dst:s ~cycles:false t.dst.(e lxor 1)
+         excess)
 
 let restore_arc_head t ~sink e =
-  if e < 0 || e >= arc_count t then
-    invalid_arg "Flow_network.restore_arc_head: arc out of range";
-  let excess = arc_flow t e -. arc_cap t e in
-  if excess <= eps then 0
-  else begin
-    (* Pull the arc back to capacity.  The tail must be a
-       non-conserving node (the source); the head is left with a
-       deficit that we repair by cancelling its downstream flow. *)
-    push t e (-.excess);
-    let v = arc_dst t e in
-    ensure_drain_mark t;
-    let paths = drain_deficit t ~sink v excess in
-    Dsd_obs.Counter.add Dsd_obs.Counter.Flow_excess_drained paths;
-    paths
-  end
+  let excess = lower "restore_arc_head" t e in
+  if excess = 0. then 0
+  else
+    (* The tail must be a non-conserving node (the source); the head is
+       left with a deficit, repaired by cancelling its downstream flow
+       forward to [sink] or around cycles. *)
+    counted
+      (drain "restore_arc_head" t ~sign:1. ~dst:sink ~cycles:true t.dst.(e)
+         excess)
 
 let restore_arc_full t ~s ~sink e =
-  if e < 0 || e >= arc_count t then
-    invalid_arg "Flow_network.restore_arc_full: arc out of range";
-  let excess = arc_flow t e -. arc_cap t e in
-  if excess <= eps then 0
+  let excess = lower "restore_arc_full" t e in
+  if excess = 0. then 0
   else begin
     (* An internal arc: pulling it back to capacity leaves a surplus at
        the tail *and* a deficit at the head; both must be repaired for
@@ -335,36 +313,24 @@ let restore_arc_full t ~s ~sink e =
        can reach neither the source nor the sink, so cancel it first —
        each head->tail path repairs one unit of both imbalances.  By
        flow decomposition the remainder splits into equal s->tail and
-       head->sink parts, which the directional drains handle. *)
-    push t e (-.excess);
-    let tail = arc_dst t (e lxor 1) in
-    let head = arc_dst t e in
-    ensure_drain_mark t;
-    let remaining = ref excess in
-    let bridges = ref 0 in
-    let exhausted = ref false in
-    while (not !exhausted) && !remaining > eps do
-      t.drain_epoch <- t.drain_epoch + 1;
-      match drain_path_fwd t ~dst:tail head [] with
-      | None -> exhausted := true
-      | Some path ->
-        let bottleneck =
-          List.fold_left
-            (fun acc a -> Float.min acc (arc_flow t a))
-            !remaining path
-        in
-        List.iter (fun a -> push t a (-.bottleneck)) path;
-        remaining := !remaining -. bottleneck;
-        incr bridges
-    done;
-    let paths =
-      !bridges
-      +
-      if !remaining > eps then
-        drain_surplus t ~s tail !remaining
-        + drain_deficit t ~sink head !remaining
-      else 0
+       head->sink parts: the deficit is cancelled forward to [sink] and
+       then the surplus back to [s], each around cycles when no path is
+       left.  The two drains may cross the same arcs, so their order is
+       fixed here rather than left to evaluation order. *)
+    let tail = t.dst.(e lxor 1) and head = t.dst.(e) in
+    let bridges, remaining =
+      cancel t ~sign:1. ~dst:tail ~cycles:false head excess
     in
-    Dsd_obs.Counter.add Dsd_obs.Counter.Flow_excess_drained paths;
-    paths
+    if remaining <= eps then counted bridges
+    else begin
+      let deficit =
+        drain "restore_arc_full" t ~sign:1. ~dst:sink ~cycles:true head
+          remaining
+      in
+      let surplus =
+        drain "restore_arc_full" t ~sign:(-1.) ~dst:s ~cycles:true tail
+          remaining
+      in
+      counted (bridges + surplus + deficit)
+    end
   end

@@ -8,7 +8,30 @@
     Capacities are floats because the DSD binary search guesses a
     fractional density [alpha] (arc capacities [alpha * |V_Psi|],
     Algorithm 1 line 8).  [infinity] is a legal capacity (the
-    clique-node-to-vertex arcs of Algorithm 1 line 11). *)
+    clique-node-to-vertex arcs of Algorithm 1 line 11).
+
+    {2 Arena layout}
+
+    A network is an arena of flat arrays indexed by arc id — head
+    ([dst]), capacity and flow — grown by doubling as arcs are added,
+    plus one CSR index that groups the arc ids by tail: the arcs
+    leaving node [v] are [arcs.(start.(v)) .. arcs.(start.(v+1) - 1)].
+
+    The index is built on the first read after a change to the
+    topology ({!view}, {!iter_arcs_from}, {!arcs_from},
+    {!flow_value}, a drain walk of a [restore_arc*]) by a counting sort
+    of the arc ids by tail; {!add_node} and {!add_edge} invalidate it.
+    Capacity and flow writes ({!set_cap}, {!push}, {!reset_flow}, a
+    solver) leave it valid.  Within one tail the index lists arc ids in
+    ascending order, which is the order [add_edge] created them in, so
+    every solver visits a node's arcs in insertion order however the
+    network was grown.
+
+    Once the index exists, re-solving (capacity or flow writes, then
+    {!Dinic.max_flow} and {!Min_cut.source_side}) allocates no per-arc
+    memory, only O(node count) scratch.  Because the index is
+    built on first read, a network must not be read from two domains
+    before its first solve. *)
 
 type t
 
@@ -24,15 +47,40 @@ val edge_count : t -> int
 (** [add_node t] appends a fresh node and returns its id ([node_count]
     before the call).  Existing arcs, flow and node ids are untouched,
     so an arena can grow in place between solver runs — the incremental
-    subsystem appends one node per newly discovered pattern instance. *)
+    subsystem appends one node per newly discovered pattern instance.
+    The index is rebuilt on the next read. *)
 val add_node : t -> int
 
 (** [add_edge t ~src ~dst ~cap] adds a forward arc of capacity [cap]
     (must be ≥ 0; may be [infinity]) and its residual twin.  Returns
-    the forward arc id. *)
+    the forward arc id.  The index is rebuilt on the next read. *)
 val add_edge : t -> src:int -> dst:int -> cap:float -> int
 
-(** {1 Low-level accessors used by the solvers} *)
+(** {1 Solver view} *)
+
+(** The arena as the solvers read it.  Every array is shared with the
+    network, not copied: a solver pushes flow by writing [flow.(e)] and
+    [flow.(e lxor 1)] in place, and must write nothing else.  The
+    arc arrays may be longer than {!arc_count}; only ids below it are
+    arcs. *)
+type view = private {
+  nodes : int;         (** {!node_count} *)
+  start : int array;   (** node [v]'s arcs sit at [start.(v) .. start.(v+1) - 1] of [arcs] *)
+  arcs : int array;    (** arc ids grouped by tail, ascending within a tail *)
+  dst : int array;     (** arc -> head node *)
+  cap : float array;   (** arc -> capacity *)
+  flow : float array;  (** arc -> flow (negative on residual twins) *)
+}
+
+(** [view t] is the current view, building the index first if the
+    topology changed since the last read.  Valid until the next
+    {!add_node} or {!add_edge}; fetch it again after growth. *)
+val view : t -> view
+
+(** {1 Checked accessors}
+
+    Each raises [Invalid_argument] for an arc id outside
+    [0 .. arc_count - 1] (or a node outside [0 .. node_count - 1]). *)
 
 val arc_count : t -> int
 val arc_dst : t -> int -> int
@@ -93,10 +141,10 @@ val restore_arc_head : t -> sink:int -> int -> int
     endpoints conserving) lowered under committed flow: flow that
     circulated around the arc (head-to-tail paths, i.e. broken cycles)
     is cancelled first — it can reach neither terminal — then the
-    remaining surplus at the tail is drained back to [s] as in
-    {!restore_arc} and the matching deficit at the head is cancelled
-    forward to [sink] as in {!restore_arc_head}.  Used when retiring a
-    pattern instance whose arcs still carry flow. *)
+    remaining deficit at the head is cancelled forward to [sink] as in
+    {!restore_arc_head}, and the matching surplus at the tail drained
+    back to [s] (or around cycles through the tail).  Used when
+    retiring a pattern instance whose arcs still carry flow. *)
 val restore_arc_full : t -> s:int -> sink:int -> int -> int
 
 (** Remaining residual capacity of an arc. *)
@@ -107,9 +155,11 @@ val residual : t -> int -> float
 val push : t -> int -> float -> unit
 
 (** [iter_arcs_from t v ~f] visits the arc ids leaving node [v]
-    (forward and residual twins alike). *)
+    (forward and residual twins alike) in insertion order. *)
 val iter_arcs_from : t -> int -> f:(int -> unit) -> unit
 
+(** [arcs_from t v] is a fresh array of the arc ids {!iter_arcs_from}
+    visits, in the same order. *)
 val arcs_from : t -> int -> int array
 
 (** [reset_flow t] zeroes all flow, restoring initial capacities. *)

@@ -1,19 +1,24 @@
 module F = Flow_network
 
 let source_side net ~s =
-  let n = F.node_count net in
+  let { F.nodes = n; start; arcs; dst; cap; flow } = F.view net in
   let side = Array.make n false in
-  let queue = Queue.create () in
+  let queue = Array.make n 0 in
   side.(s) <- true;
-  Queue.add s queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    F.iter_arcs_from net u ~f:(fun e ->
-        let v = F.arc_dst net e in
-        if (not side.(v)) && F.residual net e > F.eps then begin
-          side.(v) <- true;
-          Queue.add v queue
-        end)
+  queue.(0) <- s;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    for i = start.(u) to start.(u + 1) - 1 do
+      let e = arcs.(i) in
+      let v = dst.(e) in
+      if (not side.(v)) && cap.(e) -. flow.(e) > F.eps then begin
+        side.(v) <- true;
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
   done;
   side
 

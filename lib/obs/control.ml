@@ -1,7 +1,7 @@
 let is_enabled () = Atomic.get State.enabled
 
-let enable ?(sink = Trace.null) () =
-  Trace.set_sink sink;
+let enable ?sink () =
+  Option.iter Trace.set_sink sink;
   Atomic.set State.enabled true
 
 let disable () =

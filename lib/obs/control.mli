@@ -4,7 +4,13 @@
     accumulate regardless of the sink. *)
 
 val is_enabled : unit -> bool
+
+(** [enable ?sink ()] turns recording on.  With [~sink] that sink is
+    installed; without it the current sink stays, so a sink installed
+    earlier with {!Trace.set_sink} receives the events. *)
 val enable : ?sink:Trace.sink -> unit -> unit
+
+(** [disable ()] turns recording off and reinstalls {!Trace.null}. *)
 val disable : unit -> unit
 
 (** Zero counters and span totals (does not touch the sink). *)

@@ -1,6 +1,6 @@
 (** Growable arrays of unboxed ints and floats.
 
-    Used on hot paths (flow-network arcs, instance postings) where
+    Used on hot paths (instance postings, network construction) where
     OCaml lists or [Buffer]-style structures would box or fragment. *)
 
 module Int : sig

@@ -2,6 +2,7 @@
    cross-check, and max-flow = min-cut-capacity on random networks. *)
 
 module F = Dsd_flow.Flow_network
+module FB = Dsd_core.Flow_build
 module Prng = Dsd_util.Prng
 
 (* CLRS figure 26.1-style classic network with max flow 23. *)
@@ -99,6 +100,48 @@ let test_add_edge_validation () =
     (Invalid_argument "Flow_network.add_edge: node out of range")
     (fun () -> ignore (F.add_edge net ~src:0 ~dst:5 ~cap:1.))
 
+(* A re-solve on a built network allocates O(node count) scratch and
+   nothing per arc: after a first solve (which builds the network's
+   index), [reset_flow] + one Dinic pass + the residual BFS must stay
+   under 8 words per node in total and 256 minor words.  The networks
+   have over 256 nodes, so every per-node array is a major-heap block
+   and the minor bound catches any per-arc or per-augmentation
+   allocation. *)
+let test_resolve_allocation () =
+  let graphs =
+    [ ("ssca", Dsd_data.Gen.ssca ~seed:4001 ~n:400 ~max_clique:8);
+      ("er", Dsd_data.Gen.er_gnp ~seed:4002 ~n:300 ~p:0.06);
+      ("ba", Dsd_data.Gen.barabasi_albert ~seed:4003 ~n:500 ~attach:4) ]
+  in
+  List.iter
+    (fun (name, g) ->
+      let psi = Dsd_pattern.Pattern.triangle in
+      let instances = Dsd_core.Enumerate.instances g psi in
+      let alpha =
+        float_of_int (Array.length instances) /. float_of_int (Dsd_graph.Graph.n g)
+      in
+      let network = FB.network (FB.prepare FB.Clique_flow g psi ~instances ~alpha) in
+      let { FB.net; source = s; sink = t; _ } = network in
+      let nodes = F.node_count net in
+      if nodes <= 256 then Alcotest.failf "%s: only %d nodes" name nodes;
+      ignore (FB.solve network);
+      F.reset_flow net;
+      let minor0 = Gc.minor_words () in
+      let total0 = Gc.allocated_bytes () in
+      let flow = Dsd_flow.Dinic.max_flow net ~s ~t in
+      let side = Dsd_flow.Min_cut.source_side net ~s in
+      let total1 = Gc.allocated_bytes () in
+      let minor1 = Gc.minor_words () in
+      if not (flow > 0. && side.(s)) then Alcotest.failf "%s: trivial solve" name;
+      let words = (total1 -. total0) /. float_of_int (Sys.word_size / 8) in
+      if words > 8. *. float_of_int nodes then
+        Alcotest.failf "%s: re-solve allocated %.0f words for %d nodes" name words
+          nodes;
+      if minor1 -. minor0 > 256. then
+        Alcotest.failf "%s: re-solve allocated %.0f minor words" name
+          (minor1 -. minor0))
+    graphs
+
 let suite =
   [
     Alcotest.test_case "dinic clrs" `Quick test_dinic_clrs;
@@ -110,6 +153,8 @@ let suite =
     Alcotest.test_case "min cut source side" `Quick test_min_cut_source_side;
     Alcotest.test_case "reset flow" `Quick test_reset_flow;
     Alcotest.test_case "add_edge validation" `Quick test_add_edge_validation;
+    Alcotest.test_case "re-solve allocates no per-arc memory" `Quick
+      test_resolve_allocation;
     Helpers.qtest ~count:200 "dinic = edmonds-karp" QCheck.small_int solvers_agree_prop;
     Helpers.qtest ~count:200 "flow = cut capacity" QCheck.small_int flow_equals_cut_prop;
   ]

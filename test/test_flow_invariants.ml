@@ -1,7 +1,9 @@
 (* Flow-invariant property suite on randomized networks, run for both
    Dinic and Edmonds-Karp: conservation at every non-terminal node,
    max-flow = min-cut capacity, residuals never negative beyond eps,
-   and [reset_flow] restoring a bit-identical capacity vector.  Plus
+   and [reset_flow] restoring a bit-identical capacity vector; a
+   network grown between solves keeps each node's arcs in insertion
+   order and re-solves exactly like the same arcs built in one go.  Plus
    the pinned [set_cap] semantics: lowering a capacity below committed
    flow is *rejected* (never silently saturated) — the retarget fast
    path resets flow first. *)
@@ -31,9 +33,9 @@ let random_network seed =
   done;
   (net, n)
 
-(* Net outflow of [v]: out.(v) holds forward arcs (+flow) and residual
-   twins of incoming arcs (-flow of the forward arc), so the sum is
-   outflow - inflow. *)
+(* Net outflow of [v]: [arcs_from v] holds forward arcs (+flow) and
+   residual twins of incoming arcs (-flow of the forward arc), so the
+   sum is outflow - inflow. *)
 let excess net v =
   Array.fold_left
     (fun acc e -> acc +. F.arc_flow net e)
@@ -104,6 +106,80 @@ let test_reset_flow_bit_identical (_, max_flow) () =
         v1 v2)
     seeds
 
+(* ---- growth between solves ---- *)
+
+(* Grow a network the way the incremental arena does: batches of
+   [add_node] and [add_edge] with a solve after each, the committed
+   flow carried into the next batch.  Returns the network and its arcs
+   as [(src, dst, cap)] in creation order. *)
+let grown_network max_flow seed =
+  let r = Prng.create (1000 + seed) in
+  let net = F.create (2 + Prng.int r 6) in
+  let arcs = ref [] in
+  for _ = 0 to Prng.int r 6 do
+    for _ = 1 to Prng.int r 3 do
+      ignore (F.add_node net)
+    done;
+    let n = F.node_count net in
+    for _ = 0 to Prng.int r (2 * n) do
+      let src = Prng.int r n and dst = Prng.int r n in
+      if src <> dst then begin
+        let cap =
+          if Prng.int r 3 = 0 then Prng.float r 10.
+          else float_of_int (1 + Prng.int r 20)
+        in
+        ignore (F.add_edge net ~src ~dst ~cap);
+        arcs := (src, dst, cap) :: !arcs
+      end
+    done;
+    ignore (max_flow net ~s:0 ~t:1)
+  done;
+  (net, List.rev !arcs)
+
+(* Flow value, source side and augmenting paths of one solve. *)
+let counted_solve max_flow net =
+  let value, side =
+    Dsd_obs.Control.with_recording (fun () ->
+        let value = max_flow net ~s:0 ~t:1 in
+        (value, Dsd_flow.Min_cut.source_side net ~s:0))
+  in
+  (value, side, Dsd_obs.Counter.get Dsd_obs.Counter.Flow_augmentations)
+
+let test_growth_between_solves (_, max_flow) () =
+  List.iter
+    (fun seed ->
+      let ctx = Helpers.seed_ctx seed in
+      let net, arcs = grown_network max_flow seed in
+      let n = F.node_count net in
+      for v = 2 to n - 1 do
+        if Float.abs (excess net v) > 1e-6 then
+          Alcotest.failf "%s node=%d not conserved after growth" ctx v
+      done;
+      (* Arc 2i runs src -> dst and its twin 2i+1 dst -> src, so each
+         node's arcs in creation order are the ids whose tail it is. *)
+      let expected = Array.make n [] in
+      List.iteri
+        (fun i (src, dst, _) ->
+          expected.(src) <- (2 * i) :: expected.(src);
+          expected.(dst) <- ((2 * i) + 1) :: expected.(dst))
+        arcs;
+      for v = 0 to n - 1 do
+        if F.arcs_from net v <> Array.of_list (List.rev expected.(v)) then
+          Alcotest.failf "%s node=%d arcs not in insertion order" ctx v
+      done;
+      let fresh = F.create n in
+      List.iter
+        (fun (src, dst, cap) -> ignore (F.add_edge fresh ~src ~dst ~cap))
+        arcs;
+      F.reset_flow net;
+      let v1, side1, aug1 = counted_solve max_flow net in
+      let v2, side2, aug2 = counted_solve max_flow fresh in
+      if Int64.bits_of_float v1 <> Int64.bits_of_float v2 then
+        Alcotest.failf "%s flow %h (grown) vs %h (one go)" ctx v1 v2;
+      if side1 <> side2 then Alcotest.failf "%s source sides differ" ctx;
+      Alcotest.(check int) (ctx ^ " augmenting paths") aug2 aug1)
+    seeds
+
 (* ---- set_cap / eps audit (pinned behaviour: reject, don't saturate) ---- *)
 
 let test_set_cap_validation () =
@@ -165,7 +241,9 @@ let suite =
         Alcotest.test_case (name ^ ": residual >= -eps") `Quick
           (test_residual_never_negative solver);
         Alcotest.test_case (name ^ ": reset_flow bit-identical caps") `Quick
-          (test_reset_flow_bit_identical solver) ])
+          (test_reset_flow_bit_identical solver);
+        Alcotest.test_case (name ^ ": growth between solves") `Quick
+          (test_growth_between_solves solver) ])
     solvers
   @ [
       Alcotest.test_case "set_cap validation" `Quick test_set_cap_validation;

@@ -90,6 +90,18 @@ let test_memory_sink_events () =
     Alcotest.(check bool) "elapsed >= 0" true (x.elapsed_s >= 0.)
   | es -> Alcotest.failf "expected enter+exit, got %d events" (List.length es)
 
+let test_enable_keeps_installed_sink () =
+  let sink = Trace.memory () in
+  Obs.reset ();
+  Trace.set_sink sink;
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () -> Span.with_ "phase" (fun () -> ()));
+  match Trace.memory_events sink with
+  | [ Trace.Span_enter e; Trace.Span_exit x ] ->
+    Alcotest.(check string) "enter name" "phase" e.name;
+    Alcotest.(check string) "exit name" "phase" x.name
+  | es -> Alcotest.failf "expected enter+exit, got %d events" (List.length es)
+
 let test_no_trace_output_when_disabled () =
   let sink = Trace.memory () in
   Trace.set_sink sink;
@@ -182,6 +194,8 @@ let suite =
       test_span_nesting_and_totals;
     Alcotest.test_case "span exception safety" `Quick test_span_exception_safe;
     Alcotest.test_case "memory sink events" `Quick test_memory_sink_events;
+    Alcotest.test_case "enable keeps an installed sink" `Quick
+      test_enable_keeps_installed_sink;
     Alcotest.test_case "disabled: no trace output" `Quick
       test_no_trace_output_when_disabled;
     Alcotest.test_case "disabled: results bit-identical" `Quick

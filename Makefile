@@ -5,7 +5,7 @@
 	fuzz-smoke fuzz-incremental fuzz-topk fuzz-hierarchy coverage fmt \
 	check bench-phases bench-retarget bench-warmstart bench-serve \
 	bench-incremental bench-topk bench-hierarchy bench-parallel perfbench \
-	perfbench-trace clean
+	perfbench-trace perfbench-counts clean
 
 all: build
 
@@ -212,6 +212,18 @@ perfbench:
 perfbench-trace:
 	@test -n "$(W)" || { echo "usage: make perfbench-trace W=exact_batch|approx_large|serve_stream [SEED=n]"; exit 2; }
 	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds 15 --trace 1
+
+# The counted work of one traced workload at SEED: only the metrics
+# whose unit is "count", one `name value` per line, so the outputs of
+# two commits can be diffed, e.g. `make perfbench-counts W=exact_batch`.
+# gc.major_collections is left out: it follows allocation, not work.
+perfbench-counts:
+	@test -n "$(W)" || { echo "usage: make perfbench-counts W=exact_batch|approx_large|serve_stream [SEED=n]"; exit 2; }
+	@out=$$(bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds 15 --trace 1) || exit 1; \
+	printf '%s\n' "$$out" | tail -n 1 \
+		| grep -o '"[^"]*": {"value": [^,]*, "unit": "count"}' \
+		| sed 's/^"\([^"]*\)": {"value": \([^,]*\),.*/\1 \2/' \
+		| grep -v '^gc\.'
 
 clean:
 	dune clean

@@ -382,7 +382,10 @@ let fig15 () =
             [ psi.P.name;
               H.show_time
                 (H.run_cell (fun () ->
-                     time_of (fun () -> ignore (Dsd_core.Pexact.run g psi))));
+                     time_of (fun () ->
+                         ignore
+                           (Dsd_core.Exact.run ~family:Dsd_core.Flow_build.Pds g
+                              psi))));
               H.show_time
                 (H.run_cell (fun () ->
                      time_of (fun () -> ignore (Dsd_core.Core_pexact.run g psi)))) ])
@@ -816,8 +819,11 @@ let micro () =
                  (Dsd_core.Clique_core.decompose ~track_density:false g P.triangle)));
         Test.make ~name:"eds-mincut(ca_hepth)"
           (Staged.stage (fun () ->
-               let net = Dsd_core.Flow_build.eds_network gc ~alpha:2.0 in
-               ignore (Dsd_core.Flow_build.solve net)));
+               let p =
+                 Dsd_core.Flow_build.prepare Dsd_core.Flow_build.Eds gc P.edge
+                   ~instances:[||] ~alpha:2.0
+               in
+               ignore (Dsd_core.Flow_build.solve p.network)));
       ]
   in
   let benchmark () =
@@ -926,7 +932,7 @@ let parallel () =
        fun pool ->
          let instances = Dsd_core.Enumerate.instances ~pool g P.triangle in
          ignore
-           (Dsd_core.Flow_build.build ~pool Dsd_core.Flow_build.Clique_flow g
+           (Dsd_core.Flow_build.prepare ~pool Dsd_core.Flow_build.Clique_flow g
               P.triangle ~instances ~alpha:1.0)) ]
   in
   let json_rows = ref [] in

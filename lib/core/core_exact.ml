@@ -121,14 +121,6 @@ let run ?pool ?(warm = true) ?(prunings = all_prunings) ?(grouped = false)
     let comps = Array.of_list components in
     let ncomps = Array.length comps in
     let best_rho = Atomic.make !best.Density.density in
-    let publish rho =
-      let rec go () =
-        let cur = Atomic.get best_rho in
-        if rho > cur && not (Atomic.compare_and_set best_rho cur rho) then
-          go ()
-      in
-      go ()
-    in
     (* slot = (candidate, probe count, network sizes in probe order,
        flow seconds): stats always recorded, candidate only when the
        component produced a witness. *)
@@ -145,28 +137,15 @@ let run ?pool ?(warm = true) ?(prunings = all_prunings) ?(grouped = false)
       let iters = ref 0 in
       let nodes = ref [] in
       let span = Dsd_util.Timer.Span.create () in
-      (* Per-component retargetable handle: the arena is built at the
-         first probe and only re-capacitated on later iterations.  A
-         Pruning-3 core shrink changes the vertex set, so the caller
-         resets the handle to [None] and the next probe rebuilds. *)
-      let solve_network ~prepared gc alpha ~instances =
+      let probe arena alpha =
         incr iters;
         Dsd_obs.Counter.incr Dsd_obs.Counter.Core_iterations;
         Dsd_util.Timer.Span.start span;
-        let network =
-          match !prepared with
-          | Some p -> Flow_build.retarget ~warm p ~alpha
-          | None ->
-            let p = Flow_build.prepare ?pool family gc psi ~instances ~alpha in
-            prepared := Some p;
-            p.Flow_build.network
-        in
-        nodes := network.node_count :: !nodes;
-        let s_side = Flow_build.solve network in
+        let s_side = Parametric.probe arena alpha in
+        nodes := Parametric.nodes arena :: !nodes;
         Dsd_util.Timer.Span.stop span;
         s_side
       in
-      let l = ref l0 in
       (* Line 6: if l has outgrown this core level, drop low-core
          vertices before doing any flow work. *)
       let comp =
@@ -182,74 +161,55 @@ let run ?pool ?(warm = true) ?(prunings = all_prunings) ?(grouped = false)
       in
       let cand = ref None in
       if Array.length comp >= p && not (ub < Atomic.get best_rho) then begin
-        let gc = ref (G.empty 0) in
-        let map = ref [||] in
-        let rebuild vs =
-          let sub, m = G.induced g vs in
-          gc := sub;
-          map := m
-        in
-        rebuild comp;
-        let instances = ref (Enumerate.instances ?pool !gc psi) in
+        (* Per-component arena over G[comp]: built at the first probe
+           and only re-capacitated later.  A Pruning-3 core shrink
+           changes the vertex set, so it starts a fresh arena. *)
         let comp = ref comp in
-        let prepared = ref None in
+        let map = ref [||] in
+        let arena_on vs =
+          let gc, m = G.induced g vs in
+          map := m;
+          Parametric.arena ?pool ~warm family gc psi
+            ~instances:(Enumerate.instances ?pool gc psi)
+        in
+        let arena = ref (arena_on !comp) in
         (* Feasibility probe at alpha = l (lines 7-9). *)
-        let s0 = solve_network ~prepared !gc !l ~instances:!instances in
+        let s0 = probe !arena l0 in
         if Array.length s0 > 0 then begin
-          let u = ref ub in
+          let l = ref l0 in
           let witness = ref (Array.map (fun v -> !map.(v)) s0) in
           let gap () =
             if prunings.p3 then Density.stop_gap (Array.length !comp)
             else Density.stop_gap (G.n g)
           in
-          while !u -. !l >= gap () do
-            let alpha = (!l +. !u) /. 2. in
-            let s_side =
-              solve_network ~prepared !gc alpha ~instances:!instances
-            in
-            if Array.length s_side = 0 then u := alpha
-            else begin
-              witness := Array.map (fun v -> !map.(v)) s_side;
-              (* Optimisation 3: raise l, shrink the component (and so
-                 the next network) to the higher core. *)
-              if safe_ceil alpha > safe_ceil !l then begin
-                let smaller = shrink !comp (safe_ceil alpha) in
-                if Array.length smaller >= p
-                   && Array.length smaller < Array.length !comp
-                then begin
-                  comp := smaller;
-                  rebuild smaller;
-                  instances := Enumerate.instances ?pool !gc psi;
-                  (* The handle's arena indexes the old vertex set:
-                     invalidate so the next probe rebuilds. *)
-                  prepared := None
-                end
-              end;
-              l := alpha
-            end
-          done;
+          Parametric.bisect ~gap ~l:l0 ~u:ub (fun alpha ->
+              let s_side = probe !arena alpha in
+              if Array.length s_side = 0 then None
+              else begin
+                witness := Array.map (fun v -> !map.(v)) s_side;
+                (* Optimisation 3: raise l, shrink the component (and
+                   so the next network) to the higher core. *)
+                if safe_ceil alpha > safe_ceil !l then begin
+                  let smaller = shrink !comp (safe_ceil alpha) in
+                  if Array.length smaller >= p
+                     && Array.length smaller < Array.length !comp
+                  then begin
+                    comp := smaller;
+                    arena := arena_on smaller
+                  end
+                end;
+                l := alpha;
+                Some alpha
+              end);
           let c = Density.of_vertices g psi !witness in
-          publish c.Density.density;
+          Parametric.raise_to best_rho c.Density.density;
           cand := Some c
         end
       end;
       slots.(ci) <-
         (!cand, !iters, List.rev !nodes, Dsd_util.Timer.Span.total_s span)
     in
-    (match pool with
-     | Some pl when ncomps > 1 ->
-       (* One component per chunk, [eager] because a handful of
-          components each hide a full binary search of flow solves.
-          Component bodies run pool-free (pools don't nest). *)
-       Dsd_util.Pool.parallel_for pl ~eager:true ~chunk:1 ~n:ncomps
-         (fun lo hi ->
-           for ci = lo to hi - 1 do
-             process ci
-           done)
-     | _ ->
-       for ci = 0 to ncomps - 1 do
-         process ?pool ci
-       done);
+    Parametric.striped ?pool ncomps process;
     Array.iter
       (fun (cand, it, nds, fs) ->
         iterations := !iterations + it;

@@ -15,10 +15,8 @@ let pattern_density g psi =
 let of_vertices g psi vs =
   if Array.length vs = 0 then { vertices = [||]; density = 0. }
   else begin
-    let sub, _map = G.induced g vs in
-    let sorted = Array.copy vs in
-    Array.sort compare sorted;
-    { vertices = sorted; density = pattern_density sub psi }
+    let sub, vertices = G.induced g vs in
+    { vertices; density = pattern_density sub psi }
   end
 
 let empty = { vertices = [||]; density = 0. }

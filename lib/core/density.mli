@@ -15,7 +15,8 @@ val edge_density : Dsd_graph.Graph.t -> float
 val pattern_density : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> float
 
 (** [of_vertices g psi vs] evaluates the Psi-density of the subgraph of
-    [g] induced by [vs] and packages the result. *)
+    [g] induced by [vs] and packages it with [vs] sorted and duplicates
+    dropped. *)
 val of_vertices : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> int array -> subgraph
 
 (** The empty result. *)

@@ -57,7 +57,7 @@ let search_ratio g ~c ~upper ~flows ~best ~best_pair =
   (* Only densities beating the best witness so far matter, so later
      ratios start their search from it — after one good ratio the rest
      are usually a couple of failed probes each. *)
-  let l = ref !best and u = ref upper in
+  let l = ref !best and u = upper in
   (* One probe at the current best decides whether this ratio can beat
      it at all; hopeless ratios cost a single min-cut. *)
   let hopeless =
@@ -78,26 +78,29 @@ let search_ratio g ~c ~upper ~flows ~best ~best_pair =
     end
   in
   (* Densities are e / sqrt(k): halve well below any separation at the
-     supported graph sizes. *)
+     supported graph sizes, in at most [iterations] probes.  The search
+     runs while u - l > 1e-12 upper, i.e. u - l >= its float successor. *)
   let iterations = 60 in
   let steps = ref (if hopeless then iterations else 0) in
-  while !steps < iterations && !u -. !l > 1e-12 *. upper do
-    incr steps;
-    incr flows;
-    let g_val = (!l +. !u) /. 2. in
-    let s_side, t_side = solve_decision g ~g_val ~c in
-    if Array.length s_side = 0 || Array.length t_side = 0 then u := g_val
-    else begin
-      let d = density g ~s:s_side ~t_side in
-      if d > !best then begin
-        best := d;
-        best_pair := (s_side, t_side)
-      end;
-      (* The relaxation guarantees d > g_val on success (AM-GM), so
-         the lower bound can jump to d. *)
-      if d > g_val then l := max d g_val else u := g_val
-    end
-  done
+  let width = Float.succ (1e-12 *. upper) in
+  Parametric.bisect
+    ~gap:(fun () -> if !steps < iterations then width else infinity)
+    ~l:!l ~u
+    (fun g_val ->
+      incr steps;
+      incr flows;
+      let s_side, t_side = solve_decision g ~g_val ~c in
+      if Array.length s_side = 0 || Array.length t_side = 0 then None
+      else begin
+        let d = density g ~s:s_side ~t_side in
+        if d > !best then begin
+          best := d;
+          best_pair := (s_side, t_side)
+        end;
+        (* The relaxation guarantees d > g_val on success (AM-GM), so
+           the lower bound can jump to d. *)
+        if d > g_val then Some (max d g_val) else None
+      end)
 
 let run_ratios g ratios =
   let t0 = Dsd_util.Timer.now_s () in

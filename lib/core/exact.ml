@@ -48,13 +48,6 @@ let run ?pool ?(warm = true) ?family ?instances ?prepared g psi =
   in
   if n = 0 || mu = 0 then finish Density.empty 0 0
   else begin
-    (* Algorithm 1 lines 1-3: l = 0, u = max clique-degree; stop when
-       the interval is below the minimal density gap. *)
-    let l = ref 0. and u = ref (float_of_int max_deg) in
-    let gap = Density.stop_gap n in
-    let best_vertices = ref [||] in
-    let iterations = ref 0 in
-    let last_nodes = ref 0 in
     (* The network topology is alpha-invariant: build the arena once on
        the first iteration, then only re-point the alpha arcs.  A
        caller-owned [?prepared] slot survives this call, so a server
@@ -62,31 +55,25 @@ let run ?pool ?(warm = true) ?family ?instances ?prepared g psi =
        and every later search is pure retargets (warm-started from
        whatever flow the previous search left committed — the min-cut
        source side is unique, so results are unchanged). *)
-    let prepared =
-      match prepared with
-      | Some slot -> slot
-      | None -> ref None
+    let arena =
+      Parametric.arena ?pool ~warm ?slot:prepared family g psi ~instances
     in
-    while !u -. !l >= gap do
-      incr iterations;
-      Dsd_obs.Counter.incr Dsd_obs.Counter.Core_iterations;
-      let alpha = (!l +. !u) /. 2. in
-      let network =
-        match !prepared with
-        | Some p -> Flow_build.retarget ~warm p ~alpha
-        | None ->
-          let p = Flow_build.prepare ?pool family g psi ~instances ~alpha in
-          prepared := Some p;
-          p.Flow_build.network
-      in
-      last_nodes := network.node_count;
-      let s_side = Flow_build.solve network in
-      if Array.length s_side = 0 then u := alpha
-      else begin
-        l := alpha;
-        best_vertices := s_side
-      end
-    done;
+    let best_vertices = ref [||] in
+    let iterations = ref 0 in
+    (* Algorithm 1 lines 1-3: l = 0, u = max clique-degree; stop when
+       the interval is below the minimal density gap. *)
+    Parametric.bisect
+      ~gap:(Fun.const (Density.stop_gap n))
+      ~l:0. ~u:(float_of_int max_deg)
+      (fun alpha ->
+        incr iterations;
+        Dsd_obs.Counter.incr Dsd_obs.Counter.Core_iterations;
+        let s_side = Parametric.probe arena alpha in
+        if Array.length s_side = 0 then None
+        else begin
+          best_vertices := s_side;
+          Some alpha
+        end);
     let best =
       if Array.length !best_vertices = 0 then
         (* The optimum equals the trivial lower bound only when every
@@ -95,5 +82,5 @@ let run ?pool ?(warm = true) ?family ?instances ?prepared g psi =
         Density.empty
       else Density.of_vertices g psi !best_vertices
     in
-    finish best !iterations !last_nodes
+    finish best !iterations (Parametric.nodes arena)
   end

@@ -85,8 +85,6 @@ let retarget ?(warm = true) p ~alpha =
   end;
   p.network
 
-let network p = p.network
-
 let eds_prepared g ~alpha =
   let n = G.n g in
   let m = float_of_int (G.m g) in
@@ -104,8 +102,6 @@ let eds_prepared g ~alpha =
       ignore (F.add_edge net ~src:(vertex_node u) ~dst:(vertex_node v) ~cap:1.);
       ignore (F.add_edge net ~src:(vertex_node v) ~dst:(vertex_node u) ~cap:1.));
   finish { net; source; sink; n_vertices = n; node_count = size }
-
-let eds_network g ~alpha = (eds_prepared g ~alpha).network
 
 (* Shared degree computation from an instance list.  With a pool the
    per-chunk partial counts fan out across domains; integer addition
@@ -235,12 +231,6 @@ let clique_prepared ?pool ?(pinned = [||]) g ~h ~instances ~alpha =
     sub_ids;
   finish { net; source; sink; n_vertices = n; node_count = size }
 
-let clique_network_pre ?pool ?pinned g ~h ~instances ~alpha =
-  (clique_prepared ?pool ?pinned g ~h ~instances ~alpha).network
-
-let clique_network g ~h ~alpha =
-  clique_network_pre g ~h ~instances:(Dsd_clique.Kclist.list g ~h) ~alpha
-
 let pds_prepared ?pool ?(pinned = [||]) ~grouped g (psi : P.t) ~instances
     ~alpha =
   let n = G.n g in
@@ -291,18 +281,6 @@ let pds_prepared ?pool ?(pinned = [||]) ~grouped g (psi : P.t) ~instances
     groups;
   finish { net; source; sink; n_vertices = n; node_count = size }
 
-let pds_network_pre ?pool ?pinned g psi ~instances ~alpha =
-  (pds_prepared ?pool ?pinned ~grouped:false g psi ~instances ~alpha).network
-
-let pds_network g psi ~alpha =
-  pds_network_pre g psi ~instances:(Enumerate.instances g psi) ~alpha
-
-let pds_network_grouped_pre ?pool ?pinned g psi ~instances ~alpha =
-  (pds_prepared ?pool ?pinned ~grouped:true g psi ~instances ~alpha).network
-
-let pds_network_grouped g psi ~alpha =
-  pds_network_grouped_pre g psi ~instances:(Enumerate.instances g psi) ~alpha
-
 type family = Eds | Clique_flow | Pds | Pds_grouped
 
 let auto_family (psi : P.t) ~grouped =
@@ -312,22 +290,16 @@ let auto_family (psi : P.t) ~grouped =
   | P.Star _ | P.Cycle4 | P.Generic -> if grouped then Pds_grouped else Pds
 
 let prepare ?pool ?pinned family g (psi : P.t) ~instances ~alpha =
+  (match (family, pinned) with
+   | Eds, Some pins when Array.length pins > 0 ->
+     (* The Goldberg construction has no pinning analysis. *)
+     invalid_arg "Flow_build.prepare: the Eds network cannot pin vertices"
+   | _ -> ());
   Dsd_obs.Span.with_ Dsd_obs.Phase.build_network @@ fun () ->
   Dsd_obs.Counter.incr Dsd_obs.Counter.Flow_networks_built;
   match family with
-  | Eds ->
-    (match pinned with
-     | None | Some [||] -> eds_prepared g ~alpha
-     | Some _ ->
-       (* The Goldberg construction has no pinning analysis; fall back
-          to the generic h = 2 network, which supports it. *)
-       clique_prepared ?pool ?pinned g ~h:2
-         ~instances:(Array.map (fun (u, v) -> [| u; v |]) (G.edges g))
-         ~alpha)
+  | Eds -> eds_prepared g ~alpha
   | Clique_flow -> clique_prepared ?pool ?pinned g ~h:psi.size ~instances ~alpha
   | Pds -> pds_prepared ?pool ?pinned ~grouped:false g psi ~instances ~alpha
   | Pds_grouped ->
     pds_prepared ?pool ?pinned ~grouped:true g psi ~instances ~alpha
-
-let build ?pool ?pinned family g psi ~instances ~alpha =
-  (prepare ?pool ?pinned family g psi ~instances ~alpha).network

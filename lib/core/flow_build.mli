@@ -1,22 +1,23 @@
 (** Flow-network constructions for the min-cut-based exact algorithms.
 
-    Four builders:
-    - {!eds_network}: Goldberg's simplified network for edge density
-      (the [32] construction quoted after Algorithm 1);
-    - {!clique_network}: Algorithm 1 lines 5-15 — source, vertex nodes,
+    {!prepare} is the one constructor.  By family:
+    - [Eds]: Goldberg's simplified network for edge density (the [32]
+      construction quoted after Algorithm 1);
+    - [Clique_flow]: Algorithm 1 lines 5-15 — source, vertex nodes,
       (h-1)-clique nodes, sink.  (h-1)-cliques that extend to no
       h-clique are omitted: they can never lie on the source side and
       only pad the network;
-    - {!pds_network}: PExact's construction (Algorithm 8) with one node
-      per pattern instance;
-    - {!pds_network_grouped}: construct+ (Algorithm 7), grouping
-      instances that share a vertex set; Lemma 11 proves the min-cut
-      capacity is unchanged.
+    - [Pds]: PExact's construction (Algorithm 8) with one node per
+      pattern instance;
+    - [Pds_grouped]: construct+ (Algorithm 7), grouping instances that
+      share a vertex set; Lemma 11 proves the min-cut capacity is
+      unchanged.
 
     In every network: node 0 is the source, node 1 + i is data vertex
     i, instance/clique nodes follow, and the last node is the sink.
-    After a min-cut, [dense_side_vertices] decodes S \ {s} back to data
-    vertices (Algorithm 1 line 18). *)
+    After a min-cut, [solve] decodes S \ {s} back to data vertices
+    (Algorithm 1 line 18).  {!Parametric} drives the searches over
+    these networks. *)
 
 type t = {
   net : Dsd_flow.Flow_network.t;
@@ -46,46 +47,11 @@ type prepared = {
     source side (empty iff S = {s}). *)
 val solve : t -> int array
 
-val eds_network : Dsd_graph.Graph.t -> alpha:float -> t
-
-val clique_network : Dsd_graph.Graph.t -> h:int -> alpha:float -> t
-
 (** [instance_degrees ~n instances] is deg(v, Psi) restricted to
     [instances], for v in [0..n-1].  With [?pool] the partial counts
     stripe across the pool's domains and merge deterministically. *)
 val instance_degrees :
   ?pool:Dsd_util.Pool.t -> int -> int array array -> int array
-
-(** [clique_network_pre] reuses h-clique instances enumerated once per
-    component across the binary-search iterations.  [pinned] vertices
-    get infinite-capacity source arcs, forcing them onto the source
-    side of every min cut (the query-vertex variant, Section 6.3).
-    With [?pool], the per-instance arc material — member/(h-1)-subset
-    pairs and instance degrees — is built in stripes across the pool
-    and merged in stripe order, so the resulting network is arc-for-arc
-    identical to the sequential construction for every pool size. *)
-val clique_network_pre :
-  ?pool:Dsd_util.Pool.t ->
-  ?pinned:int array ->
-  Dsd_graph.Graph.t -> h:int -> instances:int array array -> alpha:float -> t
-
-val pds_network :
-  Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> alpha:float -> t
-
-val pds_network_pre :
-  ?pool:Dsd_util.Pool.t ->
-  ?pinned:int array ->
-  Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> instances:int array array ->
-  alpha:float -> t
-
-val pds_network_grouped :
-  Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> alpha:float -> t
-
-val pds_network_grouped_pre :
-  ?pool:Dsd_util.Pool.t ->
-  ?pinned:int array ->
-  Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> instances:int array array ->
-  alpha:float -> t
 
 (** Which exact-network family an automatic solver should use for this
     pattern: cliques get the clique/EDS networks, general patterns the
@@ -97,26 +63,22 @@ type family = Eds | Clique_flow | Pds | Pds_grouped
     [Pds_grouped] when [grouped]). *)
 val auto_family : Dsd_pattern.Pattern.t -> grouped:bool -> family
 
-(** [build family g psi ~instances ~alpha] dispatches on the family;
-    [instances] must be the Psi-instances of [g] (ignored by [Eds]).
-    For [Clique_flow] they are the h-cliques.  With a non-empty
-    [pinned] set, [Eds] falls back to the generic h = 2 network (the
-    Goldberg construction has no pinning analysis).
+(** [prepare family g psi ~instances ~alpha] builds the network of
+    [family] for [alpha] (counted once as [flow_networks_built]) and
+    returns the retargetable handle.  [instances] must be the
+    Psi-instances of [g] (the h-cliques for [Clique_flow]; ignored by
+    [Eds]).  [pinned] vertices get infinite-capacity source arcs,
+    forcing them onto the source side of every min cut (the
+    query-vertex variant, Section 6.3).  With [?pool] the per-instance
+    arc material stripes across the pool and merges in stripe order, so
+    the network is arc-for-arc identical for every pool size.
 
-    Equivalent to [(prepare ... ~alpha).network]; use {!prepare} when
-    the same topology will be solved at several alphas. *)
-val build :
-  ?pool:Dsd_util.Pool.t ->
-  ?pinned:int array ->
-  family -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t ->
-  instances:int array array -> alpha:float -> t
+    The handle is tied to [g] and [instances]: when the vertex set
+    changes (CoreExact's Pruning-3 core shrink), discard it and prepare
+    a fresh one.
 
-(** [prepare family g psi ~instances ~alpha] builds the network for
-    [alpha] exactly like {!build} (same dispatch, pool striping and
-    pinning fallback; counted once as [flow_networks_built]) and
-    returns the retargetable handle.  The handle is tied to [g] and
-    [instances]: when the vertex set changes (CoreExact's Pruning-3
-    core shrink), discard it and prepare a fresh one. *)
+    @raise Invalid_argument when [family] is [Eds] and [pinned] is
+    non-empty: the Goldberg construction has no pinning analysis. *)
 val prepare :
   ?pool:Dsd_util.Pool.t ->
   ?pinned:int array ->
@@ -139,7 +101,3 @@ val prepare :
     With [~warm:false] all flow is zeroed first — the PR 3 behaviour —
     and the next solve starts from scratch. *)
 val retarget : ?warm:bool -> prepared -> alpha:float -> t
-
-(** The underlying network of a prepared handle (shared with every
-    [retarget] result). *)
-val network : prepared -> t

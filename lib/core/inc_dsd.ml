@@ -43,17 +43,19 @@ type t = {
   h : int;
   dyn : Dyn.t;
   mutable store : Store.store;
-  mutable net : F.t;
-  mutable source : int;
-  mutable sink : int;
+  (* The arena and its alpha arcs v -> sink (base 0, coefficient h).
+     Its [node_count] is the build-time size: instance nodes added
+     later are not counted, and nothing here reads it. *)
+  mutable arena : Flow_build.prepared;
   mutable src_arc : int array;    (* v -> source-arc id *)
-  mutable alpha_arc : int array;  (* v -> alpha-arc id *)
   mutable inst_node : int array;  (* instance id -> arena node *)
   mutable inst_arcs : int array array;  (* instance id -> its arc ids *)
   mutable last_opt : float;  (* previous query's density; < 0 = none *)
 }
 
-let alpha_coef t = float_of_int t.h
+let net t = t.arena.Flow_build.network.Flow_build.net
+let source t = t.arena.Flow_build.network.Flow_build.source
+let sink t = t.arena.Flow_build.network.Flow_build.sink
 
 let grow_inst t id =
   if id >= Array.length t.inst_node then begin
@@ -71,15 +73,15 @@ let grow_inst t id =
 let arena_add_instance t id =
   grow_inst t id;
   let members = Store.members t.store id in
-  let node = F.add_node t.net in
+  let net = net t in
+  let node = F.add_node net in
   let arcs = Array.make (2 * Array.length members) 0 in
   Array.iteri
     (fun i v ->
-      arcs.(2 * i) <- F.add_edge t.net ~src:(v + 1) ~dst:node ~cap:1.;
+      arcs.(2 * i) <- F.add_edge net ~src:(v + 1) ~dst:node ~cap:1.;
       arcs.((2 * i) + 1) <-
-        F.add_edge t.net ~src:node ~dst:(v + 1)
-          ~cap:(float_of_int (t.h - 1));
-      F.set_cap t.net t.src_arc.(v) (float_of_int (Store.degree t.store v)))
+        F.add_edge net ~src:node ~dst:(v + 1) ~cap:(float_of_int (t.h - 1));
+      F.set_cap net t.src_arc.(v) (float_of_int (Store.degree t.store v)))
     members;
   t.inst_node.(id) <- node;
   t.inst_arcs.(id) <- arcs
@@ -90,34 +92,43 @@ let arena_add_instance t id =
    dead node is semantically absent from every later probe. *)
 let arena_retire_instance t id =
   let members = Store.members t.store id in
+  let net = net t and s = source t and sink = sink t in
   Array.iter
     (fun a ->
-      F.set_cap_carry t.net a 0.;
-      ignore (F.restore_arc_full t.net ~s:t.source ~sink:t.sink a))
+      F.set_cap_carry net a 0.;
+      ignore (F.restore_arc_full net ~s ~sink a))
     t.inst_arcs.(id);
   Array.iter
     (fun v ->
-      F.set_cap_carry t.net t.src_arc.(v)
-        (float_of_int (Store.degree t.store v));
-      ignore (F.restore_arc_head t.net ~sink:t.sink t.src_arc.(v)))
+      F.set_cap_carry net t.src_arc.(v) (float_of_int (Store.degree t.store v));
+      ignore (F.restore_arc_head net ~sink t.src_arc.(v)))
     members;
   t.inst_arcs.(id) <- [||];
   t.inst_node.(id) <- -1
 
-let build_arena t =
-  let n = Dyn.n t.dyn in
+(* The instance-free arena: source -> v arcs at cap 0 (raised as
+   instances arrive) and the alpha arcs v -> sink, cap h * alpha. *)
+let empty_arena ~n ~h =
   let net = F.create (n + 2) in
-  t.net <- net;
-  t.source <- 0;
-  t.sink <- n + 1;
-  t.src_arc <- Array.init (max 1 n) (fun _ -> -1);
-  t.alpha_arc <- Array.init (max 1 n) (fun _ -> -1);
+  let sink = n + 1 in
+  let src_arc = Array.make (max 1 n) (-1) and alpha_arcs = Array.make n (-1) in
+  for v = 0 to n - 1 do
+    src_arc.(v) <- F.add_edge net ~src:0 ~dst:(v + 1) ~cap:0.;
+    alpha_arcs.(v) <- F.add_edge net ~src:(v + 1) ~dst:sink ~cap:0.
+  done;
+  ( { Flow_build.network =
+        { net; source = 0; sink; n_vertices = n; node_count = n + 2 };
+      alpha_arcs;
+      alpha_base = Array.make n 0.;
+      alpha_coef = Array.make n (float_of_int h) },
+    src_arc )
+
+let build_arena t =
+  let arena, src_arc = empty_arena ~n:(Dyn.n t.dyn) ~h:t.h in
+  t.arena <- arena;
+  t.src_arc <- src_arc;
   t.inst_node <- Array.make 16 (-1);
   t.inst_arcs <- Array.make 16 [||];
-  for v = 0 to n - 1 do
-    t.src_arc.(v) <- F.add_edge net ~src:0 ~dst:(v + 1) ~cap:0.;
-    t.alpha_arc.(v) <- F.add_edge net ~src:(v + 1) ~dst:t.sink ~cap:0.
-  done;
   Counter.incr Counter.Flow_networks_built;
   for id = 0 to Store.total t.store - 1 do
     if Store.is_live t.store id then arena_add_instance t id
@@ -135,11 +146,8 @@ let create ?pool g (psi : P.t) =
       h = psi.P.size;
       dyn;
       store;
-      net = F.create 1;
-      source = 0;
-      sink = 0;
+      arena = fst (empty_arena ~n:0 ~h:psi.P.size);
       src_arc = [||];
-      alpha_arc = [||];
       inst_node = [||];
       inst_arcs = [||];
       last_opt = -1.;
@@ -237,19 +245,6 @@ let max_live_degree t =
   done;
   !best
 
-let retarget t alpha =
-  Dsd_obs.Span.with_ Dsd_obs.Phase.retarget @@ fun () ->
-  Counter.incr Counter.Flow_retargets;
-  Counter.incr Counter.Flow_warm_starts;
-  let cap = Float.max (alpha_coef t *. alpha) 0. in
-  Array.iter (fun a -> F.set_cap_carry t.net a cap) t.alpha_arc;
-  Array.iter (fun a -> ignore (F.restore_arc t.net ~s:t.source a)) t.alpha_arc
-
-let solve t =
-  Flow_build.solve
-    { Flow_build.net = t.net; source = t.source; sink = t.sink;
-      n_vertices = Dyn.n t.dyn; node_count = F.node_count t.net }
-
 let query t =
   Dsd_obs.Span.with_ Dsd_obs.Phase.incremental @@ fun () ->
   let n = Dyn.n t.dyn in
@@ -259,16 +254,15 @@ let query t =
     let l = ref 0. and u = ref (float_of_int (max_live_degree t)) in
     let gap = Density.stop_gap n in
     let best_vertices = ref [||] in
-    let probe alpha =
+    (* Each probe re-points the alpha arcs warm from the committed
+       flow. *)
+    let feasible alpha =
       Counter.incr Counter.Core_iterations;
-      retarget t alpha;
-      let s_side = solve t in
-      if Array.length s_side = 0 then u := alpha
-      else begin
-        l := alpha;
-        best_vertices := s_side
-      end
+      let s_side = Flow_build.solve (Flow_build.retarget t.arena ~alpha) in
+      if Array.length s_side > 0 then best_vertices := s_side;
+      Array.length s_side > 0
     in
+    let probe alpha = if feasible alpha then l := alpha else u := alpha in
     (* Warm bracket: the answer is canonical for any probe history (see
        the module comment), so a patched session may narrow [l, u)
        around its previous optimum instead of bisecting the full range.
@@ -290,9 +284,8 @@ let query t =
         end
       done
     end;
-    while !u -. !l >= gap do
-      probe ((!l +. !u) /. 2.)
-    done;
+    Parametric.bisect ~gap:(Fun.const gap) ~l:!l ~u:!u (fun alpha ->
+        if feasible alpha then Some alpha else None);
     let result =
       if Array.length !best_vertices = 0 then Density.empty
       else Density.of_vertices (Dyn.snapshot t.dyn) t.psi !best_vertices

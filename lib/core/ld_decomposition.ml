@@ -15,13 +15,6 @@ type t = {
 
 let safe_ceil = Dsd_util.Float_guard.safe_ceil
 
-let family_for (psi : P.t) =
-  (* Every probe pins B to the source side, and pinning needs the
-     generic networks even for h = 2 (see Query_dsd). *)
-  match psi.kind with
-  | P.Clique -> Flow_build.Clique_flow
-  | P.Star _ | P.Cycle4 | P.Generic -> Flow_build.Pds_grouped
-
 (* The candidate subgraph a level's binary search runs on: induced
    graph, both id maps, its instance list and a scratch membership
    mask.  Level 1 restricts to the ceil(l0)-core exactly as Topk_lds;
@@ -74,7 +67,7 @@ let decompose ?pool ?decomp ?(prepared = true) ?(warm = true) g (psi : P.t) =
       d
     | _ -> Clique_core.decompose ?pool ~track_density:true g psi
   in
-  let family = family_for psi in
+  let family = Parametric.pinned_family psi in
   let probes = ref 0 in
   let gap = Density.stop_gap n in
   let in_b = Array.make (max 1 n) false in
@@ -149,51 +142,38 @@ let decompose ?pool ?decomp ?(prepared = true) ?(warm = true) g (psi : P.t) =
              over S ⊇ B, and marginal > alpha for some S iff the
              maximiser beats f(B). *)
           let pinned = Array.map (fun v -> ctx.back.(v)) !b in
-          let arena = ref None in
+          let fresh () =
+            Parametric.arena ?pool ~pinned ~warm family ctx.gc psi
+              ~instances:ctx.insts
+          in
+          let arena = ref (fresh ()) in
           let solve_at alpha =
             incr probes;
             Dsd_obs.Counter.incr Dsd_obs.Counter.Ld_probes;
-            if not prepared then
-              Flow_build.solve
-                (Flow_build.build ?pool ~pinned family ctx.gc psi
-                   ~instances:ctx.insts ~alpha)
-            else
-              match !arena with
-              | Some pa ->
-                Dsd_obs.Counter.incr Dsd_obs.Counter.Ld_retargets;
-                Flow_build.solve (Flow_build.retarget ~warm pa ~alpha)
-              | None ->
-                let pa =
-                  Flow_build.prepare ?pool ~pinned family ctx.gc psi
-                    ~instances:ctx.insts ~alpha
-                in
-                arena := Some pa;
-                Flow_build.solve pa.Flow_build.network
+            if not prepared then arena := fresh ();
+            if Parametric.built !arena then
+              Dsd_obs.Counter.incr Dsd_obs.Counter.Ld_retargets;
+            Parametric.probe !arena alpha
           in
           let nb = Array.length !b in
           let marginal s_mu s_card =
             if s_card = nb then 0.
             else float_of_int (s_mu - !mu_b) /. float_of_int (s_card - nb)
           in
-          let best_m = ref 0. in
-          let have_witness = ref false in
-          let l = ref 0. and u = ref !upper in
-          while !u -. !l >= gap do
-            let alpha = (!l +. !u) /. 2. in
-            let side = solve_at alpha in
-            let m = marginal (mu_inside ctx side) (Array.length side) in
-            if Array.length side > nb && m > alpha then begin
-              l := m;
-              best_m := m;
-              have_witness := true
-            end
-            else u := alpha
-          done;
-          if not !have_witness then begin
+          let best_m = ref None in
+          Parametric.bisect ~gap:(Fun.const gap) ~l:0. ~u:!upper (fun alpha ->
+              let side = solve_at alpha in
+              let m = marginal (mu_inside ctx side) (Array.length side) in
+              if Array.length side > nb && m > alpha then begin
+                best_m := Some m;
+                Some m
+              end
+              else None);
+          match !best_m with
+          | None ->
             emit_zero ();
             finished := true
-          end
-          else begin
+          | Some best_m ->
             (* Canonicalization cut: on termination best_m IS the level's
                exact marginal (distinct marginals over the same B differ
                by >= 2 * stop_gap).  At alpha = best_m - gap the value
@@ -203,7 +183,7 @@ let decompose ?pool ?decomp ?(prepared = true) ?(warm = true) g (psi : P.t) =
                all.  Any min cut returns it, making the level set
                deterministic (and the chain the density-friendly
                decomposition, not just some max-marginal chain). *)
-            let side = solve_at (!best_m -. gap) in
+            let side = solve_at (best_m -. gap) in
             let s_mu = mu_inside ctx side in
             (* solve returns ascending local ids and cand is ascending,
                so s — and therefore b and the level's vertices — are
@@ -216,13 +196,12 @@ let decompose ?pool ?decomp ?(prepared = true) ?(warm = true) g (psi : P.t) =
             Array.iter (fun v -> in_b.(v) <- true) xs;
             emit
               { vertices = xs;
-                marginal_density = !best_m;
+                marginal_density = best_m;
                 prefix_size = Array.length s };
             b := s;
             mu_b := s_mu;
-            upper := !best_m;
+            upper := best_m;
             if Array.length s = n then finished := true
-          end
         end
       done
     end

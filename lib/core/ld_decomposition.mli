@@ -30,8 +30,8 @@ type t = {
     density-friendly decomposition itself, not an arbitrary
     max-marginal chain.
 
-    Probes run on a per-level prepared arena ({!Flow_build.prepare})
-    and each subsequent alpha is an O(V) {!Flow_build.retarget} that
+    Probes run on a per-level {!Parametric.arena}, built at its first
+    probe, and each subsequent alpha is an O(V) {!Flow_build.retarget} that
     keeps the committed flow ([~warm:false] resets it;
     [~prepared:false] falls back to building every network from
     scratch — both escape hatches are bit-identical to the default).

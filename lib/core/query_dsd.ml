@@ -14,19 +14,14 @@ let validate g query =
       if q < 0 || q >= G.n g then invalid_arg "Query_dsd: query vertex out of range")
     query
 
-let family_for (psi : P.t) =
-  (* Pinning needs the generic networks even for h = 2. *)
-  match psi.kind with
-  | P.Clique -> Flow_build.Clique_flow
-  | P.Star _ | P.Cycle4 | P.Generic -> Flow_build.Pds_grouped
-
 (* Binary search with query vertices pinned to the source side.  The
    min cut maximises mu(A1) - alpha |A1| over A1 containing the query,
    so the decision "exists S containing Q with density > alpha" is read
    off the exact density of the returned side (which is itself the
-   witness). *)
+   witness).  Pinned arcs are alpha-independent, so the pinned network
+   retargets like any other: built once, re-capacitated per
+   iteration. *)
 let search ?pool ?warm g psi ~query ~candidates ~l0 ~u0 ~witness0 ~iterations =
-  let family = family_for psi in
   let gc, map = G.induced g candidates in
   let back = Array.make (G.n g) (-1) in
   Array.iteri (fun i v -> back.(v) <- i) map;
@@ -35,34 +30,25 @@ let search ?pool ?warm g psi ~query ~candidates ~l0 ~u0 ~witness0 ~iterations =
      construction). *)
   assert (Array.for_all (fun q -> q >= 0) pinned);
   let instances = Enumerate.instances ?pool gc psi in
+  let arena =
+    Parametric.arena ?pool ~pinned ?warm (Parametric.pinned_family psi) gc psi
+      ~instances
+  in
   let best = ref witness0 in
-  let l = ref (max l0 !best.Density.density) and u = ref u0 in
-  let gap = Density.stop_gap (G.n gc) in
-  (* Pinned arcs are alpha-independent, so the pinned network retargets
-     like any other: built once, re-capacitated per iteration. *)
-  let prepared = ref None in
-  while !u -. !l >= gap do
-    incr iterations;
-    let alpha = (!l +. !u) /. 2. in
-    let network =
-      match !prepared with
-      | Some p -> Flow_build.retarget ?warm p ~alpha
-      | None ->
-        let p =
-          Flow_build.prepare ?pool ~pinned family gc psi ~instances ~alpha
-        in
-        prepared := Some p;
-        p.Flow_build.network
-    in
-    let side = Flow_build.solve network in
-    let side_orig = Array.map (fun v -> map.(v)) side in
-    let cand = Density.of_vertices g psi side_orig in
-    if cand.Density.density > alpha then begin
-      l := cand.Density.density;
-      best := cand
-    end
-    else u := alpha
-  done;
+  Parametric.bisect
+    ~gap:(Fun.const (Density.stop_gap (G.n gc)))
+    ~l:(max l0 witness0.Density.density) ~u:u0
+    (fun alpha ->
+      incr iterations;
+      let side = Parametric.probe arena alpha in
+      let cand =
+        Density.of_vertices g psi (Array.map (fun v -> map.(v)) side)
+      in
+      if cand.Density.density > alpha then begin
+        best := cand;
+        Some cand.Density.density
+      end
+      else None);
   !best
 
 let run_naive ?pool ?warm g psi ~query =

@@ -15,13 +15,6 @@ type result = {
 
 let safe_ceil = Dsd_util.Float_guard.safe_ceil
 
-let family_for (psi : P.t) =
-  (* The canonicalization cut pins its witness, and pinning needs the
-     generic networks even for h = 2 (see Query_dsd). *)
-  match psi.kind with
-  | P.Clique -> Flow_build.Clique_flow
-  | P.Star _ | P.Cycle4 | P.Generic -> Flow_build.Pds_grouped
-
 (* Exact optimum and canonical maximal densest subgraph of gr[verts]
    (verts in gr-local ids, regions reported in g-global ids via
    map_r).  None when the part holds no Psi-instance.
@@ -38,7 +31,7 @@ let family_for (psi : P.t) =
    side, which cannot change the unique answer (it contains every
    densest subset) but routes the cut through the pinned prepared-arena
    path. *)
-let solve_part ?pool ~warm ~family g gr ~map_r psi ~verts ~u0 ~iterations =
+let solve_part ?pool ~warm g gr ~map_r psi ~verts ~u0 ~iterations =
   let cg, cmap = G.induced gr verts in
   let instances = Enumerate.instances ?pool cg psi in
   if Array.length instances = 0 then None
@@ -57,48 +50,40 @@ let solve_part ?pool ~warm ~family g gr ~map_r psi ~verts ~u0 ~iterations =
        is a sound lower bound with itself as witness. *)
     let witness_local = ref (Array.init (G.n cg) Fun.id) in
     let witness = ref (Density.of_vertices g psi (global_of !witness_local)) in
-    let l = ref !witness.Density.density in
-    let u = ref (Float.max u0 !l) in
+    let l0 = !witness.Density.density in
     let gap = Density.stop_gap (G.n cg) in
-    let prepared = ref None in
-    let solve_at ?pinned alpha =
+    let probe arena alpha =
       incr iterations;
-      match (pinned, !prepared) with
-      | None, Some p -> Flow_build.solve (Flow_build.retarget ~warm p ~alpha)
-      | None, None ->
-        let p = Flow_build.prepare ?pool family cg psi ~instances ~alpha in
-        prepared := Some p;
-        Flow_build.solve p.Flow_build.network
-      | Some _, _ ->
-        (* pinned arcs differ from the search arena: one-shot build *)
-        Flow_build.solve
-          (Flow_build.prepare ?pool ?pinned family cg psi ~instances ~alpha)
-            .Flow_build.network
+      Parametric.probe arena alpha
     in
-    while !u -. !l >= gap do
-      let alpha = (!l +. !u) /. 2. in
-      let side = solve_at alpha in
-      if Array.length side = 0 then u := alpha
-      else begin
-        let cand = Density.of_vertices g psi (global_of side) in
-        if cand.Density.density > alpha then begin
-          l := cand.Density.density;
-          witness := cand;
-          witness_local := side
-        end
-        else u := alpha
-      end
-    done;
+    let family = Parametric.pinned_family psi in
+    let arena = Parametric.arena ?pool ~warm family cg psi ~instances in
+    Parametric.bisect ~gap:(Fun.const gap) ~l:l0 ~u:(Float.max u0 l0)
+      (fun alpha ->
+        let side = probe arena alpha in
+        if Array.length side = 0 then None
+        else begin
+          let cand = Density.of_vertices g psi (global_of side) in
+          if cand.Density.density > alpha then begin
+            witness := cand;
+            witness_local := side;
+            Some cand.Density.density
+          end
+          else None
+        end);
     let rho = !witness.Density.density in
-    let side = solve_at ~pinned:!witness_local (rho -. gap) in
-    Some (rho, global_of side)
+    (* The pinned arcs differ from the search arena: a one-shot build. *)
+    let canonical =
+      Parametric.arena ?pool ~pinned:!witness_local family cg psi ~instances
+    in
+    Some (rho, global_of (probe canonical (rho -. gap)))
   end
 
 (* One extraction round over the remaining graph gr: the exact round
    optimum and its canonical region, or None when gr has no instances
    left.  [prev_rho] is the previous round's density — a sound upper
    bound, since the remaining graph only shrinks. *)
-let round_pruned ?pool ~warm ~family ~decomp g gr ~map_r (psi : P.t) ~prev_rho
+let round_pruned ?pool ~warm ~decomp g gr ~map_r (psi : P.t) ~prev_rho
     ~iterations ~pruned =
   let d =
     match decomp with
@@ -149,14 +134,6 @@ let round_pruned ?pool ~warm ~family ~decomp g gr ~map_r (psi : P.t) ~prev_rho
     let ncomps = Array.length comps in
     let slots = Array.make ncomps `Pruned in
     let best_rho = Atomic.make 0. in
-    let publish rho =
-      let rec go () =
-        let cur = Atomic.get best_rho in
-        if rho > cur && not (Atomic.compare_and_set best_rho cur rho) then
-          go ()
-      in
-      go ()
-    in
     let process ?pool ci =
       let bound, comp = comps.(ci) in
       (* The skip is strict: a component tied with the best so far has
@@ -166,28 +143,15 @@ let round_pruned ?pool ~warm ~family ~decomp g gr ~map_r (psi : P.t) ~prev_rho
       else begin
         let iters = ref 0 in
         let r =
-          solve_part ?pool ~warm ~family g gr ~map_r psi ~verts:comp
+          solve_part ?pool ~warm g gr ~map_r psi ~verts:comp
             ~u0:(Some (Float.min bound prev_rho))
             ~iterations:iters
         in
-        (match r with Some (rho, _) -> publish rho | None -> ());
+        Option.iter (fun (rho, _) -> Parametric.raise_to best_rho rho) r;
         slots.(ci) <- `Solved (r, !iters)
       end
     in
-    (match pool with
-     | Some pl when ncomps > 1 ->
-       (* One component per chunk, [eager]: a handful of components
-          each hide a full binary search of flow solves.  Component
-          bodies run pool-free (pools don't nest). *)
-       Dsd_util.Pool.parallel_for pl ~eager:true ~chunk:1 ~n:ncomps
-         (fun lo hi ->
-           for ci = lo to hi - 1 do
-             process ci
-           done)
-     | _ ->
-       for ci = 0 to ncomps - 1 do
-         process ?pool ci
-       done);
+    Parametric.striped ?pool ncomps process;
     let solved = ref [] in
     Array.iter
       (function
@@ -215,10 +179,10 @@ let round_pruned ?pool ~warm ~family ~decomp g gr ~map_r (psi : P.t) ~prev_rho
       Some (Density.of_vertices g psi (Array.of_list union))
   end
 
-let round_unpruned ?pool ~warm ~family g gr ~map_r psi ~iterations =
+let round_unpruned ?pool ~warm g gr ~map_r psi ~iterations =
   let verts = Array.init (G.n gr) Fun.id in
   match
-    solve_part ?pool ~warm ~family g gr ~map_r psi ~verts ~u0:None ~iterations
+    solve_part ?pool ~warm g gr ~map_r psi ~verts ~u0:None ~iterations
   with
   | None -> None
   | Some (_rho, region) -> Some (Density.of_vertices g psi region)
@@ -228,7 +192,6 @@ let run ?pool ?(warm = true) ?(prune = true) ?decomp ~k g psi =
   Dsd_obs.Span.with_ Dsd_obs.Phase.topk @@ fun () ->
   let t0 = Dsd_util.Timer.now_s () in
   let n = G.n g in
-  let family = family_for psi in
   let iterations = ref 0 in
   let pruned = ref 0 in
   let rounds = ref 0 in
@@ -250,9 +213,9 @@ let run ?pool ?(warm = true) ?(prune = true) ?decomp ~k g psi =
         (* A caller-supplied decomposition only matches the first round
            (it describes the full graph). *)
         let decomp = if !rounds = 1 then decomp else None in
-        round_pruned ?pool ~warm ~family ~decomp g gr ~map_r psi
+        round_pruned ?pool ~warm ~decomp g gr ~map_r psi
           ~prev_rho:!prev_rho ~iterations ~pruned
-      else round_unpruned ?pool ~warm ~family g gr ~map_r psi ~iterations
+      else round_unpruned ?pool ~warm g gr ~map_r psi ~iterations
     in
     match round_region with
     | None -> stop := true

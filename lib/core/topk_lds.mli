@@ -17,8 +17,8 @@
     union and have a unique maximal element D.  At
     [alpha = rho_opt - eps] with [0 < eps < Density.min_gap n], the
     {e unique} maximiser of [mu(S) - alpha |S|] is D, so one extra
-    min cut at that alpha — pinned on the binary search's witness,
-    through the {!Flow_build.prepare} pinned path — returns D no matter
+    min cut at that alpha — pinned on the binary search's witness, on
+    a one-shot pinned {!Parametric.arena} — returns D no matter
     which of several min cuts the solver happens to find.
 
     With [~prune:true] (the default) each round restricts the search to

@@ -48,7 +48,9 @@ let test_exact_solvers_agree () =
             grouped.CE.subgraph.D.density;
           (* The instance-node (PExact) and construct+ (CorePExact)
              networks solve the same clique problem. *)
-          let pexact = Dsd_core.Pexact.run g psi in
+          let pexact =
+            Dsd_core.Exact.run ~family:Dsd_core.Flow_build.Pds g psi
+          in
           Helpers.check_float (ctx ^ " PExact") reference
             pexact.Dsd_core.Exact.subgraph.D.density;
           let corepexact = Dsd_core.Core_pexact.run g psi in

@@ -120,7 +120,7 @@ let test_resolve_allocation () =
       let alpha =
         float_of_int (Array.length instances) /. float_of_int (Dsd_graph.Graph.n g)
       in
-      let network = FB.network (FB.prepare FB.Clique_flow g psi ~instances ~alpha) in
+      let network = (FB.prepare FB.Clique_flow g psi ~instances ~alpha).network in
       let { FB.net; source = s; sink = t; _ } = network in
       let nodes = F.node_count net in
       if nodes <= 256 then Alcotest.failf "%s: only %d nodes" name nodes;

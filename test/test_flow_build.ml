@@ -9,6 +9,15 @@ module D = Dsd_core.Density
 
 (* Does g contain a subgraph with psi-density strictly above alpha?
    (exhaustive, n <= 12). *)
+(* The network of [family] at [alpha], built in one go. *)
+let network family g psi ~alpha =
+  let instances =
+    match family with
+    | FB.Eds -> [||]
+    | _ -> Dsd_core.Enumerate.instances g psi
+  in
+  (FB.prepare family g psi ~instances ~alpha).network
+
 let exists_denser g psi alpha =
   let n = G.n g in
   let found = ref false in
@@ -27,9 +36,7 @@ let exists_denser g psi alpha =
 let lemma14_family family psi (g, alpha) =
   if G.n g = 0 then true
   else begin
-    let instances = Dsd_core.Enumerate.instances g psi in
-    let network = FB.build family g psi ~instances ~alpha in
-    let s_side = FB.solve network in
+    let s_side = FB.solve (network family g psi ~alpha) in
     let expect = exists_denser g psi alpha in
     (* Exact boundary (density exactly alpha) may legitimately return a
        non-empty source side of equal density; only the two strict
@@ -45,9 +52,7 @@ let lemma14_family family psi (g, alpha) =
 let witness_density_family family psi (g, alpha) =
   if G.n g = 0 then true
   else begin
-    let instances = Dsd_core.Enumerate.instances g psi in
-    let network = FB.build family g psi ~instances ~alpha in
-    let s_side = FB.solve network in
+    let s_side = FB.solve (network family g psi ~alpha) in
     Array.length s_side = 0
     || Helpers.density_of_subset g psi s_side >= alpha -. 1e-6
   end
@@ -63,7 +68,7 @@ let test_eds_capacities () =
   (* Goldberg network of a triangle at alpha = 1: s->v arcs carry m,
      v->t arcs carry m + 2 alpha - deg = 3 + 2 - 2 = 3. *)
   let g = G.complete 3 in
-  let fb = FB.eds_network g ~alpha:1.0 in
+  let fb = network FB.Eds g P.edge ~alpha:1.0 in
   Alcotest.(check int) "node count" 5 fb.FB.node_count;
   let module F = Dsd_flow.Flow_network in
   Alcotest.(check int) "arcs: 3 s->v, 3 v->t, 6 edge arcs" 12
@@ -75,13 +80,13 @@ let test_clique_network_shape () =
      triangles, t.  Only the triangle (B,C,D) exists, so its 3 edges
      become nodes. *)
   let g = Dsd_data.Paper_graphs.figure2 in
-  let fb = FB.clique_network g ~h:3 ~alpha:0.5 in
+  let fb = network FB.Clique_flow g P.triangle ~alpha:0.5 in
   Alcotest.(check int) "nodes = 2 + 4 + 3" 9 fb.FB.node_count
 
 let test_solve_decodes_vertices () =
   let g = Dsd_data.Paper_graphs.two_cliques ~a:5 ~b:3 ~bridge:false in
   (* K5 has edge density 2; alpha = 1.5 must expose it. *)
-  let fb = FB.eds_network g ~alpha:1.5 in
+  let fb = network FB.Eds g P.edge ~alpha:1.5 in
   let side = FB.solve fb in
   Alcotest.(check (list int)) "source side = K5" [ 0; 1; 2; 3; 4 ]
     (Helpers.int_array_as_set side)
@@ -99,7 +104,22 @@ let test_density_of_vertices () =
   let g = Dsd_data.Paper_graphs.eds_vs_cds in
   let sg = D.of_vertices g P.triangle [| 7; 8; 9; 10 |] in
   Helpers.check_float "K4 triangle density" 1.0 sg.D.density;
-  Alcotest.(check (array int)) "sorted" [| 7; 8; 9; 10 |] sg.D.vertices
+  Alcotest.(check (array int)) "sorted" [| 7; 8; 9; 10 |] sg.D.vertices;
+  let path = Dsd_data.Paper_graphs.path 4 in
+  let sg = D.of_vertices path P.edge [| 2; 0; 2 |] in
+  Alcotest.(check (array int)) "duplicates dropped" [| 0; 2 |] sg.D.vertices
+
+(* Pinned searches use the generic networks (Parametric.pinned_family);
+   the Goldberg construction has no pinning analysis. *)
+let test_eds_rejects_pinned () =
+  let g = G.complete 3 in
+  Alcotest.check_raises "pinned Eds"
+    (Invalid_argument "Flow_build.prepare: the Eds network cannot pin vertices")
+    (fun () ->
+      ignore (FB.prepare ~pinned:[| 0 |] FB.Eds g P.edge ~instances:[||] ~alpha:1.));
+  Alcotest.(check int) "empty pin set builds" 5
+    (FB.prepare ~pinned:[||] FB.Eds g P.edge ~instances:[||] ~alpha:1.)
+      .FB.network.FB.node_count
 
 let enumerate_dispatch_prop g =
   (* All enumeration paths agree on counts. *)
@@ -148,3 +168,7 @@ let suite =
         ("clique h=2", FB.Clique_flow, P.edge);
         ("pds paw", FB.Pds, P.c3_star);
         ("pds-grouped C4", FB.Pds_grouped, P.diamond) ]
+  @ [
+      Alcotest.test_case "eds network rejects pinned vertices" `Quick
+        test_eds_rejects_pinned;
+    ]

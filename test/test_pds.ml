@@ -9,9 +9,12 @@ module FB = Dsd_core.Flow_build
 
 let close a b = Float.abs (a -. b) < 1e-6
 
+(* PExact (Algorithm 8): Exact with the one-node-per-instance network. *)
+let pexact g psi = Dsd_core.Exact.run ~family:FB.Pds g psi
+
 let pexact_matches_brute_prop psi g =
   let brute, _ = Helpers.brute_force_densest g psi in
-  let r = Dsd_core.Pexact.run g psi in
+  let r = pexact g psi in
   close brute r.Dsd_core.Exact.subgraph.D.density
 
 let core_pexact_matches_brute_prop psi g =
@@ -25,8 +28,8 @@ let lemma11_prop (psi, g, alpha) =
   let instances = Dsd_core.Enumerate.instances g psi in
   if Array.length instances = 0 then true
   else begin
-    let a = FB.pds_network_pre g psi ~instances ~alpha in
-    let b = FB.pds_network_grouped_pre g psi ~instances ~alpha in
+    let a = (FB.prepare FB.Pds g psi ~instances ~alpha).network in
+    let b = (FB.prepare FB.Pds_grouped g psi ~instances ~alpha).network in
     let fa = Dsd_flow.Dinic.max_flow a.FB.net ~s:a.FB.source ~t:a.FB.sink in
     let fb = Dsd_flow.Dinic.max_flow b.FB.net ~s:b.FB.source ~t:b.FB.sink in
     Float.abs (fa -. fb) < 1e-6
@@ -38,8 +41,10 @@ let test_grouping_shrinks_network () =
   let g = Dsd_data.Paper_graphs.two_cliques ~a:4 ~b:3 ~bridge:true in
   let instances = Dsd_core.Enumerate.instances g P.diamond in
   Alcotest.(check int) "3 instances" 3 (Array.length instances);
-  let plain = FB.pds_network_pre g P.diamond ~instances ~alpha:0.5 in
-  let grouped = FB.pds_network_grouped_pre g P.diamond ~instances ~alpha:0.5 in
+  let network family =
+    (FB.prepare family g P.diamond ~instances ~alpha:0.5).network
+  in
+  let plain = network FB.Pds and grouped = network FB.Pds_grouped in
   Alcotest.(check int) "plain nodes" (7 + 3 + 2) plain.FB.node_count;
   Alcotest.(check int) "grouped nodes" (7 + 1 + 2) grouped.FB.node_count
 
@@ -85,7 +90,7 @@ let test_pexact_vs_core_pexact_medium () =
   let g = Helpers.random_graph ~seed:55 ~max_n:40 ~max_m:160 () in
   List.iter
     (fun psi ->
-      let a = Dsd_core.Pexact.run g psi in
+      let a = pexact g psi in
       let b = Dsd_core.Core_pexact.run g psi in
       Alcotest.(check bool) (psi.P.name ^ " agree") true
         (close a.Dsd_core.Exact.subgraph.D.density
@@ -97,7 +102,7 @@ let test_pexact_vs_core_pexact_medium () =
 let clique_through_pds_prop g =
   let psi = P.triangle in
   let a = Dsd_core.Exact.run g psi in
-  let b = Dsd_core.Pexact.run g psi in
+  let b = pexact g psi in
   close a.Dsd_core.Exact.subgraph.D.density b.Dsd_core.Exact.subgraph.D.density
 
 let arb_pattern_graph_alpha =

@@ -88,7 +88,10 @@ let test_query_no_instances () =
   let r = Dsd_core.Query_dsd.run g P.triangle ~query:[| 2 |] in
   Helpers.check_float "zero density" 0. r.Dsd_core.Query_dsd.subgraph.D.density;
   Alcotest.(check bool) "still contains query" true
-    (Array.exists (( = ) 2) r.Dsd_core.Query_dsd.subgraph.D.vertices)
+    (Array.exists (( = ) 2) r.Dsd_core.Query_dsd.subgraph.D.vertices);
+  let r = Dsd_core.Query_dsd.run g P.triangle ~query:[| 1; 1 |] in
+  Alcotest.(check (array int)) "a repeated query vertex counts once" [| 1 |]
+    r.Dsd_core.Query_dsd.subgraph.D.vertices
 
 let suite =
   [

@@ -1,14 +1,16 @@
-(* The retarget fast path vs fresh per-alpha builds: a mode-switchable
-   binary-search driver runs the *same* alpha schedule both ways and
-   must see identical cut vertex sets, densities and iteration counts
-   on every graph/pattern combination — sequentially and on a 2-domain
-   pool.  Plus the ISSUE acceptance contract on the obs counters:
-   builds + retargets = iterations, with at most one build per
-   component arena (rebuilds only on Pruning-3 shrinks). *)
+(* The retarget fast path vs fresh per-alpha builds: the shared
+   driver ([Parametric]) and a hand-written fresh-build loop run the
+   *same* alpha schedule and must see identical cut vertex sets,
+   densities and iteration counts on every graph/pattern combination —
+   sequentially and on a 2-domain pool.  Plus the obs accounting
+   contract: builds + retargets = iterations for every exact solver,
+   with at most one build per component arena (rebuilds only on
+   Pruning-3 shrinks), and the driver's own loop laws. *)
 
 module G = Dsd_graph.Graph
 module P = Dsd_pattern.Pattern
 module FB = Dsd_core.Flow_build
+module Parametric = Dsd_core.Parametric
 module Obs = Dsd_obs.Control
 module Counter = Dsd_obs.Counter
 
@@ -18,9 +20,11 @@ type trace = {
   density : float;
 }
 
-(* Algorithm 1's binary search, parameterised over how each iteration
-   obtains its network.  Both modes compute identical alphas because
-   the cut-emptiness decisions (which steer l/u) must agree. *)
+(* Algorithm 1's binary search two ways: [`Fresh] is a hand-written
+   loop that builds a new network at every alpha, [`Retarget] is the
+   shared driver ([Parametric.bisect] over one retargeted arena).  Both
+   compute identical alphas because the cut-emptiness decisions (which
+   steer l/u) must agree, so the fresh loop checks the driver too. *)
 let binary_search ?pool mode g psi =
   let family = FB.auto_family psi ~grouped:false in
   let instances =
@@ -35,39 +39,33 @@ let binary_search ?pool mode g psi =
   in
   if G.n g = 0 || max_deg = 0 then { iterations = 0; cuts = []; density = 0. }
   else begin
-    let l = ref 0. and u = ref (float_of_int max_deg) in
     let gap = Dsd_core.Density.stop_gap (G.n g) in
-    let prepared = ref None in
+    let u0 = float_of_int max_deg in
     let cuts = ref [] in
-    let iterations = ref 0 in
     let best = ref [||] in
-    while !u -. !l >= gap do
-      incr iterations;
-      let alpha = (!l +. !u) /. 2. in
-      let network =
-        match mode with
-        | `Fresh -> FB.build ?pool family g psi ~instances ~alpha
-        | `Retarget -> (
-          match !prepared with
-          | Some p -> FB.retarget p ~alpha
-          | None ->
-            let p = FB.prepare ?pool family g psi ~instances ~alpha in
-            prepared := Some p;
-            FB.network p)
-      in
-      let side = FB.solve network in
+    (* Records one probe's cut; true when it is non-empty. *)
+    let record side =
       cuts := Helpers.int_array_as_set side :: !cuts;
-      if Array.length side = 0 then u := alpha
-      else begin
-        l := alpha;
-        best := side
-      end
-    done;
+      if Array.length side > 0 then best := side;
+      Array.length side > 0
+    in
+    (match mode with
+     | `Fresh ->
+       let l = ref 0. and u = ref u0 in
+       while !u -. !l >= gap do
+         let alpha = (!l +. !u) /. 2. in
+         let p = FB.prepare ?pool family g psi ~instances ~alpha in
+         if record (FB.solve p.FB.network) then l := alpha else u := alpha
+       done
+     | `Retarget ->
+       let arena = Parametric.arena ?pool family g psi ~instances in
+       Parametric.bisect ~gap:(Fun.const gap) ~l:0. ~u:u0 (fun alpha ->
+           if record (Parametric.probe arena alpha) then Some alpha else None));
     let density =
       if Array.length !best = 0 then 0.
       else (Dsd_core.Density.of_vertices g psi !best).Dsd_core.Density.density
     in
-    { iterations = !iterations; cuts = List.rev !cuts; density }
+    { iterations = List.length !cuts; cuts = List.rev !cuts; density }
   end
 
 let patterns =
@@ -124,10 +122,10 @@ let test_retarget_matches_fresh_arcs () =
         | _ -> Dsd_core.Enumerate.instances g psi
       in
       let p = FB.prepare family g psi ~instances ~alpha:1.0 in
-      ignore (FB.solve (FB.network p));
+      ignore (FB.solve p.FB.network);
       (* dirty the flow state *)
       let rt = FB.retarget ~warm:false p ~alpha:2.5 in
-      let fresh = FB.build family g psi ~instances ~alpha:2.5 in
+      let fresh = (FB.prepare family g psi ~instances ~alpha:2.5).FB.network in
       let module F = Dsd_flow.Flow_network in
       Alcotest.(check int) "arc count" (F.arc_count fresh.FB.net)
         (F.arc_count rt.FB.net);
@@ -218,6 +216,91 @@ let test_query_accounting () =
     (builds () + retargets ());
   Alcotest.(check bool) "at most one build" true (builds () <= 1)
 
+let test_topk_accounting () =
+  (* Every part search builds its arena once and retargets the rest;
+     the canonicalization cut is a one-shot pinned build. *)
+  let g = Dsd_data.Gen.planted_clique ~seed:5 ~n:120 ~p:0.06 ~clique:8 in
+  let r =
+    Obs.with_recording (fun () -> Dsd_core.Topk_lds.run ~k:3 g P.triangle)
+  in
+  let iters = r.Dsd_core.Topk_lds.stats.Dsd_core.Topk_lds.iterations in
+  Alcotest.(check int) "builds + retargets = iterations" iters
+    (builds () + retargets ());
+  Alcotest.(check bool) "retargeting engaged" true (retargets () > 0)
+
+let test_hierarchy_accounting () =
+  let g = Dsd_data.Gen.planted_clique ~seed:5 ~n:120 ~p:0.06 ~clique:8 in
+  let t =
+    Obs.with_recording (fun () ->
+        Dsd_core.Ld_decomposition.decompose g P.triangle)
+  in
+  let iters = t.Dsd_core.Ld_decomposition.iterations in
+  Alcotest.(check int) "builds + retargets = iterations" iters
+    (builds () + retargets ());
+  Alcotest.(check int) "ld_retargets = retargets" (retargets ())
+    (Counter.get Counter.Ld_retargets);
+  Alcotest.(check int) "ld_probes = iterations" iters
+    (Counter.get Counter.Ld_probes);
+  Alcotest.(check bool) "retargeting engaged" true (retargets () > 0)
+
+(* Exact's [?prepared] slot: the first run fills it, a second run on the
+   filled slot builds nothing, retargets every probe and answers the
+   same. *)
+let test_exact_slot_reuse () =
+  let g = Dsd_data.Gen.planted_clique ~seed:5 ~n:120 ~p:0.06 ~clique:8 in
+  let slot = ref None in
+  let run () =
+    Obs.with_recording (fun () -> Dsd_core.Exact.run ~prepared:slot g P.triangle)
+  in
+  let first = run () in
+  Alcotest.(check int) "first run builds once" 1 (builds ());
+  Alcotest.(check bool) "slot filled" true (Option.is_some !slot);
+  let second = run () in
+  let iters = second.Dsd_core.Exact.stats.Dsd_core.Exact.iterations in
+  Alcotest.(check bool) "ran a real search" true (iters > 1);
+  Alcotest.(check int) "second run builds nothing" 0 (builds ());
+  Alcotest.(check int) "second run retargets every probe" iters (retargets ());
+  Alcotest.(check (array int)) "same vertices"
+    first.Dsd_core.Exact.subgraph.Dsd_core.Density.vertices
+    second.Dsd_core.Exact.subgraph.Dsd_core.Density.vertices;
+  Alcotest.(check bool) "same density" true
+    (Float.equal first.Dsd_core.Exact.subgraph.Dsd_core.Density.density
+       second.Dsd_core.Exact.subgraph.Dsd_core.Density.density)
+
+(* [Parametric.bisect] on random threshold predicates: below a hidden
+   threshold [t] the decision raises l to a point in [alpha, t), at or
+   above it lowers u.  Mirroring those moves, every probe must lie
+   strictly inside the current (l, u) — so l never falls and u never
+   rises — and the loop must exit with u - l < gap, also when the gap
+   shrinks as the search goes. *)
+let bisect_prop (u0, t_frac, gap_exp, (jump, shrink)) =
+  let gap0 = 2. ** -.float_of_int gap_exp in
+  let probes = ref 0 in
+  let gap () =
+    if shrink then gap0 /. float_of_int (1 + min !probes 8) else gap0
+  in
+  let t = t_frac *. u0 in
+  let l = ref 0. and u = ref u0 in
+  let inside = ref true in
+  Parametric.bisect ~gap ~l:0. ~u:u0 (fun alpha ->
+      incr probes;
+      if not (!l < alpha && alpha < !u) then inside := false;
+      if alpha < t then begin
+        let l' = alpha +. (jump *. (t -. alpha)) in
+        l := l';
+        Some l'
+      end
+      else begin
+        u := alpha;
+        None
+      end);
+  !inside && !u -. !l < gap ()
+
+let arb_bisect =
+  QCheck.(
+    quad (float_range 0.5 100.) (float_range 0. 1.) (int_range 1 20)
+      (pair (float_range 0. 0.99) bool))
+
 let suite =
   [
     Alcotest.test_case "differential: retarget = fresh (sequential)" `Quick
@@ -234,4 +317,12 @@ let suite =
       test_core_exact_accounting_all_pruning_combos;
     Alcotest.test_case "obs: Query builds at most once" `Quick
       test_query_accounting;
+    Alcotest.test_case "obs: Topk builds + retargets = iterations" `Quick
+      test_topk_accounting;
+    Alcotest.test_case "obs: hierarchy builds + retargets = probes" `Quick
+      test_hierarchy_accounting;
+    Alcotest.test_case "obs: Exact reuses a filled prepared slot" `Quick
+      test_exact_slot_reuse;
+    Helpers.qtest ~count:300 "bisect: probes inside (l, u), exits below gap"
+      arb_bisect bisect_prop;
   ]

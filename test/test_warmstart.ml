@@ -80,7 +80,7 @@ let drive solver ~warm g psi family alphas =
         | None ->
           let p = FB.prepare family g psi ~instances ~alpha in
           prepared := Some p;
-          FB.network p
+          p.FB.network
         | Some p -> FB.retarget ~warm p ~alpha
       in
       if warm then check_feasible "after warm retarget" t;
@@ -254,7 +254,8 @@ let test_warm_accounting_pexact_variants () =
   List.iter
     (fun warm ->
       let r =
-        Obs.with_recording (fun () -> Dsd_core.Pexact.run ~warm g P.triangle)
+        Obs.with_recording (fun () ->
+            Dsd_core.Exact.run ~warm ~family:FB.Pds g P.triangle)
       in
       check_warm_accounting "PExact"
         ~iterations:r.Dsd_core.Exact.stats.Dsd_core.Exact.iterations ~warm;

@@ -214,14 +214,16 @@ perfbench-trace:
 	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds 15 --trace 1
 
 # The counted work of one traced workload at SEED: only the metrics
-# whose unit is "count", one `name value` per line, so the outputs of
-# two commits can be diffed, e.g. `make perfbench-counts W=exact_batch`.
-# gc.major_collections is left out: it follows allocation, not work.
+# whose unit is "count" or "bytes", one `name value` per line, so the
+# outputs of two commits can be diffed, e.g. `make perfbench-counts
+# W=exact_batch`.  The bytes metric (codec.bytes_per_req, serve_stream's
+# mean frame size) pins the wire format.  gc.major_collections is left
+# out: it follows allocation, not work.
 perfbench-counts:
 	@test -n "$(W)" || { echo "usage: make perfbench-counts W=exact_batch|approx_large|serve_stream [SEED=n]"; exit 2; }
 	@out=$$(bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds 15 --trace 1) || exit 1; \
 	printf '%s\n' "$$out" | tail -n 1 \
-		| grep -o '"[^"]*": {"value": [^,]*, "unit": "count"}' \
+		| grep -o '"[^"]*": {"value": [^,]*, "unit": "\(count\|bytes\)"}' \
 		| sed 's/^"\([^"]*\)": {"value": \([^,]*\),.*/\1 \2/' \
 		| grep -v '^gc\.'
 

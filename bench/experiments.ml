@@ -524,7 +524,7 @@ let abl_grouping () =
             let cell grouped =
               H.run_cell (fun () ->
                   let r, t =
-                    H.timed (fun () -> Dsd_core.Core_exact.run ~grouped
+                    H.timed (fun () -> Dsd_core.Core_exact.run
                                 ~family:(if grouped then Dsd_core.Flow_build.Pds_grouped
                                          else Dsd_core.Flow_build.Pds)
                                 g psi)

@@ -717,11 +717,16 @@ let serve =
   let timeout =
     C.Arg.(value & opt float 30.
            & info [ "receive-timeout" ] ~docv:"SECS"
-               ~doc:"Disconnect a peer that sends nothing for $(docv).")
+               ~doc:"Disconnect a peer that sends nothing for $(docv) \
+                     (must be positive).")
   in
   let run socket port host graphs datasets max_cached timeout domains =
     if max_cached < 0 then begin
       prerr_endline "dsd: --max-cached must be >= 0";
+      exit 2
+    end;
+    if not (Float.is_finite timeout && timeout > 0.) then begin
+      prerr_endline "dsd: --receive-timeout must be a positive number of seconds";
       exit 2
     end;
     let named =

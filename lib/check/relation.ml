@@ -296,19 +296,20 @@ let planted_certificate =
    (encode_request / decode_request, encode_response / decode_response
    — floats travel as IEEE-754 bits) and dispatched via State.handle,
    then compared bit-identically against a direct library call.  Each
-   request is issued twice so the second answer comes from the result
-   LRU: the cache must be invisible. *)
+   cacheable request is issued twice so the second answer comes from
+   the result LRU: the cache must be invisible. *)
+
+(* One request as a socket client sees it, minus the socket. *)
+let roundtrip state req =
+  let module Pr = Dsd_serve.Protocol in
+  let tag, body = Pr.encode_request req in
+  let resp = Dsd_serve.State.handle state (Pr.decode_request tag body) in
+  let rtag, rbody = Pr.encode_response resp in
+  Pr.decode_response rtag rbody
 
 let serve_equals_api =
   let module Sv = Dsd_serve.State in
   let module Pr = Dsd_serve.Protocol in
-  let roundtrip state req =
-    let tag, body = Pr.encode_request req in
-    let req = Pr.decode_request tag body in
-    let resp = Sv.handle state req in
-    let rtag, rbody = Pr.encode_response resp in
-    Pr.decode_response rtag rbody
-  in
   let same_subgraph name (resp : Pr.response) (sg : Dsd_core.Density.subgraph) =
     match resp with
     | Density_r d when d = sg.density -> None
@@ -327,19 +328,33 @@ let serve_equals_api =
     | Error_r msg -> Some (Printf.sprintf "%s: served error: %s" name msg)
     | _ -> Some (Printf.sprintf "%s: unexpected response kind" name)
   in
+  (* Top-k regions and hierarchy levels: (density, vertices) lists,
+     densities compared by their bits. *)
+  let same_entries name (resp : Pr.response) expect =
+    let bits = List.map (fun (d, vs) -> (Int64.bits_of_float d, vs)) in
+    match resp with
+    | Topk_r { regions = got } | Hierarchy_r { levels = got } ->
+      if bits got = bits expect then None
+      else
+        Some
+          (Printf.sprintf "%s: served %d entries differ from api's %d" name
+             (List.length got) (List.length expect))
+    | Error_r msg -> Some (Printf.sprintf "%s: served error: %s" name msg)
+    | _ -> Some (Printf.sprintf "%s: unexpected response kind" name)
+  in
   { name = "serve-equals-api";
     check =
       (fun subject ~rng (c : Generator.case) ->
         let state = Sv.create ~max_cached:8 [ ("g", c.graph) ] in
         let psi = c.psi.P.name in
-        let twice name req expect =
+        let twice same name req expect =
           (* cold solve, then the LRU hit: both must match the API *)
-          match same_subgraph name (roundtrip state req) expect with
+          match same name (roundtrip state req) expect with
           | Some _ as bad -> bad
           | None ->
             Option.map
               (fun msg -> "cached " ^ msg)
-              (same_subgraph name (roundtrip state req) expect)
+              (same name (roundtrip state req) expect)
         in
         let density_reqs =
           [ ("exact", fun () -> subject.Subject.exact c.graph c.psi);
@@ -354,13 +369,13 @@ let serve_equals_api =
             (fun (algorithm, api) ->
               let expect = api () in
               match
-                twice ("density/" ^ algorithm)
+                twice same_subgraph ("density/" ^ algorithm)
                   (Pr.Density { graph = "g"; psi; algorithm })
                   expect
               with
               | Some _ as bad -> bad
               | None ->
-                twice ("cds/" ^ algorithm)
+                twice same_subgraph ("cds/" ^ algorithm)
                   (Pr.Cds { graph = "g"; psi; algorithm })
                   expect)
             density_reqs
@@ -391,13 +406,42 @@ let serve_equals_api =
                 .Dsd_core.Query_dsd.subgraph
             in
             match
-              twice "query"
+              twice same_subgraph "query"
                 (Pr.Query { graph = "g"; psi; vertices = q })
                 api
             with
             | Some msg -> msg :: bad
             | None -> bad
           end
+        in
+        let bad =
+          let regions =
+            List.map
+              (fun (sg : Dsd_core.Density.subgraph) -> (sg.density, sg.vertices))
+              (Dsd_core.Topk_lds.run ~k:2 c.graph c.psi).regions
+          in
+          match
+            twice same_entries "topk"
+              (Pr.Topk { graph = "g"; psi; k = 2 })
+              regions
+          with
+          | Some msg -> msg :: bad
+          | None -> bad
+        in
+        let bad =
+          let levels =
+            List.map
+              (fun (l : Dsd_core.Ld_decomposition.level) ->
+                (l.marginal_density, l.vertices))
+              (Dsd_core.Ld_decomposition.decompose c.graph c.psi).levels
+          in
+          match
+            twice same_entries "hierarchy"
+              (Pr.Hierarchy { graph = "g"; psi; levels = 0 })
+              levels
+          with
+          | Some msg -> msg :: bad
+          | None -> bad
         in
         match bad with
         | [] -> Pass
@@ -455,13 +499,6 @@ let edge_deletion_monotonicity =
 let delta_equals_rebuild =
   let module Sv = Dsd_serve.State in
   let module Pr = Dsd_serve.Protocol in
-  let roundtrip state req =
-    let tag, body = Pr.encode_request req in
-    let req = Pr.decode_request tag body in
-    let resp = Sv.handle state req in
-    let rtag, rbody = Pr.encode_response resp in
-    Pr.decode_response rtag rbody
-  in
   { name = "delta-equals-rebuild";
     check =
       (fun subject ~rng (c : Generator.case) ->

@@ -28,6 +28,10 @@
     - [planted-certificate]  rho_opt ≥ the density of the certificate
                              subset (sound for any subset; sharp for
                              planted blocks)
+    - [serve-equals-api]     every cacheable serve endpoint, through
+                             the wire codec and State.handle, cold and
+                             again from the result LRU, answers
+                             bit-identically to a direct library call
     - [edge-deletion-monotonicity]  deleting an edge never increases
                              rho_opt or kmax (dual of edge-monotonicity)
     - [delta-equals-rebuild] streaming a random delta script through

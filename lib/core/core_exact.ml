@@ -21,15 +21,15 @@ type result = {
 
 let safe_ceil = Dsd_util.Float_guard.safe_ceil
 
-let run ?pool ?(warm = true) ?(prunings = all_prunings) ?(grouped = false)
-    ?family ?decomp g psi =
+let run ?pool ?(warm = true) ?(prunings = all_prunings) ?family ?decomp
+    g psi =
   Dsd_obs.Span.with_ Dsd_obs.Phase.core_exact @@ fun () ->
   let t0 = Dsd_util.Timer.now_s () in
   let p = psi.Dsd_pattern.Pattern.size in
   let family =
     match family with
     | Some f -> f
-    | None -> Flow_build.auto_family psi ~grouped
+    | None -> Flow_build.auto_family psi
   in
   let iterations = ref 0 in
   let network_nodes = ref [] in

@@ -17,8 +17,8 @@
     rather than shared, which the pseudo-code's global [u] would make
     unsound when an early component is sparser than a later one.
 
-    With [~grouped:true] the PDS networks use construct+ (Algorithm 7),
-    making this CorePExact. *)
+    With [~family:Pds_grouped] the PDS networks use construct+
+    (Algorithm 7), making this CorePExact ({!Core_pexact}). *)
 
 type prunings = {
   p1 : bool;  (** locate CDS in the ceil(rho')-core *)
@@ -44,10 +44,10 @@ type result = {
 }
 
 (** [run g psi] returns the exact densest subgraph.  [family] overrides
-    the network construction ([~grouped] only affects the automatic
-    choice for non-clique patterns).  [warm] (default [true]) carries
-    flow across probes within a component's prepared network; a
-    Pruning-3 shrink still rebuilds from scratch.
+    the network construction ({!Flow_build.auto_family} by default).
+    [warm] (default [true]) carries flow across probes within a
+    component's prepared network; a Pruning-3 shrink still rebuilds
+    from scratch.
 
     [?decomp] supplies a (k, Psi)-core decomposition of [g] w.r.t.
     [psi] computed earlier (the serving layer's prepared-state cache),
@@ -61,7 +61,6 @@ val run :
   ?pool:Dsd_util.Pool.t ->
   ?warm:bool ->
   ?prunings:prunings ->
-  ?grouped:bool ->
   ?family:Flow_build.family ->
   ?decomp:Clique_core.t ->
   Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> result

@@ -19,7 +19,7 @@ let run ?pool ?(warm = true) ?family ?instances ?prepared g psi =
   let family =
     match family with
     | Some f -> f
-    | None -> Flow_build.auto_family psi ~grouped:false
+    | None -> Flow_build.auto_family psi
   in
   let instances =
     match (family, instances) with

@@ -283,11 +283,11 @@ let pds_prepared ?pool ?(pinned = [||]) ~grouped g (psi : P.t) ~instances
 
 type family = Eds | Clique_flow | Pds | Pds_grouped
 
-let auto_family (psi : P.t) ~grouped =
+let auto_family (psi : P.t) =
   match psi.kind with
   | P.Clique when psi.size = 2 -> Eds
   | P.Clique -> Clique_flow
-  | P.Star _ | P.Cycle4 | P.Generic -> if grouped then Pds_grouped else Pds
+  | P.Star _ | P.Cycle4 | P.Generic -> Pds
 
 let prepare ?pool ?pinned family g (psi : P.t) ~instances ~alpha =
   (match (family, pinned) with

@@ -58,10 +58,10 @@ val instance_degrees :
     PDS ones. *)
 type family = Eds | Clique_flow | Pds | Pds_grouped
 
-(** [auto_family psi ~grouped] follows the paper's defaults:
-    h = 2 -> [Eds], h-clique -> [Clique_flow], pattern -> [Pds] (or
-    [Pds_grouped] when [grouped]). *)
-val auto_family : Dsd_pattern.Pattern.t -> grouped:bool -> family
+(** [auto_family psi] follows the paper's defaults: h = 2 -> [Eds],
+    h-clique -> [Clique_flow], pattern -> [Pds].  Construct+
+    ([Pds_grouped]) is only ever chosen explicitly. *)
+val auto_family : Dsd_pattern.Pattern.t -> family
 
 (** [prepare family g psi ~instances ~alpha] builds the network of
     [family] for [alpha] (counted once as [flow_networks_built]) and

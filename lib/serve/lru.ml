@@ -43,8 +43,6 @@ let find t key =
     t.misses <- t.misses + 1;
     None
 
-let mem t key = Hashtbl.mem t.tbl key
-
 let evict_lru t =
   let victim =
     Hashtbl.fold

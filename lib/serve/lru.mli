@@ -23,9 +23,6 @@ val length : _ t -> int
     used.  Counts one hit or one miss. *)
 val find : 'a t -> string -> 'a option
 
-(** [mem t key] tests residency without touching recency or tallies. *)
-val mem : _ t -> string -> bool
-
 (** [add t key v] inserts or replaces the binding and marks it most
     recently used.  Returns the key evicted to make room, if any
     (never the key just added; [None] with capacity 0, where nothing

@@ -81,21 +81,6 @@ module Dec = struct
   let finish t = if remaining t <> 0 then err "trailing bytes in body"
 end
 
-(* ---- tags ---- *)
-
-let tag_ping = 0x01
-let tag_stats = 0x02
-let tag_density = 0x03
-let tag_cds = 0x04
-let tag_decompose = 0x05
-let tag_query = 0x06
-let tag_shutdown = 0x07
-let tag_apply_delta = 0x08
-let tag_topk = 0x09
-let tag_hierarchy = 0x0a
-let tag_ok = 0x40
-let tag_error = 0x7f
-
 (* ---- frame I/O ---- *)
 
 let rec write_all fd bytes off len =
@@ -179,276 +164,215 @@ type response =
   | Shutdown_r
   | Error_r of string
 
-(* Edge pairs travel as a flat int array of even length. *)
-let enc_pairs b pairs =
-  Enc.int b (2 * Array.length pairs);
-  Array.iter
-    (fun (u, v) ->
-      Enc.int b u;
-      Enc.int b v)
-    pairs
+(* ---- body codecs ---- *)
 
-let dec_pairs d =
-  let flat = Dec.ints d in
-  if Array.length flat mod 2 <> 0 then err "odd edge-pair array length";
-  Array.init
-    (Array.length flat / 2)
-    (fun i -> (flat.(2 * i), flat.((2 * i) + 1)))
+(* A codec writes and reads one value of a body.  Bodies are sequences
+   of the Enc/Dec scalars above, so every codec is built from a handful
+   of combinators and inherits the reader's length checks. *)
+type 'a codec = { enc : Buffer.t -> 'a -> unit; dec : Dec.t -> 'a }
+
+let unit = { enc = (fun _ () -> ()); dec = (fun _ -> ()) }
+let str = { enc = Enc.str; dec = Dec.str }
+let int = { enc = Enc.int; dec = Dec.int }
+let float = { enc = Enc.float; dec = Dec.float }
+let ints = { enc = Enc.ints; dec = Dec.ints }
+
+(* Edge pairs travel as a flat int array of even length. *)
+let pairs =
+  { enc =
+      (fun b pairs ->
+        Enc.int b (2 * Array.length pairs);
+        Array.iter (fun (u, v) -> Enc.int b u; Enc.int b v) pairs);
+    dec =
+      (fun d ->
+        let flat = Dec.ints d in
+        if Array.length flat mod 2 <> 0 then err "odd edge-pair array length";
+        Array.init (Array.length flat / 2) (fun i ->
+            (flat.(2 * i), flat.((2 * i) + 1)))) }
+
+let list c =
+  { enc =
+      (fun b items ->
+        Enc.int b (List.length items);
+        List.iter (c.enc b) items);
+    dec =
+      (fun d ->
+        let len = Dec.int d in
+        if len < 0 || len > Dec.remaining d then err "corrupt list length";
+        List.init len (fun _ -> c.dec d)) }
+
+(* [a ** b] is [a]'s field, then [b]'s. *)
+let ( ** ) a b =
+  { enc = (fun buf (x, y) -> a.enc buf x; b.enc buf y);
+    dec = (fun d -> let x = a.dec d in (x, b.dec d)) }
+
+(* ---- one row per endpoint ---- *)
+
+(* A case ties a constructor to its body: the codec of its fields, the
+   constructor itself, and the projection that recognises it. *)
+type 'v case = Case : 'a codec * ('a -> 'v) * ('v -> 'a option) -> 'v case
+
+(* A constructor without fields has an empty body. *)
+let const v =
+  Case (unit, (fun () -> v), fun x -> if x = v then Some () else None)
+
+(* [tag] is both the request's frame tag and its OK response's kind
+   byte.  [cached] marks the query endpoints whose answers the result
+   LRU may hold; each of their request bodies starts with the graph
+   name, which [key_graph] relies on. *)
+type row = {
+  tag : int;
+  cached : bool;
+  req : request case;
+  resp : response case;
+}
+
+let rows =
+  [ { tag = 0x01; cached = false; req = const Ping; resp = const Pong };
+    { tag = 0x02; cached = false; req = const Stats;
+      resp = Case (list (str ** int) ** list (str ** int) ** list str,
+        (fun (counters, (cache, graphs)) ->
+          Stats_r { counters; cache; graphs }),
+        function
+        | Stats_r r -> Some (r.counters, (r.cache, r.graphs))
+        | _ -> None) };
+    { tag = 0x03; cached = true;
+      req = Case (str ** str ** str,
+        (fun (graph, (psi, algorithm)) -> Density { graph; psi; algorithm }),
+        function Density r -> Some (r.graph, (r.psi, r.algorithm)) | _ -> None);
+      resp = Case (float,
+        (fun density -> Density_r density),
+        function Density_r density -> Some density | _ -> None) };
+    { tag = 0x04; cached = true;
+      req = Case (str ** str ** str,
+        (fun (graph, (psi, algorithm)) -> Cds { graph; psi; algorithm }),
+        function Cds r -> Some (r.graph, (r.psi, r.algorithm)) | _ -> None);
+      resp = Case (float ** ints,
+        (fun (density, vertices) -> Cds_r { density; vertices }),
+        function Cds_r r -> Some (r.density, r.vertices) | _ -> None) };
+    { tag = 0x05; cached = true;
+      req = Case (str ** str,
+        (fun (graph, psi) -> Decompose { graph; psi }),
+        function Decompose r -> Some (r.graph, r.psi) | _ -> None);
+      resp = Case (int ** ints,
+        (fun (kmax, core) -> Decompose_r { kmax; core }),
+        function Decompose_r r -> Some (r.kmax, r.core) | _ -> None) };
+    { tag = 0x06; cached = true;
+      req = Case (str ** str ** ints,
+        (fun (graph, (psi, vertices)) -> Query { graph; psi; vertices }),
+        function Query r -> Some (r.graph, (r.psi, r.vertices)) | _ -> None);
+      resp = Case (float ** ints,
+        (fun (density, vertices) -> Query_r { density; vertices }),
+        function Query_r r -> Some (r.density, r.vertices) | _ -> None) };
+    { tag = 0x07; cached = false;
+      req = const Shutdown; resp = const Shutdown_r };
+    { tag = 0x08; cached = false;
+      req = Case (str ** pairs ** pairs,
+        (fun (graph, (adds, removes)) -> Apply_delta { graph; adds; removes }),
+        function
+        | Apply_delta r -> Some (r.graph, (r.adds, r.removes))
+        | _ -> None);
+      resp = Case (int ** int ** int ** int,
+        (fun (n, (m, (added, removed))) ->
+          Apply_delta_r { n; m; added; removed }),
+        function
+        | Apply_delta_r r -> Some (r.n, (r.m, (r.added, r.removed)))
+        | _ -> None) };
+    { tag = 0x09; cached = true;
+      req = Case (str ** str ** int,
+        (fun (graph, (psi, k)) -> Topk { graph; psi; k }),
+        function Topk r -> Some (r.graph, (r.psi, r.k)) | _ -> None);
+      resp = Case (list (float ** ints),
+        (fun regions -> Topk_r { regions }),
+        function Topk_r r -> Some r.regions | _ -> None) };
+    { tag = 0x0a; cached = true;
+      req = Case (str ** str ** int,
+        (fun (graph, (psi, levels)) -> Hierarchy { graph; psi; levels }),
+        function Hierarchy r -> Some (r.graph, (r.psi, r.levels)) | _ -> None);
+      resp = Case (list (float ** ints),
+        (fun levels -> Hierarchy_r { levels }),
+        function Hierarchy_r r -> Some r.levels | _ -> None) } ]
+
+(* OK responses carry their row's tag as a kind byte so the decoder
+   needs no context; errors travel under their own tag, outside the
+   table. *)
+let tag_ok = 0x40
+let tag_error = 0x7f
+
+(* ---- the codec, derived from the rows ---- *)
+
+(* The row whose constructor [v] is (every constructor but [Error_r]
+   has one), with the writer of [v]'s body. *)
+let row_of case v =
+  let writer row =
+    match case row with
+    | Case (c, _, project) ->
+      Option.map (fun a -> (row, fun b -> c.enc b a)) (project v)
+  in
+  match List.find_map writer rows with
+  | Some found -> found
+  | None -> invalid_arg "Protocol: constructor without a row"
+
+let contents ?kind write =
+  let b = Enc.create () in
+  Option.iter (Enc.u8 b) kind;
+  write b;
+  Enc.contents b
+
+(* Decode a whole body with [f], rejecting trailing bytes. *)
+let parse body f =
+  let d = Dec.of_string body in
+  let v = f d in
+  Dec.finish d;
+  v
+
+let read (Case (c, inject, _)) d = inject (c.dec d)
+let find_tag tag = List.find_opt (fun row -> row.tag = tag) rows
 
 let encode_request req =
-  let b = Enc.create () in
-  let tag =
-    match req with
-    | Ping -> tag_ping
-    | Stats -> tag_stats
-    | Shutdown -> tag_shutdown
-    | Density { graph; psi; algorithm } | Cds { graph; psi; algorithm } ->
-      Enc.str b graph;
-      Enc.str b psi;
-      Enc.str b algorithm;
-      (match req with Density _ -> tag_density | _ -> tag_cds)
-    | Decompose { graph; psi } ->
-      Enc.str b graph;
-      Enc.str b psi;
-      tag_decompose
-    | Query { graph; psi; vertices } ->
-      Enc.str b graph;
-      Enc.str b psi;
-      Enc.ints b vertices;
-      tag_query
-    | Apply_delta { graph; adds; removes } ->
-      Enc.str b graph;
-      enc_pairs b adds;
-      enc_pairs b removes;
-      tag_apply_delta
-    | Topk { graph; psi; k } ->
-      Enc.str b graph;
-      Enc.str b psi;
-      Enc.int b k;
-      tag_topk
-    | Hierarchy { graph; psi; levels } ->
-      Enc.str b graph;
-      Enc.str b psi;
-      Enc.int b levels;
-      tag_hierarchy
-  in
-  (tag, Enc.contents b)
+  let row, write = row_of (fun row -> row.req) req in
+  (row.tag, contents write)
 
 let decode_request tag body =
-  let d = Dec.of_string body in
-  let req =
-    if tag = tag_ping then Ping
-    else if tag = tag_stats then Stats
-    else if tag = tag_shutdown then Shutdown
-    else if tag = tag_density || tag = tag_cds then begin
-      let graph = Dec.str d in
-      let psi = Dec.str d in
-      let algorithm = Dec.str d in
-      if tag = tag_density then Density { graph; psi; algorithm }
-      else Cds { graph; psi; algorithm }
-    end
-    else if tag = tag_decompose then begin
-      let graph = Dec.str d in
-      let psi = Dec.str d in
-      Decompose { graph; psi }
-    end
-    else if tag = tag_query then begin
-      let graph = Dec.str d in
-      let psi = Dec.str d in
-      let vertices = Dec.ints d in
-      Query { graph; psi; vertices }
-    end
-    else if tag = tag_apply_delta then begin
-      let graph = Dec.str d in
-      let adds = dec_pairs d in
-      let removes = dec_pairs d in
-      Apply_delta { graph; adds; removes }
-    end
-    else if tag = tag_topk then begin
-      let graph = Dec.str d in
-      let psi = Dec.str d in
-      let k = Dec.int d in
-      Topk { graph; psi; k }
-    end
-    else if tag = tag_hierarchy then begin
-      let graph = Dec.str d in
-      let psi = Dec.str d in
-      let levels = Dec.int d in
-      Hierarchy { graph; psi; levels }
-    end
-    else err "unknown request tag 0x%02x" tag
-  in
-  Dec.finish d;
-  req
+  match find_tag tag with
+  | None -> err "unknown request tag 0x%02x" tag
+  | Some row -> parse body (read row.req)
 
-(* OK responses carry a kind byte so the decoder needs no context;
-   errors travel under their own tag. *)
-let kind_pong = 0x01
-let kind_stats = 0x02
-let kind_density = 0x03
-let kind_cds = 0x04
-let kind_decompose = 0x05
-let kind_query = 0x06
-let kind_shutdown = 0x07
-let kind_apply_delta = 0x08
-let kind_topk = 0x09
-let kind_hierarchy = 0x0a
-
-let encode_kv b (k, v) =
-  Enc.str b k;
-  Enc.int b v
-
-let decode_kv d =
-  let k = Dec.str d in
-  let v = Dec.int d in
-  (k, v)
-
-let encode_list b enc items =
-  Enc.int b (List.length items);
-  List.iter (enc b) items
-
-let decode_list d dec =
-  let len = Dec.int d in
-  if len < 0 || len > Dec.remaining d then err "corrupt list length";
-  List.init len (fun _ -> dec d)
-
-let encode_response resp =
-  let b = Enc.create () in
-  match resp with
-  | Error_r msg ->
-    Enc.str b msg;
-    (tag_error, Enc.contents b)
-  | _ ->
-    (match resp with
-    | Pong -> Enc.u8 b kind_pong
-    | Stats_r { counters; cache; graphs } ->
-      Enc.u8 b kind_stats;
-      encode_list b encode_kv counters;
-      encode_list b encode_kv cache;
-      encode_list b Enc.str graphs
-    | Density_r rho ->
-      Enc.u8 b kind_density;
-      Enc.float b rho
-    | Cds_r { density; vertices } ->
-      Enc.u8 b kind_cds;
-      Enc.float b density;
-      Enc.ints b vertices
-    | Decompose_r { kmax; core } ->
-      Enc.u8 b kind_decompose;
-      Enc.int b kmax;
-      Enc.ints b core
-    | Query_r { density; vertices } ->
-      Enc.u8 b kind_query;
-      Enc.float b density;
-      Enc.ints b vertices
-    | Apply_delta_r { n; m; added; removed } ->
-      Enc.u8 b kind_apply_delta;
-      Enc.int b n;
-      Enc.int b m;
-      Enc.int b added;
-      Enc.int b removed
-    | Topk_r { regions } ->
-      Enc.u8 b kind_topk;
-      encode_list b
-        (fun b (density, vertices) ->
-          Enc.float b density;
-          Enc.ints b vertices)
-        regions
-    | Hierarchy_r { levels } ->
-      Enc.u8 b kind_hierarchy;
-      encode_list b
-        (fun b (marginal, vertices) ->
-          Enc.float b marginal;
-          Enc.ints b vertices)
-        levels
-    | Shutdown_r -> Enc.u8 b kind_shutdown
-    | Error_r _ -> assert false);
-    (tag_ok, Enc.contents b)
+let encode_response = function
+  | Error_r msg -> (tag_error, contents (fun b -> Enc.str b msg))
+  | resp ->
+    let row, write = row_of (fun row -> row.resp) resp in
+    (tag_ok, contents ~kind:row.tag write)
 
 let decode_response tag body =
-  let d = Dec.of_string body in
-  let resp =
-    if tag = tag_error then Error_r (Dec.str d)
-    else if tag = tag_ok then begin
-      let kind = Dec.u8 d in
-      if kind = kind_pong then Pong
-      else if kind = kind_stats then begin
-        let counters = decode_list d decode_kv in
-        let cache = decode_list d decode_kv in
-        let graphs = decode_list d Dec.str in
-        Stats_r { counters; cache; graphs }
+  parse body (fun d ->
+      if tag = tag_error then Error_r (Dec.str d)
+      else if tag = tag_ok then begin
+        let kind = Dec.u8 d in
+        match find_tag kind with
+        | None -> err "unknown response kind 0x%02x" kind
+        | Some row -> read row.resp d
       end
-      else if kind = kind_density then Density_r (Dec.float d)
-      else if kind = kind_cds then begin
-        let density = Dec.float d in
-        let vertices = Dec.ints d in
-        Cds_r { density; vertices }
-      end
-      else if kind = kind_decompose then begin
-        let kmax = Dec.int d in
-        let core = Dec.ints d in
-        Decompose_r { kmax; core }
-      end
-      else if kind = kind_query then begin
-        let density = Dec.float d in
-        let vertices = Dec.ints d in
-        Query_r { density; vertices }
-      end
-      else if kind = kind_apply_delta then begin
-        let n = Dec.int d in
-        let m = Dec.int d in
-        let added = Dec.int d in
-        let removed = Dec.int d in
-        Apply_delta_r { n; m; added; removed }
-      end
-      else if kind = kind_topk then begin
-        let regions =
-          decode_list d (fun d ->
-              let density = Dec.float d in
-              let vertices = Dec.ints d in
-              (density, vertices))
-        in
-        Topk_r { regions }
-      end
-      else if kind = kind_hierarchy then begin
-        let levels =
-          decode_list d (fun d ->
-              let marginal = Dec.float d in
-              let vertices = Dec.ints d in
-              (marginal, vertices))
-        in
-        Hierarchy_r { levels }
-      end
-      else if kind = kind_shutdown then Shutdown_r
-      else err "unknown response kind 0x%02x" kind
-    end
-    else err "unknown response tag 0x%02x" tag
-  in
-  Dec.finish d;
-  resp
+      else err "unknown response tag 0x%02x" tag)
 
 (* The canonical key is simply the request's own wire encoding — two
    requests are the same query iff they serialise identically. *)
 let request_key req =
-  match req with
-  | Ping | Stats | Shutdown | Apply_delta _ -> None
-  | Density _ | Cds _ | Decompose _ | Query _ | Topk _ | Hierarchy _ ->
-    let tag, body = encode_request req in
-    Some (Printf.sprintf "%d:%s" tag body)
+  let row, write = row_of (fun row -> row.req) req in
+  if row.cached then Some (Printf.sprintf "%d:%s" row.tag (contents write))
+  else None
 
 (* Recover the graph name a cached result key refers to, for targeted
-   invalidation after a delta.  Every cacheable request's body starts
-   with the graph string, so decoding one string from the key's body
-   suffices; keys that fail to parse return None (and are left alone
-   by invalidation — they cannot exist, but be conservative). *)
+   invalidation after a delta.  Every cached row's body starts with the
+   graph string, so decoding one string from the key's body suffices;
+   keys that fail to parse return None (and are left alone by
+   invalidation — they cannot exist, but be conservative). *)
 let key_graph key =
   match String.index_opt key ':' with
   | None -> None
   | Some i -> (
-    match int_of_string_opt (String.sub key 0 i) with
-    | Some tag
-      when tag = tag_density || tag = tag_cds || tag = tag_decompose
-           || tag = tag_query || tag = tag_topk || tag = tag_hierarchy -> (
+    match Option.bind (int_of_string_opt (String.sub key 0 i)) find_tag with
+    | Some { cached = true; _ } -> (
       let body = String.sub key (i + 1) (String.length key - i - 1) in
       try Some (Dec.str (Dec.of_string body)) with Error _ -> None)
     | _ -> None)

@@ -13,7 +13,15 @@
     bytes actually present, so a forged length cannot over-allocate);
     floats travel as their IEEE-754 bit patterns
     ({!Int64.bits_of_float}), which is what makes server responses
-    bit-identical to in-process API results, not merely close. *)
+    bit-identical to in-process API results, not merely close.
+
+    Each endpoint is declared once, as one row of the table in
+    [protocol.ml]: its tag, whether its answers may be cached, and the
+    body layouts of its request and of its OK response.  The encoders,
+    the decoders, {!request_key} and {!key_graph} are all derived from
+    those rows.  A request frame carries its row's tag; an OK response
+    travels under tag 0x40 and its body starts with a kind byte equal
+    to its request's tag; an error travels under tag 0x7f. *)
 
 (** Malformed frame or body.  The message never echoes payload bytes. *)
 exception Error of string

@@ -108,12 +108,22 @@ let serve_loop ~receive_timeout_s ~state ~addr fd =
         if verdict = `Stop then stop := true
       done)
 
+(* SO_RCVTIMEO reads 0 and negative values as "no timeout" and rejects
+   nan and infinity, so only a finite positive value bounds a silent
+   peer. *)
+let check_timeout s =
+  if not (Float.is_finite s && s > 0.) then
+    invalid_arg
+      (Printf.sprintf "Server: receive timeout must be positive (got %g)" s)
+
 let run ?(receive_timeout_s = 30.) ~state addr =
+  check_timeout receive_timeout_s;
   ignore_sigpipe ();
   let fd = bind_listen addr in
   serve_loop ~receive_timeout_s ~state ~addr fd
 
 let start ?(receive_timeout_s = 30.) ~state addr =
+  check_timeout receive_timeout_s;
   ignore_sigpipe ();
   (* Bind in the calling thread so a returned handle is connectable;
      only the accept loop moves to the background. *)

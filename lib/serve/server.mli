@@ -24,11 +24,15 @@ type t
     [receive_timeout_s] (default 30) is disconnected so it cannot
     starve the accept loop.  SIGPIPE is ignored for the whole process
     (writes to dead peers surface as [EPIPE] and close the connection
-    instead of killing the daemon). *)
+    instead of killing the daemon).
+    @raise Invalid_argument before binding unless [receive_timeout_s]
+    is finite and positive (the socket option would read anything else
+    as "no timeout"). *)
 val run : ?receive_timeout_s:float -> state:State.t -> address -> unit
 
 (** [start ~state addr] is {!run} on a fresh thread, returning once the
-    listening socket is bound — a client may connect immediately. *)
+    listening socket is bound — a client may connect immediately.
+    @raise Invalid_argument in the calling thread, as {!run} does. *)
 val start : ?receive_timeout_s:float -> state:State.t -> address -> t
 
 (** [join t] waits for the server thread to finish (i.e. for a

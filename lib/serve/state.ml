@@ -37,9 +37,6 @@ type t = {
   tbl : (string, graph_state) Hashtbl.t;
   results : Protocol.response Lru.t;
   pool : Dsd_util.Pool.t option;
-  mutable requests : int;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ?pool ~max_cached graphs =
@@ -54,10 +51,7 @@ let create ?pool ~max_cached graphs =
   { names = List.map fst graphs;
     tbl;
     results = Lru.create ~capacity:max_cached;
-    pool;
-    requests = 0;
-    hits = 0;
-    misses = 0 }
+    pool }
 
 let graphs t = List.map (fun name -> (name, (Hashtbl.find t.tbl name).g)) t.names
 
@@ -87,33 +81,32 @@ let psi_state t (gs : graph_state) (psi : P.t) =
 
 let clear_results t = Lru.clear t.results
 
+(* Every cacheable request makes exactly one [Lru.find], so the LRU's
+   own hit/miss tallies are the request accounting. *)
 let cache_stats t =
+  let hits = Lru.hits t.results and misses = Lru.misses t.results in
   [ ("capacity", Lru.capacity t.results);
     ("entries", Lru.length t.results);
-    ("requests", t.requests);
-    ("hits", t.hits);
-    ("misses", t.misses);
+    ("requests", hits + misses);
+    ("hits", hits);
+    ("misses", misses);
     ("evictions", Lru.evictions t.results) ]
 
 (* ---- validation ---- *)
 
-type lookup = {
-  gs : graph_state;
-  ps : psi_state;
-}
-
 let errorf fmt = Printf.ksprintf (fun s -> Protocol.Error_r s) fmt
 
-let lookup t ~graph ~psi =
+let with_graph t graph f =
   match Hashtbl.find_opt t.tbl graph with
   | None ->
-    Error
-      (errorf "unknown graph %s (serving: %s)" graph
-         (String.concat ", " t.names))
-  | Some gs -> (
-    match P.of_string psi with
-    | None -> Error (errorf "unknown pattern %s (see 'dsd patterns')" psi)
-    | Some p -> Ok { gs; ps = psi_state t gs p })
+    errorf "unknown graph %s (serving: %s)" graph (String.concat ", " t.names)
+  | Some gs -> f gs
+
+let with_psi t ~graph ~psi f =
+  with_graph t graph (fun gs ->
+      match P.of_string psi with
+      | None -> errorf "unknown pattern %s (see 'dsd patterns')" psi
+      | Some p -> f gs (psi_state t gs p))
 
 (* ---- solvers ---- *)
 
@@ -133,7 +126,7 @@ let densest t (gs : graph_state) (ps : psi_state) algorithm =
   let g = ps.graph and psi = ps.psi in
   match String.lowercase_ascii algorithm with
   | "exact" ->
-    let family = Dsd_core.Flow_build.auto_family psi ~grouped:false in
+    let family = Dsd_core.Flow_build.auto_family psi in
     let instances =
       match family with
       | Dsd_core.Flow_build.Eds -> [||]  (* never enumerated by Exact *)
@@ -166,161 +159,48 @@ let densest t (gs : graph_state) (ps : psi_state) algorithm =
    invalidate only this graph's derived state — its (graph, psi)
    prepared caches and its result-LRU entries.  Other graphs' cached
    results stay resident (and keep hitting). *)
-let apply_delta t ~graph ~adds ~removes : Protocol.response =
-  match Hashtbl.find_opt t.tbl graph with
-  | None ->
-    errorf "unknown graph %s (serving: %s)" graph (String.concat ", " t.names)
-  | Some gs ->
-    let n = G.n gs.g in
-    let bad (u, v) = u < 0 || u >= n || v < 0 || v >= n in
-    if Array.exists bad adds || Array.exists bad removes then
-      errorf "delta vertex out of range (graph has %d vertices)" n
-    else begin
-      let dyn =
-        match gs.dyn with
-        | Some d -> d
-        | None ->
-          let d = Dsd_graph.Dynamic.of_graph gs.g in
-          gs.dyn <- Some d;
-          d
-      in
-      let added = ref 0 and removed = ref 0 in
-      Array.iter
-        (fun (u, v) -> if Dsd_graph.Dynamic.add_edge dyn u v then incr added)
-        adds;
-      Array.iter
-        (fun (u, v) -> if Dsd_graph.Dynamic.remove_edge dyn u v then incr removed)
-        removes;
-      let ops =
-        Array.append
-          (Array.map (fun (u, v) -> Dsd_graph.Dynamic.Add (u, v)) adds)
-          (Array.map (fun (u, v) -> Dsd_graph.Dynamic.Remove (u, v)) removes)
-      in
-      Hashtbl.iter (fun _ s -> ignore (Dsd_core.Inc_dsd.apply s ops)) gs.incs;
-      gs.g <- Dsd_graph.Dynamic.snapshot dyn;
-      Hashtbl.reset gs.psis;
-      ignore
-        (Lru.remove_where t.results ~f:(fun key ->
-             Protocol.key_graph key = Some graph));
-      Apply_delta_r
-        { n; m = Dsd_graph.Dynamic.m dyn; added = !added; removed = !removed }
-    end
+let apply_delta t ~graph ~adds ~removes =
+  with_graph t graph @@ fun gs ->
+  let n = G.n gs.g in
+  let bad (u, v) = u < 0 || u >= n || v < 0 || v >= n in
+  if Array.exists bad adds || Array.exists bad removes then
+    errorf "delta vertex out of range (graph has %d vertices)" n
+  else begin
+    let dyn =
+      match gs.dyn with
+      | Some d -> d
+      | None ->
+        let d = Dsd_graph.Dynamic.of_graph gs.g in
+        gs.dyn <- Some d;
+        d
+    in
+    let added = ref 0 and removed = ref 0 in
+    Array.iter
+      (fun (u, v) -> if Dsd_graph.Dynamic.add_edge dyn u v then incr added)
+      adds;
+    Array.iter
+      (fun (u, v) -> if Dsd_graph.Dynamic.remove_edge dyn u v then incr removed)
+      removes;
+    let ops =
+      Array.append
+        (Array.map (fun (u, v) -> Dsd_graph.Dynamic.Add (u, v)) adds)
+        (Array.map (fun (u, v) -> Dsd_graph.Dynamic.Remove (u, v)) removes)
+    in
+    Hashtbl.iter (fun _ s -> ignore (Dsd_core.Inc_dsd.apply s ops)) gs.incs;
+    gs.g <- Dsd_graph.Dynamic.snapshot dyn;
+    Hashtbl.reset gs.psis;
+    ignore
+      (Lru.remove_where t.results ~f:(fun key ->
+           Protocol.key_graph key = Some graph));
+    Protocol.Apply_delta_r
+      { n; m = Dsd_graph.Dynamic.m dyn; added = !added; removed = !removed }
+  end
 
+(* Every request kind's answer, uncached. *)
 let compute t (req : Protocol.request) : Protocol.response =
-  match req with
-  | Ping | Stats | Shutdown | Apply_delta _ ->
-    assert false  (* not cacheable; handled below *)
-  | Density { graph; psi; algorithm } -> (
-    match lookup t ~graph ~psi with
-    | Error e -> e
-    | Ok { gs; ps } -> (
-      match densest t gs ps algorithm with
-      | Error e -> e
-      | Ok sg -> Density_r sg.Dsd_core.Density.density))
-  | Cds { graph; psi; algorithm } -> (
-    match lookup t ~graph ~psi with
-    | Error e -> e
-    | Ok { gs; ps } -> (
-      match densest t gs ps algorithm with
-      | Error e -> e
-      | Ok sg ->
-        Cds_r
-          { density = sg.Dsd_core.Density.density;
-            vertices = sg.Dsd_core.Density.vertices }))
-  | Decompose { graph; psi } -> (
-    match lookup t ~graph ~psi with
-    | Error e -> e
-    | Ok { ps; _ } ->
-      let d = Lazy.force ps.decomp in
-      Decompose_r
-        { kmax = d.Dsd_core.Clique_core.kmax;
-          core = Array.copy d.Dsd_core.Clique_core.core })
-  | Query { graph; psi; vertices } -> (
-    match lookup t ~graph ~psi with
-    | Error e -> e
-    | Ok { ps; _ } ->
-      let n = G.n ps.graph in
-      if Array.length vertices = 0 then errorf "query needs at least one vertex"
-      else if Array.exists (fun v -> v < 0 || v >= n) vertices then
-        errorf "query vertex out of range (graph has %d vertices)" n
-      else begin
-        let r =
-          Dsd_core.Query_dsd.run ?pool:t.pool ~decomp:(Lazy.force ps.decomp)
-            ps.graph ps.psi ~query:vertices
-        in
-        let sg = r.Dsd_core.Query_dsd.subgraph in
-        Query_r
-          { density = sg.Dsd_core.Density.density;
-            vertices = sg.Dsd_core.Density.vertices }
-      end)
-  | Topk { graph; psi; k } -> (
-    match lookup t ~graph ~psi with
-    | Error e -> e
-    | Ok { ps; _ } ->
-      if k < 1 then errorf "topk needs k >= 1 (got %d)" k
-      else begin
-        let r =
-          Dsd_core.Topk_lds.run ?pool:t.pool ~decomp:(Lazy.force ps.decomp) ~k
-            ps.graph ps.psi
-        in
-        Topk_r
-          { regions =
-              List.map
-                (fun (sg : Dsd_core.Density.subgraph) ->
-                  (sg.density, sg.vertices))
-                r.Dsd_core.Topk_lds.regions }
-      end)
-  | Hierarchy { graph; psi; levels } -> (
-    match lookup t ~graph ~psi with
-    | Error e -> e
-    | Ok { ps; _ } ->
-      if levels < 0 then errorf "hierarchy needs levels >= 0 (got %d)" levels
-      else begin
-        let d = Lazy.force ps.hierarchy in
-        let all =
-          List.map
-            (fun (lvl : Dsd_core.Ld_decomposition.level) ->
-              (lvl.marginal_density, lvl.vertices))
-            d.Dsd_core.Ld_decomposition.levels
-        in
-        let rec take k = function
-          | x :: rest when k > 0 -> x :: take (k - 1) rest
-          | _ -> []
-        in
-        Hierarchy_r
-          { levels = (if levels = 0 then all else take levels all) }
-      end)
-
-(* Only successful answers enter the LRU: errors are cheap to recompute
-   and must not shadow a graph registered later under the same name. *)
-let cacheable_ok = function
-  | Protocol.Error_r _ -> false
-  | _ -> true
-
-let handle_cached t req key =
-  t.requests <- t.requests + 1;
-  Counter.incr Counter.Serve_requests;
-  match Lru.find t.results key with
-  | Some resp ->
-    t.hits <- t.hits + 1;
-    Counter.incr Counter.Serve_cache_hits;
-    resp
-  | None ->
-    t.misses <- t.misses + 1;
-    Counter.incr Counter.Serve_cache_misses;
-    let resp = compute t req in
-    if cacheable_ok resp then begin
-      match Lru.add t.results key resp with
-      | Some _evicted -> Counter.incr Counter.Serve_cache_evictions
-      | None -> ()
-    end;
-    resp
-
-let handle t (req : Protocol.request) : Protocol.response =
   match req with
   | Ping -> Pong
   | Shutdown -> Shutdown_r
-  | Apply_delta { graph; adds; removes } -> apply_delta t ~graph ~adds ~removes
   | Stats ->
     Stats_r
       { counters = Counter.snapshot ();
@@ -330,11 +210,104 @@ let handle t (req : Protocol.request) : Protocol.response =
             (fun (name, g) ->
               Printf.sprintf "%s n=%d m=%d" name (G.n g) (G.m g))
             (graphs t) }
-  | Density _ | Cds _ | Decompose _ | Query _ | Topk _ | Hierarchy _ ->
-    let key =
-      match Protocol.request_key req with
-      | Some k -> k
-      | None -> assert false
-    in
+  | Apply_delta { graph; adds; removes } -> apply_delta t ~graph ~adds ~removes
+  | Density { graph; psi; algorithm } ->
+    with_psi t ~graph ~psi (fun gs ps ->
+        match densest t gs ps algorithm with
+        | Error e -> e
+        | Ok sg -> Density_r sg.Dsd_core.Density.density)
+  | Cds { graph; psi; algorithm } ->
+    with_psi t ~graph ~psi (fun gs ps ->
+        match densest t gs ps algorithm with
+        | Error e -> e
+        | Ok sg ->
+          Cds_r
+            { density = sg.Dsd_core.Density.density;
+              vertices = sg.Dsd_core.Density.vertices })
+  | Decompose { graph; psi } ->
+    with_psi t ~graph ~psi (fun _ ps ->
+        let d = Lazy.force ps.decomp in
+        Decompose_r
+          { kmax = d.Dsd_core.Clique_core.kmax;
+            core = Array.copy d.Dsd_core.Clique_core.core })
+  | Query { graph; psi; vertices } ->
+    with_psi t ~graph ~psi (fun _ ps ->
+        let n = G.n ps.graph in
+        if Array.length vertices = 0 then
+          errorf "query needs at least one vertex"
+        else if Array.exists (fun v -> v < 0 || v >= n) vertices then
+          errorf "query vertex out of range (graph has %d vertices)" n
+        else begin
+          let r =
+            Dsd_core.Query_dsd.run ?pool:t.pool ~decomp:(Lazy.force ps.decomp)
+              ps.graph ps.psi ~query:vertices
+          in
+          let sg = r.Dsd_core.Query_dsd.subgraph in
+          Query_r
+            { density = sg.Dsd_core.Density.density;
+              vertices = sg.Dsd_core.Density.vertices }
+        end)
+  | Topk { graph; psi; k } ->
+    with_psi t ~graph ~psi (fun _ ps ->
+        if k < 1 then errorf "topk needs k >= 1 (got %d)" k
+        else begin
+          let r =
+            Dsd_core.Topk_lds.run ?pool:t.pool ~decomp:(Lazy.force ps.decomp)
+              ~k ps.graph ps.psi
+          in
+          Topk_r
+            { regions =
+                List.map
+                  (fun (sg : Dsd_core.Density.subgraph) ->
+                    (sg.density, sg.vertices))
+                  r.Dsd_core.Topk_lds.regions }
+        end)
+  | Hierarchy { graph; psi; levels } ->
+    with_psi t ~graph ~psi (fun _ ps ->
+        if levels < 0 then
+          errorf "hierarchy needs levels >= 0 (got %d)" levels
+        else begin
+          let d = Lazy.force ps.hierarchy in
+          let all =
+            List.map
+              (fun (lvl : Dsd_core.Ld_decomposition.level) ->
+                (lvl.marginal_density, lvl.vertices))
+              d.Dsd_core.Ld_decomposition.levels
+          in
+          let rec take k = function
+            | x :: rest when k > 0 -> x :: take (k - 1) rest
+            | _ -> []
+          in
+          Hierarchy_r
+            { levels = (if levels = 0 then all else take levels all) }
+        end)
+
+(* Only successful answers enter the LRU: errors are cheap to recompute
+   and must not shadow a graph registered later under the same name. *)
+let cacheable_ok = function
+  | Protocol.Error_r _ -> false
+  | _ -> true
+
+let handle_cached t req key =
+  Counter.incr Counter.Serve_requests;
+  match Lru.find t.results key with
+  | Some resp ->
+    Counter.incr Counter.Serve_cache_hits;
+    resp
+  | None ->
+    Counter.incr Counter.Serve_cache_misses;
+    let resp = compute t req in
+    if cacheable_ok resp then begin
+      match Lru.add t.results key resp with
+      | Some _evicted -> Counter.incr Counter.Serve_cache_evictions
+      | None -> ()
+    end;
+    resp
+
+(* The result LRU holds exactly what [Protocol.request_key] keys. *)
+let handle t req =
+  match Protocol.request_key req with
+  | None -> compute t req
+  | Some key ->
     Dsd_obs.Span.with_ Dsd_obs.Phase.serve_request (fun () ->
         handle_cached t req key)

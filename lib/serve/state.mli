@@ -44,10 +44,10 @@ val graphs : t -> (string * Dsd_graph.Graph.t) list
     (graph, Psi) caches and its result-LRU entries are dropped; other
     graphs' cached results keep hitting.
 
-    Cacheable requests are
-    counted (requests, then one of hit/miss, evictions as they happen)
-    in both the internal tallies reported by the [Stats] endpoint and
-    the [Serve_*] counters of {!Dsd_obs.Counter}, and each runs under a
+    The result LRU caches exactly the requests {!Protocol.request_key}
+    keys.  Each of them makes one LRU lookup, counted as a hit or a
+    miss by the LRU itself (the [Stats] endpoint's tallies) and by the
+    [Serve_*] counters of {!Dsd_obs.Counter}, and runs under a
     {!Dsd_obs.Phase.serve_request} span. *)
 val handle : t -> Protocol.request -> Protocol.response
 
@@ -58,5 +58,5 @@ val clear_results : t -> unit
 
 (** [cache_stats t] is the [Stats] endpoint's cache section:
     [capacity], [entries], [requests], [hits], [misses], [evictions] —
-    with [hits + misses = requests] as a contract. *)
+    the LRU's own tallies, with [requests = hits + misses]. *)
 val cache_stats : t -> (string * int) list

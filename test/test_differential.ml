@@ -43,9 +43,6 @@ let test_exact_solvers_agree () =
                 (ctx ^ " CoreExact " ^ combo_name prunings)
                 reference r.CE.subgraph.D.density)
             pruning_combos;
-          let grouped = CE.run ~grouped:true g psi in
-          Helpers.check_float (ctx ^ " grouped") reference
-            grouped.CE.subgraph.D.density;
           (* The instance-node (PExact) and construct+ (CorePExact)
              networks solve the same clique problem. *)
           let pexact =

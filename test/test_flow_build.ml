@@ -132,14 +132,10 @@ let enumerate_dispatch_prop g =
     [ P.triangle; P.star 2; P.diamond; P.c3_star ]
 
 let test_auto_family () =
-  Alcotest.(check bool) "edge -> Eds" true
-    (FB.auto_family P.edge ~grouped:false = FB.Eds);
+  Alcotest.(check bool) "edge -> Eds" true (FB.auto_family P.edge = FB.Eds);
   Alcotest.(check bool) "triangle -> Clique_flow" true
-    (FB.auto_family P.triangle ~grouped:false = FB.Clique_flow);
-  Alcotest.(check bool) "paw -> Pds" true
-    (FB.auto_family P.c3_star ~grouped:false = FB.Pds);
-  Alcotest.(check bool) "paw grouped -> Pds_grouped" true
-    (FB.auto_family P.c3_star ~grouped:true = FB.Pds_grouped)
+    (FB.auto_family P.triangle = FB.Clique_flow);
+  Alcotest.(check bool) "paw -> Pds" true (FB.auto_family P.c3_star = FB.Pds)
 
 let suite =
   [

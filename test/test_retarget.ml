@@ -26,7 +26,7 @@ type trace = {
    compute identical alphas because the cut-emptiness decisions (which
    steer l/u) must agree, so the fresh loop checks the driver too. *)
 let binary_search ?pool mode g psi =
-  let family = FB.auto_family psi ~grouped:false in
+  let family = FB.auto_family psi in
   let instances =
     match family with
     | FB.Eds -> [||]

@@ -598,6 +598,26 @@ let test_disconnect_mid_request () =
       Alcotest.(check bool) "server survives connect-then-close" true
         (alive addr))
 
+(* A receive timeout the socket option would read as "none" (0 or
+   negative) or reject (nan, infinity) would let one silent peer hold
+   the accept loop forever: start refuses it before binding. *)
+let test_receive_timeout_rejected () =
+  let state = Sv_state.create ~max_cached:1 [] in
+  List.iter
+    (fun v ->
+      let path = fresh_socket () in
+      let addr = Server.Unix_domain path in
+      match Server.start ~receive_timeout_s:v ~state addr with
+      | exception Invalid_argument _ ->
+        Alcotest.(check bool)
+          (Printf.sprintf "timeout %g: nothing bound" v)
+          false (Sys.file_exists path)
+      | server ->
+        (try ignore (Client.once addr Pr.Shutdown) with _ -> ());
+        Server.join server;
+        Alcotest.failf "receive timeout %g was accepted" v)
+    [ 0.; -1.; Float.nan; Float.infinity ]
+
 (* Targeted tag-0x0a (hierarchy) frame faults: a well-formed request
    must answer, and truncated / oversized / lying-body variants of the
    same frame must produce a structured error or a clean close, never a
@@ -667,6 +687,13 @@ let test_hierarchy_frame_faults () =
             Alcotest.failf "%s: server no longer answers ping" label)
         faults)
 
+let hex s =
+  String.to_seq s
+  |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+  |> List.of_seq |> String.concat ""
+
+let frame_hex (tag, body) = Printf.sprintf "%02x:%s" tag (hex body)
+
 let test_request_codec_roundtrip () =
   let reqs =
     [ Pr.Ping;
@@ -681,6 +708,9 @@ let test_request_codec_roundtrip () =
       Pr.Topk { graph = ""; psi = "edge"; k = -1 };
       Pr.Hierarchy { graph = "g"; psi = "triangle"; levels = 2 };
       Pr.Hierarchy { graph = ""; psi = "edge"; levels = 0 };
+      Pr.Apply_delta
+        { graph = "g"; adds = [| (0, 1); (7, 2) |]; removes = [||] };
+      Pr.Apply_delta { graph = ""; adds = [||]; removes = [| (3, 3) |] };
     ]
   in
   List.iter
@@ -705,6 +735,7 @@ let test_request_codec_roundtrip () =
       Pr.Hierarchy_r
         { levels = [ (2.5, [| 0; 1; 2 |]); (0., [| 7 |]) ] };
       Pr.Error_r "nope";
+      Pr.Apply_delta_r { n = 9; m = 0; added = 2; removed = -1 };
       Pr.Stats_r
         { counters = [ ("a", 1); ("b", 0) ];
           cache = [ ("requests", 3) ];
@@ -716,7 +747,148 @@ let test_request_codec_roundtrip () =
       let tag, body = Pr.encode_response resp in
       Alcotest.(check bool) "response round-trips" true
         (Pr.decode_response tag body = resp))
-    resps
+    resps;
+  (* The wire format itself, not just encoder/decoder agreement: one
+     frame per constructor, as "tag:body" in hex, against fixed
+     literals, so an encoder and decoder that drift together still
+     fail.  Any change to a tag, kind byte, field order or length
+     prefix breaks these. *)
+  let pin label expected frame =
+    Alcotest.(check string) label expected (frame_hex frame)
+  in
+  List.iter
+    (fun (label, req, expected) -> pin label expected (Pr.encode_request req))
+    [ ("ping", Pr.Ping, "01:");
+      ("stats", Pr.Stats, "02:");
+      ( "density",
+        Pr.Density { graph = "g"; psi = "edge"; algorithm = "exact" },
+        "03:0000000000000001670000000000000004656467650000000000000005657861\
+         6374" );
+      ( "cds",
+        Pr.Cds { graph = "a b"; psi = "triangle"; algorithm = "peel" },
+        "04:00000000000000036120620000000000000008747269616e676c650000000000\
+         0000047065656c" );
+      ( "decompose",
+        Pr.Decompose { graph = ""; psi = "edge" },
+        "05:0000000000000000000000000000000465646765" );
+      ( "query",
+        Pr.Query { graph = "g"; psi = "edge"; vertices = [| 0; 5 |] },
+        "06:0000000000000001670000000000000004656467650000000000000002000000\
+         00000000000000000000000005" );
+      ("shutdown", Pr.Shutdown, "07:");
+      ( "apply-delta",
+        Pr.Apply_delta
+          { graph = "g"; adds = [| (0, 1) |]; removes = [| (2, 3) |] },
+        "08:0000000000000001670000000000000002000000000000000000000000000000\
+         01000000000000000200000000000000020000000000000003" );
+      ( "topk",
+        Pr.Topk { graph = "g"; psi = "edge"; k = 2 },
+        "09:0000000000000001670000000000000004656467650000000000000002" );
+      ( "hierarchy",
+        Pr.Hierarchy { graph = "g"; psi = "edge"; levels = 0 },
+        "0a:0000000000000001670000000000000004656467650000000000000000" ) ];
+  List.iter
+    (fun (label, resp, expected) ->
+      pin label expected (Pr.encode_response resp))
+    [ ("pong", Pr.Pong, "40:01");
+      ( "stats_r",
+        Pr.Stats_r
+          { counters = [ ("a", 1) ];
+            cache = [ ("hits", 2) ];
+            graphs = [ "g n=4 m=3" ] },
+        "40:020000000000000001000000000000000161000000000000000100000000000000\
+         0100000000000000046869747300000000000000020000000000000001000000\
+         000000000967206e3d34206d3d33" );
+      ("density_r", Pr.Density_r 0.1, "40:033fb999999999999a");
+      ( "cds_r",
+        Pr.Cds_r { density = 1.5; vertices = [| 1; 2 |] },
+        "40:043ff800000000000000000000000000020000000000000001000000000000\
+         0002" );
+      ( "decompose_r",
+        Pr.Decompose_r { kmax = 1; core = [| 0; 1 |] },
+        "40:050000000000000001000000000000000200000000000000000000000000000001" );
+      ( "query_r",
+        Pr.Query_r { density = 7.25; vertices = [||] },
+        "40:06401d0000000000000000000000000000" );
+      ( "apply-delta_r",
+        Pr.Apply_delta_r { n = 4; m = 3; added = 1; removed = 0 },
+        "40:080000000000000004000000000000000300000000000000010000000000000000" );
+      ( "topk_r",
+        Pr.Topk_r { regions = [ (2.5, [| 0 |]) ] },
+        "40:090000000000000001400400000000000000000000000000010000000000000000" );
+      ( "hierarchy_r",
+        Pr.Hierarchy_r { levels = [ (1., [| 3 |]); (0.5, [| 1; 2 |]) ] },
+        "40:0a00000000000000023ff00000000000000000000000000001000000000000\
+         00033fe0000000000000000000000000000200000000000000010000000000000002" );
+      ("shutdown_r", Pr.Shutdown_r, "40:07");
+      ("error_r", Pr.Error_r "nope", "7f:00000000000000046e6f7065") ];
+  (* Cache keys: exactly the six query kinds, keyed as "<decimal tag>:"
+     followed by the request body; control and mutation requests get
+     none. *)
+  let cacheable =
+    [ Pr.Density { graph = "g"; psi = "edge"; algorithm = "exact" };
+      Pr.Cds { graph = "a b"; psi = "triangle"; algorithm = "peel" };
+      Pr.Decompose { graph = ""; psi = "edge" };
+      Pr.Query { graph = "g"; psi = "edge"; vertices = [| 0; 5 |] };
+      Pr.Topk { graph = "g"; psi = "edge"; k = 2 };
+      Pr.Hierarchy { graph = "g"; psi = "edge"; levels = 0 } ]
+  in
+  List.iter
+    (fun req ->
+      let tag, body = Pr.encode_request req in
+      let key = Printf.sprintf "%d:%s" tag body in
+      Alcotest.(check (option string)) "cacheable request keyed by its frame"
+        (Some key) (Pr.request_key req))
+    cacheable;
+  List.iter
+    (fun req ->
+      Alcotest.(check (option string)) "uncacheable request has no key" None
+        (Pr.request_key req))
+    [ Pr.Ping;
+      Pr.Stats;
+      Pr.Shutdown;
+      Pr.Apply_delta { graph = "g"; adds = [| (0, 1) |]; removes = [||] } ];
+  List.iter
+    (fun graph ->
+      List.iter
+        (fun req ->
+          Alcotest.(check (option string)) "key_graph recovers the graph"
+            (Some graph)
+            (Option.bind (Pr.request_key req) Pr.key_graph))
+        [ Pr.Density { graph; psi = "edge"; algorithm = "peel" };
+          Pr.Cds { graph; psi = "edge"; algorithm = "exact" };
+          Pr.Decompose { graph; psi = "triangle" };
+          Pr.Query { graph; psi = "edge"; vertices = [| 1 |] };
+          Pr.Topk { graph; psi = "edge"; k = 1 };
+          Pr.Hierarchy { graph; psi = "edge"; levels = 3 } ])
+    [ "g"; ""; "a b" ];
+  List.iter
+    (fun key ->
+      Alcotest.(check (option string)) "key_graph rejects a non-key" None
+        (Pr.key_graph key))
+    [ "x"; "1:"; "3:garbage"; "8:\000\000\000\000\000\000\000\001g" ];
+  (* Decode errors name the offending byte. *)
+  let error_of f =
+    match f () with
+    | _ -> "no error"
+    | exception Pr.Error msg -> msg
+  in
+  List.iter
+    (fun (expected, f) ->
+      Alcotest.(check string) expected expected (error_of f))
+    [ ( "unknown request tag 0x0b",
+        fun () -> ignore (Pr.decode_request 0x0b "") );
+      ( "unknown request tag 0x00",
+        fun () -> ignore (Pr.decode_request 0x00 "junk") );
+      ( "unknown response kind 0x0b",
+        fun () -> ignore (Pr.decode_response 0x40 "\x0b") );
+      ( "unknown response kind 0x40",
+        fun () -> ignore (Pr.decode_response 0x40 "\x40") );
+      ( "unknown response tag 0x41",
+        fun () -> ignore (Pr.decode_response 0x41 "") );
+      ( "unknown response tag 0x01",
+        fun () -> ignore (Pr.decode_response 0x01 "\x01") );
+      ("truncated body", fun () -> ignore (Pr.decode_response 0x40 "")) ]
 
 let suite =
   [ Alcotest.test_case "snapshot: empty graph" `Quick test_snapshot_empty;
@@ -741,4 +913,6 @@ let suite =
       test_hierarchy_frame_faults;
     Alcotest.test_case "socket: mid-request disconnects" `Quick
       test_disconnect_mid_request;
+    Alcotest.test_case "socket: non-positive receive timeout rejected" `Quick
+      test_receive_timeout_rejected;
   ]

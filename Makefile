@@ -5,7 +5,7 @@
 	fuzz-smoke fuzz-incremental fuzz-topk fuzz-hierarchy coverage fmt \
 	check bench-phases bench-retarget bench-warmstart bench-serve \
 	bench-incremental bench-topk bench-hierarchy bench-parallel perfbench \
-	perfbench-trace perfbench-counts clean
+	perfbench-trace perfbench-counts check-counts clean
 
 all: build
 
@@ -151,6 +151,7 @@ check:
 	dune exec bench/compare.exe -- BENCH_incremental.json
 	dune exec bench/compare.exe -- BENCH_topk.json
 	dune exec bench/compare.exe -- BENCH_hierarchy.json
+	$(MAKE) check-counts
 
 # Per-phase observability breakdown (Dsd_obs spans/counters).
 bench-phases:
@@ -199,33 +200,47 @@ bench-parallel:
 	dune exec bench/compare.exe -- BENCH_parallel.json
 
 # The repository benchmark (perfbench/, declared in BENCHMARK.json):
-# every workload untraced at SEED, end-to-end metrics only.  Runs that
-# overlap another CPU-heavy job are not comparable.
+# every workload untraced at SEED, end-to-end metrics only.  SECONDS
+# sets the script length of every perfbench target (through a nominal
+# rate, never the clock).  Runs that overlap another CPU-heavy job are
+# not comparable.
 SEED ?= 1
+SECONDS ?= 15
 perfbench:
 	for w in exact_batch approx_large serve_stream; do \
-		bash perfbench/run.sh --workload $$w --seed $(SEED) --seconds 15 --trace 0 || exit 1; \
+		bash perfbench/run.sh --workload $$w --seed $(SEED) --seconds $(SECONDS) --trace 0 || exit 1; \
 	done
 
 # One workload traced at SEED: per-layer self times and counts, e.g.
 # `make perfbench-trace W=exact_batch`.
 perfbench-trace:
-	@test -n "$(W)" || { echo "usage: make perfbench-trace W=exact_batch|approx_large|serve_stream [SEED=n]"; exit 2; }
-	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds 15 --trace 1
+	@test -n "$(W)" || { echo "usage: make perfbench-trace W=exact_batch|approx_large|serve_stream [SEED=n] [SECONDS=n]"; exit 2; }
+	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds $(SECONDS) --trace 1
 
-# The counted work of one traced workload at SEED: only the metrics
-# whose unit is "count" or "bytes", one `name value` per line, so the
-# outputs of two commits can be diffed, e.g. `make perfbench-counts
-# W=exact_batch`.  The bytes metric (codec.bytes_per_req, serve_stream's
-# mean frame size) pins the wire format.  gc.major_collections is left
-# out: it follows allocation, not work.
+# The counted work of traced runs at SEED: only the metrics whose unit
+# is "count" or "bytes", one `workload name value` per line for W
+# (default: all three workloads), so the outputs of two commits can be
+# diffed, e.g. `make perfbench-counts W=exact_batch`.  The bytes metric
+# (codec.bytes_per_req, serve_stream's mean frame size) pins the wire
+# format.  gc.major_collections is left out: it follows allocation,
+# not work.
 perfbench-counts:
-	@test -n "$(W)" || { echo "usage: make perfbench-counts W=exact_batch|approx_large|serve_stream [SEED=n]"; exit 2; }
-	@out=$$(bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds 15 --trace 1) || exit 1; \
-	printf '%s\n' "$$out" | tail -n 1 \
-		| grep -o '"[^"]*": {"value": [^,]*, "unit": "\(count\|bytes\)"}' \
-		| sed 's/^"\([^"]*\)": {"value": \([^,]*\),.*/\1 \2/' \
-		| grep -v '^gc\.'
+	@for w in $(or $(W),exact_batch approx_large serve_stream); do \
+		out=$$(bash perfbench/run.sh --workload $$w --seed $(SEED) --seconds $(SECONDS) --trace 1) || exit 1; \
+		printf '%s\n' "$$out" | tail -n 1 \
+			| grep -o '"[^"]*": {"value": [^,]*, "unit": "\(count\|bytes\)"}' \
+			| sed 's/^"\([^"]*\)": {"value": \([^,]*\),.*/\1 \2/' \
+			| grep -v '^gc\.' | sed "s/^/$$w /"; \
+	done
+
+# The checked-in counted work: all three workloads at seed 1 with 1 s
+# scripts (one exact_batch pass), diffed exactly against
+# BENCH_counts.txt.  A change that moves work regenerates the file with
+# `make -s perfbench-counts SEED=1 SECONDS=1 > BENCH_counts.txt` and
+# gives each old -> new value in CHANGES.md.
+check-counts:
+	$(MAKE) -s --no-print-directory perfbench-counts SEED=1 SECONDS=1 \
+		| diff BENCH_counts.txt -
 
 clean:
 	dune clean

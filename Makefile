@@ -53,10 +53,10 @@ test-topk:
 	dune exec test/test_main.exe -- test topk
 
 # The hierarchy suites on their own: the union-of-argmax oracle
-# differential (prepared/fresh/pool widths bit-identical), the
-# configuration bit-equality battery, the probe-count agreement check
-# and the sorted-prefix properties, plus the single-CDS LD suite the
-# decomposition shares its probe loop with.
+# differential (pool widths 1/2/4 bit-identical), the larger-graph
+# battery against the per-level reference search, the exact 2L - 1
+# probe count and the sorted-prefix properties, plus the exact chain
+# properties of the LD suite.
 test-hierarchy:
 	dune exec test/test_main.exe -- test hierarchy
 	dune exec test/test_main.exe -- test ld-decomposition
@@ -99,14 +99,15 @@ fuzz-topk:
 
 # A focused burst on the hierarchy relations only: chain nesting with
 # slow-count marginal re-derivation, B_1 = the canonical CDS, and the
-# prepared/fresh/cold bit-equality of the probe loop.
+# breakpoint search against the per-level reference search of
+# Dsd_check.Oracle (bit-identical chain, <= 2 probes per level).
 fuzz-hierarchy:
 	dune exec bin/dsd.exe -- fuzz --cases 150 --seed $(FUZZ_SEED) --time-budget 10 \
 		--relation hierarchy-nesting
 	dune exec bin/dsd.exe -- fuzz --cases 150 --seed $(FUZZ_SEED) --time-budget 10 \
 		--relation hierarchy-level1-equals-cds
 	dune exec bin/dsd.exe -- fuzz --cases 150 --seed $(FUZZ_SEED) --time-budget 10 \
-		--relation hierarchy-prepared-equals-fresh
+		--relation hierarchy-equals-reference
 
 # Line coverage via bisect_ppx, skipped gracefully when the ppx is not
 # installed (the toolchain image does not bake it in, like ocamlformat).
@@ -129,10 +130,13 @@ fmt:
 	fi
 
 # fmt runs first so a formatting failure is reported before the long
-# build/test/bench steps.  The warmstart smoke run feeds the compare
-# gate (warm-started probes must never need more augmenting paths than
-# reset probes); the serve smoke run feeds the cached-latency gate (a
-# repeated identical request must be >= 5x faster than the cold one).
+# build/test/bench steps.  The smoke bench run writes
+# BENCH_<name>.smoke.json (gitignored), never the checked-in full-mode
+# BENCH_<name>.json, and the compare gates read those files: the
+# warmstart run feeds the warm <= reset augmenting-path gate, the serve
+# run the cached-latency gate (a repeated identical request must be
+# >= 5x faster than the cold one).  check-counts last diffs the
+# seed-1 work counts against BENCH_counts.txt.
 check:
 	$(MAKE) fmt
 	dune build @default @runtest
@@ -145,12 +149,12 @@ check:
 	$(MAKE) fuzz-topk
 	$(MAKE) fuzz-hierarchy
 	dune exec bench/main.exe -- --only parallel,retarget,warmstart,serve,incremental,topk,hierarchy --smoke
-	dune exec bench/compare.exe -- BENCH_parallel.json
-	dune exec bench/compare.exe -- BENCH_warmstart.json
-	dune exec bench/compare.exe -- BENCH_serve.json
-	dune exec bench/compare.exe -- BENCH_incremental.json
-	dune exec bench/compare.exe -- BENCH_topk.json
-	dune exec bench/compare.exe -- BENCH_hierarchy.json
+	dune exec bench/compare.exe -- BENCH_parallel.smoke.json
+	dune exec bench/compare.exe -- BENCH_warmstart.smoke.json
+	dune exec bench/compare.exe -- BENCH_serve.smoke.json
+	dune exec bench/compare.exe -- BENCH_incremental.smoke.json
+	dune exec bench/compare.exe -- BENCH_topk.smoke.json
+	dune exec bench/compare.exe -- BENCH_hierarchy.smoke.json
 	$(MAKE) check-counts
 
 # Per-phase observability breakdown (Dsd_obs spans/counters).
@@ -185,9 +189,10 @@ bench-topk:
 	dune exec bench/main.exe -- --only topk
 	dune exec bench/compare.exe -- BENCH_topk.json
 
-# Prepared vs fresh-build density-friendly hierarchy (writes
-# BENCH_hierarchy.json), then the bit-identical-chain / B_1 = CDS and
-# never-slower gate.
+# Breakpoint search vs the per-level reference search of the
+# density-friendly hierarchy (writes BENCH_hierarchy.json), then the
+# zero-mismatch gate (bit-identical chain, B_1 = CDS, <= 2 probes per
+# level) and the never-slower gate.
 bench-hierarchy:
 	dune exec bench/main.exe -- --only hierarchy
 	dune exec bench/compare.exe -- BENCH_hierarchy.json

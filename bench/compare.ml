@@ -18,11 +18,12 @@
      be slower than it — core-based candidate restriction is only
      sound pruning if it never changes the answer, and only pruning
      if it never costs time.
-   - BENCH_hierarchy.json rows: the prepared/warm hierarchy must agree
-     bit-for-bit with the fresh-build escape hatch (and B_1 with the
-     canonical CDS; mismatches = 0) and must not be slower than it —
-     retargeting one prepared network per level is the optimisation,
-     so paying more than per-probe rebuilds would mean it failed.
+   - BENCH_hierarchy.json rows: the breakpoint-search hierarchy must
+     agree bit-for-bit with the per-level reference search (B_1 with
+     the canonical CDS, and at most two probes per level; mismatches =
+     0) and must not be slower than it — 2L - 1 exact probes on one
+     network replace about twenty per level, so paying more would mean
+     the search failed.
    - BENCH_parallel.json rows: at 4 domains the pooled phases must run
      at least 2x faster than 1 domain (the striped CoreExact probes,
      which scale with component count, merely must not be slower).
@@ -168,9 +169,9 @@ let () =
               (if pruned > 0. then unpruned /. pruned else 0.)
         | _ -> (
         match
-          (float_field line "prepared_s", float_field line "fresh_s")
+          (float_field line "breakpoint_s", float_field line "reference_s")
         with
-        | Some prepared, Some fresh ->
+        | Some breakpoint, Some reference ->
           incr rows;
           let label =
             Printf.sprintf "%s/%s/hierarchy"
@@ -182,19 +183,19 @@ let () =
           in
           if mismatches > 0 then begin
             incr bad;
-            Printf.printf "FAIL %-24s %d prepared/fresh/CDS mismatches\n"
+            Printf.printf "FAIL %-24s %d reference/CDS/probe mismatches\n"
               label mismatches
           end
-          else if prepared > fresh then begin
+          else if breakpoint > reference then begin
             incr bad;
-            Printf.printf "FAIL %-24s prepared %.3fs > fresh %.3fs\n" label
-              prepared fresh
+            Printf.printf "FAIL %-24s breakpoint %.3fs > reference %.3fs\n"
+              label breakpoint reference
           end
           else
             Printf.printf
-              "ok   %-24s prepared %8.3fs <= fresh %8.3fs  (%.1fx)\n" label
-              prepared fresh
-              (if prepared > 0. then fresh /. prepared else 0.)
+              "ok   %-24s breakpoint %8.3fs <= reference %8.3fs  (%.1fx)\n"
+              label breakpoint reference
+              (if breakpoint > 0. then reference /. breakpoint else 0.)
         | _ -> (
         match
           ( float_field line "recompute_s",

@@ -1040,17 +1040,13 @@ let parallel () =
       in
       H.table ~header ~rows)
     graphs;
-  let oc = open_out "BENCH_parallel.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"parallel\",\n  \"smoke\": %b,\n  \
-     \"recommended_domains\": %d,\n  \"sequential_below\": %d,\n  \
-     \"rows\": [\n%s\n  ]\n}\n"
-    smoke
-    (Dsd_clique.Parallel.recommended_domains ())
-    Dsd_util.Pool.default_sequential_below
-    (String.concat ",\n" (List.rev !json_rows));
-  close_out oc;
-  print_endline "\nwrote BENCH_parallel.json"
+  H.write_json "parallel"
+    ~extra:
+      [ ( "recommended_domains",
+          string_of_int (Dsd_clique.Parallel.recommended_domains ()) );
+        ( "sequential_below",
+          string_of_int Dsd_util.Pool.default_sequential_below ) ]
+    (List.rev !json_rows)
 
 (* ---- retarget: network builds vs O(V) re-alphas (BENCH_retarget.json) ---- *)
 
@@ -1122,13 +1118,7 @@ let retarget () =
             "build_s"; "retarget_s" ]
         ~rows)
     datasets;
-  let oc = open_out "BENCH_retarget.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"retarget\",\n  \"smoke\": %b,\n  \"rows\": [\n%s\n  ]\n}\n"
-    smoke
-    (String.concat ",\n" (List.rev !json_rows));
-  close_out oc;
-  print_endline "\nwrote BENCH_retarget.json"
+  H.write_json "retarget" (List.rev !json_rows)
 
 (* ---- warmstart: warm vs reset flow across probes (BENCH_warmstart.json) ---- *)
 
@@ -1228,14 +1218,7 @@ let warmstart () =
             "warm starts"; "drained"; "reset_s"; "warm_s" ]
         ~rows)
     datasets;
-  let oc = open_out "BENCH_warmstart.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"warmstart\",\n  \"smoke\": %b,\n  \"rows\": \
-     [\n%s\n  ]\n}\n"
-    smoke
-    (String.concat ",\n" (List.rev !json_rows));
-  close_out oc;
-  print_endline "\nwrote BENCH_warmstart.json"
+  H.write_json "warmstart" (List.rev !json_rows)
 
 (* ---- serve: hot-result cache latency over a real socket (BENCH_serve.json) ---- *)
 
@@ -1331,13 +1314,7 @@ let serve () =
           [ "endpoint"; "cold"; "prepared"; "cached"; "prep spd"; "cache spd" ]
         ~rows)
     datasets;
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"serve\",\n  \"smoke\": %b,\n  \"rows\": [\n%s\n  ]\n}\n"
-    smoke
-    (String.concat ",\n" (List.rev !json_rows));
-  close_out oc;
-  print_endline "\nwrote BENCH_serve.json"
+  H.write_json "serve" (List.rev !json_rows)
 
 (* ---- incremental: patch vs recompute on a sliding window (BENCH_incremental.json) ---- *)
 
@@ -1458,14 +1435,7 @@ let incremental () =
       [ "graph"; "pattern"; "window"; "batches"; "incremental"; "recompute";
         "speedup"; "mismatch" ]
     ~rows;
-  let oc = open_out "BENCH_incremental.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"incremental\",\n  \"smoke\": %b,\n  \"rows\": \
-     [\n%s\n  ]\n}\n"
-    smoke
-    (String.concat ",\n" (List.rev !json_rows));
-  close_out oc;
-  print_endline "\nwrote BENCH_incremental.json"
+  H.write_json "incremental" (List.rev !json_rows)
 
 (* Top-k locally densest extraction: core-pruned per-component rounds
    vs whole-graph binary searches.  Planted community graphs are the
@@ -1564,26 +1534,21 @@ let topk () =
       [ "graph"; "pattern"; "k"; "regions"; "pruned"; "unpruned"; "speedup";
         "mismatch" ]
     ~rows;
-  let oc = open_out "BENCH_topk.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"topk\",\n  \"smoke\": %b,\n  \"rows\": \
-     [\n%s\n  ]\n}\n"
-    smoke
-    (String.concat ",\n" (List.rev !json_rows));
-  close_out oc;
-  print_endline "\nwrote BENCH_topk.json"
+  H.write_json "topk" (List.rev !json_rows)
 
-(* Density-friendly hierarchy: prepared/warm probe loop vs the
-   fresh-build escape hatch, with iterated top-k extraction (one
-   canonical CDS per round — a coarser object than the hierarchy) as
-   the cost yardstick.  Both hierarchy modes run in the same forked
-   child and their chains are compared bit-for-bit; B_1 must equal the
-   canonical CDS region.  The JSON is gated by bench/compare.ml (zero
-   mismatches, prepared never slower than fresh). *)
+(* Density-friendly hierarchy: the breakpoint search vs the per-level
+   reference search it replaced (Dsd_check.Oracle), with iterated top-k
+   extraction (one canonical CDS per round — a coarser object than the
+   hierarchy) as the cost yardstick.  Both run in the same forked child
+   and their chains are compared bit-for-bit; B_1 must equal the
+   canonical CDS region, and the breakpoint search must take at most
+   two probes per level.  The JSON is gated by bench/compare.ml (zero
+   mismatches, breakpoint search never slower than the reference). *)
 let hierarchy () =
   let smoke = !H.smoke in
   H.section
-    (Printf.sprintf "Density-friendly hierarchy — prepared vs fresh-build%s"
+    (Printf.sprintf
+       "Density-friendly hierarchy — breakpoint search vs per-level reference%s"
        (if smoke then " [smoke]" else ""));
   let cases =
     if smoke then
@@ -1611,80 +1576,76 @@ let hierarchy () =
         let cell =
           H.run_cell ~timeout:(8. *. !H.default_timeout) (fun () ->
               let module LD = Dsd_core.Ld_decomposition in
-              let dp, tp = H.timed (fun () -> LD.decompose g psi) in
-              let df, tf =
-                H.timed (fun () -> LD.decompose ~prepared:false g psi)
+              let d, tb = H.timed (fun () -> LD.decompose g psi) in
+              let r, tr =
+                H.timed (fun () ->
+                    Dsd_check.Oracle.reference_ld_decomposition g psi)
               in
-              let t = List.length dp.LD.levels in
+              let t = List.length d.LD.levels in
               let tk, tc =
                 H.timed (fun () -> Dsd_core.Topk_lds.run ~k:t g psi)
               in
               let same_chain =
-                List.length dp.LD.levels = List.length df.LD.levels
+                List.length r.LD.levels = t
                 && List.for_all2
                      (fun (a : LD.level) (b : LD.level) ->
                        Int64.bits_of_float a.marginal_density
                        = Int64.bits_of_float b.marginal_density
-                       && a.vertices = b.vertices)
-                     dp.LD.levels df.LD.levels
+                       && a.vertices = b.vertices
+                       && a.prefix_size = b.prefix_size)
+                     d.LD.levels r.LD.levels
               in
               let b1_is_cds =
-                match (dp.LD.levels, tk.Dsd_core.Topk_lds.regions) with
-                | b1 :: _, (r : D.subgraph) :: _ ->
+                match (d.LD.levels, tk.Dsd_core.Topk_lds.regions) with
+                | b1 :: _, (c : D.subgraph) :: _ ->
                   Int64.bits_of_float b1.LD.marginal_density
-                  = Int64.bits_of_float r.density
-                  && b1.LD.vertices = r.vertices
+                  = Int64.bits_of_float c.density
+                  && b1.LD.vertices = c.vertices
                 | _ -> false
               in
               let mismatches =
                 (if same_chain then 0 else 1)
                 + (if b1_is_cds then 0 else 1)
-                + if dp.LD.iterations = df.LD.iterations then 0 else 1
+                + if d.LD.iterations <= 2 * t then 0 else 1
               in
-              Printf.sprintf "%d %.6f %.6f %.6f %d %d %d" t tp tf tc
-                dp.LD.iterations df.LD.iterations mismatches)
+              Printf.sprintf "%d %.6f %.6f %.6f %d %d %d" t tb tr tc
+                d.LD.iterations r.LD.iterations mismatches)
         in
         match cell with
         | H.Ok s ->
           (match String.split_on_char ' ' (String.trim s) with
-           | [ lv; prepared_s; fresh_s; cds_s; pp; fp; mis ] ->
+           | [ lv; breakpoint_s; reference_s; topk_s; bp; rp; mis ] ->
              let ratio a b =
                match (float_of_string_opt a, float_of_string_opt b) with
                | Some a, Some b when b > 0. -> Printf.sprintf "%.2f" (a /. b)
                | _ -> "null"
              in
-             let speedup = ratio fresh_s prepared_s in
-             let vs_cds = ratio prepared_s cds_s in
+             let speedup = ratio reference_s breakpoint_s in
+             let vs_topk = ratio breakpoint_s topk_s in
              json_rows :=
                Printf.sprintf
                  "    {\"graph\": \"%s\", \"pattern\": \"%s\", \"n\": %d, \
-                  \"levels\": %s, \"prepared_s\": %s, \"fresh_s\": %s, \
-                  \"topk_s\": %s, \"prepared_probes\": %s, \
-                  \"fresh_probes\": %s, \"speedup\": %s, \"vs_topk\": %s, \
-                  \"mismatches\": %s}"
-                 gname pname n lv prepared_s fresh_s cds_s pp fp speedup
-                 vs_cds mis
+                  \"levels\": %s, \"breakpoint_s\": %s, \"reference_s\": %s, \
+                  \"topk_s\": %s, \"probes\": %s, \"reference_probes\": %s, \
+                  \"speedup\": %s, \"vs_topk\": %s, \"mismatches\": %s}"
+                 gname pname n lv breakpoint_s reference_s topk_s bp rp speedup
+                 vs_topk mis
                :: !json_rows;
-             [ gname; pname; lv; prepared_s ^ "s"; fresh_s ^ "s";
-               cds_s ^ "s"; speedup ^ "x"; mis ]
-           | _ -> [ gname; pname; String.trim s; "-"; "-"; "-"; "-"; "-" ])
+             [ gname; pname; lv; breakpoint_s ^ "s"; reference_s ^ "s";
+               topk_s ^ "s"; bp; rp; speedup ^ "x"; mis ]
+           | _ ->
+             [ gname; pname; String.trim s; "-"; "-"; "-"; "-"; "-"; "-"; "-" ])
         | other ->
-          [ gname; pname; H.show_payload other; "-"; "-"; "-"; "-"; "-" ])
+          [ gname; pname; H.show_payload other; "-"; "-"; "-"; "-"; "-"; "-";
+            "-" ])
       cases
   in
   H.table
     ~header:
-      [ "graph"; "pattern"; "levels"; "prepared"; "fresh"; "topk";
-        "speedup"; "mismatch" ]
+      [ "graph"; "pattern"; "levels"; "breakpoint"; "reference"; "topk";
+        "probes"; "ref probes"; "speedup"; "mismatch" ]
     ~rows;
-  let oc = open_out "BENCH_hierarchy.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"hierarchy\",\n  \"smoke\": %b,\n  \"rows\": \
-     [\n%s\n  ]\n}\n"
-    smoke
-    (String.concat ",\n" (List.rev !json_rows));
-  close_out oc;
-  print_endline "\nwrote BENCH_hierarchy.json"
+  H.write_json "hierarchy" (List.rev !json_rows)
 
 (* ---- registry ---- *)
 
@@ -1718,7 +1679,7 @@ let all : (string * string * (unit -> unit)) list =
     ("serve", "cold vs prepared vs cached request latency (BENCH_serve.json)", serve);
     ("incremental", "patch vs recompute on a sliding window (BENCH_incremental.json)", incremental);
     ("topk", "pruned vs unpruned top-k LDS extraction (BENCH_topk.json)", topk);
-    ("hierarchy", "prepared vs fresh density-friendly hierarchy (BENCH_hierarchy.json)", hierarchy);
+    ("hierarchy", "breakpoint vs reference density-friendly hierarchy (BENCH_hierarchy.json)", hierarchy);
     ("ext_truss", "extension: truss vs CDS", ext_truss);
     ("ext_sampled", "future work: sampled approximation", ext_sampled);
     ("ext_atleastk", "future work: densest-at-least-k", ext_atleastk);

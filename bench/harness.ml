@@ -91,6 +91,22 @@ let show_payload = function
   | Timeout t -> Printf.sprintf "TIMEOUT(%.0fs)" t
   | Crashed msg -> "CRASH:" ^ String.trim msg
 
+(* [write_json name rows] writes BENCH_<name>.json — or, under
+   --smoke, BENCH_<name>.smoke.json, so a smoke run never replaces the
+   checked-in full-mode rows — with [extra] header fields (already
+   formatted JSON values) before the rows, one row object per line. *)
+let write_json ?(extra = []) name rows =
+  let path =
+    Printf.sprintf "BENCH_%s%s.json" name (if !smoke then ".smoke" else "")
+  in
+  let oc = open_out path in
+  Printf.fprintf oc "{\n  \"experiment\": \"%s\",\n  \"smoke\": %b,\n" name
+    !smoke;
+  List.iter (fun (k, v) -> Printf.fprintf oc "  \"%s\": %s,\n" k v) extra;
+  Printf.fprintf oc "  \"rows\": [\n%s\n  ]\n}\n" (String.concat ",\n" rows);
+  close_out oc;
+  print_endline ("\nwrote " ^ path)
+
 (* Timing helper used inside cells. *)
 let timed f =
   let t0 = Unix.gettimeofday () in

@@ -385,14 +385,7 @@ let hierarchy =
                ~doc:"Print only the first $(docv) levels (0 = the whole \
                      chain).  The full decomposition is computed either way.")
   in
-  let fresh_build_arg =
-    C.Arg.(value & flag
-           & info [ "fresh-build" ]
-               ~doc:"Escape hatch: rebuild the flow network from scratch on \
-                     every probe instead of retargeting a per-level prepared \
-                     arena (same answer, more work).")
-  in
-  let run input dataset pattern domains levels fresh_build stats trace no_warm =
+  let run input dataset pattern domains levels stats trace =
     if levels < 0 then begin
       prerr_endline "dsd: --levels must be >= 0";
       exit 2
@@ -402,8 +395,7 @@ let hierarchy =
     let d =
       with_obs ~stats ~trace (fun () ->
           with_domains domains (fun pool ->
-              Dsd_core.Ld_decomposition.decompose ~pool
-                ~prepared:(not fresh_build) ~warm:(not no_warm) g psi))
+              Dsd_core.Ld_decomposition.decompose ~pool g psi))
     in
     let all = d.Dsd_core.Ld_decomposition.levels in
     Printf.printf "pattern    %s\n" psi.P.name;
@@ -423,14 +415,13 @@ let hierarchy =
         end)
       all
   in
-  let run a b c d e f g h i = or_die (fun () -> run a b c d e f g h i) in
+  let run a b c d e f g = or_die (fun () -> run a b c d e f g) in
   C.Cmd.v
     (C.Cmd.info "hierarchy"
        ~doc:"Density-friendly decomposition: the full chain of \
              locally-densest prefixes (level 1 is the CDS).")
     C.Term.(const run $ input_arg $ dataset_arg $ pattern_arg $ domains_arg
-            $ levels_arg $ fresh_build_arg $ stats_arg $ trace_arg
-            $ no_warm_arg)
+            $ levels_arg $ stats_arg $ trace_arg)
 
 (* ---- watch: re-answer the CDS over an edge-delta stream ---- *)
 

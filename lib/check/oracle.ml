@@ -175,6 +175,73 @@ let brute_force_ld_decomposition g psi =
   done;
   List.rev !levels
 
+(* The hierarchy's reference search, per level on a fresh arena with
+   the prefix B pinned: the min cut maximises mu(S) - alpha |S| over
+   S ⊇ B, so a marginal above alpha exists iff the cut beats B.  The
+   bisection stops below stop_gap, half the least distance between two
+   marginals over one B, so the best marginal seen is exact, and one
+   more cut just below it returns the union of all max-marginal sets:
+   the canonical level. *)
+let reference_ld_decomposition g psi =
+  let module LD = Dsd_core.Ld_decomposition in
+  let module Pm = Dsd_core.Parametric in
+  let t0 = Dsd_util.Timer.now_s () in
+  let n = G.n g in
+  let instances = Dsd_core.Enumerate.instances g psi in
+  let mask set =
+    let m = Array.make (max 1 n) false in
+    Array.iter (fun v -> m.(v) <- true) set;
+    m
+  in
+  let count set =
+    let m = mask set in
+    Array.fold_left
+      (fun c inst -> if Array.for_all (Array.get m) inst then c + 1 else c)
+      0 instances
+  in
+  let gap = Dsd_core.Density.stop_gap n in
+  let probes = ref 0 in
+  (* Levels above the prefix [b] (with [mu_b] instances), whose
+     marginals lie below [upper]. *)
+  let rec levels b mu_b upper =
+    let nb = Array.length b in
+    let arena = Pm.arena ~pinned:b (Pm.pinned_family psi) g psi ~instances in
+    let probe alpha =
+      incr probes;
+      Pm.probe arena alpha
+    in
+    let best = ref None in
+    Pm.bisect ~gap:(Fun.const gap) ~l:0. ~u:upper (fun alpha ->
+        let side = probe alpha in
+        let size = Array.length side in
+        let m = float_of_int (count side - mu_b) /. float_of_int (size - nb) in
+        if size > nb && m > alpha then begin
+          best := Some m;
+          Some m
+        end
+        else None);
+    let in_b = mask b in
+    let outside vs = Array.of_list (List.filter (fun v -> not in_b.(v)) vs) in
+    match !best with
+    | None ->
+      (* No positive marginal: B is a proper prefix (the recursion stops
+         at V), and the rest is the zero level. *)
+      [ { LD.vertices = outside (List.init n Fun.id);
+          marginal_density = 0.;
+          prefix_size = n } ]
+    | Some m ->
+      let s = probe (m -. gap) in
+      { LD.vertices = outside (Array.to_list s);
+        marginal_density = m;
+        prefix_size = Array.length s }
+      :: (if Array.length s = n then [] else levels s (count s) m)
+  in
+  (* rho <= max_v deg(v, Psi) / h bounds the first marginal. *)
+  let degrees = Dsd_core.Flow_build.instance_degrees n instances in
+  let upper = float_of_int (Array.fold_left max 0 degrees) in
+  let levels = if n = 0 then [] else levels [||] 0 upper in
+  { LD.levels; iterations = !probes; elapsed_s = Dsd_util.Timer.now_s () -. t0 }
+
 (* Naive (k, Psi)-core: threshold peeling with full re-enumeration
    after every deletion. *)
 let survivors g psi k =

@@ -4,7 +4,8 @@
     re-derivations of the quantities the optimised library computes,
     used as oracles by both the unit suites ([test/helpers.ml]) and the
     metamorphic fuzz engine ({!Engine}).  None of this code shares a
-    line with the code under test. *)
+    line with the code under test, except that
+    {!reference_ld_decomposition} drives the same flow arena. *)
 
 (** [slow_count g psi] is mu(G, Psi) by the slow generic matcher
     (naive clique enumeration for clique patterns). *)
@@ -55,6 +56,18 @@ val brute_force_topk :
     the remaining vertices). *)
 val brute_force_ld_decomposition :
   Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> (float * int array) list
+
+(** [reference_ld_decomposition g psi] is the density-friendly
+    decomposition by a per-level search, the reference for
+    {!Dsd_core.Ld_decomposition}'s breakpoint search: for each prefix
+    B, a float bisection of the marginal over min cuts with B pinned (a
+    fresh {!Dsd_core.Parametric.arena} per level, on the whole graph)
+    down to {!Dsd_core.Density.stop_gap}, then one canonicalisation cut
+    at the marginal minus that gap.  It shares the flow layer with the
+    code under test but none of its search; [iterations] counts its
+    probes.  Any size of graph. *)
+val reference_ld_decomposition :
+  Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> Dsd_core.Ld_decomposition.t
 
 (** [survivors g psi k] marks the vertices of the (k, Psi)-core by
     threshold peeling with full re-enumeration after every deletion. *)

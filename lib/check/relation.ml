@@ -863,27 +863,25 @@ let hierarchy_level1_equals_cds =
               failf "top-1 extraction returned %d regions with rho > 0"
                 (List.length regions))) }
 
-(* The prepared/warm fast path must reproduce the fresh-build escape
-   hatch exactly — levels, marginals, prefixes, even the probe count,
-   since both paths pose the same alpha sequence and only differ in
-   build-vs-retarget. *)
-let hierarchy_prepared_equals_fresh =
+(* The breakpoint search must reproduce the per-level reference search
+   (Oracle.reference_ld_decomposition) exactly — levels, marginal bits
+   and prefix sizes — in at most two probes per level (it makes
+   2L - 1 for L positive levels). *)
+let hierarchy_equals_reference =
   let module LD = Dsd_core.Ld_decomposition in
-  { name = "hierarchy-prepared-equals-fresh";
+  { name = "hierarchy-equals-reference";
     check =
       (fun _subject ~rng:_ (c : Generator.case) ->
-        let base = LD.decompose c.graph c.psi in
-        let same label (other : LD.t) =
-          if List.length other.LD.levels <> List.length base.LD.levels then
-            Some
-              (Printf.sprintf "%s: %d levels vs %d" label
-                 (List.length other.LD.levels)
-                 (List.length base.LD.levels))
-          else if other.LD.iterations <> base.LD.iterations then
-            Some
-              (Printf.sprintf "%s: %d probes vs %d" label other.LD.iterations
-                 base.LD.iterations)
-          else
+        let d = LD.decompose c.graph c.psi in
+        let r = Oracle.reference_ld_decomposition c.graph c.psi in
+        let levels = List.length d.LD.levels in
+        if levels <> List.length r.LD.levels then
+          failf "%d levels vs %d in the reference" levels
+            (List.length r.LD.levels)
+        else if d.LD.iterations > 2 * levels then
+          failf "%d probes for %d levels" d.LD.iterations levels
+        else
+          match
             List.find_map
               (fun ((a : LD.level), (b : LD.level)) ->
                 if
@@ -891,26 +889,19 @@ let hierarchy_prepared_equals_fresh =
                   <> Int64.bits_of_float b.marginal_density
                 then
                   Some
-                    (Printf.sprintf "%s: marginal %.17g vs %.17g" label
+                    (Printf.sprintf "marginal %.17g vs %.17g in the reference"
                        a.marginal_density b.marginal_density)
                 else if a.vertices <> b.vertices then
-                  Some (Printf.sprintf "%s: vertex sets differ" label)
+                  Some "level vertex sets differ from the reference"
                 else if a.prefix_size <> b.prefix_size then
                   Some
-                    (Printf.sprintf "%s: prefix %d vs %d" label a.prefix_size
-                       b.prefix_size)
+                    (Printf.sprintf "prefix %d vs %d in the reference"
+                       a.prefix_size b.prefix_size)
                 else None)
-              (List.combine other.LD.levels base.LD.levels)
-        in
-        let results =
-          List.filter_map
-            (fun (label, d) -> same label d)
-            [ ("fresh-build", LD.decompose ~prepared:false c.graph c.psi);
-              ("cold-flow", LD.decompose ~warm:false c.graph c.psi) ]
-        in
-        match results with
-        | [] -> Pass
-        | msgs -> Fail (String.concat "; " msgs)) }
+              (List.combine d.LD.levels r.LD.levels)
+          with
+          | None -> Pass
+          | Some msg -> Fail msg) }
 
 let all =
   [ theorem1_bounds;
@@ -931,7 +922,7 @@ let all =
     parallel_peel_equivalence;
     hierarchy_nesting;
     hierarchy_level1_equals_cds;
-    hierarchy_prepared_equals_fresh;
+    hierarchy_equals_reference;
   ]
 
 let find name = List.find_opt (fun r -> r.name = name) all

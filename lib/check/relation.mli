@@ -46,9 +46,10 @@
     - [hierarchy-level1-equals-cds]  B_1's marginal is bit-identical to
                              rho_opt and its vertex set is the
                              canonical maximal CDS region
-    - [hierarchy-prepared-equals-fresh]  the prepared/warm hierarchy
-                             fast path equals the fresh-build and
-                             cold-flow escape hatches bit-for-bit *)
+    - [hierarchy-equals-reference]  the breakpoint-search hierarchy
+                             equals the per-level reference search of
+                             Oracle (levels, marginal bits, prefix
+                             sizes) in at most two probes per level *)
 
 type verdict =
   | Pass

@@ -5,10 +5,12 @@
     Produces the chain ∅ = B_0 ⊂ B_1 ⊂ ... ⊂ B_t = V where each
     augmentation X_i = B_i \ B_{i-1} maximises the *marginal* density
     (mu(B_i) - mu(B_{i-1})) / |X_i|; the marginal densities are
-    strictly decreasing and B_1 is exactly the densest subgraph.  Each
-    level is found by the same pinned min-cut binary search as the
-    query variant: with B pinned to the source side, the min cut
-    maximises mu(S) - alpha |S| over S ⊇ B. *)
+    strictly decreasing and B_1 is exactly the densest subgraph.  The
+    chain is the principal sequence of the parametric min cut the
+    exact algorithms solve (Tatti, arXiv:1904.03467): its positive
+    levels are the breakpoints of f(alpha) = max_S mu(S) - alpha |S|,
+    and each B_i is the maximal maximiser just below its level's
+    marginal. *)
 
 type level = {
   vertices : int array;       (** the new vertices X_i of this level, sorted *)
@@ -18,37 +20,31 @@ type level = {
 
 type t = {
   levels : level list;        (** outermost-first: head is B_1 *)
-  iterations : int;           (** total min-cut probes (incl. canonicalization cuts) *)
+  iterations : int;           (** min-cut probes: 2L - 1 for L positive levels *)
   elapsed_s : float;
 }
 
 (** [decompose g psi].  The union of all level vertex sets is V; the
-    first level is the canonical (maximal) Psi-densest subgraph of [g]
-    — each level ends with one extra cut at [marginal - stop_gap],
-    where the maximiser of mu(S) - alpha |S| is unique (max-marginal
-    augmentations are closed under union), so the chain is the
-    density-friendly decomposition itself, not an arbitrary
-    max-marginal chain.
+    first level is the canonical (maximal) Psi-densest subgraph of
+    [g].
 
-    Probes run on a per-level {!Parametric.arena}, built at its first
-    probe, and each subsequent alpha is an O(V) {!Flow_build.retarget} that
-    keeps the committed flow ([~warm:false] resets it;
-    [~prepared:false] falls back to building every network from
-    scratch — both escape hatches are bit-identical to the default).
-    Candidates are core-restricted per level: level 1 searches the
-    ceil(l0)-core of the Theorem-1 sandwich (as {!Topk_lds}), later
-    levels the (1, Psi)-core.  [?decomp] reuses a caller's
-    density-tracked core decomposition; [?pool] fans enumeration and
-    peeling across a domain pool.  Results are bit-identical for every
-    option combination.
+    A breakpoint search (Eisner–Severance; Gallo–Grigoriadis–Tarjan)
+    over one unpinned {!Parametric.arena} on [g]: starting from
+    A = ∅ and B = the vertices in some instance, it probes once at
+    alpha = p / q with p = mu(B) - mu(A) and q = |B| - |A|
+    ({!Parametric.probe_rational}, so the cut is exact).  A source side
+    S with (mu(S) - mu(A)) q > p (|S| - |A|) splits the chord into
+    (A, S) and (S, B); otherwise B \ A is one level with marginal
+    [float p /. float q].  Every tie is decided by that integer
+    comparison.  The vertices in no instance form the final zero
+    level.  L positive levels cost exactly 2L - 1 probes.
 
-    Emits one [ld] span; counts [ld_levels] / [ld_probes] /
-    [ld_retargets]. *)
+    [?pool] fans enumeration and the network build across a domain
+    pool; results are bit-identical at every width.
+
+    Emits one [ld] span; counts [ld_levels] / [ld_probes]. *)
 val decompose :
   ?pool:Dsd_util.Pool.t ->
-  ?decomp:Clique_core.t ->
-  ?prepared:bool ->
-  ?warm:bool ->
   Dsd_graph.Graph.t ->
   Dsd_pattern.Pattern.t ->
   t

@@ -1,18 +1,25 @@
 module P = Dsd_pattern.Pattern
+module F = Dsd_flow.Flow_network
 
 type arena = {
   prepare : alpha:float -> Flow_build.prepared;
   warm : bool;
   slot : Flow_build.prepared option ref;
+  (* Every arc capacity as built, copied by the first rational probe;
+     empty until then (and for ever in an arena of float probes). *)
+  mutable unscaled : float array;
 }
 
 let arena ?pool ?pinned ?(warm = true) ?(slot = ref None) family g psi
     ~instances =
   { prepare = Flow_build.prepare ?pool ?pinned family g psi ~instances;
     warm;
-    slot }
+    slot;
+    unscaled = [||] }
 
 let probe a alpha =
+  if Array.length a.unscaled > 0 then
+    invalid_arg "Parametric.probe: the arena takes rational probes";
   let network =
     match !(a.slot) with
     | Some p -> Flow_build.retarget ~warm:a.warm p ~alpha
@@ -23,7 +30,33 @@ let probe a alpha =
   in
   Flow_build.solve network
 
-let built a = Option.is_some !(a.slot)
+let probe_rational a ~num ~den =
+  let p =
+    match !(a.slot) with
+    | Some p ->
+      Dsd_obs.Counter.incr Dsd_obs.Counter.Flow_retargets;
+      p
+    | None ->
+      let p = a.prepare ~alpha:0. in
+      a.slot := Some p;
+      p
+  in
+  let { Flow_build.network; alpha_arcs; alpha_base; alpha_coef } = p in
+  let net = network.Flow_build.net in
+  if Array.length a.unscaled = 0 then
+    a.unscaled <- Array.init (F.arc_count net) (F.arc_cap net);
+  (* Cold and scaled by [den]: the law base + coef * alpha becomes
+     base * den + coef * num, an integer like every other capacity. *)
+  Dsd_obs.Span.with_ Dsd_obs.Phase.retarget (fun () ->
+      let q = float_of_int den and num = float_of_int num in
+      F.reset_flow net;
+      Array.iteri (fun e cap -> F.set_cap net e (cap *. q)) a.unscaled;
+      Array.iteri
+        (fun i e ->
+          F.set_cap net e
+            (Float.max ((alpha_base.(i) *. q) +. (alpha_coef.(i) *. num)) 0.))
+        alpha_arcs);
+  Flow_build.solve network
 
 let nodes a =
   match !(a.slot) with

@@ -1,13 +1,13 @@
 (** The parametric min-cut search every exact solver shares.
 
-    Algorithms 1, 4 and 8, the query variant (Section 6.3), the top-k
-    extraction and the density-friendly hierarchy all bisect alpha over
-    min cuts until the interval is below Lemma 12's gap.  This module
-    owns that loop and the flow arena it probes: the network is built
-    with {!Flow_build.prepare} on the first probe and re-pointed with
-    {!Flow_build.retarget} on every later one.  The directed ratio
-    searches ({!Directed}) reuse {!bisect} with their own stopping
-    width.
+    Algorithms 1, 4 and 8, the query variant (Section 6.3) and the
+    top-k extraction bisect alpha over min cuts until the interval is
+    below Lemma 12's gap; the density-friendly hierarchy probes the
+    breakpoints of the same cut exactly ({!probe_rational}).  This
+    module owns the loop and the flow arena it probes: the network is
+    built with {!Flow_build.prepare} on the first probe and re-pointed
+    on every later one.  The directed ratio searches ({!Directed}) reuse
+    {!bisect} with their own stopping width.
 
     The driver counts nothing itself: {!Flow_build} counts builds and
     retargets, and each caller keeps its own probe counters. *)
@@ -33,11 +33,21 @@ val arena :
 
 (** [probe a alpha] solves the min cut at [alpha] and returns the data
     vertices on its source side (empty iff the side is just the
-    source). *)
+    source).
+
+    @raise Invalid_argument once the arena has taken a rational
+    probe. *)
 val probe : arena -> float -> int array
 
-(** Whether a network has been built (a later probe retargets). *)
-val built : arena -> bool
+(** [probe_rational a ~num ~den] is [probe a (num / den)] computed
+    exactly, cold, for [num >= 0] and [den > 0]: the flow is zeroed and
+    every finite capacity of the network as built is multiplied by
+    [den], so all are integer-valued doubles and Dinic is exact while
+    they sum below 2^53.  A probe on a built network counts as a
+    retarget.  From the first rational probe on, the arena (which then
+    keeps a copy of its unscaled capacities) takes only rational
+    probes. *)
+val probe_rational : arena -> num:int -> den:int -> int array
 
 (** |V_F| of the built network; 0 before the first probe. *)
 val nodes : arena -> int
@@ -50,9 +60,10 @@ val nodes : arena -> int
 val bisect :
   gap:(unit -> float) -> l:float -> u:float -> (float -> float option) -> unit
 
-(** The network family for a search with pinned vertices: the generic
-    clique or grouped pattern network, since the h = 2 Goldberg
-    construction has no pinning analysis. *)
+(** The instance network family: the generic clique or grouped pattern
+    network.  Pinned searches need it (the h = 2 Goldberg construction
+    has no pinning analysis), and so do rational probes: scaled
+    capacities sum to h * mu(G) * den here, n * m * den in Goldberg's. *)
 val pinned_family : Dsd_pattern.Pattern.t -> Flow_build.family
 
 (** [striped ?pool n f] runs [f i] for every component [i < n].  With a

@@ -28,7 +28,6 @@ type name =
   | Pool_workers_engaged
   | Ld_levels
   | Ld_probes
-  | Ld_retargets
 
 let all =
   [ Flow_augmentations; Flow_level_builds; Peeled_vertices; Clique_instances;
@@ -38,8 +37,7 @@ let all =
     Delta_edges_removed; Delta_core_repairs; Delta_instances_added;
     Delta_instances_retired; Delta_arena_rebuilds; Topk_rounds;
     Topk_components_pruned; Topk_regions; Pool_jobs; Pool_chunks;
-    Pool_chunks_lead; Pool_workers_engaged; Ld_levels; Ld_probes;
-    Ld_retargets ]
+    Pool_chunks_lead; Pool_workers_engaged; Ld_levels; Ld_probes ]
 
 let index = function
   | Flow_augmentations -> 0
@@ -71,9 +69,8 @@ let index = function
   | Pool_workers_engaged -> 26
   | Ld_levels -> 27
   | Ld_probes -> 28
-  | Ld_retargets -> 29
 
-let slots = 30
+let slots = 29
 
 let to_string = function
   | Flow_augmentations -> "flow_augmentations"
@@ -105,7 +102,6 @@ let to_string = function
   | Pool_workers_engaged -> "pool_workers_engaged"
   | Ld_levels -> "ld_levels"
   | Ld_probes -> "ld_probes"
-  | Ld_retargets -> "ld_retargets"
 
 (* One atomic per counter: domains striping clique enumeration bump
    these concurrently.  Hot loops either read State.enabled first or

@@ -32,8 +32,7 @@ type name =
   | Pool_chunks_lead      (** chunks claimed by each job's busiest participant *)
   | Pool_workers_engaged  (** participants that claimed >= 1 chunk, summed over jobs *)
   | Ld_levels             (** levels emitted by the density-friendly decomposition *)
-  | Ld_probes             (** min-cut probes posed by the hierarchy binary searches *)
-  | Ld_retargets          (** hierarchy probes answered by an O(V) arena retarget *)
+  | Ld_probes             (** min-cut probes posed by the hierarchy's breakpoint search *)
 
 val all : name list
 val to_string : name -> string

@@ -31,7 +31,7 @@ let incremental = "incremental"
 let topk = "topk"
 
 (* One span per density-friendly decomposition (all levels of one
-   {!Dsd_core.Ld_decomposition.decompose}); decompose/enumerate/
+   {!Dsd_core.Ld_decomposition.decompose}); enumerate/build_network/
    retarget/flow nest underneath it. *)
 let ld = "ld"
 

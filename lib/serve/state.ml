@@ -62,19 +62,14 @@ let psi_state t (gs : graph_state) (psi : P.t) =
   | None ->
     let pool = t.pool in
     let g = gs.g in
-    let decomp =
-      lazy (Dsd_core.Clique_core.decompose ?pool ~track_density:true g psi)
-    in
     let ps =
       { psi;
         graph = g;
         instances = lazy (Dsd_core.Enumerate.instances ?pool g psi);
-        decomp;
+        decomp =
+          lazy (Dsd_core.Clique_core.decompose ?pool ~track_density:true g psi);
         exact_prepared = ref None;
-        hierarchy =
-          lazy
-            (Dsd_core.Ld_decomposition.decompose ?pool
-               ~decomp:(Lazy.force decomp) g psi) }
+        hierarchy = lazy (Dsd_core.Ld_decomposition.decompose ?pool g psi) }
     in
     Hashtbl.add gs.psis key ps;
     ps

@@ -1,6 +1,7 @@
 (* Density-friendly decomposition (Dsd_core.Ld_decomposition) against
-   the exhaustive union-of-argmax oracle, plus the prepared/fresh and
-   pool-width bit-equality the rebuilt probe loop promises.
+   the exhaustive union-of-argmax oracle and the per-level reference
+   search, plus the pool-width bit-equality and the 2L - 1 probe count
+   of the breakpoint search.
 
    Every comparison here is EXACT — marginal densities are quotients of
    small integers, so equal rationals divide to bit-identical floats
@@ -39,31 +40,25 @@ let check_same ~ctx a b =
 (* ---- oracle differential ---- *)
 
 (* 30 seeds x h in {2, 3}: the whole chain, bit-for-bit, for the
-   default prepared/warm path, the fresh-build escape hatch, and pool
-   widths {1, 2, 4}.  The canonicalization cut makes every level set
-   the unique union of argmax augmentations, which is exactly what the
-   oracle peels — so vertex sets match exactly, not just marginals. *)
+   default call and pool widths {1, 2, 4}.  Each level set is the
+   maximal maximiser just below its breakpoint — the unique union of
+   argmax augmentations, which is exactly what the oracle peels — so
+   vertex sets match exactly, not just marginals. *)
 let test_oracle_differential () =
   for seed = 0 to 29 do
     let g = Helpers.random_graph ~seed ~max_n:10 ~max_m:24 () in
     List.iter
       (fun (name, psi) ->
         let truth = O.brute_force_ld_decomposition g psi in
+        let pooled width () =
+          Dsd_util.Pool.with_pool ~sequential_below:0 width (fun pool ->
+              LD.decompose ~pool g psi)
+        in
         let runs =
-          [ ("prepared", fun () -> LD.decompose g psi);
-            ("fresh", fun () -> LD.decompose ~prepared:false g psi);
-            ( "pool-1",
-              fun () ->
-                Dsd_util.Pool.with_pool ~sequential_below:0 1 (fun pool ->
-                    LD.decompose ~pool g psi) );
-            ( "pool-2",
-              fun () ->
-                Dsd_util.Pool.with_pool ~sequential_below:0 2 (fun pool ->
-                    LD.decompose ~pool g psi) );
-            ( "pool-4",
-              fun () ->
-                Dsd_util.Pool.with_pool ~sequential_below:0 4 (fun pool ->
-                    LD.decompose ~pool g psi) ) ]
+          [ ("default", fun () -> LD.decompose g psi);
+            ("pool-1", pooled 1);
+            ("pool-2", pooled 2);
+            ("pool-4", pooled 4) ]
         in
         List.iter
           (fun (label, run) ->
@@ -75,48 +70,45 @@ let test_oracle_differential () =
       patterns
   done
 
-(* ---- configuration bit-equality on larger graphs ---- *)
+(* ---- the reference search on larger graphs ---- *)
 
-(* Beyond the oracle's n <= 12 range: every option combination against
-   the default, including the cached-decomp path the serving layer
-   uses. *)
-let test_modes_bit_identical () =
+(* Beyond the oracle's n <= 12 range: the breakpoint search against
+   the per-level reference search — levels, marginal bits and prefix
+   sizes. *)
+let test_equals_reference () =
   for seed = 0 to 9 do
     let g = Helpers.random_graph ~seed:(2000 + seed) ~max_n:40 ~max_m:150 () in
     List.iter
       (fun (name, psi) ->
-        let reference = pairs_of (LD.decompose g psi) in
-        List.iter
-          (fun (label, run) ->
-            check_same
-              ~ctx:
-                (Printf.sprintf "%s %s vs %s" (Helpers.seed_ctx (2000 + seed))
-                   name label)
-              (pairs_of (run ())) reference)
-          [ ("fresh-build", fun () -> LD.decompose ~prepared:false g psi);
-            ("cold-flow", fun () -> LD.decompose ~warm:false g psi);
-            ( "cached decomp",
-              fun () ->
-                let decomp =
-                  Dsd_core.Clique_core.decompose ~track_density:true g psi
-                in
-                LD.decompose ~decomp g psi ) ])
+        let reference = O.reference_ld_decomposition g psi in
+        let d = LD.decompose g psi in
+        let prefixes (d : LD.t) =
+          List.map (fun (l : LD.level) -> l.prefix_size) d.levels
+        in
+        let ctx = Printf.sprintf "%s %s" (Helpers.seed_ctx (2000 + seed)) name in
+        check_same ~ctx (pairs_of d) (pairs_of reference);
+        Alcotest.(check (list int)) (ctx ^ " prefix sizes")
+          (prefixes reference) (prefixes d))
       patterns
   done
 
-(* Prepared and fresh must also agree on the probe count: both paths
-   pose the identical alpha sequence and differ only in
-   build-vs-retarget. *)
-let test_probe_counts_agree () =
+(* A chain of L positive levels costs exactly 2L - 1 probes: every
+   probe either splits a chord at a new chain set or emits a level. *)
+let test_probe_count () =
   for seed = 0 to 9 do
     let g = Helpers.random_graph ~seed:(3000 + seed) ~max_n:20 ~max_m:60 () in
     List.iter
       (fun (name, psi) ->
-        let a = LD.decompose g psi in
-        let b = LD.decompose ~prepared:false g psi in
+        let d = LD.decompose g psi in
+        let positive =
+          List.length
+            (List.filter (fun (l : LD.level) -> l.marginal_density > 0.)
+               d.LD.levels)
+        in
         Alcotest.(check int)
           (Printf.sprintf "%s %s probes" (Helpers.seed_ctx (3000 + seed)) name)
-          b.LD.iterations a.LD.iterations)
+          (max 0 ((2 * positive) - 1))
+          d.LD.iterations)
       patterns
   done
 
@@ -143,12 +135,12 @@ let prefix_sorted_prop psi g =
   !ok
 
 let suite =
-  [ Alcotest.test_case "oracle differential (30 seeds, prepared/fresh/pools)"
-      `Slow test_oracle_differential;
-    Alcotest.test_case "prepared/fresh/cold/decomp bit-identical" `Slow
-      test_modes_bit_identical;
-    Alcotest.test_case "prepared and fresh probe counts agree" `Quick
-      test_probe_counts_agree;
+  [ Alcotest.test_case "oracle differential (30 seeds, pools 1/2/4)" `Slow
+      test_oracle_differential;
+    Alcotest.test_case "larger graphs equal the reference search" `Slow
+      test_equals_reference;
+    Alcotest.test_case "exactly 2L-1 probes for L positive levels" `Quick
+      test_probe_count;
     Helpers.qtest ~count:60 "prefix outputs sorted and duplicate-free"
       (Helpers.small_graph_arb ~max_n:12 ~max_m:30 ())
       (prefix_sorted_prop Dsd_pattern.Pattern.triangle);

@@ -1,6 +1,8 @@
 (* Density-friendly (locally-dense) decomposition: chain invariants,
    first level = densest subgraph, exact first-level check against
-   brute force, and known shapes. *)
+   brute force, and known shapes.  Every comparison is exact: densities
+   are quotients of small integers, IEEE division rounds correctly, so
+   equal rationals give equal floats and rounding preserves order. *)
 
 module G = Dsd_graph.Graph
 module P = Dsd_pattern.Pattern
@@ -17,7 +19,7 @@ let marginals_strictly_decreasing_prop psi g =
   let d = LD.decompose g psi in
   let rec ok = function
     | a :: (b :: _ as rest) ->
-      a.LD.marginal_density > b.LD.marginal_density -. 1e-9 && ok rest
+      a.LD.marginal_density > b.LD.marginal_density && ok rest
     | _ -> true
   in
   ok d.LD.levels
@@ -28,11 +30,8 @@ let first_level_is_densest_prop psi g =
   match d.LD.levels with
   | [] -> G.n g = 0
   | first :: _ ->
-    Float.abs (first.LD.marginal_density -. opt) < 1e-6
-    && (opt = 0.
-        || Float.abs
-             (Helpers.density_of_subset g psi first.LD.vertices -. opt)
-           < 1e-6)
+    first.LD.marginal_density = opt
+    && (opt = 0. || Helpers.density_of_subset g psi first.LD.vertices = opt)
 
 (* Every prefix B_i is at least as dense as any further prefix — the
    defining "density-friendly" property. *)
@@ -44,7 +43,7 @@ let prefixes_density_monotone_prop psi g =
         Helpers.density_of_subset g psi (LD.prefix d (i + 1)))
   in
   let rec ok = function
-    | a :: (b :: _ as rest) -> a >= b -. 1e-9 && ok rest
+    | a :: (b :: _ as rest) -> a >= b && ok rest
     | _ -> true
   in
   ok densities

@@ -3,9 +3,9 @@
 .PHONY: all build test test-flow test-warmstart test-metamorphic test-serve \
 	test-incremental test-topk test-hierarchy test-parallel-heavy \
 	fuzz-smoke fuzz-incremental fuzz-topk fuzz-hierarchy coverage fmt \
-	check bench-phases bench-retarget bench-warmstart bench-serve \
+	check bench-phases bench-retarget bench-search bench-serve \
 	bench-incremental bench-topk bench-hierarchy bench-parallel perfbench \
-	perfbench-trace perfbench-counts check-counts clean
+	perfbench-trace perfbench-counts check-counts perfbench-history clean
 
 all: build
 
@@ -24,7 +24,9 @@ test-flow:
 	dune exec test/test_main.exe -- test flow-retarget
 
 # The warm-start suite on its own: excess draining, warm vs reset
-# differentials for both solvers, and the warm accounting contracts.
+# differentials for both solvers (the retarget path Inc_dsd and the
+# reference searches use), and the accounting contracts of the exact
+# solvers' cold probes (no warm starts, nothing drained).
 test-warmstart:
 	dune exec test/test_main.exe -- test flow-warmstart
 
@@ -63,7 +65,7 @@ test-hierarchy:
 
 # The whole battery re-run with a 4-domain default pool: DSD_DOMAINS
 # governs every solver's default width, so the round-synchronous peel,
-# the striped component probes and the CLI goldens all execute against
+# the pooled network builds and the CLI goldens all execute against
 # a real multi-domain pool even on paths that don't pass ?pool
 # explicitly.  Everything must stay bit-identical — the goldens diff
 # the same expected files.  --force because the environment variable
@@ -133,10 +135,12 @@ fmt:
 # build/test/bench steps.  The smoke bench run writes
 # BENCH_<name>.smoke.json (gitignored), never the checked-in full-mode
 # BENCH_<name>.json, and the compare gates read those files: the
-# warmstart run feeds the warm <= reset augmenting-path gate, the serve
-# run the cached-latency gate (a repeated identical request must be
-# >= 5x faster than the cold one).  check-counts last diffs the
-# seed-1 work counts against BENCH_counts.txt.
+# search run feeds the exact-search gate (zero mismatches against the
+# float reference searches, zero drained excess, no more probes than
+# the reference), the serve run the cached-latency gate (a repeated
+# identical request must be >= 5x faster than the cold one).
+# check-counts last diffs the seed-1 work counts against
+# BENCH_counts.txt.
 check:
 	$(MAKE) fmt
 	dune build @default @runtest
@@ -148,9 +152,9 @@ check:
 	$(MAKE) fuzz-incremental
 	$(MAKE) fuzz-topk
 	$(MAKE) fuzz-hierarchy
-	dune exec bench/main.exe -- --only parallel,retarget,warmstart,serve,incremental,topk,hierarchy --smoke
+	dune exec bench/main.exe -- --only parallel,retarget,search,serve,incremental,topk,hierarchy --smoke
 	dune exec bench/compare.exe -- BENCH_parallel.smoke.json
-	dune exec bench/compare.exe -- BENCH_warmstart.smoke.json
+	dune exec bench/compare.exe -- BENCH_search.smoke.json
 	dune exec bench/compare.exe -- BENCH_serve.smoke.json
 	dune exec bench/compare.exe -- BENCH_incremental.smoke.json
 	dune exec bench/compare.exe -- BENCH_topk.smoke.json
@@ -165,11 +169,14 @@ bench-phases:
 bench-retarget:
 	dune exec bench/main.exe -- --only retarget
 
-# Warm vs reset flow retargeting (writes BENCH_warmstart.json), then
-# the regression gate over the fresh numbers.
-bench-warmstart:
-	dune exec bench/main.exe -- --only warmstart
-	dune exec bench/compare.exe -- BENCH_warmstart.json
+# The exact search of Exact, Query, CoreExact and CorePExact against
+# the float reference searches of Dsd_check.Oracle (writes
+# BENCH_search.json), then the gate: zero mismatches and zero drained
+# excess on every row, and no more probes than the reference on the
+# Exact and Query rows.
+bench-search:
+	dune exec bench/main.exe -- --only search
+	dune exec bench/compare.exe -- BENCH_search.json
 
 # Cold vs prepared vs cached request latency over a live socket
 # (writes BENCH_serve.json), then the >= 5x cached-latency gate.
@@ -183,8 +190,9 @@ bench-incremental:
 	dune exec bench/main.exe -- --only incremental
 	dune exec bench/compare.exe -- BENCH_incremental.json
 
-# Pruned vs unpruned top-k extraction (writes BENCH_topk.json), then
-# the bit-identical-regions and never-slower gate.
+# Core-pruned vs whole-remaining-graph top-k extraction (writes
+# BENCH_topk.json), then the bit-identical-regions and never-slower
+# gate.
 bench-topk:
 	dune exec bench/main.exe -- --only topk
 	dune exec bench/compare.exe -- BENCH_topk.json
@@ -246,6 +254,31 @@ perfbench-counts:
 check-counts:
 	$(MAKE) -s --no-print-directory perfbench-counts SEED=1 SECONDS=1 \
 		| diff BENCH_counts.txt -
+
+# The untraced end-to-end metrics of all three workloads at SEED and
+# SECONDS, appended to BENCH_history.tsv as one tab-separated line per
+# workload: commit, workload, seed, seconds, setup_s, ops_per_s,
+# op_ms.p50, op_ms.p90, rss_peak_mb, the fail ratio and the box's
+# loop_ms before and after.  The file is the trajectory across
+# changes; it is reported, never gated.
+HISTORY_METRICS = setup_s ops_per_s op_ms.p50 op_ms.p90 rss_peak_mb
+perfbench-history:
+	@test -f BENCH_history.tsv || printf '%b\n' \
+		"commit\tworkload\tseed\tseconds\t$$(echo $(HISTORY_METRICS) | sed 's/ /\\t/g')\tfail_ratio\tloop_ms_before\tloop_ms_after" \
+		> BENCH_history.tsv
+	@commit=$$(git rev-parse --short HEAD); \
+	for w in exact_batch approx_large serve_stream; do \
+		out=$$(bash perfbench/run.sh --workload $$w --seed $(SEED) --seconds $(SECONDS) --trace 0) || exit 1; \
+		json=$$(printf '%s\n' "$$out" | tail -n 1); \
+		line="$$commit\t$$w\t$(SEED)\t$(SECONDS)"; \
+		for m in $(HISTORY_METRICS); do \
+			v=$$(printf '%s\n' "$$json" | grep -o "\"$$m\": {\"value\": [^,]*" | sed 's/.*: //'); \
+			line="$$line\t$$v"; \
+		done; \
+		fail=$$(printf '%s\n' "$$out" | sed -n 's/^fail_ratio .* = //p'); \
+		loop=$$(printf '%s\n' "$$out" | sed -n 's/^box loop_ms before=\([^ ]*\) after=\(.*\)$$/\1\\t\2/p'); \
+		printf '%b\n' "$$line\t$$fail\t$$loop" >> BENCH_history.tsv; \
+	done
 
 clean:
 	dune clean

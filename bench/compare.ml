@@ -2,10 +2,12 @@
    are hand-formatted (one row object per line), so a line scanner is
    enough; no JSON library needed.
 
-   - BENCH_warmstart.json rows: warm-started probes must never need
-     more augmenting paths than reset probes — if they do, the
-     feasibility repair is leaving the residual network in a worse
-     state than a cold start, which defeats the whole optimisation.
+   - BENCH_search.json rows: the exact search must answer exactly what
+     the float reference search of Dsd_check.Oracle answers
+     (mismatches = 0), never drain excess (cold exact probes leave
+     nothing to cancel), and on the Exact and Query rows, which search
+     the same vertex sets as their references, take no more probes
+     than the reference.
    - BENCH_serve.json rows: a repeated identical request must be
      answered at least 5x faster from the result LRU than the cold
      solve — the serving layer's reason to exist.
@@ -25,14 +27,12 @@
      network replace about twenty per level, so paying more would mean
      the search failed.
    - BENCH_parallel.json rows: at 4 domains the pooled phases must run
-     at least 2x faster than 1 domain (the striped CoreExact probes,
-     which scale with component count, merely must not be slower).
-     The gate is skipped — counted ok, not failed — when the row was
+     at least 2x faster than 1 domain.  The gate is skipped — counted ok, not failed — when the row was
      measured on a box with fewer than 4 cores: cores_detected travels
      with every row precisely so small machines don't fail for being
      small.
 
-   Usage: compare [FILE]   (default BENCH_warmstart.json)
+   Usage: compare [FILE]   (default BENCH_search.json)
    Exits 0 when every row satisfies its gate, 1 otherwise (or when the
    file is missing/contains no gateable rows). *)
 
@@ -109,7 +109,7 @@ let str_field line key =
 
 let () =
   let path =
-    if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_warmstart.json"
+    if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_search.json"
   in
   if not (Sys.file_exists path) then begin
     Printf.eprintf "compare: %s not found\n" path;
@@ -120,24 +120,42 @@ let () =
   List.iter
     (fun line ->
       match
-        ( int_field line "reset_augmenting_paths",
-          int_field line "warm_augmenting_paths" )
+        (int_field line "probes", int_field line "flow_excess_drained")
       with
-      | Some reset, Some warm ->
+      | Some probes, Some drained ->
         incr rows;
         let label =
           Printf.sprintf "%s/%s"
             (Option.value (str_field line "dataset") ~default:"?")
             (Option.value (str_field line "algorithm") ~default:"?")
         in
-        if warm > reset then begin
+        let mismatches =
+          Option.value (int_field line "mismatches") ~default:1
+        in
+        let reference = int_field line "reference_probes" in
+        if mismatches > 0 then begin
           incr bad;
-          Printf.printf "FAIL %-24s warm %d > reset %d\n" label warm reset
+          Printf.printf "FAIL %-24s %d mismatches against the reference\n"
+            label mismatches
         end
-        else
-          Printf.printf "ok   %-24s warm %6d <= reset %6d  (%.1fx)\n" label
-            warm reset
-            (if warm > 0 then float_of_int reset /. float_of_int warm else 0.)
+        else if drained > 0 then begin
+          incr bad;
+          Printf.printf "FAIL %-24s drained %d units of excess\n" label
+            drained
+        end
+        else begin
+          match reference with
+          | Some r when probes > r ->
+            incr bad;
+            Printf.printf "FAIL %-24s %d probes > %d reference probes\n"
+              label probes r
+          | Some r ->
+            Printf.printf "ok   %-24s %4d probes <= %4d reference probes\n"
+              label probes r
+          | None ->
+            Printf.printf "ok   %-24s %4d probes, matches the reference\n"
+              label probes
+        end
       | _ -> (
         match
           (float_field line "pruned_s", float_field line "unpruned_s")
@@ -242,11 +260,7 @@ let () =
           let cores =
             Option.value (int_field line "cores_detected") ~default:0
           in
-          let min_speedup =
-            (* Striped probes scale with the component count, not the
-               domain count, so they only gate against slowdown. *)
-            if phase = "core_exact_striped_triangle" then 1.0 else 2.0
-          in
+          let min_speedup = 2.0 in
           if domains < 4 then
             Printf.printf "ok   %-36s (no gate below 4 domains)\n" label
           else if cores < 4 then

@@ -166,9 +166,8 @@ let fig10 () =
   H.section "Figure 10 — effect of pruning criteria in CoreExact";
   let variants =
     Dsd_core.Core_exact.
-      [ ("P1", { p1 = true; p2 = false; p3 = false });
-        ("P2", { p1 = false; p2 = true; p3 = false });
-        ("P3", { p1 = false; p2 = false; p3 = true });
+      [ ("P1", { p1 = true; p2 = false });
+        ("P2", { p1 = false; p2 = true });
         ("none", no_prunings);
         ("all", all_prunings) ]
   in
@@ -882,8 +881,8 @@ let phases () =
 
 (* Speedup of the pooled parallel phases — clique-core decomposition
    (both the frontier mode and the density-tracked peel that PeelApp
-   and Pruning1 ride), clique counting, the striped per-component
-   CoreExact probes, and flow-network construction — as the pool
+   and Pruning1 ride), clique counting and flow-network construction —
+   as the pool
    grows, on generated graphs.  Every row carries [cores_detected]
    (the hardware recommendation at measurement time) so the compare
    gate can tell "no speedup because the code regressed" from "no
@@ -926,8 +925,6 @@ let parallel () =
               P.triangle));
       ("count_4clique",
        fun pool -> ignore (Dsd_clique.Parallel.count_in pool g ~h:4));
-      ("core_exact_striped_triangle",
-       fun pool -> ignore (Dsd_core.Core_exact.run ~pool g P.triangle));
       ("build_network_triangle",
        fun pool ->
          let instances = Dsd_core.Enumerate.instances ~pool g P.triangle in
@@ -1120,70 +1117,93 @@ let retarget () =
     datasets;
   H.write_json "retarget" (List.rev !json_rows)
 
-(* ---- warmstart: warm vs reset flow across probes (BENCH_warmstart.json) ---- *)
+(* ---- search: the exact search vs the float references (BENCH_search.json) ---- *)
 
-(* What warm-starting the parametric max-flow buys on top of retarget:
-   the same datasets and algorithms run twice, once zeroing the flow at
-   every binary-search probe (--no-warm-flow semantics) and once keeping
-   the previous probe's flow and repairing feasibility.  Both searches
-   visit identical alphas and return bit-identical densities, so the
-   comparison isolates the solver work: total augmenting paths and
-   elapsed time per mode, plus the warm-only counters (warm starts and
-   drained excess).  Elapsed is the best of three repetitions; the
-   counters are deterministic so any repetition reports the same
-   values.  bench/compare.ml gates on the resulting JSON: warm must
-   never need more augmenting paths than reset. *)
-let warmstart () =
+(* The exact Dinkelbach search against the float bisections it replaced
+   (Dsd_check.Oracle): Exact against reference_cds and Query (at the
+   highest-degree vertex) against reference_query, which search the
+   same vertex sets, timed and with both probe counts; CoreExact and
+   CorePExact checked against reference_cds's density.  A row's
+   mismatches count answers that differ from the reference (density
+   bits, plus the vertex set for Exact and Query); its drained count is
+   the excess the search's flow had to cancel, which cold exact probes
+   never produce.  Elapsed times are the best of three repetitions.
+   bench/compare.ml gates on the JSON: zero mismatches and zero drains
+   everywhere, and probes <= reference probes on the Exact and Query
+   rows. *)
+let search () =
   let smoke = !H.smoke in
   H.section
-    (Printf.sprintf "Warmstart — warm vs reset flow across probes%s"
+    (Printf.sprintf "Search — exact Dinkelbach vs the float references%s"
        (if smoke then " [smoke]" else ""));
   let datasets =
     if smoke then [ "yeast" ] else [ "yeast"; "netscience"; "as733"; "ca_hepth" ]
   in
+  let module O = Dsd_check.Oracle in
+  let top_vertex g =
+    let best = ref 0 in
+    for v = 1 to G.n g - 1 do
+      if G.degree g v > G.degree g !best then best := v
+    done;
+    [| !best |]
+  in
+  (* (algorithm, pattern, run, reference, compare vertices and carry
+     the reference probes) *)
   let cases =
     [ ("Exact", "triangle",
-       fun ~warm g ->
-         (Dsd_core.Exact.run ~warm g P.triangle).Dsd_core.Exact.stats
-           .Dsd_core.Exact.iterations);
+       (fun g ->
+         let r = Dsd_core.Exact.run g P.triangle in
+         (r.Dsd_core.Exact.subgraph, r.Dsd_core.Exact.stats.Dsd_core.Exact.iterations)),
+       (fun g -> O.reference_cds g P.triangle), true);
+      ("Query", "triangle",
+       (fun g ->
+         let r = Dsd_core.Query_dsd.run g P.triangle ~query:(top_vertex g) in
+         (r.Dsd_core.Query_dsd.subgraph, r.Dsd_core.Query_dsd.iterations)),
+       (fun g -> O.reference_query g P.triangle ~query:(top_vertex g)), true);
       ("CoreExact", "triangle",
-       fun ~warm g ->
-         (Dsd_core.Core_exact.run ~warm g P.triangle).Dsd_core.Core_exact.stats
-           .Dsd_core.Core_exact.iterations);
+       (fun g ->
+         let r = Dsd_core.Core_exact.run g P.triangle in
+         (r.Dsd_core.Core_exact.subgraph,
+          r.Dsd_core.Core_exact.stats.Dsd_core.Core_exact.iterations)),
+       (fun g -> O.reference_cds g P.triangle), false);
       ("CorePExact", "diamond",
-       fun ~warm g ->
-         (Dsd_core.Core_pexact.run ~warm g P.diamond).Dsd_core.Core_exact.stats
-           .Dsd_core.Core_exact.iterations) ]
+       (fun g ->
+         let r = Dsd_core.Core_pexact.run g P.diamond in
+         (r.Dsd_core.Core_exact.subgraph,
+          r.Dsd_core.Core_exact.stats.Dsd_core.Core_exact.iterations)),
+       (fun g -> O.reference_cds g P.diamond), false) ]
   in
   let reps = if smoke then 1 else 3 in
-  (* One forked cell per mode: payload is
-     "iters augmentations warm_starts drained elapsed". *)
-  let run_mode run ~warm g =
-    H.run_cell ~timeout:(3. *. float_of_int reps *. !H.default_timeout)
-      (fun () ->
-        let best = ref infinity in
-        let counters = ref "" in
-        for _ = 1 to reps do
-          let iters, elapsed =
-            H.timed (fun () ->
-                Dsd_obs.Control.with_recording (fun () -> run ~warm g))
-          in
-          if elapsed < !best then best := elapsed;
-          counters :=
-            Printf.sprintf "%d %d %d %d" iters
-              (Dsd_obs.Counter.get Dsd_obs.Counter.Flow_augmentations)
-              (Dsd_obs.Counter.get Dsd_obs.Counter.Flow_warm_starts)
-              (Dsd_obs.Counter.get Dsd_obs.Counter.Flow_excess_drained)
-        done;
-        Printf.sprintf "%s %.6f" !counters !best)
+  let best_of f =
+    let best = ref infinity and out = ref None in
+    for _ = 1 to reps do
+      let r, t = H.timed f in
+      if t < !best then best := t;
+      out := Some r
+    done;
+    (Option.get !out, !best)
   in
-  let parse cell =
-    match cell with
-    | H.Ok s ->
-      (match String.split_on_char ' ' (String.trim s) with
-       | [ it; aug; ws; dr; el ] -> Some (it, aug, ws, dr, el)
-       | _ -> None)
-    | _ -> None
+  (* One forked cell per row: payload is
+     "probes reference_probes drained elapsed reference_elapsed mismatches". *)
+  let run_row g (run, reference, vertices) =
+    H.run_cell ~timeout:(6. *. float_of_int reps *. !H.default_timeout)
+      (fun () ->
+        let ((sg : D.subgraph), probes), elapsed =
+          best_of (fun () -> Dsd_obs.Control.with_recording (fun () -> run g))
+        in
+        let drained = Dsd_obs.Counter.get Dsd_obs.Counter.Flow_excess_drained in
+        let ((r : D.subgraph), rprobes), relapsed =
+          best_of (fun () -> reference g)
+        in
+        let mismatches =
+          if
+            Int64.bits_of_float sg.density = Int64.bits_of_float r.density
+            && ((not vertices) || sg.vertices = r.vertices)
+          then 0
+          else 1
+        in
+        Printf.sprintf "%d %d %d %.6f %.6f %d" probes rprobes drained elapsed
+          relapsed mismatches)
   in
   let json_rows = ref [] in
   List.iter
@@ -1192,33 +1212,38 @@ let warmstart () =
       Printf.printf "\n[%s]  n=%d m=%d\n" name (G.n g) (G.m g);
       let rows =
         List.map
-          (fun (algo, pname, run) ->
-            let reset = run_mode run ~warm:false g in
-            let warm = run_mode run ~warm:true g in
-            match (parse reset, parse warm) with
-            | Some (it, raug, _, _, rel), Some (_, waug, ws, dr, wel) ->
-              json_rows :=
-                Printf.sprintf
-                  "    {\"dataset\": \"%s\", \"algorithm\": \"%s\", \
-                   \"pattern\": \"%s\", \"iterations\": %s, \
-                   \"reset_augmenting_paths\": %s, \"reset_elapsed_s\": %s, \
-                   \"warm_augmenting_paths\": %s, \"warm_elapsed_s\": %s, \
-                   \"flow_warm_starts\": %s, \"flow_excess_drained\": %s}"
-                  name algo pname it raug rel waug wel ws dr
-                :: !json_rows;
-              [ algo; pname; it; raug; waug; ws; dr; rel ^ "s"; wel ^ "s" ]
-            | _ ->
-              [ algo; pname; H.show_payload reset; H.show_payload warm; "-";
-                "-"; "-"; "-"; "-" ])
+          (fun (algo, pname, run, reference, exact_row) ->
+            let cell = run_row g (run, reference, exact_row) in
+            match cell with
+            | H.Ok s -> (
+              match String.split_on_char ' ' (String.trim s) with
+              | [ probes; rprobes; drained; el; rel; mis ] ->
+                json_rows :=
+                  Printf.sprintf
+                    "    {\"dataset\": \"%s\", \"algorithm\": \"%s\", \
+                     \"pattern\": \"%s\", \"probes\": %s, %s\
+                     \"elapsed_s\": %s, \"reference_s\": %s, \
+                     \"flow_excess_drained\": %s, \"mismatches\": %s}"
+                    name algo pname probes
+                    (if exact_row then
+                       Printf.sprintf "\"reference_probes\": %s, " rprobes
+                     else "")
+                    el rel drained mis
+                  :: !json_rows;
+                [ algo; pname; probes; (if exact_row then rprobes else "-");
+                  drained; el ^ "s"; rel ^ "s"; mis ]
+              | _ -> [ algo; pname; String.trim s; "-"; "-"; "-"; "-"; "-" ])
+            | other ->
+              [ algo; pname; H.show_payload other; "-"; "-"; "-"; "-"; "-" ])
           cases
       in
       H.table
         ~header:
-          [ "algorithm"; "pattern"; "iters"; "reset aug"; "warm aug";
-            "warm starts"; "drained"; "reset_s"; "warm_s" ]
+          [ "algorithm"; "pattern"; "probes"; "ref probes"; "drained";
+            "search_s"; "reference_s"; "mismatch" ]
         ~rows)
     datasets;
-  H.write_json "warmstart" (List.rev !json_rows)
+  H.write_json "search" (List.rev !json_rows)
 
 (* ---- serve: hot-result cache latency over a real socket (BENCH_serve.json) ---- *)
 
@@ -1675,7 +1700,7 @@ let all : (string * string * (unit -> unit)) list =
     ("ext_parallel", "extension: multicore clique counting", ext_parallel);
     ("parallel", "domain-pool speedup vs domains (BENCH_parallel.json)", parallel);
     ("retarget", "flow-network builds vs re-alphas (BENCH_retarget.json)", retarget);
-    ("warmstart", "warm vs reset flow retargeting (BENCH_warmstart.json)", warmstart);
+    ("search", "exact search vs the float references (BENCH_search.json)", search);
     ("serve", "cold vs prepared vs cached request latency (BENCH_serve.json)", serve);
     ("incremental", "patch vs recompute on a sliding window (BENCH_incremental.json)", incremental);
     ("topk", "pruned vs unpruned top-k LDS extraction (BENCH_topk.json)", topk);

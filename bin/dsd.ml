@@ -74,8 +74,8 @@ let domains_arg =
   C.Arg.(value & opt (some int) None
          & info [ "domains" ] ~docv:"N"
              ~doc:"Domains for the parallel phases (enumeration, round-\
-                   synchronous peeling, flow-network construction, striped \
-                   component probes).  Defaults to $(b,DSD_DOMAINS) when \
+                   synchronous peeling, flow-network construction).  \
+                   Defaults to $(b,DSD_DOMAINS) when \
                    set, otherwise min(hardware recommendation, 4).  Results \
                    are identical for every value; $(b,--domains 1) is the \
                    escape hatch that keeps everything on the calling \
@@ -94,14 +94,6 @@ let with_domains domains f =
     | None -> Dsd_clique.Parallel.default_domains ()
   in
   Dsd_util.Pool.with_pool domains (fun pool -> f pool)
-
-let no_warm_arg =
-  C.Arg.(value & flag
-         & info [ "no-warm-flow" ]
-             ~doc:"Zero the committed flow at every binary-search \
-                   probe instead of warm-starting the max-flow solver \
-                   from the previous probe's flow.  Exact algorithms \
-                   only; results are identical either way.")
 
 (* ---- observability options ---- *)
 
@@ -253,12 +245,11 @@ let cds =
                ~doc:"Also write the graph as Graphviz DOT with the found \
                      subgraph highlighted.")
   in
-  let run input dataset pattern domains algo dot stats trace no_warm =
+  let run input dataset pattern domains algo dot stats trace =
     let g = load_graph input dataset in
     let psi = pattern_of_string pattern in
-    let warm = not no_warm in
     let api algorithm pool =
-      Dsd_core.Api.densest_subgraph ~pool ~warm ~psi ~algorithm g
+      Dsd_core.Api.densest_subgraph ~pool ~psi ~algorithm g
     in
     let name, solve =
       match String.lowercase_ascii algo with
@@ -293,11 +284,11 @@ let cds =
         Printf.printf "wrote %s\n" path)
       dot
   in
-  let run a b c d e f g h i = or_die (fun () -> run a b c d e f g h i) in
+  let run a b c d e f g h = or_die (fun () -> run a b c d e f g h) in
   C.Cmd.v
     (C.Cmd.info "cds" ~doc:"Find the (approximately) densest subgraph.")
     C.Term.(const run $ input_arg $ dataset_arg $ pattern_arg $ domains_arg
-            $ algo $ dot $ stats_arg $ trace_arg $ no_warm_arg)
+            $ algo $ dot $ stats_arg $ trace_arg)
 
 (* ---- query (Section 6.3 variant) ---- *)
 
@@ -306,14 +297,13 @@ let query =
     C.Arg.(non_empty & pos_all int []
            & info [] ~docv:"VERTEX" ~doc:"Query vertices the subgraph must contain.")
   in
-  let run input dataset pattern domains vertices stats trace no_warm =
+  let run input dataset pattern domains vertices stats trace =
     let g = load_graph input dataset in
     let psi = pattern_of_string pattern in
-    let warm = not no_warm in
     let r =
       with_obs ~stats ~trace (fun () ->
           with_domains domains (fun pool ->
-              Dsd_core.Query_dsd.run ~pool ~warm g psi
+              Dsd_core.Query_dsd.run ~pool g psi
                 ~query:(Array.of_list vertices)))
     in
     let sg = r.Dsd_core.Query_dsd.subgraph in
@@ -325,12 +315,12 @@ let query =
     Array.iter (Printf.printf "%d ") sg.Dsd_core.Density.vertices;
     print_newline ()
   in
-  let run a b c d e f g h = or_die (fun () -> run a b c d e f g h) in
+  let run a b c d e f g = or_die (fun () -> run a b c d e f g) in
   C.Cmd.v
     (C.Cmd.info "query"
        ~doc:"Densest subgraph containing given query vertices (Section 6.3).")
     C.Term.(const run $ input_arg $ dataset_arg $ pattern_arg $ domains_arg
-            $ vertices $ stats_arg $ trace_arg $ no_warm_arg)
+            $ vertices $ stats_arg $ trace_arg)
 
 (* ---- topk: disjoint locally densest regions ---- *)
 
@@ -344,23 +334,21 @@ let topk =
     C.Arg.(value & flag
            & info [ "no-prune" ]
                ~doc:"Disable core-based candidate pruning (whole-graph \
-                     binary search every round; same answer, more work).")
+                     search every round; same answer, more work).")
   in
-  let run input dataset pattern domains k no_prune stats trace no_warm =
+  let run input dataset pattern domains k no_prune stats trace =
     let g = load_graph input dataset in
     let psi = pattern_of_string pattern in
     let r =
       with_obs ~stats ~trace (fun () ->
           with_domains domains (fun pool ->
-              Dsd_core.Topk_lds.run ~pool ~warm:(not no_warm)
-                ~prune:(not no_prune) ~k g psi))
+              Dsd_core.Topk_lds.run ~pool ~prune:(not no_prune) ~k g psi))
     in
     Printf.printf "pattern    %s\n" psi.P.name;
     Printf.printf "regions    %d\n" (List.length r.Dsd_core.Topk_lds.regions);
-    Printf.printf "time       %.3fs (%d rounds, %d min-cuts, %d pruned)\n"
+    Printf.printf "time       %.3fs (%d rounds, %d min-cuts)\n"
       r.Dsd_core.Topk_lds.stats.elapsed_s r.Dsd_core.Topk_lds.stats.rounds
-      r.Dsd_core.Topk_lds.stats.iterations
-      r.Dsd_core.Topk_lds.stats.components_pruned;
+      r.Dsd_core.Topk_lds.stats.iterations;
     List.iteri
       (fun i (sg : Dsd_core.Density.subgraph) ->
         Printf.printf "region %d   density %.6f, %d vertices\n" (i + 1)
@@ -369,12 +357,12 @@ let topk =
         print_newline ())
       r.Dsd_core.Topk_lds.regions
   in
-  let run a b c d e f g h i = or_die (fun () -> run a b c d e f g h i) in
+  let run a b c d e f g h = or_die (fun () -> run a b c d e f g h) in
   C.Cmd.v
     (C.Cmd.info "topk"
        ~doc:"Top-k pairwise-disjoint locally densest subgraphs.")
     C.Term.(const run $ input_arg $ dataset_arg $ pattern_arg $ domains_arg
-            $ k_arg $ no_prune_arg $ stats_arg $ trace_arg $ no_warm_arg)
+            $ k_arg $ no_prune_arg $ stats_arg $ trace_arg)
 
 (* ---- hierarchy: the density-friendly decomposition ---- *)
 

@@ -175,13 +175,118 @@ let brute_force_ld_decomposition g psi =
   done;
   List.rev !levels
 
-(* The hierarchy's reference search, per level on a fresh arena with
+(* The float searches the exact solvers ran before their exact
+   Dinkelbach search, kept as references.  They share the flow layer
+   with the code under test but none of its search: every probe is a
+   float alpha on a network built at the first probe and warm-retargeted
+   after ({!Dsd_core.Flow_build.retarget}), inside a bisection that
+   stops below stop_gap, half the least distance between two densities
+   over the searched vertex set. *)
+let float_probe ?pinned family g psi ~instances =
+  let module FB = Dsd_core.Flow_build in
+  let slot = ref None in
+  fun alpha ->
+    let network =
+      match !slot with
+      | Some p -> FB.retarget p ~alpha
+      | None ->
+        let p = FB.prepare ?pinned family g psi ~instances ~alpha in
+        slot := Some p;
+        p.FB.network
+    in
+    FB.solve network
+
+(* Exact's bisection: [0, max instance degree) on the whole graph, the
+   last non-empty source side is the answer. *)
+let reference_cds g psi =
+  let module FB = Dsd_core.Flow_build in
+  let module D = Dsd_core.Density in
+  let n = G.n g in
+  let family = FB.auto_family psi in
+  let instances =
+    match family with
+    | FB.Eds -> [||]
+    | _ -> Dsd_core.Enumerate.instances g psi
+  in
+  let mu, max_deg =
+    match family with
+    | FB.Eds -> (G.m g, G.max_degree g)
+    | _ ->
+      ( Array.length instances,
+        Array.fold_left max 0 (FB.instance_degrees n instances) )
+  in
+  if n = 0 || mu = 0 then (D.empty, 0)
+  else begin
+    let probe = float_probe family g psi ~instances in
+    let best = ref [||] and probes = ref 0 in
+    Dsd_core.Parametric.bisect
+      ~gap:(Fun.const (D.stop_gap n))
+      ~l:0. ~u:(float_of_int max_deg)
+      (fun alpha ->
+        incr probes;
+        let side = probe alpha in
+        if Array.length side = 0 then None
+        else begin
+          best := side;
+          Some alpha
+        end);
+    ((if Array.length !best = 0 then D.empty else D.of_vertices g psi !best),
+     !probes)
+  end
+
+(* The query variant's pinned bisection on the
+   min(ceil(rho(x-core)), x)-core, from the x-core witness up to the
+   largest core number there; l rises to the density of every side
+   that beats its probe. *)
+let reference_query g psi ~query =
+  let module CC = Dsd_core.Clique_core in
+  let module D = Dsd_core.Density in
+  let decomp = CC.decompose ~track_density:false g psi in
+  if decomp.CC.mu_total = 0 then (D.of_vertices g psi query, 0)
+  else begin
+    let x =
+      Array.fold_left (fun acc q -> min acc decomp.CC.core.(q)) max_int query
+    in
+    let witness = D.of_vertices g psi (CC.core_vertices decomp ~k:x) in
+    let k_loc =
+      min x
+        (int_of_float
+           (Float.ceil (witness.D.density -. Dsd_util.Float_guard.eps)))
+    in
+    let candidates = CC.core_vertices decomp ~k:k_loc in
+    let u0 =
+      Array.fold_left (fun acc v -> max acc decomp.CC.core.(v)) 0 candidates
+    in
+    let gc, map = G.induced g candidates in
+    let back = Array.make (G.n g) (-1) in
+    Array.iteri (fun i v -> back.(v) <- i) map;
+    let pinned = Array.map (Array.get back) query in
+    let probe =
+      float_probe ~pinned (Dsd_core.Parametric.pinned_family psi) gc psi
+        ~instances:(Dsd_core.Enumerate.instances gc psi)
+    in
+    let best = ref witness and probes = ref 0 in
+    Dsd_core.Parametric.bisect
+      ~gap:(Fun.const (D.stop_gap (G.n gc)))
+      ~l:witness.D.density ~u:(float_of_int u0)
+      (fun alpha ->
+        incr probes;
+        let side = probe alpha in
+        let cand = D.of_vertices g psi (Array.map (Array.get map) side) in
+        if cand.D.density > alpha then begin
+          best := cand;
+          Some cand.D.density
+        end
+        else None);
+    (!best, !probes)
+  end
+
+(* The hierarchy's reference search, per level on a fresh network with
    the prefix B pinned: the min cut maximises mu(S) - alpha |S| over
    S ⊇ B, so a marginal above alpha exists iff the cut beats B.  The
-   bisection stops below stop_gap, half the least distance between two
-   marginals over one B, so the best marginal seen is exact, and one
-   more cut just below it returns the union of all max-marginal sets:
-   the canonical level. *)
+   best marginal the bisection sees is exact, and one more cut just
+   below it returns the union of all max-marginal sets: the canonical
+   level. *)
 let reference_ld_decomposition g psi =
   let module LD = Dsd_core.Ld_decomposition in
   let module Pm = Dsd_core.Parametric in
@@ -205,10 +310,10 @@ let reference_ld_decomposition g psi =
      marginals lie below [upper]. *)
   let rec levels b mu_b upper =
     let nb = Array.length b in
-    let arena = Pm.arena ~pinned:b (Pm.pinned_family psi) g psi ~instances in
+    let cut = float_probe ~pinned:b (Pm.pinned_family psi) g psi ~instances in
     let probe alpha =
       incr probes;
-      Pm.probe arena alpha
+      cut alpha
     in
     let best = ref None in
     Pm.bisect ~gap:(Fun.const gap) ~l:0. ~u:upper (fun alpha ->

@@ -4,8 +4,8 @@
     re-derivations of the quantities the optimised library computes,
     used as oracles by both the unit suites ([test/helpers.ml]) and the
     metamorphic fuzz engine ({!Engine}).  None of this code shares a
-    line with the code under test, except that
-    {!reference_ld_decomposition} drives the same flow arena. *)
+    line with the code under test, except that the reference searches
+    drive the same flow networks. *)
 
 (** [slow_count g psi] is mu(G, Psi) by the slow generic matcher
     (naive clique enumeration for clique patterns). *)
@@ -57,15 +57,37 @@ val brute_force_topk :
 val brute_force_ld_decomposition :
   Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> (float * int array) list
 
+(** The float searches the exact solvers ran before their exact
+    Dinkelbach search ({!Dsd_core.Parametric.dinkelbach}), kept as
+    references.  Each bisects a float alpha over min cuts down to
+    {!Dsd_core.Density.stop_gap} on a network built with
+    {!Dsd_core.Flow_build.prepare} at the first probe and
+    warm-retargeted after; none shares a line of the search under test.
+    Each also returns its probe count.  Any size of graph. *)
+
+(** [reference_cds g psi] is Exact's bisection: [[0, max instance
+    degree)] on the whole graph with the automatic network family; the
+    last non-empty source side is the answer — the maximal densest
+    subgraph. *)
+val reference_cds :
+  Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> Dsd_core.Density.subgraph * int
+
+(** [reference_query g psi ~query] is the query variant's pinned
+    bisection on the same core-restricted vertex set as
+    {!Dsd_core.Query_dsd.run}, from the x-core witness, raising the
+    lower bound to the density of every side that beats its probe.
+    [query] must be non-empty and in range. *)
+val reference_query :
+  Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> query:int array ->
+  Dsd_core.Density.subgraph * int
+
 (** [reference_ld_decomposition g psi] is the density-friendly
     decomposition by a per-level search, the reference for
     {!Dsd_core.Ld_decomposition}'s breakpoint search: for each prefix
     B, a float bisection of the marginal over min cuts with B pinned (a
-    fresh {!Dsd_core.Parametric.arena} per level, on the whole graph)
-    down to {!Dsd_core.Density.stop_gap}, then one canonicalisation cut
-    at the marginal minus that gap.  It shares the flow layer with the
-    code under test but none of its search; [iterations] counts its
-    probes.  Any size of graph. *)
+    fresh network per level, on the whole graph), then one
+    canonicalisation cut at the marginal minus the stopping gap.
+    [iterations] counts its probes. *)
 val reference_ld_decomposition :
   Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> Dsd_core.Ld_decomposition.t
 

@@ -14,8 +14,8 @@ type t = {
 
 (* Inequality slack.  Densities are ratios of exact ints ≤ 2^53, so
    genuinely equal rationals divide to bit-identical floats; the slack
-   only absorbs the binary-search stopping width of the exact
-   solvers. *)
+   only absorbs bounds that are not one int division themselves, such
+   as rho_opt / |V_Psi|. *)
 let eps = 1e-9
 
 (* Equality tolerance for two computations of the same rational. *)
@@ -178,36 +178,86 @@ let edge_monotonicity =
           end
         end) }
 
-(* ---- warm-started flow must be bit-identical to reset-per-probe ---- *)
+(* ---- the exact search equals the float reference searches ----
 
-let warm_vs_cold =
-  { name = "warm-vs-cold";
+   Exact, CoreExact, the query variant and top-k run one exact
+   Dinkelbach search; Oracle keeps the float bisections they ran
+   before.  Both sides divide one int by another once, so equal
+   rationals have equal bits. *)
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let search_equals_reference =
+  let module D = Dsd_core.Density in
+  { name = "search-equals-reference";
     check =
       (fun subject ~rng:_ (c : Generator.case) ->
-        let check_one name run =
-          let warm : Dsd_core.Density.subgraph = run ~warm:true in
-          let cold : Dsd_core.Density.subgraph = run ~warm:false in
-          if warm.density <> cold.density then
+        let g = c.graph and psi = c.psi in
+        let differs name (a : D.subgraph) (b : D.subgraph) ~vertices =
+          if not (same_bits a.density b.density) then
             Some
-              (Printf.sprintf "%s: warm density %.17g <> cold %.17g" name
-                 warm.density cold.density)
-          else if warm.vertices <> cold.vertices then
+              (Printf.sprintf "%s: density %.17g <> reference %.17g" name
+                 a.density b.density)
+          else if vertices && a.vertices <> b.vertices then
             Some
-              (Printf.sprintf "%s: warm vertex set differs from cold (%d vs %d vertices)"
-                 name
-                 (Array.length warm.vertices)
-                 (Array.length cold.vertices))
+              (Printf.sprintf "%s: vertex set differs from the reference \
+                               (%d vs %d vertices)"
+                 name (Array.length a.vertices) (Array.length b.vertices))
           else None
         in
-        let bad =
-          List.filter_map Fun.id
-            [ check_one "Exact" (fun ~warm ->
-                  subject.Subject.exact ~warm c.graph c.psi);
-              check_one "CoreExact" (fun ~warm ->
-                  subject.Subject.core_exact ~warm c.graph c.psi);
-            ]
+        let cds, _ = Oracle.reference_cds g psi in
+        (* The reference top-3: reference_cds iterated on the remaining
+           graph. *)
+        let rec reference_topk k rest =
+          if k = 0 || Array.length rest = 0 then []
+          else begin
+            let sub, map = G.induced g rest in
+            let r, _ = Oracle.reference_cds sub psi in
+            if Array.length r.D.vertices = 0 then []
+            else begin
+              let region = Array.map (Array.get map) r.D.vertices in
+              let taken = Array.make (G.n g) false in
+              Array.iter (fun v -> taken.(v) <- true) region;
+              let rest =
+                Array.of_list
+                  (List.filter (fun v -> not taken.(v)) (Array.to_list rest))
+              in
+              { r with D.vertices = region } :: reference_topk (k - 1) rest
+            end
+          end
         in
-        match bad with
+        let topk = (Dsd_core.Topk_lds.run ~k:3 g psi).regions in
+        let reference = reference_topk 3 (Array.init (G.n g) Fun.id) in
+        let topk_bad =
+          if List.length topk <> List.length reference then
+            Some
+              (Printf.sprintf "top-3: %d regions vs %d in the reference"
+                 (List.length topk) (List.length reference))
+          else
+            List.find_map Fun.id
+              (List.mapi
+                 (fun i (a, b) ->
+                   differs (Printf.sprintf "top-3 region %d" (i + 1)) a b
+                     ~vertices:true)
+                 (List.combine topk reference))
+        in
+        let query_bad =
+          if G.n g = 0 then None
+          else begin
+            let query = [| 0 |] in
+            let r, _ = Oracle.reference_query g psi ~query in
+            differs "Query(0)"
+              (Dsd_core.Query_dsd.run g psi ~query).subgraph r ~vertices:true
+          end
+        in
+        match
+          List.filter_map Fun.id
+            [ differs "Exact" (subject.Subject.exact g psi) cds ~vertices:true;
+              differs "CoreExact" (subject.Subject.core_exact g psi) cds
+                ~vertices:false;
+              query_bad;
+              topk_bad ]
+        with
         | [] -> Pass
         | msgs -> Fail (String.concat "; " msgs)) }
 
@@ -257,14 +307,14 @@ let exact_vs_brute =
       (fun subject ~rng:_ (c : Generator.case) ->
         let d_exact = (subject.Subject.exact c.graph c.psi).density in
         let d_core = rho subject c.graph c.psi in
-        if Float.abs (d_exact -. d_core) > tight then
+        if not (same_bits d_exact d_core) then
           failf "Exact and CoreExact disagree: %.17g vs %.17g" d_exact d_core
         else if G.n c.graph > 10 then
           Skip "n > 10: brute force too slow, Exact-vs-CoreExact only"
         else begin
           let d_brute, _ = Oracle.brute_force_densest c.graph c.psi in
-          if Float.abs (d_exact -. d_brute) > eps then
-            failf "exact solvers disagree with brute force: %.12g vs %.12g"
+          if not (same_bits d_exact d_brute) then
+            failf "exact solvers disagree with brute force: %.17g vs %.17g"
               d_exact d_brute
           else Pass
         end) }
@@ -909,7 +959,7 @@ let all =
     permutation_invariance;
     disjoint_union;
     edge_monotonicity;
-    warm_vs_cold;
+    search_equals_reference;
     pool_width;
     exact_vs_brute;
     planted_certificate;

@@ -19,12 +19,17 @@
                              the max over the components
     - [edge-monotonicity]    adding an edge never decreases rho_opt or
                              kmax (instances are subgraph matches)
-    - [warm-vs-cold]         warm-started parametric max-flow returns
-                             bit-identical results to reset-per-probe
+    - [search-equals-reference]  the exact search equals the float
+                             reference searches of Oracle: Exact's
+                             density bits and vertices and CoreExact's
+                             density equal [reference_cds], query at
+                             vertex 0 equals [reference_query], and
+                             the top-3 regions equal [reference_cds]
+                             iterated on the remaining graph
     - [pool-width]           a width-2 domain pool returns bit-identical
                              results to the sequential path
     - [exact-vs-brute]       Exact = CoreExact = exhaustive subset
-                             enumeration on small graphs
+                             enumeration on small graphs, bit for bit
     - [planted-certificate]  rho_opt ≥ the density of the certificate
                              subset (sound for any subset; sharp for
                              planted blocks)

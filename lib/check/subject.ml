@@ -3,10 +3,10 @@ type subgraph = Dsd_core.Density.subgraph
 type t = {
   name : string;
   exact :
-    ?pool:Dsd_util.Pool.t -> ?warm:bool ->
+    ?pool:Dsd_util.Pool.t ->
     Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> subgraph;
   core_exact :
-    ?pool:Dsd_util.Pool.t -> ?warm:bool ->
+    ?pool:Dsd_util.Pool.t ->
     Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> subgraph;
   peel :
     ?pool:Dsd_util.Pool.t ->
@@ -26,11 +26,11 @@ let default =
   {
     name = "library";
     exact =
-      (fun ?pool ?warm g psi ->
-        (Dsd_core.Exact.run ?pool ?warm g psi).Dsd_core.Exact.subgraph);
+      (fun ?pool g psi ->
+        (Dsd_core.Exact.run ?pool g psi).Dsd_core.Exact.subgraph);
     core_exact =
-      (fun ?pool ?warm g psi ->
-        (Dsd_core.Core_exact.run ?pool ?warm g psi).Dsd_core.Core_exact.subgraph);
+      (fun ?pool g psi ->
+        (Dsd_core.Core_exact.run ?pool g psi).Dsd_core.Core_exact.subgraph);
     peel =
       (fun ?pool g psi ->
         (Dsd_core.Peel_app.run ?pool g psi).Dsd_core.Peel_app.subgraph);

@@ -10,11 +10,11 @@ type subgraph = Dsd_core.Density.subgraph
 type t = {
   name : string;
   exact :
-    ?pool:Dsd_util.Pool.t -> ?warm:bool ->
+    ?pool:Dsd_util.Pool.t ->
     Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> subgraph;
       (** Algorithm 1 / PExact *)
   core_exact :
-    ?pool:Dsd_util.Pool.t -> ?warm:bool ->
+    ?pool:Dsd_util.Pool.t ->
     Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> subgraph;
       (** Algorithm 4 / CorePExact — the reference rho_opt *)
   peel :

@@ -12,11 +12,11 @@ let algorithm_name = function
   | Inc_app -> "IncApp"
   | Core_app -> "CoreApp"
 
-let densest_subgraph ?pool ?warm ?(psi = Dsd_pattern.Pattern.edge)
+let densest_subgraph ?pool ?(psi = Dsd_pattern.Pattern.edge)
     ?(algorithm = Core_exact) g =
   match algorithm with
-  | Exact_flow -> (Exact.run ?pool ?warm g psi).subgraph
-  | Core_exact -> (Core_exact.run ?pool ?warm g psi).subgraph
+  | Exact_flow -> (Exact.run ?pool g psi).subgraph
+  | Core_exact -> (Core_exact.run ?pool g psi).subgraph
   | Peel -> (Peel_app.run ?pool g psi).subgraph
   | Inc_app -> (Inc_app.run ?pool g psi).subgraph
   | Core_app -> (Core_app.run ?pool g psi).subgraph

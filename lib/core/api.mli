@@ -20,14 +20,9 @@ val algorithm_name : algorithm -> string
     [?pool] runs the parallel phases — enumeration, core
     decomposition, flow-network construction — on a shared domain pool
     ({!Dsd_util.Pool}); results are bit-identical to the sequential
-    path for every pool size.
-
-    [?warm] (default [true]; exact algorithms only) carries committed
-    flow across the binary-search probes instead of re-solving from
-    zero — see {!Flow_build.retarget}. *)
+    path for every pool size. *)
 val densest_subgraph :
   ?pool:Dsd_util.Pool.t ->
-  ?warm:bool ->
   ?psi:Dsd_pattern.Pattern.t ->
   ?algorithm:algorithm ->
   Dsd_graph.Graph.t -> Density.subgraph

@@ -9,6 +9,7 @@ type t = {
   mu_total : int;
   best_residual_density : float;
   best_residual_start : int;
+  best_residual_count : int;
   residual_densities : float array;
 }
 
@@ -28,6 +29,7 @@ let peel ~n ~mu_total ~track_density ~pop ~retire =
   in
   let best_density = ref initial_density in
   let best_start = ref 0 in
+  let best_count = ref mu_total in
   let run_max = ref 0 in
   for i = 0 to n - 1 do
     match pop () with
@@ -44,7 +46,8 @@ let peel ~n ~mu_total ~track_density ~pop ~retire =
         residuals.(i + 1) <- d;
         if d > !best_density then begin
           best_density := d;
-          best_start := i + 1
+          best_start := i + 1;
+          best_count := !mu_live
         end
       end
   done;
@@ -54,6 +57,7 @@ let peel ~n ~mu_total ~track_density ~pop ~retire =
     !run_max,
     (if track_density then !best_density else 0.),
     (if track_density then !best_start else 0),
+    (if track_density then !best_count else 0),
     residuals )
 
 (* Round-synchronous (bucket-free) peel over an instance store — the
@@ -122,6 +126,7 @@ let peel_store ?pool ?(on_peel = fun _ _ -> ()) ~track_density ~n store =
   in
   let best_density = ref initial_density in
   let best_start = ref 0 in
+  let best_count = ref mu_total in
   let pos = ref 0 in
   let alive = Array.make n true in
   let in_frontier = Array.make n false in
@@ -211,7 +216,8 @@ let peel_store ?pool ?(on_peel = fun _ _ -> ()) ~track_density ~n store =
                 residuals.(i + 1) <- d;
                 if d > !best_density then begin
                   best_density := d;
-                  best_start := i + 1
+                  best_start := i + 1;
+                  best_count := !mu_live
                 end
               end)
             owned)
@@ -254,6 +260,7 @@ let peel_store ?pool ?(on_peel = fun _ _ -> ()) ~track_density ~n store =
     !kmax,
     (if track_density then !best_density else 0.),
     (if track_density then !best_start else 0),
+    (if track_density then !best_count else 0),
     residuals )
 
 let decompose_generic ?pool ~track_density g psi =
@@ -261,10 +268,10 @@ let decompose_generic ?pool ~track_density g psi =
   let insts = Enumerate.instances ?pool g psi in
   let store = Dsd_clique.Instance_store.create ~n insts in
   let mu_total = Dsd_clique.Instance_store.total store in
-  let core, order, kmax, bd, bs, residuals =
+  let core, order, kmax, bd, bs, bc, residuals =
     peel_store ?pool ~track_density ~n store
   in
-  (core, order, kmax, bd, bs, residuals, mu_total)
+  (core, order, kmax, bd, bs, bc, residuals, mu_total)
 
 (* Star / 4-cycle engine: closed-form degrees, decrement rules, lazy
    heap (degrees like C(d, x) overflow a bucket array). *)
@@ -302,7 +309,8 @@ let decompose_special g ~degrees_of ~on_delete =
 let decompose ?pool ?(track_density = true) g (psi : P.t) =
   Dsd_obs.Span.with_ Dsd_obs.Phase.decompose @@ fun () ->
   let n = G.n g in
-  let core_arr, order, kmax, best_density, best_start, residuals, mu_total =
+  let core_arr, order, kmax, best_density, best_start, best_count, residuals,
+      mu_total =
     match psi.kind with
     | P.Star x ->
       let sum, retire, heap =
@@ -312,12 +320,12 @@ let decompose ?pool ?(track_density = true) g (psi : P.t) =
             Dsd_pattern.Special.star_on_delete live ~x ~v ~apply)
       in
       let mu_total = sum / psi.size in
-      let core, order, kmax, bd, bs, residuals =
+      let core, order, kmax, bd, bs, bc, residuals =
         peel ~n ~mu_total ~track_density
           ~pop:(fun () -> Dsd_util.Lazy_heap.pop_min heap)
           ~retire
       in
-      (core, order, kmax, bd, bs, residuals, mu_total)
+      (core, order, kmax, bd, bs, bc, residuals, mu_total)
     | P.Cycle4 ->
       let sum, retire, heap =
         decompose_special g
@@ -326,12 +334,12 @@ let decompose ?pool ?(track_density = true) g (psi : P.t) =
             Dsd_pattern.Special.c4_on_delete live ~v ~apply)
       in
       let mu_total = sum / 4 in
-      let core, order, kmax, bd, bs, residuals =
+      let core, order, kmax, bd, bs, bc, residuals =
         peel ~n ~mu_total ~track_density
           ~pop:(fun () -> Dsd_util.Lazy_heap.pop_min heap)
           ~retire
       in
-      (core, order, kmax, bd, bs, residuals, mu_total)
+      (core, order, kmax, bd, bs, bc, residuals, mu_total)
     | P.Clique | P.Generic -> decompose_generic ?pool ~track_density g psi
   in
   {
@@ -342,6 +350,7 @@ let decompose ?pool ?(track_density = true) g (psi : P.t) =
     mu_total;
     best_residual_density = best_density;
     best_residual_start = best_start;
+    best_residual_count = best_count;
     residual_densities = residuals;
   }
 

@@ -26,6 +26,7 @@ type t = {
   mu_total : int;                  (** mu(G, Psi) *)
   best_residual_density : float;   (** rho' = max residual density (incl. full graph) *)
   best_residual_start : int;       (** the suffix order.(start ..) attains rho' *)
+  best_residual_count : int;       (** its instance count: rho' = count / (n - start) *)
   residual_densities : float array;
       (** residual_densities.(i) = Psi-density of the residual graph
           order.(i ..); index 0 is the whole graph.  Empty unless
@@ -51,8 +52,9 @@ val decompose :
 
 (** The round-synchronous peel engine itself, over a prepared
     {!Dsd_clique.Instance_store} on vertices [0 .. n-1].  Returns
-    [(core, order, kmax, best_density, best_start, residuals)] — the
-    density fields are 0 / empty unless [track_density].  [on_peel v
+    [(core, order, kmax, best_density, best_start, best_count,
+    residuals)] — the density fields are 0 / empty unless
+    [track_density].  [on_peel v
     killed] fires once per vertex in canonical peel order, where
     [killed] is v's live instance count at its (linearised) removal
     step — exactly the degree Greedy++ charges to its loads.  The
@@ -64,7 +66,7 @@ val peel_store :
   track_density:bool ->
   n:int ->
   Dsd_clique.Instance_store.t ->
-  int array * int array * int * float * int * float array
+  int array * int array * int * float * int * int * float array
 
 (** [core_vertices t ~k] is the vertex set of the (k, Psi)-core
     ({v | core(v) >= k}, possibly empty). *)

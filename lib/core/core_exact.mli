@@ -1,21 +1,25 @@
 (** CoreExact — Algorithm 4, the paper's exact contribution.
 
     Three optimisations over Exact (Section 6.1):
-    + tighter alpha bounds from Theorem 1
-      (kmax / |V_Psi| <= rho_opt <= kmax);
-    + the CDS is located inside small (k, Psi)-cores — Pruning1 (best
-      residual density rho'), Pruning2 (per-component density rho''),
-      Pruning3 (component-local stopping width);
-    + flow networks shrink as the binary search raises the lower bound
-      (the component is re-intersected with higher cores).
+    + a tighter start from Theorem 1 (rho_opt >= kmax / |V_Psi|),
+      improved by Pruning1's rho' (the best residual density);
+    + the CDS is located inside small (k, Psi)-cores — Pruning1 (the
+      ceil(rho')-core) and Pruning2 (per-component densities raise the
+      bound and the core level); the paper's Pruning3 set a
+      component-local stopping width, which the exact search has no
+      use for;
+    + flow networks shrink as the search raises the lower bound
+      (Optimisation 3: the component is re-intersected with higher
+      cores).
 
-    Engineering deviations from the pseudo-code, both documented in
-    DESIGN.md §6: the result is seeded with the densest subgraph seen
-    during decomposition so an optimum that exactly equals the lower
-    bound is still returned, and the binary-search upper bound is
-    per-component (the maximum core number inside the component)
-    rather than shared, which the pseudo-code's global [u] would make
-    unsound when an early component is sparser than a later one.
+    Each candidate component runs {!Parametric.dinkelbach} from the
+    post-Pruning2 bound, so a component that cannot beat it costs one
+    probe.  Components run in order against a plain running best: one
+    whose core-number upper bound lies strictly below it is skipped,
+    and a component's answer replaces the best only when strictly
+    denser.  The result is seeded with the densest subgraph seen during
+    decomposition, so an optimum that equals the lower bound is still
+    returned (DESIGN.md §6).
 
     With [~family:Pds_grouped] the PDS networks use construct+
     (Algorithm 7), making this CorePExact ({!Core_pexact}). *)
@@ -23,18 +27,19 @@
 type prunings = {
   p1 : bool;  (** locate CDS in the ceil(rho')-core *)
   p2 : bool;  (** raise to ceil(rho'') from per-component densities *)
-  p3 : bool;  (** component-local binary-search stopping width *)
 }
 
 val all_prunings : prunings
 val no_prunings : prunings
 
 type stats = {
-  iterations : int;              (** min-cut computations *)
+  iterations : int;              (** exact min-cut probes *)
   network_nodes : int list;      (** |V_F| per iteration, oldest first (Figure 9) *)
   kmax : int;
   decompose_s : float;           (** core-decomposition time (Table 3) *)
-  flow_s : float;                (** min-cut time *)
+  flow_s : float;                (** time in the component searches:
+                                     network builds, min cuts and
+                                     Optimisation-3 shrinks *)
   elapsed_s : float;
 }
 
@@ -45,9 +50,6 @@ type result = {
 
 (** [run g psi] returns the exact densest subgraph.  [family] overrides
     the network construction ({!Flow_build.auto_family} by default).
-    [warm] (default [true]) carries flow across probes within a
-    component's prepared network; a Pruning-3 shrink still rebuilds
-    from scratch.
 
     [?decomp] supplies a (k, Psi)-core decomposition of [g] w.r.t.
     [psi] computed earlier (the serving layer's prepared-state cache),
@@ -59,7 +61,6 @@ type result = {
     0 when the cached decomposition is used. *)
 val run :
   ?pool:Dsd_util.Pool.t ->
-  ?warm:bool ->
   ?prunings:prunings ->
   ?family:Flow_build.family ->
   ?decomp:Clique_core.t ->

@@ -1,2 +1,2 @@
-let run ?pool ?warm ?prunings g psi =
-  Core_exact.run ?pool ?warm ?prunings ~family:Flow_build.Pds_grouped g psi
+let run ?pool ?prunings g psi =
+  Core_exact.run ?pool ?prunings ~family:Flow_build.Pds_grouped g psi

@@ -4,6 +4,5 @@
 
 val run :
   ?pool:Dsd_util.Pool.t ->
-  ?warm:bool ->
   ?prunings:Core_exact.prunings ->
   Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> Core_exact.result

@@ -12,14 +12,22 @@ let pattern_density g psi =
   if G.n g = 0 then 0.
   else float_of_int (Enumerate.count g psi) /. float_of_int (G.n g)
 
+let empty = { vertices = [||]; density = 0. }
+
+let of_count vertices c =
+  if Array.length vertices = 0 then empty
+  else
+    { vertices;
+      density = float_of_int c /. float_of_int (Array.length vertices) }
+
+let count g psi vs = Enumerate.count (fst (G.induced g vs)) psi
+
 let of_vertices g psi vs =
-  if Array.length vs = 0 then { vertices = [||]; density = 0. }
+  if Array.length vs = 0 then empty
   else begin
     let sub, vertices = G.induced g vs in
-    { vertices; density = pattern_density sub psi }
+    of_count vertices (Enumerate.count sub psi)
   end
-
-let empty = { vertices = [||]; density = 0. }
 
 let better a b = if b.density > a.density then b else a
 

@@ -14,6 +14,15 @@ val edge_density : Dsd_graph.Graph.t -> float
 (** [pattern_density g psi] = mu(G, Psi) / n (Definitions 4/10). *)
 val pattern_density : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> float
 
+(** [count g psi vs] is c(S) = mu(G[vs], Psi), the instance count of
+    the vertex set [vs]. *)
+val count : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> int array -> int
+
+(** [of_count vs c] is the subgraph on [vs] (sorted, without
+    duplicates) whose instance count is [c]: its density is the one
+    int division [c / |vs|], so equal rationals give equal bits. *)
+val of_count : int array -> int -> subgraph
+
 (** [of_vertices g psi vs] evaluates the Psi-density of the subgraph of
     [g] induced by [vs] and packages it with [vs] sorted and duplicates
     dropped. *)

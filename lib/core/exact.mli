@@ -1,13 +1,25 @@
-(** Exact — Algorithm 1: densest-subgraph binary search over min-cuts
-    on the whole graph.  With [~family:Pds] this is PExact
-    (Algorithm 8); the dispatch is automatic by pattern kind.
+(** Exact — Algorithm 1: the densest subgraph by min cuts on the
+    whole graph.  With [~family:Pds] this is PExact (Algorithm 8); the
+    dispatch is automatic by pattern kind.
 
-    This is the paper's baseline exact method: loose bounds
-    [0, max deg(v, Psi)], network rebuilt on all of G each iteration.
-    CoreExact ({!Core_exact}) is the contribution that beats it. *)
+    The search is {!Parametric.dinkelbach} from rho(V) = mu / n: each
+    probe is an exact min cut at the best density witnessed so far, and
+    the last source side that beats it is the answer — the maximal
+    densest subgraph (the union of all densest subsets), or V itself
+    when no side beats rho(V).  The network is built once on all of G.
+    CoreExact ({!Core_exact}) is the paper's contribution that beats
+    this baseline.
+
+    Size limit: every probe scales the capacities by its denominator
+    |S| <= n, and {!Parametric.probe_rational} refuses a network whose
+    scaled capacities sum to 2^53 or more.  The instance networks sum
+    to about h * mu(G) * |S|; Goldberg's edge-density network ([Eds],
+    the default for the edge pattern) to about 2 * n * m * |S|, so
+    edge-density Exact raises [Invalid_argument] from roughly 10^5
+    vertices at average degree 10. *)
 
 type stats = {
-  iterations : int;        (** binary-search steps *)
+  iterations : int;        (** exact min-cut probes *)
   last_network_nodes : int;
   mu : int;                (** instance count of the input graph *)
   elapsed_s : float;
@@ -18,25 +30,24 @@ type result = {
   stats : stats;
 }
 
-(** [run g psi] returns the exact densest subgraph w.r.t. Psi-density.
-    [family] overrides the flow-network construction (defaults to the
-    paper's choice for the pattern kind).  [warm] (default [true])
-    carries the committed flow across binary-search probes
-    ({!Flow_build.retarget}); [~warm:false] restores the
-    reset-per-probe behaviour.
+(** [run g psi] returns the exact densest subgraph w.r.t. Psi-density:
+    the maximal densest vertex set.  [family] overrides the
+    flow-network construction (defaults to the paper's choice for the
+    pattern kind).
 
     Repeat-solve hooks (the serving layer's prepared-state cache):
     [?instances] supplies the Psi-instances of [g] enumerated earlier
     (must equal [Enumerate.instances g psi]; ignored by the EDS
-    family), and [?prepared] a caller-owned slot for the retargetable
-    flow arena — empty on the first call, reused (retarget-only, no
+    family), and [?prepared] a caller-owned slot for the built flow
+    network — empty on the first call, reused (re-capacitated, no
     rebuild) on every later call with the same [g], [psi] and
     [family].  Results are bit-identical with or without either
-    hook. *)
+    hook.
+
+    @raise Invalid_argument past the size limit above. *)
 val run :
   ?pool:Dsd_util.Pool.t ->
-  ?warm:bool ->
   ?family:Flow_build.family ->
   ?instances:int array array ->
-  ?prepared:Flow_build.prepared option ref ->
+  ?prepared:Parametric.prepared option ref ->
   Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> result

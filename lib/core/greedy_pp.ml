@@ -29,7 +29,7 @@ let run ?pool ?(rounds = 8) g psi =
        to its load through the on_peel hook.  Later rounds order by
        loads + degree, which no threshold peel can batch, so they keep
        the sequential lazy heap (loads grow past any bucket bound). *)
-    let _, order0, _, bd0, bs0, _ =
+    let _, order0, _, bd0, bs0, _, _ =
       Clique_core.peel_store ?pool
         ~on_peel:(fun v killed -> loads.(v) <- loads.(v) + killed)
         ~track_density:true ~n store

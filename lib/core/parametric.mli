@@ -1,53 +1,88 @@
-(** The parametric min-cut search every exact solver shares.
+(** The exact parametric min-cut search every exact solver shares.
 
     Algorithms 1, 4 and 8, the query variant (Section 6.3) and the
-    top-k extraction bisect alpha over min cuts until the interval is
-    below Lemma 12's gap; the density-friendly hierarchy probes the
-    breakpoints of the same cut exactly ({!probe_rational}).  This
-    module owns the loop and the flow arena it probes: the network is
-    built with {!Flow_build.prepare} on the first probe and re-pointed
-    on every later one.  The directed ratio searches ({!Directed}) reuse
-    {!bisect} with their own stopping width.
+    top-k extraction run one Dinkelbach search ({!dinkelbach}): probe
+    the min cut at the best witnessed density c/|S|, move to the cut's
+    source side S' while c(S')·|S| > c·|S'|, and stop otherwise.  The
+    last side it accepts is the maximal densest set (the union of all
+    densest subsets), so the search needs no upper bound, no stopping
+    width and no canonicalisation cut.  The density-friendly hierarchy
+    ({!Ld_decomposition}) probes the breakpoints of the same cut.
 
-    The driver counts nothing itself: {!Flow_build} counts builds and
-    retargets, and each caller keeps its own probe counters. *)
+    Every probe is {!probe_rational}: cold, with every capacity scaled
+    by the probe's denominator, so Dinic's doubles compute the cut
+    exactly and every accept or stop decision is an integer comparison.
+    The network is built with {!Flow_build.prepare} on the first probe
+    and re-capacitated on every later one.  {!Inc_dsd} (whose flow stays
+    warm across deltas), {!Directed} (whose capacities carry square
+    roots) and the reference searches of [Dsd_check.Oracle] keep the
+    float {!bisect}.
 
-(** A flow network for one (graph, Psi, instances, pinned set),
-    unbuilt until the first {!probe}. *)
+    The driver counts nothing itself beyond its own probes:
+    {!Flow_build} counts builds and retargets. *)
+
+(** A built network with every arc's capacity law as built: what a
+    caller-owned slot keeps between searches, so a reused slot answers
+    bit-identically. *)
+type prepared
+
+(** A flow network over one vertex set U of a graph, with optional
+    pinned vertices, unbuilt until the first probe.  Sides are reported
+    in the graph's vertex ids. *)
 type arena
 
-(** [arena family g psi ~instances] is an unbuilt handle.  [?pinned]
-    vertices are forced onto the source side of every cut; [?warm]
-    (default [true]) keeps the committed flow across probes
-    ({!Flow_build.retarget}).  [?slot] is a caller-owned cache of the
-    prepared network: a filled slot is retargeted instead of rebuilt,
-    and an empty one is filled by the first probe.  It must have been
-    filled for the same [g], [psi], [instances] and [family]. *)
+(** [arena family g psi] is an unbuilt handle over G[[within]]
+    ([within] sorted, default all of [g]).  [?instances] are the
+    Psi-instances of that induced graph enumerated earlier (enumerated
+    here otherwise; the [Eds] family counts edges instead).  [?pinned]
+    vertices of [within] are forced onto the source side of every cut.
+    [?slot] is a caller-owned cache of the built network: a filled slot
+    is re-capacitated instead of rebuilt, and an empty one is filled by
+    the first probe.  It must have been filled for the same [g],
+    [within], [psi] and [family]. *)
 val arena :
   ?pool:Dsd_util.Pool.t ->
+  ?within:int array ->
   ?pinned:int array ->
-  ?warm:bool ->
-  ?slot:Flow_build.prepared option ref ->
-  Flow_build.family -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t ->
-  instances:int array array -> arena
+  ?instances:int array array ->
+  ?slot:prepared option ref ->
+  Flow_build.family -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> arena
 
-(** [probe a alpha] solves the min cut at [alpha] and returns the data
-    vertices on its source side (empty iff the side is just the
-    source).
+(** [total a] is c(U): the instance count of the arena's whole vertex
+    set (its edge count for the [Eds] family). *)
+val total : arena -> int
 
-    @raise Invalid_argument once the arena has taken a rational
-    probe. *)
-val probe : arena -> float -> int array
-
-(** [probe_rational a ~num ~den] is [probe a (num / den)] computed
-    exactly, cold, for [num >= 0] and [den > 0]: the flow is zeroed and
-    every finite capacity of the network as built is multiplied by
-    [den], so all are integer-valued doubles and Dinic is exact while
+(** [probe_rational a ~num ~den] solves the min cut at alpha = num/den
+    exactly and returns the vertices on its source side (sorted; empty
+    iff the side is just the source).  The probe is cold: the flow is
+    zeroed and every finite capacity law base + coef·alpha of the
+    network as built is rewritten as base·den + coef·num, so all
+    capacities are integer-valued doubles and Dinic is exact while
     they sum below 2^53.  A probe on a built network counts as a
-    retarget.  From the first rational probe on, the arena (which then
-    keeps a copy of its unscaled capacities) takes only rational
-    probes. *)
+    retarget.
+
+    @raise Invalid_argument if [den <= 0], [num < 0], or the scaled
+    finite capacities sum to 2^53 or more. *)
 val probe_rational : arena -> num:int -> den:int -> int array
+
+(** [dinkelbach a ~num ~den] runs the exact search from the exclusive
+    lower bound num/den: probe at the current pair, and while the
+    source side S' has c(S')·den > num·|S'|, accept it and probe again
+    at c(S')/|S'|.  Returns the last accepted [(c(S'), S')], or [None]
+    when no side beats num/den.  c(S') is counted from the arena's
+    instance list (from G[S']'s edges for [Eds]): the search enumerates
+    nothing.
+
+    [?restrict] is called after every accept with the new pair; it may
+    return a fresh arena over a smaller vertex set that still holds
+    every set denser than the pair (CoreExact's Optimisation 3), and the
+    search continues there. *)
+val dinkelbach :
+  ?restrict:(num:int -> den:int -> arena option) ->
+  arena -> num:int -> den:int -> (int * int array) option
+
+(** Probes this arena has taken. *)
+val probes : arena -> int
 
 (** |V_F| of the built network; 0 before the first probe. *)
 val nodes : arena -> int
@@ -62,17 +97,7 @@ val bisect :
 
 (** The instance network family: the generic clique or grouped pattern
     network.  Pinned searches need it (the h = 2 Goldberg construction
-    has no pinning analysis), and so do rational probes: scaled
-    capacities sum to h * mu(G) * den here, n * m * den in Goldberg's. *)
+    has no pinning analysis), and so does any search that should stay
+    far from 2^53: scaled capacities sum to about h·mu(G)·den here,
+    2·n·m·den in Goldberg's. *)
 val pinned_family : Dsd_pattern.Pattern.t -> Flow_build.family
-
-(** [striped ?pool n f] runs [f i] for every component [i < n].  With a
-    pool and more than one component they run one per chunk across its
-    domains, pool-free (pools don't nest); otherwise in order, each
-    receiving [?pool]. *)
-val striped :
-  ?pool:Dsd_util.Pool.t -> int -> (?pool:Dsd_util.Pool.t -> int -> unit) ->
-  unit
-
-(** [raise_to best x] atomically sets [best] to [max best x]. *)
-val raise_to : float Atomic.t -> float -> unit

@@ -14,28 +14,21 @@
     Canonicality is what makes the answer a pure function of the input
     rather than of min-cut tie-breaking: Psi-instance counts are
     supermodular, so the densest subsets of a graph are closed under
-    union and have a unique maximal element D.  At
-    [alpha = rho_opt - eps] with [0 < eps < Density.min_gap n], the
-    {e unique} maximiser of [mu(S) - alpha |S|] is D, so one extra
-    min cut at that alpha — pinned on the binary search's witness, on
-    a one-shot pinned {!Parametric.arena} — returns D no matter
-    which of several min cuts the solver happens to find.
+    union and have a unique maximal element D.  Each round builds one
+    {!Parametric.arena} over a candidate set that contains D and runs
+    {!Parametric.dinkelbach} from the set's own density: the last side
+    the exact search accepts is D (a disjoint union of components is
+    solved by one max flow), and when no side beats the set, the set is
+    D itself.
 
-    With [~prune:true] (the default) each round restricts the search to
-    the ceil(l)-core of the remaining graph (every densest subset lives
-    there), solves the candidate core's connected components
-    independently — sorted by their per-component kmax upper bound,
-    skipping outright any component whose bound is strictly below the
-    best density already found this round — and unions the canonical
-    regions of the components tied at the round optimum.  With
-    [~prune:false] every round is a single whole-remaining-graph binary
-    search with the loose Exact-style bounds.  The two modes return
-    bit-identical regions; only the work differs. *)
+    With [~prune:true] (the default) the candidate set is the
+    ceil(rho')-core of the remaining graph (every densest subset lives
+    there); with [~prune:false] it is the whole remaining graph.  The
+    two modes return bit-identical regions; only the work differs. *)
 
 type stats = {
   rounds : int;             (** extraction rounds run (>= number of regions) *)
-  iterations : int;         (** min-cut probes, canonicalization cuts included *)
-  components_pruned : int;  (** candidate components skipped by the core bound *)
+  iterations : int;         (** exact min-cut probes *)
   elapsed_s : float;
 }
 
@@ -48,18 +41,16 @@ type result = {
 
 (** [run ~k g psi] extracts up to [k] disjoint locally densest regions.
 
-    [warm] (default [true]) carries committed flow across binary-search
-    probes ({!Flow_build.retarget}); [prune] (default [true]) selects
-    the core-pruned per-component mode.  [?decomp] drops in a cached
-    density-tracked decomposition of [g] (the serving layer's prepared
-    state) for the first round; like {!Core_exact.run} it is recomputed
-    rather than trusted when it lacks density tracking.  Results are
-    bit-identical across every combination of the options.
+    [prune] (default [true]) selects the core-pruned candidate set.
+    [?decomp] drops in a cached density-tracked decomposition of [g]
+    (the serving layer's prepared state) for the first round; like
+    {!Core_exact.run} it is recomputed rather than trusted when it
+    lacks density tracking.  Results are bit-identical across every
+    combination of the options.
 
     @raise Invalid_argument when [k < 1]. *)
 val run :
   ?pool:Dsd_util.Pool.t ->
-  ?warm:bool ->
   ?prune:bool ->
   ?decomp:Clique_core.t ->
   k:int ->

@@ -7,13 +7,13 @@ module Counter = Dsd_obs.Counter
    [instances] feeds Exact and the PDS flow builders, [decomp] (with
    density tracking, the strongest mode) drops into CoreExact, Query
    and the decompose endpoint alike, and [exact_prepared] keeps Exact's
-   whole-graph flow arena so repeat solves only retarget. *)
+   whole-graph flow network so repeat solves only re-capacitate it. *)
 type psi_state = {
   psi : P.t;
   graph : G.t;
   instances : int array array Lazy.t;
   decomp : Dsd_core.Clique_core.t Lazy.t;
-  exact_prepared : Dsd_core.Flow_build.prepared option ref;
+  exact_prepared : Dsd_core.Parametric.prepared option ref;
   hierarchy : Dsd_core.Ld_decomposition.t Lazy.t;
       (* the full chain, computed once; per-request level truncation
          happens at response time (and in the result LRU, keyed by the

@@ -1,5 +1,1 @@
 let eps = 1e-9
-
-let safe_ceil x = int_of_float (Float.ceil (x -. eps))
-
-let safe_floor x = int_of_float (Float.floor (x +. eps))

@@ -1,19 +1,5 @@
-(** Float-noise guards shared by the core algorithms.
-
-    Densities are ratios of small integers recovered through float
-    arithmetic, so an exactly-integral value can arrive as
-    [k +/- few ulps].  [safe_ceil] (resp. [safe_floor]) nudges by
-    {!eps} before rounding so such a value maps to [k] instead of
-    [k + 1] (resp. [k - 1]).  Under-rounding is the safe direction for
-    core thresholds: a lower k keeps the CDS inside the core by
-    nestedness. *)
+(** Float-noise guard shared by the flow layer. *)
 
 (** Comparison slack, also the residual-capacity threshold of the flow
     networks. *)
 val eps : float
-
-(** [safe_ceil x] = [ceil (x - eps)], as an int. *)
-val safe_ceil : float -> int
-
-(** [safe_floor x] = [floor (x + eps)], as an int. *)
-val safe_floor : float -> int

@@ -11,15 +11,11 @@ module F = Dsd_flow.Flow_network
 
 let pruning_combos =
   List.concat_map
-    (fun p1 ->
-      List.concat_map
-        (fun p2 ->
-          List.map (fun p3 -> { CE.p1; p2; p3 }) [ false; true ])
-        [ false; true ])
+    (fun p1 -> List.map (fun p2 -> { CE.p1; p2 }) [ false; true ])
     [ false; true ]
 
 let combo_name (p : CE.prunings) =
-  Printf.sprintf "p1=%b,p2=%b,p3=%b" p.CE.p1 p.CE.p2 p.CE.p3
+  Printf.sprintf "p1=%b,p2=%b" p.CE.p1 p.CE.p2
 
 let seeded_graphs =
   List.init 20 (fun seed ->

@@ -7,43 +7,47 @@ module G = Dsd_graph.Graph
 module P = Dsd_pattern.Pattern
 module D = Dsd_core.Density
 
-let close a b = Float.abs (a -. b) < 1e-6
+(* Densities are one int division each, so equal rationals have equal
+   bits. *)
+let same a b = Int64.bits_of_float a = Int64.bits_of_float b
 
+(* Exact returns the canonical region: the union of all densest
+   subsets. *)
 let exact_matches_brute_prop psi g =
-  let brute_density, _ = Helpers.brute_force_densest g psi in
+  let brute_density, region =
+    Dsd_check.Oracle.brute_force_maximal_densest g psi
+  in
   let r = Dsd_core.Exact.run g psi in
-  close brute_density r.Dsd_core.Exact.subgraph.D.density
+  same brute_density r.Dsd_core.Exact.subgraph.D.density
+  && region = r.Dsd_core.Exact.subgraph.D.vertices
 
 let core_exact_matches_brute_prop psi g =
   let brute_density, _ = Helpers.brute_force_densest g psi in
   let r = Dsd_core.Core_exact.run g psi in
-  close brute_density r.Dsd_core.Core_exact.subgraph.D.density
+  same brute_density r.Dsd_core.Core_exact.subgraph.D.density
 
 (* The returned vertex set's density must equal the reported density
    (the subgraph really is that dense, not just the scalar). *)
 let core_exact_witness_prop psi g =
   let r = Dsd_core.Core_exact.run g psi in
   let sg = r.Dsd_core.Core_exact.subgraph in
-  close sg.D.density (Helpers.density_of_subset g psi sg.D.vertices)
+  same sg.D.density (Helpers.density_of_subset g psi sg.D.vertices)
 
 let prunings_equivalent_prop psi g =
   let reference = (Dsd_core.Core_exact.run g psi).Dsd_core.Core_exact.subgraph in
   List.for_all
     (fun prunings ->
       let r = Dsd_core.Core_exact.run ~prunings g psi in
-      close reference.D.density r.Dsd_core.Core_exact.subgraph.D.density)
+      same reference.D.density r.Dsd_core.Core_exact.subgraph.D.density)
     Dsd_core.Core_exact.
-      [ no_prunings;
-        { p1 = true; p2 = false; p3 = false };
-        { p1 = false; p2 = true; p3 = false };
-        { p1 = false; p2 = false; p3 = true } ]
+      [ no_prunings; { p1 = true; p2 = false }; { p1 = false; p2 = true } ]
 
 (* The EDS-specialised Goldberg network and the generic h=2 clique
    network must agree. *)
 let eds_network_vs_clique_network_prop g =
   let a = Dsd_core.Exact.run ~family:Dsd_core.Flow_build.Eds g P.edge in
   let b = Dsd_core.Exact.run ~family:Dsd_core.Flow_build.Clique_flow g P.edge in
-  close a.Dsd_core.Exact.subgraph.D.density b.Dsd_core.Exact.subgraph.D.density
+  same a.Dsd_core.Exact.subgraph.D.density b.Dsd_core.Exact.subgraph.D.density
 
 (* Lemma 7: the CDS is contained in the (ceil(rho_opt), Psi)-core. *)
 let lemma7_prop psi g =
@@ -111,7 +115,7 @@ let test_exact_equals_core_exact_medium () =
       Alcotest.(check bool)
         (Printf.sprintf "h=%d agree" h)
         true
-        (close a.Dsd_core.Exact.subgraph.D.density
+        (same a.Dsd_core.Exact.subgraph.D.density
            b.Dsd_core.Core_exact.subgraph.D.density))
     [ 2; 3; 4 ]
 
@@ -120,7 +124,7 @@ let test_core_exact_network_shrinks () =
   let exact = Dsd_core.Exact.run g P.triangle in
   let core = Dsd_core.Core_exact.run g P.triangle in
   Alcotest.(check bool) "same answer" true
-    (close exact.Dsd_core.Exact.subgraph.D.density
+    (same exact.Dsd_core.Exact.subgraph.D.density
        core.Dsd_core.Core_exact.subgraph.D.density);
   (* CoreExact's largest network must be smaller than Exact's (that is
      the whole point of the paper). *)

@@ -7,7 +7,9 @@ module P = Dsd_pattern.Pattern
 module D = Dsd_core.Density
 module FB = Dsd_core.Flow_build
 
-let close a b = Float.abs (a -. b) < 1e-6
+(* Densities are one int division each, so equal rationals have equal
+   bits. *)
+let same a b = Int64.bits_of_float a = Int64.bits_of_float b
 
 (* PExact (Algorithm 8): Exact with the one-node-per-instance network. *)
 let pexact g psi = Dsd_core.Exact.run ~family:FB.Pds g psi
@@ -15,12 +17,12 @@ let pexact g psi = Dsd_core.Exact.run ~family:FB.Pds g psi
 let pexact_matches_brute_prop psi g =
   let brute, _ = Helpers.brute_force_densest g psi in
   let r = pexact g psi in
-  close brute r.Dsd_core.Exact.subgraph.D.density
+  same brute r.Dsd_core.Exact.subgraph.D.density
 
 let core_pexact_matches_brute_prop psi g =
   let brute, _ = Helpers.brute_force_densest g psi in
   let r = Dsd_core.Core_pexact.run g psi in
-  close brute r.Dsd_core.Core_exact.subgraph.D.density
+  same brute r.Dsd_core.Core_exact.subgraph.D.density
 
 (* Lemma 11: the PExact network and the construct+ network have the
    same min-cut capacity, for any alpha. *)
@@ -62,7 +64,7 @@ let test_pds_known_answers () =
       Alcotest.(check bool)
         (psi.P.name ^ " PDS density")
         true
-        (close expect r.Dsd_core.Core_exact.subgraph.D.density))
+        (same expect r.Dsd_core.Core_exact.subgraph.D.density))
     [ P.star 2; P.c3_star; P.diamond; P.two_triangle ]
 
 let test_star_pds_prefers_hub () =
@@ -93,7 +95,7 @@ let test_pexact_vs_core_pexact_medium () =
       let a = pexact g psi in
       let b = Dsd_core.Core_pexact.run g psi in
       Alcotest.(check bool) (psi.P.name ^ " agree") true
-        (close a.Dsd_core.Exact.subgraph.D.density
+        (same a.Dsd_core.Exact.subgraph.D.density
            b.Dsd_core.Core_exact.subgraph.D.density))
     [ P.star 2; P.c3_star; P.diamond; P.two_triangle ]
 
@@ -103,7 +105,7 @@ let clique_through_pds_prop g =
   let psi = P.triangle in
   let a = Dsd_core.Exact.run g psi in
   let b = pexact g psi in
-  close a.Dsd_core.Exact.subgraph.D.density b.Dsd_core.Exact.subgraph.D.density
+  same a.Dsd_core.Exact.subgraph.D.density b.Dsd_core.Exact.subgraph.D.density
 
 let arb_pattern_graph_alpha =
   let patterns =

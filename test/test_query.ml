@@ -6,6 +6,10 @@ module G = Dsd_graph.Graph
 module P = Dsd_pattern.Pattern
 module D = Dsd_core.Density
 
+(* Densities are one int division each, so equal rationals have equal
+   bits. *)
+let same a b = Int64.bits_of_float a = Int64.bits_of_float b
+
 let brute_force_with_query g psi query =
   let n = G.n g in
   assert (n <= 14);
@@ -35,8 +39,8 @@ let query_matches_brute_prop psi (g, qseed) =
   let expect = brute_force_with_query g psi query in
   let r = Dsd_core.Query_dsd.run g psi ~query in
   let naive = Dsd_core.Query_dsd.run_naive g psi ~query in
-  Float.abs (r.Dsd_core.Query_dsd.subgraph.D.density -. expect) < 1e-6
-  && Float.abs (naive.Dsd_core.Query_dsd.subgraph.D.density -. expect) < 1e-6
+  same r.Dsd_core.Query_dsd.subgraph.D.density expect
+  && same naive.Dsd_core.Query_dsd.subgraph.D.density expect
 
 let query_two_vertices_prop psi (g, qseed) =
   if G.n g < 2 then true
@@ -46,7 +50,7 @@ let query_two_vertices_prop psi (g, qseed) =
     let query = if q1 = q2 then [| q1 |] else [| q1; q2 |] in
     let expect = brute_force_with_query g psi query in
     let r = Dsd_core.Query_dsd.run g psi ~query in
-    Float.abs (r.Dsd_core.Query_dsd.subgraph.D.density -. expect) < 1e-6
+    same r.Dsd_core.Query_dsd.subgraph.D.density expect
   end
 
 let result_contains_query_prop psi (g, qseed) =

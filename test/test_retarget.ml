@@ -1,11 +1,12 @@
-(* The retarget fast path vs fresh per-alpha builds: the shared
-   driver ([Parametric]) and a hand-written fresh-build loop run the
+(* The retarget fast path vs fresh per-alpha builds: a bisection over
+   one retargeted network (what Inc_dsd and the reference searches of
+   Dsd_check.Oracle run) and a hand-written fresh-build loop run the
    *same* alpha schedule and must see identical cut vertex sets,
    densities and iteration counts on every graph/pattern combination —
    sequentially and on a 2-domain pool.  Plus the obs accounting
-   contract: builds + retargets = iterations for every exact solver,
-   with at most one build per component arena (rebuilds only on
-   Pruning-3 shrinks), and the driver's own loop laws. *)
+   contract: builds + retargets = probes for every exact solver, with
+   one build per arena (rebuilds only on Optimisation-3 shrinks), and
+   the bisection's own loop laws. *)
 
 module G = Dsd_graph.Graph
 module P = Dsd_pattern.Pattern
@@ -20,11 +21,12 @@ type trace = {
   density : float;
 }
 
-(* Algorithm 1's binary search two ways: [`Fresh] is a hand-written
-   loop that builds a new network at every alpha, [`Retarget] is the
-   shared driver ([Parametric.bisect] over one retargeted arena).  Both
-   compute identical alphas because the cut-emptiness decisions (which
-   steer l/u) must agree, so the fresh loop checks the driver too. *)
+(* Algorithm 1's former binary search two ways: [`Fresh] is a
+   hand-written loop that builds a new network at every alpha,
+   [`Retarget] is [Parametric.bisect] over one network built once and
+   warm-retargeted.  Both compute identical alphas because the
+   cut-emptiness decisions (which steer l/u) must agree, so the fresh
+   loop checks the retarget path too. *)
 let binary_search ?pool mode g psi =
   let family = FB.auto_family psi in
   let instances =
@@ -58,9 +60,17 @@ let binary_search ?pool mode g psi =
          if record (FB.solve p.FB.network) then l := alpha else u := alpha
        done
      | `Retarget ->
-       let arena = Parametric.arena ?pool family g psi ~instances in
+       let slot = ref None in
        Parametric.bisect ~gap:(Fun.const gap) ~l:0. ~u:u0 (fun alpha ->
-           if record (Parametric.probe arena alpha) then Some alpha else None));
+           let network =
+             match !slot with
+             | Some p -> FB.retarget p ~alpha
+             | None ->
+               let p = FB.prepare ?pool family g psi ~instances ~alpha in
+               slot := Some p;
+               p.FB.network
+           in
+           if record (FB.solve network) then Some alpha else None));
     let density =
       if Array.length !best = 0 then 0.
       else (Dsd_core.Density.of_vertices g psi !best).Dsd_core.Density.density
@@ -161,8 +171,8 @@ let test_exact_builds_once () =
 
 let test_core_exact_accounting () =
   (* builds <= 1 + shrink count per component and builds + retargets =
-     iterations exactly: prepare counts a build (never a retarget),
-     every later probe on the same arena counts a retarget.  The
+     iterations exactly: the first probe on an arena builds (never a
+     retarget), every later probe on it counts a retarget.  The
      peeling witness (Pruning 1) often seeds the exact optimum on small
      graphs, collapsing the search to a single probe — so scan seeds,
      assert the accounting identity on every run, and require that the
@@ -191,19 +201,18 @@ let test_core_exact_accounting () =
 let test_core_exact_accounting_all_pruning_combos () =
   let g = Helpers.random_graph ~seed:31 ~max_n:22 ~max_m:70 () in
   List.iter
-    (fun (p1, p2, p3) ->
-      let prunings = Dsd_core.Core_exact.{ p1; p2; p3 } in
+    (fun (p1, p2) ->
+      let prunings = Dsd_core.Core_exact.{ p1; p2 } in
       let r =
         Obs.with_recording (fun () ->
             Dsd_core.Core_exact.run ~prunings g P.triangle)
       in
       let iters = r.Dsd_core.Core_exact.stats.Dsd_core.Core_exact.iterations in
       Alcotest.(check int)
-        (Printf.sprintf "p1=%b p2=%b p3=%b: builds + retargets" p1 p2 p3)
+        (Printf.sprintf "p1=%b p2=%b: builds + retargets" p1 p2)
         iters
         (builds () + retargets ()))
-    [ (false, false, false); (true, false, false); (true, true, false);
-      (true, true, true); (false, false, true) ]
+    [ (false, false); (true, false); (false, true); (true, true) ]
 
 let test_query_accounting () =
   let g = Dsd_data.Paper_graphs.two_cliques ~a:6 ~b:4 ~bridge:true in
@@ -217,8 +226,8 @@ let test_query_accounting () =
   Alcotest.(check bool) "at most one build" true (builds () <= 1)
 
 let test_topk_accounting () =
-  (* Every part search builds its arena once and retargets the rest;
-     the canonicalization cut is a one-shot pinned build. *)
+  (* Every round builds one arena over its candidate set and
+     re-capacitates it for every later probe. *)
   let g = Dsd_data.Gen.planted_clique ~seed:5 ~n:120 ~p:0.06 ~clique:8 in
   let r =
     Obs.with_recording (fun () -> Dsd_core.Topk_lds.run ~k:3 g P.triangle)
@@ -267,6 +276,31 @@ let test_exact_slot_reuse () =
   Alcotest.(check bool) "same density" true
     (Float.equal first.Dsd_core.Exact.subgraph.Dsd_core.Density.density
        second.Dsd_core.Exact.subgraph.Dsd_core.Density.density)
+
+(* Every exact answer rests on [Parametric.probe_rational], so it
+   refuses the probes it cannot compute exactly: a non-positive
+   denominator, a negative numerator, and a denominator that scales
+   the figure-3 network's capacities past 2^53.  A refused probe leaves
+   the arena usable. *)
+let test_probe_rational_preconditions () =
+  let g = Dsd_data.Paper_graphs.figure3_like in
+  let arena = Parametric.arena (Parametric.pinned_family P.triangle) g P.triangle in
+  let refuses label f =
+    match f () with
+    | (_ : int array) -> Alcotest.failf "%s: probe accepted" label
+    | exception Invalid_argument _ -> ()
+  in
+  refuses "den = 0" (fun () -> Parametric.probe_rational arena ~num:1 ~den:0);
+  refuses "den < 0" (fun () -> Parametric.probe_rational arena ~num:1 ~den:(-3));
+  refuses "num < 0" (fun () -> Parametric.probe_rational arena ~num:(-1) ~den:2);
+  refuses "capacities past 2^53" (fun () ->
+      Parametric.probe_rational arena ~num:1 ~den:(1 lsl 52));
+  (* K4 holds the four triangles of figure 3 at density 1: a probe just
+     below it finds K4, one at it finds nothing. *)
+  Alcotest.(check (array int)) "below rho" [| 0; 1; 2; 3 |]
+    (Parametric.probe_rational arena ~num:3 ~den:4);
+  Alcotest.(check (array int)) "at rho" [||]
+    (Parametric.probe_rational arena ~num:1 ~den:1)
 
 (* [Parametric.bisect] on random threshold predicates: below a hidden
    threshold [t] the decision raises l to a point in [alpha, t), at or
@@ -324,6 +358,8 @@ let suite =
       test_hierarchy_accounting;
     Alcotest.test_case "obs: Exact reuses a filled prepared slot" `Quick
       test_exact_slot_reuse;
+    Alcotest.test_case "probe_rational refuses inexact probes" `Quick
+      test_probe_rational_preconditions;
     Helpers.qtest ~count:300 "bisect: probes inside (l, u), exits below gap"
       arb_bisect bisect_prop;
   ]

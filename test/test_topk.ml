@@ -132,7 +132,6 @@ let test_modes_bit_identical () =
                    name label)
               (pairs_of (run ())) reference)
           [ ("no-prune", fun () -> T.run ~prune:false ~k:3 g psi);
-            ("no-warm", fun () -> T.run ~warm:false ~k:3 g psi);
             ( "cached decomp",
               fun () ->
                 let decomp =
@@ -169,7 +168,7 @@ let suite =
     Alcotest.test_case "top-1 = Exact" `Quick test_top1_matches_exact;
     Alcotest.test_case "oracle differential (30 seeds)" `Slow
       test_oracle_differential;
-    Alcotest.test_case "prune/warm/decomp bit-identical" `Slow
+    Alcotest.test_case "prune/decomp bit-identical" `Slow
       test_modes_bit_identical;
     Helpers.qtest ~count:60 "regions disjoint, densities non-increasing"
       (Helpers.small_graph_arb ~max_n:12 ~max_m:30 ())

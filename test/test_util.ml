@@ -249,36 +249,6 @@ let test_stats () =
   Alcotest.(check bool) "alpha of constant-1 degrees is infinite" true
     (alpha = infinity)
 
-let test_float_guard_boundaries () =
-  let module FG = Dsd_util.Float_guard in
-  (* Exact integers stay put. *)
-  Alcotest.(check int) "ceil 2.0" 2 (FG.safe_ceil 2.0);
-  Alcotest.(check int) "ceil 0.0" 0 (FG.safe_ceil 0.0);
-  Alcotest.(check int) "floor 2.0" 2 (FG.safe_floor 2.0);
-  (* Float noise within eps is absorbed in the safe direction. *)
-  Alcotest.(check int) "ceil 2.0 + ulps" 2 (FG.safe_ceil (2.0 +. 1e-12));
-  Alcotest.(check int) "ceil 2.0 - ulps" 2 (FG.safe_ceil (2.0 -. 1e-12));
-  Alcotest.(check int) "floor 2.0 - ulps" 2 (FG.safe_floor (2.0 -. 1e-12));
-  (* Genuine fractions still round outward. *)
-  Alcotest.(check int) "ceil 2.1" 3 (FG.safe_ceil 2.1);
-  Alcotest.(check int) "ceil 2 + 2eps" 3 (FG.safe_ceil (2.0 +. (2. *. FG.eps)));
-  Alcotest.(check int) "floor 1.9" 1 (FG.safe_floor 1.9);
-  (* Negative values: same absorption, same direction. *)
-  Alcotest.(check int) "ceil -1.5" (-1) (FG.safe_ceil (-1.5));
-  Alcotest.(check int) "ceil -2.0 + ulps" (-2) (FG.safe_ceil (-2.0 +. 1e-12));
-  (* Density-style ratios: k/p recovered through floats maps to k for
-     every small numerator/denominator pair. *)
-  for p = 1 to 12 do
-    for k = 0 to 48 do
-      let x = float_of_int k /. float_of_int p *. float_of_int p in
-      Alcotest.(check int)
-        (Printf.sprintf "ceil of %d/%d*%d" k p p)
-        k (FG.safe_ceil x)
-    done
-  done;
-  (* The flow library shares the same eps. *)
-  Helpers.check_float "shared eps" FG.eps Dsd_flow.Flow_network.eps
-
 let suite =
   [
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
@@ -298,6 +268,4 @@ let suite =
     Alcotest.test_case "union find" `Quick test_union_find;
     Alcotest.test_case "vec int" `Quick test_vec_int;
     Alcotest.test_case "stats" `Quick test_stats;
-    Alcotest.test_case "float guard boundaries" `Quick
-      test_float_guard_boundaries;
   ]

@@ -189,75 +189,58 @@ let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
 
 let search_equals_reference =
   let module D = Dsd_core.Density in
+  let differs name (a : D.subgraph) (b : D.subgraph) ~vertices =
+    if not (same_bits a.density b.density) then
+      Some
+        (Printf.sprintf "%s: density %.17g <> reference %.17g" name a.density
+           b.density)
+    else if vertices && a.vertices <> b.vertices then
+      Some (Printf.sprintf "%s: vertex set differs from the reference" name)
+    else None
+  in
+  (* reference_cds iterated on the remaining vertices [rest]. *)
+  let rec reference_topk g psi k rest =
+    let sub, map = G.induced g rest in
+    let (r : D.subgraph), _ = Oracle.reference_cds sub psi in
+    if k = 0 || Array.length r.vertices = 0 then []
+    else begin
+      let region = Array.map (Array.get map) r.vertices in
+      let rest = List.filter (fun v -> not (Array.mem v region)) (Array.to_list rest) in
+      { r with vertices = region }
+      :: reference_topk g psi (k - 1) (Array.of_list rest)
+    end
+  in
   { name = "search-equals-reference";
     check =
       (fun subject ~rng:_ (c : Generator.case) ->
         let g = c.graph and psi = c.psi in
-        let differs name (a : D.subgraph) (b : D.subgraph) ~vertices =
-          if not (same_bits a.density b.density) then
-            Some
-              (Printf.sprintf "%s: density %.17g <> reference %.17g" name
-                 a.density b.density)
-          else if vertices && a.vertices <> b.vertices then
-            Some
-              (Printf.sprintf "%s: vertex set differs from the reference \
-                               (%d vs %d vertices)"
-                 name (Array.length a.vertices) (Array.length b.vertices))
-          else None
-        in
         let cds, _ = Oracle.reference_cds g psi in
-        (* The reference top-3: reference_cds iterated on the remaining
-           graph. *)
-        let rec reference_topk k rest =
-          if k = 0 || Array.length rest = 0 then []
-          else begin
-            let sub, map = G.induced g rest in
-            let r, _ = Oracle.reference_cds sub psi in
-            if Array.length r.D.vertices = 0 then []
-            else begin
-              let region = Array.map (Array.get map) r.D.vertices in
-              let taken = Array.make (G.n g) false in
-              Array.iter (fun v -> taken.(v) <- true) region;
-              let rest =
-                Array.of_list
-                  (List.filter (fun v -> not taken.(v)) (Array.to_list rest))
-              in
-              { r with D.vertices = region } :: reference_topk (k - 1) rest
-            end
-          end
-        in
+        let query = [| 0 |] in
         let topk = (Dsd_core.Topk_lds.run ~k:3 g psi).regions in
-        let reference = reference_topk 3 (Array.init (G.n g) Fun.id) in
-        let topk_bad =
+        let reference = reference_topk g psi 3 (Array.init (G.n g) Fun.id) in
+        let checks =
+          [ differs "Exact" (subject.Subject.exact g psi) cds ~vertices:true;
+            differs "CoreExact" (subject.Subject.core_exact g psi) cds
+              ~vertices:false ]
+          @ (if G.n g = 0 then []
+             else
+               [ differs "Query(0)"
+                   (Dsd_core.Query_dsd.run g psi ~query).subgraph
+                   (fst (Oracle.reference_query g psi ~query))
+                   ~vertices:true ])
+          @
           if List.length topk <> List.length reference then
-            Some
-              (Printf.sprintf "top-3: %d regions vs %d in the reference"
-                 (List.length topk) (List.length reference))
+            [ Some
+                (Printf.sprintf "top-3: %d regions vs %d in the reference"
+                   (List.length topk) (List.length reference)) ]
           else
-            List.find_map Fun.id
-              (List.mapi
-                 (fun i (a, b) ->
-                   differs (Printf.sprintf "top-3 region %d" (i + 1)) a b
-                     ~vertices:true)
-                 (List.combine topk reference))
+            List.mapi
+              (fun i (a, b) ->
+                differs (Printf.sprintf "top-3 region %d" (i + 1)) a b
+                  ~vertices:true)
+              (List.combine topk reference)
         in
-        let query_bad =
-          if G.n g = 0 then None
-          else begin
-            let query = [| 0 |] in
-            let r, _ = Oracle.reference_query g psi ~query in
-            differs "Query(0)"
-              (Dsd_core.Query_dsd.run g psi ~query).subgraph r ~vertices:true
-          end
-        in
-        match
-          List.filter_map Fun.id
-            [ differs "Exact" (subject.Subject.exact g psi) cds ~vertices:true;
-              differs "CoreExact" (subject.Subject.core_exact g psi) cds
-                ~vertices:false;
-              query_bad;
-              topk_bad ]
-        with
+        match List.filter_map Fun.id checks with
         | [] -> Pass
         | msgs -> Fail (String.concat "; " msgs)) }
 

@@ -8,10 +8,6 @@ type subgraph = {
 let edge_density g =
   if G.n g = 0 then 0. else float_of_int (G.m g) /. float_of_int (G.n g)
 
-let pattern_density g psi =
-  if G.n g = 0 then 0.
-  else float_of_int (Enumerate.count g psi) /. float_of_int (G.n g)
-
 let empty = { vertices = [||]; density = 0. }
 
 let of_count vertices c =

@@ -11,9 +11,6 @@ type subgraph = {
 (** [edge_density g] = m / n (Definition 1); 0 on the empty graph. *)
 val edge_density : Dsd_graph.Graph.t -> float
 
-(** [pattern_density g psi] = mu(G, Psi) / n (Definitions 4/10). *)
-val pattern_density : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> float
-
 (** [count g psi vs] is c(S) = mu(G[vs], Psi), the instance count of
     the vertex set [vs]. *)
 val count : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> int array -> int
@@ -38,8 +35,9 @@ val better : subgraph -> subgraph -> subgraph
     two distinct subgraph densities (Lemma 12). *)
 val min_gap : int -> float
 
-(** [stop_gap n] = [min_gap n / 2]: the binary-search stopping width.
-    Halving the theoretical gap keeps termination correct while
+(** [stop_gap n] = [min_gap n / 2]: the stopping width of the float
+    bisections ({!Inc_dsd}, the reference searches of
+    [Dsd_check.Oracle]).  Halving the theoretical gap keeps termination correct while
     guarding against the float-rounding tie where [u - l] lands exactly
     on the gap and the search would stop one iteration short of the
     optimum. *)

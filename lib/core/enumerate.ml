@@ -31,4 +31,3 @@ let degrees ?pool g (psi : P.t) =
     Dsd_pattern.Special.c4_degrees (Dsd_graph.Subgraph.of_graph g)
   | P.Generic, _ -> Dsd_pattern.Match.degrees g psi
 
-let max_degree ?pool g psi = Array.fold_left max 0 (degrees ?pool g psi)

@@ -27,7 +27,3 @@ val count :
 val degrees :
   ?pool:Dsd_util.Pool.t -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t ->
   int array
-
-(** [max_degree g psi] = max_v deg_G(v, Psi). *)
-val max_degree :
-  ?pool:Dsd_util.Pool.t -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> int

@@ -29,11 +29,11 @@ type t = {
 
 (** A constructed network plus the alpha-dependent arc class.
 
-    Goldberg's parametric-flow observation: across the O(log n)
-    binary-search iterations of Algorithms 1/4/8, the network topology
-    — arena, clique/instance node layout, every alpha-independent arc —
-    never changes; only the vertex-to-sink capacities do.  [prepare]
-    builds once and records those arcs with their capacity law
+    Goldberg's parametric-flow observation: across the probes of a
+    parametric search, the network topology — arena, clique/instance
+    node layout, every alpha-independent arc — never changes; only the
+    vertex-to-sink capacities do.  [prepare] builds once and records
+    those arcs with their capacity law
     [cap(alpha) = max(base + coef * alpha, 0)]; [retarget] then costs
     O(V) capacity writes instead of a fresh enumeration + build. *)
 type prepared = {
@@ -74,7 +74,7 @@ val auto_family : Dsd_pattern.Pattern.t -> family
     the network is arc-for-arc identical for every pool size.
 
     The handle is tied to [g] and [instances]: when the vertex set
-    changes (CoreExact's Pruning-3 core shrink), discard it and prepare
+    changes (CoreExact's Optimisation-3 core shrink), discard it and prepare
     a fresh one.
 
     @raise Invalid_argument when [family] is [Eds] and [pinned] is
@@ -98,6 +98,11 @@ val prepare :
     move in either direction.  Warm retargets are additionally counted
     as [flow_warm_starts].
 
-    With [~warm:false] all flow is zeroed first — the PR 3 behaviour —
-    and the next solve starts from scratch. *)
+    With [~warm:false] all flow is zeroed first and the next solve
+    starts from scratch.
+
+    {!Inc_dsd} and the float reference searches of [Dsd_check.Oracle]
+    retarget; the exact solvers re-capacitate through
+    {!Parametric.probe_rational}, which zeroes the flow and scales
+    every capacity. *)
 val retarget : ?warm:bool -> prepared -> alpha:float -> t

@@ -9,26 +9,20 @@
     width and no canonicalisation cut.  The density-friendly hierarchy
     ({!Ld_decomposition}) probes the breakpoints of the same cut.
 
-    Every probe is {!probe_rational}: cold, with every capacity scaled
-    by the probe's denominator, so Dinic's doubles compute the cut
-    exactly and every accept or stop decision is an integer comparison.
-    The network is built with {!Flow_build.prepare} on the first probe
-    and re-capacitated on every later one.  {!Inc_dsd} (whose flow stays
-    warm across deltas), {!Directed} (whose capacities carry square
-    roots) and the reference searches of [Dsd_check.Oracle] keep the
-    float {!bisect}.
+    Every probe is {!probe_rational}: exact, so every accept or stop
+    decision is an integer comparison.  The network is built with
+    {!Flow_build.prepare} on the first probe and re-capacitated on every
+    later one.  {!Inc_dsd} (whose flow stays warm across deltas),
+    {!Directed} (whose capacities carry square roots) and the reference
+    searches of [Dsd_check.Oracle] keep the float {!bisect}. *)
 
-    The driver counts nothing itself beyond its own probes:
-    {!Flow_build} counts builds and retargets. *)
-
-(** A built network with every arc's capacity law as built: what a
-    caller-owned slot keeps between searches, so a reused slot answers
+(** A built network with every arc's capacity law: what a caller-owned
+    slot keeps between searches, so a reused slot answers
     bit-identically. *)
 type prepared
 
-(** A flow network over one vertex set U of a graph, with optional
-    pinned vertices, unbuilt until the first probe.  Sides are reported
-    in the graph's vertex ids. *)
+(** A flow network over one vertex set of a graph, unbuilt until the
+    first probe.  Sides are reported in the graph's vertex ids. *)
 type arena
 
 (** [arena family g psi] is an unbuilt handle over G[[within]]
@@ -36,10 +30,9 @@ type arena
     Psi-instances of that induced graph enumerated earlier (enumerated
     here otherwise; the [Eds] family counts edges instead).  [?pinned]
     vertices of [within] are forced onto the source side of every cut.
-    [?slot] is a caller-owned cache of the built network: a filled slot
-    is re-capacitated instead of rebuilt, and an empty one is filled by
-    the first probe.  It must have been filled for the same [g],
-    [within], [psi] and [family]. *)
+    A filled [?slot] is re-capacitated instead of rebuilt, and an empty
+    one is filled by the first probe; it must have been filled for the
+    same [g], [within], [psi] and [family]. *)
 val arena :
   ?pool:Dsd_util.Pool.t ->
   ?within:int array ->
@@ -48,34 +41,29 @@ val arena :
   ?slot:prepared option ref ->
   Flow_build.family -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> arena
 
-(** [total a] is c(U): the instance count of the arena's whole vertex
-    set (its edge count for the [Eds] family). *)
+(** [total a] is c(U), the instance count of the arena's whole vertex
+    set U (its edge count for [Eds]). *)
 val total : arena -> int
 
 (** [probe_rational a ~num ~den] solves the min cut at alpha = num/den
-    exactly and returns the vertices on its source side (sorted; empty
-    iff the side is just the source).  The probe is cold: the flow is
-    zeroed and every finite capacity law base + coef·alpha of the
-    network as built is rewritten as base·den + coef·num, so all
-    capacities are integer-valued doubles and Dinic is exact while
-    they sum below 2^53.  A probe on a built network counts as a
-    retarget.
+    and returns the vertices on its source side (sorted; empty iff the
+    side is just the source).  The probe is cold: the flow is zeroed
+    and every capacity law base + coef·alpha is rewritten as
+    base·den + coef·num, so all finite capacities are integer-valued
+    doubles and Dinic is exact while they sum below 2^53.  A probe on
+    a built network counts as a retarget.
 
     @raise Invalid_argument if [den <= 0], [num < 0], or the scaled
     finite capacities sum to 2^53 or more. *)
 val probe_rational : arena -> num:int -> den:int -> int array
 
 (** [dinkelbach a ~num ~den] runs the exact search from the exclusive
-    lower bound num/den: probe at the current pair, and while the
-    source side S' has c(S')·den > num·|S'|, accept it and probe again
-    at c(S')/|S'|.  Returns the last accepted [(c(S'), S')], or [None]
-    when no side beats num/den.  c(S') is counted from the arena's
-    instance list (from G[S']'s edges for [Eds]): the search enumerates
-    nothing.
-
-    [?restrict] is called after every accept with the new pair; it may
-    return a fresh arena over a smaller vertex set that still holds
-    every set denser than the pair (CoreExact's Optimisation 3), and the
+    lower bound num/den and returns the last accepted [(c(S'), S')], or
+    [None] when no side beats num/den.  c(S') is counted from the
+    arena's instance list (from G[S']'s edges for [Eds]), so the search
+    enumerates nothing.  [?restrict] is called after every accept with
+    the new pair and may return a fresh arena over a smaller vertex set
+    that still holds every denser set (CoreExact's Optimisation 3); the
     search continues there. *)
 val dinkelbach :
   ?restrict:(num:int -> den:int -> arena option) ->
@@ -97,7 +85,6 @@ val bisect :
 
 (** The instance network family: the generic clique or grouped pattern
     network.  Pinned searches need it (the h = 2 Goldberg construction
-    has no pinning analysis), and so does any search that should stay
-    far from 2^53: scaled capacities sum to about h·mu(G)·den here,
-    2·n·m·den in Goldberg's. *)
+    has no pinning analysis); its scaled capacities sum to about
+    h·mu·den, against 2·n·m·den in Goldberg's. *)
 val pinned_family : Dsd_pattern.Pattern.t -> Flow_build.family

@@ -4,7 +4,6 @@ type job = {
   n : int;
   chunk_len : int;
   nchunks : int;
-  eager : bool;
   next : int Atomic.t;
   body : int -> int -> unit;
   wrap : (unit -> unit) -> unit;
@@ -152,14 +151,9 @@ let run t job =
   if not t.alive then invalid_arg "Pool: used after shutdown";
   if not (Atomic.compare_and_set t.busy false true) then raise Nested;
   (* Small jobs run inline on the caller: chunk boundaries, merge order
-     and exception parking are untouched, only the workers stay asleep.
-     [eager] jobs skip the threshold — few-item fan-outs whose per-item
-     work is huge (one flow subproblem per item) engage the workers no
-     matter how small [n] is. *)
-  if
-    t.size = 1 || job.nchunks <= 1
-    || (job.n < t.sequential_below && not job.eager)
-  then participate 0 job
+     and exception parking are untouched, only the workers stay asleep. *)
+  if t.size = 1 || job.nchunks <= 1 || job.n < t.sequential_below then
+    participate 0 job
   else begin
     ensure_workers t;
     Mutex.lock t.m;
@@ -189,27 +183,26 @@ let default_wrap f = f ()
    will fall back to the inline path gets size-1 chunking: splitting
    it per the pool width would multiply any per-chunk setup cost for
    workers that never see the job. *)
-let chunk_len_for t ?chunk ~eager n =
+let chunk_len_for t ?chunk n =
   match chunk with
   | Some c ->
     if c < 1 then invalid_arg "Pool: chunk must be >= 1";
     c
   | None ->
-    let width = if n < t.sequential_below && not eager then 1 else t.size in
+    let width = if n < t.sequential_below then 1 else t.size in
     max 1 (n / (8 * width))
 
-let parallel_for t ?chunk ?(eager = false) ?(wrap = default_wrap) ~n body =
+let parallel_for t ?chunk ?(wrap = default_wrap) ~n body =
   if n < 0 then invalid_arg "Pool.parallel_for: n must be >= 0";
   if n = 0 then ()
   else begin
-    let chunk_len = chunk_len_for t ?chunk ~eager n in
+    let chunk_len = chunk_len_for t ?chunk n in
     let nchunks = (n + chunk_len - 1) / chunk_len in
     run t
       {
         n;
         chunk_len;
         nchunks;
-        eager;
         next = Atomic.make 0;
         body;
         wrap;
@@ -218,11 +211,11 @@ let parallel_for t ?chunk ?(eager = false) ?(wrap = default_wrap) ~n body =
       }
   end
 
-let map_chunks t ?chunk ?(eager = false) ?(wrap = default_wrap) ~n f =
+let map_chunks t ?chunk ?(wrap = default_wrap) ~n f =
   if n < 0 then invalid_arg "Pool.map_chunks: n must be >= 0";
   if n = 0 then [||]
   else begin
-    let chunk_len = chunk_len_for t ?chunk ~eager n in
+    let chunk_len = chunk_len_for t ?chunk n in
     let nchunks = (n + chunk_len - 1) / chunk_len in
     let slots = Array.make nchunks None in
     let body lo hi = slots.(lo / chunk_len) <- Some (f lo hi) in
@@ -231,7 +224,6 @@ let map_chunks t ?chunk ?(eager = false) ?(wrap = default_wrap) ~n f =
         n;
         chunk_len;
         nchunks;
-        eager;
         next = Atomic.make 0;
         body;
         wrap;
@@ -245,5 +237,5 @@ let map_chunks t ?chunk ?(eager = false) ?(wrap = default_wrap) ~n f =
       slots
   end
 
-let fold_chunks t ?chunk ?eager ?wrap ~n ~init ~merge f =
-  Array.fold_left merge init (map_chunks t ?chunk ?eager ?wrap ~n f)
+let fold_chunks t ?chunk ?wrap ~n ~init ~merge f =
+  Array.fold_left merge init (map_chunks t ?chunk ?wrap ~n f)

@@ -77,14 +77,10 @@ val shutdown : t -> unit
     exception). *)
 val with_pool : ?sequential_below:int -> int -> (t -> 'a) -> 'a
 
-(** [parallel_for t ?chunk ?eager ?wrap ~n f] calls [f lo hi] for
+(** [parallel_for t ?chunk ?wrap ~n f] calls [f lo hi] for
     contiguous chunks [lo, hi) covering [0 .. n-1] exactly once,
     distributed over the pool by work stealing.  [chunk] is the chunk
-    length (default: a fraction of [n / size], at least 1).  [eager]
-    (default false) skips the [sequential_below] inline fallback:
-    fan-outs with few items but huge per-item work (one flow
-    subproblem per item) engage the workers no matter how small [n]
-    is.  [wrap] runs once around each domain's participation — every
+    length (default: a fraction of [n / size], at least 1).  [wrap] runs once around each domain's participation — every
     domain participates in every job, even when it claims no chunks —
     which is where callers attach per-domain observability spans.  An
     exception from [f] is re-raised in the caller after the job drains
@@ -92,32 +88,29 @@ val with_pool : ?sequential_below:int -> int -> (t -> 'a) -> 'a
 val parallel_for :
   t ->
   ?chunk:int ->
-  ?eager:bool ->
   ?wrap:((unit -> unit) -> unit) ->
   n:int ->
   (int -> int -> unit) ->
   unit
 
-(** [map_chunks t ?chunk ?eager ?wrap ~n f] is {!parallel_for} with
+(** [map_chunks t ?chunk ?wrap ~n f] is {!parallel_for} with
     one result per chunk, returned in chunk-index order (i.e.
     ascending [lo]) regardless of which domain computed which chunk. *)
 val map_chunks :
   t ->
   ?chunk:int ->
-  ?eager:bool ->
   ?wrap:((unit -> unit) -> unit) ->
   n:int ->
   (int -> int -> 'a) ->
   'a array
 
-(** [fold_chunks t ?chunk ?eager ?wrap ~n ~init ~merge f] folds the
+(** [fold_chunks t ?chunk ?wrap ~n ~init ~merge f] folds the
     {!map_chunks} results left-to-right in chunk order:
     [merge (… (merge init r0) …) rk].  Deterministic reduction even
     for non-commutative [merge]. *)
 val fold_chunks :
   t ->
   ?chunk:int ->
-  ?eager:bool ->
   ?wrap:((unit -> unit) -> unit) ->
   n:int ->
   init:'b ->

@@ -113,8 +113,7 @@ let run ?pool ?(prunings = all_prunings) ?family ?decomp g psi =
        upper bound lies strictly below the running best can hold
        neither a denser set nor a tie; the strict [beats] keeps the
        first component to reach the optimum. *)
-    let bv, bc = !best in
-    let num = bc and den = Array.length bv in
+    let start = !best in
     let shrink comp k =
       Array.of_list
         (List.filter
@@ -157,9 +156,9 @@ let run ?pool ?(prunings = all_prunings) ?family ?decomp g psi =
             end
           in
           let first = arena_on !comp in
-          let found, secs =
+          let (side, c), secs =
             Dsd_util.Timer.time (fun () ->
-                Parametric.dinkelbach ~restrict first ~num ~den)
+                Parametric.dinkelbach ~restrict first start)
           in
           flow_s := !flow_s +. secs;
           List.iter
@@ -170,9 +169,7 @@ let run ?pool ?(prunings = all_prunings) ?family ?decomp g psi =
                 network_nodes := Parametric.nodes a :: !network_nodes
               done)
             (List.rev !arenas);
-          match found with
-          | Some (c, side) when beats c side -> best := (side, c)
-          | _ -> ()
+          if beats c side then best := (side, c)
         end)
       comps;
     Dsd_obs.Counter.add Dsd_obs.Counter.Core_iterations !iterations;

@@ -29,11 +29,9 @@ let run ?pool ?family ?instances ?prepared g psi =
   let best =
     if n = 0 || mu = 0 then Density.empty
     else
-      (* Algorithm 1 as one exact search from rho(V) = mu / n: V itself
-         is the answer when no side beats it. *)
-      match Parametric.dinkelbach arena ~num:mu ~den:n with
-      | Some (c, side) -> Density.of_count side c
-      | None -> Density.of_count (Array.init n Fun.id) mu
+      (* Algorithm 1 as one exact search from V itself. *)
+      let side, c = Parametric.dinkelbach arena (Array.init n Fun.id, mu) in
+      Density.of_count side c
   in
   let iterations = Parametric.probes arena in
   Dsd_obs.Counter.add Dsd_obs.Counter.Core_iterations iterations;

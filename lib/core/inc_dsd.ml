@@ -20,11 +20,11 @@ module Counter = Dsd_obs.Counter
    conservation at every internal node — feasibility, not optimality,
    which the next probe's augmentations restore.
 
-   Queries run the float bisection Exact ran before its exact search
-   (kept as Dsd_check.Oracle.reference_cds) — bounds [0, max live
-   instance-degree], stopping gap, probe decision (is the min-cut
-   source side empty?) — because the flow must stay warm across
-   deltas, and a session which has
+   Queries run the float bisection of Dsd_check.Oracle.reference_cds
+   — bounds [0, max live instance-degree], stopping gap, probe
+   decision (is the min-cut source side empty?) — rather than the
+   exact search, whose cold probes would reset the flow that must stay
+   warm across deltas; and a session which has
    answered before warm-brackets the search around its previous
    optimum (gallop out from [last_opt], then bisect), collapsing the
    probe count to a handful when a delta batch barely moved the

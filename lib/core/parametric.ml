@@ -132,18 +132,17 @@ let count a side =
   Array.iter (fun v -> a.inside.(v) <- false) side;
   c
 
-let dinkelbach ?(restrict = fun ~num:_ ~den:_ -> None) a ~num ~den =
-  let rec go a num den best =
-    let side = probe_local a ~num ~den in
-    let c = count a side and s = Array.length side in
-    if c * den > num * s then
+let dinkelbach ?(restrict = fun ~num:_ ~den:_ -> None) a witness =
+  let rec go a ((s, c) as best) =
+    let side = probe_local a ~num:c ~den:(Array.length s) in
+    let c' = count a side and den = Array.length side in
+    if c' * Array.length s > c * den then
       go
-        (Option.value (restrict ~num:c ~den:s) ~default:a)
-        c s
-        (Some (c, lift a side))
+        (Option.value (restrict ~num:c' ~den) ~default:a)
+        (lift a side, c')
     else best
   in
-  go a num den None
+  go a witness
 
 let probes a = a.probes
 

@@ -57,17 +57,18 @@ val total : arena -> int
     finite capacities sum to 2^53 or more. *)
 val probe_rational : arena -> num:int -> den:int -> int array
 
-(** [dinkelbach a ~num ~den] runs the exact search from the exclusive
-    lower bound num/den and returns the last accepted [(c(S'), S')], or
-    [None] when no side beats num/den.  c(S') is counted from the
-    arena's instance list (from G[S']'s edges for [Eds]), so the search
-    enumerates nothing.  [?restrict] is called after every accept with
-    the new pair and may return a fresh arena over a smaller vertex set
-    that still holds every denser set (CoreExact's Optimisation 3); the
-    search continues there. *)
+(** [dinkelbach a (s, c)] runs the exact search from the witness [s]
+    (non-empty, with instance count [c]), whose density c/|S| is an
+    exclusive lower bound, and returns the last accepted side with its
+    instance count, or [(s, c)] when no side beats it.  c(S') is
+    counted from the arena's instance list (from G[S']'s edges for
+    [Eds]), so the search enumerates nothing.  [?restrict] is called
+    after every accept with the new pair and may return a fresh arena
+    over a smaller vertex set that still holds every denser set
+    (CoreExact's Optimisation 3); the search continues there. *)
 val dinkelbach :
   ?restrict:(num:int -> den:int -> arena option) ->
-  arena -> num:int -> den:int -> (int * int array) option
+  arena -> int array * int -> int array * int
 
 (** Probes this arena has taken. *)
 val probes : arena -> int

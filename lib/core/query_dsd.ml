@@ -20,19 +20,13 @@ let validate g query =
    c(S) - alpha |S| over S containing the query, so the last side that
    beats its probe is the maximal densest such set.  Pinned arcs are
    alpha-independent, so the network is built once. *)
-let search ?pool g psi ~query ~candidates (witness, c) =
+let search ?pool g psi ~query ~candidates witness =
   let arena =
     Parametric.arena ?pool ~within:candidates ~pinned:query
       (Parametric.pinned_family psi) g psi
   in
-  let best =
-    match
-      Parametric.dinkelbach arena ~num:c ~den:(Array.length witness)
-    with
-    | Some (c, side) -> Density.of_count side c
-    | None -> Density.of_count witness c
-  in
-  (best, Parametric.probes arena)
+  let side, c = Parametric.dinkelbach arena witness in
+  (Density.of_count side c, Parametric.probes arena)
 
 let timed f =
   let t0 = Dsd_util.Timer.now_s () in

@@ -47,16 +47,12 @@ let round ?pool ~prune ~decomp g psi rest ~iterations =
     let arena =
       Parametric.arena ?pool ~within:set (Parametric.pinned_family psi) g psi
     in
-    let c = Parametric.total arena in
-    if c = 0 then None
+    let total = Parametric.total arena in
+    if total = 0 then None
     else begin
-      let region =
-        match Parametric.dinkelbach arena ~num:c ~den:(Array.length set) with
-        | Some (c, side) -> Density.of_count side c
-        | None -> Density.of_count set c
-      in
+      let side, c = Parametric.dinkelbach arena (set, total) in
       iterations := !iterations + Parametric.probes arena;
-      Some region
+      Some (Density.of_count side c)
     end
 
 let run ?pool ?(prune = true) ?decomp ~k g psi =

@@ -1,10 +1,10 @@
 (* Determinism battery for the bucket-free parallel peel and the
-   domain-striped flow probes: at every pool width — including widths
-   far beyond this machine's cores — every solver built on the shared
-   round-synchronous engine must reproduce the sequential run
-   bit-for-bit.  [~sequential_below:0] strips the pool's inline
-   fallback so even these small fixtures exercise the real worker
-   fan-out, chunk claiming and merge paths. *)
+   pool-striped phases under the exact solvers: at every pool width —
+   including widths far beyond this machine's cores — every solver
+   built on the shared round-synchronous engine must reproduce the
+   sequential run bit-for-bit.  [~sequential_below:0] strips the
+   pool's inline fallback so even these small fixtures exercise the
+   real worker fan-out, chunk claiming and merge paths. *)
 
 module G = Dsd_graph.Graph
 module P = Dsd_pattern.Pattern
@@ -86,11 +86,12 @@ let test_greedy_pp_differential () =
       patterns
   done
 
-(* ---- striped CoreExact probes ---- *)
+(* ---- CoreExact over pool-striped phases ---- *)
 
 (* Disjoint unions of random blobs give the candidate core several
-   components, so the striped per-component binary searches (and the
-   shared atomic bound's strict skip) actually engage. *)
+   components, so the per-component searches (each enumerating and
+   building its network on the pool) and the running-best skip
+   actually engage. *)
 let multi_component_graph seed =
   let a = Helpers.random_graph ~seed:(400 + seed) ~max_n:14 ~max_m:40 () in
   let b = Helpers.random_graph ~seed:(430 + seed) ~max_n:14 ~max_m:40 () in
@@ -122,8 +123,8 @@ let test_core_exact_striped_differential () =
 (* ---- qcheck: Topk_lds is pool-invariant ---- *)
 
 (* Regions (vertex sets AND densities, in extraction order) must be
-   bit-identical whatever the pool: the striped component solves only
-   skip work the merge could never use. *)
+   bit-identical whatever the pool drives: the decomposition, the
+   enumeration and the network build of every round. *)
 let topk_pool_invariant =
   Helpers.qtest ~count:40 "topk invariant under striped pools"
     (Helpers.small_graph_arb ~max_n:14 ~max_m:40 ())

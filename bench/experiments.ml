@@ -478,7 +478,7 @@ let fig21 () =
 (* ---- Section 6.3: query-vertex CDS variant ---- *)
 
 let sec63 () =
-  H.section "Section 6.3 — query-vertex CDS: core-located vs naive binary search";
+  H.section "Section 6.3 — query-vertex CDS: core-located vs naive search";
   List.iter
     (fun name ->
       let g = dataset name in

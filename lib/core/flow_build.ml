@@ -10,11 +10,11 @@ type t = {
   node_count : int;
 }
 
-(* The binary searches of Algorithms 1/4/8 change only the
-   alpha-dependent arc class between iterations (Goldberg's parametric
-   observation), so each constructor records those arcs together with
-   their capacity law cap(alpha) = max(base + coef * alpha, 0) and
-   [retarget] re-points the same arena at a new alpha in O(V). *)
+(* The probes of a parametric search change only the alpha-dependent
+   arc class (Goldberg's parametric observation), so each constructor
+   records those arcs together with their capacity law
+   cap(alpha) = max(base + coef * alpha, 0) and [retarget] re-points
+   the same arena at a new alpha in O(V). *)
 type prepared = {
   network : t;
   alpha_arcs : int array;

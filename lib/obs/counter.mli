@@ -8,7 +8,7 @@ type name =
   | Flow_level_builds   (** Dinic level-graph rebuilds; Edmonds-Karp BFS passes *)
   | Peeled_vertices     (** vertices removed by core-decomposition peeling *)
   | Clique_instances    (** h-cliques / pattern instances enumerated *)
-  | Core_iterations     (** binary-search min-cut probes / CoreApp rounds *)
+  | Core_iterations     (** Exact/CoreExact/Inc_dsd min-cut probes / CoreApp rounds *)
   | Flow_networks_built (** flow-network arenas constructed from scratch *)
   | Flow_retargets      (** prepared networks re-capacitated for a new alpha *)
   | Flow_warm_starts    (** retargets that kept the committed flow (no reset) *)
@@ -25,7 +25,9 @@ type name =
   | Delta_instances_retired (** pattern instances retired from a live arena *)
   | Delta_arena_rebuilds  (** incremental arenas compacted/rebuilt from scratch *)
   | Topk_rounds           (** extraction rounds run by the top-k LDS solver *)
-  | Topk_components_pruned (** candidate components skipped by the core bound *)
+  | Topk_components_pruned (** always 0: a top-k round searches one
+                               network and skips no component; kept for
+                               the benchmark's schema *)
   | Topk_regions          (** disjoint locally-densest regions returned *)
   | Pool_jobs             (** parallel fan-outs run by the domain pool *)
   | Pool_chunks           (** work chunks dispatched across all pool jobs *)

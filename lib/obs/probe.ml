@@ -1,4 +1,4 @@
-(* Per-probe deltas: each min-cut probe of a binary search records how
+(* Per-probe deltas: each min-cut probe of a search records how
    many augmenting paths it needed, so warm starts show up as shrinking
    per-probe work rather than just a smaller grand total.  Appends are
    mutex-protected (probes may run on pool domains); everything is a

@@ -1,10 +1,11 @@
 (** Per-probe augmenting-path deltas.
 
-    A "probe" is one min-cut solve inside a binary search over the
+    A "probe" is one min-cut solve inside a parametric search over the
     density guess α.  {!record} is called by [Flow_build.solve] with the
     number of augmenting paths that probe consumed; warm-started
-    retargets keep the committed flow, so their deltas shrink towards
-    zero as the search converges.  No-ops while recording is disabled
+    retargets (Inc_dsd) keep the committed flow, so their deltas shrink
+    towards zero as the search converges, while the exact solvers'
+    cold probes each pay their whole flow.  No-ops while recording is disabled
     (see {!Control.enable}). *)
 
 (** [record d] appends one probe's augmenting-path count. *)

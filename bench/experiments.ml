@@ -1467,10 +1467,9 @@ let incremental () =
    dense block, so the pruned search runs on a small network while the
    unpruned mode pays full-graph min cuts every probe, and the pruned
    mode pays a core decomposition per round instead.  Both modes run in
-   the same forked child, timed as the median of interleaved
-   repetitions, and their regions are compared bitwise; the JSON is
-   gated by bench/compare.ml (zero mismatches, pruned no slower than
-   unpruned). *)
+   the same forked child and their regions are compared bitwise; the
+   JSON is gated by bench/compare.ml (zero mismatches, pruned no slower
+   than unpruned). *)
 let topk () =
   let smoke = !H.smoke in
   H.section
@@ -1501,24 +1500,12 @@ let topk () =
         let n = G.n g in
         let cell =
           H.run_cell ~timeout:(8. *. !H.default_timeout) (fun () ->
-              (* A forked cell starts on a copy-on-write heap, so the
-                 first call pays page faults the second does not: one
-                 untimed run of each mode first, then the median of
-                 [reps] interleaved repetitions per mode. *)
-              let pruned () = Dsd_core.Topk_lds.run ~k g psi in
-              let unpruned () = Dsd_core.Topk_lds.run ~prune:false ~k g psi in
-              let rp = pruned () and ru = unpruned () in
-              let reps = 5 in
-              let sp = Array.make reps 0. and su = Array.make reps 0. in
-              for i = 0 to reps - 1 do
-                sp.(i) <- snd (H.timed pruned);
-                su.(i) <- snd (H.timed unpruned)
-              done;
-              let median a =
-                Array.sort compare a;
-                a.(reps / 2)
+              let rp, tp =
+                H.timed (fun () -> Dsd_core.Topk_lds.run ~k g psi)
               in
-              let tp = median sp and tu = median su in
+              let ru, tu =
+                H.timed (fun () -> Dsd_core.Topk_lds.run ~prune:false ~k g psi)
+              in
               let mismatches =
                 if
                   List.length rp.Dsd_core.Topk_lds.regions

@@ -20,7 +20,10 @@ val algorithm_name : algorithm -> string
     [?pool] runs the parallel phases — enumeration, core
     decomposition, flow-network construction — on a shared domain pool
     ({!Dsd_util.Pool}); results are bit-identical to the sequential
-    path for every pool size. *)
+    path for every pool size.
+
+    @raise Invalid_argument when an exact algorithm's scaled network
+    passes {!Exact}'s size limit. *)
 val densest_subgraph :
   ?pool:Dsd_util.Pool.t ->
   ?psi:Dsd_pattern.Pattern.t ->

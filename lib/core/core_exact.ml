@@ -19,8 +19,6 @@ type result = {
   stats : stats;
 }
 
-let ceil_div num den = (num + den - 1) / den
-
 let run ?pool ?(prunings = all_prunings) ?family ?decomp g psi =
   Dsd_obs.Span.with_ Dsd_obs.Phase.core_exact @@ fun () ->
   let t0 = Dsd_util.Timer.now_s () in
@@ -82,7 +80,7 @@ let run ?pool ?(prunings = all_prunings) ?family ?decomp g psi =
     in
     let ceil_best () =
       let bv, bc = !best in
-      ceil_div bc (Array.length bv)
+      Density.ceil_ratio bc (Array.length bv)
     in
     let components k =
       let core_graph, core_map =
@@ -141,7 +139,7 @@ let run ?pool ?(prunings = all_prunings) ?family ?decomp g psi =
              network. *)
           let comp = ref comp and level = ref level in
           let restrict ~num ~den =
-            let k = ceil_div num den in
+            let k = Density.ceil_ratio num den in
             if k <= !level then None
             else begin
               level := k;

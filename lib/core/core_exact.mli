@@ -58,7 +58,10 @@ type result = {
     ~track_density:true], or any decomposition when Pruning1 is off or
     the graph has no instances); otherwise it is recomputed, so results
     are bit-identical with or without the hook.  [stats.decompose_s] is
-    0 when the cached decomposition is used. *)
+    0 when the cached decomposition is used.
+
+    @raise Invalid_argument when a component's scaled network passes
+    {!Exact}'s size limit. *)
 val run :
   ?pool:Dsd_util.Pool.t ->
   ?prunings:prunings ->

@@ -16,6 +16,8 @@ let of_count vertices c =
     { vertices;
       density = float_of_int c /. float_of_int (Array.length vertices) }
 
+let ceil_ratio c n = (c + n - 1) / n
+
 let count g psi vs = Enumerate.count (fst (G.induced g vs)) psi
 
 let of_vertices g psi vs =

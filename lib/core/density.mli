@@ -20,6 +20,11 @@ val count : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> int array -> int
     int division [c / |vs|], so equal rationals give equal bits. *)
 val of_count : int array -> int -> subgraph
 
+(** [ceil_ratio c n] is ceil(c / n) for [c >= 0] and [n > 0], in
+    integers: the lowest core level that still holds every set at
+    least as dense as c / n. *)
+val ceil_ratio : int -> int -> int
+
 (** [of_vertices g psi vs] evaluates the Psi-density of the subgraph of
     [g] induced by [vs] and packages it with [vs] sorted and duplicates
     dropped. *)

@@ -13,10 +13,14 @@
     Size limit: every probe scales the capacities by its denominator
     |S| <= n, and {!Parametric.probe_rational} refuses a network whose
     scaled capacities sum to 2^53 or more.  The instance networks sum
-    to about h * mu(G) * |S|; Goldberg's edge-density network ([Eds],
-    the default for the edge pattern) to about 2 * n * m * |S|, so
-    edge-density Exact raises [Invalid_argument] from roughly 10^5
-    vertices at average degree 10. *)
+    to about 2h * mu(G) * |S| + h * n * c at a witness with c
+    instances.  Goldberg's edge-density network ([Eds], the default
+    for the edge pattern) sums to about 2 * n * m * |S|; where that
+    could reach 2^53 (from roughly 10^5 vertices at average degree 10)
+    {!Parametric.arena} builds the h = 2 instance network instead,
+    which cuts out the same sides.  Edge-density Exact therefore raises
+    [Invalid_argument] only from roughly 1.7 * 10^7 vertices at average
+    degree 10. *)
 
 type stats = {
   iterations : int;        (** exact min-cut probes *)

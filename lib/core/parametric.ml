@@ -21,6 +21,11 @@ type arena = {
   mutable probes : int;
 }
 
+let pinned_family (psi : P.t) =
+  match psi.kind with
+  | P.Clique -> Flow_build.Clique_flow
+  | P.Star _ | P.Cycle4 | P.Generic -> Flow_build.Pds_grouped
+
 let arena ?pool ?within ?pinned ?instances ?(slot = ref None) family g psi =
   let graph, map =
     match within with
@@ -39,6 +44,22 @@ let arena ?pool ?within ?pinned ?instances ?(slot = ref None) family g psi =
         invalid_arg "Parametric.arena: a pinned vertex lies outside [within]";
       Some pins
     | _ -> pinned
+  in
+  (* Goldberg's network sums its scaled capacities to
+     2 n' m' den + 2 n' num over G[within] (n' vertices, m' edges), and
+     a witness of g has den <= n and num <= m.  Where that can reach
+     2^53 the instance network takes its place: its minimal min cut has
+     the same vertex side, and it sums to about 4 m' den + 2 n' num.
+     Either way the Eds family ignores caller instances. *)
+  let family, instances =
+    match family with
+    | Flow_build.Eds ->
+      let f = float_of_int in
+      let sum =
+        2. *. f (G.n graph) *. ((f (G.m graph) *. f (G.n g)) +. f (G.m g))
+      in
+      ((if sum < 0x1p53 then family else pinned_family psi), None)
+    | _ -> (family, instances)
   in
   let eds = family = Flow_build.Eds in
   let instances =
@@ -159,8 +180,3 @@ let bisect ~gap ~l ~u decide =
     | Some l' -> l := l'
     | None -> u := alpha
   done
-
-let pinned_family (psi : P.t) =
-  match psi.kind with
-  | P.Clique -> Flow_build.Clique_flow
-  | P.Star _ | P.Cycle4 | P.Generic -> Flow_build.Pds_grouped

@@ -32,7 +32,12 @@ type arena
     vertices of [within] are forced onto the source side of every cut.
     A filled [?slot] is re-capacitated instead of rebuilt, and an empty
     one is filled by the first probe; it must have been filled for the
-    same [g], [within], [psi] and [family]. *)
+    same [g], [within], [psi] and [family].
+
+    Where the [Eds] network's scaled capacities could reach 2^53 (about
+    2·n'·m'·n over G[within], since a witness of [g] has up to n
+    vertices), the arena builds {!pinned_family}'s network instead: its
+    minimal min cut has the same vertex side. *)
 val arena :
   ?pool:Dsd_util.Pool.t ->
   ?within:int array ->
@@ -87,5 +92,5 @@ val bisect :
 (** The instance network family: the generic clique or grouped pattern
     network.  Pinned searches need it (the h = 2 Goldberg construction
     has no pinning analysis); its scaled capacities sum to about
-    h·mu·den, against 2·n·m·den in Goldberg's. *)
+    2h·mu·den + h·n·num, against 2·n·m·den in Goldberg's. *)
 val pinned_family : Dsd_pattern.Pattern.t -> Flow_build.family

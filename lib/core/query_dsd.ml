@@ -14,17 +14,17 @@ let validate g query =
       if q < 0 || q >= G.n g then invalid_arg "Query_dsd: query vertex out of range")
     query
 
-(* The exact search with the query vertices pinned to the source side,
-   over G[candidates], from the witness [(vertices, c)] (which must
-   contain the query and lie in [candidates]).  The min cut maximises
-   c(S) - alpha |S| over S containing the query, so the last side that
-   beats its probe is the maximal densest such set.  Pinned arcs are
-   alpha-independent, so the network is built once. *)
-let search ?pool g psi ~query ~candidates witness =
-  let arena =
-    Parametric.arena ?pool ~within:candidates ~pinned:query
-      (Parametric.pinned_family psi) g psi
-  in
+(* The pinned arena over G[within] (default all of g): the min cut
+   maximises c(S) - alpha |S| over S containing the query.  Pinned arcs
+   are alpha-independent, so the network is built once. *)
+let arena ?pool ?within g psi ~query =
+  Parametric.arena ?pool ?within ~pinned:query (Parametric.pinned_family psi)
+    g psi
+
+(* The exact search from the witness [(vertices, c)], which must contain
+   the query and lie in the arena: the last side that beats its probe
+   is the maximal densest set containing the query. *)
+let search arena witness =
   let side, c = Parametric.dinkelbach arena witness in
   (Density.of_count side c, Parametric.probes arena)
 
@@ -36,10 +36,10 @@ let timed f =
 let run_naive ?pool g psi ~query =
   validate g query;
   timed @@ fun () ->
-  let everything = Array.init (G.n g) Fun.id in
-  let mu = Enumerate.count ?pool g psi in
+  let a = arena ?pool g psi ~query in
+  let mu = Parametric.total a in
   if mu = 0 then (Density.of_vertices g psi query, 0)
-  else search ?pool g psi ~query ~candidates:everything (everything, mu)
+  else search a (Array.init (G.n g) Fun.id, mu)
 
 let run ?pool ?decomp g psi ~query =
   validate g query;
@@ -69,7 +69,7 @@ let run ?pool ?decomp g psi ~query =
        non-query vertices have at least ceil(rho_opt) instances inside
        S, and Q survives any peeling up to level x. *)
     let n_x = Array.length x_core in
-    let k_loc = min x ((c + n_x - 1) / n_x) in
-    let candidates = Clique_core.core_vertices decomp ~k:k_loc in
-    search ?pool g psi ~query ~candidates (x_core, c)
+    let k_loc = min x (Density.ceil_ratio c n_x) in
+    let within = Clique_core.core_vertices decomp ~k:k_loc in
+    search (arena ?pool ~within g psi ~query) (x_core, c)
   end

@@ -31,8 +31,7 @@ let candidates ?pool ~prune ~decomp g psi rest =
     if d.Clique_core.mu_total = 0 then None
     else begin
       let size = Array.length d.Clique_core.order - d.Clique_core.best_residual_start in
-      let rho_ceil = (d.Clique_core.best_residual_count + size - 1) / size in
-      let k = min d.Clique_core.kmax (max 1 rho_ceil) in
+      let k = max 1 (Density.ceil_ratio d.Clique_core.best_residual_count size) in
       Some (Array.map (Array.get map_r) (Clique_core.core_vertices d ~k))
     end
   end

@@ -149,6 +149,27 @@ let test_stats_populated () =
     s.Dsd_core.Core_exact.iterations
     (List.length s.Dsd_core.Core_exact.network_nodes)
 
+(* Goldberg's network scaled by |S| would pass 2^53 on this padded
+   graph (2 n m n is about 1.4e16), so the search builds the instance
+   network instead (n + 2 nodes plus one per non-isolated vertex) and
+   answers exactly as on the block alone. *)
+let test_large_edge_network () =
+  let block = Dsd_data.Gen.barabasi_albert ~seed:3 ~n:4_000 ~attach:20 in
+  let g = Dsd_data.Gen.disjoint_union block (G.empty 296_000) in
+  let small = Dsd_core.Exact.run block P.edge in
+  let large = Dsd_core.Exact.run g P.edge in
+  let check name (r : D.subgraph) =
+    Alcotest.(check bool) (name ^ " density") true
+      (same small.Dsd_core.Exact.subgraph.D.density r.D.density);
+    Alcotest.(check (array int)) (name ^ " vertices")
+      small.Dsd_core.Exact.subgraph.D.vertices r.D.vertices
+  in
+  check "exact" large.Dsd_core.Exact.subgraph;
+  Alcotest.(check bool) "instance network" true
+    (large.Dsd_core.Exact.stats.last_network_nodes > G.n g + 2);
+  check "api"
+    (Dsd_core.Api.densest_subgraph ~algorithm:Dsd_core.Api.Exact_flow g)
+
 let patterns_for_exact =
   [ ("edge", P.edge); ("triangle", P.triangle); ("4-clique", P.clique 4) ]
 
@@ -162,6 +183,7 @@ let suite =
     Alcotest.test_case "exact = core-exact (medium)" `Slow test_exact_equals_core_exact_medium;
     Alcotest.test_case "networks shrink + planted clique" `Slow test_core_exact_network_shrinks;
     Alcotest.test_case "stats populated" `Quick test_stats_populated;
+    Alcotest.test_case "edge network past 2^53" `Slow test_large_edge_network;
     Helpers.qtest ~count:40 "eds net = clique net (h=2)"
       (Helpers.small_graph_arb ~max_n:12 ~max_m:30 ())
       eds_network_vs_clique_network_prop;

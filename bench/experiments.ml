@@ -820,7 +820,7 @@ let micro () =
           (Staged.stage (fun () ->
                let p =
                  Dsd_core.Flow_build.prepare Dsd_core.Flow_build.Eds gc P.edge
-                   ~instances:[||] ~alpha:2.0
+                   ~instances:(Dsd_clique.Instances.empty ~arity:2) ~alpha:2.0
                in
                ignore (Dsd_core.Flow_build.solve p.network)));
       ]

@@ -17,6 +17,55 @@ let density_of_subset g psi vs =
     float_of_int (slow_count sub psi) /. float_of_int (Array.length vs)
   end
 
+(* kClist's listing as it was before it went flat: degeneracy rank, one
+   out-neighbour row per vertex, a fresh array from every merge, and
+   each clique sorted by Array.sort.  The instance order (by root id,
+   then by candidate id at each depth) is what fixes instance ids, so
+   the flat lister must reproduce it instance for instance. *)
+let reference_clique_instances g ~h =
+  let rank = (Dsd_graph.Degeneracy.compute g).Dsd_graph.Degeneracy.rank in
+  let n = G.n g in
+  let out =
+    Array.init n (fun v ->
+        Array.of_list
+          (List.filter
+             (fun w -> rank.(w) > rank.(v))
+             (Array.to_list (G.neighbors g v))))
+  in
+  let intersect a b =
+    let acc = ref [] and i = ref 0 and j = ref 0 in
+    while !i < Array.length a && !j < Array.length b do
+      let x = a.(!i) and y = b.(!j) in
+      if x = y then begin
+        acc := x :: !acc;
+        incr i;
+        incr j
+      end
+      else if x < y then incr i
+      else incr j
+    done;
+    Array.of_list (List.rev !acc)
+  in
+  Dsd_clique.Instances.build ~arity:h (fun add ->
+      let buf = Array.make h 0 in
+      let emit () =
+        let inst = Array.copy buf in
+        Array.sort compare inst;
+        add inst
+      in
+      let rec extend depth cand =
+        Array.iter
+          (fun u ->
+            buf.(depth) <- u;
+            if depth = h - 1 then emit ()
+            else extend (depth + 1) (intersect cand out.(u)))
+          cand
+      in
+      for v = 0 to n - 1 do
+        buf.(0) <- v;
+        if h = 1 then emit () else extend 1 out.(v)
+      done)
+
 (* Exhaustive densest subgraph over all non-empty vertex subsets.
    Only for n <= ~14. *)
 let brute_force_densest g psi =
@@ -115,9 +164,10 @@ let brute_force_ld_decomposition g psi =
       | P.Clique -> Dsd_clique.Naive.list g ~h:psi.P.size
       | _ -> Dsd_pattern.Match.instances g psi
     in
-    Array.map
-      (fun inst -> Array.fold_left (fun m v -> m lor (1 lsl v)) 0 inst)
-      insts
+    Array.init insts.Dsd_clique.Instances.count (fun i ->
+        Array.fold_left
+          (fun m v -> m lor (1 lsl v))
+          0 (Dsd_clique.Instances.get insts i))
   in
   let mu_of mask =
     Array.fold_left
@@ -205,14 +255,14 @@ let reference_cds g psi =
   let family = FB.auto_family psi in
   let instances =
     match family with
-    | FB.Eds -> [||]
+    | FB.Eds -> Dsd_clique.Instances.empty ~arity:2
     | _ -> Dsd_core.Enumerate.instances g psi
   in
   let mu, max_deg =
     match family with
     | FB.Eds -> (G.m g, G.max_degree g)
     | _ ->
-      ( Array.length instances,
+      ( instances.count,
         Array.fold_left max 0 (FB.instance_degrees n instances) )
   in
   if n = 0 || mu = 0 then (D.empty, 0)
@@ -300,9 +350,12 @@ let reference_ld_decomposition g psi =
   in
   let count set =
     let m = mask set in
-    Array.fold_left
-      (fun c inst -> if Array.for_all (Array.get m) inst then c + 1 else c)
-      0 instances
+    let c = ref 0 in
+    for i = 0 to instances.count - 1 do
+      if Array.for_all (Array.get m) (Dsd_clique.Instances.get instances i)
+      then incr c
+    done;
+    !c
   in
   let gap = Dsd_core.Density.stop_gap n in
   let probes = ref 0 in
@@ -365,9 +418,7 @@ let survivors g psi k =
       | _ -> Dsd_pattern.Match.instances sub psi
     in
     let deg = Array.make (G.n sub) 0 in
-    Array.iter
-      (fun inst -> Array.iter (fun v -> deg.(v) <- deg.(v) + 1) inst)
-      insts;
+    Array.iter (fun v -> deg.(v) <- deg.(v) + 1) insts.Dsd_clique.Instances.members;
     Array.iteri
       (fun i d ->
         if d < k && alive.(map.(i)) then begin

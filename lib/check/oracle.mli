@@ -11,6 +11,17 @@
     (naive clique enumeration for clique patterns). *)
 val slow_count : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> int
 
+(** [reference_clique_instances g ~h] lists the h-cliques of [g] the
+    way kClist did before its listing went flat: degeneracy rank, one
+    out-neighbour row per vertex, an allocating merge per recursion
+    step and [Array.sort] per clique.  It is the reference for the
+    instance order — by root vertex id, then by candidate id at each
+    depth — that [Dsd_core.Enumerate.instances] must reproduce
+    instance for instance, since instance ids fix the peels' posting
+    order and the flow networks' arc order.  [h >= 1]. *)
+val reference_clique_instances :
+  Dsd_graph.Graph.t -> h:int -> Dsd_clique.Instances.t
+
 (** [density_of_subset g psi vs] is the Psi-density of the subgraph of
     [g] induced by [vs]; 0 on the empty set.  For any [vs] this is a
     sound lower bound on rho_opt — the certificate check of

@@ -8,8 +8,8 @@
 type t = {
   n : int;
   total : int;
-  arity : int;                 (* uniform member count; 0 only when total = 0 *)
-  inst_mem : int array;        (* members of instance i at [i*arity, (i+1)*arity) *)
+  arity : int;                 (* uniform member count *)
+  inst_mem : int array;        (* adopted: instance i at [i*arity, (i+1)*arity) *)
   post_off : int array;        (* n + 1 offsets into [post] *)
   post : int array;            (* vertex -> ids of instances containing it *)
   live : Bytes.t;              (* instance -> 1 if live *)
@@ -17,37 +17,32 @@ type t = {
   mutable live_count : int;
 }
 
-let create ~n insts =
-  let total = Array.length insts in
-  let arity = if total = 0 then 0 else Array.length insts.(0) in
+let check_range ~where ~n v =
+  if v < 0 || v >= n then
+    invalid_arg (Printf.sprintf "Instance_store.%s: vertex out of range" where)
+
+let create ~n (insts : Instances.t) =
+  let total = insts.count and arity = insts.arity in
+  let inst_mem = insts.members in
   let counts = Array.make (n + 1) 0 in
   Array.iter
-    (fun inst ->
-      if Array.length inst <> arity then
-        invalid_arg "Instance_store.create: ragged instance arity";
-      Array.iter
-        (fun v ->
-          if v < 0 || v >= n then
-            invalid_arg "Instance_store.create: vertex out of range";
-          counts.(v) <- counts.(v) + 1)
-        inst)
-    insts;
+    (fun v ->
+      check_range ~where:"create" ~n v;
+      counts.(v) <- counts.(v) + 1)
+    inst_mem;
   let post_off = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
     post_off.(v + 1) <- post_off.(v) + counts.(v)
   done;
   let post = Array.make post_off.(n) 0 in
-  let inst_mem = Array.make (total * arity) 0 in
   let fill = Array.sub post_off 0 (max 1 (n + 1)) in
-  Array.iteri
-    (fun i inst ->
-      Array.iteri
-        (fun j v ->
-          inst_mem.((i * arity) + j) <- v;
-          post.(fill.(v)) <- i;
-          fill.(v) <- fill.(v) + 1)
-        inst)
-    insts;
+  for i = 0 to total - 1 do
+    for p = i * arity to ((i + 1) * arity) - 1 do
+      let v = inst_mem.(p) in
+      post.(fill.(v)) <- i;
+      fill.(v) <- fill.(v) + 1
+    done
+  done;
   {
     n;
     total;
@@ -119,18 +114,19 @@ let reset t =
 
 (* Growable variant for the incremental subsystem: instances are
    appended as edge inserts discover them and retired (tombstoned) as
-   deletes destroy them.  Members share one flat growable arena (the
-   static layout above, minus the fixed capacity); postings are
-   append-only vectors that may contain dead ids — consumers filter
-   through [is_live] — and dead slots are never reused, so instance
-   ids are stable for the lifetime of the store (the flow arena keys
-   its per-instance arcs by them). *)
+   deletes destroy them.  Members share one flat stride-[arity] arena
+   (the static layout above, grown by doubling; [create] adopts the
+   initial list's member array and the first append copies it out);
+   postings are append-only vectors that may contain dead ids —
+   consumers filter through [is_live] — and dead slots are never
+   reused, so instance ids are stable for the lifetime of the store
+   (the flow arena keys its per-instance arcs by them). *)
 module Dyn = struct
   type store = {
     n : int;
+    arity : int;
     mutable count : int;
-    off : Dsd_util.Vec.Int.t;            (* count + 1 offsets into [mem] *)
-    mem : Dsd_util.Vec.Int.t;            (* flat member arena *)
+    mutable mem : int array;             (* instance i at [i*arity, (i+1)*arity) *)
     posting : Dsd_util.Vec.Int.t array;  (* vertex -> ids (may be dead) *)
     mutable live : Bytes.t;
     deg : int array;                     (* vertex -> live instance count *)
@@ -141,42 +137,42 @@ module Dyn = struct
   let live_total t = t.live_count
   let is_live t i = i >= 0 && i < t.count && Bytes.get t.live i = '\001'
   let degree t v = t.deg.(v)
-
-  let members t i =
-    let lo = Dsd_util.Vec.Int.get t.off i in
-    let hi = Dsd_util.Vec.Int.get t.off (i + 1) in
-    Array.init (hi - lo) (fun j -> Dsd_util.Vec.Int.get t.mem (lo + j))
+  let members t i = Array.sub t.mem (i * t.arity) t.arity
 
   let iter_members t i ~f =
-    let lo = Dsd_util.Vec.Int.get t.off i in
-    let hi = Dsd_util.Vec.Int.get t.off (i + 1) in
-    for p = lo to hi - 1 do
-      f (Dsd_util.Vec.Int.get t.mem p)
+    for p = i * t.arity to ((i + 1) * t.arity) - 1 do
+      f t.mem.(p)
     done
 
-  let append t ms =
-    Array.iter
-      (fun v ->
-        if v < 0 || v >= t.n then
-          invalid_arg "Instance_store.Dyn.append: vertex out of range")
-      ms;
+  (* Registers instance [t.count], whose members are already in the
+     arena. *)
+  let index t =
     let id = t.count in
     if id >= Bytes.length t.live then begin
       let grown = Bytes.make (max 16 (2 * Bytes.length t.live)) '\000' in
       Bytes.blit t.live 0 grown 0 (Bytes.length t.live);
       t.live <- grown
     end;
-    Array.iter (fun v -> Dsd_util.Vec.Int.push t.mem v) ms;
-    Dsd_util.Vec.Int.push t.off (Dsd_util.Vec.Int.length t.mem);
     Bytes.set t.live id '\001';
-    t.count <- t.count + 1;
+    t.count <- id + 1;
     t.live_count <- t.live_count + 1;
-    Array.iter
-      (fun v ->
+    iter_members t id ~f:(fun v ->
         Dsd_util.Vec.Int.push t.posting.(v) id;
-        t.deg.(v) <- t.deg.(v) + 1)
-      ms;
+        t.deg.(v) <- t.deg.(v) + 1);
     id
+
+  let append t ms =
+    if Array.length ms <> t.arity then
+      invalid_arg "Instance_store.Dyn.append: wrong member count";
+    Array.iter (check_range ~where:"Dyn.append" ~n:t.n) ms;
+    let base = t.count * t.arity in
+    if base + t.arity > Array.length t.mem then begin
+      let grown = Array.make (max (16 * t.arity) (2 * Array.length t.mem)) 0 in
+      Array.blit t.mem 0 grown 0 base;
+      t.mem <- grown
+    end;
+    Array.blit ms 0 t.mem base t.arity;
+    index t
 
   let retire t i =
     if not (is_live t i) then false
@@ -191,19 +187,16 @@ module Dyn = struct
     Dsd_util.Vec.Int.iter (fun i -> if is_live t i then f i) t.posting.(v)
 
   let mem_vertex t i w =
-    let lo = Dsd_util.Vec.Int.get t.off i in
-    let hi = Dsd_util.Vec.Int.get t.off (i + 1) in
-    let rec go p =
-      p < hi && (Dsd_util.Vec.Int.get t.mem p = w || go (p + 1))
-    in
-    go lo
+    let hi = (i + 1) * t.arity in
+    let rec go p = p < hi && (t.mem.(p) = w || go (p + 1)) in
+    go (i * t.arity)
 
   (* Retire every live instance containing both endpoints of a deleted
      edge.  Scans the shorter posting list; membership of the other
      endpoint is a linear probe of the (small, h-sized) member run. *)
   let retire_edge t u v ~f =
-    if u < 0 || u >= t.n || v < 0 || v >= t.n then
-      invalid_arg "Instance_store.Dyn.retire_edge: vertex out of range";
+    check_range ~where:"Dyn.retire_edge" ~n:t.n u;
+    check_range ~where:"Dyn.retire_edge" ~n:t.n v;
     let scan, other =
       if
         Dsd_util.Vec.Int.length t.posting.(u)
@@ -227,29 +220,35 @@ module Dyn = struct
   (* All live instances in id (append) order — the canonical input for
      rebuilding a compacted store or arena. *)
   let live_members t =
-    let acc = ref [] in
-    for i = t.count - 1 downto 0 do
-      if is_live t i then acc := members t i :: !acc
+    let h = t.arity in
+    let out = Array.make (t.live_count * h) 0 in
+    let pos = ref 0 in
+    for i = 0 to t.count - 1 do
+      if is_live t i then begin
+        Array.blit t.mem (i * h) out !pos h;
+        pos := !pos + h
+      end
     done;
-    Array.of_list !acc
+    Instances.of_members ~arity:h out
 
-  let create ~n insts =
-    let off = Dsd_util.Vec.Int.create ~capacity:16 () in
-    Dsd_util.Vec.Int.push off 0;
+  let create ~n (insts : Instances.t) =
+    Array.iter (check_range ~where:"Dyn.create" ~n) insts.members;
     let t =
       {
         n;
+        arity = insts.arity;
         count = 0;
-        off;
-        mem = Dsd_util.Vec.Int.create ~capacity:64 ();
+        mem = insts.members;
         posting =
           Array.init (max 1 n) (fun _ ->
               Dsd_util.Vec.Int.create ~capacity:4 ());
-        live = Bytes.make (max 16 (2 * Array.length insts)) '\000';
+        live = Bytes.make (max 16 (2 * insts.count)) '\000';
         deg = Array.make (max 1 n) 0;
         live_count = 0;
       }
     in
-    Array.iter (fun m -> ignore (append t m)) insts;
+    for _ = 1 to insts.count do
+      ignore (index t)
+    done;
     t
 end

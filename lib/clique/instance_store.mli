@@ -9,18 +9,23 @@
     re-enumeration formulation, without repeated neighbourhood
     enumeration.
 
-    Members and postings are stored in flat contiguous arenas behind
-    CSR-style offset tables, so the peel's chunked scans stream
-    disjoint cache lines instead of chasing one heap block per
-    vertex — read members through {!member}/{!iter_members} on hot
-    paths ({!members} copies a slice). *)
+    The store adopts the member array of an {!Instances.t} as its
+    member arena without copying it (it never writes there); only the
+    per-vertex postings, liveness bits and degrees are built.  Members
+    and postings are flat contiguous arrays behind CSR-style offsets,
+    so the peel's chunked scans stream disjoint cache lines instead of
+    chasing one heap block per vertex — read members through
+    {!member}/{!iter_members} on hot paths ({!members} copies a
+    slice). *)
 
 type t
 
-(** [create ~n instances] indexes instances over vertices [0..n-1].
-    Member arrays must be duplicate-free and all of the same length
-    (the pattern size); they are copied into the flat arena. *)
-val create : n:int -> int array array -> t
+(** [create ~n instances] indexes instances over vertices [0..n-1],
+    adopting [instances]' member array.  Each instance must be
+    duplicate-free.
+
+    @raise Invalid_argument if a member lies outside [0..n-1]. *)
+val create : n:int -> Instances.t -> t
 
 (** Total number of instances (live and dead). *)
 val total : t -> int
@@ -28,7 +33,7 @@ val total : t -> int
 (** Number of currently live instances. *)
 val live_total : t -> int
 
-(** Members per instance (0 only in an empty store). *)
+(** Members per instance. *)
 val arity : t -> int
 
 (** [member t i j] is the [j]-th member of instance [i] (sorted
@@ -76,13 +81,18 @@ val reset : t -> unit
     destroy them.  Ids are append-ordered and never reused, so the
     incremental flow arena can key per-instance arcs by them; postings
     are append-only and may contain dead ids (iteration filters on
-    liveness). *)
+    liveness).  Members live in one stride-arity arena that starts as
+    the adopted member array of the initial list and is copied out,
+    doubled, by the first append. *)
 module Dyn : sig
   type store
 
-  (** [create ~n instances] starts from the given live instances,
-      appended in order (ids [0 .. length-1]). *)
-  val create : n:int -> int array array -> store
+  (** [create ~n instances] starts from the given live instances, in
+      order (ids [0 .. count-1]), adopting their member array; every
+      later instance has the same arity.
+
+      @raise Invalid_argument if a member lies outside [0..n-1]. *)
+  val create : n:int -> Instances.t -> store
 
   (** Total ids allocated so far (live and dead). *)
   val total : store -> int
@@ -101,7 +111,10 @@ module Dyn : sig
   (** Number of live instances containing [v]. *)
   val degree : store -> int -> int
 
-  (** [append t members] registers a new live instance; returns its id. *)
+  (** [append t members] registers a new live instance; returns its id.
+
+      @raise Invalid_argument if [members] does not have the store's
+      arity or a member lies outside [0..n-1]. *)
   val append : store -> int array -> int
 
   (** [retire t i] tombstones instance [i], decrementing member
@@ -115,7 +128,7 @@ module Dyn : sig
 
   val iter_live_of_vertex : store -> int -> f:(int -> unit) -> unit
 
-  (** Live instances' member arrays in id order — the input for
-      rebuilding a compacted arena. *)
-  val live_members : store -> int array array
+  (** The live instances in id order, as a fresh flat list — the input
+      for rebuilding a compacted store and arena. *)
+  val live_members : store -> Instances.t
 end

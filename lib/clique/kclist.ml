@@ -1,107 +1,151 @@
 module G = Dsd_graph.Graph
 
-(* Out-neighbourhoods of the degeneracy DAG, each sorted by vertex id
-   so candidate sets can be intersected by linear merges. *)
-let build_dag g =
-  let deg = Dsd_graph.Degeneracy.compute g in
-  let n = G.n g in
-  let out = Array.make n [||] in
-  for v = 0 to n - 1 do
-    (* Count first so each row is allocated exactly once, instead of
-       growing a vector and copying it out. *)
-    let cnt =
-      G.fold_neighbors g v ~init:0 ~f:(fun acc w ->
-          if deg.rank.(w) > deg.rank.(v) then acc + 1 else acc)
-    in
-    let row = Array.make cnt 0 in
-    let i = ref 0 in
-    G.iter_neighbors g v ~f:(fun w ->
-        if deg.rank.(w) > deg.rank.(v) then begin
-          row.(!i) <- w;
-          incr i
-        end);
-    out.(v) <- row
-  done;
-  out
+(* The degeneracy DAG in CSR form: the out-neighbours of v (the
+   neighbours peeled after it) are targets.(off.(v)) ..
+   targets.(off.(v + 1) - 1), sorted by vertex id so candidate sets
+   can be intersected by linear merges. *)
+type dag = { off : int array; targets : int array; max_out : int }
 
-let intersect a b =
-  let out = Dsd_util.Vec.Int.create ~capacity:(min (Array.length a) (Array.length b) + 1) () in
-  let i = ref 0 and j = ref 0 in
-  while !i < Array.length a && !j < Array.length b do
-    let x = a.(!i) and y = b.(!j) in
+let prepare g =
+  let rank = (Dsd_graph.Degeneracy.compute g).rank in
+  let n = G.n g in
+  let off = Array.make (n + 1) 0 in
+  let max_out = ref 0 in
+  for v = 0 to n - 1 do
+    let d =
+      G.fold_neighbors g v ~init:0 ~f:(fun acc w ->
+          if rank.(w) > rank.(v) then acc + 1 else acc)
+    in
+    if d > !max_out then max_out := d;
+    off.(v + 1) <- off.(v) + d
+  done;
+  let targets = Array.make off.(n) 0 in
+  for v = 0 to n - 1 do
+    let i = ref off.(v) in
+    G.iter_neighbors g v ~f:(fun w ->
+        if rank.(w) > rank.(v) then begin
+          targets.(!i) <- w;
+          incr i
+        end)
+  done;
+  { off; targets; max_out = !max_out }
+
+(* [dst] := cand.(lo .. hi - 1) ∩ out(u), in order; returns its
+   length. *)
+let intersect_into dag cand lo hi u dst =
+  let t = dag.targets in
+  let i = ref lo and j = ref dag.off.(u) and k = ref 0 in
+  let jend = dag.off.(u + 1) in
+  while !i < hi && !j < jend do
+    let x = cand.(!i) and y = t.(!j) in
     if x = y then begin
-      Dsd_util.Vec.Int.push out x;
+      dst.(!k) <- x;
+      incr k;
       incr i;
       incr j
     end
     else if x < y then incr i
     else incr j
   done;
-  Dsd_util.Vec.Int.to_array out
+  !k
 
-type dag = int array array
-
-let prepare g = build_dag g
-
-let iter_prepared out ~h ~roots ~f =
-  if h < 1 then invalid_arg "Kclist.iter_prepared: h must be >= 1";
-  let buf = Array.make h 0 in
-  let emit = Array.make h 0 in
-  (* Tally locally, publish once per call: with parallel striping each
-     stripe lands one atomic add instead of one per instance. *)
-  let emitted = ref 0 in
-  let output () =
-    Array.blit buf 0 emit 0 h;
-    Array.sort compare emit;
-    incr emitted;
-    f emit
-  in
-  let flush_tally () =
-    Dsd_obs.Counter.add Dsd_obs.Counter.Clique_instances !emitted
-  in
+(* The one recursion behind [iter], [count], [list] and {!Parallel}:
+   for every root in [lo, hi) and every chain of h - 1 DAG vertices
+   from it, [last chain cand clo chi] receives the chain in
+   chain.(0 .. h - 2) and the candidates for its last member in
+   cand.(clo .. chi - 1).  Candidate sets live in one buffer per
+   depth, sized to the DAG's maximum out-degree, so the walk allocates
+   nothing after its set-up.  Roots ascend and candidates ascend by
+   id, which fixes the instance order. *)
+let walk dag ~h ~lo ~hi ~last =
+  let chain = Array.make h 0 in
   if h = 1 then begin
-    Array.iter
-      (fun v ->
-        buf.(0) <- v;
-        output ())
-      roots;
-    flush_tally ()
+    let root = Array.make 1 0 in
+    for v = lo to hi - 1 do
+      root.(0) <- v;
+      last chain root 0 1
+    done
   end
   else begin
-    (* [depth] members are already chosen in buf.(0..depth-1); [cand]
-       holds the common DAG out-neighbours of all of them. *)
-    let rec extend depth cand =
-      if depth = h - 1 then
-        Array.iter
-          (fun u ->
-            buf.(depth) <- u;
-            output ())
-          cand
-      else
-        Array.iter
-          (fun u ->
-            buf.(depth) <- u;
-            extend (depth + 1) (intersect cand out.(u)))
-          cand
+    let bufs =
+      Array.init h (fun d -> if d >= 2 then Array.make dag.max_out 0 else [||])
     in
-    Array.iter
-      (fun v ->
-        buf.(0) <- v;
-        extend 1 out.(v))
-      roots;
-    flush_tally ()
+    let rec extend depth cand clo chi =
+      if depth = h - 1 then last chain cand clo chi
+      else begin
+        let next = bufs.(depth + 1) in
+        for p = clo to chi - 1 do
+          let u = cand.(p) in
+          chain.(depth) <- u;
+          let len = intersect_into dag cand clo chi u next in
+          extend (depth + 1) next 0 len
+        done
+      end
+    in
+    for v = lo to hi - 1 do
+      chain.(0) <- v;
+      extend 1 dag.targets dag.off.(v) dag.off.(v + 1)
+    done
   end
 
-let iter g ~h ~f =
-  let dag = prepare g in
-  iter_prepared dag ~h ~roots:(Array.init (G.n g) (fun v -> v)) ~f
+(* chain.(0 .. h - 2) into sorted.(0 .. h - 2), ascending, by
+   insertion sort. *)
+let sort_prefix chain sorted h =
+  for i = 0 to h - 2 do
+    let x = chain.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && sorted.(!j) > x do
+      sorted.(!j + 1) <- sorted.(!j);
+      decr j
+    done;
+    sorted.(!j + 1) <- x
+  done
 
-let count g ~h =
-  let c = ref 0 in
-  iter g ~h ~f:(fun _ -> incr c);
-  !c
+(* The sorted prefix with [x] inserted, written to dst.(pos .. pos +
+   h - 1). *)
+let insert_into sorted h x dst pos =
+  let i = ref 0 in
+  while !i < h - 1 && sorted.(!i) < x do
+    dst.(pos + !i) <- sorted.(!i);
+    incr i
+  done;
+  dst.(pos + !i) <- x;
+  for j = !i to h - 2 do
+    dst.(pos + j + 1) <- sorted.(j)
+  done
 
-let list g ~h =
-  let acc = ref [] in
-  iter g ~h ~f:(fun inst -> acc := Array.copy inst :: !acc);
-  Array.of_list (List.rev !acc)
+(* Tally locally, publish once per call: with parallel striping each
+   stripe lands one atomic add instead of one per instance. *)
+let publish emitted =
+  Dsd_obs.Counter.add Dsd_obs.Counter.Clique_instances emitted
+
+let check_h h = if h < 1 then invalid_arg "Kclist: h must be >= 1"
+
+let iter_prepared dag ~h ~lo ~hi ~f =
+  check_h h;
+  let sorted = Array.make h 0 and emit = Array.make h 0 in
+  let emitted = ref 0 in
+  walk dag ~h ~lo ~hi ~last:(fun chain cand clo chi ->
+      sort_prefix chain sorted h;
+      for p = clo to chi - 1 do
+        insert_into sorted h cand.(p) emit 0;
+        f emit
+      done;
+      emitted := !emitted + (chi - clo));
+  publish !emitted
+
+let count_prepared dag ~h ~lo ~hi =
+  check_h h;
+  let emitted = ref 0 in
+  walk dag ~h ~lo ~hi ~last:(fun _ _ clo chi ->
+      emitted := !emitted + (chi - clo));
+  publish !emitted;
+  !emitted
+
+let list_prepared dag ~h ~lo ~hi =
+  check_h h;
+  Instances.build ~arity:h (fun add -> iter_prepared dag ~h ~lo ~hi ~f:add)
+
+let iter g ~h ~f = iter_prepared (prepare g) ~h ~lo:0 ~hi:(G.n g) ~f
+let count g ~h = count_prepared (prepare g) ~h ~lo:0 ~hi:(G.n g)
+let list g ~h = list_prepared (prepare g) ~h ~lo:0 ~hi:(G.n g)

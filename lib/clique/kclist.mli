@@ -5,7 +5,17 @@
     Each undirected edge is oriented from the vertex peeled earlier in
     the degeneracy order to the later one; out-degrees are then bounded
     by the degeneracy, and every h-clique is discovered exactly once as
-    a chain in the DAG. *)
+    a chain in the DAG.
+
+    One recursion serves {!iter}, {!count}, {!list} and {!Parallel}.
+    The DAG is one CSR (offsets plus targets), candidate sets live in
+    one buffer per depth sized to the DAG's maximum out-degree and are
+    intersected in place, and each clique's members are ordered by
+    insertion, so a traversal allocates nothing after its set-up;
+    {!list} writes the members straight into one doubling buffer,
+    trimmed once into an {!Instances.t}.  Instances come out in the
+    DAG order: by root vertex id, then by candidate id at each
+    depth. *)
 
 (** [iter g ~h ~f] calls [f] once per h-clique instance of [g] with the
     member vertices sorted ascending.  The array is reused between
@@ -16,20 +26,26 @@ val iter : Dsd_graph.Graph.t -> h:int -> f:(int array -> unit) -> unit
 (** [count g ~h] is the number of h-clique instances, mu(G, Psi). *)
 val count : Dsd_graph.Graph.t -> h:int -> int
 
-(** [list g ~h] materialises all instances (each a fresh sorted
-    array). *)
-val list : Dsd_graph.Graph.t -> h:int -> int array array
+(** [list g ~h] materialises all instances, each row sorted
+    ascending, in the order {!iter} visits them. *)
+val list : Dsd_graph.Graph.t -> h:int -> Instances.t
 
 (** {1 Prepared form}
 
     The degeneracy DAG can be built once and shared — it is immutable —
-    across repeated or parallel traversals ({!Parallel}). *)
+    across repeated or parallel traversals ({!Parallel}).  Each
+    function below covers the h-cliques whose minimum-rank vertex lies
+    in [[lo, hi)] (every clique has exactly one such root, so disjoint
+    root ranges partition the cliques, and consecutive ranges list
+    them in the order of one whole-range call). *)
 
 type dag
 
 val prepare : Dsd_graph.Graph.t -> dag
 
-(** [iter_prepared dag ~h ~roots ~f] lists the h-cliques whose
-    minimum-rank vertex is in [roots] (each clique has exactly one such
-    root, so disjoint root sets partition the cliques). *)
-val iter_prepared : dag -> h:int -> roots:int array -> f:(int array -> unit) -> unit
+val iter_prepared :
+  dag -> h:int -> lo:int -> hi:int -> f:(int array -> unit) -> unit
+
+val count_prepared : dag -> h:int -> lo:int -> hi:int -> int
+
+val list_prepared : dag -> h:int -> lo:int -> hi:int -> Instances.t

@@ -26,7 +26,4 @@ let count g ~h =
   iter g ~h ~f:(fun _ -> incr c);
   !c
 
-let list g ~h =
-  let acc = ref [] in
-  iter g ~h ~f:(fun inst -> acc := Array.copy inst :: !acc);
-  Array.of_list (List.rev !acc)
+let list g ~h = Instances.build ~arity:h (fun add -> iter g ~h ~f:add)

@@ -6,4 +6,4 @@
 
 val iter : Dsd_graph.Graph.t -> h:int -> f:(int array -> unit) -> unit
 val count : Dsd_graph.Graph.t -> h:int -> int
-val list : Dsd_graph.Graph.t -> h:int -> int array array
+val list : Dsd_graph.Graph.t -> h:int -> Instances.t

@@ -29,10 +29,8 @@ let default_domains () =
    spawn-per-call code reported. *)
 let stripe_wrap f = Dsd_obs.Span.with_ Dsd_obs.Phase.clique_stripe f
 
-let roots lo hi = Array.init (hi - lo) (fun i -> lo + i)
-
-(* Chunks coarse enough that per-chunk setup (roots array, one atomic
-   counter flush inside Kclist) is noise, fine enough that work
+(* Chunks coarse enough that per-chunk setup (candidate buffers, one
+   atomic counter flush inside Kclist) is noise, fine enough that work
    stealing evens out skewed recursion trees.  [parallel_width] keeps
    inline-fallback jobs from being split as if the workers were
    coming. *)
@@ -42,10 +40,7 @@ let count_in pool g ~h =
   let dag = Kclist.prepare g in
   let n = G.n g in
   Pool.fold_chunks pool ~chunk:(chunk_for pool n) ~wrap:stripe_wrap ~n ~init:0
-    ~merge:( + ) (fun lo hi ->
-      let c = ref 0 in
-      Kclist.iter_prepared dag ~h ~roots:(roots lo hi) ~f:(fun _ -> incr c);
-      !c)
+    ~merge:( + ) (fun lo hi -> Kclist.count_prepared dag ~h ~lo ~hi)
 
 let degrees_in pool g ~h =
   let dag = Kclist.prepare g in
@@ -59,7 +54,7 @@ let degrees_in pool g ~h =
     let parts =
       Pool.map_chunks pool ~chunk ~wrap:stripe_wrap ~n (fun lo hi ->
           let deg = Array.make n 0 in
-          Kclist.iter_prepared dag ~h ~roots:(roots lo hi) ~f:(fun inst ->
+          Kclist.iter_prepared dag ~h ~lo ~hi ~f:(fun inst ->
               Array.iter (fun v -> deg.(v) <- deg.(v) + 1) inst);
           deg)
     in
@@ -78,15 +73,11 @@ let list_in pool g ~h =
   let n = G.n g in
   let parts =
     Pool.map_chunks pool ~chunk:(chunk_for pool n) ~wrap:stripe_wrap ~n
-      (fun lo hi ->
-        let acc = ref [] in
-        Kclist.iter_prepared dag ~h ~roots:(roots lo hi) ~f:(fun inst ->
-            acc := Array.copy inst :: !acc);
-        Array.of_list (List.rev !acc))
+      (fun lo hi -> (Kclist.list_prepared dag ~h ~lo ~hi).Instances.members)
   in
   (* Chunks cover roots 0..n-1 in order and arrive in chunk order, so
      this concatenation is exactly the sequential Kclist.list order. *)
-  Array.concat (Array.to_list parts)
+  Instances.of_members ~arity:h (Array.concat (Array.to_list parts))
 
 let count g ~h ~domains =
   if domains < 1 then invalid_arg "Parallel: domains must be >= 1";

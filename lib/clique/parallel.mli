@@ -20,8 +20,10 @@ val count_in : Dsd_util.Pool.t -> Dsd_graph.Graph.t -> h:int -> int
 val degrees_in : Dsd_util.Pool.t -> Dsd_graph.Graph.t -> h:int -> int array
 
 (** [list_in pool g ~h] = [Kclist.list g ~h]: the instances in exactly
-    the sequential enumeration order, each a fresh sorted array. *)
-val list_in : Dsd_util.Pool.t -> Dsd_graph.Graph.t -> h:int -> int array array
+    the sequential enumeration order.  Each chunk lists its root range
+    into its own flat buffer; the buffers are concatenated once, in
+    chunk order. *)
+val list_in : Dsd_util.Pool.t -> Dsd_graph.Graph.t -> h:int -> Instances.t
 
 (** [count g ~h ~domains] spins up a transient pool of [domains]
     domains (≥ 1) for one counting job.  Prefer [count_in] with a

@@ -11,11 +11,15 @@
     — including the instance {e order} — bit-identical to the
     sequential path.  Other pattern shapes ignore the pool. *)
 
-(** [instances g psi] materialises the distinct instances as sorted
-    member arrays. *)
+(** [instances g psi] materialises the distinct instances as one flat
+    list of arity [psi.size], each row sorted ascending — written
+    directly by the lister, with no per-instance block.  For cliques
+    the order is {!Dsd_clique.Kclist}'s DAG order, with or without
+    [?pool]; it fixes the instance ids that the peels' posting order
+    and the flow networks' arc order follow. *)
 val instances :
   ?pool:Dsd_util.Pool.t -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t ->
-  int array array
+  Dsd_clique.Instances.t
 
 (** [count g psi] is mu(G, Psi). *)
 val count :

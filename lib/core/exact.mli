@@ -52,6 +52,6 @@ type result = {
 val run :
   ?pool:Dsd_util.Pool.t ->
   ?family:Flow_build.family ->
-  ?instances:int array array ->
+  ?instances:Dsd_clique.Instances.t ->
   ?prepared:Parametric.prepared option ref ->
   Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> result

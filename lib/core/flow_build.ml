@@ -106,16 +106,17 @@ let eds_prepared g ~alpha =
 (* Shared degree computation from an instance list.  With a pool the
    per-chunk partial counts fan out across domains; integer addition
    commutes, so the merged array is exactly the sequential one. *)
-let degrees_of_instances ?pool n instances =
+let degrees_of_instances ?pool n (instances : Dsd_clique.Instances.t) =
   match pool with
-  | Some pool when Array.length instances > 0 && n > 0 ->
-    let len = Array.length instances in
+  | Some pool when instances.count > 0 && n > 0 ->
+    let len = instances.count and h = instances.arity in
     let chunk = max 1024 (len / (2 * Dsd_util.Pool.parallel_width pool ~n:len)) in
     let parts =
       Dsd_util.Pool.map_chunks pool ~chunk ~n:len (fun lo hi ->
           let deg = Array.make n 0 in
-          for i = lo to hi - 1 do
-            Array.iter (fun v -> deg.(v) <- deg.(v) + 1) instances.(i)
+          for p = lo * h to (hi * h) - 1 do
+            let v = instances.members.(p) in
+            deg.(v) <- deg.(v) + 1
           done;
           deg)
     in
@@ -127,18 +128,14 @@ let degrees_of_instances ?pool n instances =
       done
     done;
     first
-  | _ ->
-    let deg = Array.make n 0 in
-    Array.iter
-      (fun inst -> Array.iter (fun v -> deg.(v) <- deg.(v) + 1) inst)
-      instances;
-    deg
+  | _ -> Dsd_clique.Instances.degrees ~n instances
 
 let instance_degrees = degrees_of_instances
 
-let clique_prepared ?pool ?(pinned = [||]) g ~h ~instances ~alpha =
+let clique_prepared ?pool ?(pinned = [||]) g ~h
+    ~(instances : Dsd_clique.Instances.t) ~alpha =
   let n = G.n g in
-  let ninst = Array.length instances in
+  let ninst = instances.count and mem = instances.members in
   (* For every h-clique and every member v, an arc v -> (clique minus
      v) is needed.  Materialising the (member, subset) pairs is the
      allocation-heavy part, and each pair depends on one instance
@@ -148,17 +145,17 @@ let clique_prepared ?pool ?(pinned = [||]) g ~h ~instances ~alpha =
     let out = Array.make ((hi - lo) * h) (0, [||]) in
     let p = ref 0 in
     for ii = lo to hi - 1 do
-      let inst = instances.(ii) in
+      let base = ii * h in
       for i = 0 to h - 1 do
         let psi = Array.make (h - 1) 0 in
         let k = ref 0 in
         for j = 0 to h - 1 do
           if j <> i then begin
-            psi.(!k) <- inst.(j);
+            psi.(!k) <- mem.(base + j);
             incr k
           end
         done;
-        out.(!p) <- (inst.(i), psi);
+        out.(!p) <- (mem.(base + i), psi);
         incr p
       done
     done;
@@ -231,26 +228,38 @@ let clique_prepared ?pool ?(pinned = [||]) g ~h ~instances ~alpha =
     sub_ids;
   finish { net; source; sink; n_vertices = n; node_count = size }
 
-let pds_prepared ?pool ?(pinned = [||]) ~grouped g (psi : P.t) ~instances
-    ~alpha =
+let pds_prepared ?pool ?(pinned = [||]) ~grouped g (psi : P.t)
+    ~(instances : Dsd_clique.Instances.t) ~alpha =
   let n = G.n g in
   let p = psi.size in
   (* construct+ groups instances sharing a vertex set; the ungrouped
-     network is the degenerate case where every group has size 1. *)
-  let groups =
+     network is the degenerate case where every group is one instance,
+     read in place.  [iter_group id f] calls [f v count] per member. *)
+  let lambda, iter_group =
     if grouped then begin
       let tbl : (int array, int) Hashtbl.t = Hashtbl.create 256 in
-      Array.iter
-        (fun inst ->
-          let c = try Hashtbl.find tbl inst with Not_found -> 0 in
-          Hashtbl.replace tbl inst (c + 1))
-        instances;
-      Hashtbl.fold (fun members count acc -> (members, count) :: acc) tbl []
-      |> Array.of_list
+      for i = 0 to instances.count - 1 do
+        let inst = Dsd_clique.Instances.get instances i in
+        let c = try Hashtbl.find tbl inst with Not_found -> 0 in
+        Hashtbl.replace tbl inst (c + 1)
+      done;
+      let groups =
+        Hashtbl.fold (fun members count acc -> (members, count) :: acc) tbl []
+        |> Array.of_list
+      in
+      ( Array.length groups,
+        fun id f ->
+          let members, count = groups.(id) in
+          Array.iter (fun v -> f v count) members )
     end
-    else Array.map (fun inst -> (inst, 1)) instances
+    else
+      let a = instances.arity in
+      ( instances.count,
+        fun id f ->
+          for q = id * a to ((id + 1) * a) - 1 do
+            f instances.members.(q) 1
+          done )
   in
-  let lambda = Array.length groups in
   let size = n + lambda + 2 in
   let net = F.create size in
   let source = 0 and sink = size - 1 in
@@ -268,17 +277,14 @@ let pds_prepared ?pool ?(pinned = [||]) ~grouped g (psi : P.t) ~instances
     (fun q ->
       ignore (F.add_edge net ~src:source ~dst:(vertex_node q) ~cap:infinity))
     pinned;
-  Array.iteri
-    (fun id (members, count) ->
-      let cf = float_of_int count in
-      Array.iter
-        (fun v ->
-          ignore (F.add_edge net ~src:(vertex_node v) ~dst:(group_node id) ~cap:cf);
-          ignore
-            (F.add_edge net ~src:(group_node id) ~dst:(vertex_node v)
-               ~cap:(cf *. float_of_int (p - 1))))
-        members)
-    groups;
+  for id = 0 to lambda - 1 do
+    iter_group id (fun v count ->
+        let cf = float_of_int count in
+        ignore (F.add_edge net ~src:(vertex_node v) ~dst:(group_node id) ~cap:cf);
+        ignore
+          (F.add_edge net ~src:(group_node id) ~dst:(vertex_node v)
+             ~cap:(cf *. float_of_int (p - 1))))
+  done;
   finish { net; source; sink; n_vertices = n; node_count = size }
 
 type family = Eds | Clique_flow | Pds | Pds_grouped

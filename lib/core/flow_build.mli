@@ -51,7 +51,7 @@ val solve : t -> int array
     [instances], for v in [0..n-1].  With [?pool] the partial counts
     stripe across the pool's domains and merge deterministically. *)
 val instance_degrees :
-  ?pool:Dsd_util.Pool.t -> int -> int array array -> int array
+  ?pool:Dsd_util.Pool.t -> int -> Dsd_clique.Instances.t -> int array
 
 (** Which exact-network family an automatic solver should use for this
     pattern: cliques get the clique/EDS networks, general patterns the
@@ -83,7 +83,7 @@ val prepare :
   ?pool:Dsd_util.Pool.t ->
   ?pinned:int array ->
   family -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t ->
-  instances:int array array -> alpha:float -> prepared
+  instances:Dsd_clique.Instances.t -> alpha:float -> prepared
 
 (** [retarget p ~alpha] rewrites the alpha-dependent capacities for the
     new [alpha] and returns the (shared, mutated) network ready to

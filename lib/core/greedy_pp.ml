@@ -12,7 +12,7 @@ let run ?pool ?(rounds = 8) g psi =
   let t0 = Dsd_util.Timer.now_s () in
   let n = G.n g in
   let instances = Enumerate.instances ?pool g psi in
-  let mu_total = Array.length instances in
+  let mu_total = instances.Dsd_clique.Instances.count in
   if mu_total = 0 || n = 0 then
     { subgraph = Density.empty;
       rounds;

@@ -74,17 +74,16 @@ let grow_inst t id =
    member source caps raised to the new degrees. *)
 let arena_add_instance t id =
   grow_inst t id;
-  let members = Store.members t.store id in
   let net = net t in
   let node = F.add_node net in
-  let arcs = Array.make (2 * Array.length members) 0 in
-  Array.iteri
-    (fun i v ->
-      arcs.(2 * i) <- F.add_edge net ~src:(v + 1) ~dst:node ~cap:1.;
-      arcs.((2 * i) + 1) <-
+  let arcs = Array.make (2 * t.h) 0 in
+  let i = ref 0 in
+  Store.iter_members t.store id ~f:(fun v ->
+      arcs.(2 * !i) <- F.add_edge net ~src:(v + 1) ~dst:node ~cap:1.;
+      arcs.((2 * !i) + 1) <-
         F.add_edge net ~src:node ~dst:(v + 1) ~cap:(float_of_int (t.h - 1));
-      F.set_cap net t.src_arc.(v) (float_of_int (Store.degree t.store v)))
-    members;
+      F.set_cap net t.src_arc.(v) (float_of_int (Store.degree t.store v));
+      incr i);
   t.inst_node.(id) <- node;
   t.inst_arcs.(id) <- arcs
 
@@ -93,18 +92,15 @@ let arena_add_instance t id =
    arcs are invisible to cut values and residual reachability, so the
    dead node is semantically absent from every later probe. *)
 let arena_retire_instance t id =
-  let members = Store.members t.store id in
   let net = net t and s = source t and sink = sink t in
   Array.iter
     (fun a ->
       F.set_cap_carry net a 0.;
       ignore (F.restore_arc_full net ~s ~sink a))
     t.inst_arcs.(id);
-  Array.iter
-    (fun v ->
+  Store.iter_members t.store id ~f:(fun v ->
       F.set_cap_carry net t.src_arc.(v) (float_of_int (Store.degree t.store v));
-      ignore (F.restore_arc_head net ~sink t.src_arc.(v)))
-    members;
+      ignore (F.restore_arc_head net ~sink t.src_arc.(v)));
   t.inst_arcs.(id) <- [||];
   t.inst_node.(id) <- -1
 

@@ -30,10 +30,7 @@ let decompose ?pool g (psi : P.t) =
   let mark set flag = Array.iter (fun v -> inside.(v) <- flag) set in
   let chain set =
     mark set true;
-    let inner inst = Array.for_all (Array.get inside) inst in
-    let c =
-      Array.fold_left (fun c i -> c + Bool.to_int (inner i)) 0 instances
-    in
+    let c = Dsd_clique.Instances.count_inside instances inside in
     mark set false;
     { set; c }
   in
@@ -70,12 +67,12 @@ let decompose ?pool g (psi : P.t) =
   in
   (* The positive levels cover exactly the vertices in some instance;
      the rest of the graph is the zero level. *)
-  Array.iter (fun inst -> mark inst true) instances;
+  mark instances.Dsd_clique.Instances.members true;
   let support, rest = List.partition (Array.get inside) (List.init n Fun.id) in
   let support = Array.of_list support in
   mark support false;
-  if Array.length instances > 0 then
-    split { set = [||]; c = 0 } { set = support; c = Array.length instances };
+  if instances.count > 0 then
+    split { set = [||]; c = 0 } { set = support; c = instances.count };
   if rest <> [] then emit (Array.of_list rest) 0. n;
   { levels = List.rev !levels;
     iterations = !probes;

@@ -12,14 +12,19 @@ let run g psi =
   let t0 = Dsd_util.Timer.now_s () in
   let n = G.n g in
   let instances = Enumerate.instances g psi in
+  let h = instances.Dsd_clique.Instances.arity in
+  let mem = instances.members in
+  (* [iter_inst i f] visits instance i's members. *)
+  let iter_inst i f =
+    for p = i * h to ((i + 1) * h) - 1 do
+      f mem.(p)
+    done
+  in
   let posting = Array.make n [] in
-  Array.iteri
-    (fun i inst -> Array.iter (fun v -> posting.(v) <- i :: posting.(v)) inst)
-    instances;
-  let nu = Array.make n 0 in
-  Array.iter
-    (fun inst -> Array.iter (fun v -> nu.(v) <- nu.(v) + 1) inst)
-    instances;
+  for i = 0 to instances.count - 1 do
+    iter_inst i (fun v -> posting.(v) <- i :: posting.(v))
+  done;
+  let nu = Dsd_clique.Instances.degrees ~n instances in
   (* h-index of v over min co-member values, capped at nu(v): the
      largest k such that at least k of v's instances have every other
      member at value >= k. *)
@@ -31,9 +36,7 @@ let run g psi =
       List.iter
         (fun i ->
           let m = ref max_int in
-          Array.iter
-            (fun u -> if u <> v && nu.(u) < !m then m := nu.(u))
-            instances.(i);
+          iter_inst i (fun u -> if u <> v && nu.(u) < !m then m := nu.(u));
           let m = min !m cap in
           counts.(m) <- counts.(m) + 1)
         posting.(v);
@@ -60,13 +63,11 @@ let run g psi =
       (* Co-members above the new value may now be able to drop. *)
       List.iter
         (fun i ->
-          Array.iter
-            (fun u ->
+          iter_inst i (fun u ->
               if u <> v && nu.(u) > fresh && not in_queue.(u) then begin
                 in_queue.(u) <- true;
                 Queue.add u queue
-              end)
-            instances.(i))
+              end))
         posting.(v)
     end
   done;

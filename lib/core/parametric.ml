@@ -16,7 +16,7 @@ type arena = {
   graph : G.t;  (* G[within], in local ids *)
   map : int array option;  (* local id -> caller id; None = identity *)
   eds : bool;
-  instances : int array array;  (* of [graph]; empty for Eds *)
+  instances : Dsd_clique.Instances.t;  (* of [graph]; empty for Eds *)
   inside : bool array;
   mutable probes : int;
 }
@@ -64,7 +64,7 @@ let arena ?pool ?within ?pinned ?instances ?(slot = ref None) family g psi =
   let eds = family = Flow_build.Eds in
   let instances =
     match instances with
-    | _ when eds -> [||]
+    | _ when eds -> Dsd_clique.Instances.empty ~arity:psi.P.size
     | Some i -> i
     | None -> Enumerate.instances ?pool graph psi
   in
@@ -79,7 +79,7 @@ let arena ?pool ?within ?pinned ?instances ?(slot = ref None) family g psi =
     inside = Array.make (max 1 (G.n graph)) false;
     probes = 0 }
 
-let total a = if a.eds then G.m a.graph else Array.length a.instances
+let total a = if a.eds then G.m a.graph else a.instances.count
 
 let laws { Flow_build.network; alpha_arcs; alpha_base; alpha_coef } =
   let net = network.Flow_build.net in
@@ -144,11 +144,7 @@ let count a side =
           G.fold_neighbors a.graph v ~init:c ~f:(fun c u ->
               if u > v && a.inside.(u) then c + 1 else c))
         0 side
-    else
-      Array.fold_left
-        (fun c inst ->
-          if Array.for_all (Array.get a.inside) inst then c + 1 else c)
-        0 a.instances
+    else Dsd_clique.Instances.count_inside a.instances a.inside
   in
   Array.iter (fun v -> a.inside.(v) <- false) side;
   c

@@ -42,7 +42,7 @@ val arena :
   ?pool:Dsd_util.Pool.t ->
   ?within:int array ->
   ?pinned:int array ->
-  ?instances:int array array ->
+  ?instances:Dsd_clique.Instances.t ->
   ?slot:prepared option ref ->
   Flow_build.family -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> arena
 

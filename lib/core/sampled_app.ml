@@ -11,7 +11,7 @@ type result = {
 (* Greedy peel over an arbitrary instance multiset on [n] vertices,
    returning the best residual vertex suffix under the *sampled*
    density. *)
-let peel_sampled ~n instances =
+let peel_sampled ~n (instances : Dsd_clique.Instances.t) =
   let store = Dsd_clique.Instance_store.create ~n instances in
   let max_deg = ref 1 in
   for v = 0 to n - 1 do
@@ -23,7 +23,7 @@ let peel_sampled ~n instances =
       ~key:(Dsd_clique.Instance_store.degree store v)
   done;
   let order = Array.make n 0 in
-  let mu_live = ref (Array.length instances) in
+  let mu_live = ref instances.count in
   let best = ref (float_of_int !mu_live /. float_of_int (max 1 n)) in
   let best_start = ref 0 in
   for i = 0 to n - 1 do
@@ -66,13 +66,11 @@ let run ?(core_first = true) ~seed ~p g (psi : P.t) =
   in
   let all = Enumerate.instances region psi in
   let sample =
-    Array.of_list
-      (List.filter
-         (fun _ -> Dsd_util.Prng.float rng 1.0 < p)
-         (Array.to_list all))
+    Dsd_clique.Instances.filter all ~keep:(fun _ ->
+        Dsd_util.Prng.float rng 1.0 < p)
   in
   let subgraph =
-    if Array.length sample = 0 then Density.empty
+    if sample.count = 0 then Density.empty
     else begin
       let local = peel_sampled ~n:(G.n region) sample in
       (* Re-score the candidate against the full graph. *)
@@ -80,6 +78,6 @@ let run ?(core_first = true) ~seed ~p g (psi : P.t) =
     end
   in
   { subgraph;
-    sampled_instances = Array.length sample;
-    total_instances = Array.length all;
+    sampled_instances = sample.count;
+    total_instances = all.count;
     elapsed_s = Dsd_util.Timer.now_s () -. t0 }

@@ -115,10 +115,8 @@ let iter g (p : Pattern.t) ~f =
         f members
       end)
 
-let instances g p =
-  let acc = ref [] in
-  iter g p ~f:(fun members -> acc := members :: !acc);
-  Array.of_list (List.rev !acc)
+let instances g (p : Pattern.t) =
+  Dsd_clique.Instances.build ~arity:p.size (fun add -> iter g p ~f:add)
 
 let count g p =
   let c = ref 0 in

@@ -11,7 +11,7 @@ module Counter = Dsd_obs.Counter
 type psi_state = {
   psi : P.t;
   graph : G.t;
-  instances : int array array Lazy.t;
+  instances : Dsd_clique.Instances.t Lazy.t;
   decomp : Dsd_core.Clique_core.t Lazy.t;
   exact_prepared : Dsd_core.Parametric.prepared option ref;
   hierarchy : Dsd_core.Ld_decomposition.t Lazy.t;
@@ -124,11 +124,11 @@ let densest t (gs : graph_state) (ps : psi_state) algorithm =
     let family = Dsd_core.Flow_build.auto_family psi in
     let instances =
       match family with
-      | Dsd_core.Flow_build.Eds -> [||]  (* never enumerated by Exact *)
-      | _ -> Lazy.force ps.instances
+      | Dsd_core.Flow_build.Eds -> None  (* never enumerated by Exact *)
+      | _ -> Some (Lazy.force ps.instances)
     in
     Ok
-      (Dsd_core.Exact.run ?pool ~instances ~prepared:ps.exact_prepared g psi)
+      (Dsd_core.Exact.run ?pool ?instances ~prepared:ps.exact_prepared g psi)
         .Dsd_core.Exact.subgraph
   | "coreexact" ->
     Ok

@@ -1,10 +1,12 @@
-(* Binary heap of (key, item) pairs in two parallel int vectors; the
+(* Binary heap of (key, item) pairs in two parallel plain int arrays
+   of which the first [len] slots are the heap, grown by doubling; the
    authoritative key of an item lives in [keys], so any heap entry
    whose key disagrees is stale and dropped on pop. *)
 
 type t = {
-  hkeys : Vec.Int.t;
-  hitems : Vec.Int.t;
+  mutable hkeys : int array;
+  mutable hitems : int array;
+  mutable len : int;
   keys : int array;
   present : bool array;
   mutable card : int;
@@ -12,8 +14,9 @@ type t = {
 
 let create ~n =
   {
-    hkeys = Vec.Int.create ~capacity:(max 16 n) ();
-    hitems = Vec.Int.create ~capacity:(max 16 n) ();
+    hkeys = Array.make (max 16 n) 0;
+    hitems = Array.make (max 16 n) 0;
+    len = 0;
     keys = Array.make (max 1 n) 0;
     present = Array.make (max 1 n) false;
     card = 0;
@@ -28,38 +31,48 @@ let key t item =
 let cardinal t = t.card
 
 let swap t i j =
-  let k = Vec.Int.get t.hkeys i and it = Vec.Int.get t.hitems i in
-  Vec.Int.set t.hkeys i (Vec.Int.get t.hkeys j);
-  Vec.Int.set t.hitems i (Vec.Int.get t.hitems j);
-  Vec.Int.set t.hkeys j k;
-  Vec.Int.set t.hitems j it
+  let hk = t.hkeys and hi = t.hitems in
+  let k = hk.(i) and it = hi.(i) in
+  hk.(i) <- hk.(j);
+  hi.(i) <- hi.(j);
+  hk.(j) <- k;
+  hi.(j) <- it
 
 let rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if Vec.Int.get t.hkeys i < Vec.Int.get t.hkeys parent then begin
+    if t.hkeys.(i) < t.hkeys.(parent) then begin
       swap t i parent;
       sift_up t parent
     end
   end
 
 let rec sift_down t i =
-  let len = Vec.Int.length t.hkeys in
+  let len = t.len and hk = t.hkeys in
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let smallest = ref i in
-  if l < len && Vec.Int.get t.hkeys l < Vec.Int.get t.hkeys !smallest then
-    smallest := l;
-  if r < len && Vec.Int.get t.hkeys r < Vec.Int.get t.hkeys !smallest then
-    smallest := r;
+  if l < len && hk.(l) < hk.(!smallest) then smallest := l;
+  if r < len && hk.(r) < hk.(!smallest) then smallest := r;
   if !smallest <> i then begin
     swap t i !smallest;
     sift_down t !smallest
   end
 
+let grow t =
+  let cap = 2 * Array.length t.hkeys in
+  let hkeys = Array.make cap 0 and hitems = Array.make cap 0 in
+  Array.blit t.hkeys 0 hkeys 0 t.len;
+  Array.blit t.hitems 0 hitems 0 t.len;
+  t.hkeys <- hkeys;
+  t.hitems <- hitems
+
 let push_entry t ~item ~key =
-  Vec.Int.push t.hkeys key;
-  Vec.Int.push t.hitems item;
-  sift_up t (Vec.Int.length t.hkeys - 1)
+  if t.len = Array.length t.hkeys then grow t;
+  let i = t.len in
+  t.hkeys.(i) <- key;
+  t.hitems.(i) <- item;
+  t.len <- i + 1;
+  sift_up t i
 
 let add t ~item ~key =
   if t.present.(item) then invalid_arg "Lazy_heap.add: duplicate item";
@@ -81,12 +94,11 @@ let remove t item =
   t.card <- t.card - 1
 
 let pop_heap_top t =
-  let last = Vec.Int.length t.hkeys - 1 in
-  let k = Vec.Int.get t.hkeys 0 and it = Vec.Int.get t.hitems 0 in
+  let last = t.len - 1 in
+  let k = t.hkeys.(0) and it = t.hitems.(0) in
   swap t 0 last;
-  ignore (Vec.Int.pop t.hkeys);
-  ignore (Vec.Int.pop t.hitems);
-  if Vec.Int.length t.hkeys > 0 then sift_down t 0;
+  t.len <- last;
+  if last > 0 then sift_down t 0;
   (it, k)
 
 let rec pop_min t =

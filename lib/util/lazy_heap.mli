@@ -4,7 +4,15 @@
     star-pattern degrees reach C(d, x) and would blow that up.  This
     heap instead pushes a fresh (key, item) pair on every update and
     discards stale pairs at pop time — O(log size) per operation with
-    size bounded by the number of updates. *)
+    size bounded by the number of updates.
+
+    The heap is two plain int arrays (keys and items) plus a length,
+    grown by doubling, so a sift step reads and writes array slots
+    directly.  Ties are broken by the heap layout alone: the pop
+    order, ties included, is a pure function of the operation
+    sequence, and Greedy++'s later rounds and the star and 4-cycle
+    peels depend on it ([test_util]'s "lazy heap tie order" pins
+    it). *)
 
 type t
 

@@ -53,6 +53,20 @@ let sorted_array = Alcotest.(testable (Fmt.Dump.array Fmt.int) ( = ))
 
 let check_float = Alcotest.(check (float 1e-9))
 
+(* A flat instance list as its rows, in order. *)
+let rows (t : Dsd_clique.Instances.t) =
+  List.init t.count (fun i -> Array.to_list (Dsd_clique.Instances.get t i))
+
+(* Flat instance lists are equal when arity, count and every member
+   agree, in order; a failure prints the rows. *)
+let instances =
+  let pp ppf (t : Dsd_clique.Instances.t) =
+    Fmt.pf ppf "arity %d, %d instances: %a" t.arity t.count
+      Fmt.(Dump.list (Dump.list int))
+      (rows t)
+  in
+  Alcotest.testable pp ( = )
+
 let int_array_as_set a =
   let l = Array.to_list a in
   List.sort_uniq compare l

@@ -118,7 +118,8 @@ let test_resolve_allocation () =
       let psi = Dsd_pattern.Pattern.triangle in
       let instances = Dsd_core.Enumerate.instances g psi in
       let alpha =
-        float_of_int (Array.length instances) /. float_of_int (Dsd_graph.Graph.n g)
+        float_of_int instances.Dsd_clique.Instances.count
+        /. float_of_int (Dsd_graph.Graph.n g)
       in
       let network = (FB.prepare FB.Clique_flow g psi ~instances ~alpha).network in
       let { FB.net; source = s; sink = t; _ } = network in
@@ -142,6 +143,49 @@ let test_resolve_allocation () =
           (minor1 -. minor0))
     graphs
 
+(* Listing allocates O(n + m) minor words, whatever the clique
+   count: the DAG, the per-depth candidate buffers and the output
+   buffer are allocated once per call (the large ones straight in the
+   major heap), and the recursion itself allocates nothing.  Ten
+   disjoint K_40s: n + m = 8,200, with 98,800 triangles and 913,900
+   4-cliques. *)
+let test_listing_allocation () =
+  let blocks = 10 and k = 40 in
+  let edges = ref [] in
+  for b = 0 to blocks - 1 do
+    for i = 0 to k - 1 do
+      for j = i + 1 to k - 1 do
+        edges := ((b * k) + i, (b * k) + j) :: !edges
+      done
+    done
+  done;
+  let g = Dsd_graph.Graph.of_edge_list ~n:(blocks * k) !edges in
+  let size = Dsd_graph.Graph.n g + Dsd_graph.Graph.m g in
+  Alcotest.(check int) "n + m" 8200 size;
+  let bound = (4 * size) + 4096 in
+  let minor f =
+    let w0 = Gc.minor_words () in
+    let r = f () in
+    (r, int_of_float (Gc.minor_words () -. w0))
+  in
+  List.iter
+    (fun (h, expected) ->
+      let c, words = minor (fun () -> Dsd_clique.Kclist.count g ~h) in
+      Alcotest.(check int) (Printf.sprintf "%d-cliques counted" h) expected c;
+      if words > bound then
+        Alcotest.failf "count h=%d allocated %d minor words (bound %d)" h words
+          bound;
+      let psi = Dsd_pattern.Pattern.clique h in
+      let insts, words =
+        minor (fun () -> Dsd_core.Enumerate.instances g psi)
+      in
+      Alcotest.(check int) (Printf.sprintf "%d-cliques listed" h) expected
+        insts.Dsd_clique.Instances.count;
+      if words > bound then
+        Alcotest.failf "instances h=%d allocated %d minor words (bound %d)" h
+          words bound)
+    [ (3, 98_800); (4, 913_900) ]
+
 let suite =
   [
     Alcotest.test_case "dinic clrs" `Quick test_dinic_clrs;
@@ -155,6 +199,8 @@ let suite =
     Alcotest.test_case "add_edge validation" `Quick test_add_edge_validation;
     Alcotest.test_case "re-solve allocates no per-arc memory" `Quick
       test_resolve_allocation;
+    Alcotest.test_case "listing allocates O(n + m) minor words" `Quick
+      test_listing_allocation;
     Helpers.qtest ~count:200 "dinic = edmonds-karp" QCheck.small_int solvers_agree_prop;
     Helpers.qtest ~count:200 "flow = cut capacity" QCheck.small_int flow_equals_cut_prop;
   ]

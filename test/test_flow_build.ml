@@ -13,7 +13,7 @@ module D = Dsd_core.Density
 let network family g psi ~alpha =
   let instances =
     match family with
-    | FB.Eds -> [||]
+    | FB.Eds -> (Dsd_clique.Instances.empty ~arity:2)
     | _ -> Dsd_core.Enumerate.instances g psi
   in
   (FB.prepare family g psi ~instances ~alpha).network
@@ -113,12 +113,13 @@ let test_density_of_vertices () =
    the Goldberg construction has no pinning analysis. *)
 let test_eds_rejects_pinned () =
   let g = G.complete 3 in
+  let instances = Dsd_clique.Instances.empty ~arity:2 in
   Alcotest.check_raises "pinned Eds"
     (Invalid_argument "Flow_build.prepare: the Eds network cannot pin vertices")
     (fun () ->
-      ignore (FB.prepare ~pinned:[| 0 |] FB.Eds g P.edge ~instances:[||] ~alpha:1.));
+      ignore (FB.prepare ~pinned:[| 0 |] FB.Eds g P.edge ~instances ~alpha:1.));
   Alcotest.(check int) "empty pin set builds" 5
-    (FB.prepare ~pinned:[||] FB.Eds g P.edge ~instances:[||] ~alpha:1.)
+    (FB.prepare ~pinned:[||] FB.Eds g P.edge ~instances ~alpha:1.)
       .FB.network.FB.node_count
 
 let enumerate_dispatch_prop g =
@@ -126,7 +127,7 @@ let enumerate_dispatch_prop g =
   List.for_all
     (fun (psi : P.t) ->
       Dsd_core.Enumerate.count g psi = Dsd_pattern.Match.count g psi
-      && Array.length (Dsd_core.Enumerate.instances g psi)
+      && (Dsd_core.Enumerate.instances g psi).Dsd_clique.Instances.count
          = Dsd_core.Enumerate.count g psi
       && Dsd_core.Enumerate.degrees g psi = Dsd_pattern.Match.degrees g psi)
     [ P.triangle; P.star 2; P.diamond; P.c3_star ]

@@ -149,7 +149,7 @@ let test_enumeration_differential () =
                   Alcotest.(check int) ("count " ^ tag)
                     (Dsd_clique.Kclist.count g ~h)
                     (Dsd_clique.Parallel.count_in pool g ~h);
-                  Alcotest.(check (array (array int))) ("list " ^ tag)
+                  Alcotest.check Helpers.instances ("list " ^ tag)
                     (Dsd_clique.Kclist.list g ~h)
                     (Dsd_clique.Parallel.list_in pool g ~h);
                   Alcotest.(check (array int)) ("degrees " ^ tag)
@@ -157,6 +157,54 @@ let test_enumeration_differential () =
                     (Dsd_clique.Parallel.degrees_in pool g ~h))
                 [ 2; 3; 4 ])
             graphs))
+    domain_counts
+
+(* Instance ids fix the peels' posting order (so Greedy++'s heap ties)
+   and the flow networks' arc order, so the flat lister must list
+   exactly the reference's instances in exactly its order: for h in
+   1..5 on 30 seeded graphs, sequentially (Enumerate.instances; at
+   h = 1, which no pattern names, the Kclist.list it dispatches to)
+   and through Parallel.list_in at 1, 2 and 4 domains. *)
+let test_instance_order_reference () =
+  let graphs =
+    List.init 30 (fun i ->
+        (i + 1, Helpers.random_graph ~seed:(700 + i) ~max_n:30 ~max_m:200 ()))
+  in
+  let hs = [ 1; 2; 3; 4; 5 ] in
+  let reference =
+    List.map
+      (fun (_, g) ->
+        List.map (fun h -> Dsd_check.Oracle.reference_clique_instances g ~h) hs)
+      graphs
+  in
+  let check tag expected got =
+    Alcotest.check Helpers.instances ("order " ^ tag) expected got
+  in
+  List.iter2
+    (fun (seed, g) refs ->
+      List.iter2
+        (fun h r ->
+          check
+            (Printf.sprintf "%s h=%d sequential" (Helpers.seed_ctx (700 + seed - 1)) h)
+            r
+            (if h = 1 then Dsd_clique.Kclist.list g ~h
+             else Dsd_core.Enumerate.instances g (P.clique h)))
+        hs refs)
+    graphs reference;
+  List.iter
+    (fun d ->
+      Pool.with_pool d (fun pool ->
+          List.iter2
+            (fun (seed, g) refs ->
+              List.iter2
+                (fun h r ->
+                  check
+                    (Printf.sprintf "%s h=%d d=%d"
+                       (Helpers.seed_ctx (700 + seed - 1)) h d)
+                    r
+                    (Dsd_clique.Parallel.list_in pool g ~h))
+                hs refs)
+            graphs reference))
     domain_counts
 
 (* ---- differential: core decomposition across pool sizes ---- *)
@@ -268,6 +316,8 @@ let suite =
     Alcotest.test_case "body exception propagates" `Quick test_body_exception_propagates;
     Alcotest.test_case "recommended_domains env" `Quick test_recommended_domains_env;
     Alcotest.test_case "enumeration differential" `Slow test_enumeration_differential;
+    Alcotest.test_case "instance order equals the reference" `Slow
+      test_instance_order_reference;
     Alcotest.test_case "decompose differential" `Slow test_decompose_differential;
     Alcotest.test_case "decompose vs naive oracle" `Slow test_decompose_vs_naive_oracle;
     Alcotest.test_case "cds differential" `Slow test_cds_differential;

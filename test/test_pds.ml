@@ -28,7 +28,7 @@ let core_pexact_matches_brute_prop psi g =
    same min-cut capacity, for any alpha. *)
 let lemma11_prop (psi, g, alpha) =
   let instances = Dsd_core.Enumerate.instances g psi in
-  if Array.length instances = 0 then true
+  if instances.Dsd_clique.Instances.count = 0 then true
   else begin
     let a = (FB.prepare FB.Pds g psi ~instances ~alpha).network in
     let b = (FB.prepare FB.Pds_grouped g psi ~instances ~alpha).network in
@@ -42,7 +42,7 @@ let test_grouping_shrinks_network () =
      set, so construct+ uses one group node instead of three. *)
   let g = Dsd_data.Paper_graphs.two_cliques ~a:4 ~b:3 ~bridge:true in
   let instances = Dsd_core.Enumerate.instances g P.diamond in
-  Alcotest.(check int) "3 instances" 3 (Array.length instances);
+  Alcotest.(check int) "3 instances" 3 instances.Dsd_clique.Instances.count;
   let network family =
     (FB.prepare family g P.diamond ~instances ~alpha:0.5).network
   in

@@ -31,7 +31,7 @@ let binary_search ?pool mode g psi =
   let family = FB.auto_family psi in
   let instances =
     match family with
-    | FB.Eds -> [||]
+    | FB.Eds -> (Dsd_clique.Instances.empty ~arity:2)
     | _ -> Dsd_core.Enumerate.instances ?pool g psi
   in
   let max_deg =
@@ -128,7 +128,7 @@ let test_retarget_matches_fresh_arcs () =
       let psi = match family with FB.Eds -> P.edge | _ -> P.triangle in
       let instances =
         match family with
-        | FB.Eds -> [||]
+        | FB.Eds -> (Dsd_clique.Instances.empty ~arity:2)
         | _ -> Dsd_core.Enumerate.instances g psi
       in
       let p = FB.prepare family g psi ~instances ~alpha:1.0 in

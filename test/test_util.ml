@@ -147,6 +147,54 @@ let test_lazy_heap_basic () =
    | None -> Alcotest.fail "expected pop");
   Alcotest.(check bool) "drained" true (LH.pop_min h = None)
 
+(* Pins the exact pop order, ties included, of a tie-heavy script:
+   keys in 0..3 over 12 items, with adds, key changes, no-op updates,
+   removals and pops interleaved.  Greedy++'s later rounds and the
+   star and 4-cycle peels break their ties by this order, so a heap
+   rewrite must keep every comparison and swap. *)
+let lazy_heap_tie_script () =
+  let r = Prng.create 2024 in
+  let n = 12 in
+  let h = LH.create ~n in
+  let out = ref [] in
+  let pop () =
+    match LH.pop_min h with
+    | Some p ->
+      out := p :: !out;
+      true
+    | None -> false
+  in
+  for _ = 1 to 240 do
+    match Prng.int r 6 with
+    | 0 | 1 ->
+      let item = Prng.int r n in
+      let key = Prng.int r 4 in
+      if LH.mem h item then LH.update h ~item ~key else LH.add h ~item ~key
+    | 2 ->
+      let item = Prng.int r n in
+      if LH.mem h item then LH.remove h item
+    | 3 ->
+      let item = Prng.int r n in
+      if LH.mem h item then LH.update h ~item ~key:(LH.key h item)
+    | _ -> ignore (pop ())
+  done;
+  while pop () do () done;
+  List.rev !out
+
+let test_lazy_heap_tie_order () =
+  let expected =
+    [ (8, 0); (9, 1); (1, 2); (11, 0); (5, 2); (8, 1); (4, 2); (0, 0);
+      (5, 2); (9, 2); (11, 0); (10, 2); (5, 0); (7, 1); (10, 2); (5, 1);
+      (5, 2); (4, 3); (0, 3); (3, 3); (3, 0); (9, 1); (1, 1); (0, 2);
+      (9, 1); (6, 3); (3, 1); (10, 3); (10, 3); (4, 3); (4, 1); (10, 2);
+      (8, 0); (7, 2); (9, 3); (1, 3); (3, 2); (3, 2); (2, 3); (10, 3);
+      (10, 1); (8, 3); (2, 0); (5, 1); (6, 0); (7, 0); (0, 0); (8, 0);
+      (5, 0); (6, 1); (2, 1); (0, 1); (10, 1); (9, 1); (5, 0); (3, 0);
+      (4, 1); (9, 1); (10, 2); (1, 2); (2, 2); (0, 3); (5, 1); (2, 2) ]
+  in
+  Alcotest.(check (list (pair int int)))
+    "popped (item, key) sequence" expected (lazy_heap_tie_script ())
+
 let lazy_heap_model_prop seed =
   let r = Prng.create seed in
   let n = 25 in
@@ -261,6 +309,7 @@ let suite =
     Alcotest.test_case "bucket queue duplicate" `Quick test_bucket_queue_duplicate_add;
     Helpers.qtest "bucket queue vs model" QCheck.small_int bucket_queue_model_prop;
     Alcotest.test_case "lazy heap basic" `Quick test_lazy_heap_basic;
+    Alcotest.test_case "lazy heap tie order" `Quick test_lazy_heap_tie_order;
     Helpers.qtest "lazy heap vs model" QCheck.small_int lazy_heap_model_prop;
     Alcotest.test_case "binom small" `Quick test_binom_small;
     Alcotest.test_case "binom pascal" `Quick test_binom_pascal;

@@ -37,7 +37,7 @@ let cases =
 
 let instances_for g psi family =
   match family with
-  | FB.Eds -> [||]
+  | FB.Eds -> (Dsd_clique.Instances.empty ~arity:2)
   | _ -> Dsd_core.Enumerate.instances g psi
 
 (* Net outflow of node [v] (twins carry negated incoming flow). *)

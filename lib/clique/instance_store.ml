@@ -137,7 +137,6 @@ module Dyn = struct
   let live_total t = t.live_count
   let is_live t i = i >= 0 && i < t.count && Bytes.get t.live i = '\001'
   let degree t v = t.deg.(v)
-  let members t i = Array.sub t.mem (i * t.arity) t.arity
 
   let iter_members t i ~f =
     for p = i * t.arity to ((i + 1) * t.arity) - 1 do

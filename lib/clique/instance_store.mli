@@ -99,9 +99,6 @@ module Dyn : sig
 
   val live_total : store -> int
 
-  (** Fresh copy of instance [i]'s member slice of the flat arena. *)
-  val members : store -> int -> int array
-
   (** [iter_members t i ~f] visits instance [i]'s members without
       copying them out of the arena. *)
   val iter_members : store -> int -> f:(int -> unit) -> unit

@@ -32,9 +32,6 @@ val empty : arity:int -> t
     buffer, trimmed once at the end. *)
 val build : arity:int -> ((int array -> unit) -> unit) -> t
 
-(** [member t i j] is the [j]-th member of instance [i]. *)
-val member : t -> int -> int -> int
-
 (** [get t i] is a fresh copy of instance [i]'s members. *)
 val get : t -> int -> int array
 

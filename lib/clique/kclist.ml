@@ -101,17 +101,16 @@ let sort_prefix chain sorted h =
     sorted.(!j + 1) <- x
   done
 
-(* The sorted prefix with [x] inserted, written to dst.(pos .. pos +
-   h - 1). *)
-let insert_into sorted h x dst pos =
+(* dst.(0 .. h - 1) := the sorted prefix with [x] inserted. *)
+let insert_into sorted h x dst =
   let i = ref 0 in
   while !i < h - 1 && sorted.(!i) < x do
-    dst.(pos + !i) <- sorted.(!i);
+    dst.(!i) <- sorted.(!i);
     incr i
   done;
-  dst.(pos + !i) <- x;
+  dst.(!i) <- x;
   for j = !i to h - 2 do
-    dst.(pos + j + 1) <- sorted.(j)
+    dst.(j + 1) <- sorted.(j)
   done
 
 (* Tally locally, publish once per call: with parallel striping each
@@ -128,7 +127,7 @@ let iter_prepared dag ~h ~lo ~hi ~f =
   walk dag ~h ~lo ~hi ~last:(fun chain cand clo chi ->
       sort_prefix chain sorted h;
       for p = clo to chi - 1 do
-        insert_into sorted h cand.(p) emit 0;
+        insert_into sorted h cand.(p) emit;
         f emit
       done;
       emitted := !emitted + (chi - clo));

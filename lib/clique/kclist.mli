@@ -11,10 +11,11 @@
     The DAG is one CSR (offsets plus targets), candidate sets live in
     one buffer per depth sized to the DAG's maximum out-degree and are
     intersected in place, and each clique's members are ordered by
-    insertion, so a traversal allocates nothing after its set-up;
-    {!list} writes the members straight into one doubling buffer,
-    trimmed once into an {!Instances.t}.  Instances come out in the
-    DAG order: by root vertex id, then by candidate id at each
+    insertion, so a traversal allocates nothing after its set-up
+    (O(n + m) words in all, whatever the clique count); {!list} hands
+    each sorted row to {!Instances.build}, which gathers rows in blocks
+    and copies them once into the flat list.  Instances come out in
+    the DAG order: by root vertex id, then by candidate id at each
     depth. *)
 
 (** [iter g ~h ~f] calls [f] once per h-clique instance of [g] with the

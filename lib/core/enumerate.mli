@@ -6,6 +6,11 @@
     in this library consume Psi through this module, which is what lets
     one CDS code path serve the PDS problem (Section 7).
 
+    {!instances} returns the one flat instance list
+    ({!Dsd_clique.Instances.t}), written directly by the lister with
+    no per-instance block; the instance stores adopt it without a copy
+    and the flow builders read it by index.
+
     Every function takes [?pool]: with a pool, the clique fast path
     fans out across its domains ({!Dsd_clique.Parallel}) with results
     — including the instance {e order} — bit-identical to the

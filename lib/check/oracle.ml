@@ -17,11 +17,11 @@ let density_of_subset g psi vs =
     float_of_int (slow_count sub psi) /. float_of_int (Array.length vs)
   end
 
-(* kClist's listing as it was before it went flat: degeneracy rank, one
+(* kClist's recursion in its plainest form: degeneracy rank, one
    out-neighbour row per vertex, a fresh array from every merge, and
-   each clique sorted by Array.sort.  The instance order (by root id,
-   then by candidate id at each depth) is what fixes instance ids, so
-   the flat lister must reproduce it instance for instance. *)
+   each clique sorted by Array.sort.  Its order (by root id, then by
+   candidate id at each depth) fixes instance ids, so the library's
+   allocation-free walk must reproduce it instance for instance. *)
 let reference_clique_instances g ~h =
   let rank = (Dsd_graph.Degeneracy.compute g).Dsd_graph.Degeneracy.rank in
   let n = G.n g in

@@ -11,8 +11,8 @@
     (naive clique enumeration for clique patterns). *)
 val slow_count : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> int
 
-(** [reference_clique_instances g ~h] lists the h-cliques of [g] the
-    way kClist did before its listing went flat: degeneracy rank, one
+(** [reference_clique_instances g ~h] lists the h-cliques of [g] by
+    kClist's recursion in its plainest form: degeneracy rank, one
     out-neighbour row per vertex, an allocating merge per recursion
     step and [Array.sort] per clique.  It is the reference for the
     instance order — by root vertex id, then by candidate id at each

@@ -53,7 +53,8 @@ let intersect_into dag cand lo hi u dst =
    for every root in [lo, hi) and every chain of h - 1 DAG vertices
    from it, [last chain cand clo chi] receives the chain in
    chain.(0 .. h - 2) and the candidates for its last member in
-   cand.(clo .. chi - 1).  Candidate sets live in one buffer per
+   cand.(clo .. chi - 1) (at h = 1 the chain is empty and the root is
+   the one candidate).  Candidate sets live in one buffer per
    depth, sized to the DAG's maximum out-degree, so the walk allocates
    nothing after its set-up.  Roots ascend and candidates ascend by
    id, which fixes the instance order. *)

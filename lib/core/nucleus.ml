@@ -14,7 +14,6 @@ let run g psi =
   let instances = Enumerate.instances g psi in
   let h = instances.Dsd_clique.Instances.arity in
   let mem = instances.members in
-  (* [iter_inst i f] visits instance i's members. *)
   let iter_inst i f =
     for p = i * h to ((i + 1) * h) - 1 do
       f mem.(p)

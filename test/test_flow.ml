@@ -145,7 +145,7 @@ let test_resolve_allocation () =
 
 (* Listing allocates O(n + m) minor words, whatever the clique
    count: the DAG, the per-depth candidate buffers and the output
-   buffer are allocated once per call (the large ones straight in the
+   blocks are allocated per call (the large ones straight in the
    major heap), and the recursion itself allocates nothing.  Ten
    disjoint K_40s: n + m = 8,200, with 98,800 triangles and 913,900
    4-cliques. *)

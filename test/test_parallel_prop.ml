@@ -168,7 +168,8 @@ let test_enumeration_differential () =
 let test_instance_order_reference () =
   let graphs =
     List.init 30 (fun i ->
-        (i + 1, Helpers.random_graph ~seed:(700 + i) ~max_n:30 ~max_m:200 ()))
+        let seed = 700 + i in
+        (seed, Helpers.random_graph ~seed ~max_n:30 ~max_m:200 ()))
   in
   let hs = [ 1; 2; 3; 4; 5 ] in
   let reference =
@@ -185,7 +186,7 @@ let test_instance_order_reference () =
       List.iter2
         (fun h r ->
           check
-            (Printf.sprintf "%s h=%d sequential" (Helpers.seed_ctx (700 + seed - 1)) h)
+            (Printf.sprintf "%s h=%d sequential" (Helpers.seed_ctx seed) h)
             r
             (if h = 1 then Dsd_clique.Kclist.list g ~h
              else Dsd_core.Enumerate.instances g (P.clique h)))
@@ -199,8 +200,7 @@ let test_instance_order_reference () =
               List.iter2
                 (fun h r ->
                   check
-                    (Printf.sprintf "%s h=%d d=%d"
-                       (Helpers.seed_ctx (700 + seed - 1)) h d)
+                    (Printf.sprintf "%s h=%d d=%d" (Helpers.seed_ctx seed) h d)
                     r
                     (Dsd_clique.Parallel.list_in pool g ~h))
                 hs refs)

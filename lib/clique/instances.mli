@@ -4,9 +4,9 @@
     ascending, at [[i * arity, (i + 1) * arity)].
 
     This is the only representation of an instance list.  {!Kclist}
-    and [Dsd_pattern.Match] write it directly, {!Instance_store}
-    adopts its member array without copying, and the flow builders and
-    peels read it by index.  A value is immutable once built: the
+    and [Dsd_pattern.Match] write it row by row through {!build},
+    {!Instance_store} adopts its member array without copying, and the
+    flow builders and peels read it by index.  A value is immutable once built: the
     record is private, and no reader writes into [members] (the store
     and its growable twin share the array they adopt). *)
 

@@ -199,8 +199,8 @@ let suite =
     Alcotest.test_case "add_edge validation" `Quick test_add_edge_validation;
     Alcotest.test_case "re-solve allocates no per-arc memory" `Quick
       test_resolve_allocation;
-    Alcotest.test_case "listing allocates O(n + m) minor words" `Quick
-      test_listing_allocation;
     Helpers.qtest ~count:200 "dinic = edmonds-karp" QCheck.small_int solvers_agree_prop;
     Helpers.qtest ~count:200 "flow = cut capacity" QCheck.small_int flow_equals_cut_prop;
+    Alcotest.test_case "listing allocates O(n + m) minor words" `Quick
+      test_listing_allocation;
   ]

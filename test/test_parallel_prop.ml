@@ -316,9 +316,9 @@ let suite =
     Alcotest.test_case "body exception propagates" `Quick test_body_exception_propagates;
     Alcotest.test_case "recommended_domains env" `Quick test_recommended_domains_env;
     Alcotest.test_case "enumeration differential" `Slow test_enumeration_differential;
-    Alcotest.test_case "instance order equals the reference" `Slow
-      test_instance_order_reference;
     Alcotest.test_case "decompose differential" `Slow test_decompose_differential;
     Alcotest.test_case "decompose vs naive oracle" `Slow test_decompose_vs_naive_oracle;
     Alcotest.test_case "cds differential" `Slow test_cds_differential;
+    Alcotest.test_case "instance order equals the reference" `Slow
+      test_instance_order_reference;
   ]

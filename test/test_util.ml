@@ -309,7 +309,6 @@ let suite =
     Alcotest.test_case "bucket queue duplicate" `Quick test_bucket_queue_duplicate_add;
     Helpers.qtest "bucket queue vs model" QCheck.small_int bucket_queue_model_prop;
     Alcotest.test_case "lazy heap basic" `Quick test_lazy_heap_basic;
-    Alcotest.test_case "lazy heap tie order" `Quick test_lazy_heap_tie_order;
     Helpers.qtest "lazy heap vs model" QCheck.small_int lazy_heap_model_prop;
     Alcotest.test_case "binom small" `Quick test_binom_small;
     Alcotest.test_case "binom pascal" `Quick test_binom_pascal;
@@ -317,4 +316,5 @@ let suite =
     Alcotest.test_case "union find" `Quick test_union_find;
     Alcotest.test_case "vec int" `Quick test_vec_int;
     Alcotest.test_case "stats" `Quick test_stats;
+    Alcotest.test_case "lazy heap tie order" `Quick test_lazy_heap_tie_order;
   ]

@@ -447,3 +447,73 @@ let naive_core_numbers g psi =
     if !any then incr k else continue_ := false
   done;
   core
+
+(* The round-synchronous peel by brute force: instances from the slow
+   listers, every live degree recounted from scratch.  At level k the
+   sub-round takes every live vertex of degree <= k, removes them one
+   at a time in ascending id and charges each its live degree at that
+   moment; with none left at or below k, k rises to the minimum live
+   degree.  The residual densities follow every removal. *)
+let reference_peel g psi =
+  let n = G.n g in
+  let insts =
+    match psi.P.kind with
+    | P.Clique -> Dsd_clique.Naive.list g ~h:psi.P.size
+    | _ -> Dsd_pattern.Match.instances g psi
+  in
+  let h = insts.Dsd_clique.Instances.arity and mu = insts.count in
+  let alive = Array.make n true in
+  let live i =
+    let ok = ref true in
+    for p = i * h to ((i + 1) * h) - 1 do
+      if not alive.(insts.members.(p)) then ok := false
+    done;
+    !ok
+  in
+  let count f =
+    let c = ref 0 in
+    for i = 0 to mu - 1 do
+      if live i && f i then incr c
+    done;
+    !c
+  in
+  let degree v =
+    count (fun i -> Array.mem v (Dsd_clique.Instances.get insts i))
+  in
+  let core = Array.make n 0 and order = Array.make n 0 in
+  let initial = if n = 0 then 0. else float_of_int mu /. float_of_int n in
+  let residuals = Array.make (max 1 n) initial in
+  let best = ref (initial, 0, mu) in
+  let charges = ref [] and pos = ref 0 and k = ref 0 in
+  while !pos < n do
+    let lives = List.filter (fun v -> alive.(v)) (List.init n Fun.id) in
+    match List.filter (fun v -> degree v <= !k) lives with
+    | [] -> k := List.fold_left (fun m v -> min m (degree v)) max_int lives
+    | frontier ->
+      List.iter
+        (fun v ->
+          charges := (v, degree v) :: !charges;
+          alive.(v) <- false;
+          core.(v) <- !k;
+          order.(!pos) <- v;
+          incr pos;
+          if !pos < n then begin
+            let c = count (fun _ -> true) in
+            let d = float_of_int c /. float_of_int (n - !pos) in
+            residuals.(!pos) <- d;
+            let bd, _, _ = !best in
+            if d > bd then best := (d, !pos, c)
+          end)
+        frontier
+  done;
+  let best_density, best_start, best_count = !best in
+  ( { Dsd_core.Clique_core.psi;
+      core;
+      kmax = !k;
+      order;
+      mu_total = mu;
+      best_residual_density = best_density;
+      best_residual_start = best_start;
+      best_residual_count = best_count;
+      residual_densities = residuals },
+    Array.of_list (List.rev !charges) )

@@ -111,3 +111,19 @@ val survivors :
     vertex, by running {!survivors} for k = 1, 2, ... until empty. *)
 val naive_core_numbers :
   Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> int array
+
+(** [reference_peel g psi] is the density-tracked (k, Psi)-core peel by
+    brute force, the reference for {!Dsd_core.Clique_core}'s clique
+    and generic engine.  Instances come from the slow listers and
+    every live degree is recounted from scratch.  Starting at k = 0:
+    while some live vertex has degree <= k, the sub-round removes all
+    of them (the set taken at its start) one at a time in ascending
+    id, charging each its live degree at the moment it goes; otherwise
+    k rises to the minimum live degree.  Returns the decomposition
+    (core numbers, order, kmax, the residual densities after every
+    removal and the first strictly densest suffix) and the
+    [(vertex, charge)] transcript in peel order — what
+    [Clique_core.peel_store] reports through [on_peel]. *)
+val reference_peel :
+  Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t ->
+  Dsd_core.Clique_core.t * (int * int) array

@@ -131,6 +131,49 @@ let test_empty_graph () =
   Alcotest.(check int) "kmax" 0 d.CC.kmax;
   Alcotest.(check int) "mu" 0 d.CC.mu_total
 
+(* The clique and generic engine against the brute-force peel of
+   Dsd_check.Oracle: the density-tracked decomposition agrees in core
+   numbers, peel order, kmax, the bits of every residual density and
+   the best suffix, and [peel_store]'s [on_peel] sequence is the
+   reference's (vertex, charge) transcript. *)
+let test_peel_reference () =
+  let module IS = Dsd_clique.Instance_store in
+  let bits a = Array.map Int64.bits_of_float a in
+  let patterns =
+    [ P.edge; P.triangle; P.clique 4; P.c3_star; P.two_triangle;
+      P.three_triangle; P.basket ]
+  in
+  for seed = 1 to 30 do
+    let g = Helpers.random_graph ~seed:(900 + seed) ~max_n:16 ~max_m:50 () in
+    List.iter
+      (fun psi ->
+        let tag = Printf.sprintf "%s %s" (Helpers.seed_ctx seed) psi.P.name in
+        let r, charges = Dsd_check.Oracle.reference_peel g psi in
+        let d = CC.decompose ~track_density:true g psi in
+        Alcotest.(check (array int)) ("core " ^ tag) r.CC.core d.CC.core;
+        Alcotest.(check (array int)) ("order " ^ tag) r.CC.order d.CC.order;
+        Alcotest.(check int) ("kmax " ^ tag) r.CC.kmax d.CC.kmax;
+        Alcotest.(check int) ("mu " ^ tag) r.CC.mu_total d.CC.mu_total;
+        Alcotest.(check (array int64)) ("residual bits " ^ tag)
+          (bits r.CC.residual_densities) (bits d.CC.residual_densities);
+        Alcotest.(check int64) ("best density bits " ^ tag)
+          (Int64.bits_of_float r.CC.best_residual_density)
+          (Int64.bits_of_float d.CC.best_residual_density);
+        Alcotest.(check int) ("best start " ^ tag) r.CC.best_residual_start
+          d.CC.best_residual_start;
+        Alcotest.(check int) ("best count " ^ tag) r.CC.best_residual_count
+          d.CC.best_residual_count;
+        let n = G.n g in
+        let store = IS.create ~n (Dsd_core.Enumerate.instances g psi) in
+        let seen = ref [] in
+        ignore
+          (CC.peel_store ~track_density:true ~n store
+             ~on_peel:(fun v c -> seen := (v, c) :: !seen));
+        Alcotest.(check (array (pair int int))) ("on_peel " ^ tag) charges
+          (Array.of_list (List.rev !seen)))
+      patterns
+  done
+
 let patterns_under_test =
   [ ("edge", P.edge); ("triangle", P.triangle); ("4-clique", P.clique 4);
     ("2-star", P.star 2); ("3-star", P.star 3); ("diamond/C4", P.diamond);
@@ -168,3 +211,5 @@ let suite =
             (nucleus_matches_decomposition_prop psi);
         ])
       patterns_under_test
+  @ [ Alcotest.test_case "peel equals the reference (30 seeds)" `Quick
+        test_peel_reference ]

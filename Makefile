@@ -1,10 +1,10 @@
 # Convenience targets; CI should run `make check`.
 
 .PHONY: all build test test-flow test-warmstart test-metamorphic test-serve \
-	test-incremental test-topk test-hierarchy test-parallel-heavy \
+	test-incremental test-topk test-hierarchy \
 	fuzz-smoke fuzz-incremental fuzz-topk fuzz-hierarchy coverage fmt \
 	check bench-phases bench-retarget bench-search bench-serve \
-	bench-incremental bench-topk bench-hierarchy bench-parallel perfbench \
+	bench-incremental bench-topk bench-hierarchy perfbench \
 	perfbench-trace perfbench-counts check-counts perfbench-history clean
 
 all: build
@@ -55,23 +55,12 @@ test-topk:
 	dune exec test/test_main.exe -- test topk
 
 # The hierarchy suites on their own: the union-of-argmax oracle
-# differential (pool widths 1/2/4 bit-identical), the larger-graph
-# battery against the per-level reference search, the exact 2L - 1
-# probe count and the sorted-prefix properties, plus the exact chain
-# properties of the LD suite.
+# differential, the larger-graph battery against the per-level
+# reference search, the exact 2L - 1 probe count and the sorted-prefix
+# properties, plus the exact chain properties of the LD suite.
 test-hierarchy:
 	dune exec test/test_main.exe -- test hierarchy
 	dune exec test/test_main.exe -- test ld-decomposition
-
-# The whole battery re-run with a 4-domain default pool: DSD_DOMAINS
-# governs every solver's default width, so the round-synchronous peel,
-# the pooled network builds and the CLI goldens all execute against
-# a real multi-domain pool even on paths that don't pass ?pool
-# explicitly.  Everything must stay bit-identical — the goldens diff
-# the same expected files.  --force because the environment variable
-# is invisible to dune's dependency tracking.
-test-parallel-heavy:
-	DSD_DOMAINS=4 dune build @runtest --force
 
 # A real fuzzing burst: fresh random cases against every relation,
 # bounded by wall clock so `make check` stays fast.  Uses an
@@ -152,8 +141,7 @@ check:
 	$(MAKE) fuzz-incremental
 	$(MAKE) fuzz-topk
 	$(MAKE) fuzz-hierarchy
-	dune exec bench/main.exe -- --only parallel,retarget,search,serve,incremental,topk,hierarchy --smoke
-	dune exec bench/compare.exe -- BENCH_parallel.smoke.json
+	dune exec bench/main.exe -- --only retarget,search,serve,incremental,topk,hierarchy --smoke
 	dune exec bench/compare.exe -- BENCH_search.smoke.json
 	dune exec bench/compare.exe -- BENCH_serve.smoke.json
 	dune exec bench/compare.exe -- BENCH_incremental.smoke.json
@@ -204,13 +192,6 @@ bench-topk:
 bench-hierarchy:
 	dune exec bench/main.exe -- --only hierarchy
 	dune exec bench/compare.exe -- BENCH_hierarchy.json
-
-# Domain-pool speedup sweep over the pooled phases (writes
-# BENCH_parallel.json), then the >= 2x at 4 domains gate — skipped
-# automatically on boxes whose cores_detected < 4.
-bench-parallel:
-	dune exec bench/main.exe -- --only parallel
-	dune exec bench/compare.exe -- BENCH_parallel.json
 
 # The repository benchmark (perfbench/, declared in BENCHMARK.json):
 # every workload untraced at SEED, end-to-end metrics only.  SECONDS

@@ -26,11 +26,6 @@
      0) and must not be slower than it — 2L - 1 exact probes on one
      network replace about twenty per level, so paying more would mean
      the search failed.
-   - BENCH_parallel.json rows: at 4 domains the pooled phases must run
-     at least 2x faster than 1 domain.  The gate is skipped — counted ok, not failed — when the row was
-     measured on a box with fewer than 4 cores: cores_detected travels
-     with every row precisely so small machines don't fail for being
-     small.
 
    Usage: compare [FILE]   (default BENCH_search.json)
    Exits 0 when every row satisfies its gate, 1 otherwise (or when the
@@ -245,41 +240,6 @@ let () =
               label incr_s recompute
               (if incr_s > 0. then recompute /. incr_s else 0.)
         | _ -> (
-        match (int_field line "domains", str_field line "phase") with
-        | Some domains, Some phase ->
-          incr rows;
-          let label =
-            Printf.sprintf "%s/%s/%dd"
-              (Option.value (str_field line "graph") ~default:"?")
-              phase domains
-          in
-          (* The speedup gate only makes sense where the hardware can
-             physically provide one: rows measured on a < 4-core box
-             (cores_detected travels with each row) pass as skipped
-             rather than failing a machine for being small. *)
-          let cores =
-            Option.value (int_field line "cores_detected") ~default:0
-          in
-          let min_speedup = 2.0 in
-          if domains < 4 then
-            Printf.printf "ok   %-36s (no gate below 4 domains)\n" label
-          else if cores < 4 then
-            Printf.printf
-              "ok   %-36s speedup gate skipped (cores_detected=%d < 4)\n"
-              label cores
-          else (
-            match float_field line "speedup" with
-            | None ->
-              Printf.printf "ok   %-36s no speedup measured (skipped)\n" label
-            | Some s ->
-              if s < min_speedup then begin
-                incr bad;
-                Printf.printf
-                  "FAIL %-36s speedup %.2fx < %.1fx at %d domains\n" label s
-                  min_speedup domains
-              end
-              else Printf.printf "ok   %-36s speedup %8.2fx\n" label s)
-        | _ -> (
         match float_field line "cached_speedup" with
         | Some speedup ->
           incr rows;
@@ -295,7 +255,7 @@ let () =
           end
           else
             Printf.printf "ok   %-32s cached %8.1fx faster\n" label speedup
-        | None -> ()))))))
+        | None -> ())))))
     (read_lines path);
   if !rows = 0 then begin
     Printf.eprintf "compare: no gateable rows in %s\n" path;

@@ -565,7 +565,7 @@ let abl_window () =
       H.table ~header:[ "initial |W|"; "triangle CoreApp" ] ~rows)
     [ "as_caida"; "dblp_s" ]
 
-(* ---- extensions: Greedy++, streaming, parallel counting, truss ---- *)
+(* ---- extensions: Greedy++, streaming, truss ---- *)
 
 let ext_greedy () =
   H.section "Extension — Greedy++ rounds vs density (PeelApp = 1 round)";
@@ -637,24 +637,6 @@ let ext_streaming () =
       in
       H.table ~header:[ "eps"; "density/rho_opt"; "passes"; "time" ] ~rows)
     [ "ca_hepth"; "as_caida" ]
-
-let ext_parallel () =
-  H.section "Extension — multicore clique counting (Section 6.3 parallelisability)";
-  let g = dataset "dblp_s" in
-  Printf.printf "\n[dblp_s]  4-clique counting, %d cores recommended\n"
-    (Dsd_clique.Parallel.recommended_domains ());
-  let rows =
-    List.map
-      (fun domains ->
-        let cell =
-          H.run_cell ~timeout:(3. *. !H.default_timeout) (fun () ->
-              time_of (fun () ->
-                  ignore (Dsd_clique.Parallel.count g ~h:4 ~domains)))
-        in
-        [ string_of_int domains; H.show_time cell ])
-      [ 1; 2; 4; 8 ]
-  in
-  H.table ~header:[ "domains"; "time" ] ~rows
 
 let ext_truss () =
   H.section "Extension — k-truss vs densest subgraph (related-work models)";
@@ -876,174 +858,6 @@ let phases () =
       in
       H.table ~header:[ "dataset"; "algorithm"; "time + per-phase fields" ] ~rows)
     [ 2; 3 ]
-
-(* ---- parallel: domain-pool speedup vs domains (BENCH_parallel.json) ---- *)
-
-(* Speedup of the pooled parallel phases — clique-core decomposition
-   (both the frontier mode and the density-tracked peel that PeelApp
-   and Pruning1 ride), clique counting and flow-network construction —
-   as the pool
-   grows, on generated graphs.  Every row carries [cores_detected]
-   (the hardware recommendation at measurement time) so the compare
-   gate can tell "no speedup because the code regressed" from "no
-   speedup because the box cannot physically provide one".  Results are bit-identical across pool sizes (the
-   differential test suite pins that); this measures only time.  The
-   measured rows also land in BENCH_parallel.json for tracking, along
-   with the pool's sequential-fallback threshold: jobs smaller than
-   [Pool.default_sequential_below] run inline on the calling domain,
-   so undersized workloads no longer pay the fork/join tax and report
-   ~1.0x instead of a slowdown.  Each cell reports the median of
-   eleven interleaved repetitions to keep scheduler noise out of the
-   speedup column.  In
-   --smoke mode the graphs shrink so CI exercises the multi-domain
-   code paths in seconds. *)
-let parallel () =
-  let smoke = !H.smoke in
-  H.section
-    (Printf.sprintf
-       "Parallel — domain-pool speedup vs domains%s (hardware recommends %d)"
-       (if smoke then " [smoke]" else "")
-       (Dsd_clique.Parallel.recommended_domains ()));
-  let domains_list = if smoke then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let graphs =
-    if smoke then
-      [ ("er_1k", Dsd_data.Gen.er_gnp ~seed:7 ~n:1_000 ~p:0.01) ]
-    else
-      [ ("ba_20k", Dsd_data.Gen.barabasi_albert ~seed:7 ~n:20_000 ~attach:6);
-        ("er_20k", Dsd_data.Gen.er_gnp ~seed:11 ~n:20_000 ~p:0.0008) ]
-  in
-  let phases g =
-    [ ("decompose_triangle",
-       fun pool ->
-         ignore
-           (Dsd_core.Clique_core.decompose ~pool ~track_density:false g
-              P.triangle));
-      ("decompose_tracked_triangle",
-       fun pool ->
-         ignore
-           (Dsd_core.Clique_core.decompose ~pool ~track_density:true g
-              P.triangle));
-      ("count_4clique",
-       fun pool -> ignore (Dsd_clique.Parallel.count_in pool g ~h:4));
-      ("build_network_triangle",
-       fun pool ->
-         let instances = Dsd_core.Enumerate.instances ~pool g P.triangle in
-         ignore
-           (Dsd_core.Flow_build.prepare ~pool Dsd_core.Flow_build.Clique_flow g
-              P.triangle ~instances ~alpha:1.0)) ]
-  in
-  let json_rows = ref [] in
-  List.iter
-    (fun (gname, g) ->
-      Printf.printf "\n[%s]  n=%d m=%d\n" gname (G.n g) (G.m g);
-      let rows =
-        List.map
-          (fun (phase, run) ->
-            let reps = if smoke then 1 else 11 in
-            (* All domain counts timed in one forked child: the speedup
-               column is a ratio of times from the same process, so
-               fork-to-fork variance (CPU frequency, page cache) cannot
-               masquerade as a slowdown. *)
-            let cell =
-              H.run_cell
-                ~timeout:
-                  (2. *. float_of_int reps
-                  *. float_of_int (List.length domains_list)
-                  *. !H.default_timeout)
-                (fun () ->
-                  (* Repetitions interleaved across domain counts, so
-                     in-process drift (heap growth, thermal throttle)
-                     hits every column equally instead of penalising
-                     whichever ran last; the median per column keeps
-                     one lucky-fast or unlucky-slow repetition from
-                     skewing the speedup ratio the way min/max would. *)
-                  let ncols = List.length domains_list in
-                  let samples = Array.make_matrix ncols reps infinity in
-                  for r = 0 to reps - 1 do
-                    List.iteri
-                      (fun i domains ->
-                        (* Level the heap before each sample so major
-                           collections triggered by earlier columns'
-                           garbage don't land in later columns' time. *)
-                        Gc.full_major ();
-                        samples.(i).(r) <-
-                          snd
-                            (H.timed (fun () ->
-                                 Dsd_util.Pool.with_pool domains (fun pool ->
-                                     run pool))))
-                      domains_list
-                  done;
-                  String.concat " "
-                    (List.map
-                       (fun col ->
-                         Array.sort compare samples.(col);
-                         Printf.sprintf "%f" samples.(col).(reps / 2))
-                       (List.init ncols (fun i -> i))))
-            in
-            let times =
-              match cell with
-              | H.Ok s ->
-                let parts = String.split_on_char ' ' (String.trim s) in
-                if List.length parts = List.length domains_list then
-                  List.map (fun x -> float_of_string_opt x) parts
-                else List.map (fun _ -> None) domains_list
-              | _ -> List.map (fun _ -> None) domains_list
-            in
-            let base = match times with Some b :: _ -> Some b | _ -> None in
-            let cells =
-              List.map2
-                (fun domains time_s ->
-                  let speedup =
-                    match (base, time_s) with
-                    | Some b, Some t when t > 0. -> Some (b /. t)
-                    | _ -> None
-                  in
-                  json_rows :=
-                    Printf.sprintf
-                      "    {\"graph\": \"%s\", \"n\": %d, \"m\": %d, \
-                       \"phase\": \"%s\", \"domains\": %d, \
-                       \"cores_detected\": %d, \"time_s\": %s, \
-                       \"speedup\": %s}"
-                      gname (G.n g) (G.m g) phase domains
-                      (Domain.recommended_domain_count ())
-                      (match time_s with
-                       | Some t -> Printf.sprintf "%.6f" t
-                       | None -> "null")
-                      (match speedup with
-                       | Some s -> Printf.sprintf "%.3f" s
-                       | None -> "null")
-                    :: !json_rows;
-                  (time_s, speedup))
-                domains_list times
-            in
-            phase
-            :: List.concat_map
-                 (fun (time_s, speedup) ->
-                   [ (match time_s with
-                      | Some t -> Printf.sprintf "%8.3fs" t
-                      | None -> H.show_payload cell);
-                     (match speedup with
-                      | Some s -> Printf.sprintf "%.2fx" s
-                      | None -> "-") ])
-                 cells)
-          (phases g)
-      in
-      let header =
-        "phase"
-        :: List.concat_map
-             (fun d ->
-               [ Printf.sprintf "%dd time" d; Printf.sprintf "%dd spd" d ])
-             domains_list
-      in
-      H.table ~header ~rows)
-    graphs;
-  H.write_json "parallel"
-    ~extra:
-      [ ( "recommended_domains",
-          string_of_int (Dsd_clique.Parallel.recommended_domains ()) );
-        ( "sequential_below",
-          string_of_int Dsd_util.Pool.default_sequential_below ) ]
-    (List.rev !json_rows)
 
 (* ---- retarget: network builds vs O(V) re-alphas (BENCH_retarget.json) ---- *)
 
@@ -1697,8 +1511,6 @@ let all : (string * string * (unit -> unit)) list =
     ("sec63", "Sec 6.3: query-vertex CDS variant", sec63);
     ("ext_greedy", "extension: Greedy++ convergence", ext_greedy);
     ("ext_streaming", "extension: streaming eps sweep", ext_streaming);
-    ("ext_parallel", "extension: multicore clique counting", ext_parallel);
-    ("parallel", "domain-pool speedup vs domains (BENCH_parallel.json)", parallel);
     ("retarget", "flow-network builds vs re-capacitations (BENCH_retarget.json)", retarget);
     ("search", "exact search vs the float references (BENCH_search.json)", search);
     ("serve", "cold vs prepared vs cached request latency (BENCH_serve.json)", serve);

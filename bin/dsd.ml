@@ -70,30 +70,23 @@ let pattern_arg =
              ~doc:"Density pattern: edge, triangle, 4/5/6-clique, 2/3-star, \
                    c3-star, diamond, 2-triangle, 3-triangle, basket.")
 
+(* The library runs on one domain.  --domains stays for invocations
+   that pass --domains 1; any other value is refused while the
+   arguments are parsed, before any graph is loaded. *)
 let domains_arg =
-  C.Arg.(value & opt (some int) None
-         & info [ "domains" ] ~docv:"N"
-             ~doc:"Domains for the parallel phases (enumeration, round-\
-                   synchronous peeling, flow-network construction).  \
-                   Defaults to $(b,DSD_DOMAINS) when \
-                   set, otherwise min(hardware recommendation, 4).  Results \
-                   are identical for every value; $(b,--domains 1) is the \
-                   escape hatch that keeps everything on the calling \
-                   domain.")
-
-(* Run [f] with a shared domain pool sized by --domains (or the capped
-   default).  All solvers are bit-identical across pool sizes, so this
-   only changes how fast the answer arrives. *)
-let with_domains domains f =
-  let domains =
-    match domains with
-    | Some d when d >= 1 -> d
-    | Some _ ->
-      prerr_endline "dsd: --domains must be >= 1";
+  let check = function
+    | None | Some 1 -> ()
+    | Some d ->
+      Printf.eprintf "dsd: --domains %d: only 1 is supported (dsd runs on one domain)\n" d;
       exit 2
-    | None -> Dsd_clique.Parallel.default_domains ()
   in
-  Dsd_util.Pool.with_pool domains (fun pool -> f pool)
+  C.Term.(
+    const check
+    $ C.Arg.(value & opt (some int) None
+             & info [ "domains" ] ~docv:"N"
+                 ~doc:"Must be 1: every phase runs on the calling domain.  \
+                       Kept so that invocations passing $(b,--domains 1) \
+                       still work."))
 
 (* ---- observability options ---- *)
 
@@ -175,15 +168,12 @@ let generate =
 (* ---- stats ---- *)
 
 let stats =
-  let run input dataset pattern domains =
+  let run input dataset pattern () =
     let g = load_graph input dataset in
     let psi = pattern_of_string pattern in
     let _, cc = Dsd_graph.Traversal.components g in
     let alpha = Dsd_util.Stats.power_law_alpha (G.degrees g) in
-    let decomp =
-      with_domains domains (fun pool ->
-          Dsd_core.Clique_core.decompose ~pool ~track_density:false g psi)
-    in
+    let decomp = Dsd_core.Clique_core.decompose ~track_density:false g psi in
     let core = Dsd_core.Clique_core.kmax_core decomp in
     Printf.printf "vertices            %d\n" (G.n g);
     Printf.printf "edges               %d\n" (G.m g);
@@ -205,13 +195,12 @@ let decompose =
   let show_all =
     C.Arg.(value & flag & info [ "all" ] ~doc:"Print every vertex's core number.")
   in
-  let run input dataset pattern domains show_all stats trace =
+  let run input dataset pattern () show_all stats trace =
     let g = load_graph input dataset in
     let psi = pattern_of_string pattern in
     let decomp =
       with_obs ~stats ~trace (fun () ->
-          with_domains domains (fun pool ->
-              Dsd_core.Clique_core.decompose ~pool ~track_density:false g psi))
+          Dsd_core.Clique_core.decompose ~track_density:false g psi)
     in
     Printf.printf "kmax = %d\n" decomp.Dsd_core.Clique_core.kmax;
     if show_all then
@@ -245,31 +234,27 @@ let cds =
                ~doc:"Also write the graph as Graphviz DOT with the found \
                      subgraph highlighted.")
   in
-  let run input dataset pattern domains algo dot stats trace =
+  let run input dataset pattern () algo dot stats trace =
     let g = load_graph input dataset in
     let psi = pattern_of_string pattern in
-    let api algorithm pool =
-      Dsd_core.Api.densest_subgraph ~pool ~psi ~algorithm g
-    in
+    let api algorithm () = Dsd_core.Api.densest_subgraph ~psi ~algorithm g in
     let name, solve =
       match String.lowercase_ascii algo with
-      | "exact" -> ("Exact", fun pool -> api Dsd_core.Api.Exact_flow pool)
-      | "coreexact" -> ("CoreExact", fun pool -> api Dsd_core.Api.Core_exact pool)
-      | "peel" -> ("PeelApp", fun pool -> api Dsd_core.Api.Peel pool)
-      | "incapp" -> ("IncApp", fun pool -> api Dsd_core.Api.Inc_app pool)
-      | "coreapp" -> ("CoreApp", fun pool -> api Dsd_core.Api.Core_app pool)
+      | "exact" -> ("Exact", api Dsd_core.Api.Exact_flow)
+      | "coreexact" -> ("CoreExact", api Dsd_core.Api.Core_exact)
+      | "peel" -> ("PeelApp", api Dsd_core.Api.Peel)
+      | "incapp" -> ("IncApp", api Dsd_core.Api.Inc_app)
+      | "coreapp" -> ("CoreApp", api Dsd_core.Api.Core_app)
       | "greedy++" | "greedypp" ->
-        ("Greedy++", fun _pool -> (Dsd_core.Greedy_pp.run g psi).Dsd_core.Greedy_pp.subgraph)
+        ("Greedy++", fun () -> (Dsd_core.Greedy_pp.run g psi).Dsd_core.Greedy_pp.subgraph)
       | "streaming" ->
-        ("Streaming", fun _pool -> (Dsd_core.Streaming.run g psi).Dsd_core.Streaming.subgraph)
+        ("Streaming", fun () -> (Dsd_core.Streaming.run g psi).Dsd_core.Streaming.subgraph)
       | other ->
         Printf.eprintf "unknown algorithm %s\n" other;
         exit 2
     in
     let (sg : Dsd_core.Density.subgraph), elapsed =
-      with_obs ~stats ~trace (fun () ->
-          with_domains domains (fun pool ->
-              Dsd_util.Timer.time (fun () -> solve pool)))
+      with_obs ~stats ~trace (fun () -> Dsd_util.Timer.time solve)
     in
     Printf.printf "algorithm  %s\n" name;
     Printf.printf "pattern    %s\n" psi.P.name;
@@ -297,14 +282,12 @@ let query =
     C.Arg.(non_empty & pos_all int []
            & info [] ~docv:"VERTEX" ~doc:"Query vertices the subgraph must contain.")
   in
-  let run input dataset pattern domains vertices stats trace =
+  let run input dataset pattern () vertices stats trace =
     let g = load_graph input dataset in
     let psi = pattern_of_string pattern in
     let r =
       with_obs ~stats ~trace (fun () ->
-          with_domains domains (fun pool ->
-              Dsd_core.Query_dsd.run ~pool g psi
-                ~query:(Array.of_list vertices)))
+          Dsd_core.Query_dsd.run g psi ~query:(Array.of_list vertices))
     in
     let sg = r.Dsd_core.Query_dsd.subgraph in
     Printf.printf "pattern    %s\n" psi.P.name;
@@ -336,13 +319,12 @@ let topk =
                ~doc:"Disable core-based candidate pruning (whole-graph \
                      search every round; same answer, more work).")
   in
-  let run input dataset pattern domains k no_prune stats trace =
+  let run input dataset pattern () k no_prune stats trace =
     let g = load_graph input dataset in
     let psi = pattern_of_string pattern in
     let r =
       with_obs ~stats ~trace (fun () ->
-          with_domains domains (fun pool ->
-              Dsd_core.Topk_lds.run ~pool ~prune:(not no_prune) ~k g psi))
+          Dsd_core.Topk_lds.run ~prune:(not no_prune) ~k g psi)
     in
     Printf.printf "pattern    %s\n" psi.P.name;
     Printf.printf "regions    %d\n" (List.length r.Dsd_core.Topk_lds.regions);
@@ -373,7 +355,7 @@ let hierarchy =
                ~doc:"Print only the first $(docv) levels (0 = the whole \
                      chain).  The full decomposition is computed either way.")
   in
-  let run input dataset pattern domains levels stats trace =
+  let run input dataset pattern () levels stats trace =
     if levels < 0 then begin
       prerr_endline "dsd: --levels must be >= 0";
       exit 2
@@ -381,9 +363,7 @@ let hierarchy =
     let g = load_graph input dataset in
     let psi = pattern_of_string pattern in
     let d =
-      with_obs ~stats ~trace (fun () ->
-          with_domains domains (fun pool ->
-              Dsd_core.Ld_decomposition.decompose ~pool g psi))
+      with_obs ~stats ~trace (fun () -> Dsd_core.Ld_decomposition.decompose g psi)
     in
     let all = d.Dsd_core.Ld_decomposition.levels in
     Printf.printf "pattern    %s\n" psi.P.name;
@@ -699,7 +679,7 @@ let serve =
                ~doc:"Disconnect a peer that sends nothing for $(docv) \
                      (must be positive).")
   in
-  let run socket port host graphs datasets max_cached timeout domains =
+  let run socket port host graphs datasets max_cached timeout () =
     if max_cached < 0 then begin
       prerr_endline "dsd: --max-cached must be >= 0";
       exit 2
@@ -741,15 +721,12 @@ let serve =
     (* Counters (serve_* and solver) accumulate for the stats endpoint
        for as long as the daemon lives. *)
     Dsd_obs.Control.enable ();
-    with_domains domains (fun pool ->
-        let state =
-          Dsd_serve.State.create ~pool ~max_cached:max_cached named
-        in
-        List.iter
-          (fun (name, g) ->
-            Printf.printf "serving %-12s n=%d m=%d\n%!" name (G.n g) (G.m g))
-          (Dsd_serve.State.graphs state);
-        Dsd_serve.Server.run ~receive_timeout_s:timeout ~state addr)
+    let state = Dsd_serve.State.create ~max_cached named in
+    List.iter
+      (fun (name, g) ->
+        Printf.printf "serving %-12s n=%d m=%d\n%!" name (G.n g) (G.m g))
+      (Dsd_serve.State.graphs state);
+    Dsd_serve.Server.run ~receive_timeout_s:timeout ~state addr
   in
   let run a b c d e f g h = or_die (fun () -> run a b c d e f g h) in
   C.Cmd.v

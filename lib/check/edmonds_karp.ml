@@ -1,4 +1,4 @@
-module F = Flow_network
+module F = Dsd_flow.Flow_network
 
 let max_flow net ~s ~t =
   if s = t then invalid_arg "Edmonds_karp.max_flow: s = t";

@@ -26,4 +26,4 @@ let count g ~h =
   iter g ~h ~f:(fun _ -> incr c);
   !c
 
-let list g ~h = Instances.build ~arity:h (fun add -> iter g ~h ~f:add)
+let list g ~h = Dsd_clique.Instances.build ~arity:h (fun add -> iter g ~h ~f:add)

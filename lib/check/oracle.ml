@@ -7,7 +7,7 @@ module P = Dsd_pattern.Pattern
 (* Instances of psi inside g, by the slow generic matcher. *)
 let slow_count g psi =
   match psi.P.kind with
-  | P.Clique -> Dsd_clique.Naive.count g ~h:psi.P.size
+  | P.Clique -> Naive.count g ~h:psi.P.size
   | _ -> Dsd_pattern.Match.count g psi
 
 let density_of_subset g psi vs =
@@ -161,7 +161,7 @@ let brute_force_ld_decomposition g psi =
   let inst_masks =
     let insts =
       match psi.P.kind with
-      | P.Clique -> Dsd_clique.Naive.list g ~h:psi.P.size
+      | P.Clique -> Naive.list g ~h:psi.P.size
       | _ -> Dsd_pattern.Match.instances g psi
     in
     Array.init insts.Dsd_clique.Instances.count (fun i ->
@@ -263,7 +263,7 @@ let reference_cds g psi =
     | FB.Eds -> (G.m g, G.max_degree g)
     | _ ->
       ( instances.count,
-        Array.fold_left max 0 (FB.instance_degrees n instances) )
+        Array.fold_left max 0 (Dsd_clique.Instances.degrees ~n instances) )
   in
   if n = 0 || mu = 0 then (D.empty, 0)
   else begin
@@ -395,7 +395,7 @@ let reference_ld_decomposition g psi =
       :: (if Array.length s = n then [] else levels s (count s) m)
   in
   (* rho <= max_v deg(v, Psi) / h bounds the first marginal. *)
-  let degrees = Dsd_core.Flow_build.instance_degrees n instances in
+  let degrees = Dsd_clique.Instances.degrees ~n instances in
   let upper = float_of_int (Array.fold_left max 0 degrees) in
   let levels = if n = 0 then [] else levels [||] 0 upper in
   { LD.levels; iterations = !probes; elapsed_s = Dsd_util.Timer.now_s () -. t0 }
@@ -414,7 +414,7 @@ let survivors g psi k =
     let sub, map = G.induced g live in
     let insts =
       match psi.P.kind with
-      | P.Clique -> Dsd_clique.Naive.list sub ~h:psi.P.size
+      | P.Clique -> Naive.list sub ~h:psi.P.size
       | _ -> Dsd_pattern.Match.instances sub psi
     in
     let deg = Array.make (G.n sub) 0 in
@@ -458,7 +458,7 @@ let reference_peel g psi =
   let n = G.n g in
   let insts =
     match psi.P.kind with
-    | P.Clique -> Dsd_clique.Naive.list g ~h:psi.P.size
+    | P.Clique -> Naive.list g ~h:psi.P.size
     | _ -> Dsd_pattern.Match.instances g psi
   in
   let h = insts.Dsd_clique.Instances.arity and mu = insts.count in
@@ -478,7 +478,12 @@ let reference_peel g psi =
     !c
   in
   let degree v =
-    count (fun i -> Array.mem v (Dsd_clique.Instances.get insts i))
+    count (fun i ->
+        let hit = ref false in
+        for p = i * h to ((i + 1) * h) - 1 do
+          if insts.members.(p) = v then hit := true
+        done;
+        !hit)
   in
   let core = Array.make n 0 and order = Array.make n 0 in
   let initial = if n = 0 then 0. else float_of_int mu /. float_of_int n in

@@ -244,44 +244,6 @@ let search_equals_reference =
         | [] -> Pass
         | msgs -> Fail (String.concat "; " msgs)) }
 
-(* ---- pool width 1 vs N bit-equality ---- *)
-
-let pool_width =
-  { name = "pool-width";
-    check =
-      (fun subject ~rng:_ (c : Generator.case) ->
-        Dsd_util.Pool.with_pool 2 (fun pool ->
-            let check_one name (seq : Dsd_core.Density.subgraph)
-                (par : Dsd_core.Density.subgraph) =
-              if seq.density <> par.density || seq.vertices <> par.vertices
-              then
-                Some
-                  (Printf.sprintf
-                     "%s: pooled result differs (density %.17g vs %.17g)"
-                     name seq.density par.density)
-              else None
-            in
-            let bad =
-              List.filter_map Fun.id
-                [ check_one "CoreExact"
-                    (subject.Subject.core_exact c.graph c.psi)
-                    (subject.Subject.core_exact ~pool c.graph c.psi);
-                  check_one "IncApp"
-                    (subject.Subject.inc_app c.graph c.psi)
-                    (subject.Subject.inc_app ~pool c.graph c.psi);
-                ]
-            in
-            let cores = subject.Subject.core_numbers c.graph c.psi in
-            let cores_p = subject.Subject.core_numbers ~pool c.graph c.psi in
-            let bad =
-              if cores <> cores_p then
-                "core numbers differ across pool widths" :: bad
-              else bad
-            in
-            match bad with
-            | [] -> Pass
-            | msgs -> Fail (String.concat "; " msgs))) }
-
 (* ---- Exact = CoreExact = brute force on small graphs ---- *)
 
 let exact_vs_brute =
@@ -740,67 +702,55 @@ let top1_equals_cds =
               exact.density
         | regions -> failf "k=1 returned %d regions" (List.length regions)) }
 
-(* ---- round-synchronous parallel peel ≡ sequential peel ---- *)
+(* ---- round-synchronous peel ≡ the brute-force reference peel ---- *)
 
-(* The bucket-free peel engine must reproduce the whole transcript —
-   not just the answer — at every pool width: core numbers, peel
-   order, kmax, the residual-density trace with its best suffix, and
-   PeelApp's subgraph (the consumer of the tracked order).
-   [sequential_below:0] forces even these small cases off the inline
-   path and through the worker fan-out. *)
-let parallel_peel_equivalence =
+(* The clique and generic engine must reproduce the whole transcript
+   of [Oracle.reference_peel] — not just the answer: core numbers,
+   peel order, kmax, the bits of every residual density, the best
+   suffix, and PeelApp's subgraph (that suffix, sorted, with its
+   density).  Star and 4-cycle patterns peel through the closed-form
+   engine's heap, whose order the reference does not model. *)
+let peel_equals_reference =
   let module CC = Dsd_core.Clique_core in
-  { name = "parallel-peel-equivalence";
+  { name = "peel-equals-reference";
     check =
       (fun subject ~rng:_ (c : Generator.case) ->
-        let seq = CC.decompose ~track_density:true c.graph c.psi in
-        let peel_seq = subject.Subject.peel c.graph c.psi in
-        let check_width width =
-          Dsd_util.Pool.with_pool ~sequential_below:0 width (fun pool ->
-              let par =
-                CC.decompose ~pool ~track_density:true c.graph c.psi
-              in
-              if par.CC.core <> seq.CC.core then
-                Some (Printf.sprintf "width %d: core numbers differ" width)
-              else if par.CC.order <> seq.CC.order then
-                Some (Printf.sprintf "width %d: peel order differs" width)
-              else if par.CC.kmax <> seq.CC.kmax then
-                Some
-                  (Printf.sprintf "width %d: kmax %d <> %d" width par.CC.kmax
-                     seq.CC.kmax)
-              else if par.CC.residual_densities <> seq.CC.residual_densities
-              then
-                Some
-                  (Printf.sprintf "width %d: residual-density trace differs"
-                     width)
-              else if
-                Int64.bits_of_float par.CC.best_residual_density
-                <> Int64.bits_of_float seq.CC.best_residual_density
-                || par.CC.best_residual_start <> seq.CC.best_residual_start
-              then
-                Some
-                  (Printf.sprintf "width %d: best residual suffix drifts \
-                                   (%.17g@%d vs %.17g@%d)"
-                     width par.CC.best_residual_density
-                     par.CC.best_residual_start seq.CC.best_residual_density
-                     seq.CC.best_residual_start)
-              else begin
-                let p = subject.Subject.peel ~pool c.graph c.psi in
-                if
-                  Int64.bits_of_float p.density
-                  <> Int64.bits_of_float peel_seq.density
-                  || p.vertices <> peel_seq.vertices
-                then
-                  Some
-                    (Printf.sprintf
-                       "width %d: PeelApp result differs (%.17g vs %.17g)"
-                       width p.density peel_seq.density)
-                else None
-              end)
-        in
-        match List.filter_map check_width [ 2; 4 ] with
-        | [] -> Pass
-        | msgs -> Fail (String.concat "; " msgs)) }
+        match c.psi.P.kind with
+        | P.Star _ | P.Cycle4 -> Skip "closed-form engine"
+        | P.Clique | P.Generic ->
+          let r, _ = Oracle.reference_peel c.graph c.psi in
+          let d = CC.decompose ~track_density:true c.graph c.psi in
+          let bits a = Array.map Int64.bits_of_float a in
+          if d.CC.core <> r.CC.core then failf "core numbers differ"
+          else if d.CC.order <> r.CC.order then failf "peel order differs"
+          else if d.CC.kmax <> r.CC.kmax then
+            failf "kmax %d <> %d in the reference" d.CC.kmax r.CC.kmax
+          else if bits d.CC.residual_densities <> bits r.CC.residual_densities
+          then failf "residual-density trace differs"
+          else if
+            Int64.bits_of_float d.CC.best_residual_density
+            <> Int64.bits_of_float r.CC.best_residual_density
+            || d.CC.best_residual_start <> r.CC.best_residual_start
+          then
+            failf "best residual suffix %.17g@%d vs %.17g@%d in the reference"
+              d.CC.best_residual_density d.CC.best_residual_start
+              r.CC.best_residual_density r.CC.best_residual_start
+          else begin
+            let p = subject.Subject.peel c.graph c.psi in
+            let vertices, density =
+              if r.CC.mu_total = 0 then ([||], 0.)
+              else (CC.best_residual r, r.CC.best_residual_density)
+            in
+            if
+              Int64.bits_of_float p.density <> Int64.bits_of_float density
+              || p.vertices <> vertices
+            then
+              failf "PeelApp %.17g on %d vertices vs %.17g on %d in the \
+                     reference"
+                p.density (Array.length p.vertices) density
+                (Array.length vertices)
+            else Pass
+          end) }
 
 (* ---- density-friendly hierarchy ---- *)
 
@@ -943,7 +893,6 @@ let all =
     disjoint_union;
     edge_monotonicity;
     search_equals_reference;
-    pool_width;
     exact_vs_brute;
     planted_certificate;
     serve_equals_api;
@@ -952,7 +901,7 @@ let all =
     topk_disjointness;
     topk_prefix_stability;
     top1_equals_cds;
-    parallel_peel_equivalence;
+    peel_equals_reference;
     hierarchy_nesting;
     hierarchy_level1_equals_cds;
     hierarchy_equals_reference;

@@ -26,8 +26,6 @@
                              vertex 0 equals [reference_query], and
                              the top-3 regions equal [reference_cds]
                              iterated on the remaining graph
-    - [pool-width]           a width-2 domain pool returns bit-identical
-                             results to the sequential path
     - [exact-vs-brute]       Exact = CoreExact = exhaustive subset
                              enumeration on small graphs, bit for bit
     - [planted-certificate]  rho_opt ≥ the density of the certificate
@@ -44,6 +42,11 @@
                              incremental sessions answers bit-identically
                              to a from-scratch rebuild after every
                              batch; failing scripts shrink and print
+    - [peel-equals-reference]  the clique and generic peel reproduces
+                             the brute-force [Oracle.reference_peel]:
+                             core numbers, order, kmax, residual-density
+                             bits, the best suffix and PeelApp's
+                             subgraph
     - [hierarchy-nesting]    the density-friendly chain partitions V
                              into sorted strictly-nested prefixes with
                              strictly decreasing marginal densities,

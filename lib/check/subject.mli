@@ -9,29 +9,17 @@ type subgraph = Dsd_core.Density.subgraph
 
 type t = {
   name : string;
-  exact :
-    ?pool:Dsd_util.Pool.t ->
-    Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> subgraph;
+  exact : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> subgraph;
       (** Algorithm 1 / PExact *)
-  core_exact :
-    ?pool:Dsd_util.Pool.t ->
-    Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> subgraph;
+  core_exact : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> subgraph;
       (** Algorithm 4 / CorePExact — the reference rho_opt *)
-  peel :
-    ?pool:Dsd_util.Pool.t ->
-    Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> subgraph;
+  peel : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> subgraph;
       (** Algorithm 2 *)
-  inc_app :
-    ?pool:Dsd_util.Pool.t ->
-    Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> subgraph;
+  inc_app : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> subgraph;
       (** Algorithm 5 *)
-  core_app :
-    ?pool:Dsd_util.Pool.t ->
-    Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> subgraph;
+  core_app : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> subgraph;
       (** Algorithm 6 *)
-  core_numbers :
-    ?pool:Dsd_util.Pool.t ->
-    Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> int array;
+  core_numbers : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> int array;
       (** Algorithm 3 *)
 }
 

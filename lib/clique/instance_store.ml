@@ -1,9 +1,8 @@
 (* Flat-arena layout: instance members and per-vertex postings both
    live in single contiguous int arrays addressed through CSR-style
-   offset tables.  The peel's hot scans (ownership resolution, degree
-   refresh, posting walks) then stream disjoint cache-friendly ranges
-   instead of chasing one heap block per vertex/instance — which is
-   what lets chunked pool workers scale instead of thrashing. *)
+   offset tables, so the peel's posting walks and member runs stream
+   contiguous ranges instead of chasing one heap block per
+   vertex/instance. *)
 
 type t = {
   n : int;
@@ -58,7 +57,6 @@ let create ~n (insts : Instances.t) =
 let total t = t.total
 let live_total t = t.live_count
 let arity t = t.arity
-let member t i j = t.inst_mem.((i * t.arity) + j)
 let members t i = Array.sub t.inst_mem (i * t.arity) t.arity
 let is_live t i = Bytes.get t.live i = '\001'
 let degree t v = t.deg.(v)
@@ -96,9 +94,6 @@ let kill_vertex t v ~on_comember =
 let kill_instance t i =
   if is_live t i then
     kill_instance_internal t i ~skip:(-1) ~on_comember:(fun _ -> ())
-
-let kill_instance_with t i ~on_comember =
-  if is_live t i then kill_instance_internal t i ~skip:(-1) ~on_comember
 
 let iter_live_of_vertex t v ~f =
   for p = t.post_off.(v) to t.post_off.(v + 1) - 1 do

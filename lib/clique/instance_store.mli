@@ -13,9 +13,9 @@
     member arena without copying it (it never writes there); only the
     per-vertex postings, liveness bits and degrees are built.  Members
     and postings are flat contiguous arrays behind CSR-style offsets,
-    so the peel's chunked scans stream disjoint cache lines instead of
-    chasing one heap block per vertex — read members through
-    {!member}/{!iter_members} on hot paths ({!members} copies a
+    so a vertex's retirement walks one posting range and one member
+    run per instance instead of chasing heap blocks — read members
+    through {!iter_members} on hot paths ({!members} copies a
     slice). *)
 
 type t
@@ -35,10 +35,6 @@ val live_total : t -> int
 
 (** Members per instance. *)
 val arity : t -> int
-
-(** [member t i j] is the [j]-th member of instance [i] (sorted
-    ascending, as enumerated) — no allocation. *)
-val member : t -> int -> int -> int
 
 (** [iter_members t i ~f] visits instance [i]'s members in order. *)
 val iter_members : t -> int -> f:(int -> unit) -> unit
@@ -61,13 +57,6 @@ val kill_vertex : t -> int -> on_comember:(int -> unit) -> int
 (** [kill_instance t i] retires a single live instance, decrementing
     all member degrees.  No-op on a dead instance. *)
 val kill_instance : t -> int -> unit
-
-(** [kill_instance_with t i ~on_comember] is {!kill_instance} with
-    [on_comember] called once per member (after that member's degree
-    decrement).  Frontier-synchronous peeling retires whole instance
-    batches through this, collecting the members that drop below the
-    level threshold. *)
-val kill_instance_with : t -> int -> on_comember:(int -> unit) -> unit
 
 (** [iter_live_of_vertex t v ~f] visits ids of live instances
     containing [v]. *)

@@ -6,7 +6,7 @@ module G = Dsd_graph.Graph
    can be intersected by linear merges. *)
 type dag = { off : int array; targets : int array; max_out : int }
 
-let prepare g =
+let dag g =
   let rank = (Dsd_graph.Degeneracy.compute g).rank in
   let n = G.n g in
   let off = Array.make (n + 1) 0 in
@@ -49,20 +49,20 @@ let intersect_into dag cand lo hi u dst =
   done;
   !k
 
-(* The one recursion behind [iter], [count], [list] and {!Parallel}:
-   for every root in [lo, hi) and every chain of h - 1 DAG vertices
-   from it, [last chain cand clo chi] receives the chain in
-   chain.(0 .. h - 2) and the candidates for its last member in
-   cand.(clo .. chi - 1) (at h = 1 the chain is empty and the root is
-   the one candidate).  Candidate sets live in one buffer per
-   depth, sized to the DAG's maximum out-degree, so the walk allocates
-   nothing after its set-up.  Roots ascend and candidates ascend by
+(* The one recursion behind [iter], [count] and [list]: for every root
+   vertex and every chain of h - 1 DAG vertices from it,
+   [last chain cand clo chi] receives the chain in chain.(0 .. h - 2)
+   and the candidates for its last member in cand.(clo .. chi - 1) (at
+   h = 1 the chain is empty and the root is the one candidate).
+   Candidate sets live in one buffer per depth, sized to the DAG's
+   maximum out-degree, so the walk allocates nothing after its set-up.  Roots ascend and candidates ascend by
    id, which fixes the instance order. *)
-let walk dag ~h ~lo ~hi ~last =
+let walk dag ~h ~last =
+  let n = Array.length dag.off - 1 in
   let chain = Array.make h 0 in
   if h = 1 then begin
     let root = Array.make 1 0 in
-    for v = lo to hi - 1 do
+    for v = 0 to n - 1 do
       root.(0) <- v;
       last chain root 0 1
     done
@@ -83,7 +83,7 @@ let walk dag ~h ~lo ~hi ~last =
         done
       end
     in
-    for v = lo to hi - 1 do
+    for v = 0 to n - 1 do
       chain.(0) <- v;
       extend 1 dag.targets dag.off.(v) dag.off.(v + 1)
     done
@@ -114,18 +114,18 @@ let insert_into sorted h x dst =
     dst.(j + 1) <- sorted.(j)
   done
 
-(* Tally locally, publish once per call: with parallel striping each
-   stripe lands one atomic add instead of one per instance. *)
+(* Tally locally, publish once per call: one atomic add instead of
+   one per instance. *)
 let publish emitted =
   Dsd_obs.Counter.add Dsd_obs.Counter.Clique_instances emitted
 
 let check_h h = if h < 1 then invalid_arg "Kclist: h must be >= 1"
 
-let iter_prepared dag ~h ~lo ~hi ~f =
+let iter g ~h ~f =
   check_h h;
   let sorted = Array.make h 0 and emit = Array.make h 0 in
   let emitted = ref 0 in
-  walk dag ~h ~lo ~hi ~last:(fun chain cand clo chi ->
+  walk (dag g) ~h ~last:(fun chain cand clo chi ->
       sort_prefix chain sorted h;
       for p = clo to chi - 1 do
         insert_into sorted h cand.(p) emit;
@@ -134,18 +134,11 @@ let iter_prepared dag ~h ~lo ~hi ~f =
       emitted := !emitted + (chi - clo));
   publish !emitted
 
-let count_prepared dag ~h ~lo ~hi =
+let count g ~h =
   check_h h;
   let emitted = ref 0 in
-  walk dag ~h ~lo ~hi ~last:(fun _ _ clo chi ->
-      emitted := !emitted + (chi - clo));
+  walk (dag g) ~h ~last:(fun _ _ clo chi -> emitted := !emitted + (chi - clo));
   publish !emitted;
   !emitted
 
-let list_prepared dag ~h ~lo ~hi =
-  check_h h;
-  Instances.build ~arity:h (fun add -> iter_prepared dag ~h ~lo ~hi ~f:add)
-
-let iter g ~h ~f = iter_prepared (prepare g) ~h ~lo:0 ~hi:(G.n g) ~f
-let count g ~h = count_prepared (prepare g) ~h ~lo:0 ~hi:(G.n g)
-let list g ~h = list_prepared (prepare g) ~h ~lo:0 ~hi:(G.n g)
+let list g ~h = Instances.build ~arity:h (fun add -> iter g ~h ~f:add)

@@ -7,8 +7,7 @@
     by the degeneracy, and every h-clique is discovered exactly once as
     a chain in the DAG.
 
-    One recursion serves {!iter}, {!count}, {!list} and {!Parallel}.
-    The DAG is one CSR (offsets plus targets), candidate sets live in
+    One recursion serves {!iter}, {!count} and {!list}.  The DAG is one CSR (offsets plus targets), candidate sets live in
     one buffer per depth sized to the DAG's maximum out-degree and are
     intersected in place, and each clique's members are ordered by
     insertion, so a traversal allocates nothing after its set-up
@@ -30,23 +29,3 @@ val count : Dsd_graph.Graph.t -> h:int -> int
 (** [list g ~h] materialises all instances, each row sorted
     ascending, in the order {!iter} visits them. *)
 val list : Dsd_graph.Graph.t -> h:int -> Instances.t
-
-(** {1 Prepared form}
-
-    The degeneracy DAG can be built once and shared — it is immutable —
-    across repeated or parallel traversals ({!Parallel}).  Each
-    function below covers the h-cliques whose minimum-rank vertex lies
-    in [[lo, hi)] (every clique has exactly one such root, so disjoint
-    root ranges partition the cliques, and consecutive ranges list
-    them in the order of one whole-range call). *)
-
-type dag
-
-val prepare : Dsd_graph.Graph.t -> dag
-
-val iter_prepared :
-  dag -> h:int -> lo:int -> hi:int -> f:(int array -> unit) -> unit
-
-val count_prepared : dag -> h:int -> lo:int -> hi:int -> int
-
-val list_prepared : dag -> h:int -> lo:int -> hi:int -> Instances.t

@@ -12,16 +12,16 @@ let algorithm_name = function
   | Inc_app -> "IncApp"
   | Core_app -> "CoreApp"
 
-let densest_subgraph ?pool ?(psi = Dsd_pattern.Pattern.edge)
+let densest_subgraph ?(psi = Dsd_pattern.Pattern.edge)
     ?(algorithm = Core_exact) g =
   match algorithm with
-  | Exact_flow -> (Exact.run ?pool g psi).subgraph
-  | Core_exact -> (Core_exact.run ?pool g psi).subgraph
-  | Peel -> (Peel_app.run ?pool g psi).subgraph
-  | Inc_app -> (Inc_app.run ?pool g psi).subgraph
-  | Core_app -> (Core_app.run ?pool g psi).subgraph
+  | Exact_flow -> (Exact.run g psi).subgraph
+  | Core_exact -> (Core_exact.run g psi).subgraph
+  | Peel -> (Peel_app.run g psi).subgraph
+  | Inc_app -> (Inc_app.run g psi).subgraph
+  | Core_app -> (Core_app.run g psi).subgraph
 
-let core_numbers ?pool g psi =
-  (Clique_core.decompose ?pool ~track_density:false g psi).Clique_core.core
+let core_numbers g psi =
+  (Clique_core.decompose ~track_density:false g psi).Clique_core.core
 
-let kmax_core ?pool g psi = (Inc_app.run ?pool g psi).subgraph
+let kmax_core g psi = (Inc_app.run g psi).subgraph

@@ -61,8 +61,7 @@ let peel ~n ~mu_total ~track_density ~pop ~retire =
     residuals )
 
 (* Round-synchronous (bucket-free) peel over an instance store — the
-   canonical engine for clique/generic patterns, sequential and
-   parallel alike.
+   canonical engine for clique/generic patterns.
 
    Threshold peeling's core numbers are order-independent: core(v) is
    the largest k such that v survives deleting everything of
@@ -71,205 +70,91 @@ let peel ~n ~mu_total ~track_density ~pop ~retire =
    cascade of vertices whose live degree falls to <= k, in batched
    sub-rounds; every removed vertex gets core number k, which is
    exactly what a sequential bucket peel's running maximum assigns.
+   Peeling whole levels keeps the Theorem 3/4 guarantees: at the first
+   position of level k the residual graph has minimum degree k, so the
+   best level-boundary suffix already attains the rho*/|Psi| bound
+   PeelApp needs.
 
-   The canonical peel order: each sub-round's frontier is linearised
-   in ascending vertex id.  Under that linearisation the number of
-   instances vertex v retires at its own removal step — and hence its
-   live degree at removal time — equals the number of live instances
-   whose minimum in-frontier member is v (every instance with a
-   smaller in-frontier member died at that earlier member's step).
-   Those "owned counts" come out of a read-only scan, so the
-   per-step residual densities of Pruning1 (and Greedy++'s load
-   updates, via [on_peel]) are computed exactly, without any
-   sequential re-walk.  Peeling whole levels keeps the Theorem 3/4
-   guarantees: at the first position of level k the residual graph has
-   minimum degree k, so the best level-boundary suffix already attains
-   the rho*/|Psi| bound PeelApp needs.
-
-   Parallel structure per sub-round: the scan that maps each frontier
-   vertex to the live instances it owns fans out across the pool;
-   mutations (liveness bits, degree decrements, the next sub-frontier)
-   are applied sequentially from the chunk-ordered scan results.
-   Ownership (minimum in-frontier member — member slices are sorted)
-   is a pure function of sub-round-start state, so it needs no
-   synchronisation to agree across domains.  Chunk sizes are fixed
-   constants, hence boundaries — and with them every merged result —
-   are independent of the pool size: the transcript is bit-identical
-   from one domain to as many as the hardware has. *)
-let peel_store ?pool ?(on_peel = fun _ _ -> ()) ~track_density ~n store =
+   The canonical peel order: each sub-round's frontier (the vertices at
+   or below k when it starts) leaves the live set at once and is
+   retired in ascending vertex id.  Each vertex's retirement kills the
+   live instances it is still in, which are exactly those whose
+   minimum in-frontier member it is, and that count is the degree
+   charged to it (the residual densities of Pruning1 and Greedy++'s
+   loads, via [on_peel]).  The co-members that fall to <= k form the
+   next sub-round, sorted; when none do, k rises to the minimum live
+   degree.  [pop] walks this order on the shared skeleton, reporting
+   each vertex at level k, whose running maximum is k itself. *)
+let peel_store ?(on_peel = fun _ _ -> ()) ~track_density ~n store =
   let module IS = Dsd_clique.Instance_store in
-  (* Fixed chunk sizes: scan results merge in chunk order, and with
-     boundaries independent of the pool size the peel order is the
-     same for every domain count. *)
-  let scan_chunk = 4096 and frontier_chunk = 256 in
-  let map_chunks ~chunk ~n f =
-    match pool with
-    | Some pool -> Dsd_util.Pool.map_chunks pool ~chunk ~n f
-    | None ->
-      if n = 0 then [||]
-      else
-        Array.init
-          ((n + chunk - 1) / chunk)
-          (fun c ->
-            let lo = c * chunk in
-            f lo (min n (lo + chunk)))
-  in
-  let core = Array.make n 0 in
-  let order = Array.make n 0 in
-  let mu_total = IS.total store in
-  let mu_live = ref mu_total in
-  let initial_density =
-    if n = 0 then 0. else float_of_int mu_total /. float_of_int n
-  in
-  let residuals =
-    if track_density then Array.make (max 1 n) initial_density else [||]
-  in
-  let best_density = ref initial_density in
-  let best_start = ref 0 in
-  let best_count = ref mu_total in
-  let pos = ref 0 in
-  let alive = Array.make n true in
-  let in_frontier = Array.make n false in
-  let queued = Array.make n false in
+  let module V = Dsd_util.Vec.Int in
+  (* A vertex leaves the live set when it joins a frontier. *)
+  let live = Array.make n true in
   let k = ref 0 in
-  let kmax = ref 0 in
-  (* Survivors, compacted per level so the level scans cost O(live)
-     rather than O(n); filtering preserves ascending order. *)
-  let active = ref (Array.init n (fun v -> v)) in
-  while !pos < n do
-    let act = !active in
-    let an = Array.length act in
-    (* Next level: the minimum live degree (strictly above the level
-       just drained, so k advances past empty levels in one step). *)
-    let level =
-      Array.fold_left min max_int
-        (map_chunks ~chunk:scan_chunk ~n:an (fun lo hi ->
-             let m = ref max_int in
-             for idx = lo to hi - 1 do
-               let v = act.(idx) in
-               if alive.(v) then begin
-                 let d = IS.degree store v in
-                 if d < !m then m := d
-               end
-             done;
-             !m))
-    in
-    assert (level < max_int);
-    k := level;
-    kmax := level;
-    let frontier =
-      ref
-        (Array.concat
-           (Array.to_list
-              (map_chunks ~chunk:scan_chunk ~n:an (fun lo hi ->
-                   let out = Dsd_util.Vec.Int.create () in
-                   for idx = lo to hi - 1 do
-                     let v = act.(idx) in
-                     if alive.(v) && IS.degree store v <= !k then
-                       Dsd_util.Vec.Int.push out v
-                   done;
-                   Dsd_util.Vec.Int.to_array out))))
-    in
-    while Array.length !frontier > 0 do
-      let fr = !frontier in
-      let fn = Array.length fr in
-      Array.iter (fun v -> in_frontier.(v) <- true) fr;
-      (* Read-only ownership scan: liveness and degrees are not
-         mutated until the kill lists and owned counts are complete. *)
-      let scans =
-        map_chunks ~chunk:frontier_chunk ~n:fn (fun lo hi ->
-            let kills = Dsd_util.Vec.Int.create () in
-            let owned = Array.make (hi - lo) 0 in
-            for idx = lo to hi - 1 do
-              let v = fr.(idx) in
-              IS.iter_live_of_vertex store v ~f:(fun i ->
-                  let rec owner j =
-                    let u = IS.member store i j in
-                    if in_frontier.(u) then u else owner (j + 1)
-                  in
-                  if owner 0 = v then begin
-                    owned.(idx - lo) <- owned.(idx - lo) + 1;
-                    Dsd_util.Vec.Int.push kills i
-                  end)
-            done;
-            (kills, owned))
-      in
-      (* Linearised removal in ascending id order (fr is sorted):
-         vertex bookkeeping, density tracking and the on_peel hook see
-         exactly the sequential one-at-a-time transcript. *)
-      Array.iteri
-        (fun c (_, owned) ->
-          let lo = c * frontier_chunk in
-          Array.iteri
-            (fun d cnt ->
-              let v = fr.(lo + d) in
-              let i = !pos in
-              alive.(v) <- false;
-              core.(v) <- !k;
-              order.(i) <- v;
-              pos := i + 1;
-              Dsd_obs.Counter.incr Dsd_obs.Counter.Peeled_vertices;
-              on_peel v cnt;
-              mu_live := !mu_live - cnt;
-              if track_density && i < n - 1 then begin
-                let d = float_of_int !mu_live /. float_of_int (n - i - 1) in
-                residuals.(i + 1) <- d;
-                if d > !best_density then begin
-                  best_density := d;
-                  best_start := i + 1;
-                  best_count := !mu_live
-                end
-              end)
-            owned)
-        scans;
-      (* Store mutation: retire owned instances, decrement co-member
-         degrees, and queue the cascade that fell to <= k. *)
-      let next = Dsd_util.Vec.Int.create () in
-      Array.iter
-        (fun (kills, _) ->
-          Dsd_util.Vec.Int.iter
-            (fun i ->
-              IS.kill_instance_with store i ~on_comember:(fun u ->
-                  if
-                    alive.(u) && (not queued.(u)) && IS.degree store u <= !k
-                  then begin
-                    queued.(u) <- true;
-                    Dsd_util.Vec.Int.push next u
-                  end))
-            kills)
-        scans;
-      Array.iter (fun v -> in_frontier.(v) <- false) fr;
-      let nf = Dsd_util.Vec.Int.to_array next in
-      (* Cascade discovery order depends on posting layout; sorting
-         restores the canonical ascending linearisation. *)
-      Array.sort compare nf;
-      Array.iter (fun v -> queued.(v) <- false) nf;
-      frontier := nf
-    done;
-    if !pos < n then begin
-      let out = Dsd_util.Vec.Int.create ~capacity:(Array.length act) () in
-      Array.iter
-        (fun v -> if alive.(v) then Dsd_util.Vec.Int.push out v)
-        act;
-      active := Dsd_util.Vec.Int.to_array out
+  (* Survivors, compacted in place per level so the level scans cost
+     O(live) rather than O(n); compaction keeps them ascending. *)
+  let active = Array.init n Fun.id and active_n = ref n in
+  let cascade = V.create () in
+  let on_comember u =
+    if live.(u) && IS.degree store u <= !k then begin
+      live.(u) <- false;
+      V.push cascade u
     end
-  done;
-  assert (!mu_live = 0);
-  ( core,
-    order,
-    !kmax,
-    (if track_density then !best_density else 0.),
-    (if track_density then !best_start else 0),
-    (if track_density then !best_count else 0),
-    residuals )
+  in
+  let next_frontier () =
+    let cascaded = V.length cascade > 0 in
+    if not cascaded then begin
+      let kept = ref 0 in
+      k := max_int;
+      for i = 0 to !active_n - 1 do
+        let v = active.(i) in
+        if live.(v) then begin
+          active.(!kept) <- v;
+          incr kept;
+          let d = IS.degree store v in
+          if d < !k then k := d
+        end
+      done;
+      active_n := !kept;
+      for i = 0 to !active_n - 1 do
+        let v = active.(i) in
+        if IS.degree store v <= !k then begin
+          live.(v) <- false;
+          V.push cascade v
+        end
+      done
+    end;
+    let fr = V.to_array cascade in
+    V.clear cascade;
+    (* A cascade arrives in posting order; a level's frontier is
+       collected ascending already. *)
+    if cascaded then Array.sort compare fr;
+    fr
+  in
+  let frontier = ref [||] and next = ref 0 in
+  let pop () =
+    if !next = Array.length !frontier then begin
+      frontier := next_frontier ();
+      next := 0
+    end;
+    let v = !frontier.(!next) in
+    incr next;
+    Some (v, !k)
+  in
+  let retire v =
+    let killed = IS.kill_vertex store v ~on_comember in
+    on_peel v killed;
+    killed
+  in
+  peel ~n ~mu_total:(IS.total store) ~track_density ~pop ~retire
 
-let decompose_generic ?pool ~track_density g psi =
+let decompose_generic ~track_density g psi =
   let n = G.n g in
-  let insts = Enumerate.instances ?pool g psi in
+  let insts = Enumerate.instances g psi in
   let store = Dsd_clique.Instance_store.create ~n insts in
   let mu_total = Dsd_clique.Instance_store.total store in
   let core, order, kmax, bd, bs, bc, residuals =
-    peel_store ?pool ~track_density ~n store
+    peel_store ~track_density ~n store
   in
   (core, order, kmax, bd, bs, bc, residuals, mu_total)
 
@@ -306,7 +191,7 @@ let decompose_special g ~degrees_of ~on_delete =
   in
   (psize_sum, retire, heap)
 
-let decompose ?pool ?(track_density = true) g (psi : P.t) =
+let decompose ?(track_density = true) g (psi : P.t) =
   Dsd_obs.Span.with_ Dsd_obs.Phase.decompose @@ fun () ->
   let n = G.n g in
   let core_arr, order, kmax, best_density, best_start, best_count, residuals,
@@ -340,7 +225,7 @@ let decompose ?pool ?(track_density = true) g (psi : P.t) =
           ~retire
       in
       (core, order, kmax, bd, bs, bc, residuals, mu_total)
-    | P.Clique | P.Generic -> decompose_generic ?pool ~track_density g psi
+    | P.Clique | P.Generic -> decompose_generic ~track_density g psi
   in
   {
     psi;

@@ -39,29 +39,24 @@ type t = {
 
     The generic engine peels round-synchronously (bucket-free): each
     level retires the whole cascade of vertices at the minimum degree
-    in batched sub-rounds, linearised in ascending vertex id, with
-    per-step residual densities recovered exactly from read-only
-    "owned instance" counts.  [?pool] fans the enumeration and the
-    per-round scans out across a shared domain pool; chunk boundaries
-    are fixed constants, so {e every} field of the result — core
-    numbers, peel order, residual-density transcript — is bit-identical
-    for every pool size, including no pool at all. *)
+    in batched sub-rounds, each sub-round in ascending vertex id, and
+    charges every vertex its live degree when it is retired — the
+    transcript [Dsd_check.Oracle.reference_peel] recomputes by brute
+    force. *)
 val decompose :
-  ?pool:Dsd_util.Pool.t ->
   ?track_density:bool -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> t
 
 (** The round-synchronous peel engine itself, over a prepared
     {!Dsd_clique.Instance_store} on vertices [0 .. n-1].  Returns
     [(core, order, kmax, best_density, best_start, best_count,
     residuals)] — the density fields are 0 / empty unless
-    [track_density].  [on_peel v
-    killed] fires once per vertex in canonical peel order, where
-    [killed] is v's live instance count at its (linearised) removal
-    step — exactly the degree Greedy++ charges to its loads.  The
-    store is consumed (all instances dead on return; [reset] it to
-    reuse). *)
+    [track_density].  [on_peel v killed] fires once per vertex in
+    canonical peel order, where [killed] is v's live instance count at
+    its removal — exactly the degree Greedy++ charges to its loads.
+    Apart from the result it allocates O(n) words, whatever the
+    instance count.  The store is consumed (all instances dead on
+    return; [reset] it to reuse). *)
 val peel_store :
-  ?pool:Dsd_util.Pool.t ->
   ?on_peel:(int -> int -> unit) ->
   track_density:bool ->
   n:int ->

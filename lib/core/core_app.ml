@@ -21,7 +21,7 @@ let gamma g (psi : P.t) =
   | P.Cycle4 -> Dsd_pattern.Special.c4_degrees (Dsd_graph.Subgraph.of_graph g)
   | P.Generic -> Dsd_pattern.Match.degrees g psi
 
-let run ?pool ?initial_window g (psi : P.t) =
+let run ?initial_window g (psi : P.t) =
   Dsd_obs.Span.with_ Dsd_obs.Phase.core_app @@ fun () ->
   let t0 = Dsd_util.Timer.now_s () in
   let n = G.n g in
@@ -44,7 +44,7 @@ let run ?pool ?initial_window g (psi : P.t) =
     Dsd_obs.Counter.incr Dsd_obs.Counter.Core_iterations;
     let w_vertices = Array.sub order 0 !window in
     let gw, map = G.induced g w_vertices in
-    let decomp = Clique_core.decompose ?pool ~track_density:false gw psi in
+    let decomp = Clique_core.decompose ~track_density:false gw psi in
     let kw = decomp.Clique_core.kmax in
     if kw >= !kmax && kw > 0 then begin
       kmax := kw;

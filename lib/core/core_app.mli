@@ -26,6 +26,5 @@ type result = {
 (** [run g psi] computes the (kmax, Psi)-core.  [initial_window]
     defaults to max(16, |V_Psi| + 1). *)
 val run :
-  ?pool:Dsd_util.Pool.t ->
   ?initial_window:int ->
   Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> result

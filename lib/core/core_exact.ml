@@ -19,7 +19,7 @@ type result = {
   stats : stats;
 }
 
-let run ?pool ?(prunings = all_prunings) ?family ?decomp g psi =
+let run ?(prunings = all_prunings) ?family ?decomp g psi =
   Dsd_obs.Span.with_ Dsd_obs.Phase.core_exact @@ fun () ->
   let t0 = Dsd_util.Timer.now_s () in
   let p = psi.Dsd_pattern.Pattern.size in
@@ -46,7 +46,7 @@ let run ?pool ?(prunings = all_prunings) ?family ?decomp g psi =
       (d, 0.)
     | _ ->
       Dsd_util.Timer.time (fun () ->
-          Clique_core.decompose ?pool ~track_density:prunings.p1 g psi)
+          Clique_core.decompose ~track_density:prunings.p1 g psi)
   in
   let kmax = decomp.Clique_core.kmax in
   let finish (vertices, c) =
@@ -129,7 +129,7 @@ let run ?pool ?(prunings = all_prunings) ?family ?decomp g psi =
         if Array.length comp >= p && ub * Array.length bv >= bc then begin
           let arenas = ref [] in
           let arena_on vs =
-            let a = Parametric.arena ?pool ~within:vs family g psi in
+            let a = Parametric.arena ~within:vs family g psi in
             arenas := a :: !arenas;
             a
           in

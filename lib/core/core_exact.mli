@@ -63,7 +63,6 @@ type result = {
     @raise Invalid_argument when a component's scaled network passes
     {!Exact}'s size limit. *)
 val run :
-  ?pool:Dsd_util.Pool.t ->
   ?prunings:prunings ->
   ?family:Flow_build.family ->
   ?decomp:Clique_core.t ->

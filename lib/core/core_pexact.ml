@@ -1,2 +1,2 @@
-let run ?pool ?prunings g psi =
-  Core_exact.run ?pool ?prunings ~family:Flow_build.Pds_grouped g psi
+let run ?prunings g psi =
+  Core_exact.run ?prunings ~family:Flow_build.Pds_grouped g psi

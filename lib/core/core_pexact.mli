@@ -3,6 +3,5 @@
     (Algorithm 7) forced. *)
 
 val run :
-  ?pool:Dsd_util.Pool.t ->
   ?prunings:Core_exact.prunings ->
   Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> Core_exact.result

@@ -9,30 +9,21 @@
     {!instances} returns the one flat instance list
     ({!Dsd_clique.Instances.t}), written directly by the lister with
     no per-instance block; the instance stores adopt it without a copy
-    and the flow builders read it by index.
-
-    Every function takes [?pool]: with a pool, the clique fast path
-    fans out across its domains ({!Dsd_clique.Parallel}) with results
-    — including the instance {e order} — bit-identical to the
-    sequential path.  Other pattern shapes ignore the pool. *)
+    and the flow builders read it by index. *)
 
 (** [instances g psi] materialises the distinct instances as one flat
     list of arity [psi.size], each row sorted ascending — written
     directly by the lister, with no per-instance block.  For cliques
-    the order is {!Dsd_clique.Kclist}'s DAG order, with or without
-    [?pool]; it fixes the instance ids that the peels' posting order
-    and the flow networks' arc order follow. *)
+    the order is {!Dsd_clique.Kclist}'s DAG order; it fixes the instance
+    ids that the peels' posting order and the flow networks' arc order
+    follow. *)
 val instances :
-  ?pool:Dsd_util.Pool.t -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t ->
-  Dsd_clique.Instances.t
+  Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> Dsd_clique.Instances.t
 
 (** [count g psi] is mu(G, Psi). *)
-val count :
-  ?pool:Dsd_util.Pool.t -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> int
+val count : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> int
 
 (** [degrees g psi] is deg_G(v, Psi) for every vertex.  Uses the
     Appendix-D closed forms for star and 4-cycle patterns (no
     enumeration). *)
-val degrees :
-  ?pool:Dsd_util.Pool.t -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t ->
-  int array
+val degrees : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> int array

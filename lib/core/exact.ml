@@ -12,7 +12,7 @@ type result = {
   stats : stats;
 }
 
-let run ?pool ?family ?instances ?prepared g psi =
+let run ?family ?instances ?prepared g psi =
   Dsd_obs.Span.with_ Dsd_obs.Phase.exact @@ fun () ->
   let t0 = Dsd_util.Timer.now_s () in
   let n = G.n g in
@@ -24,7 +24,7 @@ let run ?pool ?family ?instances ?prepared g psi =
   (* The network is built on the first probe and only re-capacitated
      later.  A caller-owned [?prepared] slot survives this call, so a
      server answering the same (g, psi) twice pays the build once. *)
-  let arena = Parametric.arena ?pool ?instances ?slot:prepared family g psi in
+  let arena = Parametric.arena ?instances ?slot:prepared family g psi in
   let mu = Parametric.total arena in
   let best =
     if n = 0 || mu = 0 then Density.empty

@@ -50,7 +50,6 @@ type result = {
 
     @raise Invalid_argument past the size limit above. *)
 val run :
-  ?pool:Dsd_util.Pool.t ->
   ?family:Flow_build.family ->
   ?instances:Dsd_clique.Instances.t ->
   ?prepared:Parametric.prepared option ref ->

@@ -103,87 +103,29 @@ let eds_prepared g ~alpha =
       ignore (F.add_edge net ~src:(vertex_node v) ~dst:(vertex_node u) ~cap:1.));
   finish { net; source; sink; n_vertices = n; node_count = size }
 
-(* Shared degree computation from an instance list.  With a pool the
-   per-chunk partial counts fan out across domains; integer addition
-   commutes, so the merged array is exactly the sequential one. *)
-let degrees_of_instances ?pool n (instances : Dsd_clique.Instances.t) =
-  match pool with
-  | Some pool when instances.count > 0 && n > 0 ->
-    let len = instances.count and h = instances.arity in
-    let chunk = max 1024 (len / (2 * Dsd_util.Pool.parallel_width pool ~n:len)) in
-    let parts =
-      Dsd_util.Pool.map_chunks pool ~chunk ~n:len (fun lo hi ->
-          let deg = Array.make n 0 in
-          for p = lo * h to (hi * h) - 1 do
-            let v = instances.members.(p) in
-            deg.(v) <- deg.(v) + 1
-          done;
-          deg)
-    in
-    let first = parts.(0) in
-    for p = 1 to Array.length parts - 1 do
-      let part = parts.(p) in
-      for v = 0 to n - 1 do
-        first.(v) <- first.(v) + part.(v)
-      done
-    done;
-    first
-  | _ -> Dsd_clique.Instances.degrees ~n instances
-
-let instance_degrees = degrees_of_instances
-
-let clique_prepared ?pool ?(pinned = [||]) g ~h
+let clique_prepared ?(pinned = [||]) g ~h
     ~(instances : Dsd_clique.Instances.t) ~alpha =
   let n = G.n g in
-  let ninst = instances.count and mem = instances.members in
+  let mem = instances.members in
   (* For every h-clique and every member v, an arc v -> (clique minus
-     v) is needed.  Materialising the (member, subset) pairs is the
-     allocation-heavy part, and each pair depends on one instance
-     only, so it stripes across the pool; chunks concatenate back to
-     the forward generation order. *)
-  let pairs_chunk lo hi =
-    let out = Array.make ((hi - lo) * h) (0, [||]) in
-    let p = ref 0 in
-    for ii = lo to hi - 1 do
-      let base = ii * h in
-      for i = 0 to h - 1 do
-        let psi = Array.make (h - 1) 0 in
-        let k = ref 0 in
-        for j = 0 to h - 1 do
-          if j <> i then begin
-            psi.(!k) <- mem.(base + j);
-            incr k
-          end
-        done;
-        out.(!p) <- (mem.(base + i), psi);
-        incr p
-      done
-    done;
-    out
-  in
-  let pairs =
-    if ninst = 0 then [||]
-    else
-      match pool with
-      | None -> pairs_chunk 0 ninst
-      | Some pool ->
-        let chunk =
-          max 512 (ninst / (8 * Dsd_util.Pool.parallel_width pool ~n:ninst))
-        in
-        Array.concat
-          (Array.to_list
-             (Dsd_util.Pool.map_chunks pool ~chunk ~n:ninst pairs_chunk))
-  in
-  (* Node each (h-1)-subset of some h-clique, keyed by the sorted
-     member array.  Ids are assigned sequentially in forward pair
-     order: the hash table sees the same insertions in the same order
-     as a fully sequential build, so its iteration order — and with it
-     every arc of the network — is bit-identical for any pool size. *)
+     v).  Each (h-1)-subset of some h-clique is one node, keyed by its
+     sorted member array; ids are assigned in forward (instance,
+     member) order, which fixes the hash table's insertions and with
+     them every arc of the network. *)
   let sub_ids : (int array, int) Hashtbl.t = Hashtbl.create 256 in
   let next = ref 0 in
   let arcs = ref [] in
-  Array.iter
-    (fun (v, psi) ->
+  for ii = 0 to instances.count - 1 do
+    let base = ii * h in
+    for i = 0 to h - 1 do
+      let psi = Array.make (h - 1) 0 in
+      let k = ref 0 in
+      for j = 0 to h - 1 do
+        if j <> i then begin
+          psi.(!k) <- mem.(base + j);
+          incr k
+        end
+      done;
       let id =
         match Hashtbl.find_opt sub_ids psi with
         | Some id -> id
@@ -193,14 +135,15 @@ let clique_prepared ?pool ?(pinned = [||]) g ~h
           Hashtbl.add sub_ids psi id;
           id
       in
-      arcs := (v, id) :: !arcs)
-    pairs;
+      arcs := (mem.(base + i), id) :: !arcs
+    done
+  done;
   let lambda = !next in
   let size = n + lambda + 2 in
   let net = F.create size in
   let source = 0 and sink = size - 1 in
   let sub_node id = n + 1 + id in
-  let deg = degrees_of_instances ?pool n instances in
+  let deg = Dsd_clique.Instances.degrees ~n instances in
   let record, finish = alpha_recorder () in
   for v = 0 to n - 1 do
     if deg.(v) > 0 then
@@ -228,7 +171,7 @@ let clique_prepared ?pool ?(pinned = [||]) g ~h
     sub_ids;
   finish { net; source; sink; n_vertices = n; node_count = size }
 
-let pds_prepared ?pool ?(pinned = [||]) ~grouped g (psi : P.t)
+let pds_prepared ?(pinned = [||]) ~grouped g (psi : P.t)
     ~(instances : Dsd_clique.Instances.t) ~alpha =
   let n = G.n g in
   let p = psi.size in
@@ -264,7 +207,7 @@ let pds_prepared ?pool ?(pinned = [||]) ~grouped g (psi : P.t)
   let net = F.create size in
   let source = 0 and sink = size - 1 in
   let group_node id = n + 1 + id in
-  let deg = degrees_of_instances ?pool n instances in
+  let deg = Dsd_clique.Instances.degrees ~n instances in
   let record, finish = alpha_recorder () in
   for v = 0 to n - 1 do
     if deg.(v) > 0 then
@@ -295,7 +238,7 @@ let auto_family (psi : P.t) =
   | P.Clique -> Clique_flow
   | P.Star _ | P.Cycle4 | P.Generic -> Pds
 
-let prepare ?pool ?pinned family g (psi : P.t) ~instances ~alpha =
+let prepare ?pinned family g (psi : P.t) ~instances ~alpha =
   (match (family, pinned) with
    | Eds, Some pins when Array.length pins > 0 ->
      (* The Goldberg construction has no pinning analysis. *)
@@ -305,7 +248,7 @@ let prepare ?pool ?pinned family g (psi : P.t) ~instances ~alpha =
   Dsd_obs.Counter.incr Dsd_obs.Counter.Flow_networks_built;
   match family with
   | Eds -> eds_prepared g ~alpha
-  | Clique_flow -> clique_prepared ?pool ?pinned g ~h:psi.size ~instances ~alpha
-  | Pds -> pds_prepared ?pool ?pinned ~grouped:false g psi ~instances ~alpha
+  | Clique_flow -> clique_prepared ?pinned g ~h:psi.size ~instances ~alpha
+  | Pds -> pds_prepared ?pinned ~grouped:false g psi ~instances ~alpha
   | Pds_grouped ->
-    pds_prepared ?pool ?pinned ~grouped:true g psi ~instances ~alpha
+    pds_prepared ?pinned ~grouped:true g psi ~instances ~alpha

@@ -47,12 +47,6 @@ type prepared = {
     source side (empty iff S = {s}). *)
 val solve : t -> int array
 
-(** [instance_degrees ~n instances] is deg(v, Psi) restricted to
-    [instances], for v in [0..n-1].  With [?pool] the partial counts
-    stripe across the pool's domains and merge deterministically. *)
-val instance_degrees :
-  ?pool:Dsd_util.Pool.t -> int -> Dsd_clique.Instances.t -> int array
-
 (** Which exact-network family an automatic solver should use for this
     pattern: cliques get the clique/EDS networks, general patterns the
     PDS ones. *)
@@ -69,9 +63,7 @@ val auto_family : Dsd_pattern.Pattern.t -> family
     Psi-instances of [g] (the h-cliques for [Clique_flow]; ignored by
     [Eds]).  [pinned] vertices get infinite-capacity source arcs,
     forcing them onto the source side of every min cut (the
-    query-vertex variant, Section 6.3).  With [?pool] the per-instance
-    arc material stripes across the pool and merges in stripe order, so
-    the network is arc-for-arc identical for every pool size.
+    query-vertex variant, Section 6.3).
 
     The handle is tied to [g] and [instances]: when the vertex set
     changes (CoreExact's Optimisation-3 core shrink), discard it and prepare
@@ -80,7 +72,6 @@ val auto_family : Dsd_pattern.Pattern.t -> family
     @raise Invalid_argument when [family] is [Eds] and [pinned] is
     non-empty: the Goldberg construction has no pinning analysis. *)
 val prepare :
-  ?pool:Dsd_util.Pool.t ->
   ?pinned:int array ->
   family -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t ->
   instances:Dsd_clique.Instances.t -> alpha:float -> prepared

@@ -7,11 +7,11 @@ type result = {
   elapsed_s : float;
 }
 
-let run ?pool ?(rounds = 8) g psi =
+let run ?(rounds = 8) g psi =
   if rounds < 1 then invalid_arg "Greedy_pp.run: rounds must be >= 1";
   let t0 = Dsd_util.Timer.now_s () in
   let n = G.n g in
-  let instances = Enumerate.instances ?pool g psi in
+  let instances = Enumerate.instances g psi in
   let mu_total = instances.Dsd_clique.Instances.count in
   if mu_total = 0 || n = 0 then
     { subgraph = Density.empty;
@@ -24,13 +24,13 @@ let run ?pool ?(rounds = 8) g psi =
     let best = ref Density.empty in
     let densities = Array.make rounds 0. in
     (* Round 1 is PeelApp bit-for-bit: all loads are zero, so it IS the
-       canonical round-synchronous peel — run it on the shared engine
-       (pool-accelerated), charging each vertex's removal-time degree
-       to its load through the on_peel hook.  Later rounds order by
+       canonical round-synchronous peel — run it on the shared engine,
+       charging each vertex's removal-time degree to its load through
+       the on_peel hook.  Later rounds order by
        loads + degree, which no threshold peel can batch, so they keep
        the sequential lazy heap (loads grow past any bucket bound). *)
     let _, order0, _, bd0, bs0, _, _ =
-      Clique_core.peel_store ?pool
+      Clique_core.peel_store
         ~on_peel:(fun v killed -> loads.(v) <- loads.(v) + killed)
         ~track_density:true ~n store
     in

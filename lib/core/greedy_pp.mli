@@ -18,10 +18,8 @@ type result = {
   elapsed_s : float;
 }
 
-(** [run ?pool ?rounds g psi] (default 8 rounds).  [?pool] accelerates
-    enumeration and the first round (the canonical round-synchronous
-    peel, bit-identical to PeelApp for every pool size); later rounds'
-    load-ordered peels are inherently sequential. *)
+(** [run ?rounds g psi] (default 8 rounds).  The first round is the
+    canonical round-synchronous peel, identical to PeelApp's; later
+    rounds peel by load. *)
 val run :
-  ?pool:Dsd_util.Pool.t ->
   ?rounds:int -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> result

@@ -4,9 +4,9 @@ type result = {
   elapsed_s : float;
 }
 
-let run ?pool g psi =
+let run g psi =
   let t0 = Dsd_util.Timer.now_s () in
-  let decomp = Clique_core.decompose ?pool ~track_density:false g psi in
+  let decomp = Clique_core.decompose ~track_density:false g psi in
   let subgraph =
     if decomp.Clique_core.mu_total = 0 then Density.empty
     else Density.of_vertices g psi (Clique_core.kmax_core decomp)

@@ -9,9 +9,4 @@ type result = {
   elapsed_s : float;
 }
 
-(** [?pool] parallelises enumeration and the frontier-synchronous
-    peel; core numbers (hence the returned core) are exactly the
-    sequential ones. *)
-val run :
-  ?pool:Dsd_util.Pool.t ->
-  Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> result
+val run : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> result

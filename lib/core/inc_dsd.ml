@@ -132,11 +132,11 @@ let build_arena t =
     if Store.is_live t.store id then arena_add_instance t id
   done
 
-let create ?pool g (psi : P.t) =
+let create g (psi : P.t) =
   if psi.P.kind <> P.Clique then
     invalid_arg "Inc_dsd.create: only h-clique patterns are supported";
   let dyn = Dyn.of_graph g in
-  let instances = Enumerate.instances ?pool g psi in
+  let instances = Enumerate.instances g psi in
   let store = Store.create ~n:(G.n g) instances in
   let t =
     {

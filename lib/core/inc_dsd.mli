@@ -22,12 +22,11 @@
 
 type t
 
-(** [create ?pool g psi] starts a session on the current graph —
+(** [create g psi] starts a session on the current graph —
     enumeration and arena build happen here, once.  The same
     constructor is the rebuild oracle used by the differential
     tests. *)
-val create :
-  ?pool:Dsd_util.Pool.t -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> t
+val create : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> t
 
 (** [apply t ops] applies a delta batch in order, patching graph,
     store and arena; returns how many ops changed the graph.

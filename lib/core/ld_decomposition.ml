@@ -18,13 +18,13 @@ type chain = { set : int array; c : int }
 
 let size x = Array.length x.set
 
-let decompose ?pool g (psi : P.t) =
+let decompose g (psi : P.t) =
   Dsd_obs.Span.with_ Dsd_obs.Phase.ld @@ fun () ->
   let t0 = Dsd_util.Timer.now_s () in
   let n = G.n g in
-  let instances = Enumerate.instances ?pool g psi in
+  let instances = Enumerate.instances g psi in
   let arena =
-    Parametric.arena ?pool (Parametric.pinned_family psi) g psi ~instances
+    Parametric.arena (Parametric.pinned_family psi) g psi ~instances
   in
   let inside = Array.make (max 1 n) false in
   let mark set flag = Array.iter (fun v -> inside.(v) <- flag) set in

@@ -39,15 +39,8 @@ type t = {
     comparison.  The vertices in no instance form the final zero
     level.  L positive levels cost exactly 2L - 1 probes.
 
-    [?pool] fans enumeration and the network build across a domain
-    pool; results are bit-identical at every width.
-
     Emits one [ld] span; counts [ld_levels] / [ld_probes]. *)
-val decompose :
-  ?pool:Dsd_util.Pool.t ->
-  Dsd_graph.Graph.t ->
-  Dsd_pattern.Pattern.t ->
-  t
+val decompose : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> t
 
 (** [prefix t i] is B_i (the union of the first [i] levels), sorted.
     [prefix t 0 = [||]]; [prefix t (List.length t.levels)] is all of V.

@@ -26,7 +26,7 @@ let pinned_family (psi : P.t) =
   | P.Clique -> Flow_build.Clique_flow
   | P.Star _ | P.Cycle4 | P.Generic -> Flow_build.Pds_grouped
 
-let arena ?pool ?within ?pinned ?instances ?(slot = ref None) family g psi =
+let arena ?within ?pinned ?instances ?(slot = ref None) family g psi =
   let graph, map =
     match within with
     | None -> (g, None)
@@ -66,11 +66,11 @@ let arena ?pool ?within ?pinned ?instances ?(slot = ref None) family g psi =
     match instances with
     | _ when eds -> Dsd_clique.Instances.empty ~arity:psi.P.size
     | Some i -> i
-    | None -> Enumerate.instances ?pool graph psi
+    | None -> Enumerate.instances graph psi
   in
   { build =
       (fun () ->
-        Flow_build.prepare ?pool ?pinned family graph psi ~instances ~alpha:0.);
+        Flow_build.prepare ?pinned family graph psi ~instances ~alpha:0.);
     slot;
     graph;
     map;

@@ -39,7 +39,6 @@ type arena
     vertices), the arena builds {!pinned_family}'s network instead: its
     minimal min cut has the same vertex side. *)
 val arena :
-  ?pool:Dsd_util.Pool.t ->
   ?within:int array ->
   ?pinned:int array ->
   ?instances:Dsd_clique.Instances.t ->

@@ -4,10 +4,10 @@ type result = {
   elapsed_s : float;
 }
 
-let run ?pool g psi =
+let run g psi =
   Dsd_obs.Span.with_ Dsd_obs.Phase.peel_app @@ fun () ->
   let t0 = Dsd_util.Timer.now_s () in
-  let decomp = Clique_core.decompose ?pool ~track_density:true g psi in
+  let decomp = Clique_core.decompose ~track_density:true g psi in
   let subgraph =
     if decomp.Clique_core.mu_total = 0 then Density.empty
     else

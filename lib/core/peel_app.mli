@@ -12,10 +12,4 @@ type result = {
   elapsed_s : float;
 }
 
-(** [?pool] parallelises instance enumeration and the round-synchronous
-    peel scans; the result — including the returned suffix, which
-    depends on the peel order — is bit-identical for every pool
-    size. *)
-val run :
-  ?pool:Dsd_util.Pool.t ->
-  Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> result
+val run : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> result

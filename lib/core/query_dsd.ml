@@ -17,8 +17,8 @@ let validate g query =
 (* The pinned arena over G[within] (default all of g): the min cut
    maximises c(S) - alpha |S| over S containing the query.  Pinned arcs
    are alpha-independent, so the network is built once. *)
-let arena ?pool ?within g psi ~query =
-  Parametric.arena ?pool ?within ~pinned:query (Parametric.pinned_family psi)
+let arena ?within g psi ~query =
+  Parametric.arena ?within ~pinned:query (Parametric.pinned_family psi)
     g psi
 
 (* The exact search from the witness [(vertices, c)], which must contain
@@ -33,15 +33,15 @@ let timed f =
   let subgraph, iterations = f () in
   { subgraph; iterations; elapsed_s = Dsd_util.Timer.now_s () -. t0 }
 
-let run_naive ?pool g psi ~query =
+let run_naive g psi ~query =
   validate g query;
   timed @@ fun () ->
-  let a = arena ?pool g psi ~query in
+  let a = arena g psi ~query in
   let mu = Parametric.total a in
   if mu = 0 then (Density.of_vertices g psi query, 0)
   else search a (Array.init (G.n g) Fun.id, mu)
 
-let run ?pool ?decomp g psi ~query =
+let run ?decomp g psi ~query =
   validate g query;
   timed @@ fun () ->
   (* Only [core] and [mu_total] are read below, and those are identical
@@ -50,7 +50,7 @@ let run ?pool ?decomp g psi ~query =
   let decomp =
     match decomp with
     | Some d -> d
-    | None -> Clique_core.decompose ?pool ~track_density:false g psi
+    | None -> Clique_core.decompose ~track_density:false g psi
   in
   if decomp.Clique_core.mu_total = 0 then (Density.of_vertices g psi query, 0)
   else begin
@@ -71,5 +71,5 @@ let run ?pool ?decomp g psi ~query =
     let n_x = Array.length x_core in
     let k_loc = min x (Density.ceil_ratio c n_x) in
     let within = Clique_core.core_vertices decomp ~k:k_loc in
-    search (arena ?pool ~within g psi ~query) (x_core, c)
+    search (arena ~within g psi ~query) (x_core, c)
   end

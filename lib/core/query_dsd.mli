@@ -28,7 +28,6 @@ type result = {
     [track_density] mode drops in with bit-identical results.
     @raise Invalid_argument if [query] is empty or out of range. *)
 val run :
-  ?pool:Dsd_util.Pool.t ->
   ?decomp:Clique_core.t ->
   Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> query:int array -> result
 
@@ -36,5 +35,4 @@ val run :
     rho(V), without the core restriction (the [65] baseline; used for
     tests and the ablation bench). *)
 val run_naive :
-  ?pool:Dsd_util.Pool.t ->
   Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> query:int array -> result

@@ -16,7 +16,7 @@ type result = {
    instance-degree >= ceil(rho_opt) >= ceil(rho') inside S, so S
    survives peeling to that level.  None when G[rest] holds no
    instance. *)
-let candidates ?pool ~prune ~decomp g psi rest =
+let candidates ~prune ~decomp g psi rest =
   if not prune then Some rest
   else begin
     let gr, map_r = G.induced g rest in
@@ -26,7 +26,7 @@ let candidates ?pool ~prune ~decomp g psi rest =
         when Array.length d.Clique_core.residual_densities > 0
              || d.Clique_core.mu_total = 0 ->
         d
-      | _ -> Clique_core.decompose ?pool ~track_density:true gr psi
+      | _ -> Clique_core.decompose ~track_density:true gr psi
     in
     if d.Clique_core.mu_total = 0 then None
     else begin
@@ -39,12 +39,12 @@ let candidates ?pool ~prune ~decomp g psi rest =
 (* One extraction round: the maximal densest subgraph of G[rest], from
    one exact search over the candidate set that starts at the set's own
    density (the set itself is the region when no side beats it). *)
-let round ?pool ~prune ~decomp g psi rest ~iterations =
-  match candidates ?pool ~prune ~decomp g psi rest with
+let round ~prune ~decomp g psi rest ~iterations =
+  match candidates ~prune ~decomp g psi rest with
   | None -> None
   | Some set ->
     let arena =
-      Parametric.arena ?pool ~within:set (Parametric.pinned_family psi) g psi
+      Parametric.arena ~within:set (Parametric.pinned_family psi) g psi
     in
     let total = Parametric.total arena in
     if total = 0 then None
@@ -54,7 +54,7 @@ let round ?pool ~prune ~decomp g psi rest ~iterations =
       Some (Density.of_count side c)
     end
 
-let run ?pool ?(prune = true) ?decomp ~k g psi =
+let run ?(prune = true) ?decomp ~k g psi =
   if k < 1 then invalid_arg "Topk_lds: k must be >= 1";
   Dsd_obs.Span.with_ Dsd_obs.Phase.topk @@ fun () ->
   let t0 = Dsd_util.Timer.now_s () in
@@ -72,7 +72,7 @@ let run ?pool ?(prune = true) ?decomp ~k g psi =
     (* A caller-supplied decomposition describes the full graph, so it
        only matches the first round. *)
     let decomp = if !rounds = 1 then decomp else None in
-    match round ?pool ~prune ~decomp g psi rest ~iterations with
+    match round ~prune ~decomp g psi rest ~iterations with
     | None -> stop := true
     | Some region ->
       regions := region :: !regions;

@@ -50,7 +50,6 @@ type result = {
 
     @raise Invalid_argument when [k < 1]. *)
 val run :
-  ?pool:Dsd_util.Pool.t ->
   ?prune:bool ->
   ?decomp:Clique_core.t ->
   k:int ->

@@ -22,10 +22,6 @@ type name =
   | Topk_rounds
   | Topk_components_pruned
   | Topk_regions
-  | Pool_jobs
-  | Pool_chunks
-  | Pool_chunks_lead
-  | Pool_workers_engaged
   | Ld_levels
   | Ld_probes
 
@@ -36,8 +32,7 @@ let all =
     Serve_cache_evictions; Serve_protocol_errors; Delta_edges_added;
     Delta_edges_removed; Delta_core_repairs; Delta_instances_added;
     Delta_instances_retired; Delta_arena_rebuilds; Topk_rounds;
-    Topk_components_pruned; Topk_regions; Pool_jobs; Pool_chunks;
-    Pool_chunks_lead; Pool_workers_engaged; Ld_levels; Ld_probes ]
+    Topk_components_pruned; Topk_regions; Ld_levels; Ld_probes ]
 
 let index = function
   | Flow_augmentations -> 0
@@ -63,14 +58,10 @@ let index = function
   | Topk_rounds -> 20
   | Topk_components_pruned -> 21
   | Topk_regions -> 22
-  | Pool_jobs -> 23
-  | Pool_chunks -> 24
-  | Pool_chunks_lead -> 25
-  | Pool_workers_engaged -> 26
-  | Ld_levels -> 27
-  | Ld_probes -> 28
+  | Ld_levels -> 23
+  | Ld_probes -> 24
 
-let slots = 29
+let slots = 25
 
 let to_string = function
   | Flow_augmentations -> "flow_augmentations"
@@ -96,16 +87,13 @@ let to_string = function
   | Topk_rounds -> "topk_rounds"
   | Topk_components_pruned -> "topk_components_pruned"
   | Topk_regions -> "topk_regions"
-  | Pool_jobs -> "pool_jobs"
-  | Pool_chunks -> "pool_chunks"
-  | Pool_chunks_lead -> "pool_chunks_lead"
-  | Pool_workers_engaged -> "pool_workers_engaged"
   | Ld_levels -> "ld_levels"
   | Ld_probes -> "ld_probes"
 
-(* One atomic per counter: domains striping clique enumeration bump
-   these concurrently.  Hot loops either read State.enabled first or
-   accumulate locally and [add] once per batch. *)
+(* One atomic per counter: the daemon's threads and any second domain
+   the caller runs bump these concurrently.  Hot loops either read
+   State.enabled first or accumulate locally and [add] once per
+   batch. *)
 let values = Array.init slots (fun _ -> Atomic.make 0)
 
 let incr name =
@@ -120,17 +108,3 @@ let get name = Atomic.get values.(index name)
 let reset () = Array.iter (fun a -> Atomic.set a 0) values
 
 let snapshot () = List.map (fun n -> (to_string n, get n)) all
-
-(* Pool utilization feed.  Dsd_obs depends on Dsd_util, so the pool
-   cannot call Counter directly; instead it reports each fanned-out
-   job's per-participant chunk claims through this hook.  Installed
-   here (not in Control) because Counter is transitively referenced by
-   every consumer of the library, so the linker can never drop this
-   module — and with it the registration — as dead code. *)
-let () =
-  Dsd_util.Pool.set_job_reporter (fun ~chunks ~claimed ->
-      incr Pool_jobs;
-      add Pool_chunks chunks;
-      add Pool_chunks_lead (Array.fold_left max 0 claimed);
-      add Pool_workers_engaged
-        (Array.fold_left (fun a c -> if c > 0 then a + 1 else a) 0 claimed))

@@ -29,10 +29,6 @@ type name =
                                network and skips no component; kept for
                                the benchmark's schema *)
   | Topk_regions          (** disjoint locally-densest regions returned *)
-  | Pool_jobs             (** parallel fan-outs run by the domain pool *)
-  | Pool_chunks           (** work chunks dispatched across all pool jobs *)
-  | Pool_chunks_lead      (** chunks claimed by each job's busiest participant *)
-  | Pool_workers_engaged  (** participants that claimed >= 1 chunk, summed over jobs *)
   | Ld_levels             (** levels emitted by the density-friendly decomposition *)
   | Ld_probes             (** min-cut probes posed by the hierarchy's breakpoint search *)
 
@@ -40,7 +36,7 @@ val all : name list
 val to_string : name -> string
 
 (** [incr n] adds 1; [add n k] adds [k] in one atomic update — batch
-    per-stripe tallies through [add] rather than hammering [incr]. *)
+    per-call tallies through [add] rather than hammering [incr]. *)
 val incr : name -> unit
 
 val add : name -> int -> unit

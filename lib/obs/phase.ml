@@ -3,8 +3,7 @@
    one layer of the stack (see Span's no-recursive-nesting rule):
 
    - algorithm wrappers:  exact / core_exact / peel_app / core_app
-   - inside them:         decompose, enumerate, build_network, retarget, flow
-   - under Clique_parallel: clique_stripe (one per domain stripe). *)
+   - inside them:         decompose, enumerate, build_network, retarget, flow *)
 
 let decompose = "decompose"
 let enumerate = "enumerate"
@@ -15,7 +14,6 @@ let exact = "exact"
 let core_exact = "core_exact"
 let peel_app = "peel_app"
 let core_app = "core_app"
-let clique_stripe = "clique_stripe"
 
 (* One span per request handled by the serving layer (`dsd serve`);
    the algorithm spans above nest underneath it. *)

@@ -23,28 +23,6 @@ let to_string () =
   Buffer.add_string buf "counters:\n";
   if counters = [] then Buffer.add_string buf "  (none recorded)\n"
   else List.iter (fun l -> Buffer.add_string buf (l ^ "\n")) counters;
-  (* Derived pool-utilization view: how the domain pool's fan-outs
-     spread across workers.  imbalance = busiest participant's share
-     relative to a perfectly even split (1.00 = flat). *)
-  let jobs = Counter.get Counter.Pool_jobs in
-  if jobs > 0 then begin
-    let chunks = Counter.get Counter.Pool_chunks in
-    let lead = Counter.get Counter.Pool_chunks_lead in
-    let engaged = Counter.get Counter.Pool_workers_engaged in
-    Buffer.add_string buf "pool utilization:\n";
-    Buffer.add_string buf (Printf.sprintf "  %-20s %12d\n" "jobs" jobs);
-    Buffer.add_string buf (Printf.sprintf "  %-20s %12d\n" "chunks" chunks);
-    Buffer.add_string buf
-      (Printf.sprintf "  %-20s %12.2f\n" "workers_per_job"
-         (float_of_int engaged /. float_of_int jobs));
-    if engaged > 0 && chunks > 0 then
-      (* lead_j * engaged_j / chunks_j is a job's busiest-worker share
-         relative to an even split; with only summed tallies we scale
-         the summed lead by the mean engagement instead. *)
-      Buffer.add_string buf
-        (Printf.sprintf "  %-20s %12.2f\n" "imbalance"
-           (float_of_int (lead * engaged) /. float_of_int (jobs * chunks)))
-  end;
   (match Probe.deltas () with
   | [] -> ()
   | ds ->

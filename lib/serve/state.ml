@@ -36,10 +36,9 @@ type t = {
   names : string list;  (* registration order, for the stats endpoint *)
   tbl : (string, graph_state) Hashtbl.t;
   results : Protocol.response Lru.t;
-  pool : Dsd_util.Pool.t option;
 }
 
-let create ?pool ~max_cached graphs =
+let create ~max_cached graphs =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun (name, g) ->
@@ -50,26 +49,23 @@ let create ?pool ~max_cached graphs =
     graphs;
   { names = List.map fst graphs;
     tbl;
-    results = Lru.create ~capacity:max_cached;
-    pool }
+    results = Lru.create ~capacity:max_cached }
 
 let graphs t = List.map (fun name -> (name, (Hashtbl.find t.tbl name).g)) t.names
 
-let psi_state t (gs : graph_state) (psi : P.t) =
+let psi_state (gs : graph_state) (psi : P.t) =
   let key = psi.P.name in
   match Hashtbl.find_opt gs.psis key with
   | Some ps -> ps
   | None ->
-    let pool = t.pool in
     let g = gs.g in
     let ps =
       { psi;
         graph = g;
-        instances = lazy (Dsd_core.Enumerate.instances ?pool g psi);
-        decomp =
-          lazy (Dsd_core.Clique_core.decompose ?pool ~track_density:true g psi);
+        instances = lazy (Dsd_core.Enumerate.instances g psi);
+        decomp = lazy (Dsd_core.Clique_core.decompose ~track_density:true g psi);
         exact_prepared = ref None;
-        hierarchy = lazy (Dsd_core.Ld_decomposition.decompose ?pool g psi) }
+        hierarchy = lazy (Dsd_core.Ld_decomposition.decompose g psi) }
     in
     Hashtbl.add gs.psis key ps;
     ps
@@ -101,23 +97,22 @@ let with_psi t ~graph ~psi f =
   with_graph t graph (fun gs ->
       match P.of_string psi with
       | None -> errorf "unknown pattern %s (see 'dsd patterns')" psi
-      | Some p -> f gs (psi_state t gs p))
+      | Some p -> f gs (psi_state gs p))
 
 (* ---- solvers ---- *)
 
 (* The per-(graph, psi) incremental session: built once from the
    current snapshot, then patched in place by apply-delta — across
    deltas it keeps its flow arena warm, which is its whole point. *)
-let inc_session t (gs : graph_state) (psi : P.t) =
+let inc_session (gs : graph_state) (psi : P.t) =
   match Hashtbl.find_opt gs.incs psi.P.name with
   | Some s -> s
   | None ->
-    let s = Dsd_core.Inc_dsd.create ?pool:t.pool gs.g psi in
+    let s = Dsd_core.Inc_dsd.create gs.g psi in
     Hashtbl.add gs.incs psi.P.name s;
     s
 
-let densest t (gs : graph_state) (ps : psi_state) algorithm =
-  let pool = t.pool in
+let densest (gs : graph_state) (ps : psi_state) algorithm =
   let g = ps.graph and psi = ps.psi in
   match String.lowercase_ascii algorithm with
   | "exact" ->
@@ -128,24 +123,20 @@ let densest t (gs : graph_state) (ps : psi_state) algorithm =
       | _ -> Some (Lazy.force ps.instances)
     in
     Ok
-      (Dsd_core.Exact.run ?pool ?instances ~prepared:ps.exact_prepared g psi)
+      (Dsd_core.Exact.run ?instances ~prepared:ps.exact_prepared g psi)
         .Dsd_core.Exact.subgraph
   | "coreexact" ->
     Ok
-      (Dsd_core.Core_exact.run ?pool ~decomp:(Lazy.force ps.decomp) g psi)
+      (Dsd_core.Core_exact.run ~decomp:(Lazy.force ps.decomp) g psi)
         .Dsd_core.Core_exact.subgraph
   | "peel" ->
-    Ok (Dsd_core.Api.densest_subgraph ?pool ~psi ~algorithm:Dsd_core.Api.Peel g)
+    Ok (Dsd_core.Api.densest_subgraph ~psi ~algorithm:Dsd_core.Api.Peel g)
   | "incapp" ->
-    Ok
-      (Dsd_core.Api.densest_subgraph ?pool ~psi ~algorithm:Dsd_core.Api.Inc_app
-         g)
+    Ok (Dsd_core.Api.densest_subgraph ~psi ~algorithm:Dsd_core.Api.Inc_app g)
   | "coreapp" ->
-    Ok
-      (Dsd_core.Api.densest_subgraph ?pool ~psi ~algorithm:Dsd_core.Api.Core_app
-         g)
+    Ok (Dsd_core.Api.densest_subgraph ~psi ~algorithm:Dsd_core.Api.Core_app g)
   | "incremental" -> (
-    try Ok (Dsd_core.Inc_dsd.query (inc_session t gs psi))
+    try Ok (Dsd_core.Inc_dsd.query (inc_session gs psi))
     with Invalid_argument msg -> Error (errorf "%s" msg))
   | other -> Error (errorf "unknown algorithm %s" other)
 
@@ -208,12 +199,12 @@ let compute t (req : Protocol.request) : Protocol.response =
   | Apply_delta { graph; adds; removes } -> apply_delta t ~graph ~adds ~removes
   | Density { graph; psi; algorithm } ->
     with_psi t ~graph ~psi (fun gs ps ->
-        match densest t gs ps algorithm with
+        match densest gs ps algorithm with
         | Error e -> e
         | Ok sg -> Density_r sg.Dsd_core.Density.density)
   | Cds { graph; psi; algorithm } ->
     with_psi t ~graph ~psi (fun gs ps ->
-        match densest t gs ps algorithm with
+        match densest gs ps algorithm with
         | Error e -> e
         | Ok sg ->
           Cds_r
@@ -234,7 +225,7 @@ let compute t (req : Protocol.request) : Protocol.response =
           errorf "query vertex out of range (graph has %d vertices)" n
         else begin
           let r =
-            Dsd_core.Query_dsd.run ?pool:t.pool ~decomp:(Lazy.force ps.decomp)
+            Dsd_core.Query_dsd.run ~decomp:(Lazy.force ps.decomp)
               ps.graph ps.psi ~query:vertices
           in
           let sg = r.Dsd_core.Query_dsd.subgraph in
@@ -247,7 +238,7 @@ let compute t (req : Protocol.request) : Protocol.response =
         if k < 1 then errorf "topk needs k >= 1 (got %d)" k
         else begin
           let r =
-            Dsd_core.Topk_lds.run ?pool:t.pool ~decomp:(Lazy.force ps.decomp)
+            Dsd_core.Topk_lds.run ~decomp:(Lazy.force ps.decomp)
               ~k ps.graph ps.psi
           in
           Topk_r

@@ -21,12 +21,10 @@
 type t
 
 (** [create ~max_cached graphs] registers the named graphs and sizes
-    the result LRU.  [?pool] is threaded to every solver call.
+    the result LRU.
     @raise Invalid_argument on a duplicate name or negative
     [max_cached]. *)
-val create :
-  ?pool:Dsd_util.Pool.t -> max_cached:int -> (string * Dsd_graph.Graph.t) list ->
-  t
+val create : max_cached:int -> (string * Dsd_graph.Graph.t) list -> t
 
 (** The registered graphs, in registration order. *)
 val graphs : t -> (string * Dsd_graph.Graph.t) list

@@ -3,7 +3,7 @@
 
 module G = Dsd_graph.Graph
 module K = Dsd_clique.Kclist
-module N = Dsd_clique.Naive
+module N = Dsd_check.Naive
 module Store = Dsd_clique.Instance_store
 module Binom = Dsd_util.Binom
 
@@ -125,6 +125,39 @@ let store_degree_matches_recount_prop seed =
     map;
   !ok
 
+(* Instance ids fix the peels' posting order (so Greedy++'s heap ties)
+   and the flow networks' arc order, so the flat lister must list
+   exactly the reference's instances in exactly its order: for h in
+   1..5 on 30 seeded graphs (Enumerate.instances; at h = 1, which no
+   pattern names, the Kclist.list it dispatches to). *)
+let test_instance_order_reference () =
+  let graphs =
+    List.init 30 (fun i ->
+        let seed = 700 + i in
+        (seed, Helpers.random_graph ~seed ~max_n:30 ~max_m:200 ()))
+  in
+  let hs = [ 1; 2; 3; 4; 5 ] in
+  let reference =
+    List.map
+      (fun (_, g) ->
+        List.map (fun h -> Dsd_check.Oracle.reference_clique_instances g ~h) hs)
+      graphs
+  in
+  let check tag expected got =
+    Alcotest.check Helpers.instances ("order " ^ tag) expected got
+  in
+  List.iter2
+    (fun (seed, g) refs ->
+      List.iter2
+        (fun h r ->
+          check
+            (Printf.sprintf "%s h=%d sequential" (Helpers.seed_ctx seed) h)
+            r
+            (if h = 1 then Dsd_clique.Kclist.list g ~h
+             else Dsd_core.Enumerate.instances g (Dsd_pattern.Pattern.clique h)))
+        hs refs)
+    graphs reference
+
 let suite =
   [
     Alcotest.test_case "K_n counts" `Quick test_kn_counts;
@@ -147,4 +180,6 @@ let suite =
     Alcotest.test_case "store kill/reset" `Quick test_store_kill_instance_and_reset;
     Helpers.qtest ~count:80 "store degrees = recount" QCheck.small_int
       store_degree_matches_recount_prop;
+    Alcotest.test_case "instance order equals the reference" `Slow
+      test_instance_order_reference;
   ]

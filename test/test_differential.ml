@@ -89,7 +89,7 @@ let test_dinic_vs_edmonds_karp () =
     let n = F.node_count a in
     let s = 0 and t = n - 1 in
     let fa = Dsd_flow.Dinic.max_flow a ~s ~t in
-    let fb = Dsd_flow.Edmonds_karp.max_flow b ~s ~t in
+    let fb = Dsd_check.Edmonds_karp.max_flow b ~s ~t in
     Alcotest.(check (float 1e-6))
       (Printf.sprintf "%s max flow" (Helpers.seed_ctx seed))
       fa fb

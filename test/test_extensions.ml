@@ -1,6 +1,6 @@
 (* Extension modules beyond the paper's core algorithms: Greedy++,
-   the Bahmani streaming approximation, truss decomposition, parallel
-   clique counting, DOT export. *)
+   the Bahmani streaming approximation, truss decomposition, DOT
+   export. *)
 
 module G = Dsd_graph.Graph
 module P = Dsd_pattern.Pattern
@@ -167,24 +167,6 @@ let truss_matches_oracle_prop g =
     (G.edges g);
   !ok
 
-(* ---- parallel clique counting ---- *)
-
-let parallel_count_matches_prop (g, h_seed) =
-  let h = 2 + (h_seed mod 4) in
-  let seq = Dsd_clique.Kclist.count g ~h in
-  Dsd_clique.Parallel.count g ~h ~domains:1 = seq
-  && Dsd_clique.Parallel.count g ~h ~domains:3 = seq
-  && Dsd_clique.Parallel.degrees g ~h ~domains:3
-     = Dsd_clique.Clique_count.degrees g ~h
-
-let test_parallel_medium () =
-  let g = Dsd_data.Gen.ssca ~seed:17 ~n:4000 ~max_clique:9 in
-  let domains = Dsd_clique.Parallel.recommended_domains () in
-  Alcotest.(check bool) "domains >= 1" true (domains >= 1);
-  Alcotest.(check int) "4-clique counts equal"
-    (Dsd_clique.Kclist.count g ~h:4)
-    (Dsd_clique.Parallel.count g ~h:4 ~domains)
-
 (* ---- DOT export ---- *)
 
 let test_dot_export () =
@@ -222,7 +204,6 @@ let suite =
     Alcotest.test_case "streaming validation" `Quick test_streaming_validation;
     Alcotest.test_case "truss of K_n" `Quick test_truss_complete;
     Alcotest.test_case "truss of figure 3" `Quick test_truss_figure3;
-    Alcotest.test_case "parallel medium" `Slow test_parallel_medium;
     Alcotest.test_case "dot export" `Quick test_dot_export;
     Helpers.qtest ~count:30 "truss internal support"
       (Helpers.small_graph_arb ~max_n:12 ~max_m:40 ())
@@ -230,9 +211,6 @@ let suite =
     Helpers.qtest ~count:20 "truss = naive oracle"
       (Helpers.small_graph_arb ~max_n:10 ~max_m:30 ())
       truss_matches_oracle_prop;
-    Helpers.qtest ~count:30 "parallel = sequential counts"
-      (QCheck.pair (Helpers.small_graph_arb ~max_n:14 ~max_m:50 ()) QCheck.small_int)
-      parallel_count_matches_prop;
   ]
   @ List.concat_map
       (fun (name, psi) ->

@@ -20,7 +20,7 @@ let test_dinic_clrs () =
 
 let test_edmonds_karp_clrs () =
   let net = clrs_network () in
-  Helpers.check_float "max flow" 23. (Dsd_flow.Edmonds_karp.max_flow net ~s:0 ~t:5)
+  Helpers.check_float "max flow" 23. (Dsd_check.Edmonds_karp.max_flow net ~s:0 ~t:5)
 
 let test_disconnected () =
   let net = F.create 4 in
@@ -82,7 +82,7 @@ let solvers_agree_prop seed =
   let net_a, net_b, n = random_network seed in
   let s = 0 and t = n - 1 in
   let fa = Dsd_flow.Dinic.max_flow net_a ~s ~t in
-  let fb = Dsd_flow.Edmonds_karp.max_flow net_b ~s ~t in
+  let fb = Dsd_check.Edmonds_karp.max_flow net_b ~s ~t in
   Float.abs (fa -. fb) < 1e-6
 
 let flow_equals_cut_prop seed =
@@ -186,6 +186,45 @@ let test_listing_allocation () =
           words bound)
     [ (3, 98_800); (4, 913_900) ]
 
+(* The peel allocates O(n) minor words, whatever the instance count:
+   on a store that is already built, [peel_store] retires each vertex
+   through the store's own posting walk, so only per-vertex
+   bookkeeping is allocated.  The same ten disjoint K_40s as above
+   (n = 400; 98,800 triangles and 913,900 4-cliques) share one
+   bound. *)
+let test_peel_allocation () =
+  let blocks = 10 and k = 40 in
+  let edges = ref [] in
+  for b = 0 to blocks - 1 do
+    for i = 0 to k - 1 do
+      for j = i + 1 to k - 1 do
+        edges := ((b * k) + i, (b * k) + j) :: !edges
+      done
+    done
+  done;
+  let n = blocks * k in
+  let g = Dsd_graph.Graph.of_edge_list ~n !edges in
+  let bound = (32 * n) + 4096 in
+  List.iter
+    (fun h ->
+      let store =
+        Dsd_clique.Instance_store.create ~n
+          (Dsd_core.Enumerate.instances g (Dsd_pattern.Pattern.clique h))
+      in
+      let w0 = Gc.minor_words () in
+      let _, _, kmax, _, _, _, _ =
+        Dsd_core.Clique_core.peel_store ~track_density:true ~n store
+      in
+      let words = int_of_float (Gc.minor_words () -. w0) in
+      Alcotest.(check int)
+        (Printf.sprintf "kmax h=%d" h)
+        (Dsd_util.Binom.choose (k - 1) (h - 1))
+        kmax;
+      if words > bound then
+        Alcotest.failf "peel h=%d allocated %d minor words (bound %d)" h words
+          bound)
+    [ 3; 4 ]
+
 let suite =
   [
     Alcotest.test_case "dinic clrs" `Quick test_dinic_clrs;
@@ -203,4 +242,6 @@ let suite =
     Helpers.qtest ~count:200 "flow = cut capacity" QCheck.small_int flow_equals_cut_prop;
     Alcotest.test_case "listing allocates O(n + m) minor words" `Quick
       test_listing_allocation;
+    Alcotest.test_case "the peel allocates O(n) minor words" `Quick
+      test_peel_allocation;
   ]

@@ -13,7 +13,7 @@ module Prng = Dsd_util.Prng
 
 let solvers =
   [ ("dinic", Dsd_flow.Dinic.max_flow);
-    ("edmonds-karp", Dsd_flow.Edmonds_karp.max_flow) ]
+    ("edmonds-karp", Dsd_check.Edmonds_karp.max_flow) ]
 
 (* Seeded network with mixed integer/fractional capacities. *)
 let random_network seed =

@@ -1,7 +1,6 @@
 (* Density-friendly decomposition (Dsd_core.Ld_decomposition) against
    the exhaustive union-of-argmax oracle and the per-level reference
-   search, plus the pool-width bit-equality and the 2L - 1 probe count
-   of the breakpoint search.
+   search, plus the 2L - 1 probe count of the breakpoint search.
 
    Every comparison here is EXACT — marginal densities are quotients of
    small integers, so equal rationals divide to bit-identical floats
@@ -39,8 +38,8 @@ let check_same ~ctx a b =
 
 (* ---- oracle differential ---- *)
 
-(* 30 seeds x h in {2, 3}: the whole chain, bit-for-bit, for the
-   default call and pool widths {1, 2, 4}.  Each level set is the
+(* 30 seeds x h in {2, 3}: the whole chain, bit-for-bit.  Each level
+   set is the
    maximal maximiser just below its breakpoint — the unique union of
    argmax augmentations, which is exactly what the oracle peels — so
    vertex sets match exactly, not just marginals. *)
@@ -50,23 +49,10 @@ let test_oracle_differential () =
     List.iter
       (fun (name, psi) ->
         let truth = O.brute_force_ld_decomposition g psi in
-        let pooled width () =
-          Dsd_util.Pool.with_pool ~sequential_below:0 width (fun pool ->
-              LD.decompose ~pool g psi)
-        in
-        let runs =
-          [ ("default", fun () -> LD.decompose g psi);
-            ("pool-1", pooled 1);
-            ("pool-2", pooled 2);
-            ("pool-4", pooled 4) ]
-        in
-        List.iter
-          (fun (label, run) ->
-            check_same
-              ~ctx:
-                (Printf.sprintf "%s %s %s" (Helpers.seed_ctx seed) name label)
-              (pairs_of (run ())) truth)
-          runs)
+        check_same
+          ~ctx:(Printf.sprintf "%s %s" (Helpers.seed_ctx seed) name)
+          (pairs_of (LD.decompose g psi))
+          truth)
       patterns
   done
 
@@ -135,7 +121,7 @@ let prefix_sorted_prop psi g =
   !ok
 
 let suite =
-  [ Alcotest.test_case "oracle differential (30 seeds, pools 1/2/4)" `Slow
+  [ Alcotest.test_case "oracle differential (30 seeds, h = 2 and 3)" `Slow
       test_oracle_differential;
     Alcotest.test_case "larger graphs equal the reference search" `Slow
       test_equals_reference;

@@ -21,8 +21,6 @@ let () =
       ("data", Test_data.suite);
       ("query", Test_query.suite);
       ("extensions", Test_extensions.suite);
-      ("parallel", Test_parallel_prop.suite);
-      ("parallel-peel", Test_parallel_peel.suite);
       ("future-work", Test_future_work.suite);
       ("metamorphic", Test_metamorphic.suite);
       ("ld-decomposition", Test_ld.suite);

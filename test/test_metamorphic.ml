@@ -107,7 +107,7 @@ let test_shrinker_minimises_triangle () =
     { Generator.graph; psi = P.triangle; cert = None; label = "shrink-test" }
   in
   let still_fails (c : Generator.case) =
-    Dsd_clique.Naive.count c.graph ~h:3 > 0
+    Dsd_check.Naive.count c.graph ~h:3 > 0
   in
   let shrunk, steps = Check.Shrink.run ~still_fails case in
   Alcotest.(check int) "three vertices" 3 (G.n shrunk.graph);
@@ -138,8 +138,8 @@ let broken_peel =
     d with
     Subject.name = "broken-peel";
     peel =
-      (fun ?pool g psi ->
-        let r = d.Subject.peel ?pool g psi in
+      (fun g psi ->
+        let r = d.Subject.peel g psi in
         { r with Dsd_core.Density.density = (r.density *. 1.5) +. 0.1 });
   }
 
@@ -149,8 +149,7 @@ let broken_cores =
     d with
     Subject.name = "broken-cores";
     core_numbers =
-      (fun ?pool g psi ->
-        Array.map (fun c -> c + 1) (d.Subject.core_numbers ?pool g psi));
+      (fun g psi -> Array.map (fun c -> c + 1) (d.Subject.core_numbers g psi));
   }
 
 let find_violation subject =

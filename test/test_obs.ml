@@ -40,7 +40,7 @@ let test_dinic_counters_exact () =
 
 let test_edmonds_karp_counters_exact () =
   Obs.with_recording (fun () ->
-      let flow = Dsd_flow.Edmonds_karp.max_flow (two_path_net ()) ~s:0 ~t:3 in
+      let flow = Dsd_check.Edmonds_karp.max_flow (two_path_net ()) ~s:0 ~t:3 in
       Helpers.check_float "flow" 2. flow);
   (* One BFS per augmenting path plus the failing final search. *)
   Alcotest.(check int) "bfs passes" 3 (Counter.get Counter.Flow_level_builds);
@@ -126,25 +126,25 @@ let test_disabled_results_bit_identical () =
     off.Dsd_core.Core_exact.stats.Dsd_core.Core_exact.iterations
     on.Dsd_core.Core_exact.stats.Dsd_core.Core_exact.iterations
 
+(* The library runs on one domain, but its callers may use several (a
+   benchmark calls it from a second domain): spans of one name opened
+   on different domains sum into one entry row, and counters add
+   atomically. *)
 let test_parallel_stripes_spans_and_counts () =
   let g = Dsd_data.Gen.er_gnp ~seed:3 ~n:120 ~p:0.15 in
   let reference = Dsd_clique.Kclist.count g ~h:3 in
   let domains = 3 in
-  (* sequential_below:0 forces the job onto the workers — the graph is
-     far below the default inline-fallback threshold. *)
-  Obs.with_recording (fun () ->
-      let c =
-        Dsd_util.Pool.with_pool ~sequential_below:0 domains (fun pool ->
-            Dsd_clique.Parallel.count_in pool g ~h:3)
-      in
-      Alcotest.(check int) "parallel count" reference c);
-  (* One clique_stripe span per domain, all summed into one entry
-     row; instance tallies batch-added per stripe. *)
-  Alcotest.(check int) "stripe spans" domains
-    (Span.entries Dsd_obs.Phase.clique_stripe);
-  Alcotest.(check bool) "stripe time recorded" true
-    (Span.total_s Dsd_obs.Phase.clique_stripe > 0.);
-  Alcotest.(check int) "instances counted across domains" reference
+  let counts =
+    Obs.with_recording (fun () ->
+        List.init domains (fun _ ->
+            Domain.spawn (fun () ->
+                Span.with_ "stripe" (fun () -> Dsd_clique.Kclist.count g ~h:3)))
+        |> List.map Domain.join)
+  in
+  List.iter (Alcotest.(check int) "count on each domain" reference) counts;
+  Alcotest.(check int) "stripe spans" domains (Span.entries "stripe");
+  Alcotest.(check bool) "stripe time recorded" true (Span.total_s "stripe" > 0.);
+  Alcotest.(check int) "instances counted across domains" (domains * reference)
     (Counter.get Counter.Clique_instances)
 
 let test_jsonl_sink_valid_lines () =

@@ -2,8 +2,8 @@
    one retargeted network (what Inc_dsd and the reference searches of
    Dsd_check.Oracle run) and a hand-written fresh-build loop run the
    *same* alpha schedule and must see identical cut vertex sets,
-   densities and iteration counts on every graph/pattern combination —
-   sequentially and on a 2-domain pool.  Plus the obs accounting
+   densities and iteration counts on every graph/pattern combination.
+   Plus the obs accounting
    contract: builds + retargets = probes for every exact solver, with
    one build per arena (rebuilds only on Optimisation-3 shrinks), and
    the bisection's own loop laws. *)
@@ -27,17 +27,17 @@ type trace = {
    warm-retargeted.  Both compute identical alphas because the
    cut-emptiness decisions (which steer l/u) must agree, so the fresh
    loop checks the retarget path too. *)
-let binary_search ?pool mode g psi =
+let binary_search mode g psi =
   let family = FB.auto_family psi in
   let instances =
     match family with
     | FB.Eds -> (Dsd_clique.Instances.empty ~arity:2)
-    | _ -> Dsd_core.Enumerate.instances ?pool g psi
+    | _ -> Dsd_core.Enumerate.instances g psi
   in
   let max_deg =
     match family with
     | FB.Eds -> G.max_degree g
-    | _ -> Array.fold_left max 0 (FB.instance_degrees ?pool (G.n g) instances)
+    | _ -> Array.fold_left max 0 (Dsd_clique.Instances.degrees ~n:(G.n g) instances)
   in
   if G.n g = 0 || max_deg = 0 then { iterations = 0; cuts = []; density = 0. }
   else begin
@@ -56,7 +56,7 @@ let binary_search ?pool mode g psi =
        let l = ref 0. and u = ref u0 in
        while !u -. !l >= gap do
          let alpha = (!l +. !u) /. 2. in
-         let p = FB.prepare ?pool family g psi ~instances ~alpha in
+         let p = FB.prepare family g psi ~instances ~alpha in
          if record (FB.solve p.FB.network) then l := alpha else u := alpha
        done
      | `Retarget ->
@@ -66,7 +66,7 @@ let binary_search ?pool mode g psi =
              match !slot with
              | Some p -> FB.retarget p ~alpha
              | None ->
-               let p = FB.prepare ?pool family g psi ~instances ~alpha in
+               let p = FB.prepare family g psi ~instances ~alpha in
                slot := Some p;
                p.FB.network
            in
@@ -98,21 +98,6 @@ let test_differential_sequential () =
         let label = Printf.sprintf "%s psi=%s" (Helpers.seed_ctx seed) pname in
         let fresh = binary_search `Fresh g psi in
         let retarget = binary_search `Retarget g psi in
-        check_same_trace label fresh retarget)
-      patterns
-  done
-
-let test_differential_pooled () =
-  Dsd_util.Pool.with_pool 2 @@ fun pool ->
-  for seed = 1 to 15 do
-    let g = Helpers.random_graph ~seed ~max_n:12 ~max_m:28 () in
-    List.iter
-      (fun (pname, psi) ->
-        let label = Printf.sprintf "pooled %s psi=%s" (Helpers.seed_ctx seed) pname in
-        (* Pooled retarget vs sequential fresh: the pool striping must
-           not perturb the prepared arena either. *)
-        let fresh = binary_search `Fresh g psi in
-        let retarget = binary_search ~pool `Retarget g psi in
         check_same_trace label fresh retarget)
       patterns
   done
@@ -340,8 +325,6 @@ let suite =
   [
     Alcotest.test_case "differential: retarget = fresh (sequential)" `Quick
       test_differential_sequential;
-    Alcotest.test_case "differential: retarget = fresh (2 domains)" `Quick
-      test_differential_pooled;
     Alcotest.test_case "retarget matches fresh build arc-for-arc" `Quick
       test_retarget_matches_fresh_arcs;
     Alcotest.test_case "obs: Exact builds once, retargets rest" `Quick

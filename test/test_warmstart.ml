@@ -25,7 +25,7 @@ module Counter = Dsd_obs.Counter
 
 let solvers =
   [ ("dinic", Dsd_flow.Dinic.max_flow);
-    ("edmonds-karp", Dsd_flow.Edmonds_karp.max_flow) ]
+    ("edmonds-karp", Dsd_check.Edmonds_karp.max_flow) ]
 
 (* One pattern per network family; h = 2 (edge) and h = 3 (triangle)
    cover the clique constructions, diamond/2-star the PDS ones. *)
@@ -105,7 +105,7 @@ let max_alpha g psi family =
   | _ ->
     let instances = instances_for g psi family in
     Array.fold_left max 0
-      (FB.instance_degrees (G.n g) instances)
+      (Dsd_clique.Instances.degrees ~n:(G.n g) instances)
     |> float_of_int
 
 let test_warm_vs_reset_differential () =

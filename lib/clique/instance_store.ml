@@ -56,16 +56,8 @@ let create ~n (insts : Instances.t) =
 
 let total t = t.total
 let live_total t = t.live_count
-let arity t = t.arity
-let members t i = Array.sub t.inst_mem (i * t.arity) t.arity
 let is_live t i = Bytes.get t.live i = '\001'
 let degree t v = t.deg.(v)
-
-let iter_members t i ~f =
-  let base = i * t.arity in
-  for j = 0 to t.arity - 1 do
-    f t.inst_mem.(base + j)
-  done
 
 let kill_instance_internal t i ~skip ~on_comember =
   Bytes.set t.live i '\000';

@@ -14,9 +14,7 @@
     per-vertex postings, liveness bits and degrees are built.  Members
     and postings are flat contiguous arrays behind CSR-style offsets,
     so a vertex's retirement walks one posting range and one member
-    run per instance instead of chasing heap blocks — read members
-    through {!iter_members} on hot paths ({!members} copies a
-    slice). *)
+    run per instance instead of chasing heap blocks. *)
 
 type t
 
@@ -32,17 +30,6 @@ val total : t -> int
 
 (** Number of currently live instances. *)
 val live_total : t -> int
-
-(** Members per instance. *)
-val arity : t -> int
-
-(** [iter_members t i ~f] visits instance [i]'s members in order. *)
-val iter_members : t -> int -> f:(int -> unit) -> unit
-
-(** [members t i] is a fresh copy of instance [i]'s member slice. *)
-val members : t -> int -> int array
-
-val is_live : t -> int -> bool
 
 (** [degree t v] is the number of live instances containing [v] (the
     instance-degree deg(v, Psi) restricted to live instances). *)

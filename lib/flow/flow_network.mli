@@ -2,8 +2,8 @@
 
     Every [add_edge] creates a forward arc and a zero-capacity reverse
     arc stored at adjacent indices, so the reverse of arc [e] is
-    [e lxor 1] — the standard residual-graph layout shared by the Dinic
-    and Edmonds-Karp solvers.
+    [e lxor 1] — the standard residual-graph layout shared by
+    {!Dinic} and the Edmonds-Karp oracle of the test library.
 
     Capacities are floats because the DSD binary search guesses a
     fractional density [alpha] (arc capacities [alpha * |V_Psi|],

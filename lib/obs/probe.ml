@@ -1,8 +1,9 @@
 (* Per-probe deltas: each min-cut probe of a search records how
    many augmenting paths it needed, so warm starts show up as shrinking
    per-probe work rather than just a smaller grand total.  Appends are
-   mutex-protected (probes may run on pool domains); everything is a
-   no-op while recording is disabled. *)
+   mutex-protected (the daemon's threads and a caller's domains may
+   probe concurrently); everything is a no-op while recording is
+   disabled. *)
 
 let lock = Mutex.create ()
 let deltas_rev = ref []

@@ -3,7 +3,7 @@
    Each domain keeps its own enter/exit stack (domain-local storage),
    so spans opened inside [Domain.spawn] nest independently of the
    parent; totals accumulate into one global table under a mutex, so
-   concurrent stripes of the same region sum across domains.  Exits
+   concurrent runs of the same region sum across domains.  Exits
    are rare relative to the work inside a span, so the mutex is not a
    contention point. *)
 

@@ -143,13 +143,9 @@ let test_resolve_allocation () =
           (minor1 -. minor0))
     graphs
 
-(* Listing allocates O(n + m) minor words, whatever the clique
-   count: the DAG, the per-depth candidate buffers and the output
-   blocks are allocated per call (the large ones straight in the
-   major heap), and the recursion itself allocates nothing.  Ten
-   disjoint K_40s: n + m = 8,200, with 98,800 triangles and 913,900
-   4-cliques. *)
-let test_listing_allocation () =
+(* Ten disjoint K_40s: n + m = 8,200, with 98,800 triangles and
+   913,900 4-cliques. *)
+let ten_k40s () =
   let blocks = 10 and k = 40 in
   let edges = ref [] in
   for b = 0 to blocks - 1 do
@@ -159,7 +155,14 @@ let test_listing_allocation () =
       done
     done
   done;
-  let g = Dsd_graph.Graph.of_edge_list ~n:(blocks * k) !edges in
+  Dsd_graph.Graph.of_edge_list ~n:(blocks * k) !edges
+
+(* Listing allocates O(n + m) minor words, whatever the clique
+   count: the DAG, the per-depth candidate buffers and the output
+   blocks are allocated per call (the large ones straight in the
+   major heap), and the recursion itself allocates nothing. *)
+let test_listing_allocation () =
+  let g = ten_k40s () in
   let size = Dsd_graph.Graph.n g + Dsd_graph.Graph.m g in
   Alcotest.(check int) "n + m" 8200 size;
   let bound = (4 * size) + 4096 in
@@ -189,21 +192,11 @@ let test_listing_allocation () =
 (* The peel allocates O(n) minor words, whatever the instance count:
    on a store that is already built, [peel_store] retires each vertex
    through the store's own posting walk, so only per-vertex
-   bookkeeping is allocated.  The same ten disjoint K_40s as above
-   (n = 400; 98,800 triangles and 913,900 4-cliques) share one
-   bound. *)
+   bookkeeping is allocated.  On the ten K_40s (n = 400) both clique
+   sizes share one bound. *)
 let test_peel_allocation () =
-  let blocks = 10 and k = 40 in
-  let edges = ref [] in
-  for b = 0 to blocks - 1 do
-    for i = 0 to k - 1 do
-      for j = i + 1 to k - 1 do
-        edges := ((b * k) + i, (b * k) + j) :: !edges
-      done
-    done
-  done;
-  let n = blocks * k in
-  let g = Dsd_graph.Graph.of_edge_list ~n !edges in
+  let g = ten_k40s () in
+  let n = Dsd_graph.Graph.n g in
   let bound = (32 * n) + 4096 in
   List.iter
     (fun h ->
@@ -218,7 +211,7 @@ let test_peel_allocation () =
       let words = int_of_float (Gc.minor_words () -. w0) in
       Alcotest.(check int)
         (Printf.sprintf "kmax h=%d" h)
-        (Dsd_util.Binom.choose (k - 1) (h - 1))
+        (Dsd_util.Binom.choose 39 (h - 1))
         kmax;
       if words > bound then
         Alcotest.failf "peel h=%d allocated %d minor words (bound %d)" h words

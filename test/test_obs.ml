@@ -1,7 +1,7 @@
 (* The Dsd_obs contract: exact counter values through the in-memory
-   sink, span nesting/summing (including across Domain.spawn via
-   Clique_parallel), and — the zero-cost promise — bit-identical
-   algorithm results with recording disabled. *)
+   sink, span nesting/summing (including across Domain.spawn), and —
+   the zero-cost promise — bit-identical algorithm results with
+   recording disabled. *)
 
 module G = Dsd_graph.Graph
 module P = Dsd_pattern.Pattern

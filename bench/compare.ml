@@ -14,7 +14,7 @@
    - BENCH_incremental.json rows: patching the live session through a
      delta batch must cost at most half a from-scratch recompute
      (and the two answers must never have disagreed) — otherwise the
-     arc surgery and core repair are slower than rebuilding.
+     arc surgery is slower than rebuilding.
    - BENCH_topk.json rows: the pruned extraction must return regions
      bit-identical to the unpruned one (mismatches = 0) and must not
      be slower than it — core-based candidate restriction is only

@@ -401,13 +401,6 @@ let watch =
                      (delete); a blank line or $(b,--) ends a batch; \
                      $(b,#) starts a comment.")
   in
-  let mode_arg =
-    C.Arg.(value & opt string "incremental"
-           & info [ "mode" ]
-               ~doc:"incremental (patch the core numbers, instance store and \
-                     flow arena in place) | rebuild (recompute from scratch \
-                     after every batch).  Answers are bit-identical.")
-  in
   let read_deltas path =
     let ic = open_in path in
     let batches = ref [] in
@@ -445,33 +438,13 @@ let watch =
     flush ();
     Array.of_list (List.rev !batches)
   in
-  let run input dataset pattern deltas mode stats trace =
+  let run input dataset pattern deltas stats trace =
     let g = load_graph input dataset in
     let psi = pattern_of_string pattern in
     let batches = read_deltas deltas in
-    let incremental =
-      match String.lowercase_ascii mode with
-      | "incremental" -> true
-      | "rebuild" -> false
-      | other ->
-        Printf.eprintf "dsd watch: unknown mode %s\n" other;
-        exit 2
-    in
     with_obs ~stats ~trace (fun () ->
-        (* In incremental mode one session is patched across batches; in
-           rebuild mode the same Dynamic handle tracks the graph but each
-           answer comes from a fresh from-scratch session. *)
-        let session =
-          if incremental then Some (Dsd_core.Inc_dsd.create g psi) else None
-        in
-        let dyn =
-          match session with
-          | Some s -> Dsd_core.Inc_dsd.dynamic s
-          | None -> Dsd_graph.Dynamic.of_graph g
-        in
+        let session = Dsd_core.Inc_dsd.create g psi in
         Printf.printf "pattern    %s\n" psi.P.name;
-        Printf.printf "mode       %s\n"
-          (if incremental then "incremental" else "rebuild");
         Printf.printf "batches    %d\n" (Array.length batches);
         let answer tag (sg : Dsd_core.Density.subgraph) =
           print_endline tag;
@@ -480,34 +453,24 @@ let watch =
           Array.iter (Printf.printf "%d ") sg.vertices;
           print_newline ()
         in
-        let query () =
-          match session with
-          | Some s -> Dsd_core.Inc_dsd.query s
-          | None ->
-            Dsd_core.Inc_dsd.query
-              (Dsd_core.Inc_dsd.create (Dsd_graph.Dynamic.snapshot dyn) psi)
-        in
-        answer "initial" (query ());
+        answer "initial" (Dsd_core.Inc_dsd.query session);
         Array.iteri
           (fun i batch ->
-            let applied =
-              match session with
-              | Some s -> Dsd_core.Inc_dsd.apply s batch
-              | None -> Dsd_graph.Dynamic.apply dyn batch
-            in
+            let applied = Dsd_core.Inc_dsd.apply session batch in
             answer
               (Printf.sprintf "batch      %d (%d/%d ops, m=%d)" (i + 1)
-                 applied (Array.length batch) (Dsd_graph.Dynamic.m dyn))
-              (query ()))
+                 applied (Array.length batch)
+                 (Dsd_graph.Dynamic.m (Dsd_core.Inc_dsd.dynamic session)))
+              (Dsd_core.Inc_dsd.query session))
           batches)
   in
-  let run a b c d e f g = or_die (fun () -> run a b c d e f g) in
+  let run a b c d e f = or_die (fun () -> run a b c d e f) in
   C.Cmd.v
     (C.Cmd.info "watch"
        ~doc:"Stream edge inserts/deletes from a delta file and re-answer \
              the densest subgraph after every batch.")
     C.Term.(const run $ input_arg $ dataset_arg $ pattern_arg $ deltas_arg
-            $ mode_arg $ stats_arg $ trace_arg)
+            $ stats_arg $ trace_arg)
 
 (* ---- fuzz ---- *)
 

@@ -243,6 +243,24 @@ let max_live_degree t =
   done;
   !best
 
+(* c(S) for the sorted, duplicate-free S that [Flow_build.solve]
+   returns: the live store holds exactly the current graph's h-cliques,
+   so c(S) is its live instances inside S, each counted once, from the
+   postings of its smallest member. *)
+let count_inside t vs =
+  let inside = Array.make (Dyn.n t.dyn) false in
+  Array.iter (fun v -> inside.(v) <- true) vs;
+  let c = ref 0 in
+  Array.iter
+    (fun v ->
+      Store.iter_live_of_vertex t.store v ~f:(fun id ->
+          let ok = ref true in
+          Store.iter_members t.store id ~f:(fun w ->
+              if w < v || not inside.(w) then ok := false);
+          if !ok then incr c))
+    vs;
+  !c
+
 let query t =
   Dsd_obs.Span.with_ Dsd_obs.Phase.incremental @@ fun () ->
   let n = Dyn.n t.dyn in
@@ -285,8 +303,7 @@ let query t =
     Parametric.bisect ~gap:(Fun.const gap) ~l:!l ~u:!u (fun alpha ->
         if feasible alpha then Some alpha else None);
     let result =
-      if Array.length !best_vertices = 0 then Density.empty
-      else Density.of_vertices (Dyn.snapshot t.dyn) t.psi !best_vertices
+      Density.of_count !best_vertices (count_inside t !best_vertices)
     in
     t.last_opt <- result.Density.density;
     result
@@ -296,6 +313,4 @@ let density t = (query t).Density.density
 let graph t = Dyn.snapshot t.dyn
 let dynamic t = t.dyn
 let psi t = t.psi
-let core_numbers t = Dyn.core_numbers t.dyn
 let live_instances t = Store.live_total t.store
-let total_instances t = Store.total t.store

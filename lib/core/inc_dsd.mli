@@ -2,11 +2,12 @@
 
     A session owns a {!Dsd_graph.Dynamic} handle, a growable h-clique
     instance store and a pds-style flow arena.  {!apply} patches all
-    three in place per edge insert/delete — incremental core-number
-    repair, instance discovery/retirement localised to the changed
-    edge, and arc surgery that carries the committed flow through the
-    PR 4 drain machinery — and {!query} then re-runs the Exact binary
-    search warm from the previous flow instead of rebuilding.
+    three in place per edge insert/delete — the adjacency change,
+    instance discovery/retirement localised to the changed edge, and
+    arc surgery that carries the committed flow through the drain
+    machinery of {!Dsd_flow.Flow_network} — and {!query} then re-runs
+    the parametric search warm from the previous flow instead of
+    rebuilding, and counts the answer's instances from the live store.
 
     Results are bit-identical to a from-scratch rebuild: the probe
     decision and the final CDS vertex set depend only on the residual
@@ -47,8 +48,5 @@ val graph : t -> Dsd_graph.Graph.t
 val dynamic : t -> Dsd_graph.Dynamic.t
 val psi : t -> Dsd_pattern.Pattern.t
 
-(** Incrementally maintained classical core numbers. *)
-val core_numbers : t -> int array
-
+(** Number of live h-clique instances of the current graph. *)
 val live_instances : t -> int
-val total_instances : t -> int

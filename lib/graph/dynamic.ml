@@ -8,7 +8,6 @@ type t = {
   n : int;
   nbr : (int, unit) Hashtbl.t array;  (* adjacency sets, symmetric *)
   mutable m : int;
-  core : int array;                   (* maintained classical core numbers *)
   mutable snap : Graph.t option;      (* cached CSR snapshot *)
 }
 
@@ -19,16 +18,6 @@ let check_vertex t v name =
   if v < 0 || v >= t.n then invalid_arg (Printf.sprintf "Dynamic.%s: vertex out of range" name)
 
 let mem_edge t u v = u <> v && Hashtbl.mem t.nbr.(u) v
-
-let degree t v =
-  check_vertex t v "degree";
-  Hashtbl.length t.nbr.(v)
-
-let core t v =
-  check_vertex t v "core";
-  t.core.(v)
-
-let core_numbers t = Array.copy t.core
 
 let neighbors t v =
   check_vertex t v "neighbors";
@@ -69,114 +58,6 @@ let snapshot t =
     t.snap <- Some g;
     g
 
-let edges t = Graph.edges (snapshot t)
-
-(* --- incremental core-number maintenance (traversal/subcore repair) ---
-
-   A single edge change moves core numbers by at most 1, and only for
-   vertices of the affected subcore: the set of core-r vertices
-   (r = min of the endpoint cores) reachable from the changed edge's
-   endpoints through core-r vertices.  We collect that subcore with a
-   BFS, seed each member's core degree cd(w) = #{x in N(w) : core(x) >= r},
-   and peel locally:
-
-   - insert: survivors of peeling with threshold cd <= r gain core r+1
-     (they have >= r+1 neighbours inside the surviving set or the old
-     (r+1)-core, which is untouched by an insertion);
-   - delete: members peeled with threshold cd < r drop to core r-1, and
-     each drop decrements the cd of its still-standing subcore
-     neighbours (vertices with core >= r+1 cannot drop on a single
-     deletion, so they keep counting).
-
-   Both repairs are confluent — the fixpoint does not depend on BFS or
-   queue order — so the maintained array always equals a from-scratch
-   recomputation (the differential battery pins this). *)
-
-let subcore t roots r =
-  let cd = Hashtbl.create 16 in
-  let queue = Queue.create () in
-  List.iter
-    (fun v ->
-      if t.core.(v) = r && not (Hashtbl.mem cd v) then begin
-        Hashtbl.replace cd v 0;
-        Queue.add v queue
-      end)
-    roots;
-  let members = ref [] in
-  while not (Queue.is_empty queue) do
-    let w = Queue.pop queue in
-    members := w :: !members;
-    let support = ref 0 in
-    Hashtbl.iter
-      (fun x () ->
-        if t.core.(x) >= r then incr support;
-        if t.core.(x) = r && not (Hashtbl.mem cd x) then begin
-          Hashtbl.replace cd x 0;
-          Queue.add x queue
-        end)
-      t.nbr.(w);
-    Hashtbl.replace cd w !support
-  done;
-  (cd, !members)
-
-let repair_insert t u v =
-  let r = min t.core.(u) t.core.(v) in
-  let roots = List.filter (fun x -> t.core.(x) = r) [ u; v ] in
-  let cd, members = subcore t roots r in
-  let removed = Hashtbl.create 16 in
-  let queue = Queue.create () in
-  List.iter (fun w -> if Hashtbl.find cd w <= r then Queue.add w queue) members;
-  while not (Queue.is_empty queue) do
-    let w = Queue.pop queue in
-    if not (Hashtbl.mem removed w) then begin
-      Hashtbl.replace removed w ();
-      Hashtbl.iter
-        (fun x () ->
-          if Hashtbl.mem cd x && not (Hashtbl.mem removed x) then begin
-            let c = Hashtbl.find cd x - 1 in
-            Hashtbl.replace cd x c;
-            if c <= r then Queue.add x queue
-          end)
-        t.nbr.(w)
-    end
-  done;
-  let changed = ref 0 in
-  List.iter
-    (fun w ->
-      if not (Hashtbl.mem removed w) then begin
-        t.core.(w) <- r + 1;
-        incr changed
-      end)
-    members;
-  !changed
-
-let repair_delete t u v =
-  let r = min t.core.(u) t.core.(v) in
-  if r = 0 then 0
-  else begin
-    let roots = List.filter (fun x -> t.core.(x) = r) [ u; v ] in
-    let cd, _members = subcore t roots r in
-    let dropped = Hashtbl.create 16 in
-    let queue = Queue.create () in
-    Hashtbl.iter (fun w c -> if c < r then Queue.add w queue) cd;
-    while not (Queue.is_empty queue) do
-      let w = Queue.pop queue in
-      if not (Hashtbl.mem dropped w) then begin
-        Hashtbl.replace dropped w ();
-        t.core.(w) <- r - 1;
-        Hashtbl.iter
-          (fun x () ->
-            if Hashtbl.mem cd x && not (Hashtbl.mem dropped x) then begin
-              let c = Hashtbl.find cd x - 1 in
-              Hashtbl.replace cd x c;
-              if c < r then Queue.add x queue
-            end)
-          t.nbr.(w)
-      end
-    done;
-    Hashtbl.length dropped
-  end
-
 let add_edge t u v =
   check_vertex t u "add_edge";
   check_vertex t v "add_edge";
@@ -187,7 +68,6 @@ let add_edge t u v =
     t.m <- t.m + 1;
     t.snap <- None;
     Counter.incr Counter.Delta_edges_added;
-    Counter.add Counter.Delta_core_repairs (repair_insert t u v);
     true
   end
 
@@ -201,7 +81,6 @@ let remove_edge t u v =
     t.m <- t.m - 1;
     t.snap <- None;
     Counter.incr Counter.Delta_edges_removed;
-    Counter.add Counter.Delta_core_repairs (repair_delete t u v);
     true
   end
 
@@ -224,7 +103,6 @@ let of_graph g =
       Hashtbl.replace nbr.(u) v ();
       Hashtbl.replace nbr.(v) u ())
     (Graph.edges g);
-  let core = if n = 0 then [||] else (Degeneracy.compute g).Degeneracy.core in
-  { n; nbr; m = Graph.m g; core; snap = Some g }
+  { n; nbr; m = Graph.m g; snap = Some g }
 
 let create ~n edges = of_graph (Graph.of_edges ~n edges)

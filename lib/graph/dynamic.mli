@@ -1,19 +1,18 @@
 (** A mutable graph handle over a fixed vertex set supporting edge
-    insert/delete batches with incremental classical core-number
-    maintenance (subcore repair: a single edge change moves core
-    numbers by at most one, and only inside the affected core-r
-    subcore, so we re-peel that region instead of the whole graph).
+    insert/delete batches: symmetric adjacency sets plus a CSR
+    snapshot cached between mutations.
 
     The handle is the substrate of the incremental DSD subsystem
     ({!module:Dsd_core.Inc_dsd}, [dsd watch], the serve apply-delta
-    endpoint).  The maintained core numbers are always equal to a
-    from-scratch [Degeneracy.compute] on {!snapshot} — the
-    [test_incremental] differential battery pins this bit-identically.
+    endpoint), which reads only adjacency and the snapshot.  An edge
+    change is one update of each endpoint's adjacency set: it
+    allocates only the cells an insert adds, plus an occasional table
+    resize.
 
     Self-loops, duplicate inserts and absent deletes are no-ops (the
     mutators return [false]); vertex ids outside [0 .. n-1] raise.
-    Mutations bump the [Delta_edges_added] / [Delta_edges_removed] /
-    [Delta_core_repairs] observability counters. *)
+    Mutations bump the [Delta_edges_added] / [Delta_edges_removed]
+    observability counters. *)
 
 type t
 
@@ -31,7 +30,6 @@ val of_graph : Graph.t -> t
 val n : t -> int
 val m : t -> int
 val mem_edge : t -> int -> int -> bool
-val degree : t -> int -> int
 
 (** Sorted neighbour ids of a vertex. *)
 val neighbors : t -> int -> int array
@@ -40,27 +38,18 @@ val neighbors : t -> int -> int array
     h-clique instance discovery around a changed edge). *)
 val common_neighbors : t -> int -> int -> int array
 
-(** [add_edge t u v] inserts the edge and repairs core numbers; returns
-    [false] (and changes nothing) on self-loops and existing edges. *)
+(** [add_edge t u v] inserts the edge; returns [false] (and changes
+    nothing) on self-loops and existing edges. *)
 val add_edge : t -> int -> int -> bool
 
-(** [remove_edge t u v] deletes the edge and repairs core numbers;
-    returns [false] on self-loops and absent edges. *)
+(** [remove_edge t u v] deletes the edge; returns [false] on
+    self-loops and absent edges. *)
 val remove_edge : t -> int -> int -> bool
 
 (** [apply t ops] applies a batch in order; returns how many ops
     actually changed the graph. *)
 val apply : t -> op array -> int
 
-(** Maintained classical core number of a vertex. *)
-val core : t -> int -> int
-
-(** Copy of the maintained core-number array. *)
-val core_numbers : t -> int array
-
 (** Immutable CSR snapshot of the current edge set; cached until the
     next mutation, so repeated queries between batches are free. *)
 val snapshot : t -> Graph.t
-
-(** Current edge set, as the snapshot's canonical edge array. *)
-val edges : t -> (int * int) array

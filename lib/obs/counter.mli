@@ -20,7 +20,11 @@ type name =
   | Serve_protocol_errors (** malformed frames / requests rejected by the server *)
   | Delta_edges_added     (** edges inserted by incremental delta batches *)
   | Delta_edges_removed   (** edges deleted by incremental delta batches *)
-  | Delta_core_repairs    (** vertices whose core number an incremental repair moved *)
+  | Delta_core_repairs    (** always 0: edge changes maintain no core
+                              numbers; kept only because
+                              [perfbench/layers.ml] reads it, and can
+                              be retired with [topk.components_pruned]
+                              in the next benchmark change *)
   | Delta_instances_added (** pattern instances appended to a live arena *)
   | Delta_instances_retired (** pattern instances retired from a live arena *)
   | Delta_arena_rebuilds  (** incremental arenas compacted/rebuilt from scratch *)

@@ -3,10 +3,10 @@
    The battery streams random insert/delete batches (30+ seeds, h in
    {2, 3}, mixed batch sizes) into one long-lived Inc_dsd session and
    asserts, after EVERY batch, that the patched state is bit-identical
-   to a rebuild: core numbers against a fresh Degeneracy pass, density
-   and CDS vertex set against a fresh session on the rebuilt graph,
-   and density against CoreExact.  Every failure message carries the
-   Helpers.seed_ctx replay recipe. *)
+   to a rebuild: the snapshot's edge set against the rebuilt graph,
+   density and CDS vertex set against a fresh session on the rebuilt
+   graph, and density against CoreExact.  Every failure message
+   carries the Helpers.seed_ctx replay recipe. *)
 
 module G = Dsd_graph.Graph
 module P = Dsd_pattern.Pattern
@@ -35,10 +35,6 @@ let check_against_rebuild ~ctx session rebuilt =
     (ctx ^ ": snapshot edge set")
     (sorted_edges (G.edges rebuilt))
     (sorted_edges (G.edges (Dyn.snapshot dyn)));
-  Alcotest.(check (array int))
-    (ctx ^ ": incremental core numbers vs fresh Degeneracy")
-    (Dsd_graph.Degeneracy.compute rebuilt).Dsd_graph.Degeneracy.core
-    (Dyn.core_numbers dyn);
   let patched = Inc.query session in
   let fresh = Inc.query (Inc.create rebuilt psi) in
   if patched.density <> fresh.density then
@@ -147,29 +143,28 @@ let test_dynamic_noops () =
   Alcotest.(check int) "m after delete" 2 (Dyn.m t);
   Alcotest.(check (array int)) "neighbors sorted" [| 1; 2 |] (Dyn.neighbors t 0)
 
-let test_dynamic_core_maintenance () =
-  (* toggle edges of a random graph and cross-check the maintained core
-     numbers against a fresh Degeneracy pass at every step *)
-  for seed = 1 to 15 do
-    let g = Helpers.random_graph ~seed ~max_n:10 ~max_m:20 () in
-    let n = G.n g in
-    if n >= 2 then begin
-      let t = Dyn.of_graph g in
-      let rng = Helpers.rng (seed + 7000) in
-      for step = 1 to 30 do
-        let u, v = Dsd_util.Prng.pair_distinct rng n in
-        ignore
-          (if Dyn.mem_edge t u v then Dyn.remove_edge t u v
-           else Dyn.add_edge t u v);
-        Alcotest.(check (array int))
-          (Printf.sprintf "%s step=%d: maintained cores"
-             (Helpers.seed_ctx seed) step)
-          (Dsd_graph.Degeneracy.compute (Dyn.snapshot t))
-            .Dsd_graph.Degeneracy.core
-          (Dyn.core_numbers t)
-      done
-    end
-  done
+(* An edge change allocates O(1) minor words: each endpoint's
+   adjacency set gains or loses one cell, and nothing else is kept.
+   The graph has the serve benchmark stream graph's shape; 1,000 of
+   its edges, spread over the edge array, are removed and re-added. *)
+let test_dynamic_allocation () =
+  let g = Dsd_data.Gen.barabasi_albert ~seed:2003 ~n:2000 ~attach:3 in
+  let all = G.edges g in
+  let edges = Array.init 1000 (fun i -> all.(i * Array.length all / 1000)) in
+  let t = Dyn.of_graph g in
+  let removes = Array.map (fun (u, v) -> Dyn.Remove (u, v)) edges in
+  let adds = Array.map (fun (u, v) -> Dyn.Add (u, v)) edges in
+  let changes = 2 * Array.length edges in
+  let bound = (16 * changes) + 4096 in
+  let w0 = Gc.minor_words () in
+  let removed = Dyn.apply t removes in
+  let added = Dyn.apply t adds in
+  let words = int_of_float (Gc.minor_words () -. w0) in
+  Alcotest.(check int) "every change applied" changes (removed + added);
+  Alcotest.(check int) "edge count restored" (G.m g) (Dyn.m t);
+  if words > bound then
+    Alcotest.failf "%d edge changes allocated %d minor words (bound %d)"
+      changes words bound
 
 (* ---- Delta model and shrinker ---- *)
 
@@ -268,8 +263,8 @@ let suite =
     Alcotest.test_case "delete to empty and regrow" `Quick
       test_delete_to_empty;
     Alcotest.test_case "Dynamic: no-op semantics" `Quick test_dynamic_noops;
-    Alcotest.test_case "Dynamic: core maintenance vs Degeneracy" `Quick
-      test_dynamic_core_maintenance;
+    Alcotest.test_case "Dynamic edge changes allocate O(1) minor words"
+      `Quick test_dynamic_allocation;
     Alcotest.test_case "Delta: final_edges model" `Quick
       test_delta_final_edges;
     Alcotest.test_case "Delta: shrinker minimizes" `Quick test_delta_shrink;

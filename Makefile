@@ -43,8 +43,8 @@ test-serve:
 
 # The incremental suite on its own: the delta-stream differential
 # battery (patched session vs rebuild, bit-identical per batch), the
-# dynamic-core maintenance checks, the delta generator/shrinker model
-# tests and the arc-surgery flow repairs.
+# Dynamic no-op and allocation checks, the delta generator/shrinker
+# model tests and the arc-surgery flow repairs.
 test-incremental:
 	dune exec test/test_main.exe -- test incremental
 

@@ -791,7 +791,7 @@ let micro () =
     Test.make_grouped ~name:"primitives" ~fmt:"%s %s"
       [
         Test.make ~name:"kcore-decomp(as733)"
-          (Staged.stage (fun () -> ignore (Dsd_core.Kcore.decompose g)));
+          (Staged.stage (fun () -> ignore (Dsd_graph.Degeneracy.compute g)));
         Test.make ~name:"triangle-list(as733)"
           (Staged.stage (fun () -> ignore (Dsd_clique.Kclist.count g ~h:3)));
         Test.make ~name:"tri-core-decomp(as733)"

@@ -490,10 +490,13 @@ let reference_peel g psi =
   let residuals = Array.make (max 1 n) initial in
   let best = ref (initial, 0, mu) in
   let charges = ref [] and pos = ref 0 and k = ref 0 in
+  let kmax_count = ref mu in
   while !pos < n do
     let lives = List.filter (fun v -> alive.(v)) (List.init n Fun.id) in
     match List.filter (fun v -> degree v <= !k) lives with
-    | [] -> k := List.fold_left (fun m v -> min m (degree v)) max_int lives
+    | [] ->
+      k := List.fold_left (fun m v -> min m (degree v)) max_int lives;
+      kmax_count := count (fun _ -> true)
     | frontier ->
       List.iter
         (fun v ->
@@ -512,9 +515,9 @@ let reference_peel g psi =
         frontier
   done;
   let best_density, best_start, best_count = !best in
-  ( { Dsd_core.Clique_core.psi;
-      core;
+  ( { Dsd_core.Clique_core.core;
       kmax = !k;
+      kmax_count = !kmax_count;
       order;
       mu_total = mu;
       best_residual_density = best_density;

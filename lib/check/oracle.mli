@@ -120,10 +120,11 @@ val naive_core_numbers :
     of them (the set taken at its start) one at a time in ascending
     id, charging each its live degree at the moment it goes; otherwise
     k rises to the minimum live degree.  Returns the decomposition
-    (core numbers, order, kmax, the residual densities after every
-    removal and the first strictly densest suffix) and the
-    [(vertex, charge)] transcript in peel order — what
-    [Clique_core.peel_store] reports through [on_peel]. *)
+    (core numbers, order, kmax, the kmax-core's instance count — the
+    live instances when the last level starts —, the residual
+    densities after every removal and the first strictly densest
+    suffix) and the [(vertex, charge)] transcript in peel order — what
+    [Clique_core.peel_canonical] reports through [on_peel]. *)
 val reference_peel :
   Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t ->
   Dsd_core.Clique_core.t * (int * int) array

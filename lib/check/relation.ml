@@ -706,7 +706,7 @@ let top1_equals_cds =
 
 (* The clique and generic engine must reproduce the whole transcript
    of [Oracle.reference_peel] — not just the answer: core numbers,
-   peel order, kmax, the bits of every residual density, the best
+   peel order, kmax, the kmax-core's instance count, the bits of every residual density, the best
    suffix, and PeelApp's subgraph (that suffix, sorted, with its
    density).  Star and 4-cycle patterns peel through the closed-form
    engine's heap, whose order the reference does not model. *)
@@ -725,6 +725,9 @@ let peel_equals_reference =
           else if d.CC.order <> r.CC.order then failf "peel order differs"
           else if d.CC.kmax <> r.CC.kmax then
             failf "kmax %d <> %d in the reference" d.CC.kmax r.CC.kmax
+          else if d.CC.kmax_count <> r.CC.kmax_count then
+            failf "kmax-core count %d <> %d in the reference" d.CC.kmax_count
+              r.CC.kmax_count
           else if bits d.CC.residual_densities <> bits r.CC.residual_densities
           then failf "residual-density trace differs"
           else if

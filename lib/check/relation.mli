@@ -44,9 +44,9 @@
                              batch; failing scripts shrink and print
     - [peel-equals-reference]  the clique and generic peel reproduces
                              the brute-force [Oracle.reference_peel]:
-                             core numbers, order, kmax, residual-density
-                             bits, the best suffix and PeelApp's
-                             subgraph
+                             core numbers, order, kmax, the kmax-core's
+                             instance count, residual-density bits, the
+                             best suffix and PeelApp's subgraph
     - [hierarchy-nesting]    the density-friendly chain partitions V
                              into sorted strictly-nested prefixes with
                              strictly decreasing marginal densities,

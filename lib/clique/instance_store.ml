@@ -58,6 +58,7 @@ let total t = t.total
 let live_total t = t.live_count
 let is_live t i = Bytes.get t.live i = '\001'
 let degree t v = t.deg.(v)
+let degrees t = t.deg
 
 let kill_instance_internal t i ~skip ~on_comember =
   Bytes.set t.live i '\000';

@@ -35,6 +35,12 @@ val live_total : t -> int
     instance-degree deg(v, Psi) restricted to live instances). *)
 val degree : t -> int -> int
 
+(** [degrees t] is the live degree array itself, indexed by vertex,
+    which {!kill_vertex}, {!kill_instance} and {!reset} update in place:
+    a peel reads it without a call per vertex.  Callers must not write
+    it. *)
+val degrees : t -> int array
+
 (** [kill_vertex t v ~on_comember] retires every live instance
     containing [v].  For each retired instance, [on_comember] is called
     once per member other than [v] (after that member's degree has been

@@ -6,9 +6,11 @@
     the (k, Psi)-core is exactly the set of vertices whose core number
     is >= k (nestedness, property 1 of Definition 6).
 
-    Two engines:
-    - the generic engine materialises all instances once
-      ({!Dsd_clique.Instance_store}) and retires them on deletion;
+    Three engines:
+    - edges (h = 2) peel straight off the graph's CSR: a live-degree
+      array and a retired-vertex mask, listing no edge;
+    - other cliques and generic patterns materialise all instances
+      once ({!Dsd_clique.Instance_store}) and retire them on deletion;
     - star and 4-cycle patterns use the Appendix-D closed-form degrees
       and O(d^2) decrement rules ({!Dsd_pattern.Special}), never
       enumerating instances.
@@ -19,9 +21,12 @@
     precisely what PeelApp returns). *)
 
 type t = {
-  psi : Dsd_pattern.Pattern.t;
   core : int array;                (** clique-core number per vertex *)
   kmax : int;                      (** max clique-core number *)
+  kmax_count : int;
+      (** c(kmax-core), the instance count of the (kmax, Psi)-core: the
+          live count where the running maximum last rises, since the
+          kmax-core is a suffix of the peel order *)
   order : int array;               (** peel order; suffixes are the residual graphs *)
   mu_total : int;                  (** mu(G, Psi) *)
   best_residual_density : float;   (** rho' = max residual density (incl. full graph) *)
@@ -37,31 +42,65 @@ type t = {
     skips the rho' bookkeeping (IncApp mode); the density fields are
     then 0.
 
-    The generic engine peels round-synchronously (bucket-free): each
-    level retires the whole cascade of vertices at the minimum degree
-    in batched sub-rounds, each sub-round in ascending vertex id, and
-    charges every vertex its live degree when it is retired — the
-    transcript [Dsd_check.Oracle.reference_peel] recomputes by brute
-    force. *)
+    Cliques and generic patterns peel round-synchronously
+    ({!peel_canonical}) on {!engine}: each level retires the whole
+    cascade of vertices at the minimum degree in batched sub-rounds,
+    each sub-round in ascending vertex id, and charges every vertex its
+    live degree when it is retired — the transcript
+    [Dsd_check.Oracle.reference_peel] recomputes by brute force. *)
 val decompose :
   ?track_density:bool -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> t
 
-(** The round-synchronous peel engine itself, over a prepared
-    {!Dsd_clique.Instance_store} on vertices [0 .. n-1].  Returns
-    [(core, order, kmax, best_density, best_start, best_count,
-    residuals)] — the density fields are 0 / empty unless
-    [track_density].  [on_peel v killed] fires once per vertex in
-    canonical peel order, where [killed] is v's live instance count at
-    its removal — exactly the degree Greedy++ charges to its loads.
-    Apart from the result it allocates O(n) words, whatever the
-    instance count.  The store is consumed (all instances dead on
-    return; [reset] it to reuse). *)
-val peel_store :
-  ?on_peel:(int -> int -> unit) ->
-  track_density:bool ->
+(** {1 Peel engines} *)
+
+(** The live instance set of one (graph, Psi) pair: each vertex's live
+    instance-degree, and retirement of a vertex with all its live
+    instances. *)
+type engine
+
+(** [engine g psi] reads the edges of [g] off its CSR when [psi] is the
+    edge (h = 2), and otherwise builds an instance store over
+    [Enumerate.instances g psi]. *)
+val engine : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> engine
+
+(** mu(G, Psi), live and dead instances together. *)
+val total : engine -> int
+
+(** [degree e v] is the number of live instances containing [v]. *)
+val degree : engine -> int -> int
+
+(** [kill e v ~on_comember] retires every live instance containing
+    [v], calling [on_comember] once per other member of each (after
+    that member's degree has been decremented), instances taken in the
+    order of their ids in [Enumerate.instances g psi] whatever the
+    engine — the order Greedy++'s heap updates, and so its ties,
+    follow.  Returns the number retired. *)
+val kill : engine -> int -> on_comember:(int -> unit) -> int
+
+(** [reset e] revives every instance. *)
+val reset : engine -> unit
+
+(** [peel_canonical e] runs the round-synchronous peel on [e].
+    [on_peel v killed] fires once per vertex in canonical peel order,
+    where [killed] is v's live instance count at its removal — exactly
+    the degree Greedy++ charges to its loads.  Apart from the result it
+    allocates O(n) words, whatever the instance count.  The engine is
+    consumed (all instances dead on return; {!reset} it to reuse). *)
+val peel_canonical :
+  ?on_peel:(int -> int -> unit) -> track_density:bool -> engine -> t
+
+(** The skeleton every peel runs on: [n] pops, where [pop ()] yields
+    the next vertex with its live degree and [retire v] kills its live
+    instances and returns how many died.  Core numbers are the running
+    maximum of the popped degrees; the residual-density fields follow
+    every retirement, as in {!decompose}. *)
+val peel :
   n:int ->
-  Dsd_clique.Instance_store.t ->
-  int array * int array * int * float * int * int * float array
+  mu_total:int ->
+  track_density:bool ->
+  pop:(unit -> (int * int) option) ->
+  retire:(int -> int) ->
+  t
 
 (** [core_vertices t ~k] is the vertex set of the (k, Psi)-core
     ({v | core(v) >= k}, possibly empty). *)

@@ -71,8 +71,7 @@ let run ?(prunings = all_prunings) ?family ?decomp g psi =
            ( Clique_core.best_residual decomp,
              decomp.Clique_core.best_residual_count )
          else
-           let vs = Clique_core.kmax_core decomp in
-           (vs, Density.count g psi vs))
+           (Clique_core.kmax_core decomp, decomp.Clique_core.kmax_count))
     in
     let beats c vs =
       let bv, bc = !best in

@@ -25,10 +25,15 @@ let run g =
     window := min n (!window + block);
     let w_vertices = Array.sub order 0 !window in
     let gw, map = G.induced g w_vertices in
-    let kc = Kcore.decompose gw in
-    if Kcore.kmax kc >= !kmax && Kcore.kmax kc > 0 then begin
-      kmax := Kcore.kmax kc;
-      best := Array.map (fun v -> map.(v)) (Kcore.kmax_core kc)
+    let dg = Dsd_graph.Degeneracy.compute gw in
+    let k = dg.degeneracy in
+    if k >= !kmax && k > 0 then begin
+      kmax := k;
+      let core = Dsd_util.Vec.Int.create () in
+      Array.iteri
+        (fun v c -> if c >= k then Dsd_util.Vec.Int.push core map.(v))
+        dg.core;
+      best := Dsd_util.Vec.Int.to_array core
     end;
     if !window >= n then continue_ := false
     else if G.degree g order.(!window) < !kmax then continue_ := false

@@ -9,7 +9,9 @@ let run g psi =
   let decomp = Clique_core.decompose ~track_density:false g psi in
   let subgraph =
     if decomp.Clique_core.mu_total = 0 then Density.empty
-    else Density.of_vertices g psi (Clique_core.kmax_core decomp)
+    else
+      Density.of_count (Clique_core.kmax_core decomp)
+        decomp.Clique_core.kmax_count
   in
   { subgraph;
     kmax = decomp.Clique_core.kmax;

@@ -115,13 +115,61 @@ let test_empty_results () =
   let r2 = Dsd_core.Core_app.run g P.triangle in
   Alcotest.(check int) "coreapp kmax" 0 r2.Dsd_core.Core_app.kmax
 
+(* K_{6,6} (gamma C(6,2) = 15), K_{5,5} (gamma 10) and a K5 (gamma 6):
+   the bipartite blocks have the top classical cores but no triangle,
+   so the triangle kmax-core is the K5 at the bottom of the gamma
+   order. *)
+let bipartite_blocks_and_k5 () =
+  let edges = ref [] in
+  let biclique base s =
+    for i = 0 to s - 1 do
+      for j = 0 to s - 1 do
+        edges := (base + i, base + s + j) :: !edges
+      done
+    done
+  in
+  biclique 0 6;
+  biclique 12 5;
+  for i = 22 to 26 do
+    for j = i + 1 to 26 do
+      edges := (i, j) :: !edges
+    done
+  done;
+  G.of_edge_list ~n:27 !edges
+
 let test_initial_window_override () =
-  let g = Dsd_data.Paper_graphs.two_cliques ~a:8 ~b:5 ~bridge:true in
-  (* A deliberately tiny initial window still converges to the kmax
-     core by doubling. *)
-  let r = Dsd_core.Core_app.run ~initial_window:1 g P.edge in
-  Alcotest.(check int) "kmax" 7 r.Dsd_core.Core_app.kmax;
-  Alcotest.(check bool) "multiple rounds" true (r.Dsd_core.Core_app.rounds > 1)
+  (* The initial window of 12 ends at a gamma below the top one, so it
+     is examined, fails, and doubles: 12 -> 24 (past K_{5,5}'s tie,
+     which ends at 22) -> 27 (capped at n), where the K5 is found. *)
+  let g = bipartite_blocks_and_k5 () in
+  let r = Dsd_core.Core_app.run ~initial_window:12 g P.triangle in
+  Alcotest.(check int) "kmax" 6 r.Dsd_core.Core_app.kmax;
+  Alcotest.(check int) "rounds" 3 r.Dsd_core.Core_app.rounds;
+  Alcotest.(check int) "final window" 27 r.Dsd_core.Core_app.final_window;
+  Alcotest.(check (array int)) "kmax core" [| 22; 23; 24; 25; 26 |]
+    r.Dsd_core.Core_app.subgraph.D.vertices
+
+(* Every vertex of a Barabási-Albert graph has the same classical core
+   number, hence the same gamma: no window can stop inside that tie,
+   so CoreApp peels G itself in one round and returns IncApp's core,
+   bit for bit. *)
+let test_core_app_tied_gamma_one_round () =
+  let g = Dsd_data.Gen.barabasi_albert ~seed:11 ~n:400 ~attach:3 in
+  let core = (Dsd_graph.Degeneracy.compute g).core in
+  Alcotest.(check bool) "gamma ties" true
+    (Array.for_all (fun c -> c = core.(0)) core);
+  List.iter
+    (fun psi ->
+      let r = Dsd_core.Core_app.run g psi in
+      let i = Dsd_core.Inc_app.run g psi in
+      Alcotest.(check int) ("rounds " ^ psi.P.name) 1 r.Dsd_core.Core_app.rounds;
+      Alcotest.(check (array int)) ("vertices " ^ psi.P.name)
+        i.Dsd_core.Inc_app.subgraph.D.vertices
+        r.Dsd_core.Core_app.subgraph.D.vertices;
+      Alcotest.(check int64) ("density bits " ^ psi.P.name)
+        (Int64.bits_of_float i.Dsd_core.Inc_app.subgraph.D.density)
+        (Int64.bits_of_float r.Dsd_core.Core_app.subgraph.D.density))
+    [ P.edge; P.triangle; P.clique 4 ]
 
 let test_api_layer () =
   let g = Dsd_data.Paper_graphs.two_cliques ~a:6 ~b:4 ~bridge:false in
@@ -152,6 +200,8 @@ let suite =
     Alcotest.test_case "lemma 8 bound" `Quick test_lemma8_bound;
     Alcotest.test_case "empty results" `Quick test_empty_results;
     Alcotest.test_case "initial window override" `Quick test_initial_window_override;
+    Alcotest.test_case "core app tied gamma: one round" `Quick
+      test_core_app_tied_gamma_one_round;
     Alcotest.test_case "api layer" `Quick test_api_layer;
     Alcotest.test_case "streaming rejects eps <= 0" `Quick
       test_streaming_rejects_bad_eps;

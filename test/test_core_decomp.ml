@@ -6,14 +6,18 @@ module G = Dsd_graph.Graph
 module P = Dsd_pattern.Pattern
 module CC = Dsd_core.Clique_core
 
+(* The vertices of the classical k-core, ascending. *)
+let k_core (dg : Dsd_graph.Degeneracy.t) ~k =
+  List.filter (fun v -> dg.core.(v) >= k) (List.init (Array.length dg.core) Fun.id)
+  |> Array.of_list
+
 let test_kcore_figure3 () =
-  let kc = Dsd_core.Kcore.decompose Dsd_data.Paper_graphs.figure3_like in
-  Alcotest.(check int) "kmax" 3 (Dsd_core.Kcore.kmax kc);
+  let dg = Dsd_graph.Degeneracy.compute Dsd_data.Paper_graphs.figure3_like in
+  Alcotest.(check int) "kmax" 3 dg.degeneracy;
   Alcotest.(check (array int)) "3-core" [| 0; 1; 2; 3 |]
-    (Dsd_core.Kcore.kmax_core kc);
-  Alcotest.(check (array int)) "2-core" [| 0; 1; 2; 3; 4; 5 |]
-    (Dsd_core.Kcore.k_core kc ~k:2);
-  Alcotest.(check int) "core of bridge vertex" 2 (Dsd_core.Kcore.core_number kc 4)
+    (k_core dg ~k:dg.degeneracy);
+  Alcotest.(check (array int)) "2-core" [| 0; 1; 2; 3; 4; 5 |] (k_core dg ~k:2);
+  Alcotest.(check int) "core of bridge vertex" 2 dg.core.(4)
 
 let test_triangle_core_figure3 () =
   let d = CC.decompose Dsd_data.Paper_graphs.figure3_like P.triangle in
@@ -117,11 +121,11 @@ let test_emcore_matches_degeneracy () =
     (fun seed ->
       let g = Helpers.random_graph ~seed ~max_n:40 ~max_m:150 () in
       let em = Dsd_core.Emcore.run g in
-      let kc = Dsd_core.Kcore.decompose g in
-      Alcotest.(check int) "kmax" (Dsd_core.Kcore.kmax kc) em.Dsd_core.Emcore.kmax;
-      if Dsd_core.Kcore.kmax kc > 0 then
+      let dg = Dsd_graph.Degeneracy.compute g in
+      Alcotest.(check int) "kmax" dg.degeneracy em.Dsd_core.Emcore.kmax;
+      if dg.degeneracy > 0 then
         Alcotest.(check (list int)) "core set"
-          (Helpers.int_array_as_set (Dsd_core.Kcore.kmax_core kc))
+          (Helpers.int_array_as_set (k_core dg ~k:dg.degeneracy))
           (Helpers.int_array_as_set em.Dsd_core.Emcore.subgraph.Dsd_core.Density.vertices))
     [ 1; 2; 3; 4; 5 ]
 
@@ -131,13 +135,14 @@ let test_empty_graph () =
   Alcotest.(check int) "kmax" 0 d.CC.kmax;
   Alcotest.(check int) "mu" 0 d.CC.mu_total
 
-(* The clique and generic engine against the brute-force peel of
+(* The clique and generic engines against the brute-force peel of
    Dsd_check.Oracle: the density-tracked decomposition agrees in core
-   numbers, peel order, kmax, the bits of every residual density and
-   the best suffix, and [peel_store]'s [on_peel] sequence is the
-   reference's (vertex, charge) transcript. *)
+   numbers, peel order, kmax, the kmax-core's instance count, the bits
+   of every residual density and the best suffix, and
+   [peel_canonical]'s [on_peel] sequence is the reference's (vertex,
+   charge) transcript — on the CSR engine for edges and on the
+   instance store for every other pattern. *)
 let test_peel_reference () =
-  let module IS = Dsd_clique.Instance_store in
   let bits a = Array.map Int64.bits_of_float a in
   let patterns =
     [ P.edge; P.triangle; P.clique 4; P.c3_star; P.two_triangle;
@@ -153,6 +158,8 @@ let test_peel_reference () =
         Alcotest.(check (array int)) ("core " ^ tag) r.CC.core d.CC.core;
         Alcotest.(check (array int)) ("order " ^ tag) r.CC.order d.CC.order;
         Alcotest.(check int) ("kmax " ^ tag) r.CC.kmax d.CC.kmax;
+        Alcotest.(check int) ("kmax-core count " ^ tag) r.CC.kmax_count
+          d.CC.kmax_count;
         Alcotest.(check int) ("mu " ^ tag) r.CC.mu_total d.CC.mu_total;
         Alcotest.(check (array int64)) ("residual bits " ^ tag)
           (bits r.CC.residual_densities) (bits d.CC.residual_densities);
@@ -163,15 +170,48 @@ let test_peel_reference () =
           d.CC.best_residual_start;
         Alcotest.(check int) ("best count " ^ tag) r.CC.best_residual_count
           d.CC.best_residual_count;
-        let n = G.n g in
-        let store = IS.create ~n (Dsd_core.Enumerate.instances g psi) in
         let seen = ref [] in
         ignore
-          (CC.peel_store ~track_density:true ~n store
+          (CC.peel_canonical ~track_density:true (CC.engine g psi)
              ~on_peel:(fun v c -> seen := (v, c) :: !seen));
         Alcotest.(check (array (pair int int))) ("on_peel " ^ tag) charges
           (Array.of_list (List.rev !seen)))
       patterns
+  done
+
+(* The CSR engine's [kill] reports co-members in the order the instance
+   store over [Enumerate.instances] reports them (Greedy++'s heap ties
+   follow it), with the same counts and degrees, before and after a
+   [reset]. *)
+let test_edge_kill_order () =
+  let module IS = Dsd_clique.Instance_store in
+  for seed = 1 to 20 do
+    let g = Helpers.random_graph ~seed:(700 + seed) ~max_n:30 ~max_m:120 () in
+    let n = G.n g in
+    let store = IS.create ~n (Dsd_core.Enumerate.instances g P.edge) in
+    let e = CC.engine g P.edge in
+    (* 7919 is a prime above n, so this visits every vertex once. *)
+    let victims = List.init n (fun i -> i * 7919 mod n) in
+    for pass = 1 to 2 do
+      List.iter
+        (fun v ->
+          let tag =
+            Printf.sprintf "%s pass %d v %d" (Helpers.seed_ctx seed) pass v
+          in
+          let a = ref [] and b = ref [] in
+          let ka =
+            IS.kill_vertex store v ~on_comember:(fun u ->
+                a := (u, IS.degree store u) :: !a)
+          in
+          let kb =
+            CC.kill e v ~on_comember:(fun u -> b := (u, CC.degree e u) :: !b)
+          in
+          Alcotest.(check int) ("killed " ^ tag) ka kb;
+          Alcotest.(check (list (pair int int))) ("co-members " ^ tag) !a !b)
+        victims;
+      IS.reset store;
+      CC.reset e
+    done
   done
 
 let patterns_under_test =
@@ -212,4 +252,6 @@ let suite =
         ])
       patterns_under_test
   @ [ Alcotest.test_case "peel equals the reference (30 seeds)" `Quick
-        test_peel_reference ]
+        test_peel_reference;
+      Alcotest.test_case "edge kill order equals the store's" `Quick
+        test_edge_kill_order ]

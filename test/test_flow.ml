@@ -190,33 +190,28 @@ let test_listing_allocation () =
     [ (3, 98_800); (4, 913_900) ]
 
 (* The peel allocates O(n) minor words, whatever the instance count:
-   on a store that is already built, [peel_store] retires each vertex
-   through the store's own posting walk, so only per-vertex
-   bookkeeping is allocated.  On the ten K_40s (n = 400) both clique
-   sizes share one bound. *)
+   on an engine that is already built, [peel_canonical] retires each
+   vertex through the store's own posting walk, or for edges the CSR
+   row, so only per-vertex bookkeeping is allocated.  On the ten K_40s
+   (n = 400) every clique size shares one bound. *)
 let test_peel_allocation () =
   let g = ten_k40s () in
   let n = Dsd_graph.Graph.n g in
   let bound = (32 * n) + 4096 in
   List.iter
     (fun h ->
-      let store =
-        Dsd_clique.Instance_store.create ~n
-          (Dsd_core.Enumerate.instances g (Dsd_pattern.Pattern.clique h))
-      in
+      let e = Dsd_core.Clique_core.engine g (Dsd_pattern.Pattern.clique h) in
       let w0 = Gc.minor_words () in
-      let _, _, kmax, _, _, _, _ =
-        Dsd_core.Clique_core.peel_store ~track_density:true ~n store
-      in
+      let d = Dsd_core.Clique_core.peel_canonical ~track_density:true e in
       let words = int_of_float (Gc.minor_words () -. w0) in
       Alcotest.(check int)
         (Printf.sprintf "kmax h=%d" h)
         (Dsd_util.Binom.choose 39 (h - 1))
-        kmax;
+        d.Dsd_core.Clique_core.kmax;
       if words > bound then
         Alcotest.failf "peel h=%d allocated %d minor words (bound %d)" h words
           bound)
-    [ 3; 4 ]
+    [ 2; 3; 4 ]
 
 let suite =
   [

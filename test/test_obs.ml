@@ -59,6 +59,19 @@ let test_peel_and_instance_counters_exact () =
   Alcotest.(check int) "triangles enumerated" 4
     (Counter.get Counter.Clique_instances)
 
+(* Edges peel straight off the CSR: decomposing, Greedy++ and CoreApp
+   on a BA graph list no instance, while every pop is still counted
+   (n per decomposition and per Greedy++ round). *)
+let test_edge_peels_list_nothing () =
+  let g = Dsd_data.Gen.barabasi_albert ~seed:5 ~n:500 ~attach:4 in
+  Obs.with_recording (fun () ->
+      ignore (Dsd_core.Clique_core.decompose g P.edge);
+      ignore (Dsd_core.Greedy_pp.run ~rounds:2 g P.edge);
+      ignore (Dsd_core.Core_app.run g P.edge));
+  Alcotest.(check int) "peeled" (4 * G.n g) (Counter.get Counter.Peeled_vertices);
+  Alcotest.(check int) "instances listed" 0
+    (Counter.get Counter.Clique_instances)
+
 let test_span_nesting_and_totals () =
   Obs.with_recording (fun () ->
       Span.with_ "outer" (fun () ->
@@ -190,6 +203,8 @@ let suite =
       test_edmonds_karp_counters_exact;
     Alcotest.test_case "peel/instance counters exact" `Quick
       test_peel_and_instance_counters_exact;
+    Alcotest.test_case "edge peels list no instance" `Quick
+      test_edge_peels_list_nothing;
     Alcotest.test_case "span nesting and totals" `Quick
       test_span_nesting_and_totals;
     Alcotest.test_case "span exception safety" `Quick test_span_exception_safe;

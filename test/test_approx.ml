@@ -200,8 +200,6 @@ let suite =
     Alcotest.test_case "lemma 8 bound" `Quick test_lemma8_bound;
     Alcotest.test_case "empty results" `Quick test_empty_results;
     Alcotest.test_case "initial window override" `Quick test_initial_window_override;
-    Alcotest.test_case "core app tied gamma: one round" `Quick
-      test_core_app_tied_gamma_one_round;
     Alcotest.test_case "api layer" `Quick test_api_layer;
     Alcotest.test_case "streaming rejects eps <= 0" `Quick
       test_streaming_rejects_bad_eps;
@@ -240,3 +238,7 @@ let suite =
             (peel_at_least_core_prop psi);
         ])
       patterns_for_approx
+  @ [
+      Alcotest.test_case "core app tied gamma: one round" `Quick
+        test_core_app_tied_gamma_one_round;
+    ]

@@ -24,18 +24,22 @@ type prepared = {
 
 let vertex_node v = v + 1
 
-let solve t =
+let cut t ~f =
   Dsd_obs.Span.with_ Dsd_obs.Phase.flow @@ fun () ->
   let aug0 = Dsd_obs.Counter.get Dsd_obs.Counter.Flow_augmentations in
   let (_ : float) = Dsd_flow.Dinic.max_flow t.net ~s:t.source ~t:t.sink in
   let side = Dsd_flow.Min_cut.source_side t.net ~s:t.source in
   Dsd_obs.Probe.record
     (Dsd_obs.Counter.get Dsd_obs.Counter.Flow_augmentations - aug0);
-  let out = Dsd_util.Vec.Int.create () in
-  for v = 0 to t.n_vertices - 1 do
-    if side.(vertex_node v) then Dsd_util.Vec.Int.push out v
-  done;
-  Dsd_util.Vec.Int.to_array out
+  f side
+
+let solve t =
+  cut t ~f:(fun side ->
+      let out = Dsd_util.Vec.Int.create () in
+      for v = 0 to t.n_vertices - 1 do
+        if side.(vertex_node v) then Dsd_util.Vec.Int.push out v
+      done;
+      Dsd_util.Vec.Int.to_array out)
 
 let alpha_cap ~base ~coef alpha = Float.max (base +. (coef *. alpha)) 0.
 

@@ -16,7 +16,8 @@
     In every network: node 0 is the source, node 1 + i is data vertex
     i, instance/clique nodes follow, and the last node is the sink.
     After a min-cut, [solve] decodes S \ {s} back to data vertices
-    (Algorithm 1 line 18).  {!Parametric} drives the searches over
+    (Algorithm 1 line 18); a network laid out otherwise decodes its
+    cut through {!cut}.  {!Parametric} drives the searches over
     these networks. *)
 
 type t = {
@@ -43,8 +44,17 @@ type prepared = {
   alpha_coef : float array;
 }
 
-(** [solve t] computes the min cut and returns the data vertices on the
-    source side (empty iff S = {s}). *)
+(** [cut t ~f] computes the min cut and returns [f side], where
+    [side.(x)] tells whether node [x] lies on the inclusion-minimal
+    source side; [f] decodes it, still inside the [flow] span and its
+    per-probe record.  {!Inc_dsd} decodes its own arena this way: its
+    vertex nodes are allocated as vertices join a live instance, so
+    they are not [1 + i]. *)
+val cut : t -> f:(bool array -> 'a) -> 'a
+
+(** [solve t] is {!cut} decoded for the networks built here: the data
+    vertices [i < n_vertices] whose node [1 + i] is on the source side,
+    ascending (empty iff S = {s}). *)
 val solve : t -> int array
 
 (** Which exact-network family an automatic solver should use for this

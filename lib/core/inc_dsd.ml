@@ -3,6 +3,7 @@ module Dyn = Dsd_graph.Dynamic
 module P = Dsd_pattern.Pattern
 module F = Dsd_flow.Flow_network
 module Store = Dsd_clique.Instance_store.Dyn
+module Vec = Dsd_util.Vec.Int
 module Counter = Dsd_obs.Counter
 
 (* An incremental DSD session: a mutable graph handle plus a live
@@ -10,15 +11,25 @@ module Counter = Dsd_obs.Counter
    in place as edge batches arrive, so each query re-solves from the
    previous committed flow instead of rebuilding from scratch.
 
-   The arena is the one-node-per-instance pds network (Section 7):
-   source -> v with cap deg(v, Psi) for every vertex (cap 0 arcs stand
-   in for absent ones so a later degree increase is a plain cap
-   raise), v -> sink with cap h * alpha (the alpha-dependent class),
-   and per live instance a fresh node with v -> inst cap 1 and
-   inst -> v cap h-1 arcs.  Patching preserves two invariants between
-   solver runs: flow <= cap on every arc (the drain repairs) and
-   conservation at every internal node — feasibility, not optimality,
-   which the next probe's augmentations restore.
+   The arena is the one-node-per-instance pds network (Section 7) over
+   the vertices that lie in a live instance.  Node 0 is the source and
+   node 1 the sink.  A vertex gets its node, a source -> v arc of cap
+   deg(v, Psi) and an alpha arc v -> sink of cap h * alpha when it
+   first joins a live instance (a build joins them in ascending order,
+   a delta appends them), so a vertex in no instance costs nothing.
+   Per live instance there is a fresh node with v -> inst cap 1 and
+   inst -> v cap h-1 arcs.  A retired instance keeps its node with
+   zero-capacity arcs, and a vertex that leaves every live instance
+   keeps its node with a zero-capacity source arc, until the
+   compaction rebuild drops both; zero-capacity arcs are invisible to
+   cuts, so the arena always equals the pds network of the live
+   instances.  Each probe's retarget, max flow, min cut and decoding,
+   and the query's degree bound and c(S) count, therefore cost
+   O(vertices in live instances + instance nodes), not O(n).
+   Patching preserves two invariants between solver runs: flow <= cap
+   on every arc (the drain repairs) and conservation at every internal
+   node — feasibility, not optimality, which the next probe's
+   augmentations restore.
 
    Queries run the float bisection of Dsd_check.Oracle.reference_cds
    — bounds [0, max live instance-degree], stopping gap, probe
@@ -36,7 +47,8 @@ module Counter = Dsd_obs.Counter
    residual reachability computes, independent of which max flow the
    solver arrived at) is exactly the canonical CDS.  A patched
    session, a fresh session on the rebuilt graph, and any probe
-   history therefore report the identical vertex set.
+   history therefore report the identical vertex set, whatever order
+   the arena's nodes and arcs were added in.
    [test_incremental] and the delta-equals-rebuild relation pin
    this. *)
 
@@ -45,13 +57,18 @@ type t = {
   h : int;
   dyn : Dyn.t;
   mutable store : Store.store;
-  (* The arena and its alpha arcs v -> sink (base 0, coefficient h).
-     Its [node_count] is the build-time size: instance nodes added
-     later are not counted, and nothing here reads it. *)
+  (* The arena as [Flow_build.retarget] reads it: its network, and the
+     alpha arcs of the vertices joined up to the last refresh (see
+     [prepared]).  The network's [n_vertices] and [node_count] are not
+     read: [vertices_on] decodes the cut. *)
   mutable arena : Flow_build.prepared;
-  mutable src_arc : int array;    (* v -> source-arc id *)
+  node : int array;     (* vertex -> arena node; -1 until it joins *)
+  src_arc : int array;  (* vertex -> source-arc id, once it has a node *)
+  joined : Vec.t;       (* vertices with a node, in join order *)
+  alpha : Vec.t;        (* their alpha arcs, in the same order *)
   mutable inst_node : int array;  (* instance id -> arena node *)
   mutable inst_arcs : int array array;  (* instance id -> its arc ids *)
+  inside : bool array;  (* [count_inside]'s marks, all false between calls *)
   mutable last_opt : float;  (* previous query's density; < 0 = none *)
 }
 
@@ -70,18 +87,47 @@ let grow_inst t id =
     t.inst_arcs <- arcs
   end
 
-(* Wire one instance into the arena: a fresh node, member arcs, and the
-   member source caps raised to the new degrees. *)
+(* Give [v] its node, a cap-0 source arc (raised as its instances
+   arrive) and an alpha arc (capacitated by the next retarget), unless
+   it has them already. *)
+let join t v =
+  if t.node.(v) < 0 then begin
+    let net = net t in
+    let x = F.add_node net in
+    t.node.(v) <- x;
+    t.src_arc.(v) <- F.add_edge net ~src:(source t) ~dst:x ~cap:0.;
+    Vec.push t.alpha (F.add_edge net ~src:x ~dst:(sink t) ~cap:0.);
+    Vec.push t.joined v
+  end
+
+(* The arena with an alpha arc for every joined vertex: rebuilt when
+   vertices joined since the last probe, so a probe retargets only
+   the joined vertices' arcs. *)
+let prepared t =
+  let k = Vec.length t.alpha in
+  if Array.length t.arena.Flow_build.alpha_arcs < k then
+    t.arena <-
+      { t.arena with
+        alpha_arcs = Vec.to_array t.alpha;
+        alpha_base = Array.make k 0.;
+        alpha_coef = Array.make k (float_of_int t.h) };
+  t.arena
+
+(* Wire one instance into the arena: its members' nodes if new, a fresh
+   node, member arcs, and the member source caps raised to the new
+   degrees. *)
 let arena_add_instance t id =
   grow_inst t id;
+  Store.iter_members t.store id ~f:(join t);
   let net = net t in
   let node = F.add_node net in
   let arcs = Array.make (2 * t.h) 0 in
   let i = ref 0 in
   Store.iter_members t.store id ~f:(fun v ->
-      arcs.(2 * !i) <- F.add_edge net ~src:(v + 1) ~dst:node ~cap:1.;
+      let x = t.node.(v) in
+      arcs.(2 * !i) <- F.add_edge net ~src:x ~dst:node ~cap:1.;
       arcs.((2 * !i) + 1) <-
-        F.add_edge net ~src:node ~dst:(v + 1) ~cap:(float_of_int (t.h - 1));
+        F.add_edge net ~src:node ~dst:x ~cap:(float_of_int (t.h - 1));
       F.set_cap net t.src_arc.(v) (float_of_int (Store.degree t.store v));
       incr i);
   t.inst_node.(id) <- node;
@@ -104,30 +150,31 @@ let arena_retire_instance t id =
   t.inst_arcs.(id) <- [||];
   t.inst_node.(id) <- -1
 
-(* The instance-free arena: source -> v arcs at cap 0 (raised as
-   instances arrive) and the alpha arcs v -> sink, cap h * alpha. *)
-let empty_arena ~n ~h =
-  let net = F.create (n + 2) in
-  let sink = n + 1 in
-  let src_arc = Array.make (max 1 n) (-1) and alpha_arcs = Array.make n (-1) in
-  for v = 0 to n - 1 do
-    src_arc.(v) <- F.add_edge net ~src:0 ~dst:(v + 1) ~cap:0.;
-    alpha_arcs.(v) <- F.add_edge net ~src:(v + 1) ~dst:sink ~cap:0.
-  done;
-  ( { Flow_build.network =
-        { net; source = 0; sink; n_vertices = n; node_count = n + 2 };
-      alpha_arcs;
-      alpha_base = Array.make n 0.;
-      alpha_coef = Array.make n (float_of_int h) },
-    src_arc )
+(* The arena with no vertex: the source (node 0) and the sink
+   (node 1). *)
+let empty_arena () =
+  { Flow_build.network =
+      { net = F.create 2; source = 0; sink = 1; n_vertices = 0;
+        node_count = 2 };
+    alpha_arcs = [||];
+    alpha_base = [||];
+    alpha_coef = [||] }
 
+(* The arena of the live instances: the source, the sink, every vertex
+   in a live instance in ascending order (so the solver meets the
+   source arcs in vertex order, as in [Flow_build]'s networks), then
+   the instances in id order. *)
 let build_arena t =
-  let arena, src_arc = empty_arena ~n:(Dyn.n t.dyn) ~h:t.h in
-  t.arena <- arena;
-  t.src_arc <- src_arc;
+  t.arena <- empty_arena ();
+  Array.fill t.node 0 (Array.length t.node) (-1);
+  Vec.clear t.joined;
+  Vec.clear t.alpha;
   t.inst_node <- Array.make 16 (-1);
   t.inst_arcs <- Array.make 16 [||];
   Counter.incr Counter.Flow_networks_built;
+  for v = 0 to Array.length t.node - 1 do
+    if Store.degree t.store v > 0 then join t v
+  done;
   for id = 0 to Store.total t.store - 1 do
     if Store.is_live t.store id then arena_add_instance t id
   done
@@ -137,17 +184,22 @@ let create g (psi : P.t) =
     invalid_arg "Inc_dsd.create: only h-clique patterns are supported";
   let dyn = Dyn.of_graph g in
   let instances = Enumerate.instances g psi in
-  let store = Store.create ~n:(G.n g) instances in
+  let n = G.n g in
+  let store = Store.create ~n instances in
   let t =
     {
       psi;
       h = psi.P.size;
       dyn;
       store;
-      arena = fst (empty_arena ~n:0 ~h:psi.P.size);
-      src_arc = [||];
+      arena = empty_arena ();
+      node = Array.make n (-1);
+      src_arc = Array.make n (-1);
+      joined = Vec.create ();
+      alpha = Vec.create ();
       inst_node = [||];
       inst_arcs = [||];
+      inside = Array.make n false;
       last_opt = -1.;
     }
   in
@@ -192,7 +244,8 @@ let discover_instances t u v =
 
 (* Tombstones never shrink the arena, so once they dominate we compact:
    rebuild the store and arena from the live instances (in stable id
-   order).  The committed flow is dropped — the next probe starts cold
+   order), which also drops the nodes of vertices left in no live
+   instance.  The committed flow is dropped — the next probe starts cold
    — but results are unaffected, and the threshold keeps the amortised
    cost negligible. *)
 let maybe_compact t =
@@ -236,19 +289,25 @@ let apply t ops =
   maybe_compact t;
   applied
 
+(* Only joined vertices can have a live instance. *)
 let max_live_degree t =
-  let best = ref 0 in
-  for v = 0 to Dyn.n t.dyn - 1 do
-    if Store.degree t.store v > !best then best := Store.degree t.store v
-  done;
-  !best
+  Vec.fold (fun best v -> max best (Store.degree t.store v)) 0 t.joined
 
-(* c(S) for the sorted, duplicate-free S that [Flow_build.solve]
-   returns: the live store holds exactly the current graph's h-cliques,
-   so c(S) is its live instances inside S, each counted once, from the
+(* The data vertices whose nodes lie on the source side of a min cut,
+   ascending. *)
+let vertices_on t side =
+  let out = Vec.create () in
+  Vec.iter (fun v -> if side.(t.node.(v)) then Vec.push out v) t.joined;
+  let vs = Vec.to_array out in
+  Array.sort Int.compare vs;
+  vs
+
+(* c(S) for the sorted, duplicate-free S that [vertices_on] returns:
+   the live store holds exactly the current graph's h-cliques, so c(S)
+   is its live instances inside S, each counted once, from the
    postings of its smallest member. *)
 let count_inside t vs =
-  let inside = Array.make (Dyn.n t.dyn) false in
+  let inside = t.inside in
   Array.iter (fun v -> inside.(v) <- true) vs;
   let c = ref 0 in
   Array.iter
@@ -259,6 +318,7 @@ let count_inside t vs =
               if w < v || not inside.(w) then ok := false);
           if !ok then incr c))
     vs;
+  Array.iter (fun v -> inside.(v) <- false) vs;
   !c
 
 let query t =
@@ -274,7 +334,10 @@ let query t =
        flow. *)
     let feasible alpha =
       Counter.incr Counter.Core_iterations;
-      let s_side = Flow_build.solve (Flow_build.retarget t.arena ~alpha) in
+      let s_side =
+        Flow_build.cut (Flow_build.retarget (prepared t) ~alpha)
+          ~f:(vertices_on t)
+      in
       if Array.length s_side > 0 then best_vertices := s_side;
       Array.length s_side > 0
     in

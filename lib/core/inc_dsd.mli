@@ -9,12 +9,23 @@
     the parametric search warm from the previous flow instead of
     rebuilding, and counts the answer's instances from the live store.
 
+    The arena holds only the vertices that lie in a live instance: a
+    vertex gets its node, source arc and alpha arc when it first joins
+    one, so each probe's retarget, max flow, min cut and decoding, and
+    the query's degree bound and c(S) count, cost O(vertices in live
+    instances + instance nodes), not O(n).  A vertex that leaves every
+    live instance keeps its node, at source capacity 0, as a retired
+    instance keeps its zero-capacity arcs, until a compaction rebuild
+    (once over 64 retired instances outnumber live ones three to one)
+    drops both.
+
     Results are bit-identical to a from-scratch rebuild: the probe
     decision and the final CDS vertex set depend only on the residual
     min-cut structure, which is canonical (the inclusion-minimal
-    min-cut source side is the same for every max flow), and a patched
-    arena is semantically equal to a freshly built one (zero-capacity
-    arcs and disconnected retired nodes are invisible to cuts).  The
+    min-cut source side is the same for every max flow, whatever order
+    the arena's nodes and arcs were added in), and a patched arena is
+    semantically equal to a freshly built one (zero-capacity arcs and
+    disconnected retired nodes are invisible to cuts).  The
     [test_incremental] differential battery and the
     [delta-equals-rebuild] fuzz relation enforce this.
 
@@ -36,7 +47,8 @@ val apply : t -> Dsd_graph.Dynamic.op array -> int
 
 (** [query t] = the exact CDS of the current graph, solved warm from
     the committed flow ({!Density.empty} when the graph or instance
-    set is empty). *)
+    set is empty).  It reads no snapshot of the graph and allocates
+    O(vertices in live instances + instance nodes) per probe. *)
 val query : t -> Density.subgraph
 
 (** [density t] = [(query t).density]. *)

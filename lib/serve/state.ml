@@ -20,13 +20,17 @@ type psi_state = {
          requested level count) *)
 }
 
-(* [g] is the current snapshot; [dyn] (created on the first delta) is
-   the mutable source of truth once the graph starts moving, and
-   [incs] holds the per-psi incremental sessions, which are patched —
-   never dropped — by apply-delta.  [psis] caches are a pure function
-   of the snapshot, so a delta resets them; [incs] survives. *)
+(* [g] is the graph as registered; [dyn] (created on the first delta)
+   is the mutable source of truth once the graph starts moving, and
+   the current graph is then its CSR snapshot, which [Dynamic] caches
+   between changes and builds only when a request reads it (a
+   psi-state, a new incremental session), never on a delta.  [incs]
+   holds the per-psi incremental sessions, which are patched — never
+   dropped — by apply-delta and read no snapshot.  [psis] caches are a
+   pure function of the snapshot, so a delta resets them; [incs]
+   survives. *)
 type graph_state = {
-  mutable g : G.t;
+  g : G.t;
   psis : (string, psi_state) Hashtbl.t;
   mutable dyn : Dsd_graph.Dynamic.t option;
   incs : (string, Dsd_core.Inc_dsd.t) Hashtbl.t;
@@ -51,14 +55,26 @@ let create ~max_cached graphs =
     tbl;
     results = Lru.create ~capacity:max_cached }
 
-let graphs t = List.map (fun name -> (name, (Hashtbl.find t.tbl name).g)) t.names
+let current (gs : graph_state) =
+  match gs.dyn with
+  | None -> gs.g
+  | Some d -> Dsd_graph.Dynamic.snapshot d
+
+let graphs t =
+  List.map (fun name -> (name, current (Hashtbl.find t.tbl name))) t.names
+
+(* [n] and [m] of the current graph, read without a snapshot. *)
+let size (gs : graph_state) =
+  match gs.dyn with
+  | None -> (G.n gs.g, G.m gs.g)
+  | Some d -> (Dsd_graph.Dynamic.n d, Dsd_graph.Dynamic.m d)
 
 let psi_state (gs : graph_state) (psi : P.t) =
   let key = psi.P.name in
   match Hashtbl.find_opt gs.psis key with
   | Some ps -> ps
   | None ->
-    let g = gs.g in
+    let g = current gs in
     let ps =
       { psi;
         graph = g;
@@ -93,11 +109,14 @@ let with_graph t graph f =
     errorf "unknown graph %s (serving: %s)" graph (String.concat ", " t.names)
   | Some gs -> f gs
 
-let with_psi t ~graph ~psi f =
+let with_pattern t ~graph ~psi f =
   with_graph t graph (fun gs ->
       match P.of_string psi with
       | None -> errorf "unknown pattern %s (see 'dsd patterns')" psi
-      | Some p -> f gs (psi_state gs p))
+      | Some p -> f gs p)
+
+let with_psi t ~graph ~psi f =
+  with_pattern t ~graph ~psi (fun gs p -> f (psi_state gs p))
 
 (* ---- solvers ---- *)
 
@@ -108,13 +127,13 @@ let inc_session (gs : graph_state) (psi : P.t) =
   match Hashtbl.find_opt gs.incs psi.P.name with
   | Some s -> s
   | None ->
-    let s = Dsd_core.Inc_dsd.create gs.g psi in
+    let s = Dsd_core.Inc_dsd.create (current gs) psi in
     Hashtbl.add gs.incs psi.P.name s;
     s
 
-let densest (gs : graph_state) (ps : psi_state) algorithm =
+let densest_static (ps : psi_state) algorithm =
   let g = ps.graph and psi = ps.psi in
-  match String.lowercase_ascii algorithm with
+  match algorithm with
   | "exact" ->
     let family = Dsd_core.Flow_build.auto_family psi in
     let instances =
@@ -135,16 +154,24 @@ let densest (gs : graph_state) (ps : psi_state) algorithm =
     Ok (Dsd_core.Api.densest_subgraph ~psi ~algorithm:Dsd_core.Api.Inc_app g)
   | "coreapp" ->
     Ok (Dsd_core.Api.densest_subgraph ~psi ~algorithm:Dsd_core.Api.Core_app g)
+  | other -> Error (errorf "unknown algorithm %s" other)
+
+(* An incremental read creates no psi-state, so it never builds the
+   snapshot of a moved graph. *)
+let densest (gs : graph_state) (psi : P.t) algorithm =
+  match String.lowercase_ascii algorithm with
   | "incremental" -> (
     try Ok (Dsd_core.Inc_dsd.query (inc_session gs psi))
     with Invalid_argument msg -> Error (errorf "%s" msg))
-  | other -> Error (errorf "unknown algorithm %s" other)
+  | other -> densest_static (psi_state gs psi) other
 
 (* The apply-delta endpoint: mutate the graph handle, patch every live
-   incremental session with the same ops, refresh the snapshot, and
-   invalidate only this graph's derived state — its (graph, psi)
-   prepared caches and its result-LRU entries.  Other graphs' cached
-   results stay resident (and keep hitting). *)
+   incremental session with the same ops, and invalidate only this
+   graph's derived state — its (graph, psi) prepared caches and its
+   result-LRU entries.  The changed handle drops its cached snapshot;
+   none is built here, so a delta costs the edge changes and the
+   session patches, not a CSR rebuild.  Other graphs' cached results
+   stay resident (and keep hitting). *)
 let apply_delta t ~graph ~adds ~removes =
   with_graph t graph @@ fun gs ->
   let n = G.n gs.g in
@@ -173,7 +200,6 @@ let apply_delta t ~graph ~adds ~removes =
         (Array.map (fun (u, v) -> Dsd_graph.Dynamic.Remove (u, v)) removes)
     in
     Hashtbl.iter (fun _ s -> ignore (Dsd_core.Inc_dsd.apply s ops)) gs.incs;
-    gs.g <- Dsd_graph.Dynamic.snapshot dyn;
     Hashtbl.reset gs.psis;
     ignore
       (Lru.remove_where t.results ~f:(fun key ->
@@ -193,31 +219,32 @@ let compute t (req : Protocol.request) : Protocol.response =
         cache = cache_stats t;
         graphs =
           List.map
-            (fun (name, g) ->
-              Printf.sprintf "%s n=%d m=%d" name (G.n g) (G.m g))
-            (graphs t) }
+            (fun name ->
+              let n, m = size (Hashtbl.find t.tbl name) in
+              Printf.sprintf "%s n=%d m=%d" name n m)
+            t.names }
   | Apply_delta { graph; adds; removes } -> apply_delta t ~graph ~adds ~removes
   | Density { graph; psi; algorithm } ->
-    with_psi t ~graph ~psi (fun gs ps ->
-        match densest gs ps algorithm with
+    with_pattern t ~graph ~psi (fun gs p ->
+        match densest gs p algorithm with
         | Error e -> e
         | Ok sg -> Density_r sg.Dsd_core.Density.density)
   | Cds { graph; psi; algorithm } ->
-    with_psi t ~graph ~psi (fun gs ps ->
-        match densest gs ps algorithm with
+    with_pattern t ~graph ~psi (fun gs p ->
+        match densest gs p algorithm with
         | Error e -> e
         | Ok sg ->
           Cds_r
             { density = sg.Dsd_core.Density.density;
               vertices = sg.Dsd_core.Density.vertices })
   | Decompose { graph; psi } ->
-    with_psi t ~graph ~psi (fun _ ps ->
+    with_psi t ~graph ~psi (fun ps ->
         let d = Lazy.force ps.decomp in
         Decompose_r
           { kmax = d.Dsd_core.Clique_core.kmax;
             core = Array.copy d.Dsd_core.Clique_core.core })
   | Query { graph; psi; vertices } ->
-    with_psi t ~graph ~psi (fun _ ps ->
+    with_psi t ~graph ~psi (fun ps ->
         let n = G.n ps.graph in
         if Array.length vertices = 0 then
           errorf "query needs at least one vertex"
@@ -234,7 +261,7 @@ let compute t (req : Protocol.request) : Protocol.response =
               vertices = sg.Dsd_core.Density.vertices }
         end)
   | Topk { graph; psi; k } ->
-    with_psi t ~graph ~psi (fun _ ps ->
+    with_psi t ~graph ~psi (fun ps ->
         if k < 1 then errorf "topk needs k >= 1 (got %d)" k
         else begin
           let r =
@@ -249,7 +276,7 @@ let compute t (req : Protocol.request) : Protocol.response =
                   r.Dsd_core.Topk_lds.regions }
         end)
   | Hierarchy { graph; psi; levels } ->
-    with_psi t ~graph ~psi (fun _ ps ->
+    with_psi t ~graph ~psi (fun ps ->
         if levels < 0 then
           errorf "hierarchy needs levels >= 0 (got %d)" levels
         else begin

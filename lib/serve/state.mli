@@ -26,7 +26,9 @@ type t
     [max_cached]. *)
 val create : max_cached:int -> (string * Dsd_graph.Graph.t) list -> t
 
-(** The registered graphs, in registration order. *)
+(** The registered graphs as they are now, in registration order; a
+    graph moved by [Apply_delta] is its current CSR snapshot, built
+    here if no request has built it since the last delta. *)
 val graphs : t -> (string * Dsd_graph.Graph.t) list
 
 (** [handle t req] answers one request.  Never raises on a well-typed
@@ -40,7 +42,12 @@ val graphs : t -> (string * Dsd_graph.Graph.t) list
     [algorithm = "incremental"] request and kept warm across deltas).
     Invalidation is targeted — only the mutated graph's prepared
     (graph, Psi) caches and its result-LRU entries are dropped; other
-    graphs' cached results keep hitting.
+    graphs' cached results keep hitting.  No CSR snapshot is built on
+    a delta: a moved graph's snapshot is built by the first request
+    that needs one (a static solver's prepared state, a new
+    incremental session), while incremental [Density]/[Cds] reads and
+    [Stats] (which takes n and m from the {!Dsd_graph.Dynamic} handle)
+    never build it.
 
     The result LRU caches exactly the requests {!Protocol.request_key}
     keys.  Each of them makes one LRU lookup, counted as a hit or a

@@ -166,6 +166,41 @@ let test_dynamic_allocation () =
     Alcotest.failf "%d edge changes allocated %d minor words (bound %d)"
       changes words bound
 
+(* A query costs O(vertices in live instances + instance nodes), not
+   O(n): after an apply on a triangle session over K6 plus 100,000
+   isolated vertices, the query (some 40 probes of a cold bisection
+   with n's stopping gap) allocates well under one n-cell array, where
+   every probe over an n-node arena would allocate several. *)
+let test_query_allocation () =
+  let isolated = 100_000 in
+  let n = 6 + isolated in
+  let k6 = ref [] in
+  for u = 0 to 5 do
+    for v = u + 1 to 5 do
+      k6 := (u, v) :: !k6
+    done
+  done;
+  let session = Inc.create (G.of_edges ~n (Array.of_list !k6)) P.triangle in
+  (* vertex 6 joins a live instance: the triangle {0, 1, 6} *)
+  ignore (Inc.apply session [| Dyn.Add (0, 6); Dyn.Add (1, 6) |]);
+  let b0 = Gc.allocated_bytes () in
+  let sg = Inc.query session in
+  let words =
+    int_of_float ((Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8))
+  in
+  let bound = n / 4 in
+  if words > bound then
+    Alcotest.failf "a query allocated %d words (bound %d, n = %d)" words bound n;
+  Alcotest.(check (array int)) "the CDS is the K6" [| 0; 1; 2; 3; 4; 5 |]
+    sg.vertices;
+  let core =
+    (Dsd_core.Core_exact.run (Inc.graph session) P.triangle)
+      .Dsd_core.Core_exact.subgraph
+  in
+  if sg.density <> core.density then
+    Alcotest.failf "incremental density %.17g <> CoreExact %.17g" sg.density
+      core.density
+
 (* ---- Delta model and shrinker ---- *)
 
 let test_delta_final_edges () =
@@ -273,4 +308,6 @@ let suite =
       test_restore_arc_full;
     Alcotest.test_case "Flow: restore_arc_head repairs source arcs" `Quick
       test_restore_arc_head;
+    Alcotest.test_case "a query allocates O(instances), not O(n)" `Quick
+      test_query_allocation;
   ]

@@ -332,6 +332,55 @@ let test_state_errors_not_cached () =
       Pr.Query { graph = "g"; psi = "edge"; vertices = [| -1 |] };
     ]
 
+(* A delta tick does only the work its answers read: 50 Apply_delta
+   ticks on the serve benchmark stream graph's shape, each followed by
+   an incremental triangle read, allocate less per tick than one CSR
+   rebuild of the graph, which no request of the tick needs.  A
+   CoreExact read afterwards builds the snapshot on demand and must
+   agree with the last incremental answer. *)
+let test_delta_tick_allocation () =
+  let g = Dsd_data.Gen.barabasi_albert ~seed:2003 ~n:2000 ~attach:3 in
+  let edges = G.edges g in
+  let state = Sv_state.create ~max_cached:8 [ ("s", g) ] in
+  let read algorithm =
+    match
+      Sv_state.handle state (Pr.Density { graph = "s"; psi = "triangle"; algorithm })
+    with
+    | Pr.Density_r d -> d
+    | _ -> Alcotest.failf "%s read not answered" algorithm
+  in
+  ignore (read "incremental");
+  let rebuild_bytes =
+    let dyn = Dsd_graph.Dynamic.of_graph g in
+    let u, v = edges.(0) in
+    ignore (Dsd_graph.Dynamic.remove_edge dyn u v);
+    let b0 = Gc.allocated_bytes () in
+    ignore (Dsd_graph.Dynamic.snapshot dyn);
+    Gc.allocated_bytes () -. b0
+  in
+  (* tick i deletes four edges, spread over the edge array, and
+     re-inserts the previous tick's *)
+  let churn = 4 and ticks = 50 in
+  let slice i = Array.sub edges (i * churn * 7) churn in
+  let last = ref nan in
+  let b0 = Gc.allocated_bytes () in
+  for i = 0 to ticks - 1 do
+    let adds = if i = 0 then [||] else slice (i - 1) in
+    (match
+       Sv_state.handle state
+         (Pr.Apply_delta { graph = "s"; adds; removes = slice i })
+     with
+     | Pr.Apply_delta_r _ -> ()
+     | _ -> Alcotest.fail "Apply_delta not answered");
+    last := read "incremental"
+  done;
+  let per_tick = (Gc.allocated_bytes () -. b0) /. float_of_int ticks in
+  if per_tick >= rebuild_bytes then
+    Alcotest.failf "a tick allocated %.0f bytes, one CSR rebuild %.0f" per_tick
+      rebuild_bytes;
+  Alcotest.(check (float 0.)) "incremental = CoreExact on the moved graph"
+    (read "coreexact") !last
+
 (* ---- the differential corpus over a live socket ---- *)
 
 (* Direct library answer for an endpoint, for comparison. *)
@@ -915,4 +964,6 @@ let suite =
       test_disconnect_mid_request;
     Alcotest.test_case "socket: non-positive receive timeout rejected" `Quick
       test_receive_timeout_rejected;
+    Alcotest.test_case "state: a delta tick builds no CSR" `Quick
+      test_delta_tick_allocation;
   ]

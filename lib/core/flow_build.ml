@@ -31,15 +31,16 @@ let cut t ~f =
   let side = Dsd_flow.Min_cut.source_side t.net ~s:t.source in
   Dsd_obs.Probe.record
     (Dsd_obs.Counter.get Dsd_obs.Counter.Flow_augmentations - aug0);
-  f side
+  f t side
 
-let solve t =
-  cut t ~f:(fun side ->
-      let out = Dsd_util.Vec.Int.create () in
-      for v = 0 to t.n_vertices - 1 do
-        if side.(vertex_node v) then Dsd_util.Vec.Int.push out v
-      done;
-      Dsd_util.Vec.Int.to_array out)
+let vertices_of_side t side =
+  let out = Dsd_util.Vec.Int.create () in
+  for v = 0 to t.n_vertices - 1 do
+    if side.(vertex_node v) then Dsd_util.Vec.Int.push out v
+  done;
+  Dsd_util.Vec.Int.to_array out
+
+let solve t = cut t ~f:vertices_of_side
 
 let alpha_cap ~base ~coef alpha = Float.max (base +. (coef *. alpha)) 0.
 

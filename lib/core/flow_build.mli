@@ -44,13 +44,13 @@ type prepared = {
   alpha_coef : float array;
 }
 
-(** [cut t ~f] computes the min cut and returns [f side], where
+(** [cut t ~f] computes the min cut and returns [f t side], where
     [side.(x)] tells whether node [x] lies on the inclusion-minimal
     source side; [f] decodes it, still inside the [flow] span and its
     per-probe record.  {!Inc_dsd} decodes its own arena this way: its
     vertex nodes are allocated as vertices join a live instance, so
     they are not [1 + i]. *)
-val cut : t -> f:(bool array -> 'a) -> 'a
+val cut : t -> f:(t -> bool array -> 'a) -> 'a
 
 (** [solve t] is {!cut} decoded for the networks built here: the data
     vertices [i < n_vertices] whose node [1 + i] is on the source side,

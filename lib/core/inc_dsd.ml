@@ -336,7 +336,7 @@ let query t =
       Counter.incr Counter.Core_iterations;
       let s_side =
         Flow_build.cut (Flow_build.retarget (prepared t) ~alpha)
-          ~f:(vertices_on t)
+          ~f:(fun _ -> vertices_on t)
       in
       if Array.length s_side > 0 then best_vertices := s_side;
       Array.length s_side > 0

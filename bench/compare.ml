@@ -16,10 +16,10 @@
      (and the two answers must never have disagreed) — otherwise the
      arc surgery is slower than rebuilding.
    - BENCH_topk.json rows: the pruned extraction must return regions
-     bit-identical to the unpruned one (mismatches = 0) and must not
-     be slower than it — core-based candidate restriction is only
-     sound pruning if it never changes the answer, and only pruning
-     if it never costs time.
+     bit-identical to the unpruned one (mismatches = 0) and its median
+     time must not exceed the unpruned median — core-based candidate
+     restriction is only sound pruning if it never changes the answer,
+     and only pruning if it never costs time.
    - BENCH_hierarchy.json rows: the breakpoint-search hierarchy must
      agree bit-for-bit with the per-level reference search (B_1 with
      the canonical CDS, and at most two probes per level; mismatches =

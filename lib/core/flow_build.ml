@@ -24,6 +24,9 @@ type prepared = {
 
 let vertex_node v = v + 1
 
+(* The vertices with a source arc: those in at least one instance. *)
+let sourced deg = Array.fold_left (fun c d -> if d > 0 then c + 1 else c) 0 deg
+
 let cut t ~f =
   Dsd_obs.Span.with_ Dsd_obs.Phase.flow @@ fun () ->
   let aug0 = Dsd_obs.Counter.get Dsd_obs.Counter.Flow_augmentations in
@@ -34,11 +37,19 @@ let cut t ~f =
   f t side
 
 let vertices_of_side t side =
-  let out = Dsd_util.Vec.Int.create () in
+  let k = ref 0 in
   for v = 0 to t.n_vertices - 1 do
-    if side.(vertex_node v) then Dsd_util.Vec.Int.push out v
+    if side.(vertex_node v) then incr k
   done;
-  Dsd_util.Vec.Int.to_array out
+  let out = Array.make !k 0 in
+  k := 0;
+  for v = 0 to t.n_vertices - 1 do
+    if side.(vertex_node v) then begin
+      out.(!k) <- v;
+      incr k
+    end
+  done;
+  out
 
 let solve t = cut t ~f:vertices_of_side
 
@@ -94,7 +105,7 @@ let eds_prepared g ~alpha =
   let n = G.n g in
   let m = float_of_int (G.m g) in
   let size = n + 2 in
-  let net = F.create size in
+  let net = F.create size ~edges:((2 * n) + (2 * G.m g)) in
   let source = 0 and sink = size - 1 in
   let record, finish = alpha_recorder () in
   for v = 0 to n - 1 do
@@ -108,47 +119,75 @@ let eds_prepared g ~alpha =
       ignore (F.add_edge net ~src:(vertex_node v) ~dst:(vertex_node u) ~cap:1.));
   finish { net; source; sink; n_vertices = n; node_count = size }
 
+(* The (h-1)-subsets of the clique network, read in place: pair
+   [p = i * h + j] names instance [i] without its member [j], and since
+   an instance's members are sorted, two pairs name the same subset iff
+   their remaining members agree position by position.  [subset_ids]
+   gives every pair its subset's id from a linear-probing table of
+   pair indices (slot -1 = empty) with at least two slots per pair, so
+   it is at most half full; ids are assigned in pair order, first seen
+   first, and nothing is allocated per pair. *)
+let subset_hash mem ~h p =
+  let j = p mod h in
+  let base = p - j in
+  let x = ref 0 in
+  for k = 0 to h - 1 do
+    if k <> j then x := (!x lxor mem.(base + k)) * 0x2545F4914F6CDD1D
+  done;
+  !x lxor (!x lsr 29)
+
+let same_subset mem ~h p q =
+  let jp = p mod h and jq = q mod h in
+  let bp = p - jp and bq = q - jq in
+  let same = ref true and k = ref 0 in
+  while !same && !k < h - 1 do
+    let a = if !k < jp then !k else !k + 1 in
+    let b = if !k < jq then !k else !k + 1 in
+    same := mem.(bp + a) = mem.(bq + b);
+    incr k
+  done;
+  !same
+
+let subset_ids mem ~h ~pairs =
+  let ids = Array.make pairs 0 in
+  let size = ref 16 in
+  while !size < 2 * pairs do
+    size := 2 * !size
+  done;
+  let table = Array.make !size (-1) and mask = !size - 1 in
+  let lambda = ref 0 in
+  for p = 0 to pairs - 1 do
+    let x = ref (subset_hash mem ~h p land mask) in
+    while table.(!x) >= 0 && not (same_subset mem ~h p table.(!x)) do
+      x := (!x + 1) land mask
+    done;
+    let q = table.(!x) in
+    if q >= 0 then ids.(p) <- ids.(q)
+    else begin
+      table.(!x) <- p;
+      ids.(p) <- !lambda;
+      incr lambda
+    end
+  done;
+  (ids, !lambda)
+
 let clique_prepared ?(pinned = [||]) g ~h
     ~(instances : Dsd_clique.Instances.t) ~alpha =
   let n = G.n g in
   let mem = instances.members in
   (* For every h-clique and every member v, an arc v -> (clique minus
-     v).  Each (h-1)-subset of some h-clique is one node, keyed by its
-     sorted member array; ids are assigned in forward (instance,
-     member) order, which fixes the hash table's insertions and with
-     them every arc of the network. *)
-  let sub_ids : (int array, int) Hashtbl.t = Hashtbl.create 256 in
-  let next = ref 0 in
-  let arcs = ref [] in
-  for ii = 0 to instances.count - 1 do
-    let base = ii * h in
-    for i = 0 to h - 1 do
-      let psi = Array.make (h - 1) 0 in
-      let k = ref 0 in
-      for j = 0 to h - 1 do
-        if j <> i then begin
-          psi.(!k) <- mem.(base + j);
-          incr k
-        end
-      done;
-      let id =
-        match Hashtbl.find_opt sub_ids psi with
-        | Some id -> id
-        | None ->
-          let id = !next in
-          incr next;
-          Hashtbl.add sub_ids psi id;
-          id
-      in
-      arcs := (mem.(base + i), id) :: !arcs
-    done
-  done;
-  let lambda = !next in
+     v); each (h-1)-subset of some h-clique is one node. *)
+  let pairs = instances.count * h in
+  let ids, lambda = subset_ids mem ~h ~pairs in
   let size = n + lambda + 2 in
-  let net = F.create size in
+  let deg = Dsd_clique.Instances.degrees ~n instances in
+  let net =
+    F.create size
+      ~edges:
+        (sourced deg + n + Array.length pinned + pairs + (lambda * (h - 1)))
+  in
   let source = 0 and sink = size - 1 in
   let sub_node id = n + 1 + id in
-  let deg = Dsd_clique.Instances.degrees ~n instances in
   let record, finish = alpha_recorder () in
   for v = 0 to n - 1 do
     if deg.(v) > 0 then
@@ -161,19 +200,26 @@ let clique_prepared ?(pinned = [||]) g ~h
     (fun q ->
       ignore (F.add_edge net ~src:source ~dst:(vertex_node q) ~cap:infinity))
     pinned;
-  List.iter
-    (fun (v, id) ->
-      ignore (F.add_edge net ~src:(vertex_node v) ~dst:(sub_node id) ~cap:1.))
-    !arcs;
-  Hashtbl.iter
-    (fun psi id ->
-      Array.iter
-        (fun u ->
+  (* The v -> subset arcs in descending pair order, the order the
+     builder has always emitted them in, so each vertex's arcs keep
+     their order; then every subset's arcs to its members, by id. *)
+  for p = pairs - 1 downto 0 do
+    ignore
+      (F.add_edge net ~src:(vertex_node mem.(p)) ~dst:(sub_node ids.(p)) ~cap:1.)
+  done;
+  let next = ref 0 in
+  for p = 0 to pairs - 1 do
+    if ids.(p) = !next then begin
+      let j = p mod h in
+      for k = p - j to p - j + h - 1 do
+        if k <> p then
           ignore
-            (F.add_edge net ~src:(sub_node id) ~dst:(vertex_node u)
-               ~cap:infinity))
-        psi)
-    sub_ids;
+            (F.add_edge net ~src:(sub_node !next) ~dst:(vertex_node mem.(k))
+               ~cap:infinity)
+      done;
+      incr next
+    end
+  done;
   finish { net; source; sink; n_vertices = n; node_count = size }
 
 let pds_prepared ?(pinned = [||]) ~grouped g (psi : P.t)
@@ -209,10 +255,13 @@ let pds_prepared ?(pinned = [||]) ~grouped g (psi : P.t)
           done )
   in
   let size = n + lambda + 2 in
-  let net = F.create size in
+  let deg = Dsd_clique.Instances.degrees ~n instances in
+  let net =
+    F.create size
+      ~edges:(sourced deg + n + Array.length pinned + (2 * lambda * p))
+  in
   let source = 0 and sink = size - 1 in
   let group_node id = n + 1 + id in
-  let deg = Dsd_clique.Instances.degrees ~n instances in
   let record, finish = alpha_recorder () in
   for v = 0 to n - 1 do
     if deg.(v) > 0 then

@@ -36,7 +36,10 @@ type t = {
     vertex-to-sink capacities do.  [prepare] builds once and records
     those arcs with their capacity law
     [cap(alpha) = max(base + coef * alpha, 0)]; [retarget] then costs
-    O(V) capacity writes instead of a fresh enumeration + build. *)
+    O(V) capacity writes (one alpha arc per vertex, plus the drains of
+    a warm retarget) instead of a fresh enumeration + build.  The exact
+    searches re-aim every arc instead, in one allocation-free pass of
+    {!Dsd_flow.Flow_network.recapacitate} ({!Parametric.probe_rational}). *)
 type prepared = {
   network : t;
   alpha_arcs : int array;    (** arc ids whose capacity depends on alpha *)
@@ -78,6 +81,16 @@ val auto_family : Dsd_pattern.Pattern.t -> family
     The handle is tied to [g] and [instances]: when the vertex set
     changes (CoreExact's Optimisation-3 core shrink), discard it and prepare
     a fresh one.
+
+    Every network is created pre-sized for the arcs it will hold.  The
+    [Clique_flow] builder names each (h-1)-subset by the (instance,
+    member) pair that first drops to it, found in an open-addressing
+    table of pair indices that compares members in place in the
+    instance array: nothing is allocated per pair, and a build costs
+    O(h) expected time per (instance, member) pair plus one int per
+    pair for the subset ids.  Subset ids follow first-seen (instance, member) order;
+    the v -> subset arcs are emitted in descending pair order and the
+    subset -> member arcs by subset id.
 
     @raise Invalid_argument when [family] is [Eds] and [pinned] is
     non-empty: the Goldberg construction has no pinning analysis. *)

@@ -83,7 +83,7 @@ let total a = if a.eds then G.m a.graph else a.instances.count
 
 let laws { Flow_build.network; alpha_arcs; alpha_base; alpha_coef } =
   let net = network.Flow_build.net in
-  let base = Array.init (F.arc_count net) (F.arc_cap net) in
+  let base = Array.sub (F.view net).F.cap 0 (F.arc_count net) in
   let coef = Array.make (Array.length base) 0. in
   Array.iteri
     (fun i e ->
@@ -112,16 +112,7 @@ let probe_local a ~num ~den =
      Dinic stays exact while no flow value can reach 2^53, which the
      sum of the finite capacities bounds. *)
   Dsd_obs.Span.with_ Dsd_obs.Phase.retarget (fun () ->
-      let q = float_of_int den and num = float_of_int num in
-      F.reset_flow net;
-      let sum = ref 0. in
-      Array.iteri
-        (fun e base ->
-          let cap = Float.max ((base *. q) +. (p.coef.(e) *. num)) 0. in
-          F.set_cap net e cap;
-          if cap < infinity then sum := !sum +. cap)
-        p.base;
-      if !sum >= 0x1p53 then
+      if F.recapacitate net ~base:p.base ~coef:p.coef ~den ~num >= 0x1p53 then
         invalid_arg
           "Parametric.probe_rational: the scaled capacities reach 2^53");
   a.probes <- a.probes + 1;

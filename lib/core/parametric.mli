@@ -57,6 +57,13 @@ val total : arena -> int
     doubles and Dinic is exact while they sum below 2^53.  A probe on
     a built network counts as a retarget.
 
+    Cost on a built network: one pass over the arc arrays
+    ({!Dsd_flow.Flow_network.recapacitate}: zero the flow, write each
+    capacity, sum the finite ones), then Dinic and the residual BFS on
+    the network's own scratch.  It allocates the node-side array, the
+    returned vertex array and a few closures: nothing per arc, and no
+    other per-node memory.
+
     @raise Invalid_argument if [den <= 0], [num < 0], or the scaled
     finite capacities sum to 2^53 or more. *)
 val probe_rational : arena -> num:int -> den:int -> int array

@@ -4,19 +4,20 @@ module F = Flow_network
    arc" optimisation), read straight off the network's CSR view.  Float
    capacities: an arc is usable while its residual exceeds [F.eps].
 
-   Nothing in the phase loop allocates.  The BFS queue is an int array
-   (the cursor array, idle until the BFS is done), and the DFS passes
-   its float limit and result through [lim] and [got], indexed by
-   recursion depth, so no call boxes a float. *)
+   Nothing in the phase loop allocates, and no per-node array is
+   allocated either: [level], [cursor], [lim] and [got] are the
+   network's scratch.  The BFS queue is the cursor array, idle until
+   the BFS is done, and the DFS passes its float limit and result
+   through [lim] and [got], indexed by recursion depth, so no call
+   boxes a float. *)
 
 let max_flow net ~s ~t =
   if s = t then invalid_arg "Dinic.max_flow: s = t";
-  let { F.nodes = n; start; arcs; dst; cap; flow } = F.view net in
+  let { F.nodes = n; start; arcs; dst; cap; flow; level; cursor; lim; got } =
+    F.view net
+  in
   let eps = F.eps in
-  let level = Array.make n (-1) in
-  let cursor = Array.make n 0 in
-  let lim = Array.make (n + 1) infinity in
-  let got = Array.make (n + 1) 0. in
+  lim.(0) <- infinity;
   let build_levels () =
     Dsd_obs.Counter.incr Dsd_obs.Counter.Flow_level_builds;
     Array.fill level 0 n (-1);
@@ -41,8 +42,8 @@ let max_flow net ~s ~t =
     level.(t) >= 0
   in
   (* Push at most [lim.(d)] from [u] (at depth [d]) towards [t] and
-     leave the amount pushed in [got.(d)].  Only [lim.(0)] is never
-     written: every search from [s] starts unbounded. *)
+     leave the amount pushed in [got.(d)].  The search never writes
+     [lim.(0)]: every search from [s] starts unbounded. *)
   let rec dfs u d =
     if u = t then begin
       Dsd_obs.Counter.incr Dsd_obs.Counter.Flow_augmentations;

@@ -7,10 +7,10 @@
     compute exact min-cuts, and DSD only consumes the cut.
 
     The solver reads the network's CSR view ({!Flow_network.view})
-    directly and writes flow into it in place.  A call allocates four
-    arrays of about [node_count] words (levels, arc cursors doubling as
-    the BFS queue, and the per-depth DFS limit and result floats) and
-    nothing per arc or per augmenting path.  Each node's arcs are tried
+    directly and writes flow into it in place.  Its levels, arc cursors
+    (doubling as the BFS queue) and per-depth DFS limit and result
+    floats are the network's own scratch, so a call allocates nothing
+    per node, per arc or per augmenting path.  Each node's arcs are tried
     in insertion order, so the augmenting paths, level builds and
     resulting flow depend only on the arcs and their creation order,
     not on whether the network was built in one go or grown between

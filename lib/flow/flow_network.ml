@@ -5,6 +5,10 @@ type view = {
   dst : int array;
   cap : float array;
   flow : float array;
+  level : int array;
+  cursor : int array;
+  lim : float array;
+  got : float array;
 }
 
 type t = {
@@ -15,8 +19,9 @@ type t = {
   mutable dst : int array;        (* arc -> head node *)
   mutable cap : float array;      (* arc -> capacity *)
   mutable flow : float array;     (* arc -> current flow (< 0 on twins) *)
-  (* The CSR index over the arrays above, valid iff [indexed].  Growth
-     clears the flag; the next read rebuilds it (see [view]). *)
+  (* The CSR index over the arrays above, plus the solvers' per-node
+     scratch, valid iff [indexed].  Growth clears the flag; the next
+     read rebuilds the index and grows the scratch (see [view]). *)
   mutable index : view;
   mutable indexed : bool;
   (* Scratch for the drain walks' path searches: a node is visited in
@@ -29,16 +34,19 @@ type t = {
 
 let eps = Dsd_util.Float_guard.eps
 
-let create n =
-  let dst = Array.make 64 0 and cap = Array.make 64 0. in
-  let flow = Array.make 64 0. in
+let create ?(edges = 32) n =
+  let len = max 2 (2 * edges) in
+  let dst = Array.make len 0 and cap = Array.make len 0. in
+  let flow = Array.make len 0. in
   {
     n;
     m = 0;
     dst;
     cap;
     flow;
-    index = { nodes = 0; start = [||]; arcs = [||]; dst; cap; flow };
+    index =
+      { nodes = 0; start = [||]; arcs = [||]; dst; cap; flow; level = [||];
+        cursor = [||]; lim = [||]; got = [||] };
     indexed = false;
     drain_mark = [||];
     drain_epoch = 0;
@@ -84,9 +92,9 @@ let add_edge t ~src ~dst ~cap =
 (* Counting sort of arc ids by tail ([dst] of the twin).  Filling each
    tail's segment from its end with descending ids leaves every segment
    in ascending id order — the order [add_edge] created the arcs in.
-   The index arrays are reused while they fit and doubled when growth
-   outruns them, so an arena that grows between solves rebuilds in
-   place. *)
+   The index and scratch arrays are reused while they fit and doubled
+   when growth outruns them, so an arena that grows between solves
+   rebuilds in place. *)
 let rebuild_index t =
   let n = t.n and m = t.m in
   let old = t.index in
@@ -98,6 +106,12 @@ let rebuild_index t =
     if Array.length old.arcs >= m then old.arcs
     else Array.make (max m (2 * Array.length old.arcs)) 0
   in
+  let fits = Array.length old.level > n in
+  let scratch = max (n + 1) (2 * Array.length old.level) in
+  let level = if fits then old.level else Array.make scratch 0 in
+  let cursor = if fits then old.cursor else Array.make scratch 0 in
+  let lim = if fits then old.lim else Array.make scratch 0. in
+  let got = if fits then old.got else Array.make scratch 0. in
   let dst = t.dst in
   Array.fill start 0 (n + 1) 0;
   for e = 0 to m - 1 do
@@ -113,7 +127,10 @@ let rebuild_index t =
     start.(u) <- p;
     arcs.(p) <- e
   done;
-  let ix = { nodes = n; start; arcs; dst; cap = t.cap; flow = t.flow } in
+  let ix =
+    { nodes = n; start; arcs; dst; cap = t.cap; flow = t.flow; level; cursor;
+      lim; got }
+  in
   t.index <- ix;
   t.indexed <- true;
   ix
@@ -170,6 +187,24 @@ let arcs_from t v =
   Array.sub ix.arcs ix.start.(v) (ix.start.(v + 1) - ix.start.(v))
 
 let reset_flow t = Array.fill t.flow 0 t.m 0.
+
+let recapacitate t ~base ~coef ~den ~num =
+  let m = t.m in
+  if Array.length base < m || Array.length coef < m then
+    invalid_arg "Flow_network.recapacitate: fewer laws than arcs";
+  if den <= 0 || num < 0 then
+    invalid_arg "Flow_network.recapacitate: den <= 0 or num < 0";
+  let den = float_of_int den and num = float_of_int num in
+  let cap = t.cap and flow = t.flow in
+  let sum = ref 0. in
+  for e = 0 to m - 1 do
+    let c = (base.(e) *. den) +. (coef.(e) *. num) in
+    let c = if c > 0. then c else 0. in
+    cap.(e) <- c;
+    flow.(e) <- 0.;
+    if c < infinity then sum := !sum +. c
+  done;
+  !sum
 
 let flow_value t ~s =
   (* Net outflow at [s]: twins of arcs into [s] carry the negated

@@ -27,16 +27,25 @@
     every solver visits a node's arcs in insertion order however the
     network was grown.
 
-    Once the index exists, re-solving (capacity or flow writes, then
-    {!Dinic.max_flow} and {!Min_cut.source_side}) allocates no per-arc
-    memory, only O(node count) scratch.  Because the index is
-    built on first read, a network must not be read from two domains
-    before its first solve. *)
+    The same rebuild sizes the solvers' per-node scratch (the [level],
+    [cursor], [lim] and [got] arrays of the {!view}) to the node count,
+    doubling it when an arena that grows by {!add_node} outruns it, so
+    the scratch belongs to the network and lives as long as it does.
+    Once the index exists, re-solving (a {!recapacitate} or other
+    capacity and flow writes, then {!Dinic.max_flow} and
+    {!Min_cut.source_side}) allocates only the source-side array the
+    cut returns: nothing per arc and no other per-node memory.  Because
+    the index is built on first read and the scratch is shared, a
+    network must not be read from two domains before its first solve,
+    nor solved from two at once. *)
 
 type t
 
-(** [create n] makes a network with nodes [0 .. n-1] and no arcs. *)
-val create : int -> t
+(** [create ?edges n] makes a network with nodes [0 .. n-1] and no
+    arcs.  [edges] sizes the arc arrays for that many {!add_edge}
+    calls, so a builder that knows its arc count never regrows them;
+    more arcs may still be added, at amortised O(1) each. *)
+val create : ?edges:int -> int -> t
 
 (** Number of nodes. *)
 val node_count : t -> int
@@ -60,9 +69,11 @@ val add_edge : t -> src:int -> dst:int -> cap:float -> int
 
 (** The arena as the solvers read it.  Every array is shared with the
     network, not copied: a solver pushes flow by writing [flow.(e)] and
-    [flow.(e lxor 1)] in place, and must write nothing else.  The
-    arc arrays may be longer than {!arc_count}; only ids below it are
-    arcs. *)
+    [flow.(e lxor 1)] in place, may overwrite the four scratch arrays
+    freely, and must write nothing else.  The arc arrays may be longer
+    than {!arc_count}; only ids below it are arcs.  Scratch contents
+    are undefined on entry to a solver: each call initialises what it
+    reads. *)
 type view = private {
   nodes : int;         (** {!node_count} *)
   start : int array;   (** node [v]'s arcs sit at [start.(v) .. start.(v+1) - 1] of [arcs] *)
@@ -70,6 +81,10 @@ type view = private {
   dst : int array;     (** arc -> head node *)
   cap : float array;   (** arc -> capacity *)
   flow : float array;  (** arc -> flow (negative on residual twins) *)
+  level : int array;   (** scratch, at least [nodes + 1] ints *)
+  cursor : int array;  (** scratch, at least [nodes + 1] ints *)
+  lim : float array;   (** scratch, at least [nodes + 1] floats *)
+  got : float array;   (** scratch, at least [nodes + 1] floats *)
 }
 
 (** [view t] is the current view, building the index first if the
@@ -93,7 +108,7 @@ val arc_flow : t -> int -> float
     parametric-flow primitive behind {!Flow_build}'s alpha retargeting
     (only the alpha-dependent arc class changes between binary-search
     iterations, so the network is built once and re-capacitated in
-    O(V)).
+    O(V) writes).
 
     @raise Invalid_argument if [arc] is out of range, [cap] is negative
     (or NaN), or [cap] lies more than [eps] below the flow already
@@ -164,6 +179,19 @@ val arcs_from : t -> int -> int array
 
 (** [reset_flow t] zeroes all flow, restoring initial capacities. *)
 val reset_flow : t -> unit
+
+(** [recapacitate t ~base ~coef ~den ~num] re-aims the whole network
+    at alpha = num/den in one pass over the arc arrays: every flow is
+    zeroed and arc [e]'s capacity becomes
+    [max (base.(e) * den + coef.(e) * num) 0] (an infinite base stays
+    infinite).  Returns the sum of the finite capacities, so a caller
+    can refuse a scale at which float flow sums stop being exact.  No
+    allocation beyond the returned float; the index stays valid.
+
+    @raise Invalid_argument if [base] or [coef] is shorter than
+    {!arc_count}, [den <= 0] or [num < 0]. *)
+val recapacitate :
+  t -> base:float array -> coef:float array -> den:int -> num:int -> float
 
 (** [flow_value t ~s] is the net outflow at [s] — the total value of
     the flow currently committed to the network, independent of how

@@ -1,9 +1,10 @@
 module F = Flow_network
 
 let source_side net ~s =
-  let { F.nodes = n; start; arcs; dst; cap; flow } = F.view net in
+  let { F.nodes = n; start; arcs; dst; cap; flow; cursor = queue; _ } =
+    F.view net
+  in
   let side = Array.make n false in
-  let queue = Array.make n 0 in
   side.(s) <- true;
   queue.(0) <- s;
   let head = ref 0 and tail = ref 1 in

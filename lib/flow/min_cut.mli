@@ -15,9 +15,9 @@
 val solve : Flow_network.t -> s:int -> t:int -> float * bool array
 
 (** [source_side net ~s] recomputes reachability on an
-    already-saturated network: a BFS over the CSR view with an int
-    queue, allocating the result and the queue (one word per node
-    each) and nothing per arc. *)
+    already-saturated network: a BFS over the CSR view whose queue is
+    the network's scratch, so the result (one word per node) is all it
+    allocates. *)
 val source_side : Flow_network.t -> s:int -> bool array
 
 (** [cut_capacity net side] sums the capacities of arcs crossing from

@@ -178,25 +178,44 @@ let complete n =
 let induced g vs =
   (* Deduplicate while keeping ascending old-id order. *)
   let vs = Array.copy vs in
-  Array.sort compare vs;
-  let uniq = Dsd_util.Vec.Int.create () in
+  Array.sort Int.compare vs;
+  let k = ref 0 in
   Array.iter
     (fun v ->
-      if Dsd_util.Vec.Int.length uniq = 0
-         || Dsd_util.Vec.Int.get uniq (Dsd_util.Vec.Int.length uniq - 1) <> v
-      then Dsd_util.Vec.Int.push uniq v)
+      if !k = 0 || vs.(!k - 1) <> v then begin
+        vs.(!k) <- v;
+        incr k
+      end)
     vs;
-  let old_of_new = Dsd_util.Vec.Int.to_array uniq in
+  let old_of_new = Array.sub vs 0 !k in
+  let n = !k in
   let new_of_old = Array.make g.n (-1) in
   Array.iteri (fun i v -> new_of_old.(v) <- i) old_of_new;
-  let edges = ref [] in
+  (* The old -> new map is monotone, so an old row filtered to the kept
+     vertices and renamed is still sorted and duplicate-free: count the
+     rows, then copy them straight into the CSR. *)
+  let row = Array.make (n + 1) 0 in
   Array.iteri
     (fun i v ->
-      iter_neighbors g v ~f:(fun w ->
-          let j = new_of_old.(w) in
-          if j >= 0 && i < j then edges := (i, j) :: !edges))
+      let d = ref 0 in
+      for p = g.row.(v) to g.row.(v + 1) - 1 do
+        if new_of_old.(g.col.(p)) >= 0 then incr d
+      done;
+      row.(i + 1) <- row.(i) + !d)
     old_of_new;
-  (of_edge_list ~n:(Array.length old_of_new) !edges, old_of_new)
+  let col = Array.make row.(n) 0 in
+  Array.iteri
+    (fun i v ->
+      let q = ref row.(i) in
+      for p = g.row.(v) to g.row.(v + 1) - 1 do
+        let j = new_of_old.(g.col.(p)) in
+        if j >= 0 then begin
+          col.(!q) <- j;
+          incr q
+        end
+      done)
+    old_of_new;
+  ({ n; m = row.(n) / 2; row; col }, old_of_new)
 
 let induced_mask g keep =
   let vs = Dsd_util.Vec.Int.create () in

@@ -86,7 +86,8 @@ val degrees : t -> int array
 (** [induced g vs] is the subgraph induced by the vertex set [vs]
     (duplicates ignored), together with the map from new vertex ids to
     the original ids.  New ids preserve the relative order of old
-    ids. *)
+    ids, so each kept row stays sorted and the CSR is written directly:
+    O(|vs| log |vs| + sum of the kept rows' degrees), no edge list. *)
 val induced : t -> int array -> t * int array
 
 (** [induced_mask g keep] is [induced] over [{ v | keep.(v) }]. *)

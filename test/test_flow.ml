@@ -143,6 +143,65 @@ let test_resolve_allocation () =
           (minor1 -. minor0))
     graphs
 
+(* The three graphs the allocation tests share, each with more than 256
+   nodes in its triangle network. *)
+let allocation_graphs () =
+  [ ("ssca", Dsd_data.Gen.ssca ~seed:4001 ~n:400 ~max_clique:8);
+    ("er", Dsd_data.Gen.er_gnp ~seed:4002 ~n:300 ~p:0.06);
+    ("ba", Dsd_data.Gen.barabasi_albert ~seed:4003 ~n:500 ~attach:4) ]
+
+(* An exact probe on a built arena re-capacitates every arc in one pass
+   and solves on the network's own scratch: after a first probe builds
+   the triangle network, a second probe at the graph's density
+   allocates at most 1,024 minor words, whatever the arc count (the
+   side array and a few closures; nothing per arc or per node). *)
+let test_probe_allocation () =
+  List.iter
+    (fun (name, g) ->
+      let psi = Dsd_pattern.Pattern.triangle in
+      let a = Dsd_core.Parametric.arena FB.Clique_flow g psi in
+      let num = Dsd_core.Parametric.total a and den = Dsd_graph.Graph.n g in
+      let first = Dsd_core.Parametric.probe_rational a ~num ~den in
+      let w0 = Gc.minor_words () in
+      let second = Dsd_core.Parametric.probe_rational a ~num ~den in
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check (array int)) (name ^ ": same side") first second;
+      if Array.length second = 0 then Alcotest.failf "%s: empty side" name;
+      if words > 1024. then
+        Alcotest.failf "%s: a second probe allocated %.0f minor words" name
+          words)
+    (allocation_graphs ())
+
+(* With the index built, a Dinic pass plus the residual BFS allocate
+   only the source-side array, one header and one word per node: the
+   levels, cursors, DFS limits and BFS queue are the network's
+   scratch. *)
+let test_resolve_scratch () =
+  List.iter
+    (fun (name, g) ->
+      let psi = Dsd_pattern.Pattern.triangle in
+      let instances = Dsd_core.Enumerate.instances g psi in
+      let alpha =
+        float_of_int instances.Dsd_clique.Instances.count
+        /. float_of_int (Dsd_graph.Graph.n g)
+      in
+      let network = (FB.prepare FB.Clique_flow g psi ~instances ~alpha).network in
+      let { FB.net; source = s; sink = t; _ } = network in
+      let nodes = F.node_count net in
+      ignore (FB.solve network);
+      F.reset_flow net;
+      let b0 = Gc.allocated_bytes () in
+      let flow = Dsd_flow.Dinic.max_flow net ~s ~t in
+      let side = Dsd_flow.Min_cut.source_side net ~s in
+      let words =
+        (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8)
+      in
+      if not (flow > 0. && side.(s)) then Alcotest.failf "%s: trivial solve" name;
+      if words > 2. *. float_of_int nodes then
+        Alcotest.failf "%s: re-solve allocated %.0f words for %d nodes" name
+          words nodes)
+    (allocation_graphs ())
+
 (* Ten disjoint K_40s: n + m = 8,200, with 98,800 triangles and
    913,900 4-cliques. *)
 let ten_k40s () =
@@ -232,4 +291,8 @@ let suite =
       test_listing_allocation;
     Alcotest.test_case "the peel allocates O(n) minor words" `Quick
       test_peel_allocation;
+    Alcotest.test_case "a second exact probe allocates nothing per arc" `Quick
+      test_probe_allocation;
+    Alcotest.test_case "re-solve allocates only the side array" `Quick
+      test_resolve_scratch;
   ]

@@ -138,6 +138,124 @@ let test_auto_family () =
     (FB.auto_family P.triangle = FB.Clique_flow);
   Alcotest.(check bool) "paw -> Pds" true (FB.auto_family P.c3_star = FB.Pds)
 
+(* The clique network's shape against brute force.  Node count
+   n + lambda + 2, with lambda the distinct (h-1)-subsets of the
+   h-cliques; one unit arc from each member v of each instance to the
+   node of (instance - v); infinite arcs from each subset node to
+   exactly its members; source arcs of cap deg(v), plus an infinite one
+   per pinned vertex.  Then at three alphas the min-cut side equals the
+   residual reachability of an Edmonds-Karp max flow on a second copy.
+   Alphas are multiples of 1/4, so every capacity and flow is exact. *)
+let clique_shape name g ~h ~pinned =
+  let module F = Dsd_flow.Flow_network in
+  let fail fmt = Alcotest.failf ("%s h=%d: " ^^ fmt) name h in
+  let psi = P.clique h in
+  let n = G.n g in
+  let instances = Dsd_core.Enumerate.instances g psi in
+  let insts =
+    List.init instances.Dsd_clique.Instances.count
+      (Dsd_clique.Instances.get instances)
+  in
+  let minus inst v = List.filter (( <> ) v) (Array.to_list inst) in
+  let subsets = Hashtbl.create 64 in
+  List.iter
+    (fun inst -> Array.iter (fun v -> Hashtbl.replace subsets (minus inst v) ()) inst)
+    insts;
+  let lambda = Hashtbl.length subsets in
+  let prepare alpha =
+    (FB.prepare ~pinned FB.Clique_flow g psi ~instances ~alpha).FB.network
+  in
+  let fb = prepare 1. in
+  let net = fb.FB.net in
+  if fb.FB.node_count <> n + lambda + 2 || F.node_count net <> n + lambda + 2
+  then fail "%d nodes, expected %d" fb.FB.node_count (n + lambda + 2);
+  (* Forward arcs (even ids) leaving [x], as (head, cap). *)
+  let out x =
+    let acc = ref [] in
+    F.iter_arcs_from net x ~f:(fun e ->
+        if e land 1 = 0 then acc := (F.arc_dst net e, F.arc_cap net e) :: !acc);
+    List.rev !acc
+  in
+  let is_vertex x = x >= 1 && x <= n in
+  let is_subset x = x > n && x <= n + lambda in
+  let members = Array.make (n + lambda + 2) [] in
+  for x = n + 1 to n + lambda do
+    let arcs = out x in
+    if List.exists (fun (y, c) -> c <> infinity || not (is_vertex y)) arcs then
+      fail "subset node %d has an arc that is not infinite to a vertex" x;
+    let ms = List.sort compare (List.map (fun (y, _) -> y - 1) arcs) in
+    if not (Hashtbl.mem subsets ms) then fail "node %d is no (h-1)-subset" x;
+    members.(x) <- ms
+  done;
+  let named = Array.to_list (Array.sub members (n + 1) lambda) in
+  if List.length (List.sort_uniq compare named) <> lambda then
+    fail "subset nodes are not distinct";
+  let deg = Dsd_clique.Instances.degrees ~n instances in
+  for v = 0 to n - 1 do
+    let units =
+      List.filter_map
+        (fun (y, c) ->
+          if is_subset y then
+            if c = 1. then Some members.(y)
+            else fail "vertex %d: arc of cap %g to a subset" v c
+          else if y = fb.FB.sink then None
+          else fail "vertex %d: arc to node %d" v y)
+        (out (v + 1))
+    in
+    let expected =
+      List.filter_map
+        (fun inst -> if Array.mem v inst then Some (minus inst v) else None)
+        insts
+    in
+    if List.sort compare units <> List.sort compare expected then
+      fail "vertex %d: unit arcs differ from its instances" v;
+    let finite, inf =
+      List.partition (fun (_, c) -> c < infinity)
+        (List.filter (fun (y, _) -> y = v + 1) (out fb.FB.source))
+    in
+    let cap = List.fold_left (fun a (_, c) -> a +. c) 0. finite in
+    if cap <> float_of_int deg.(v) || List.length finite > 1 then
+      fail "vertex %d: source cap %g, degree %d" v cap deg.(v);
+    if (inf <> []) <> Array.mem v pinned || List.length inf > 1 then
+      fail "vertex %d: pinned arc mismatch" v
+  done;
+  let rho = float_of_int (List.length insts) /. float_of_int (max 1 n) in
+  List.iter
+    (fun q ->
+      let alpha = Float.of_int (int_of_float (4. *. q *. rho)) /. 4. in
+      let dinic = FB.cut (prepare alpha) ~f:(fun _ side -> side) in
+      let ek = prepare alpha in
+      ignore (Dsd_check.Edmonds_karp.max_flow ek.FB.net ~s:ek.FB.source ~t:ek.FB.sink);
+      let side = Array.make (F.node_count ek.FB.net) false in
+      let queue = Queue.create () in
+      side.(ek.FB.source) <- true;
+      Queue.add ek.FB.source queue;
+      while not (Queue.is_empty queue) do
+        let u = Queue.pop queue in
+        F.iter_arcs_from ek.FB.net u ~f:(fun e ->
+            let v = F.arc_dst ek.FB.net e in
+            if (not side.(v)) && F.residual ek.FB.net e > F.eps then begin
+              side.(v) <- true;
+              Queue.add v queue
+            end)
+      done;
+      if side <> dinic then fail "min-cut sides differ at alpha %g" alpha)
+    [ 0.5; 1.; 1.5 ]
+
+let test_clique_shape_brute () =
+  for seed = 1 to 12 do
+    let n = 8 + (seed mod 5) in
+    let g = Dsd_data.Gen.er_gnp ~seed:(5100 + seed) ~n ~p:0.6 in
+    let h = 2 + (seed mod 4) in
+    let pinned = if seed mod 2 = 0 then [| 0; n / 2 |] else [||] in
+    clique_shape (Printf.sprintf "gnp seed %d" seed) g ~h ~pinned
+  done;
+  let blocks = Dsd_data.Gen.disjoint_union (G.complete 8) (G.complete 10) in
+  for h = 2 to 5 do
+    clique_shape "K8 + K10" blocks ~h ~pinned:[||];
+    clique_shape "K8 + K10 pinned" blocks ~h ~pinned:[| 3; 12 |]
+  done
+
 let suite =
   [
     Alcotest.test_case "eds network capacities" `Quick test_eds_capacities;
@@ -168,4 +286,6 @@ let suite =
   @ [
       Alcotest.test_case "eds network rejects pinned vertices" `Quick
         test_eds_rejects_pinned;
+      Alcotest.test_case "clique network shape equals brute force" `Quick
+        test_clique_shape_brute;
     ]

@@ -200,9 +200,10 @@ let clique_prepared ?(pinned = [||]) g ~h
     (fun q ->
       ignore (F.add_edge net ~src:source ~dst:(vertex_node q) ~cap:infinity))
     pinned;
-  (* The v -> subset arcs in descending pair order, the order the
-     builder has always emitted them in, so each vertex's arcs keep
-     their order; then every subset's arcs to its members, by id. *)
+  (* The v -> subset arcs in descending pair order (Dinic tries a
+     vertex's arcs in insertion order, so this order fixes its
+     augmenting paths), then every subset's arcs to its members, by
+     id. *)
   for p = pairs - 1 downto 0 do
     ignore
       (F.add_edge net ~src:(vertex_node mem.(p)) ~dst:(sub_node ids.(p)) ~cap:1.)

@@ -16,17 +16,20 @@ test:
 	dune runtest
 
 # The flow-layer suites on their own: solver invariants (conservation,
-# max-flow = min-cut, residuals, reset_flow) and the retarget
-# differential/accounting contracts.
+# max-flow = min-cut, residuals, reset_flow), the network's own
+# capacity laws (a warm retarget and recapacitate against a fresh
+# build) and the retarget differential/accounting contracts.
 test-flow:
 	dune exec test/test_main.exe -- test flow
 	dune exec test/test_main.exe -- test flow-invariants
 	dune exec test/test_main.exe -- test flow-retarget
 
-# The warm-start suite on its own: excess draining, warm vs reset
-# differentials for both solvers (the retarget path Inc_dsd and the
-# reference searches use), and the accounting contracts of the exact
-# solvers' cold probes (no warm starts, nothing drained).
+# The warm-start suite on its own: the one repair (set_cap_warm: unit
+# cases and its property against a fresh Edmonds-Karp solve), warm vs
+# reset differentials for both solvers (Flow_network.retarget, the path
+# Inc_dsd and the reference searches use), and the accounting
+# contracts of the exact solvers' cold probes (no warm starts, nothing
+# drained).
 test-warmstart:
 	dune exec test/test_main.exe -- test flow-warmstart
 

@@ -800,11 +800,13 @@ let micro () =
                  (Dsd_core.Clique_core.decompose ~track_density:false g P.triangle)));
         Test.make ~name:"eds-mincut(ca_hepth)"
           (Staged.stage (fun () ->
-               let p =
+               let t =
                  Dsd_core.Flow_build.prepare Dsd_core.Flow_build.Eds gc P.edge
-                   ~instances:(Dsd_clique.Instances.empty ~arity:2) ~alpha:2.0
+                   ~instances:(Dsd_clique.Instances.empty ~arity:2)
                in
-               ignore (Dsd_core.Flow_build.solve p.network)));
+               Dsd_flow.Flow_network.retarget t.net ~s:t.source ~sink:t.sink
+                 ~alpha:2.0;
+               ignore (Dsd_core.Flow_build.solve t)));
       ]
   in
   let benchmark () =

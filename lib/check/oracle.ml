@@ -229,22 +229,17 @@ let brute_force_ld_decomposition g psi =
    Dinkelbach search, kept as references.  They share the flow layer
    with the code under test but none of its search: every probe is a
    float alpha on a network built at the first probe and warm-retargeted
-   after ({!Dsd_core.Flow_build.retarget}), inside a bisection that
-   stops below stop_gap, half the least distance between two densities
-   over the searched vertex set. *)
+   ({!Dsd_flow.Flow_network.retarget}), inside a bisection that stops
+   below stop_gap, half the least distance between two densities over
+   the searched vertex set. *)
 let float_probe ?pinned family g psi ~instances =
   let module FB = Dsd_core.Flow_build in
-  let slot = ref None in
+  let network = lazy (FB.prepare ?pinned family g psi ~instances) in
   fun alpha ->
-    let network =
-      match !slot with
-      | Some p -> FB.retarget p ~alpha
-      | None ->
-        let p = FB.prepare ?pinned family g psi ~instances ~alpha in
-        slot := Some p;
-        p.FB.network
-    in
-    FB.solve network
+    let t = Lazy.force network in
+    Dsd_flow.Flow_network.retarget t.FB.net ~s:t.FB.source ~sink:t.FB.sink
+      ~alpha;
+    FB.solve t
 
 (* Exact's bisection: [0, max instance degree) on the whole graph, the
    last non-empty source side is the answer. *)

@@ -73,7 +73,8 @@ val brute_force_ld_decomposition :
     references.  Each bisects a float alpha over min cuts down to
     {!Dsd_core.Density.stop_gap} on a network built with
     {!Dsd_core.Flow_build.prepare} at the first probe and
-    warm-retargeted after; none shares a line of the search under test.
+    warm-retargeted ({!Dsd_flow.Flow_network.retarget}) at every probe;
+    none shares a line of the search under test.
     Each also returns its probe count.  Any size of graph. *)
 
 (** [reference_cds g psi] is Exact's bisection: [[0, max instance

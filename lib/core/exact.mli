@@ -52,5 +52,5 @@ type result = {
 val run :
   ?family:Flow_build.family ->
   ?instances:Dsd_clique.Instances.t ->
-  ?prepared:Parametric.prepared option ref ->
+  ?prepared:Flow_build.t option ref ->
   Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> result

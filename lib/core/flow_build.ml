@@ -10,18 +10,6 @@ type t = {
   node_count : int;
 }
 
-(* The probes of a parametric search change only the alpha-dependent
-   arc class (Goldberg's parametric observation), so each constructor
-   records those arcs together with their capacity law
-   cap(alpha) = max(base + coef * alpha, 0) and [retarget] re-points
-   the same arena at a new alpha in O(V). *)
-type prepared = {
-  network : t;
-  alpha_arcs : int array;
-  alpha_base : float array;
-  alpha_coef : float array;
-}
-
 let vertex_node v = v + 1
 
 (* The vertices with a source arc: those in at least one instance. *)
@@ -53,71 +41,23 @@ let vertices_of_side t side =
 
 let solve t = cut t ~f:vertices_of_side
 
-let alpha_cap ~base ~coef alpha = Float.max (base +. (coef *. alpha)) 0.
-
-(* Collects the alpha-dependent arcs a constructor emits. *)
-let alpha_recorder () =
-  let arcs = Dsd_util.Vec.Int.create () in
-  let bases = Dsd_util.Vec.Float.create () in
-  let coefs = Dsd_util.Vec.Float.create () in
-  let record net ~src ~dst ~base ~coef ~alpha =
-    let id = F.add_edge net ~src ~dst ~cap:(alpha_cap ~base ~coef alpha) in
-    Dsd_util.Vec.Int.push arcs id;
-    Dsd_util.Vec.Float.push bases base;
-    Dsd_util.Vec.Float.push coefs coef
-  in
-  let finish network =
-    { network;
-      alpha_arcs = Dsd_util.Vec.Int.to_array arcs;
-      alpha_base = Dsd_util.Vec.Float.to_array bases;
-      alpha_coef = Dsd_util.Vec.Float.to_array coefs }
-  in
-  (record, finish)
-
-let retarget ?(warm = true) p ~alpha =
-  Dsd_obs.Span.with_ Dsd_obs.Phase.retarget @@ fun () ->
-  Dsd_obs.Counter.incr Dsd_obs.Counter.Flow_retargets;
-  let net = p.network.net in
-  if warm then begin
-    (* Keep the previous probe's flow: rewrite every alpha capacity
-       first (alpha may move either direction), then repair the arcs
-       whose new capacity fell below their committed flow by draining
-       the excess back to the source.  The solver then only has to
-       augment the difference. *)
-    Dsd_obs.Counter.incr Dsd_obs.Counter.Flow_warm_starts;
-    for i = 0 to Array.length p.alpha_arcs - 1 do
-      F.set_cap_carry net p.alpha_arcs.(i)
-        (alpha_cap ~base:p.alpha_base.(i) ~coef:p.alpha_coef.(i) alpha)
-    done;
-    let s = p.network.source in
-    Array.iter (fun e -> ignore (F.restore_arc net ~s e)) p.alpha_arcs
-  end
-  else begin
-    F.reset_flow net;
-    for i = 0 to Array.length p.alpha_arcs - 1 do
-      F.set_cap net p.alpha_arcs.(i)
-        (alpha_cap ~base:p.alpha_base.(i) ~coef:p.alpha_coef.(i) alpha)
-    done
-  end;
-  p.network
-
-let eds_prepared g ~alpha =
+let eds_network g =
   let n = G.n g in
   let m = float_of_int (G.m g) in
   let size = n + 2 in
   let net = F.create size ~edges:((2 * n) + (2 * G.m g)) in
   let source = 0 and sink = size - 1 in
-  let record, finish = alpha_recorder () in
   for v = 0 to n - 1 do
     ignore (F.add_edge net ~src:source ~dst:(vertex_node v) ~cap:m);
     (* cap = m + 2 alpha - deg(v), clamped at 0. *)
-    record net ~src:(vertex_node v) ~dst:sink
-      ~base:(m -. float_of_int (G.degree g v)) ~coef:2. ~alpha
+    ignore
+      (F.add_edge net ~coef:2. ~src:(vertex_node v) ~dst:sink
+         ~cap:(m -. float_of_int (G.degree g v)))
   done;
   G.iter_edges g ~f:(fun u v ->
       ignore (F.add_edge net ~src:(vertex_node u) ~dst:(vertex_node v) ~cap:1.);
       ignore (F.add_edge net ~src:(vertex_node v) ~dst:(vertex_node u) ~cap:1.));
-  finish { net; source; sink; n_vertices = n; node_count = size }
+  { net; source; sink; n_vertices = n; node_count = size }
 
 (* The (h-1)-subsets of the clique network, read in place: pair
    [p = i * h + j] names instance [i] without its member [j], and since
@@ -171,8 +111,8 @@ let subset_ids mem ~h ~pairs =
   done;
   (ids, !lambda)
 
-let clique_prepared ?(pinned = [||]) g ~h
-    ~(instances : Dsd_clique.Instances.t) ~alpha =
+let clique_network ?(pinned = [||]) g ~h
+    ~(instances : Dsd_clique.Instances.t) =
   let n = G.n g in
   let mem = instances.members in
   (* For every h-clique and every member v, an arc v -> (clique minus
@@ -188,13 +128,13 @@ let clique_prepared ?(pinned = [||]) g ~h
   in
   let source = 0 and sink = size - 1 in
   let sub_node id = n + 1 + id in
-  let record, finish = alpha_recorder () in
   for v = 0 to n - 1 do
     if deg.(v) > 0 then
       ignore (F.add_edge net ~src:source ~dst:(vertex_node v)
                 ~cap:(float_of_int deg.(v)));
-    record net ~src:(vertex_node v) ~dst:sink
-      ~base:0. ~coef:(float_of_int h) ~alpha
+    ignore
+      (F.add_edge net ~coef:(float_of_int h) ~src:(vertex_node v) ~dst:sink
+         ~cap:0.)
   done;
   Array.iter
     (fun q ->
@@ -221,10 +161,10 @@ let clique_prepared ?(pinned = [||]) g ~h
       incr next
     end
   done;
-  finish { net; source; sink; n_vertices = n; node_count = size }
+  { net; source; sink; n_vertices = n; node_count = size }
 
-let pds_prepared ?(pinned = [||]) ~grouped g (psi : P.t)
-    ~(instances : Dsd_clique.Instances.t) ~alpha =
+let pds_network ?(pinned = [||]) ~grouped g (psi : P.t)
+    ~(instances : Dsd_clique.Instances.t) =
   let n = G.n g in
   let p = psi.size in
   (* construct+ groups instances sharing a vertex set; the ungrouped
@@ -263,13 +203,13 @@ let pds_prepared ?(pinned = [||]) ~grouped g (psi : P.t)
   in
   let source = 0 and sink = size - 1 in
   let group_node id = n + 1 + id in
-  let record, finish = alpha_recorder () in
   for v = 0 to n - 1 do
     if deg.(v) > 0 then
       ignore (F.add_edge net ~src:source ~dst:(vertex_node v)
                 ~cap:(float_of_int deg.(v)));
-    record net ~src:(vertex_node v) ~dst:sink
-      ~base:0. ~coef:(float_of_int p) ~alpha
+    ignore
+      (F.add_edge net ~coef:(float_of_int p) ~src:(vertex_node v) ~dst:sink
+         ~cap:0.)
   done;
   Array.iter
     (fun q ->
@@ -283,7 +223,7 @@ let pds_prepared ?(pinned = [||]) ~grouped g (psi : P.t)
           (F.add_edge net ~src:(group_node id) ~dst:(vertex_node v)
              ~cap:(cf *. float_of_int (p - 1))))
   done;
-  finish { net; source; sink; n_vertices = n; node_count = size }
+  { net; source; sink; n_vertices = n; node_count = size }
 
 type family = Eds | Clique_flow | Pds | Pds_grouped
 
@@ -293,7 +233,7 @@ let auto_family (psi : P.t) =
   | P.Clique -> Clique_flow
   | P.Star _ | P.Cycle4 | P.Generic -> Pds
 
-let prepare ?pinned family g (psi : P.t) ~instances ~alpha =
+let prepare ?pinned family g (psi : P.t) ~instances =
   (match (family, pinned) with
    | Eds, Some pins when Array.length pins > 0 ->
      (* The Goldberg construction has no pinning analysis. *)
@@ -302,8 +242,7 @@ let prepare ?pinned family g (psi : P.t) ~instances ~alpha =
   Dsd_obs.Span.with_ Dsd_obs.Phase.build_network @@ fun () ->
   Dsd_obs.Counter.incr Dsd_obs.Counter.Flow_networks_built;
   match family with
-  | Eds -> eds_prepared g ~alpha
-  | Clique_flow -> clique_prepared ?pinned g ~h:psi.size ~instances ~alpha
-  | Pds -> pds_prepared ?pinned ~grouped:false g psi ~instances ~alpha
-  | Pds_grouped ->
-    pds_prepared ?pinned ~grouped:true g psi ~instances ~alpha
+  | Eds -> eds_network g
+  | Clique_flow -> clique_network ?pinned g ~h:psi.size ~instances
+  | Pds -> pds_network ?pinned ~grouped:false g psi ~instances
+  | Pds_grouped -> pds_network ?pinned ~grouped:true g psi ~instances

@@ -17,8 +17,17 @@
     i, instance/clique nodes follow, and the last node is the sink.
     After a min-cut, [solve] decodes S \ {s} back to data vertices
     (Algorithm 1 line 18); a network laid out otherwise decodes its
-    cut through {!cut}.  {!Parametric} drives the searches over
-    these networks. *)
+    cut through {!cut}.
+
+    Across the probes of a parametric search the topology never
+    changes; only the vertex-to-sink capacities do (Goldberg's
+    parametric-flow observation).  So every network is built once,
+    with each arc's capacity law cap(alpha) = max(base + coef * alpha,
+    0) kept in the network itself, and is then re-aimed there:
+    {!Dsd_flow.Flow_network.recapacitate} cold and exact (the exact
+    searches, through {!Parametric.probe_rational}), or
+    {!Dsd_flow.Flow_network.retarget} warm at a float alpha ({!Inc_dsd}
+    and the float reference searches of [Dsd_check.Oracle]). *)
 
 type t = {
   net : Dsd_flow.Flow_network.t;
@@ -26,25 +35,6 @@ type t = {
   sink : int;
   n_vertices : int;
   node_count : int;   (** |V_F|, the Figure 9 "size of flow network" *)
-}
-
-(** A constructed network plus the alpha-dependent arc class.
-
-    Goldberg's parametric-flow observation: across the probes of a
-    parametric search, the network topology — arena, clique/instance
-    node layout, every alpha-independent arc — never changes; only the
-    vertex-to-sink capacities do.  [prepare] builds once and records
-    those arcs with their capacity law
-    [cap(alpha) = max(base + coef * alpha, 0)]; [retarget] then costs
-    O(V) capacity writes (one alpha arc per vertex, plus the drains of
-    a warm retarget) instead of a fresh enumeration + build.  The exact
-    searches re-aim every arc instead, in one allocation-free pass of
-    {!Dsd_flow.Flow_network.recapacitate} ({!Parametric.probe_rational}). *)
-type prepared = {
-  network : t;
-  alpha_arcs : int array;    (** arc ids whose capacity depends on alpha *)
-  alpha_base : float array;
-  alpha_coef : float array;
 }
 
 (** [cut t ~f] computes the min cut and returns [f t side], where
@@ -70,17 +60,18 @@ type family = Eds | Clique_flow | Pds | Pds_grouped
     ([Pds_grouped]) is only ever chosen explicitly. *)
 val auto_family : Dsd_pattern.Pattern.t -> family
 
-(** [prepare family g psi ~instances ~alpha] builds the network of
-    [family] for [alpha] (counted once as [flow_networks_built]) and
-    returns the retargetable handle.  [instances] must be the
-    Psi-instances of [g] (the h-cliques for [Clique_flow]; ignored by
-    [Eds]).  [pinned] vertices get infinite-capacity source arcs,
+(** [prepare family g psi ~instances] builds the network of [family]
+    in the [build_network] span, counted as [flow_networks_built].  Its
+    capacities start at alpha = 0: the vertex-to-sink arcs carry the
+    only non-zero [coef] (2 for [Eds], h or p otherwise), so aim it
+    before the first solve.  [instances] must be the Psi-instances of
+    [g] (the h-cliques for [Clique_flow]; ignored by [Eds]).  [pinned] vertices get infinite-capacity source arcs,
     forcing them onto the source side of every min cut (the
     query-vertex variant, Section 6.3).
 
-    The handle is tied to [g] and [instances]: when the vertex set
-    changes (CoreExact's Optimisation-3 core shrink), discard it and prepare
-    a fresh one.
+    The network is tied to [g] and [instances]: when the vertex set
+    changes (CoreExact's Optimisation-3 core shrink), discard it and
+    prepare a fresh one.
 
     Every network is created pre-sized for the arcs it will hold.  The
     [Clique_flow] builder names each (h-1)-subset by the (instance,
@@ -97,26 +88,4 @@ val auto_family : Dsd_pattern.Pattern.t -> family
 val prepare :
   ?pinned:int array ->
   family -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t ->
-  instances:Dsd_clique.Instances.t -> alpha:float -> prepared
-
-(** [retarget p ~alpha] rewrites the alpha-dependent capacities for the
-    new [alpha] and returns the (shared, mutated) network ready to
-    solve.  Counted as [flow_retargets] either way.
-
-    With [~warm:true] (the default) the committed flow of the previous
-    probe is kept: capacities are written with
-    {!Dsd_flow.Flow_network.set_cap_carry} and any arc whose new
-    capacity fell below its flow is repaired with
-    {!Dsd_flow.Flow_network.restore_arc} (excess drained back to the
-    source), so the next solve only augments the difference.  Alpha may
-    move in either direction.  Warm retargets are additionally counted
-    as [flow_warm_starts].
-
-    With [~warm:false] all flow is zeroed first and the next solve
-    starts from scratch.
-
-    {!Inc_dsd} and the float reference searches of [Dsd_check.Oracle]
-    retarget; the exact solvers re-capacitate through
-    {!Parametric.probe_rational}, which zeroes the flow and scales
-    every capacity. *)
-val retarget : ?warm:bool -> prepared -> alpha:float -> t
+  instances:Dsd_clique.Instances.t -> t

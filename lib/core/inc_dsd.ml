@@ -14,9 +14,10 @@ module Counter = Dsd_obs.Counter
    The arena is the one-node-per-instance pds network (Section 7) over
    the vertices that lie in a live instance.  Node 0 is the source and
    node 1 the sink.  A vertex gets its node, a source -> v arc of cap
-   deg(v, Psi) and an alpha arc v -> sink of cap h * alpha when it
-   first joins a live instance (a build joins them in ascending order,
-   a delta appends them), so a vertex in no instance costs nothing.
+   deg(v, Psi) and an alpha arc v -> sink with the law h * alpha when
+   it first joins a live instance (a build joins them in ascending
+   order, a delta appends them), so a vertex in no instance costs
+   nothing.
    Per live instance there is a fresh node with v -> inst cap 1 and
    inst -> v cap h-1 arcs.  A retired instance keeps its node with
    zero-capacity arcs, and a vertex that leaves every live instance
@@ -27,25 +28,29 @@ module Counter = Dsd_obs.Counter
    and the query's degree bound and c(S) count, therefore cost
    O(vertices in live instances + instance nodes), not O(n).
    Patching preserves two invariants between solver runs: flow <= cap
-   on every arc (the drain repairs) and conservation at every internal
-   node — feasibility, not optimality, which the next probe's
-   augmentations restore.
+   on every arc and conservation at every internal node — every
+   lowered capacity goes through [Flow_network.set_cap_warm]'s repair —
+   which is feasibility, not optimality: the next probe's augmentations
+   restore that.  Each probe re-aims the arena with
+   [Flow_network.retarget], which reads the alpha arcs' laws from the
+   network and keeps the committed flow.
 
    Queries run the float bisection of Dsd_check.Oracle.reference_cds
    — bounds [0, max live instance-degree], stopping gap, probe
    decision (is the min-cut source side empty?) — rather than the
    exact search, whose cold probes would reset the flow that must stay
-   warm across deltas; and a session which has
-   answered before warm-brackets the search around its previous
-   optimum (gallop out from [last_opt], then bisect), collapsing the
-   probe count to a handful when a delta batch barely moved the
-   density.  This is sound because the answer is canonical for any
-   probe history: the loop exits with [u - l < stop_gap n], which is
-   below the minimum spacing of distinct candidate densities, so the
-   last feasible probe lies in the breakpoint-free interval just under
-   the optimum, where the inclusion-minimal min-cut source side (what
-   residual reachability computes, independent of which max flow the
-   solver arrived at) is exactly the canonical CDS.  A patched
+   warm across deltas (cold, a query took about 27 times the augmenting
+   paths, and a serve tick about 5 times as long: DESIGN §6); and a
+   session which has answered before warm-brackets the search around
+   its previous optimum (gallop out from [last_opt], then bisect),
+   collapsing the probe count to a handful when a delta batch barely
+   moved the density.  This is sound because the answer is canonical
+   for any probe history: the loop exits with [u - l < stop_gap n],
+   which is below the minimum spacing of distinct candidate densities,
+   so the last feasible probe lies in the breakpoint-free interval just
+   under the optimum, where the inclusion-minimal min-cut source side
+   (what residual reachability computes, independent of which max flow
+   the solver arrived at) is exactly the canonical CDS.  A patched
    session, a fresh session on the rebuilt graph, and any probe
    history therefore report the identical vertex set, whatever order
    the arena's nodes and arcs were added in.
@@ -57,24 +62,21 @@ type t = {
   h : int;
   dyn : Dyn.t;
   mutable store : Store.store;
-  (* The arena as [Flow_build.retarget] reads it: its network, and the
-     alpha arcs of the vertices joined up to the last refresh (see
-     [prepared]).  The network's [n_vertices] and [node_count] are not
-     read: [vertices_on] decodes the cut. *)
-  mutable arena : Flow_build.prepared;
+  (* The arena's [n_vertices] and [node_count] are not read:
+     [vertices_on] decodes the cut. *)
+  mutable arena : Flow_build.t;
   node : int array;     (* vertex -> arena node; -1 until it joins *)
   src_arc : int array;  (* vertex -> source-arc id, once it has a node *)
   joined : Vec.t;       (* vertices with a node, in join order *)
-  alpha : Vec.t;        (* their alpha arcs, in the same order *)
   mutable inst_node : int array;  (* instance id -> arena node *)
   mutable inst_arcs : int array array;  (* instance id -> its arc ids *)
   inside : bool array;  (* [count_inside]'s marks, all false between calls *)
   mutable last_opt : float;  (* previous query's density; < 0 = none *)
 }
 
-let net t = t.arena.Flow_build.network.Flow_build.net
-let source t = t.arena.Flow_build.network.Flow_build.source
-let sink t = t.arena.Flow_build.network.Flow_build.sink
+let net t = t.arena.Flow_build.net
+let source t = t.arena.Flow_build.source
+let sink t = t.arena.Flow_build.sink
 
 let grow_inst t id =
   if id >= Array.length t.inst_node then begin
@@ -88,30 +90,18 @@ let grow_inst t id =
   end
 
 (* Give [v] its node, a cap-0 source arc (raised as its instances
-   arrive) and an alpha arc (capacitated by the next retarget), unless
-   it has them already. *)
+   arrive) and an alpha arc of law h * alpha (capacitated by the next
+   retarget), unless it has them already. *)
 let join t v =
   if t.node.(v) < 0 then begin
     let net = net t in
     let x = F.add_node net in
     t.node.(v) <- x;
     t.src_arc.(v) <- F.add_edge net ~src:(source t) ~dst:x ~cap:0.;
-    Vec.push t.alpha (F.add_edge net ~src:x ~dst:(sink t) ~cap:0.);
+    ignore
+      (F.add_edge net ~coef:(float_of_int t.h) ~src:x ~dst:(sink t) ~cap:0.);
     Vec.push t.joined v
   end
-
-(* The arena with an alpha arc for every joined vertex: rebuilt when
-   vertices joined since the last probe, so a probe retargets only
-   the joined vertices' arcs. *)
-let prepared t =
-  let k = Vec.length t.alpha in
-  if Array.length t.arena.Flow_build.alpha_arcs < k then
-    t.arena <-
-      { t.arena with
-        alpha_arcs = Vec.to_array t.alpha;
-        alpha_base = Array.make k 0.;
-        alpha_coef = Array.make k (float_of_int t.h) };
-  t.arena
 
 (* Wire one instance into the arena: its members' nodes if new, a fresh
    node, member arcs, and the member source caps raised to the new
@@ -133,32 +123,28 @@ let arena_add_instance t id =
   t.inst_node.(id) <- node;
   t.inst_arcs.(id) <- arcs
 
-(* Unwire a retired instance: zero its arcs (carrying then draining any
-   committed flow) and shrink the member source caps.  Zero-capacity
-   arcs are invisible to cut values and residual reachability, so the
-   dead node is semantically absent from every later probe. *)
+(* Unwire a retired instance: zero its arcs and shrink the member
+   source caps, repairing any committed flow they carried.
+   Zero-capacity arcs are invisible to cut values and residual
+   reachability, so the dead node is semantically absent from every
+   later probe. *)
 let arena_retire_instance t id =
   let net = net t and s = source t and sink = sink t in
   Array.iter
-    (fun a ->
-      F.set_cap_carry net a 0.;
-      ignore (F.restore_arc_full net ~s ~sink a))
+    (fun a -> ignore (F.set_cap_warm net ~s ~sink a 0.))
     t.inst_arcs.(id);
   Store.iter_members t.store id ~f:(fun v ->
-      F.set_cap_carry net t.src_arc.(v) (float_of_int (Store.degree t.store v));
-      ignore (F.restore_arc_head net ~sink t.src_arc.(v)));
+      ignore
+        (F.set_cap_warm net ~s ~sink t.src_arc.(v)
+           (float_of_int (Store.degree t.store v))));
   t.inst_arcs.(id) <- [||];
   t.inst_node.(id) <- -1
 
 (* The arena with no vertex: the source (node 0) and the sink
    (node 1). *)
 let empty_arena () =
-  { Flow_build.network =
-      { net = F.create 2; source = 0; sink = 1; n_vertices = 0;
-        node_count = 2 };
-    alpha_arcs = [||];
-    alpha_base = [||];
-    alpha_coef = [||] }
+  { Flow_build.net = F.create 2; source = 0; sink = 1; n_vertices = 0;
+    node_count = 2 }
 
 (* The arena of the live instances: the source, the sink, every vertex
    in a live instance in ascending order (so the solver meets the
@@ -168,7 +154,6 @@ let build_arena t =
   t.arena <- empty_arena ();
   Array.fill t.node 0 (Array.length t.node) (-1);
   Vec.clear t.joined;
-  Vec.clear t.alpha;
   t.inst_node <- Array.make 16 (-1);
   t.inst_arcs <- Array.make 16 [||];
   Counter.incr Counter.Flow_networks_built;
@@ -196,7 +181,6 @@ let create g (psi : P.t) =
       node = Array.make n (-1);
       src_arc = Array.make n (-1);
       joined = Vec.create ();
-      alpha = Vec.create ();
       inst_node = [||];
       inst_arcs = [||];
       inside = Array.make n false;
@@ -334,10 +318,8 @@ let query t =
        flow. *)
     let feasible alpha =
       Counter.incr Counter.Core_iterations;
-      let s_side =
-        Flow_build.cut (Flow_build.retarget (prepared t) ~alpha)
-          ~f:(fun _ -> vertices_on t)
-      in
+      F.retarget (net t) ~s:(source t) ~sink:(sink t) ~alpha;
+      let s_side = Flow_build.cut t.arena ~f:(fun _ -> vertices_on t) in
       if Array.length s_side > 0 then best_vertices := s_side;
       Array.length s_side > 0
     in

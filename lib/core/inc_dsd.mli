@@ -4,10 +4,12 @@
     instance store and a pds-style flow arena.  {!apply} patches all
     three in place per edge insert/delete — the adjacency change,
     instance discovery/retirement localised to the changed edge, and
-    arc surgery that carries the committed flow through the drain
-    machinery of {!Dsd_flow.Flow_network} — and {!query} then re-runs
-    the parametric search warm from the previous flow instead of
-    rebuilding, and counts the answer's instances from the live store.
+    arc surgery that keeps the committed flow feasible, every lowered
+    capacity going through {!Dsd_flow.Flow_network.set_cap_warm} — and
+    {!query} then re-runs the parametric search warm from the previous
+    flow instead of rebuilding, each probe re-aiming the alpha arcs
+    from the laws the arena holds ({!Dsd_flow.Flow_network.retarget}),
+    and counts the answer's instances from the live store.
 
     The arena holds only the vertices that lie in a live instance: a
     vertex gets its node, source arc and alpha arc when it first joins

@@ -2,17 +2,9 @@ module G = Dsd_graph.Graph
 module P = Dsd_pattern.Pattern
 module F = Dsd_flow.Flow_network
 
-type prepared = {
-  network : Flow_build.t;
-  (* Every arc's capacity law cap(alpha) = max (base + coef * alpha, 0),
-     as built; coef is 0 off the alpha arcs. *)
-  base : float array;
-  coef : float array;
-}
-
 type arena = {
-  build : unit -> Flow_build.prepared;
-  slot : prepared option ref;
+  build : unit -> Flow_build.t;
+  slot : Flow_build.t option ref;
   graph : G.t;  (* G[within], in local ids *)
   map : int array option;  (* local id -> caller id; None = identity *)
   eds : bool;
@@ -70,7 +62,7 @@ let arena ?within ?pinned ?instances ?(slot = ref None) family g psi =
   in
   { build =
       (fun () ->
-        Flow_build.prepare ?pinned family graph psi ~instances ~alpha:0.);
+        Flow_build.prepare ?pinned family graph psi ~instances);
     slot;
     graph;
     map;
@@ -81,42 +73,30 @@ let arena ?within ?pinned ?instances ?(slot = ref None) family g psi =
 
 let total a = if a.eds then G.m a.graph else a.instances.count
 
-let laws { Flow_build.network; alpha_arcs; alpha_base; alpha_coef } =
-  let net = network.Flow_build.net in
-  let base = Array.sub (F.view net).F.cap 0 (F.arc_count net) in
-  let coef = Array.make (Array.length base) 0. in
-  Array.iteri
-    (fun i e ->
-      base.(e) <- alpha_base.(i);
-      coef.(e) <- alpha_coef.(i))
-    alpha_arcs;
-  { network; base; coef }
-
 (* The source side in local ids. *)
 let probe_local a ~num ~den =
   if den <= 0 then invalid_arg "Parametric.probe_rational: den <= 0";
   if num < 0 then invalid_arg "Parametric.probe_rational: num < 0";
-  let p =
+  let network =
     match !(a.slot) with
-    | Some p ->
+    | Some network ->
       Dsd_obs.Counter.incr Dsd_obs.Counter.Flow_retargets;
-      p
+      network
     | None ->
-      let p = laws (a.build ()) in
-      a.slot := Some p;
-      p
+      let network = a.build () in
+      a.slot := Some network;
+      network
   in
-  let net = p.network.Flow_build.net in
   (* Cold and scaled by [den]: the law base + coef * num / den becomes
      base * den + coef * num, an integer like every other capacity.
      Dinic stays exact while no flow value can reach 2^53, which the
      sum of the finite capacities bounds. *)
   Dsd_obs.Span.with_ Dsd_obs.Phase.retarget (fun () ->
-      if F.recapacitate net ~base:p.base ~coef:p.coef ~den ~num >= 0x1p53 then
+      if F.recapacitate network.Flow_build.net ~den ~num >= 0x1p53 then
         invalid_arg
           "Parametric.probe_rational: the scaled capacities reach 2^53");
   a.probes <- a.probes + 1;
-  Flow_build.solve p.network
+  Flow_build.solve network
 
 let lift a side =
   match a.map with
@@ -156,7 +136,7 @@ let probes a = a.probes
 
 let nodes a =
   match !(a.slot) with
-  | Some p -> p.network.Flow_build.node_count
+  | Some network -> network.Flow_build.node_count
   | None -> 0
 
 let bisect ~gap ~l ~u decide =

@@ -11,15 +11,11 @@
 
     Every probe is {!probe_rational}: exact, so every accept or stop
     decision is an integer comparison.  The network is built with
-    {!Flow_build.prepare} on the first probe and re-capacitated on every
-    later one.  {!Inc_dsd} (whose flow stays warm across deltas),
-    {!Directed} (whose capacities carry square roots) and the reference
-    searches of [Dsd_check.Oracle] keep the float {!bisect}. *)
-
-(** A built network with every arc's capacity law: what a caller-owned
-    slot keeps between searches, so a reused slot answers
-    bit-identically. *)
-type prepared
+    {!Flow_build.prepare} on the first probe and re-capacitated from
+    its own capacity laws on every later one.  {!Inc_dsd} (whose flow
+    stays warm across deltas), {!Directed} (whose capacities carry
+    square roots) and the reference searches of [Dsd_check.Oracle] keep
+    the float {!bisect}. *)
 
 (** A flow network over one vertex set of a graph, unbuilt until the
     first probe.  Sides are reported in the graph's vertex ids. *)
@@ -32,7 +28,8 @@ type arena
     vertices of [within] are forced onto the source side of every cut.
     A filled [?slot] is re-capacitated instead of rebuilt, and an empty
     one is filled by the first probe; it must have been filled for the
-    same [g], [within], [psi] and [family].
+    same [g], [within], [psi] and [family].  The network carries its
+    own capacity laws, so a reused slot answers bit-identically.
 
     Where the [Eds] network's scaled capacities could reach 2^53 (about
     2·n'·m'·n over G[within], since a witness of [g] has up to n
@@ -42,7 +39,7 @@ val arena :
   ?within:int array ->
   ?pinned:int array ->
   ?instances:Dsd_clique.Instances.t ->
-  ?slot:prepared option ref ->
+  ?slot:Flow_build.t option ref ->
   Flow_build.family -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> arena
 
 (** [total a] is c(U), the instance count of the arena's whole vertex
@@ -52,10 +49,10 @@ val total : arena -> int
 (** [probe_rational a ~num ~den] solves the min cut at alpha = num/den
     and returns the vertices on its source side (sorted; empty iff the
     side is just the source).  The probe is cold: the flow is zeroed
-    and every capacity law base + coef·alpha is rewritten as
-    base·den + coef·num, so all finite capacities are integer-valued
-    doubles and Dinic is exact while they sum below 2^53.  A probe on
-    a built network counts as a retarget.
+    and the network's every capacity law base + coef·alpha is
+    rewritten as base·den + coef·num, so all finite capacities are
+    integer-valued doubles and Dinic is exact while they sum below
+    2^53.  A probe on a built network counts as a retarget.
 
     Cost on a built network: one pass over the arc arrays
     ({!Dsd_flow.Flow_network.recapacitate}: zero the flow, write each

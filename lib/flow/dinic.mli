@@ -20,7 +20,8 @@
     flow pushed {e by this call}.  The solver works purely on residual
     capacities, so it may be invoked on any feasible intermediate state
     — in particular on a warm-started network that still carries the
-    flow of a previous probe (after {!Flow_network.restore_arc} repaired
-    any lowered arcs) — and will augment it to a maximum flow.  Use
-    {!Flow_network.flow_value} for the total committed value. *)
+    flow of a previous probe (after {!Flow_network.retarget} or
+    {!Flow_network.set_cap_warm} repaired any lowered arcs) — and will
+    augment it to a maximum flow.  Use {!Flow_network.flow_value} for
+    the total committed value. *)
 val max_flow : Flow_network.t -> s:int -> t:int -> float

@@ -19,6 +19,11 @@ type t = {
   mutable dst : int array;        (* arc -> head node *)
   mutable cap : float array;      (* arc -> capacity *)
   mutable flow : float array;     (* arc -> current flow (< 0 on twins) *)
+  (* arc -> its capacity law max (base + coef * alpha, 0); (0, 0) on
+     twins *)
+  mutable base : float array;
+  mutable coef : float array;
+  sloped : Dsd_util.Vec.Int.t;    (* arcs created with coef <> 0, ascending *)
   (* The CSR index over the arrays above, plus the solvers' per-node
      scratch, valid iff [indexed].  Growth clears the flag; the next
      read rebuilds the index and grows the scratch (see [view]). *)
@@ -44,6 +49,9 @@ let create ?(edges = 32) n =
     dst;
     cap;
     flow;
+    base = Array.make len 0.;
+    coef = Array.make len 0.;
+    sloped = Dsd_util.Vec.Int.create ();
     index =
       { nodes = 0; start = [||]; arcs = [||]; dst; cap; flow; level = [||];
         cursor = [||]; lim = [||]; got = [||] };
@@ -63,28 +71,37 @@ let add_node t =
   id
 
 let grow_arcs t =
-  let len = 2 * Array.length t.dst in
-  let dst = Array.make len 0 and cap = Array.make len 0. in
-  let flow = Array.make len 0. in
-  Array.blit t.dst 0 dst 0 t.m;
-  Array.blit t.cap 0 cap 0 t.m;
-  Array.blit t.flow 0 flow 0 t.m;
-  t.dst <- dst;
-  t.cap <- cap;
-  t.flow <- flow
+  let grow a =
+    let b = Array.make (2 * Array.length a) a.(0) in
+    Array.blit a 0 b 0 t.m;
+    b
+  in
+  t.dst <- grow t.dst;
+  t.cap <- grow t.cap;
+  t.flow <- grow t.flow;
+  t.base <- grow t.base;
+  t.coef <- grow t.coef
 
-let add_edge t ~src ~dst ~cap =
+let check_cap fn cap =
+  if not (cap >= 0.) then invalid_arg ("Flow_network." ^ fn ^ ": negative capacity")
+
+let add_edge ?(coef = 0.) t ~src ~dst ~cap =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Flow_network.add_edge: node out of range";
-  if not (cap >= 0.) then invalid_arg "Flow_network.add_edge: negative capacity";
+  check_cap "add_edge" cap;
   let id = t.m in
   if id + 2 > Array.length t.dst then grow_arcs t;
   t.dst.(id) <- dst;
   t.cap.(id) <- cap;
   t.flow.(id) <- 0.;
+  t.base.(id) <- cap;
+  t.coef.(id) <- coef;
   t.dst.(id + 1) <- src;
   t.cap.(id + 1) <- 0.;
   t.flow.(id + 1) <- 0.;
+  t.base.(id + 1) <- 0.;
+  t.coef.(id + 1) <- 0.;
+  if coef <> 0. then Dsd_util.Vec.Int.push t.sloped id;
   t.m <- id + 2;
   t.indexed <- false;
   id
@@ -147,24 +164,21 @@ let arc_dst t e = check_arc "arc_dst" t e; t.dst.(e)
 let arc_cap t e = check_arc "arc_cap" t e; t.cap.(e)
 let arc_flow t e = check_arc "arc_flow" t e; t.flow.(e)
 
+(* A capacity write makes the arc constant at the written value. *)
+let write_cap t e cap =
+  t.cap.(e) <- cap;
+  t.base.(e) <- cap;
+  t.coef.(e) <- 0.
+
 let set_cap t e cap =
   check_arc "set_cap" t e;
-  if not (cap >= 0.) then invalid_arg "Flow_network.set_cap: negative capacity";
+  check_cap "set_cap" cap;
   (* Lowering a capacity below flow already pushed through the arc
-     would leave a negative residual the solvers never repair; callers
-     must [reset_flow] first (the retarget fast path does). *)
+     would leave a negative residual the solvers never repair; that
+     is [set_cap_warm]'s job. *)
   if cap +. eps < t.flow.(e) then
     invalid_arg "Flow_network.set_cap: capacity below committed flow";
-  t.cap.(e) <- cap
-
-let set_cap_carry t e cap =
-  check_arc "set_cap_carry" t e;
-  if not (cap >= 0.) then
-    invalid_arg "Flow_network.set_cap_carry: negative capacity";
-  (* Unlike [set_cap], committed flow is kept even when it now exceeds
-     the capacity; callers must follow up with [restore_arc] before
-     handing the network back to a solver. *)
-  t.cap.(e) <- cap
+  write_cap t e cap
 
 let residual t e = check_arc "residual" t e; t.cap.(e) -. t.flow.(e)
 
@@ -188,16 +202,13 @@ let arcs_from t v =
 
 let reset_flow t = Array.fill t.flow 0 t.m 0.
 
-let recapacitate t ~base ~coef ~den ~num =
-  let m = t.m in
-  if Array.length base < m || Array.length coef < m then
-    invalid_arg "Flow_network.recapacitate: fewer laws than arcs";
+let recapacitate t ~den ~num =
   if den <= 0 || num < 0 then
     invalid_arg "Flow_network.recapacitate: den <= 0 or num < 0";
   let den = float_of_int den and num = float_of_int num in
-  let cap = t.cap and flow = t.flow in
+  let cap = t.cap and flow = t.flow and base = t.base and coef = t.coef in
   let sum = ref 0. in
-  for e = 0 to m - 1 do
+  for e = 0 to t.m - 1 do
     let c = (base.(e) *. den) +. (coef.(e) *. num) in
     let c = if c > 0. then c else 0. in
     cap.(e) <- c;
@@ -294,78 +305,66 @@ let cancel t ~sign ~dst ~cycles v amount =
   (!paths, !remaining)
 
 (* [cancel] where a feasible flow guarantees the walks cannot run dry. *)
-let drain what t ~sign ~dst ~cycles v amount =
+let drain t ~sign ~dst ~cycles v amount =
   let paths, remaining = cancel t ~sign ~dst ~cycles v amount in
   if remaining > eps then
-    invalid_arg ("Flow_network." ^ what ^ ": no flow-carrying path to drain along");
+    invalid_arg "Flow_network: no flow-carrying path to drain along";
   paths
 
-(* Pull arc [e] back to its capacity; returns the excess it carried,
-   0 when it was feasible. *)
-let lower what t e =
-  check_arc what t e;
+(* Pull arc [e] back under its capacity and restore conservation at
+   whichever endpoints conserve.  A terminal absorbs its own imbalance,
+   so an arc leaving the source only leaves a deficit at its head, and
+   an arc into the sink only a surplus at its tail.  An internal arc
+   leaves both.  Some of its flow may have circulated: the arc fed a
+   path head -> ... -> tail that closed a cycle through it.  That flow
+   can reach neither terminal, so it is cancelled first, each
+   head -> tail path repairing one unit of both imbalances.  By flow
+   decomposition the remainder splits into equal s -> tail and
+   head -> sink parts: the deficit is cancelled forward to [sink] and
+   then the surplus back to [s], each around cycles when no path is
+   left.  The two drains may cross the same arcs, so their order is
+   fixed here rather than left to evaluation order.  Returns the paths
+   used, 0 when the arc was feasible. *)
+let repair t ~s ~sink e =
   let excess = t.flow.(e) -. t.cap.(e) in
-  if excess <= eps then 0.
+  if excess <= eps then 0
   else begin
     push t e (-.excess);
-    excess
-  end
-
-let counted paths =
-  Dsd_obs.Counter.add Dsd_obs.Counter.Flow_excess_drained paths;
-  paths
-
-let restore_arc t ~s e =
-  let excess = lower "restore_arc" t e in
-  if excess = 0. then 0
-  else
-    (* The tail is now a surplus node: cancel its inflow back to [s]. *)
-    counted
-      (drain "restore_arc" t ~sign:(-1.) ~dst:s ~cycles:false t.dst.(e lxor 1)
-         excess)
-
-let restore_arc_head t ~sink e =
-  let excess = lower "restore_arc_head" t e in
-  if excess = 0. then 0
-  else
-    (* The tail must be a non-conserving node (the source); the head is
-       left with a deficit, repaired by cancelling its downstream flow
-       forward to [sink] or around cycles. *)
-    counted
-      (drain "restore_arc_head" t ~sign:1. ~dst:sink ~cycles:true t.dst.(e)
-         excess)
-
-let restore_arc_full t ~s ~sink e =
-  let excess = lower "restore_arc_full" t e in
-  if excess = 0. then 0
-  else begin
-    (* An internal arc: pulling it back to capacity leaves a surplus at
-       the tail *and* a deficit at the head; both must be repaired for
-       conservation to hold again.
-
-       Some of the lowered flow may have circulated: the arc fed a path
-       head -> ... -> tail that closed a cycle through it.  That flow
-       can reach neither the source nor the sink, so cancel it first —
-       each head->tail path repairs one unit of both imbalances.  By
-       flow decomposition the remainder splits into equal s->tail and
-       head->sink parts: the deficit is cancelled forward to [sink] and
-       then the surplus back to [s], each around cycles when no path is
-       left.  The two drains may cross the same arcs, so their order is
-       fixed here rather than left to evaluation order. *)
     let tail = t.dst.(e lxor 1) and head = t.dst.(e) in
+    let terminal v = v = s || v = sink in
     let bridges, remaining =
-      cancel t ~sign:1. ~dst:tail ~cycles:false head excess
+      if terminal tail || terminal head then (0, excess)
+      else cancel t ~sign:1. ~dst:tail ~cycles:false head excess
     in
-    if remaining <= eps then counted bridges
-    else begin
-      let deficit =
-        drain "restore_arc_full" t ~sign:1. ~dst:sink ~cycles:true head
-          remaining
-      in
-      let surplus =
-        drain "restore_arc_full" t ~sign:(-1.) ~dst:s ~cycles:true tail
-          remaining
-      in
-      counted (bridges + surplus + deficit)
-    end
+    let deficit =
+      if remaining <= eps || terminal head then 0
+      else drain t ~sign:1. ~dst:sink ~cycles:true head remaining
+    in
+    let surplus =
+      if remaining <= eps || terminal tail then 0
+      else drain t ~sign:(-1.) ~dst:s ~cycles:true tail remaining
+    in
+    let paths = bridges + deficit + surplus in
+    Dsd_obs.Counter.add Dsd_obs.Counter.Flow_excess_drained paths;
+    paths
   end
+
+let set_cap_warm t ~s ~sink e cap =
+  check_arc "set_cap_warm" t e;
+  check_cap "set_cap_warm" cap;
+  write_cap t e cap;
+  repair t ~s ~sink e
+
+let retarget t ~s ~sink ~alpha =
+  Dsd_obs.Span.with_ Dsd_obs.Phase.retarget @@ fun () ->
+  Dsd_obs.Counter.incr Dsd_obs.Counter.Flow_retargets;
+  Dsd_obs.Counter.incr Dsd_obs.Counter.Flow_warm_starts;
+  (* Only the sloped arcs move.  Each is re-aimed and repaired in
+     turn: a drain walks committed flow, never capacities, so the
+     order of the writes does not change the flow it leaves. *)
+  Dsd_util.Vec.Int.iter
+    (fun e ->
+      let c = t.base.(e) +. (t.coef.(e) *. alpha) in
+      t.cap.(e) <- (if c > 0. then c else 0.);
+      ignore (repair t ~s ~sink e))
+    t.sloped

@@ -10,16 +10,38 @@
     Algorithm 1 line 8).  [infinity] is a legal capacity (the
     clique-node-to-vertex arcs of Algorithm 1 line 11).
 
+    {2 Capacity laws}
+
+    Every arc carries its capacity law
+    cap(alpha) = max (base + coef * alpha, 0), set when {!add_edge}
+    creates it: [base] is the capacity it is created with and [coef]
+    its [?coef], 0 (a constant arc) unless given.  Residual twins carry
+    (0, 0).  Between the probes of a parametric search only the arcs
+    with [coef <> 0] change — Goldberg's parametric-flow observation —
+    so the network re-aims itself from its own laws, in one of two
+    ways:
+    - {!recapacitate}, cold and exact: zero the flow and write every
+      law at alpha = num/den, scaled by den, so every finite capacity
+      is an integer-valued double;
+    - {!retarget}, warm: write the sloped arcs at a float alpha and
+      repair each one whose new capacity fell below its committed flow
+      as {!set_cap_warm} does, so the next solve only augments the
+      difference.
+    Use one of the two on a network: a warm retarget after a
+    recapacitate mixes scaled and unscaled capacities.  A capacity
+    write ({!set_cap}, {!set_cap_warm}) makes the arc constant at the
+    written value.
+
     {2 Arena layout}
 
     A network is an arena of flat arrays indexed by arc id — head
-    ([dst]), capacity and flow — grown by doubling as arcs are added,
-    plus one CSR index that groups the arc ids by tail: the arcs
+    ([dst]), capacity, flow and law — grown by doubling as arcs are
+    added, plus one CSR index that groups the arc ids by tail: the arcs
     leaving node [v] are [arcs.(start.(v)) .. arcs.(start.(v+1) - 1)].
 
     The index is built on the first read after a change to the
     topology ({!view}, {!iter_arcs_from}, {!arcs_from},
-    {!flow_value}, a drain walk of a [restore_arc*]) by a counting sort
+    {!flow_value}, the drain walks of a repair) by a counting sort
     of the arc ids by tail; {!add_node} and {!add_edge} invalidate it.
     Capacity and flow writes ({!set_cap}, {!push}, {!reset_flow}, a
     solver) leave it valid.  Within one tail the index lists arc ids in
@@ -60,10 +82,12 @@ val edge_count : t -> int
     The index is rebuilt on the next read. *)
 val add_node : t -> int
 
-(** [add_edge t ~src ~dst ~cap] adds a forward arc of capacity [cap]
-    (must be ≥ 0; may be [infinity]) and its residual twin.  Returns
-    the forward arc id.  The index is rebuilt on the next read. *)
-val add_edge : t -> src:int -> dst:int -> cap:float -> int
+(** [add_edge ?coef t ~src ~dst ~cap] adds a forward arc of capacity
+    [cap] (must be ≥ 0; may be [infinity]) and its residual twin, with
+    the law max (cap + coef * alpha, 0) ([coef] default 0).
+    Returns the forward arc id.  The index is rebuilt on the next
+    read. *)
+val add_edge : ?coef:float -> t -> src:int -> dst:int -> cap:float -> int
 
 (** {1 Solver view} *)
 
@@ -104,63 +128,37 @@ val arc_cap : t -> int -> float
 (** Current flow on an arc (negative on residual twins). *)
 val arc_flow : t -> int -> float
 
-(** [set_cap t arc cap] overwrites the capacity of [arc] — the
-    parametric-flow primitive behind {!Flow_build}'s alpha retargeting
-    (only the alpha-dependent arc class changes between binary-search
-    iterations, so the network is built once and re-capacitated in
-    O(V) writes).
+(** [set_cap t arc cap] overwrites the capacity of [arc] and makes
+    its law the constant [cap].
 
     @raise Invalid_argument if [arc] is out of range, [cap] is negative
     (or NaN), or [cap] lies more than [eps] below the flow already
     pushed through the arc — lowering under committed flow is rejected
-    rather than saturated; call {!reset_flow} first. *)
+    rather than saturated; call {!set_cap_warm} or {!reset_flow}
+    first. *)
 val set_cap : t -> int -> float -> unit
 
-(** [set_cap_carry t arc cap] overwrites the capacity of [arc] while
-    keeping whatever flow is already committed — the warm-start variant
-    of {!set_cap}.  The network may transiently violate [flow ≤ cap] on
-    [arc]; callers must call {!restore_arc} on every arc they lowered
-    before running a solver again.
+(** [set_cap_warm t ~s ~sink arc cap] is {!set_cap} under committed
+    flow: the capacity and law are written, and if the arc's flow now
+    exceeds [cap] by more than [eps] it is pulled back to [cap] and the
+    flow repaired, so the flow stays feasible and the next solve starts
+    from it.  A terminal endpoint absorbs its own imbalance.  Of a
+    non-terminal head and tail, in this order: flow that circulated
+    through the arc (head-to-tail paths) is cancelled first, since it
+    can reach neither terminal; the head's remaining deficit is
+    cancelled forward to [sink]; the tail's matching surplus is drained
+    back to [s].  The last two fall back on flow-carrying cycles
+    through the node when no path is left.  Conservation holds at every
+    other node throughout.  Returns the number of paths and cycles
+    cancelled (0 when the arc stayed feasible) and adds it to the
+    [Flow_excess_drained] counter.  An incremental session lowers
+    source and instance arcs this way, and {!retarget} repairs every
+    sloped arc with it.
 
-    @raise Invalid_argument if [arc] is out of range or [cap] is
-    negative (or NaN). *)
-val set_cap_carry : t -> int -> float -> unit
-
-(** [restore_arc t ~s arc] repairs the feasibility of [arc] after a
-    {!set_cap_carry} lowered its capacity below the committed flow: the
-    arc flow is reduced to the new capacity and the resulting excess at
-    the arc's tail is drained back to the source [s] along
-    flow-carrying arcs (flow decomposition).  Conservation holds at
-    every other node throughout.  Returns the number of drain paths
-    used (0 when the arc was already feasible) and adds it to the
-    [Flow_excess_drained] counter.
-
-    @raise Invalid_argument if [arc] is out of range, or no
-    flow-carrying path back to [s] exists (impossible for the excess
-    produced by lowering a sink arc of a feasible flow). *)
-val restore_arc : t -> s:int -> int -> int
-
-(** [restore_arc_head t ~sink arc] is the dual of {!restore_arc} for
-    arcs whose {e tail} is the non-conserving source: the arc flow is
-    reduced to the new capacity and the resulting deficit at the arc's
-    head is repaired by cancelling downstream flow forward to [sink]
-    (or around flow-carrying cycles).  Used when a vertex's pattern
-    degree drops and its source arc must shrink under committed flow.
-
-    @raise Invalid_argument if [arc] is out of range or the deficit
-    cannot be cancelled (impossible for a feasible flow, by flow
-    decomposition). *)
-val restore_arc_head : t -> sink:int -> int -> int
-
-(** [restore_arc_full t ~s ~sink arc] repairs an {e internal} arc (both
-    endpoints conserving) lowered under committed flow: flow that
-    circulated around the arc (head-to-tail paths, i.e. broken cycles)
-    is cancelled first — it can reach neither terminal — then the
-    remaining deficit at the head is cancelled forward to [sink] as in
-    {!restore_arc_head}, and the matching surplus at the tail drained
-    back to [s] (or around cycles through the tail).  Used when
-    retiring a pattern instance whose arcs still carry flow. *)
-val restore_arc_full : t -> s:int -> sink:int -> int -> int
+    @raise Invalid_argument if [arc] is out of range, [cap] is negative
+    (or NaN), or the flow was not feasible, so a drain finds nothing to
+    cancel along. *)
+val set_cap_warm : t -> s:int -> sink:int -> int -> float -> int
 
 (** Remaining residual capacity of an arc. *)
 val residual : t -> int -> float
@@ -180,18 +178,28 @@ val arcs_from : t -> int -> int array
 (** [reset_flow t] zeroes all flow, restoring initial capacities. *)
 val reset_flow : t -> unit
 
-(** [recapacitate t ~base ~coef ~den ~num] re-aims the whole network
-    at alpha = num/den in one pass over the arc arrays: every flow is
-    zeroed and arc [e]'s capacity becomes
-    [max (base.(e) * den + coef.(e) * num) 0] (an infinite base stays
-    infinite).  Returns the sum of the finite capacities, so a caller
-    can refuse a scale at which float flow sums stop being exact.  No
-    allocation beyond the returned float; the index stays valid.
+(** [recapacitate t ~den ~num] re-aims the whole network cold at
+    alpha = num/den in one pass over the arc arrays: every flow is
+    zeroed and every arc's capacity becomes its law scaled by [den],
+    [max (base * den + coef * num) 0] (an infinite base stays
+    infinite).  The laws are left as they were.  Returns the sum of the
+    finite capacities, so a caller can refuse a scale at which float
+    flow sums stop being exact.  No allocation beyond the returned
+    float; the index stays valid.
 
-    @raise Invalid_argument if [base] or [coef] is shorter than
-    {!arc_count}, [den <= 0] or [num < 0]. *)
-val recapacitate :
-  t -> base:float array -> coef:float array -> den:int -> num:int -> float
+    @raise Invalid_argument if [den <= 0] or [num < 0]. *)
+val recapacitate : t -> den:int -> num:int -> float
+
+(** [retarget t ~s ~sink ~alpha] re-aims the network warm at [alpha]:
+    each arc created with a non-zero [coef], in creation order, gets
+    its law's capacity at [alpha] and is repaired as by
+    {!set_cap_warm}, so the committed flow is kept wherever it still
+    fits.  Alpha may move in either direction.  Costs one write per
+    such arc plus the repairs' drains, and runs in the [retarget] span,
+    counted as [flow_retargets] and [flow_warm_starts].
+
+    @raise Invalid_argument if the flow was not feasible. *)
+val retarget : t -> s:int -> sink:int -> alpha:float -> unit
 
 (** [flow_value t ~s] is the net outflow at [s] — the total value of
     the flow currently committed to the network, independent of how

@@ -9,10 +9,15 @@ type t = { thread : Thread.t }
 let bind_listen addr =
   match addr with
   | Unix_domain path ->
-    if Sys.file_exists path then Unix.unlink path;
+    (* [bind] creates the socket file before [listen] makes it
+       connectable, so bind a temporary name and rename it into place:
+       a client that sees [path] can connect. *)
+    let tmp = path ^ ".tmp" in
+    List.iter (fun p -> if Sys.file_exists p then Unix.unlink p) [ path; tmp ];
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
+    Unix.bind fd (Unix.ADDR_UNIX tmp);
     Unix.listen fd 16;
+    Unix.rename tmp path;
     fd
   | Tcp { host; port } ->
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in

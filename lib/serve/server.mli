@@ -11,7 +11,9 @@
     stop a server is a [Shutdown] request (or killing the process). *)
 
 type address =
-  | Unix_domain of string  (** socket path; re-created on bind *)
+  | Unix_domain of string
+      (** socket path; re-created on bind, appearing only once it
+          listens (bound as [path ^ ".tmp"], then renamed) *)
   | Tcp of { host : string; port : int }
 
 (** A server running on a background thread. *)

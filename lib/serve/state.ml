@@ -13,7 +13,7 @@ type psi_state = {
   graph : G.t;
   instances : Dsd_clique.Instances.t Lazy.t;
   decomp : Dsd_core.Clique_core.t Lazy.t;
-  exact_prepared : Dsd_core.Parametric.prepared option ref;
+  exact_prepared : Dsd_core.Flow_build.t option ref;
   hierarchy : Dsd_core.Ld_decomposition.t Lazy.t;
       (* the full chain, computed once; per-request level truncation
          happens at response time (and in the result LRU, keyed by the

@@ -67,6 +67,14 @@ let instances =
   in
   Alcotest.testable pp ( = )
 
+(* A [Flow_build] network aimed at the float [alpha]: built at
+   alpha = 0, then warm-retargeted, which drains nothing on a network
+   that carries no flow yet. *)
+let network_at ?pinned family g psi ~instances ~alpha =
+  let t = Dsd_core.Flow_build.prepare ?pinned family g psi ~instances in
+  Dsd_flow.Flow_network.retarget t.net ~s:t.source ~sink:t.sink ~alpha;
+  t
+
 let int_array_as_set a =
   let l = Array.to_list a in
   List.sort_uniq compare l

@@ -121,7 +121,7 @@ let test_resolve_allocation () =
         float_of_int instances.Dsd_clique.Instances.count
         /. float_of_int (Dsd_graph.Graph.n g)
       in
-      let network = (FB.prepare FB.Clique_flow g psi ~instances ~alpha).network in
+      let network = Helpers.network_at FB.Clique_flow g psi ~instances ~alpha in
       let { FB.net; source = s; sink = t; _ } = network in
       let nodes = F.node_count net in
       if nodes <= 256 then Alcotest.failf "%s: only %d nodes" name nodes;
@@ -185,7 +185,7 @@ let test_resolve_scratch () =
         float_of_int instances.Dsd_clique.Instances.count
         /. float_of_int (Dsd_graph.Graph.n g)
       in
-      let network = (FB.prepare FB.Clique_flow g psi ~instances ~alpha).network in
+      let network = Helpers.network_at FB.Clique_flow g psi ~instances ~alpha in
       let { FB.net; source = s; sink = t; _ } = network in
       let nodes = F.node_count net in
       ignore (FB.solve network);

@@ -16,7 +16,7 @@ let network family g psi ~alpha =
     | FB.Eds -> (Dsd_clique.Instances.empty ~arity:2)
     | _ -> Dsd_core.Enumerate.instances g psi
   in
-  (FB.prepare family g psi ~instances ~alpha).network
+  Helpers.network_at family g psi ~instances ~alpha
 
 let exists_denser g psi alpha =
   let n = G.n g in
@@ -117,10 +117,9 @@ let test_eds_rejects_pinned () =
   Alcotest.check_raises "pinned Eds"
     (Invalid_argument "Flow_build.prepare: the Eds network cannot pin vertices")
     (fun () ->
-      ignore (FB.prepare ~pinned:[| 0 |] FB.Eds g P.edge ~instances ~alpha:1.));
+      ignore (FB.prepare ~pinned:[| 0 |] FB.Eds g P.edge ~instances));
   Alcotest.(check int) "empty pin set builds" 5
-    (FB.prepare ~pinned:[||] FB.Eds g P.edge ~instances ~alpha:1.)
-      .FB.network.FB.node_count
+    (FB.prepare ~pinned:[||] FB.Eds g P.edge ~instances).FB.node_count
 
 let enumerate_dispatch_prop g =
   (* All enumeration paths agree on counts. *)
@@ -163,7 +162,7 @@ let clique_shape name g ~h ~pinned =
     insts;
   let lambda = Hashtbl.length subsets in
   let prepare alpha =
-    (FB.prepare ~pinned FB.Clique_flow g psi ~instances ~alpha).FB.network
+    Helpers.network_at ~pinned FB.Clique_flow g psi ~instances ~alpha
   in
   let fb = prepare 1. in
   let net = fb.FB.net in

@@ -5,8 +5,8 @@
    network grown between solves keeps each node's arcs in insertion
    order and re-solves exactly like the same arcs built in one go.  Plus
    the pinned [set_cap] semantics: lowering a capacity below committed
-   flow is *rejected* (never silently saturated) — the retarget fast
-   path resets flow first. *)
+   flow is *rejected* (never silently saturated) — lowering under flow
+   is [set_cap_warm]'s job (test_warmstart.ml). *)
 
 module F = Dsd_flow.Flow_network
 module Prng = Dsd_util.Prng

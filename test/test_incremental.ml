@@ -259,9 +259,9 @@ let test_add_node () =
   Alcotest.(check int) "arcs to the new node work" a (F.arc_dst net e)
 
 (* s -> a -> b -> t path saturated, then the internal arc is lowered
-   under flow: restore_arc_full must drain the surplus at a and cancel
-   the deficit at b, leaving a feasible (here: smaller) flow. *)
-let test_restore_arc_full () =
+   under flow: set_cap_warm must drain the surplus at a and cancel the
+   deficit at b, leaving a feasible (here: smaller) flow. *)
+let test_repair_internal_arc () =
   let net = F.create 4 in
   let s = 0 and a = 1 and b = 2 and t = 3 in
   let _sa = F.add_edge net ~src:s ~dst:a ~cap:2.0 in
@@ -269,24 +269,22 @@ let test_restore_arc_full () =
   let _bt = F.add_edge net ~src:b ~dst:t ~cap:2.0 in
   let flow, _ = Dsd_flow.Min_cut.solve net ~s ~t in
   Helpers.check_float "max flow before" 2.0 flow;
-  F.set_cap_carry net ab 0.5;
-  ignore (F.restore_arc_full net ~s ~sink:t ab);
-  check_feasible ~ctx:"restore_arc_full" net ~s ~t;
+  ignore (F.set_cap_warm net ~s ~sink:t ab 0.5);
+  check_feasible ~ctx:"internal arc" net ~s ~t;
   Helpers.check_float "flow value shrank to the new bottleneck" 0.5
     (F.flow_value net ~s)
 
-(* lowering a source arc under flow: restore_arc_head repairs the
-   head-side deficit by cancelling forward flow to the sink *)
-let test_restore_arc_head () =
+(* lowering a source arc under flow: set_cap_warm repairs the head-side
+   deficit by cancelling forward flow to the sink *)
+let test_repair_source_arc () =
   let net = F.create 4 in
   let s = 0 and a = 1 and b = 2 and t = 3 in
   let sa = F.add_edge net ~src:s ~dst:a ~cap:2.0 in
   let _ab = F.add_edge net ~src:a ~dst:b ~cap:2.0 in
   let _bt = F.add_edge net ~src:b ~dst:t ~cap:2.0 in
   ignore (Dsd_flow.Min_cut.solve net ~s ~t);
-  F.set_cap_carry net sa 1.0;
-  ignore (F.restore_arc_head net ~sink:t sa);
-  check_feasible ~ctx:"restore_arc_head" net ~s ~t;
+  ignore (F.set_cap_warm net ~s ~sink:t sa 1.0);
+  check_feasible ~ctx:"source arc" net ~s ~t;
   Helpers.check_float "flow value shrank to the new source cap" 1.0
     (F.flow_value net ~s)
 
@@ -305,9 +303,9 @@ let suite =
     Alcotest.test_case "Delta: shrinker minimizes" `Quick test_delta_shrink;
     Alcotest.test_case "Flow: add_node grows the arena" `Quick test_add_node;
     Alcotest.test_case "Flow: restore_arc_full repairs internal arcs" `Quick
-      test_restore_arc_full;
+      test_repair_internal_arc;
     Alcotest.test_case "Flow: restore_arc_head repairs source arcs" `Quick
-      test_restore_arc_head;
+      test_repair_source_arc;
     Alcotest.test_case "a query allocates O(instances), not O(n)" `Quick
       test_query_allocation;
   ]

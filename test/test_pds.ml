@@ -30,8 +30,8 @@ let lemma11_prop (psi, g, alpha) =
   let instances = Dsd_core.Enumerate.instances g psi in
   if instances.Dsd_clique.Instances.count = 0 then true
   else begin
-    let a = (FB.prepare FB.Pds g psi ~instances ~alpha).network in
-    let b = (FB.prepare FB.Pds_grouped g psi ~instances ~alpha).network in
+    let a = Helpers.network_at FB.Pds g psi ~instances ~alpha in
+    let b = Helpers.network_at FB.Pds_grouped g psi ~instances ~alpha in
     let fa = Dsd_flow.Dinic.max_flow a.FB.net ~s:a.FB.source ~t:a.FB.sink in
     let fb = Dsd_flow.Dinic.max_flow b.FB.net ~s:b.FB.source ~t:b.FB.sink in
     Float.abs (fa -. fb) < 1e-6
@@ -44,7 +44,7 @@ let test_grouping_shrinks_network () =
   let instances = Dsd_core.Enumerate.instances g P.diamond in
   Alcotest.(check int) "3 instances" 3 instances.Dsd_clique.Instances.count;
   let network family =
-    (FB.prepare family g P.diamond ~instances ~alpha:0.5).network
+    Helpers.network_at family g P.diamond ~instances ~alpha:0.5
   in
   let plain = network FB.Pds and grouped = network FB.Pds_grouped in
   Alcotest.(check int) "plain nodes" (7 + 3 + 2) plain.FB.node_count;

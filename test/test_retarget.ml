@@ -1,8 +1,9 @@
 (* The retarget fast path vs fresh per-alpha builds: a bisection over
-   one retargeted network (what Inc_dsd and the reference searches of
-   Dsd_check.Oracle run) and a hand-written fresh-build loop run the
-   *same* alpha schedule and must see identical cut vertex sets,
-   densities and iteration counts on every graph/pattern combination.
+   one network warm-retargeted by [Flow_network.retarget] (what Inc_dsd
+   and the reference searches of Dsd_check.Oracle run) and a
+   hand-written fresh-build loop run the *same* alpha schedule and must
+   see identical cut vertex sets, densities and iteration counts on
+   every graph/pattern combination.
    Plus the obs accounting
    contract: builds + retargets = probes for every exact solver, with
    one build per arena (rebuilds only on Optimisation-3 shrinks), and
@@ -11,6 +12,7 @@
 module G = Dsd_graph.Graph
 module P = Dsd_pattern.Pattern
 module FB = Dsd_core.Flow_build
+module F = Dsd_flow.Flow_network
 module Parametric = Dsd_core.Parametric
 module Obs = Dsd_obs.Control
 module Counter = Dsd_obs.Counter
@@ -56,21 +58,14 @@ let binary_search mode g psi =
        let l = ref 0. and u = ref u0 in
        while !u -. !l >= gap do
          let alpha = (!l +. !u) /. 2. in
-         let p = FB.prepare family g psi ~instances ~alpha in
-         if record (FB.solve p.FB.network) then l := alpha else u := alpha
+         let t = Helpers.network_at family g psi ~instances ~alpha in
+         if record (FB.solve t) then l := alpha else u := alpha
        done
      | `Retarget ->
-       let slot = ref None in
+       let t = FB.prepare family g psi ~instances in
        Parametric.bisect ~gap:(Fun.const gap) ~l:0. ~u:u0 (fun alpha ->
-           let network =
-             match !slot with
-             | Some p -> FB.retarget p ~alpha
-             | None ->
-               let p = FB.prepare family g psi ~instances ~alpha in
-               slot := Some p;
-               p.FB.network
-           in
-           if record (FB.solve network) then Some alpha else None));
+           F.retarget t.FB.net ~s:t.FB.source ~sink:t.FB.sink ~alpha;
+           if record (FB.solve t) then Some alpha else None));
     let density =
       if Array.length !best = 0 then 0.
       else (Dsd_core.Density.of_vertices g psi !best).Dsd_core.Density.density
@@ -102,10 +97,12 @@ let test_differential_sequential () =
       patterns
   done
 
-(* Reset-retargeting a dirty network to a new alpha must yield a
+(* Warm-retargeting a solved network to a new alpha must yield a
    network arc-for-arc bit-identical (dst, capacity) to a fresh build
-   at that alpha, with all flow zeroed.  (The warm mode keeps flow by
-   design; its equivalences live in test_warmstart.ml.) *)
+   at that alpha, its kept flow within every capacity; and
+   [recapacitate ~den:2 ~num:5], reading the same laws, must zero every
+   flow and write exactly twice those capacities.  (The equivalences of
+   the kept flow live in test_warmstart.ml.) *)
 let test_retarget_matches_fresh_arcs () =
   let g = Helpers.random_graph ~seed:7 ~max_n:14 ~max_m:40 () in
   List.iter
@@ -116,24 +113,30 @@ let test_retarget_matches_fresh_arcs () =
         | FB.Eds -> (Dsd_clique.Instances.empty ~arity:2)
         | _ -> Dsd_core.Enumerate.instances g psi
       in
-      let p = FB.prepare family g psi ~instances ~alpha:1.0 in
-      ignore (FB.solve p.FB.network);
+      let rt = Helpers.network_at family g psi ~instances ~alpha:1.0 in
+      ignore (FB.solve rt);
       (* dirty the flow state *)
-      let rt = FB.retarget ~warm:false p ~alpha:2.5 in
-      let fresh = (FB.prepare family g psi ~instances ~alpha:2.5).FB.network in
-      let module F = Dsd_flow.Flow_network in
-      Alcotest.(check int) "arc count" (F.arc_count fresh.FB.net)
-        (F.arc_count rt.FB.net);
-      for e = 0 to F.arc_count fresh.FB.net - 1 do
-        if F.arc_dst fresh.FB.net e <> F.arc_dst rt.FB.net e then
+      F.retarget rt.FB.net ~s:rt.FB.source ~sink:rt.FB.sink ~alpha:2.5;
+      let fresh = (Helpers.network_at family g psi ~instances ~alpha:2.5).FB.net in
+      let net = rt.FB.net in
+      let bits = Int64.bits_of_float in
+      Alcotest.(check int) "arc count" (F.arc_count fresh) (F.arc_count net);
+      for e = 0 to F.arc_count fresh - 1 do
+        if F.arc_dst fresh e <> F.arc_dst net e then
           Alcotest.failf "arc %d: dst differs" e;
-        if
-          Int64.bits_of_float (F.arc_cap fresh.FB.net e)
-          <> Int64.bits_of_float (F.arc_cap rt.FB.net e)
-        then
-          Alcotest.failf "arc %d: cap %g vs %g" e (F.arc_cap fresh.FB.net e)
-            (F.arc_cap rt.FB.net e);
-        if F.arc_flow rt.FB.net e <> 0. then
+        if bits (F.arc_cap fresh e) <> bits (F.arc_cap net e) then
+          Alcotest.failf "arc %d: cap %g vs %g" e (F.arc_cap fresh e)
+            (F.arc_cap net e);
+        if F.arc_flow net e > F.arc_cap net e +. F.eps then
+          Alcotest.failf "arc %d: kept flow %g above cap %g" e
+            (F.arc_flow net e) (F.arc_cap net e)
+      done;
+      ignore (F.recapacitate net ~den:2 ~num:5);
+      for e = 0 to F.arc_count fresh - 1 do
+        if bits (2. *. F.arc_cap fresh e) <> bits (F.arc_cap net e) then
+          Alcotest.failf "arc %d: recapacitated cap %g, expected 2 x %g" e
+            (F.arc_cap net e) (F.arc_cap fresh e);
+        if F.arc_flow net e <> 0. then
           Alcotest.failf "arc %d: flow not reset" e
       done)
     [ FB.Eds; FB.Clique_flow; FB.Pds; FB.Pds_grouped ]

@@ -667,6 +667,42 @@ let test_receive_timeout_rejected () =
         Alcotest.failf "receive timeout %g was accepted" v)
     [ 0.; -1.; Float.nan; Float.infinity ]
 
+(* A client that connects the moment the socket path appears must get
+   through: the path appears only once the socket listens.  Across 50
+   starts, a watcher on its own domain (so it runs while [start] does)
+   retries a connect for as long as the path is missing (ENOENT), and
+   any other outcome than a connection fails the test. *)
+let test_path_appears_listening () =
+  let state = Sv_state.create ~max_cached:1 [] in
+  for i = 1 to 50 do
+    let path = fresh_socket () in
+    let addr = Server.Unix_domain path in
+    let watcher =
+      Domain.spawn (fun () ->
+          let deadline = Unix.gettimeofday () +. 10. in
+          let rec attempt () =
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            let outcome =
+              match Unix.connect fd (Unix.ADDR_UNIX path) with
+              | () -> None
+              | exception Unix.Unix_error (e, _, _) ->
+                Some (e, Unix.error_message e)
+            in
+            Unix.close fd;
+            match outcome with
+            | Some (Unix.ENOENT, _) when Unix.gettimeofday () < deadline ->
+              attempt ()
+            | _ -> Option.map snd outcome
+          in
+          attempt ())
+    in
+    let server = Server.start ~state addr in
+    let failure = Domain.join watcher in
+    (try ignore (Client.once addr Pr.Shutdown) with _ -> ());
+    Server.join server;
+    Option.iter (Alcotest.failf "start %d: connect failed: %s" i) failure
+  done
+
 (* Targeted tag-0x0a (hierarchy) frame faults: a well-formed request
    must answer, and truncated / oversized / lying-body variants of the
    same frame must produce a structured error or a clean close, never a
@@ -966,4 +1002,6 @@ let suite =
       test_receive_timeout_rejected;
     Alcotest.test_case "state: a delta tick builds no CSR" `Quick
       test_delta_tick_allocation;
+    Alcotest.test_case "socket: the path appears only once listening" `Quick
+      test_path_appears_listening;
   ]

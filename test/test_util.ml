@@ -1,5 +1,5 @@
 (* Unit and property tests for dsd_util: PRNG, bucket queue, lazy heap,
-   binomials, union-find, vectors, stats. *)
+   binomials, vectors, stats. *)
 
 module Prng = Dsd_util.Prng
 module BQ = Dsd_util.Bucket_queue
@@ -260,17 +260,6 @@ let test_binom_saturates () =
   Alcotest.(check bool) "monotone near saturation" true
     (Binom.choose 100 50 > 0)
 
-let test_union_find () =
-  let uf = Dsd_util.Union_find.create 6 in
-  Alcotest.(check int) "initial sets" 6 (Dsd_util.Union_find.count uf);
-  Alcotest.(check bool) "union" true (Dsd_util.Union_find.union uf 0 1);
-  Alcotest.(check bool) "redundant union" false (Dsd_util.Union_find.union uf 1 0);
-  ignore (Dsd_util.Union_find.union uf 2 3);
-  ignore (Dsd_util.Union_find.union uf 0 3);
-  Alcotest.(check bool) "same" true (Dsd_util.Union_find.same uf 1 2);
-  Alcotest.(check bool) "not same" false (Dsd_util.Union_find.same uf 1 4);
-  Alcotest.(check int) "sets" 3 (Dsd_util.Union_find.count uf)
-
 let test_vec_int () =
   let v = Dsd_util.Vec.Int.create () in
   for i = 0 to 99 do
@@ -313,7 +302,6 @@ let suite =
     Alcotest.test_case "binom small" `Quick test_binom_small;
     Alcotest.test_case "binom pascal" `Quick test_binom_pascal;
     Alcotest.test_case "binom saturates" `Quick test_binom_saturates;
-    Alcotest.test_case "union find" `Quick test_union_find;
     Alcotest.test_case "vec int" `Quick test_vec_int;
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "lazy heap tie order" `Quick test_lazy_heap_tie_order;

@@ -1,25 +1,30 @@
 (* Warm-started retargeting vs reset retargeting.
 
-   The warm path ([Flow_build.retarget ~warm:true]) keeps the previous
-   probe's flow across a capacity change: caps are rewritten with
-   [set_cap_carry], over-committed sink arcs are repaired by
-   [restore_arc] (excess drained back to the source), and the solver
-   then augments from that feasible state.  Against the reset path the
-   min-cut *value* and the dense-side *vertex set* must be identical —
-   the source-reachable set of a residual graph is the same for every
-   max flow (the minimal min cut is unique) — for both Dinic and
-   Edmonds-Karp, across all four network families, on alpha schedules
-   that move in both directions.  Feasibility (capacity bounds +
+   The warm path ([Flow_network.retarget]) keeps the previous probe's
+   flow across a capacity change: each sloped arc's cap is rewritten
+   from its law, over-committed sink arcs are repaired as by
+   [set_cap_warm] (excess drained back to the source), and the solver
+   then augments from that feasible state.  Against the reset path
+   ([reset_flow] before the same retarget) the min-cut *value* and the
+   dense-side *vertex set* must be identical — the source-reachable set
+   of a residual graph is the same for every max flow (the minimal min
+   cut is unique) — for both Dinic and Edmonds-Karp, across all four
+   network families, on alpha schedules that move in both
+   directions.  Feasibility (capacity bounds +
    conservation) is asserted after every drain, before the solver
-   runs.  Warm retargets serve Inc_dsd and the float reference searches;
-   the exact solvers probe cold, and the accounting contracts pin that:
-   every probe is a build or a retarget, none starts warm, and nothing
-   is drained. *)
+   runs.  [set_cap_warm], the one repair, is pinned on hand-built
+   networks and by a property: lowering any flow-carrying arc of a
+   random network keeps the flow feasible, and a re-solve reaches what
+   Edmonds-Karp finds from scratch.  Warm retargets serve Inc_dsd and
+   the float reference searches; the exact solvers probe cold, and the
+   accounting contracts pin that: every probe is a build or a retarget,
+   none starts warm, and nothing is drained. *)
 
 module G = Dsd_graph.Graph
 module P = Dsd_pattern.Pattern
 module F = Dsd_flow.Flow_network
 module FB = Dsd_core.Flow_build
+module Prng = Dsd_util.Prng
 module Obs = Dsd_obs.Control
 module Counter = Dsd_obs.Counter
 
@@ -69,25 +74,19 @@ let schedule u =
   [ 0.4 *. u; 0.9 *. u; 0.15 *. u; u; 0.5 *. u; 0.02 *. u; 0.75 *. u;
     0.3 *. u ]
 
-(* Run the schedule once with a given retarget mode, returning the
-   per-step (flow value, dense-side vertex list).  The solver is driven
-   directly (not via Min_cut.solve) so Edmonds-Karp gets the same
-   treatment as Dinic. *)
+(* Run the schedule once on one network, warm or with the flow reset
+   before every retarget, returning the per-step (flow value,
+   dense-side vertex list).  The solver is driven directly (not via
+   Min_cut.solve) so Edmonds-Karp gets the same treatment as Dinic. *)
 let drive solver ~warm g psi family alphas =
   let instances = instances_for g psi family in
-  let prepared = ref None in
+  let t = FB.prepare family g psi ~instances in
+  let net = t.FB.net in
   List.map
     (fun alpha ->
-      let t =
-        match !prepared with
-        | None ->
-          let p = FB.prepare family g psi ~instances ~alpha in
-          prepared := Some p;
-          p.FB.network
-        | Some p -> FB.retarget ~warm p ~alpha
-      in
-      if warm then check_feasible "after warm retarget" t;
-      let net = t.FB.net in
+      if not warm then F.reset_flow net;
+      F.retarget net ~s:t.FB.source ~sink:t.FB.sink ~alpha;
+      check_feasible "after retarget" t;
       ignore (solver net ~s:t.FB.source ~t:t.FB.sink);
       check_feasible "after solve" t;
       let value = F.flow_value net ~s:t.FB.source in
@@ -135,9 +134,9 @@ let test_warm_vs_reset_differential () =
       done)
     solvers
 
-(* restore_arc unit semantics: lower a saturated sink arc, repair, and
-   check the drained flow landed back at the source. *)
-let test_restore_arc_drains_excess () =
+(* set_cap_warm on a sink arc: lower a saturated sink arc and check the
+   drained flow landed back at the source. *)
+let test_sink_arc_drains_excess () =
   (* source -> a -> sink, source -> b -> sink, a -> b cross arc. *)
   let net = F.create 4 in
   let s = 0 and a = 1 and b = 2 and t = 3 in
@@ -151,8 +150,7 @@ let test_restore_arc_drains_excess () =
   (* Lower a->t below its committed 8 units of flow; the 5-unit excess
      must drain a -> s (possibly via b for the part that arrived on
      s->a but left through the cross arc — here a's inflow is direct). *)
-  F.set_cap_carry net e_at 3.;
-  let paths = F.restore_arc net ~s e_at in
+  let paths = F.set_cap_warm net ~s ~sink:t e_at 3. in
   Alcotest.(check bool) "used at least one drain path" true (paths > 0);
   Alcotest.(check (float 1e-9)) "arc back at capacity" 3.
     (F.arc_flow net e_at);
@@ -167,13 +165,94 @@ let test_restore_arc_drains_excess () =
     (F.flow_value net ~s);
   Alcotest.(check bool) "resume pushed only a delta" true (delta <= 5.)
 
-let test_restore_arc_noop_when_feasible () =
+let test_raise_is_noop () =
   let net = F.create 3 in
   let e = F.add_edge net ~src:0 ~dst:1 ~cap:4. in
   ignore (F.add_edge net ~src:1 ~dst:2 ~cap:4.);
   ignore (Dsd_flow.Dinic.max_flow net ~s:0 ~t:2);
-  F.set_cap_carry net e 6.;   (* cap raised: still feasible *)
-  Alcotest.(check int) "no drain paths" 0 (F.restore_arc net ~s:0 e)
+  (* cap raised: still feasible *)
+  Alcotest.(check int) "no drain paths" 0 (F.set_cap_warm net ~s:0 ~sink:2 e 6.)
+
+(* set_cap_warm as a property.  On a random integer network solved by
+   Dinic, lower one flow-carrying arc — leaving the source, entering the
+   sink, or internal — to an integer below its flow.  The repaired flow
+   must stay feasible (0 <= flow <= cap on every arc, conservation at
+   every internal node), and Dinic resumed from it must reach the
+   max-flow value and the minimal min-cut side that Edmonds-Karp finds
+   on a fresh copy at the new capacities.  Integer capacities keep
+   every flow exact, so the sides compare node for node. *)
+let random_integer_network r =
+  let n = 3 + Prng.int r 10 in
+  let net = F.create n in
+  for _ = 1 to 2 + Prng.int r (4 * n) do
+    let src = Prng.int r n and dst = Prng.int r n in
+    if src <> dst then
+      ignore (F.add_edge net ~src ~dst ~cap:(float_of_int (1 + Prng.int r 9)))
+  done;
+  net
+
+let copy_network net =
+  let fresh = F.create (F.node_count net) in
+  for e = 0 to F.edge_count net - 1 do
+    let a = 2 * e in
+    ignore
+      (F.add_edge fresh ~src:(F.arc_dst net (a + 1)) ~dst:(F.arc_dst net a)
+         ~cap:(F.arc_cap net a))
+  done;
+  fresh
+
+let test_repair_property () =
+  let kinds = [| "source"; "sink"; "internal" |] in
+  let lowered = Array.make 3 0 in
+  for seed = 1 to 300 do
+    let r = Helpers.rng seed in
+    let net = random_integer_network r in
+    let s = 0 and t = F.node_count net - 1 in
+    ignore (Dsd_flow.Dinic.max_flow net ~s ~t);
+    let carrying =
+      List.init (F.edge_count net) (fun e -> 2 * e)
+      |> List.filter (fun a -> F.arc_flow net a > 0.5)
+      |> Array.of_list
+    in
+    if Array.length carrying > 0 then begin
+      let a = carrying.(Prng.int r (Array.length carrying)) in
+      let kind =
+        if F.arc_dst net (a lxor 1) = s then 0
+        else if F.arc_dst net a = t then 1
+        else 2
+      in
+      lowered.(kind) <- lowered.(kind) + 1;
+      let cap = float_of_int (Prng.int r (int_of_float (F.arc_flow net a))) in
+      let ctx =
+        Printf.sprintf "%s: %s arc %d lowered to %g" (Helpers.seed_ctx seed)
+          kinds.(kind) a cap
+      in
+      ignore (F.set_cap_warm net ~s ~sink:t a cap);
+      for e = 0 to F.edge_count net - 1 do
+        let f = F.arc_flow net (2 * e) in
+        if f < -.F.eps || f > F.arc_cap net (2 * e) +. F.eps then
+          Alcotest.failf "%s: arc %d carries %g of %g" ctx (2 * e) f
+            (F.arc_cap net (2 * e))
+      done;
+      for v = 1 to t - 1 do
+        if Float.abs (excess net v) > 1e-9 then
+          Alcotest.failf "%s: node %d violates conservation (excess %g)" ctx v
+            (excess net v)
+      done;
+      ignore (Dsd_flow.Dinic.max_flow net ~s ~t);
+      let fresh = copy_network net in
+      let value = Dsd_check.Edmonds_karp.max_flow fresh ~s ~t in
+      Alcotest.(check (float 1e-9)) (ctx ^ ": max-flow value") value
+        (F.flow_value net ~s);
+      Alcotest.(check (array bool)) (ctx ^ ": min-cut side")
+        (Dsd_flow.Min_cut.source_side fresh ~s)
+        (Dsd_flow.Min_cut.source_side net ~s)
+    end
+  done;
+  Array.iteri
+    (fun i c ->
+      if c < 20 then Alcotest.failf "only %d %s arcs lowered" c kinds.(i))
+    lowered
 
 (* ---- Obs accounting contracts ---- *)
 
@@ -236,9 +315,9 @@ let suite =
     Alcotest.test_case "warm = reset: values + dense sides (all families)"
       `Quick test_warm_vs_reset_differential;
     Alcotest.test_case "restore_arc drains excess to the source" `Quick
-      test_restore_arc_drains_excess;
+      test_sink_arc_drains_excess;
     Alcotest.test_case "restore_arc is a no-op on feasible arcs" `Quick
-      test_restore_arc_noop_when_feasible;
+      test_raise_is_noop;
     Alcotest.test_case "obs: Exact warm accounting" `Quick
       test_warm_accounting_exact;
     Alcotest.test_case "obs: CoreExact warm accounting" `Quick
@@ -247,4 +326,6 @@ let suite =
       test_warm_accounting_pexact_variants;
     Alcotest.test_case "obs: Query warm accounting" `Quick
       test_warm_accounting_query;
+    Alcotest.test_case "set_cap_warm: lowered arcs re-solve to Edmonds-Karp"
+      `Quick test_repair_property;
   ]

@@ -671,16 +671,20 @@ let test_receive_timeout_rejected () =
    through: the path appears only once the socket listens.  Across 50
    starts, a watcher on its own domain (so it runs while [start] does)
    retries a connect for as long as the path is missing (ENOENT), and
-   any other outcome than a connection fails the test. *)
+   any other outcome than a connection fails the test.  The server
+   starts only once its watcher is polling, so the watcher is mid-loop
+   while the socket is bound. *)
 let test_path_appears_listening () =
   let state = Sv_state.create ~max_cached:1 [] in
   for i = 1 to 50 do
     let path = fresh_socket () in
     let addr = Server.Unix_domain path in
+    let polling = Atomic.make false in
     let watcher =
       Domain.spawn (fun () ->
           let deadline = Unix.gettimeofday () +. 10. in
           let rec attempt () =
+            Atomic.set polling true;
             let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
             let outcome =
               match Unix.connect fd (Unix.ADDR_UNIX path) with
@@ -696,6 +700,9 @@ let test_path_appears_listening () =
           in
           attempt ())
     in
+    while not (Atomic.get polling) do
+      Domain.cpu_relax ()
+    done;
     let server = Server.start ~state addr in
     let failure = Domain.join watcher in
     (try ignore (Client.once addr Pr.Shutdown) with _ -> ());

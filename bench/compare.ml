@@ -1,31 +1,30 @@
 (* Regression gates over the bench harness's JSON outputs.  The files
-   are hand-formatted (one row object per line), so a line scanner is
-   enough; no JSON library needed.
+   are written one row object per line (Harness.write_json), so a line
+   scanner is enough; no JSON library needed.  A file's gate is picked
+   by its "experiment" header:
 
-   - BENCH_search.json rows: the exact search must answer exactly what
-     the float reference search of Dsd_check.Oracle answers
-     (mismatches = 0), never drain excess (cold exact probes leave
-     nothing to cancel), and on the Exact and Query rows, which search
-     the same vertex sets as their references, take no more probes
-     than the reference.
-   - BENCH_serve.json rows: a repeated identical request must be
-     answered at least 5x faster from the result LRU than the cold
-     solve — the serving layer's reason to exist.
-   - BENCH_incremental.json rows: patching the live session through a
-     delta batch must cost at most half a from-scratch recompute
-     (and the two answers must never have disagreed) — otherwise the
-     arc surgery is slower than rebuilding.
-   - BENCH_topk.json rows: the pruned extraction must return regions
-     bit-identical to the unpruned one (mismatches = 0) and its median
-     time must not exceed the unpruned median — core-based candidate
-     restriction is only sound pruning if it never changes the answer,
-     and only pruning if it never costs time.
-   - BENCH_hierarchy.json rows: the breakpoint-search hierarchy must
-     agree bit-for-bit with the per-level reference search (B_1 with
-     the canonical CDS, and at most two probes per level; mismatches =
-     0) and must not be slower than it — 2L - 1 exact probes on one
-     network replace about twenty per level, so paying more would mean
-     the search failed.
+   - search: the exact search must answer exactly what the float
+     reference search of Dsd_check.Oracle answers (mismatches = 0),
+     never drain excess (cold exact probes leave nothing to cancel),
+     and on the Exact and Query rows, which search the same vertex sets
+     as their references, take no more probes than the reference.
+   - serve: a repeated identical request must be answered at least 5x
+     faster from the result LRU than the cold solve — the serving
+     layer's reason to exist.
+   - incremental: patching the live session through a delta batch must
+     cost at most half a from-scratch recompute (and the two answers
+     must never have disagreed) — otherwise the arc surgery is slower
+     than rebuilding.
+   - topk: the core-pruned extraction must return regions bit-identical
+     to the whole-remaining-graph reference (mismatches = 0) and its
+     median time must not exceed the reference's median — core-based
+     candidate restriction is only sound pruning if it never changes
+     the answer, and only pruning if it never costs time.
+   - hierarchy: the breakpoint-search hierarchy must agree bit-for-bit
+     with the per-level reference search (B_1 with the canonical CDS,
+     and at most two probes per level; mismatches = 0) and must not be
+     slower than it — 2L - 1 exact probes on one network replace about
+     twenty per level, so paying more would mean the search failed.
 
    Usage: compare [FILE]   (default BENCH_search.json)
    Exits 0 when every row satisfies its gate, 1 otherwise (or when the
@@ -42,8 +41,9 @@ let read_lines path =
   in
   go []
 
-(* Extract the integer following ["key": ] on [line], if present. *)
-let int_field line key =
+(* The value following ["key": ] on [line]: a string's contents, or a
+   number's text up to the next ',' or '}'. *)
+let field line key =
   let needle = Printf.sprintf "\"%s\": " key in
   let nlen = String.length needle and llen = String.length line in
   let rec find i =
@@ -51,56 +51,104 @@ let int_field line key =
     else if String.sub line i nlen = needle then Some (i + nlen)
     else find (i + 1)
   in
+  let upto start stop = Some (String.sub line start (stop - start)) in
   match find 0 with
   | None -> None
-  | Some start ->
-    let stop = ref start in
-    while
-      !stop < llen
-      && (match line.[!stop] with '0' .. '9' | '-' -> true | _ -> false)
-    do
+  | Some i when i < llen && line.[i] = '"' ->
+    Option.bind (String.index_from_opt line (i + 1) '"') (upto (i + 1))
+  | Some i ->
+    let stop = ref i in
+    while !stop < llen && line.[!stop] <> ',' && line.[!stop] <> '}' do
       incr stop
     done;
-    if !stop = start then None
-    else int_of_string_opt (String.sub line start (!stop - start))
+    upto i !stop
 
-let float_field line key =
-  let needle = Printf.sprintf "\"%s\": " key in
-  let nlen = String.length needle and llen = String.length line in
-  let rec find i =
-    if i + nlen > llen then None
-    else if String.sub line i nlen = needle then Some (i + nlen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-    let stop = ref start in
-    while
-      !stop < llen
-      && (match line.[!stop] with
-          | '0' .. '9' | '-' | '.' | 'e' | '+' -> true
-          | _ -> false)
-    do
-      incr stop
-    done;
-    if !stop = start then None
-    else float_of_string_opt (String.sub line start (!stop - start))
+let int line key = Option.bind (field line key) int_of_string_opt
+let num line key = Option.bind (field line key) float_of_string_opt
 
-let str_field line key =
-  let needle = Printf.sprintf "\"%s\": \"" key in
-  let nlen = String.length needle and llen = String.length line in
-  let rec find i =
-    if i + nlen > llen then None
-    else if String.sub line i nlen = needle then Some (i + nlen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-    (match String.index_from_opt line start '"' with
-     | Some stop -> Some (String.sub line start (stop - start))
-     | None -> None)
+let label line keys =
+  String.concat "/"
+    (List.map (fun k -> Option.value (field line k) ~default:"?") keys)
+
+type verdict = Pass of string | Fail of string
+
+(* [at_most line ~what ~fast ~slow ~bound] passes a row with no
+   mismatches whose [fast] time is at most [bound] times its [slow]
+   time.  [slow]'s name is (in a FAIL line, in an ok line). *)
+let at_most line ~what ~fast:(fkey, fname) ~slow:(skey, (sfail, sok)) ~bound =
+  match (num line fkey, num line skey) with
+  | Some fast, Some slow ->
+    let mismatches = Option.value (int line "mismatches") ~default:0 in
+    Some
+      (if mismatches > 0 then Fail (Printf.sprintf "%d %s mismatches" mismatches what)
+       else if fast > bound *. slow then
+         Fail (Printf.sprintf "%s %.3fs > %s %.3fs" fname fast sfail slow)
+       else
+         Pass
+           (Printf.sprintf "%s %8.3fs <= %s %8.3fs  (%.1fx)" fname fast sok slow
+              (if fast > 0. then slow /. fast else 0.)))
+  | _ -> None
+
+let min_cached_speedup = 5.0
+
+(* One gate per gated experiment: the label's width and, for a row
+   that carries the gated fields, its label and verdict. *)
+let gates =
+  [ ("search",
+     (24, fun line ->
+        match (int line "probes", int line "flow_excess_drained") with
+        | Some probes, Some drained ->
+          let mismatches = Option.value (int line "mismatches") ~default:1 in
+          Some
+            ( label line [ "dataset"; "algorithm" ],
+              if mismatches > 0 then
+                Fail (Printf.sprintf "%d mismatches against the reference" mismatches)
+              else if drained > 0 then
+                Fail (Printf.sprintf "drained %d units of excess" drained)
+              else
+                match int line "reference_probes" with
+                | Some r when probes > r ->
+                  Fail (Printf.sprintf "%d probes > %d reference probes" probes r)
+                | Some r ->
+                  Pass (Printf.sprintf "%4d probes <= %4d reference probes" probes r)
+                | None ->
+                  Pass (Printf.sprintf "%4d probes, matches the reference" probes) )
+        | _ -> None));
+    ("serve",
+     (32, fun line ->
+        Option.map
+          (fun speedup ->
+            ( label line [ "dataset"; "endpoint" ],
+              if speedup < min_cached_speedup then
+                Fail
+                  (Printf.sprintf "cached only %.1fx faster (< %.0fx)" speedup
+                     min_cached_speedup)
+              else Pass (Printf.sprintf "cached %8.1fx faster" speedup) ))
+          (num line "cached_speedup")));
+    ("incremental",
+     (24, fun line ->
+        Option.map
+          (fun v -> (label line [ "graph"; "pattern" ], v))
+          (at_most line ~what:"incremental/rebuild"
+             ~fast:("incremental_s", "incremental")
+             ~slow:("recompute_s", ("0.5 * recompute", "0.5 *")) ~bound:0.5)));
+    ("topk",
+     (24, fun line ->
+        Option.map
+          (fun v ->
+            ( Printf.sprintf "%s/k=%d" (label line [ "graph"; "pattern" ])
+                (Option.value (int line "k") ~default:0),
+              v ))
+          (at_most line ~what:"pruned/unpruned region"
+             ~fast:("pruned_s", "pruned")
+             ~slow:("unpruned_s", ("unpruned", "unpruned")) ~bound:1.)));
+    ("hierarchy",
+     (24, fun line ->
+        Option.map
+          (fun v -> (label line [ "graph"; "pattern" ] ^ "/hierarchy", v))
+          (at_most line ~what:"reference/CDS/probe"
+             ~fast:("breakpoint_s", "breakpoint")
+             ~slow:("reference_s", ("reference", "reference")) ~bound:1.))) ]
 
 let () =
   let path =
@@ -110,153 +158,25 @@ let () =
     Printf.eprintf "compare: %s not found\n" path;
     exit 1
   end;
+  let lines = read_lines path in
+  let width, gate =
+    match List.find_map (fun line -> field line "experiment") lines with
+    | Some e when List.mem_assoc e gates -> List.assoc e gates
+    | _ -> (0, fun _ -> None)
+  in
   let rows = ref 0 and bad = ref 0 in
-  let min_cached_speedup = 5.0 in
   List.iter
     (fun line ->
-      match
-        (int_field line "probes", int_field line "flow_excess_drained")
-      with
-      | Some probes, Some drained ->
+      match gate line with
+      | None -> ()
+      | Some (label, verdict) -> (
         incr rows;
-        let label =
-          Printf.sprintf "%s/%s"
-            (Option.value (str_field line "dataset") ~default:"?")
-            (Option.value (str_field line "algorithm") ~default:"?")
-        in
-        let mismatches =
-          Option.value (int_field line "mismatches") ~default:1
-        in
-        let reference = int_field line "reference_probes" in
-        if mismatches > 0 then begin
+        match verdict with
+        | Pass msg -> Printf.printf "ok   %-*s %s\n" width label msg
+        | Fail msg ->
           incr bad;
-          Printf.printf "FAIL %-24s %d mismatches against the reference\n"
-            label mismatches
-        end
-        else if drained > 0 then begin
-          incr bad;
-          Printf.printf "FAIL %-24s drained %d units of excess\n" label
-            drained
-        end
-        else begin
-          match reference with
-          | Some r when probes > r ->
-            incr bad;
-            Printf.printf "FAIL %-24s %d probes > %d reference probes\n"
-              label probes r
-          | Some r ->
-            Printf.printf "ok   %-24s %4d probes <= %4d reference probes\n"
-              label probes r
-          | None ->
-            Printf.printf "ok   %-24s %4d probes, matches the reference\n"
-              label probes
-        end
-      | _ -> (
-        match
-          (float_field line "pruned_s", float_field line "unpruned_s")
-        with
-        | Some pruned, Some unpruned ->
-          incr rows;
-          let label =
-            Printf.sprintf "%s/%s/k=%d"
-              (Option.value (str_field line "graph") ~default:"?")
-              (Option.value (str_field line "pattern") ~default:"?")
-              (Option.value (int_field line "k") ~default:0)
-          in
-          let mismatches =
-            Option.value (int_field line "mismatches") ~default:0
-          in
-          if mismatches > 0 then begin
-            incr bad;
-            Printf.printf "FAIL %-24s %d pruned/unpruned region mismatches\n"
-              label mismatches
-          end
-          else if pruned > unpruned then begin
-            incr bad;
-            Printf.printf "FAIL %-24s pruned %.3fs > unpruned %.3fs\n" label
-              pruned unpruned
-          end
-          else
-            Printf.printf "ok   %-24s pruned %8.3fs <= unpruned %8.3fs  (%.1fx)\n"
-              label pruned unpruned
-              (if pruned > 0. then unpruned /. pruned else 0.)
-        | _ -> (
-        match
-          (float_field line "breakpoint_s", float_field line "reference_s")
-        with
-        | Some breakpoint, Some reference ->
-          incr rows;
-          let label =
-            Printf.sprintf "%s/%s/hierarchy"
-              (Option.value (str_field line "graph") ~default:"?")
-              (Option.value (str_field line "pattern") ~default:"?")
-          in
-          let mismatches =
-            Option.value (int_field line "mismatches") ~default:0
-          in
-          if mismatches > 0 then begin
-            incr bad;
-            Printf.printf "FAIL %-24s %d reference/CDS/probe mismatches\n"
-              label mismatches
-          end
-          else if breakpoint > reference then begin
-            incr bad;
-            Printf.printf "FAIL %-24s breakpoint %.3fs > reference %.3fs\n"
-              label breakpoint reference
-          end
-          else
-            Printf.printf
-              "ok   %-24s breakpoint %8.3fs <= reference %8.3fs  (%.1fx)\n"
-              label breakpoint reference
-              (if breakpoint > 0. then reference /. breakpoint else 0.)
-        | _ -> (
-        match
-          ( float_field line "recompute_s",
-            float_field line "incremental_s" )
-        with
-        | Some recompute, Some incr_s ->
-          incr rows;
-          let label =
-            Printf.sprintf "%s/%s"
-              (Option.value (str_field line "graph") ~default:"?")
-              (Option.value (str_field line "pattern") ~default:"?")
-          in
-          let mismatches =
-            Option.value (int_field line "mismatches") ~default:0
-          in
-          if mismatches > 0 then begin
-            incr bad;
-            Printf.printf "FAIL %-24s %d incremental/rebuild mismatches\n"
-              label mismatches
-          end
-          else if incr_s > 0.5 *. recompute then begin
-            incr bad;
-            Printf.printf
-              "FAIL %-24s incremental %.3fs > 0.5 * recompute %.3fs\n" label
-              incr_s recompute
-          end
-          else
-            Printf.printf "ok   %-24s incremental %8.3fs <= 0.5 * %8.3fs  (%.1fx)\n"
-              label incr_s recompute
-              (if incr_s > 0. then recompute /. incr_s else 0.)
-        | _ -> (
-        match float_field line "cached_speedup" with
-        | Some speedup ->
-          incr rows;
-          let label =
-            Printf.sprintf "%s/%s"
-              (Option.value (str_field line "dataset") ~default:"?")
-              (Option.value (str_field line "endpoint") ~default:"?")
-          in
-          if speedup < min_cached_speedup then begin
-            incr bad;
-            Printf.printf "FAIL %-32s cached only %.1fx faster (< %.0fx)\n"
-              label speedup min_cached_speedup
-          end
-          else
-            Printf.printf "ok   %-32s cached %8.1fx faster\n" label speedup
-        | None -> ())))))
-    (read_lines path);
+          Printf.printf "FAIL %-*s %s\n" width label msg))
+    lines;
   if !rows = 0 then begin
     Printf.eprintf "compare: no gateable rows in %s\n" path;
     exit 1

@@ -19,15 +19,16 @@ let clique_name h =
 
 let dataset g_name = Dsd_data.Datasets.graph g_name
 
-let time_of f = Printf.sprintf "%f" (snd (H.timed f))
+let time_of f = snd (H.timed f)
+
+(* The ratio of times a / b for a JSON row, undefined when b is 0. *)
+let ratio a b = H.Ratio (2, if b > 0. then Some (a /. b) else None)
 
 (* Reference optima used by ratio experiments, computed in a child so a
    pathological dataset yields a skipped section instead of a hung
    harness. *)
 let guarded_float ?timeout f =
-  match H.run_cell ?timeout (fun () -> Printf.sprintf "%f" (f ())) with
-  | H.Ok s -> (try Some (float_of_string (String.trim s)) with _ -> None)
-  | _ -> None
+  match H.run_cell ?timeout f with H.Ok x -> Some x | _ -> None
 
 (* ---- Table 2 / Figure 18: dataset characteristics ---- *)
 
@@ -42,9 +43,6 @@ let tab2 () =
     List.map
       (fun name ->
         let g = dataset name in
-        let basic =
-          Printf.sprintf "%d %d" (G.n g) (G.m g)
-        in
         let cell =
           H.run_cell ~timeout:(2. *. !H.default_timeout) (fun () ->
               let _, cc = Dsd_graph.Traversal.components g in
@@ -54,15 +52,10 @@ let tab2 () =
                 Dsd_core.Clique_core.decompose ~track_density:false g P.triangle
               in
               let core = Dsd_core.Clique_core.kmax_core d in
-              Printf.sprintf "%d %d %.3f %d %d" cc dia alpha
-                d.Dsd_core.Clique_core.kmax (Array.length core))
+              H.[ Int cc; Int dia; Num (3, alpha); Int d.Dsd_core.Clique_core.kmax;
+                  Int (Array.length core) ])
         in
-        let stats =
-          match cell with
-          | H.Ok s -> String.split_on_char ' ' (String.trim s)
-          | other -> [ H.show_payload other; "-"; "-"; "-"; "-" ]
-        in
-        name :: (String.split_on_char ' ' basic @ stats))
+        name :: string_of_int (G.n g) :: string_of_int (G.m g) :: H.cells cell)
       names
   in
   H.table
@@ -128,7 +121,7 @@ let fig9 () =
       let g = dataset name in
       Printf.printf "\n[%s]  (iteration -1 = Exact's whole-graph network)\n" name;
       let rows =
-        List.filter_map
+        List.map
           (fun h ->
             let psi = P.clique h in
             let cell =
@@ -141,23 +134,15 @@ let fig9 () =
                   in
                   let r = Dsd_core.Core_exact.run g psi in
                   let sizes = r.Dsd_core.Core_exact.stats.network_nodes in
-                  String.concat " "
-                    (List.map string_of_int (whole :: sizes)))
+                  List.filteri (fun i _ -> i < 8)
+                    (List.map (fun s -> H.Int s) (whole :: sizes)))
             in
-            match cell with
-            | H.Ok s ->
-              let sizes = String.split_on_char ' ' (String.trim s) in
-              let take7 = List.filteri (fun i _ -> i < 8) sizes in
-              Some (clique_name h :: take7
-                    @ List.init (max 0 (8 - List.length take7)) (fun _ -> "-"))
-            | other -> Some [ clique_name h; H.show_payload other ]
-          )
+            clique_name h :: H.cells cell)
           hs
       in
-      let pad r = r @ List.init (max 0 (9 - List.length r)) (fun _ -> "-") in
       H.table
         ~header:[ "h-clique"; "it=-1"; "0"; "1"; "2"; "3"; "4"; "5"; "6" ]
-        ~rows:(List.map pad rows))
+        ~rows)
     [ "ca_hepth"; "as_caida" ]
 
 (* ---- Figure 10: pruning-criterion ablation ---- *)
@@ -195,24 +180,21 @@ let fig10 () =
 (* ---- Table 3: % of CoreExact time in core decomposition ---- *)
 
 let tab3 () =
-  H.section "Table 3 — %% of CoreExact time spent in core decomposition";
+  H.section "Table 3 — % of CoreExact time spent in core decomposition";
   let rows =
-    List.concat_map
+    List.map
       (fun name ->
         let g = dataset name in
-        [ name
-          :: List.map
-               (fun h ->
-                 let cell =
-                   H.run_cell (fun () ->
-                       let r = Dsd_core.Core_exact.run g (P.clique h) in
-                       let s = r.Dsd_core.Core_exact.stats in
-                       Printf.sprintf "%.2f%%"
-                         (100. *. s.Dsd_core.Core_exact.decompose_s
-                          /. max 1e-9 s.Dsd_core.Core_exact.elapsed_s))
-                 in
-                 H.show_payload cell)
-               hs ])
+        name
+        :: List.map
+             (fun h ->
+               H.show (Printf.sprintf "%.2f%%")
+                 (H.run_cell (fun () ->
+                      let r = Dsd_core.Core_exact.run g (P.clique h) in
+                      let s = r.Dsd_core.Core_exact.stats in
+                      100. *. s.Dsd_core.Core_exact.decompose_s
+                      /. max 1e-9 s.Dsd_core.Core_exact.elapsed_s)))
+             hs)
       [ "as733"; "ca_hepth" ]
   in
   H.table
@@ -263,19 +245,13 @@ let fig11 () =
                   in
                   let peel = (Dsd_core.Peel_app.run g psi).Dsd_core.Peel_app.subgraph in
                   let capp = (Dsd_core.Core_app.run g psi).Dsd_core.Core_app.subgraph in
-                  if opt.D.density <= 0. then "n/a n/a"
+                  if opt.D.density <= 0. then H.[ Str "n/a"; Str "n/a" ]
                   else
-                    Printf.sprintf "%.4f %.4f"
-                      (peel.D.density /. opt.D.density)
-                      (capp.D.density /. opt.D.density))
+                    H.[ Num (4, peel.D.density /. opt.D.density);
+                        Num (4, capp.D.density /. opt.D.density) ])
             in
-            let actuals =
-              match cell with
-              | H.Ok s -> String.split_on_char ' ' (String.trim s)
-              | other -> [ H.show_payload other; "-" ]
-            in
-            [ clique_name h; Printf.sprintf "%.3f" (1. /. float_of_int h) ]
-            @ actuals)
+            clique_name h :: Printf.sprintf "%.3f" (1. /. float_of_int h)
+            :: H.cells cell)
           hs
       in
       H.table ~header:[ "h-clique"; "T=1/h"; "R(PeelApp)"; "R(CoreApp)" ] ~rows)
@@ -354,14 +330,9 @@ let tab5 () =
                   let on_eds =
                     (Dsd_core.Density.of_vertices g psi eds.D.vertices).D.density
                   in
-                  Printf.sprintf "%.3f %.3f" opt.D.density on_eds)
+                  H.[ Num (3, opt.D.density); Num (3, on_eds) ])
             in
-            match cell with
-            | H.Ok s ->
-              (match String.split_on_char ' ' (String.trim s) with
-               | [ a; b ] -> [ psi.P.name; a; b ]
-               | _ -> [ psi.P.name; String.trim s; "-" ])
-            | other -> [ psi.P.name; H.show_payload other; "-" ])
+            psi.P.name :: H.cells cell)
           patterns
       in
       H.table ~header:[ "pattern"; "rho_opt"; "rho(EDS,Psi)" ] ~rows)
@@ -462,14 +433,9 @@ let fig21 () =
                   (Dsd_core.Core_exact.run g psi).Dsd_core.Core_exact.subgraph
                 else (Dsd_core.Core_pexact.run g psi).Dsd_core.Core_exact.subgraph
               in
-              Printf.sprintf "%.3f %d" sg.D.density (Array.length sg.D.vertices))
+              H.[ Num (3, sg.D.density); Int (Array.length sg.D.vertices) ])
         in
-        match cell with
-        | H.Ok s ->
-          (match String.split_on_char ' ' (String.trim s) with
-           | [ d; size ] -> [ label; d; size ]
-           | _ -> [ label; String.trim s; "-" ])
-        | other -> [ label; H.show_payload other; "-" ])
+        label :: H.cells cell)
       [ ("edge", P.edge); ("c3-star", P.c3_star);
         ("2-triangle", P.two_triangle); ("4-clique", P.clique 4) ]
   in
@@ -493,17 +459,21 @@ let sec63 () =
                     Dsd_core.Clique_core.decompose ~track_density:false g psi
                   in
                   let core = Dsd_core.Clique_core.kmax_core decomp in
-                  if Array.length core = 0 then "n/a"
+                  if Array.length core = 0 then None
                   else begin
                     let query = [| core.(0) |] in
-                    time_of (fun () ->
-                        ignore
-                          (match which with
-                           | `Core -> Dsd_core.Query_dsd.run g psi ~query
-                           | `Naive -> Dsd_core.Query_dsd.run_naive g psi ~query))
+                    Some
+                      (time_of (fun () ->
+                           ignore
+                             (match which with
+                              | `Core -> Dsd_core.Query_dsd.run g psi ~query
+                              | `Naive -> Dsd_core.Query_dsd.run_naive g psi ~query)))
                   end)
             in
-            [ clique_name h; H.show_time (cell `Naive); H.show_time (cell `Core) ])
+            let show =
+              H.show (Option.fold ~none:"n/a" ~some:(Printf.sprintf "%8.3fs"))
+            in
+            [ clique_name h; show (cell `Naive); show (cell `Core) ])
           [ 2; 3; 4 ]
       in
       H.table ~header:[ "h-clique"; "naive [65]"; "core-located" ] ~rows)
@@ -528,12 +498,10 @@ let abl_grouping () =
                                          else Dsd_core.Flow_build.Pds)
                                 g psi)
                   in
-                  let nodes =
-                    List.fold_left max 0 r.Dsd_core.Core_exact.stats.network_nodes
-                  in
-                  Printf.sprintf "%.3fs/%d nodes" t nodes)
+                  (t, List.fold_left max 0 r.Dsd_core.Core_exact.stats.network_nodes))
             in
-            [ psi.P.name; H.show_payload (cell false); H.show_payload (cell true) ])
+            let show = H.show (fun (t, nodes) -> Printf.sprintf "%.3fs/%d nodes" t nodes) in
+            [ psi.P.name; show (cell false); show (cell true) ])
           [ P.star 2; P.c3_star; P.diamond; P.two_triangle ]
       in
       H.table ~header:[ "pattern"; "ungrouped (PExact net)"; "grouped (construct+)" ] ~rows)
@@ -556,10 +524,13 @@ let abl_window () =
                     H.timed (fun () ->
                         Dsd_core.Core_app.run ~initial_window:w g P.triangle)
                   in
-                  Printf.sprintf "%.3fs (%d rounds, final |W|=%d)" t
-                    r.Dsd_core.Core_app.rounds r.Dsd_core.Core_app.final_window)
+                  (t, r.Dsd_core.Core_app.rounds, r.Dsd_core.Core_app.final_window))
             in
-            [ string_of_int w; H.show_payload cell ])
+            [ string_of_int w;
+              H.show
+                (fun (t, rounds, final) ->
+                  Printf.sprintf "%.3fs (%d rounds, final |W|=%d)" t rounds final)
+                cell ])
           [ 4; 16; 64; 256; 4096 ]
       in
       H.table ~header:[ "initial |W|"; "triangle CoreApp" ] ~rows)
@@ -587,16 +558,10 @@ let ext_greedy () =
                   let r, t =
                     H.timed (fun () -> Dsd_core.Greedy_pp.run ~rounds g psi)
                   in
-                  Printf.sprintf "%.4f %.3f"
-                    (r.Dsd_core.Greedy_pp.subgraph.D.density /. max 1e-9 opt)
-                    t)
+                  H.[ Num (4, r.Dsd_core.Greedy_pp.subgraph.D.density /. max 1e-9 opt);
+                      Secs t ])
             in
-            match cell with
-            | H.Ok s ->
-              (match String.split_on_char ' ' (String.trim s) with
-               | [ ratio; t ] -> [ string_of_int rounds; ratio; t ^ "s" ]
-               | _ -> [ string_of_int rounds; String.trim s; "-" ])
-            | other -> [ string_of_int rounds; H.show_payload other; "-" ])
+            string_of_int rounds :: H.cells cell)
           [ 1; 2; 4; 8; 16 ]
       in
       H.table ~header:[ "rounds"; "density/rho_opt"; "time" ] ~rows)
@@ -622,17 +587,10 @@ let ext_streaming () =
                   let r, t =
                     H.timed (fun () -> Dsd_core.Streaming.run ~eps g P.edge)
                   in
-                  Printf.sprintf "%.4f %d %.3f"
-                    (r.Dsd_core.Streaming.subgraph.D.density /. max 1e-9 opt)
-                    r.Dsd_core.Streaming.passes t)
+                  H.[ Num (4, r.Dsd_core.Streaming.subgraph.D.density /. max 1e-9 opt);
+                      Int r.Dsd_core.Streaming.passes; Secs t ])
             in
-            match cell with
-            | H.Ok s ->
-              (match String.split_on_char ' ' (String.trim s) with
-               | [ ratio; passes; t ] ->
-                 [ Printf.sprintf "%.2f" eps; ratio; passes; t ^ "s" ]
-               | _ -> [ Printf.sprintf "%.2f" eps; String.trim s; "-"; "-" ])
-            | other -> [ Printf.sprintf "%.2f" eps; H.show_payload other; "-"; "-" ])
+            Printf.sprintf "%.2f" eps :: H.cells cell)
           [ 0.01; 0.1; 0.5; 1.0 ]
       in
       H.table ~header:[ "eps"; "density/rho_opt"; "passes"; "time" ] ~rows)
@@ -651,16 +609,11 @@ let ext_truss () =
               let eds =
                 (Dsd_core.Core_exact.run g P.edge).Dsd_core.Core_exact.subgraph
               in
-              Printf.sprintf "%d %d %.3f %d %.3f"
-                (Dsd_core.Truss.kmax t)
-                (Array.length truss_sg.D.vertices)
-                truss_sg.D.density
-                (Array.length eds.D.vertices)
-                eds.D.density)
+              H.[ Int (Dsd_core.Truss.kmax t); Int (Array.length truss_sg.D.vertices);
+                  Num (3, truss_sg.D.density); Int (Array.length eds.D.vertices);
+                  Num (3, eds.D.density) ])
         in
-        match cell with
-        | H.Ok s -> name :: String.split_on_char ' ' (String.trim s)
-        | other -> [ name; H.show_payload other; "-"; "-"; "-"; "-" ])
+        name :: H.cells cell)
       [ "yeast"; "netscience"; "as733"; "ca_hepth" ]
   in
   H.table
@@ -694,22 +647,16 @@ let ext_sampled () =
                             Dsd_core.Sampled_app.run ~core_first ~seed:42 ~p g
                               P.triangle)
                       in
-                      Printf.sprintf "%.4f %d/%d %.3f"
-                        (r.Dsd_core.Sampled_app.subgraph.D.density /. max 1e-9 opt)
-                        r.Dsd_core.Sampled_app.sampled_instances
-                        r.Dsd_core.Sampled_app.total_instances t)
+                      H.[ Num (4, r.Dsd_core.Sampled_app.subgraph.D.density /. max 1e-9 opt);
+                          Str
+                            (Printf.sprintf "%d/%d"
+                               r.Dsd_core.Sampled_app.sampled_instances
+                               r.Dsd_core.Sampled_app.total_instances);
+                          Secs t ])
                 in
-                let tail =
-                  match cell with
-                  | H.Ok s ->
-                    (match String.split_on_char ' ' (String.trim s) with
-                     | [ ratio; insts; t ] -> [ ratio; insts; t ^ "s" ]
-                     | _ -> [ String.trim s; "-"; "-" ])
-                  | other -> [ H.show_payload other; "-"; "-" ]
-                in
-                [ Printf.sprintf "%.2f" p;
-                  (if core_first then "core" else "full") ]
-                @ tail)
+                Printf.sprintf "%.2f" p
+                :: (if core_first then "core" else "full")
+                :: H.cells cell)
               [ false; true ])
           [ 1.0; 0.3; 0.1 ]
       in
@@ -728,16 +675,10 @@ let ext_atleastk () =
         let cell =
           H.run_cell (fun () ->
               let r = Dsd_core.At_least_k.run g P.edge ~k in
-              Printf.sprintf "%.4f %d"
-                r.Dsd_core.At_least_k.subgraph.D.density
-                (Array.length r.Dsd_core.At_least_k.subgraph.D.vertices))
+              H.[ Num (4, r.Dsd_core.At_least_k.subgraph.D.density);
+                  Int (Array.length r.Dsd_core.At_least_k.subgraph.D.vertices) ])
         in
-        match cell with
-        | H.Ok s ->
-          (match String.split_on_char ' ' (String.trim s) with
-           | [ d; size ] -> [ string_of_int k; d; size ]
-           | _ -> [ string_of_int k; String.trim s; "-" ])
-        | other -> [ string_of_int k; H.show_payload other; "-" ])
+        string_of_int k :: H.cells cell)
       [ 1; 50; 200; 500; 1000 ]
   in
   H.table ~header:[ "k (min size)"; "density"; "|subgraph|" ] ~rows
@@ -752,28 +693,28 @@ let ext_directed () =
     List.map
       (fun (n, p, with_exact) ->
         let g = Dsd_data.Gen.er_directed ~seed:77 ~n ~p in
-        let approx_cell =
-          H.run_cell (fun () ->
-              let r, t = H.timed (fun () -> Dsd_core.Directed.approx ~eps:0.2 g) in
-              Printf.sprintf "%.4f %.3f" r.Dsd_core.Directed.density t)
+        (* Density and seconds; a failed cell's text fills one of the
+           two columns. *)
+        let pair ?timeout run =
+          match
+            H.cells
+              (H.run_cell ?timeout (fun () ->
+                   let r, t = H.timed run in
+                   H.[ Num (4, r.Dsd_core.Directed.density); Secs t ]))
+          with
+          | [ failure ] -> [ failure; "-" ]
+          | cells -> cells
         in
-        let exact_cell =
+        let approx = pair (fun () -> Dsd_core.Directed.approx ~eps:0.2 g) in
+        let exact =
           if with_exact then
-            H.run_cell ~timeout:(6. *. !H.default_timeout) (fun () ->
-                let r, t = H.timed (fun () -> Dsd_core.Directed.exact g) in
-                Printf.sprintf "%.4f %.3f" r.Dsd_core.Directed.density t)
-          else H.Ok "- -"
+            pair ~timeout:(6. *. !H.default_timeout) (fun () ->
+                Dsd_core.Directed.exact g)
+          else [ "-"; "-" ]
         in
-        let split c =
-          match c with
-          | H.Ok s ->
-            (match String.split_on_char ' ' (String.trim s) with
-             | [ d; t ] -> [ d; t ]
-             | _ -> [ String.trim s; "-" ])
-          | other -> [ H.show_payload other; "-" ]
-        in
-        [ Printf.sprintf "n=%d p=%.3f (m=%d)" n p (Dsd_graph.Digraph.m g) ]
-        @ split exact_cell @ split approx_cell)
+        (Printf.sprintf "n=%d p=%.3f (m=%d)" n p (Dsd_graph.Digraph.m g)
+        :: exact)
+        @ approx)
       [ (40, 0.08, true); (400, 0.02, false); (2000, 0.005, false) ]
   in
   H.table
@@ -853,8 +794,15 @@ let phases () =
             let g = dataset name in
             List.map
               (fun (algo, run) ->
-                let cell = H.run_cell (fun () -> H.timed_obs (fun () -> run g h)) in
-                [ name; algo; H.show_payload cell ])
+                let cell =
+                  H.run_cell (fun () ->
+                      let _, dt =
+                        Dsd_obs.Control.with_recording (fun () ->
+                            H.timed (fun () -> run g h))
+                      in
+                      (dt, Dsd_obs.Report.kv_fields ()))
+                in
+                [ name; algo; H.show (fun (dt, fields) -> Printf.sprintf "%f %s" dt fields) cell ])
               algos)
           [ "as733"; "ca_hepth" ]
       in
@@ -863,6 +811,20 @@ let phases () =
 
 (* ---- retarget: network builds vs O(V) re-alphas (BENCH_retarget.json) ---- *)
 
+(* The retarget, search and serve experiments: one table per dataset
+   (yeast alone under --smoke), [f name g] giving its rows; returns
+   every row, for the JSON. *)
+let per_dataset ~columns f =
+  List.concat_map
+    (fun name ->
+      let g = dataset name in
+      Printf.printf "\n[%s]  n=%d m=%d\n" name (G.n g) (G.m g);
+      let rows = f name g in
+      H.print_rows ~columns rows;
+      rows)
+    (if !H.smoke then [ "yeast" ]
+     else [ "yeast"; "netscience"; "as733"; "ca_hepth" ])
+
 (* How much of the search the build-once path saves: per dataset x
    pattern, the probe count against how many networks were actually
    constructed (flow_networks_built) vs merely re-capacitated
@@ -870,13 +832,7 @@ let phases () =
    always builds once, CoreExact once per component arena plus
    Optimisation-3 rebuilds. *)
 let retarget () =
-  let smoke = !H.smoke in
-  H.section
-    (Printf.sprintf "Retarget — flow-network builds vs O(V) re-alphas%s"
-       (if smoke then " [smoke]" else ""));
-  let datasets =
-    if smoke then [ "yeast" ] else [ "yeast"; "netscience"; "as733"; "ca_hepth" ]
-  in
+  H.smoke_section "Retarget — flow-network builds vs O(V) re-alphas";
   let cases =
     [ ("Exact", "triangle",
        fun g -> (Dsd_core.Exact.run g P.triangle).Dsd_core.Exact.stats.Dsd_core.Exact.iterations);
@@ -885,52 +841,32 @@ let retarget () =
       ("CorePExact", "diamond",
        fun g -> (Dsd_core.Core_pexact.run g P.diamond).Dsd_core.Core_exact.stats.Dsd_core.Core_exact.iterations) ]
   in
-  let json_rows = ref [] in
-  List.iter
-    (fun name ->
-      let g = dataset name in
-      Printf.printf "\n[%s]  n=%d m=%d\n" name (G.n g) (G.m g);
-      let rows =
-        List.map
-          (fun (algo, pname, run) ->
-            let cell =
-              H.run_cell ~timeout:(3. *. !H.default_timeout) (fun () ->
-                  let iters, elapsed =
-                    H.timed (fun () ->
-                        Dsd_obs.Control.with_recording (fun () -> run g))
-                  in
-                  Printf.sprintf "%d %d %d %.6f %.6f %.6f" iters
-                    (Dsd_obs.Counter.get Dsd_obs.Counter.Flow_networks_built)
-                    (Dsd_obs.Counter.get Dsd_obs.Counter.Flow_retargets)
-                    elapsed
-                    (Dsd_obs.Span.total_s Dsd_obs.Phase.build_network)
-                    (Dsd_obs.Span.total_s Dsd_obs.Phase.retarget))
-            in
-            match cell with
-            | H.Ok s ->
-              (match String.split_on_char ' ' (String.trim s) with
-               | [ it; b; rt; el; bs; rs ] ->
-                 json_rows :=
-                   Printf.sprintf
-                     "    {\"dataset\": \"%s\", \"algorithm\": \"%s\", \
-                      \"pattern\": \"%s\", \"iterations\": %s, \
-                      \"flow_networks_built\": %s, \"flow_retargets\": %s, \
-                      \"elapsed_s\": %s, \"build_s\": %s, \"retarget_s\": %s}"
-                     name algo pname it b rt el bs rs
-                   :: !json_rows;
-                 [ algo; pname; it; b; rt; el ^ "s"; bs ^ "s"; rs ^ "s" ]
-               | _ -> [ algo; pname; String.trim s; "-"; "-"; "-"; "-"; "-" ])
-            | other ->
-              [ algo; pname; H.show_payload other; "-"; "-"; "-"; "-"; "-" ])
-          cases
-      in
-      H.table
-        ~header:
-          [ "algorithm"; "pattern"; "iters"; "builds"; "retargets"; "total";
-            "build_s"; "retarget_s" ]
-        ~rows)
-    datasets;
-  H.write_json "retarget" (List.rev !json_rows)
+  H.write_json "retarget"
+    (per_dataset
+       ~columns:
+         [ ("algorithm", "algorithm"); ("pattern", "pattern");
+           ("iters", "iterations"); ("builds", "flow_networks_built");
+           ("retargets", "flow_retargets"); ("total", "elapsed_s");
+           ("build_s", "build_s"); ("retarget_s", "retarget_s") ]
+       (fun name g ->
+         List.map
+           (fun (algo, pname, run) ->
+             H.row ~timeout:(3. *. !H.default_timeout)
+               H.[ ("dataset", Str name); ("algorithm", Str algo); ("pattern", Str pname) ]
+               (fun () ->
+                 let iters, elapsed =
+                   H.timed (fun () ->
+                       Dsd_obs.Control.with_recording (fun () -> run g))
+                 in
+                 H.[ ("iterations", Int iters);
+                     ("flow_networks_built",
+                      Int (Dsd_obs.Counter.get Dsd_obs.Counter.Flow_networks_built));
+                     ("flow_retargets",
+                      Int (Dsd_obs.Counter.get Dsd_obs.Counter.Flow_retargets));
+                     ("elapsed_s", Secs elapsed);
+                     ("build_s", Secs (Dsd_obs.Span.total_s Dsd_obs.Phase.build_network));
+                     ("retarget_s", Secs (Dsd_obs.Span.total_s Dsd_obs.Phase.retarget)) ]))
+           cases))
 
 (* ---- search: the exact search vs the float references (BENCH_search.json) ---- *)
 
@@ -948,12 +884,7 @@ let retarget () =
    rows. *)
 let search () =
   let smoke = !H.smoke in
-  H.section
-    (Printf.sprintf "Search — exact Dinkelbach vs the float references%s"
-       (if smoke then " [smoke]" else ""));
-  let datasets =
-    if smoke then [ "yeast" ] else [ "yeast"; "netscience"; "as733"; "ca_hepth" ]
-  in
+  H.smoke_section "Search — exact Dinkelbach vs the float references";
   let module O = Dsd_check.Oracle in
   let top_vertex g =
     let best = ref 0 in
@@ -998,67 +929,41 @@ let search () =
     done;
     (Option.get !out, !best)
   in
-  (* One forked cell per row: payload is
-     "probes reference_probes drained elapsed reference_elapsed mismatches". *)
-  let run_row g (run, reference, vertices) =
-    H.run_cell ~timeout:(6. *. float_of_int reps *. !H.default_timeout)
-      (fun () ->
-        let ((sg : D.subgraph), probes), elapsed =
-          best_of (fun () -> Dsd_obs.Control.with_recording (fun () -> run g))
-        in
-        let drained = Dsd_obs.Counter.get Dsd_obs.Counter.Flow_excess_drained in
-        let ((r : D.subgraph), rprobes), relapsed =
-          best_of (fun () -> reference g)
-        in
-        let mismatches =
-          if
-            Int64.bits_of_float sg.density = Int64.bits_of_float r.density
-            && ((not vertices) || sg.vertices = r.vertices)
-          then 0
-          else 1
-        in
-        Printf.sprintf "%d %d %d %.6f %.6f %d" probes rprobes drained elapsed
-          relapsed mismatches)
-  in
-  let json_rows = ref [] in
-  List.iter
-    (fun name ->
-      let g = dataset name in
-      Printf.printf "\n[%s]  n=%d m=%d\n" name (G.n g) (G.m g);
-      let rows =
-        List.map
-          (fun (algo, pname, run, reference, exact_row) ->
-            let cell = run_row g (run, reference, exact_row) in
-            match cell with
-            | H.Ok s -> (
-              match String.split_on_char ' ' (String.trim s) with
-              | [ probes; rprobes; drained; el; rel; mis ] ->
-                json_rows :=
-                  Printf.sprintf
-                    "    {\"dataset\": \"%s\", \"algorithm\": \"%s\", \
-                     \"pattern\": \"%s\", \"probes\": %s, %s\
-                     \"elapsed_s\": %s, \"reference_s\": %s, \
-                     \"flow_excess_drained\": %s, \"mismatches\": %s}"
-                    name algo pname probes
-                    (if exact_row then
-                       Printf.sprintf "\"reference_probes\": %s, " rprobes
-                     else "")
-                    el rel drained mis
-                  :: !json_rows;
-                [ algo; pname; probes; (if exact_row then rprobes else "-");
-                  drained; el ^ "s"; rel ^ "s"; mis ]
-              | _ -> [ algo; pname; String.trim s; "-"; "-"; "-"; "-"; "-" ])
-            | other ->
-              [ algo; pname; H.show_payload other; "-"; "-"; "-"; "-"; "-" ])
-          cases
-      in
-      H.table
-        ~header:
-          [ "algorithm"; "pattern"; "probes"; "ref probes"; "drained";
-            "search_s"; "reference_s"; "mismatch" ]
-        ~rows)
-    datasets;
-  H.write_json "search" (List.rev !json_rows)
+  H.write_json "search"
+    (per_dataset
+       ~columns:
+         [ ("algorithm", "algorithm"); ("pattern", "pattern");
+           ("probes", "probes"); ("ref probes", "reference_probes");
+           ("drained", "flow_excess_drained"); ("search_s", "elapsed_s");
+           ("reference_s", "reference_s"); ("mismatch", "mismatches") ]
+       (fun name g ->
+         List.map
+           (fun (algo, pname, run, reference, exact_row) ->
+             H.row ~timeout:(6. *. float_of_int reps *. !H.default_timeout)
+               H.[ ("dataset", Str name); ("algorithm", Str algo); ("pattern", Str pname) ]
+               (fun () ->
+                 let ((sg : D.subgraph), probes), elapsed =
+                   best_of (fun () ->
+                       Dsd_obs.Control.with_recording (fun () -> run g))
+                 in
+                 let drained =
+                   Dsd_obs.Counter.get Dsd_obs.Counter.Flow_excess_drained
+                 in
+                 let ((r : D.subgraph), rprobes), relapsed =
+                   best_of (fun () -> reference g)
+                 in
+                 let same =
+                   Int64.bits_of_float sg.density = Int64.bits_of_float r.density
+                   && ((not exact_row) || sg.vertices = r.vertices)
+                 in
+                 H.(
+                   (("probes", Int probes)
+                   :: (if exact_row then [ ("reference_probes", Int rprobes) ]
+                       else []))
+                   @ [ ("elapsed_s", Secs elapsed); ("reference_s", Secs relapsed);
+                       ("flow_excess_drained", Int drained);
+                       ("mismatches", Int (if same then 0 else 1)) ])))
+           cases))
 
 (* ---- serve: hot-result cache latency over a real socket (BENCH_serve.json) ---- *)
 
@@ -1078,14 +983,7 @@ let search () =
    serve-equals-api relation pin that); this measures only latency.
    bench/compare.ml gates cached_speedup >= 5 on the JSON. *)
 let serve () =
-  let smoke = !H.smoke in
-  H.section
-    (Printf.sprintf
-       "Serve — cold vs prepared vs cached request latency%s"
-       (if smoke then " [smoke]" else ""));
-  let datasets =
-    if smoke then [ "yeast" ] else [ "yeast"; "netscience"; "as733"; "ca_hepth" ]
-  in
+  H.smoke_section "Serve — cold vs prepared vs cached request latency";
   let endpoints name =
     [ ("density/coreexact",
        Dsd_serve.Protocol.Density
@@ -1096,65 +994,51 @@ let serve () =
       ("decompose",
        Dsd_serve.Protocol.Decompose { graph = name; psi = "triangle" }) ]
   in
-  let json_rows = ref [] in
-  List.iter
-    (fun name ->
-      let g = dataset name in
-      Printf.printf "\n[%s]  n=%d m=%d\n" name (G.n g) (G.m g);
-      let socket =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "dsd-bench-%d.sock" (Unix.getpid ()))
-      in
-      let addr = Dsd_serve.Server.Unix_domain socket in
-      let rows =
-        List.map
-          (fun (endpoint, req) ->
-            (* A fresh daemon per endpoint so "cold" really is cold:
-               no prepared state left over from the previous row. *)
-            let state = Dsd_serve.State.create ~max_cached:64 [ (name, g) ] in
-            let server = Dsd_serve.Server.start ~state addr in
-            let client = Dsd_serve.Client.connect addr in
-            let ask () =
-              snd (H.timed (fun () ->
-                  ignore (Dsd_serve.Client.call client req)))
-            in
-            let cold = ask () in
-            (* second identical request: straight from the result LRU *)
-            let cached = ask () in
-            (* median of repeats for a stable cached figure *)
-            let reps = if smoke then 3 else 9 in
-            let samples = Array.init reps (fun _ -> ask ()) in
-            Array.sort compare samples;
-            let cached = min cached samples.(reps / 2) in
-            (* same question to a cleared LRU: prepared state only *)
-            Dsd_serve.State.clear_results state;
-            let prepared = ask () in
-            Dsd_serve.Client.close client;
-            ignore (Dsd_serve.Client.once addr Dsd_serve.Protocol.Shutdown);
-            Dsd_serve.Server.join server;
-            let speedup a b = if b > 0. then a /. b else infinity in
-            json_rows :=
-              Printf.sprintf
-                "    {\"dataset\": \"%s\", \"endpoint\": \"%s\", \
-                 \"cold_s\": %.6f, \"prepared_s\": %.6f, \"cached_s\": %.6f, \
-                 \"prepared_speedup\": %.3f, \"cached_speedup\": %.3f}"
-                name endpoint cold prepared cached
-                (speedup cold prepared) (speedup cold cached)
-              :: !json_rows;
-            [ endpoint;
-              Printf.sprintf "%.4fs" cold;
-              Printf.sprintf "%.4fs" prepared;
-              Printf.sprintf "%.6fs" cached;
-              Printf.sprintf "%.1fx" (speedup cold prepared);
-              Printf.sprintf "%.1fx" (speedup cold cached) ])
-          (endpoints name)
-      in
-      H.table
-        ~header:
-          [ "endpoint"; "cold"; "prepared"; "cached"; "prep spd"; "cache spd" ]
-        ~rows)
-    datasets;
-  H.write_json "serve" (List.rev !json_rows)
+  H.write_json "serve"
+    (per_dataset
+       ~columns:
+         [ ("endpoint", "endpoint"); ("cold", "cold_s");
+           ("prepared", "prepared_s"); ("cached", "cached_s");
+           ("prep spd", "prepared_speedup"); ("cache spd", "cached_speedup") ]
+       (fun name g ->
+         let socket =
+           Filename.concat (Filename.get_temp_dir_name ())
+             (Printf.sprintf "dsd-bench-%d.sock" (Unix.getpid ()))
+         in
+         let addr = Dsd_serve.Server.Unix_domain socket in
+         List.map
+           (fun (endpoint, req) ->
+             (* A fresh daemon per endpoint so "cold" really is cold:
+                no prepared state left over from the previous row. *)
+             let state = Dsd_serve.State.create ~max_cached:64 [ (name, g) ] in
+             let server = Dsd_serve.Server.start ~state addr in
+             let client = Dsd_serve.Client.connect addr in
+             let ask () =
+               snd (H.timed (fun () ->
+                   ignore (Dsd_serve.Client.call client req)))
+             in
+             let cold = ask () in
+             (* second identical request: straight from the result LRU *)
+             let cached = ask () in
+             (* median of repeats for a stable cached figure *)
+             let reps = if !H.smoke then 3 else 9 in
+             let samples = Array.init reps (fun _ -> ask ()) in
+             Array.sort compare samples;
+             let cached = min cached samples.(reps / 2) in
+             (* same question to a cleared LRU: prepared state only *)
+             Dsd_serve.State.clear_results state;
+             let prepared = ask () in
+             Dsd_serve.Client.close client;
+             ignore (Dsd_serve.Client.once addr Dsd_serve.Protocol.Shutdown);
+             Dsd_serve.Server.join server;
+             let speedup b = H.Ratio (3, if b > 0. then Some (cold /. b) else None) in
+             Ok
+               H.[ ("dataset", Str name); ("endpoint", Str endpoint);
+                   ("cold_s", Secs cold); ("prepared_s", Secs prepared);
+                   ("cached_s", Secs cached);
+                   ("prepared_speedup", speedup prepared);
+                   ("cached_speedup", speedup cached) ])
+           (endpoints name)))
 
 (* ---- incremental: patch vs recompute on a sliding window (BENCH_incremental.json) ---- *)
 
@@ -1171,9 +1055,7 @@ let serve () =
    incremental_s <= 0.5 * recompute_s and mismatches = 0. *)
 let incremental () =
   let smoke = !H.smoke in
-  H.section
-    (Printf.sprintf "Incremental — patch vs recompute on a sliding window%s"
-       (if smoke then " [smoke]" else ""));
+  H.smoke_section "Incremental — patch vs recompute on a sliding window";
   let cases =
     if smoke then
       [ ("ba_500",
@@ -1190,99 +1072,80 @@ let incremental () =
          Dsd_data.Gen.barabasi_albert ~seed:5 ~n:5_000 ~attach:4,
          "4-clique", P.clique 4, 8, 12) ]
   in
-  let json_rows = ref [] in
   let rows =
     List.map
       (fun (gname, g, pname, psi, batch_ops, batches) ->
         let n = G.n g in
         (* Both modes timed in one forked child so the speedup column
            is a ratio of same-process times. *)
-        let cell =
-          H.run_cell
-            ~timeout:(4. *. float_of_int batches *. !H.default_timeout)
-            (fun () ->
-              let stream = G.edges g in
-              let total = Array.length stream in
-              let window = total * 3 / 5 in
-              let session =
-                Dsd_core.Inc_dsd.create
-                  (G.of_edges ~n (Array.sub stream 0 window)) psi
+        H.row
+          ~timeout:(4. *. float_of_int batches *. !H.default_timeout)
+          H.[ ("graph", Str gname); ("pattern", Str pname); ("n", Int n) ]
+          (fun () ->
+            let stream = G.edges g in
+            let total = Array.length stream in
+            let window = total * 3 / 5 in
+            let session =
+              Dsd_core.Inc_dsd.create
+                (G.of_edges ~n (Array.sub stream 0 window)) psi
+            in
+            (* Answer the initial window before the stream starts —
+               what `dsd watch` does — so the per-batch incremental
+               column measures warm queries only. *)
+            ignore (Dsd_core.Inc_dsd.density session);
+            let inc_t = ref 0. and rec_t = ref 0. in
+            let mismatches = ref 0 in
+            let head = ref window and tail = ref 0 in
+            for _ = 1 to batches do
+              let b = min batch_ops (total - !head) in
+              let ops =
+                Array.init (2 * b) (fun i ->
+                    if i mod 2 = 0 then
+                      let u, v = stream.(!tail + (i / 2)) in
+                      Dsd_graph.Dynamic.Remove (u, v)
+                    else
+                      let u, v = stream.(!head + (i / 2)) in
+                      Dsd_graph.Dynamic.Add (u, v))
               in
-              (* Answer the initial window before the stream starts —
-                 what `dsd watch` does — so the per-batch incremental
-                 column measures warm queries only. *)
-              ignore (Dsd_core.Inc_dsd.density session);
-              let inc_t = ref 0. and rec_t = ref 0. in
-              let mismatches = ref 0 in
-              let head = ref window and tail = ref 0 in
-              for _ = 1 to batches do
-                let b = min batch_ops (total - !head) in
-                let ops =
-                  Array.init (2 * b) (fun i ->
-                      if i mod 2 = 0 then
-                        let u, v = stream.(!tail + (i / 2)) in
-                        Dsd_graph.Dynamic.Remove (u, v)
-                      else
-                        let u, v = stream.(!head + (i / 2)) in
-                        Dsd_graph.Dynamic.Add (u, v))
-                in
-                head := !head + b;
-                tail := !tail + b;
-                let d_inc, dt =
-                  H.timed (fun () ->
-                      ignore (Dsd_core.Inc_dsd.apply session ops);
-                      Dsd_core.Inc_dsd.density session)
-                in
-                inc_t := !inc_t +. dt;
-                let d_rec, dt =
-                  H.timed (fun () ->
-                      Dsd_core.Inc_dsd.density
-                        (Dsd_core.Inc_dsd.create
-                           (Dsd_core.Inc_dsd.graph session) psi))
-                in
-                rec_t := !rec_t +. dt;
-                if d_inc <> d_rec then incr mismatches
-              done;
-              Printf.sprintf "%d %.6f %.6f %d" window !inc_t !rec_t
-                !mismatches)
-        in
-        match cell with
-        | H.Ok s ->
-          (match String.split_on_char ' ' (String.trim s) with
-           | [ w; inc_s; rec_s; mis ] ->
-             let speedup =
-               match (float_of_string_opt rec_s, float_of_string_opt inc_s) with
-               | Some r, Some i when i > 0. -> Printf.sprintf "%.2f" (r /. i)
-               | _ -> "null"
-             in
-             json_rows :=
-               Printf.sprintf
-                 "    {\"graph\": \"%s\", \"pattern\": \"%s\", \"n\": %d, \
-                  \"window_m\": %s, \"batch_ops\": %d, \"batches\": %d, \
-                  \"recompute_s\": %s, \"incremental_s\": %s, \
-                  \"speedup\": %s, \"mismatches\": %s}"
-                 gname pname n w batch_ops batches rec_s inc_s speedup mis
-               :: !json_rows;
-             [ gname; pname; w; string_of_int batches; inc_s ^ "s";
-               rec_s ^ "s"; speedup ^ "x"; mis ]
-           | _ -> [ gname; pname; String.trim s; "-"; "-"; "-"; "-"; "-" ])
-        | other ->
-          [ gname; pname; H.show_payload other; "-"; "-"; "-"; "-"; "-" ])
+              head := !head + b;
+              tail := !tail + b;
+              let d_inc, dt =
+                H.timed (fun () ->
+                    ignore (Dsd_core.Inc_dsd.apply session ops);
+                    Dsd_core.Inc_dsd.density session)
+              in
+              inc_t := !inc_t +. dt;
+              let d_rec, dt =
+                H.timed (fun () ->
+                    Dsd_core.Inc_dsd.density
+                      (Dsd_core.Inc_dsd.create
+                         (Dsd_core.Inc_dsd.graph session) psi))
+              in
+              rec_t := !rec_t +. dt;
+              if d_inc <> d_rec then incr mismatches
+            done;
+            H.[ ("window_m", Int window); ("batch_ops", Int batch_ops);
+                ("batches", Int batches); ("recompute_s", Secs !rec_t);
+                ("incremental_s", Secs !inc_t); ("speedup", ratio !rec_t !inc_t);
+                ("mismatches", Int !mismatches) ]))
       cases
   in
-  H.table
-    ~header:
-      [ "graph"; "pattern"; "window"; "batches"; "incremental"; "recompute";
-        "speedup"; "mismatch" ]
-    ~rows;
-  H.write_json "incremental" (List.rev !json_rows)
+  H.print_rows
+    ~columns:
+      [ ("graph", "graph"); ("pattern", "pattern"); ("window", "window_m");
+        ("batches", "batches"); ("incremental", "incremental_s");
+        ("recompute", "recompute_s"); ("speedup", "speedup");
+        ("mismatch", "mismatches") ]
+    rows;
+  H.write_json "incremental" rows
 
 (* Top-k locally densest extraction: rounds searched on the core-pruned
-   candidate set vs on the whole remaining graph.  Planted community
-   graphs are the favourable shape — each round's candidate core is one
-   dense block, so the pruned search runs on a small network while the
-   unpruned mode pays full-graph min cuts every probe, and the pruned
-   mode pays a core decomposition per round instead.  Both modes run in
+   candidate set (Topk_lds) vs on the whole remaining graph
+   (Dsd_check.Oracle.reference_topk).  Planted community graphs are the
+   favourable shape — each round's candidate core is one dense block, so
+   the pruned search runs on a small network while the unpruned
+   reference pays full-graph min cuts every probe, and the pruned mode
+   pays a core decomposition per round instead.  Both modes run in
    the same forked child: once each untimed (the first call in a fresh
    fork pays page faults and heap growth), their regions compared
    bitwise, then [topk_reps] interleaved timed repetitions, alternating
@@ -1294,9 +1157,7 @@ let topk_reps = 9
 
 let topk () =
   let smoke = !H.smoke in
-  H.section
-    (Printf.sprintf "Top-k LDS — pruned vs unpruned extraction%s"
-       (if smoke then " [smoke]" else ""));
+  H.smoke_section "Top-k LDS — pruned vs unpruned extraction";
   let cases =
     if smoke then
       [ ("planted_2k",
@@ -1315,90 +1176,60 @@ let topk () =
            (Dsd_data.Gen.planted_clique ~seed:9 ~n:1_500 ~p:0.005 ~clique:20),
          "triangle", P.triangle, 2) ]
   in
-  let json_rows = ref [] in
   let rows =
     List.map
       (fun (gname, g, pname, psi, k) ->
-        let n = G.n g in
-        let cell =
-          H.run_cell ~timeout:(8. *. !H.default_timeout) (fun () ->
-              let run prune () = Dsd_core.Topk_lds.run ~prune ~k g psi in
-              let rp = run true () in
-              let ru = run false () in
-              let tp = Array.make topk_reps 0. in
-              let tu = Array.make topk_reps 0. in
-              for i = 0 to topk_reps - 1 do
-                let time_pruned () = tp.(i) <- snd (H.timed (run true)) in
-                let time_unpruned () = tu.(i) <- snd (H.timed (run false)) in
-                if i mod 2 = 0 then (time_pruned (); time_unpruned ())
-                else (time_unpruned (); time_pruned ())
-              done;
-              let spread ts =
-                Printf.sprintf "%.6f %.6f %.6f" (Dsd_util.Stats.median ts)
-                  (Array.fold_left Float.min infinity ts)
-                  (Array.fold_left Float.max neg_infinity ts)
-              in
-              let mismatches =
-                if
-                  List.length rp.Dsd_core.Topk_lds.regions
-                  = List.length ru.Dsd_core.Topk_lds.regions
-                  && List.for_all2
-                       (fun (a : D.subgraph) (b : D.subgraph) ->
-                         Int64.bits_of_float a.density
-                         = Int64.bits_of_float b.density
-                         && a.vertices = b.vertices)
-                       rp.Dsd_core.Topk_lds.regions
-                       ru.Dsd_core.Topk_lds.regions
-                then 0
-                else 1
-              in
-              Printf.sprintf "%d %s %s %d %d %d"
-                (List.length rp.Dsd_core.Topk_lds.regions)
-                (spread tp) (spread tu) rp.Dsd_core.Topk_lds.stats.iterations
-                ru.Dsd_core.Topk_lds.stats.iterations mismatches)
-        in
-        match cell with
-        | H.Ok s ->
-          (match String.split_on_char ' ' (String.trim s) with
-           | [ regions; pruned_s; pmin; pmax; unpruned_s; umin; umax; pi; ui;
-               mis ] ->
-             let speedup =
-               match
-                 (float_of_string_opt unpruned_s, float_of_string_opt pruned_s)
-               with
-               | Some u, Some p when p > 0. -> Printf.sprintf "%.2f" (u /. p)
-               | _ -> "null"
-             in
-             json_rows :=
-               Printf.sprintf
-                 "    {\"graph\": \"%s\", \"pattern\": \"%s\", \"k\": %d, \
-                  \"n\": %d, \"regions\": %s, \"reps\": %d, \
-                  \"pruned_s\": %s, \"pruned_min_s\": %s, \
-                  \"pruned_max_s\": %s, \"unpruned_s\": %s, \
-                  \"unpruned_min_s\": %s, \"unpruned_max_s\": %s, \
-                  \"pruned_iterations\": %s, \
-                  \"unpruned_iterations\": %s, \"speedup\": %s, \
-                  \"mismatches\": %s}"
-                 gname pname k n regions topk_reps pruned_s pmin pmax
-                 unpruned_s umin umax pi ui speedup mis
-               :: !json_rows;
-             [ gname; pname; string_of_int k; regions;
-               Printf.sprintf "%ss [%s-%s]" pruned_s pmin pmax;
-               Printf.sprintf "%ss [%s-%s]" unpruned_s umin umax;
-               speedup ^ "x"; mis ]
-           | _ -> [ gname; pname; string_of_int k; String.trim s; "-"; "-";
-                    "-"; "-" ])
-        | other ->
-          [ gname; pname; string_of_int k; H.show_payload other; "-"; "-";
-            "-"; "-" ])
+        H.row ~timeout:(8. *. !H.default_timeout)
+          H.[ ("graph", Str gname); ("pattern", Str pname); ("k", Int k);
+              ("n", Int (G.n g)) ]
+          (fun () ->
+            let pruned () = Dsd_core.Topk_lds.run ~k g psi in
+            let unpruned () = Dsd_check.Oracle.reference_topk ~k g psi in
+            let rp = pruned () in
+            let ru = unpruned () in
+            let tp = Array.make topk_reps 0. in
+            let tu = Array.make topk_reps 0. in
+            for i = 0 to topk_reps - 1 do
+              let time_pruned () = tp.(i) <- snd (H.timed pruned) in
+              let time_unpruned () = tu.(i) <- snd (H.timed unpruned) in
+              if i mod 2 = 0 then (time_pruned (); time_unpruned ())
+              else (time_unpruned (); time_pruned ())
+            done;
+            let spread ts =
+              H.Spread
+                ( Dsd_util.Stats.median ts,
+                  Array.fold_left Float.min infinity ts,
+                  Array.fold_left Float.max neg_infinity ts )
+            in
+            let same =
+              List.length rp.Dsd_core.Topk_lds.regions
+              = List.length ru.Dsd_core.Topk_lds.regions
+              && List.for_all2
+                   (fun (a : D.subgraph) (b : D.subgraph) ->
+                     Int64.bits_of_float a.density
+                     = Int64.bits_of_float b.density
+                     && a.vertices = b.vertices)
+                   rp.Dsd_core.Topk_lds.regions
+                   ru.Dsd_core.Topk_lds.regions
+            in
+            H.[ ("regions", Int (List.length rp.Dsd_core.Topk_lds.regions));
+                ("reps", Int topk_reps); ("pruned", spread tp);
+                ("unpruned", spread tu);
+                ("pruned_iterations", Int rp.Dsd_core.Topk_lds.stats.iterations);
+                ("unpruned_iterations", Int ru.Dsd_core.Topk_lds.stats.iterations);
+                ("speedup",
+                 ratio (Dsd_util.Stats.median tu) (Dsd_util.Stats.median tp));
+                ("mismatches", Int (if same then 0 else 1)) ]))
       cases
   in
-  H.table
-    ~header:
-      [ "graph"; "pattern"; "k"; "regions"; "pruned median [min-max]";
-        "unpruned median [min-max]"; "speedup"; "mismatch" ]
-    ~rows;
-  H.write_json "topk" (List.rev !json_rows)
+  H.print_rows
+    ~columns:
+      [ ("graph", "graph"); ("pattern", "pattern"); ("k", "k");
+        ("regions", "regions"); ("pruned median [min-max]", "pruned");
+        ("unpruned median [min-max]", "unpruned"); ("speedup", "speedup");
+        ("mismatch", "mismatches") ]
+    rows;
+  H.write_json "topk" rows
 
 (* Density-friendly hierarchy: the breakpoint search vs the per-level
    reference search it replaced (Dsd_check.Oracle), with iterated top-k
@@ -1410,10 +1241,7 @@ let topk () =
    mismatches, breakpoint search never slower than the reference). *)
 let hierarchy () =
   let smoke = !H.smoke in
-  H.section
-    (Printf.sprintf
-       "Density-friendly hierarchy — breakpoint search vs per-level reference%s"
-       (if smoke then " [smoke]" else ""));
+  H.smoke_section "Density-friendly hierarchy — breakpoint search vs per-level reference";
   let cases =
     if smoke then
       [ ("planted_2k",
@@ -1432,84 +1260,62 @@ let hierarchy () =
            (Dsd_data.Gen.planted_clique ~seed:9 ~n:1_500 ~p:0.005 ~clique:20),
          "triangle", P.triangle) ]
   in
-  let json_rows = ref [] in
   let rows =
     List.map
       (fun (gname, g, pname, psi) ->
-        let n = G.n g in
-        let cell =
-          H.run_cell ~timeout:(8. *. !H.default_timeout) (fun () ->
-              let module LD = Dsd_core.Ld_decomposition in
-              let d, tb = H.timed (fun () -> LD.decompose g psi) in
-              let r, tr =
-                H.timed (fun () ->
-                    Dsd_check.Oracle.reference_ld_decomposition g psi)
-              in
-              let t = List.length d.LD.levels in
-              let tk, tc =
-                H.timed (fun () -> Dsd_core.Topk_lds.run ~k:t g psi)
-              in
-              let same_chain =
-                List.length r.LD.levels = t
-                && List.for_all2
-                     (fun (a : LD.level) (b : LD.level) ->
-                       Int64.bits_of_float a.marginal_density
-                       = Int64.bits_of_float b.marginal_density
-                       && a.vertices = b.vertices
-                       && a.prefix_size = b.prefix_size)
-                     d.LD.levels r.LD.levels
-              in
-              let b1_is_cds =
-                match (d.LD.levels, tk.Dsd_core.Topk_lds.regions) with
-                | b1 :: _, (c : D.subgraph) :: _ ->
-                  Int64.bits_of_float b1.LD.marginal_density
-                  = Int64.bits_of_float c.density
-                  && b1.LD.vertices = c.vertices
-                | _ -> false
-              in
-              let mismatches =
-                (if same_chain then 0 else 1)
-                + (if b1_is_cds then 0 else 1)
-                + if d.LD.iterations <= 2 * t then 0 else 1
-              in
-              Printf.sprintf "%d %.6f %.6f %.6f %d %d %d" t tb tr tc
-                d.LD.iterations r.LD.iterations mismatches)
-        in
-        match cell with
-        | H.Ok s ->
-          (match String.split_on_char ' ' (String.trim s) with
-           | [ lv; breakpoint_s; reference_s; topk_s; bp; rp; mis ] ->
-             let ratio a b =
-               match (float_of_string_opt a, float_of_string_opt b) with
-               | Some a, Some b when b > 0. -> Printf.sprintf "%.2f" (a /. b)
-               | _ -> "null"
-             in
-             let speedup = ratio reference_s breakpoint_s in
-             let vs_topk = ratio breakpoint_s topk_s in
-             json_rows :=
-               Printf.sprintf
-                 "    {\"graph\": \"%s\", \"pattern\": \"%s\", \"n\": %d, \
-                  \"levels\": %s, \"breakpoint_s\": %s, \"reference_s\": %s, \
-                  \"topk_s\": %s, \"probes\": %s, \"reference_probes\": %s, \
-                  \"speedup\": %s, \"vs_topk\": %s, \"mismatches\": %s}"
-                 gname pname n lv breakpoint_s reference_s topk_s bp rp speedup
-                 vs_topk mis
-               :: !json_rows;
-             [ gname; pname; lv; breakpoint_s ^ "s"; reference_s ^ "s";
-               topk_s ^ "s"; bp; rp; speedup ^ "x"; mis ]
-           | _ ->
-             [ gname; pname; String.trim s; "-"; "-"; "-"; "-"; "-"; "-"; "-" ])
-        | other ->
-          [ gname; pname; H.show_payload other; "-"; "-"; "-"; "-"; "-"; "-";
-            "-" ])
+        H.row ~timeout:(8. *. !H.default_timeout)
+          H.[ ("graph", Str gname); ("pattern", Str pname); ("n", Int (G.n g)) ]
+          (fun () ->
+            let module LD = Dsd_core.Ld_decomposition in
+            let d, tb = H.timed (fun () -> LD.decompose g psi) in
+            let r, tr =
+              H.timed (fun () ->
+                  Dsd_check.Oracle.reference_ld_decomposition g psi)
+            in
+            let t = List.length d.LD.levels in
+            let tk, tc =
+              H.timed (fun () -> Dsd_core.Topk_lds.run ~k:t g psi)
+            in
+            let same_chain =
+              List.length r.LD.levels = t
+              && List.for_all2
+                   (fun (a : LD.level) (b : LD.level) ->
+                     Int64.bits_of_float a.marginal_density
+                     = Int64.bits_of_float b.marginal_density
+                     && a.vertices = b.vertices
+                     && a.prefix_size = b.prefix_size)
+                   d.LD.levels r.LD.levels
+            in
+            let b1_is_cds =
+              match (d.LD.levels, tk.Dsd_core.Topk_lds.regions) with
+              | b1 :: _, (c : D.subgraph) :: _ ->
+                Int64.bits_of_float b1.LD.marginal_density
+                = Int64.bits_of_float c.density
+                && b1.LD.vertices = c.vertices
+              | _ -> false
+            in
+            let mismatches =
+              (if same_chain then 0 else 1)
+              + (if b1_is_cds then 0 else 1)
+              + if d.LD.iterations <= 2 * t then 0 else 1
+            in
+            H.[ ("levels", Int t); ("breakpoint_s", Secs tb);
+                ("reference_s", Secs tr); ("topk_s", Secs tc);
+                ("probes", Int d.LD.iterations);
+                ("reference_probes", Int r.LD.iterations);
+                ("speedup", ratio tr tb); ("vs_topk", ratio tb tc);
+                ("mismatches", Int mismatches) ]))
       cases
   in
-  H.table
-    ~header:
-      [ "graph"; "pattern"; "levels"; "breakpoint"; "reference"; "topk";
-        "probes"; "ref probes"; "speedup"; "mismatch" ]
-    ~rows;
-  H.write_json "hierarchy" (List.rev !json_rows)
+  H.print_rows
+    ~columns:
+      [ ("graph", "graph"); ("pattern", "pattern"); ("levels", "levels");
+        ("breakpoint", "breakpoint_s"); ("reference", "reference_s");
+        ("topk", "topk_s"); ("probes", "probes");
+        ("ref probes", "reference_probes"); ("speedup", "speedup");
+        ("mismatch", "mismatches") ]
+    rows;
+  H.write_json "hierarchy" rows
 
 (* ---- registry ---- *)
 
@@ -1540,7 +1346,7 @@ let all : (string * string * (unit -> unit)) list =
     ("search", "exact search vs the float references (BENCH_search.json)", search);
     ("serve", "cold vs prepared vs cached request latency (BENCH_serve.json)", serve);
     ("incremental", "patch vs recompute on a sliding window (BENCH_incremental.json)", incremental);
-    ("topk", "pruned vs unpruned top-k LDS extraction (BENCH_topk.json)", topk);
+    ("topk", "pruned top-k LDS extraction vs the whole-graph reference (BENCH_topk.json)", topk);
     ("hierarchy", "breakpoint vs reference density-friendly hierarchy (BENCH_hierarchy.json)", hierarchy);
     ("ext_truss", "extension: truss vs CDS", ext_truss);
     ("ext_sampled", "future work: sampled approximation", ext_sampled);

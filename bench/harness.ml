@@ -1,26 +1,27 @@
 (* Benchmark plumbing: per-cell subprocess isolation with wall-clock
    timeouts (mirroring the paper's 2-/5-day cutoffs at container
-   scale), and fixed-width table printing. *)
+   scale), typed row fields, and the one writer of table rows and
+   BENCH_*.json rows. *)
 
-type cell =
-  | Ok of string          (* child's one-line result payload *)
+type 'a cell =
+  | Ok of 'a              (* the child's result *)
   | Timeout of float
   | Crashed of string
 
 let default_timeout = ref 10.0
 
 (* Smoke mode (--smoke): shrink inputs so CI can exercise every code
-   path — notably the multi-domain ones — in seconds.  Experiments
-   that honour it say so in their section banner. *)
+   path in seconds.  Experiments that honour it say so in their
+   section banner. *)
 let smoke = ref false
 
-(* Run [f] in a forked child; read its result line from a pipe.  The
-   child is killed (SIGKILL) when the timeout elapses — algorithms need
-   no cooperative cancellation points this way.  Payloads must stay
-   under the pipe buffer (64 KiB): the parent only drains after exit,
-   so a larger write would block the child until the timeout.  All
-   experiments emit one short line. *)
-let run_cell ?timeout (f : unit -> string) : cell =
+(* Run [f] in a forked child; its result comes back marshalled through
+   a pipe.  The child is killed (SIGKILL) when the timeout elapses —
+   algorithms need no cooperative cancellation points this way.
+   Results must stay under the pipe buffer (64 KiB): the parent only
+   drains after exit, so a larger write would block the child until
+   the timeout.  Every experiment returns a few numbers. *)
+let run_cell ?timeout (f : unit -> 'a) : 'a cell =
   let timeout = Option.value timeout ~default:!default_timeout in
   (* Anything buffered before the fork would otherwise be flushed a
      second time by the child. *)
@@ -30,9 +31,9 @@ let run_cell ?timeout (f : unit -> string) : cell =
   match Unix.fork () with
   | 0 ->
     Unix.close r;
-    let result = (try f () with e -> "CRASH " ^ Printexc.to_string e) in
+    let result = try Ok (f ()) with e -> Crashed (Printexc.to_string e) in
     let oc = Unix.out_channel_of_descr w in
-    output_string oc result;
+    Marshal.to_channel oc result [];
     flush oc;
     Unix.close w;
     (* _exit skips at_exit, so inherited channel buffers are not
@@ -72,40 +73,24 @@ let run_cell ?timeout (f : unit -> string) : cell =
     in
     (match !status with
      | Some `Timeout -> Timeout timeout
-     | Some `Crashed -> Crashed payload
-     | Some `Done | None ->
-       if String.length payload >= 5 && String.sub payload 0 5 = "CRASH" then
-         Crashed payload
-       else Ok payload)
+     | Some `Done when payload <> "" -> (Marshal.from_string payload 0 : 'a cell)
+     | _ -> Crashed "exited without a result")
 
-(* Format a cell that carries a single time-in-seconds payload. *)
+let failure = function
+  | Ok _ -> ""
+  | Timeout t -> Printf.sprintf "TIMEOUT(%.0fs)" t
+  | Crashed msg -> "CRASH:" ^ String.trim msg
+
+(* [show f cell] is [f]'s text of a result, or the failure's. *)
+let show f cell = match cell with Ok x -> f x | _ -> failure cell
+
+(* A time-in-seconds cell, kept narrow for the paper's time tables. *)
 let show_time = function
-  | Ok s -> (try Printf.sprintf "%8.3fs" (float_of_string (String.trim s)) with _ -> s)
+  | Ok t -> Printf.sprintf "%8.3fs" t
   | Timeout t -> Printf.sprintf ">%.0fs(TO)" t
   | Crashed msg ->
     let msg = String.trim msg in
     if String.length msg > 12 then String.sub msg 0 12 else msg
-
-let show_payload = function
-  | Ok s -> String.trim s
-  | Timeout t -> Printf.sprintf "TIMEOUT(%.0fs)" t
-  | Crashed msg -> "CRASH:" ^ String.trim msg
-
-(* [write_json name rows] writes BENCH_<name>.json — or, under
-   --smoke, BENCH_<name>.smoke.json, so a smoke run never replaces the
-   checked-in full-mode rows — with [extra] header fields (already
-   formatted JSON values) before the rows, one row object per line. *)
-let write_json ?(extra = []) name rows =
-  let path =
-    Printf.sprintf "BENCH_%s%s.json" name (if !smoke then ".smoke" else "")
-  in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"experiment\": \"%s\",\n  \"smoke\": %b,\n" name
-    !smoke;
-  List.iter (fun (k, v) -> Printf.fprintf oc "  \"%s\": %s,\n" k v) extra;
-  Printf.fprintf oc "  \"rows\": [\n%s\n  ]\n}\n" (String.concat ",\n" rows);
-  close_out oc;
-  print_endline ("\nwrote " ^ path)
 
 (* Timing helper used inside cells. *)
 let timed f =
@@ -113,41 +98,77 @@ let timed f =
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
 
-(* ---- observability ----
+(* ---- typed fields ---- *)
 
-   Cells run in forked children, so the global Dsd_obs state is
-   private to each cell: enable, run, and report without interfering
-   with sibling cells or the parent. *)
+(* One table cell and JSON value.  Seconds print with six decimals
+   (an "s" in tables), a ratio of times with its own decimals (an "x"
+   in tables; JSON null and a table "-" when undefined), and a spread
+   of seconds (median, min, max) under key k as the JSON keys k_s,
+   k_min_s and k_max_s. *)
+type value =
+  | Str of string
+  | Int of int
+  | Num of int * float     (* decimals, value *)
+  | Secs of float
+  | Ratio of int * float option
+  | Spread of float * float * float
 
-(* [with_obs_fields f] runs [f] with recording on and returns its
-   result together with the one-line per-phase/counter `k=v` fields
-   (Dsd_obs.Report.kv_fields) — append these to BENCH payloads so
-   future BENCH_*.json rows carry a comparable phase breakdown. *)
-let with_obs_fields f =
-  let x = Dsd_obs.Control.with_recording f in
-  (x, Dsd_obs.Report.kv_fields ())
+let text = function
+  | Str s -> s
+  | Int i -> string_of_int i
+  | Num (d, x) -> Printf.sprintf "%.*f" d x
+  | Secs x -> Printf.sprintf "%.6fs" x
+  | Ratio (d, Some x) -> Printf.sprintf "%.*fx" d x
+  | Ratio (_, None) -> "-"
+  | Spread (m, lo, hi) -> Printf.sprintf "%.6fs [%.6f-%.6f]" m lo hi
 
-(* [timed_obs f] = wall-clock seconds plus the per-phase fields, as
-   one payload line: "<secs> <k=v> <k=v> ...". *)
-let timed_obs f =
-  let (_, dt), fields = with_obs_fields (fun () -> timed f) in
-  Printf.sprintf "%f %s" dt fields
+let rec json (key, v) =
+  match v with
+  | Str s -> Printf.sprintf "\"%s\": \"%s\"" key s
+  | Int i -> Printf.sprintf "\"%s\": %d" key i
+  | Num (d, x) | Ratio (d, Some x) -> Printf.sprintf "\"%s\": %.*f" key d x
+  | Secs x -> Printf.sprintf "\"%s\": %.6f" key x
+  | Ratio (_, None) -> Printf.sprintf "\"%s\": null" key
+  | Spread (m, lo, hi) ->
+    String.concat ", "
+      (List.map json
+         [ (key ^ "_s", Secs m); (key ^ "_min_s", Secs lo);
+           (key ^ "_max_s", Secs hi) ])
 
-(* ---- table printing ---- *)
+(* A cell's values as table cells; a failed cell is one cell, and
+   [table] pads the row. *)
+let cells cell = match cell with Ok vs -> List.map text vs | _ -> [ failure cell ]
+
+(* ---- rows: one list of (key, value) fields each ---- *)
+
+type row = (string * value) list
+
+(* A row's fields, or the fields that name it and why its cell
+   failed. *)
+type outcome = (row, row * string) result
+
+(* [row ?timeout id f] runs [f] in a cell; its fields follow [id]'s. *)
+let row ?timeout id f : outcome =
+  match run_cell ?timeout f with
+  | Ok fields -> Stdlib.Ok (id @ fields)
+  | failed -> Error (id, failure failed)
+
+(* ---- the writers ---- *)
 
 let rule widths =
   print_string "+";
   List.iter (fun w -> print_string (String.make (w + 2) '-' ^ "+")) widths;
   print_newline ()
 
-let row widths cells =
+let line widths cells =
   print_string "|";
-  List.iter2
-    (fun w c -> Printf.printf " %-*s |" w c)
-    widths cells;
+  List.iter2 (fun w c -> Printf.printf " %-*s |" w c) widths cells;
   print_newline ()
 
+(* Print a table; rows shorter than the header are padded with "-". *)
 let table ~header ~rows =
+  let pad r = r @ List.init (List.length header - List.length r) (fun _ -> "-") in
+  let rows = List.map pad rows in
   let widths =
     List.mapi
       (fun i h ->
@@ -157,10 +178,51 @@ let table ~header ~rows =
       header
   in
   rule widths;
-  row widths header;
+  line widths header;
   rule widths;
-  List.iter (row widths) rows;
+  List.iter (line widths) rows;
   rule widths
+
+(* [print_rows ~columns rows] prints one table; column (header, key)
+   shows each row's [key] field, "-" when the row has none.  A failed
+   row shows the fields that name it, then its failure. *)
+let print_rows ~columns rows =
+  let cell fields (_, key) = Option.map text (List.assoc_opt key fields) in
+  table ~header:(List.map fst columns)
+    ~rows:
+      (List.map
+         (function
+           | Stdlib.Ok fields ->
+             List.map (fun c -> Option.value (cell fields c) ~default:"-") columns
+           | Error (id, failure) -> List.filter_map (cell id) columns @ [ failure ])
+         rows)
+
+(* [write_json name rows] writes the rows that ran, one JSON object
+   per line, to BENCH_<name>.json — or, under --smoke,
+   BENCH_<name>.smoke.json, so a smoke run never replaces the
+   checked-in full-mode rows. *)
+let write_json name rows =
+  let path =
+    Printf.sprintf "BENCH_%s%s.json" name (if !smoke then ".smoke" else "")
+  in
+  let lines =
+    List.filter_map
+      (function
+        | Stdlib.Ok fields ->
+          Some ("    {" ^ String.concat ", " (List.map json fields) ^ "}")
+        | Error _ -> None)
+      rows
+  in
+  let oc = open_out path in
+  Printf.fprintf oc "{\n  \"experiment\": \"%s\",\n  \"smoke\": %b,\n" name
+    !smoke;
+  Printf.fprintf oc "  \"rows\": [\n%s\n  ]\n}\n" (String.concat ",\n" lines);
+  close_out oc;
+  print_endline ("\nwrote " ^ path)
 
 let section title =
   Printf.printf "\n=== %s ===\n" title
+
+(* The banner of an experiment that honours --smoke. *)
+let smoke_section title =
+  section (if !smoke then title ^ " [smoke]" else title)

@@ -313,18 +313,11 @@ let topk =
            & info [ "k" ] ~docv:"K"
                ~doc:"How many disjoint regions to extract.")
   in
-  let no_prune_arg =
-    C.Arg.(value & flag
-           & info [ "no-prune" ]
-               ~doc:"Disable core-based candidate pruning (whole-graph \
-                     search every round; same answer, more work).")
-  in
-  let run input dataset pattern () k no_prune stats trace =
+  let run input dataset pattern () k stats trace =
     let g = load_graph input dataset in
     let psi = pattern_of_string pattern in
     let r =
-      with_obs ~stats ~trace (fun () ->
-          Dsd_core.Topk_lds.run ~prune:(not no_prune) ~k g psi)
+      with_obs ~stats ~trace (fun () -> Dsd_core.Topk_lds.run ~k g psi)
     in
     Printf.printf "pattern    %s\n" psi.P.name;
     Printf.printf "regions    %d\n" (List.length r.Dsd_core.Topk_lds.regions);
@@ -339,12 +332,12 @@ let topk =
         print_newline ())
       r.Dsd_core.Topk_lds.regions
   in
-  let run a b c d e f g h = or_die (fun () -> run a b c d e f g h) in
+  let run a b c d e f g = or_die (fun () -> run a b c d e f g) in
   C.Cmd.v
     (C.Cmd.info "topk"
        ~doc:"Top-k pairwise-disjoint locally densest subgraphs.")
     C.Term.(const run $ input_arg $ dataset_arg $ pattern_arg $ domains_arg
-            $ k_arg $ no_prune_arg $ stats_arg $ trace_arg)
+            $ k_arg $ stats_arg $ trace_arg)
 
 (* ---- hierarchy: the density-friendly decomposition ---- *)
 

@@ -326,6 +326,44 @@ let reference_query g psi ~query =
     (!best, !probes)
   end
 
+(* Top-k's extraction before its rounds searched the core-pruned
+   candidate set: every round runs the same exact search as
+   Dsd_core.Topk_lds over the whole remaining graph, from its own
+   density; the last accepted side, or the remaining graph itself, is
+   the round's region. *)
+let reference_topk ~k g psi =
+  let module Pm = Dsd_core.Parametric in
+  let module T = Dsd_core.Topk_lds in
+  if k < 1 then invalid_arg "Oracle.reference_topk: k must be >= 1";
+  let t0 = Dsd_util.Timer.now_s () in
+  let n = G.n g in
+  let iterations = ref 0 and rounds = ref 0 in
+  let remaining = Array.make n true in
+  let regions = ref [] in
+  let stop = ref (n = 0) in
+  while (not !stop) && List.length !regions < k do
+    incr rounds;
+    let rest =
+      Array.of_list (List.filter (Array.get remaining) (List.init n Fun.id))
+    in
+    let arena = Pm.arena ~within:rest (Pm.pinned_family psi) g psi in
+    let total = Pm.total arena in
+    if total = 0 then stop := true
+    else begin
+      let side, c = Pm.dinkelbach arena (rest, total) in
+      iterations := !iterations + Pm.probes arena;
+      let region = Dsd_core.Density.of_count side c in
+      regions := region :: !regions;
+      Array.iter (fun v -> remaining.(v) <- false) region.vertices;
+      if Array.length region.vertices = Array.length rest then stop := true
+    end
+  done;
+  { T.regions = List.rev !regions;
+    stats =
+      { T.rounds = !rounds;
+        iterations = !iterations;
+        elapsed_s = Dsd_util.Timer.now_s () -. t0 } }
+
 (* The hierarchy's reference search, per level on a fresh network with
    the prefix B pinned: the min cut maximises mu(S) - alpha |S| over
    S ⊇ B, so a marginal above alpha exists iff the cut beats B.  The

@@ -5,7 +5,8 @@
     used as oracles by both the unit suites ([test/helpers.ml]) and the
     metamorphic fuzz engine ({!Engine}).  None of this code shares a
     line with the code under test, except that the reference searches
-    drive the same flow networks. *)
+    drive the same flow networks, and {!reference_topk} runs the same
+    exact search as the top-k it checks, over a larger vertex set. *)
 
 (** [slow_count g psi] is mu(G, Psi) by the slow generic matcher
     (naive clique enumeration for clique patterns). *)
@@ -92,6 +93,19 @@ val reference_cds :
 val reference_query :
   Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> query:int array ->
   Dsd_core.Density.subgraph * int
+
+(** [reference_topk ~k g psi] is {!Dsd_core.Topk_lds.run} with every
+    round's candidate set the whole remaining graph instead of its
+    ceil(rho')-core: the same exact search
+    ({!Dsd_core.Parametric.dinkelbach} from the set's own density) on a
+    larger network, so the regions must be bit-identical and only the
+    work (probes, time) differs.  [stats.iterations] counts its probes.
+    Any size of graph.
+
+    @raise Invalid_argument when [k < 1]. *)
+val reference_topk :
+  k:int -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t ->
+  Dsd_core.Topk_lds.result
 
 (** [reference_ld_decomposition g psi] is the density-friendly
     decomposition by a per-level search, the reference for

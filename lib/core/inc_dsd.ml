@@ -68,8 +68,10 @@ type t = {
   node : int array;     (* vertex -> arena node; -1 until it joins *)
   src_arc : int array;  (* vertex -> source-arc id, once it has a node *)
   joined : Vec.t;       (* vertices with a node, in join order *)
-  mutable inst_node : int array;  (* instance id -> arena node *)
-  mutable inst_arcs : int array array;  (* instance id -> its arc ids *)
+  first_arc : Vec.t;
+      (* instance id -> its first arc id: an instance's 2h member arcs
+         are created back to back, so they are first, first + 2, ...,
+         first + 2(2h - 1) (each arc's twin sits between) *)
   inside : bool array;  (* [count_inside]'s marks, all false between calls *)
   mutable last_opt : float;  (* previous query's density; < 0 = none *)
 }
@@ -77,17 +79,6 @@ type t = {
 let net t = t.arena.Flow_build.net
 let source t = t.arena.Flow_build.source
 let sink t = t.arena.Flow_build.sink
-
-let grow_inst t id =
-  if id >= Array.length t.inst_node then begin
-    let cap = max 16 (2 * Array.length t.inst_node) in
-    let node = Array.make cap (-1) in
-    let arcs = Array.make cap [||] in
-    Array.blit t.inst_node 0 node 0 (Array.length t.inst_node);
-    Array.blit t.inst_arcs 0 arcs 0 (Array.length t.inst_arcs);
-    t.inst_node <- node;
-    t.inst_arcs <- arcs
-  end
 
 (* Give [v] its node, a cap-0 source arc (raised as its instances
    arrive) and an alpha arc of law h * alpha (capacitated by the next
@@ -105,23 +96,19 @@ let join t v =
 
 (* Wire one instance into the arena: its members' nodes if new, a fresh
    node, member arcs, and the member source caps raised to the new
-   degrees. *)
+   degrees.  Instances are wired in id order (a build wires a fresh
+   store's ids, all live, and a delta each id it appends), so the
+   instance's first arc is pushed at index [id]. *)
 let arena_add_instance t id =
-  grow_inst t id;
   Store.iter_members t.store id ~f:(join t);
   let net = net t in
   let node = F.add_node net in
-  let arcs = Array.make (2 * t.h) 0 in
-  let i = ref 0 in
+  Vec.push t.first_arc (F.arc_count net);
   Store.iter_members t.store id ~f:(fun v ->
       let x = t.node.(v) in
-      arcs.(2 * !i) <- F.add_edge net ~src:x ~dst:node ~cap:1.;
-      arcs.((2 * !i) + 1) <-
-        F.add_edge net ~src:node ~dst:x ~cap:(float_of_int (t.h - 1));
-      F.set_cap net t.src_arc.(v) (float_of_int (Store.degree t.store v));
-      incr i);
-  t.inst_node.(id) <- node;
-  t.inst_arcs.(id) <- arcs
+      ignore (F.add_edge net ~src:x ~dst:node ~cap:1.);
+      ignore (F.add_edge net ~src:node ~dst:x ~cap:(float_of_int (t.h - 1)));
+      F.set_cap net t.src_arc.(v) (float_of_int (Store.degree t.store v)))
 
 (* Unwire a retired instance: zero its arcs and shrink the member
    source caps, repairing any committed flow they carried.
@@ -130,15 +117,14 @@ let arena_add_instance t id =
    later probe. *)
 let arena_retire_instance t id =
   let net = net t and s = source t and sink = sink t in
-  Array.iter
-    (fun a -> ignore (F.set_cap_warm net ~s ~sink a 0.))
-    t.inst_arcs.(id);
+  let first = Vec.get t.first_arc id in
+  for j = 0 to (2 * t.h) - 1 do
+    ignore (F.set_cap_warm net ~s ~sink (first + (2 * j)) 0.)
+  done;
   Store.iter_members t.store id ~f:(fun v ->
       ignore
         (F.set_cap_warm net ~s ~sink t.src_arc.(v)
-           (float_of_int (Store.degree t.store v))));
-  t.inst_arcs.(id) <- [||];
-  t.inst_node.(id) <- -1
+           (float_of_int (Store.degree t.store v))))
 
 (* The arena with no vertex: the source (node 0) and the sink
    (node 1). *)
@@ -154,14 +140,13 @@ let build_arena t =
   t.arena <- empty_arena ();
   Array.fill t.node 0 (Array.length t.node) (-1);
   Vec.clear t.joined;
-  t.inst_node <- Array.make 16 (-1);
-  t.inst_arcs <- Array.make 16 [||];
+  Vec.clear t.first_arc;
   Counter.incr Counter.Flow_networks_built;
   for v = 0 to Array.length t.node - 1 do
     if Store.degree t.store v > 0 then join t v
   done;
   for id = 0 to Store.total t.store - 1 do
-    if Store.is_live t.store id then arena_add_instance t id
+    arena_add_instance t id
   done
 
 let create g (psi : P.t) =
@@ -181,8 +166,7 @@ let create g (psi : P.t) =
       node = Array.make n (-1);
       src_arc = Array.make n (-1);
       joined = Vec.create ();
-      inst_node = [||];
-      inst_arcs = [||];
+      first_arc = Vec.create ();
       inside = Array.make n false;
       last_opt = -1.;
     }

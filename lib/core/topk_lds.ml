@@ -11,36 +11,32 @@ type result = {
   stats : stats;
 }
 
-(* The vertices of G[rest] a densest subset of it can use: all of them,
-   or with [prune] the ceil(rho')-core — every densest subset S has
-   instance-degree >= ceil(rho_opt) >= ceil(rho') inside S, so S
-   survives peeling to that level.  None when G[rest] holds no
-   instance. *)
-let candidates ~prune ~decomp g psi rest =
-  if not prune then Some rest
+(* The vertices of G[rest] a densest subset of it can use: the
+   ceil(rho')-core — every densest subset S has instance-degree
+   >= ceil(rho_opt) >= ceil(rho') inside S, so S survives peeling to
+   that level.  None when G[rest] holds no instance. *)
+let candidates ~decomp g psi rest =
+  let gr, map_r = G.induced g rest in
+  let d =
+    match decomp with
+    | Some d
+      when Array.length d.Clique_core.residual_densities > 0
+           || d.Clique_core.mu_total = 0 ->
+      d
+    | _ -> Clique_core.decompose ~track_density:true gr psi
+  in
+  if d.Clique_core.mu_total = 0 then None
   else begin
-    let gr, map_r = G.induced g rest in
-    let d =
-      match decomp with
-      | Some d
-        when Array.length d.Clique_core.residual_densities > 0
-             || d.Clique_core.mu_total = 0 ->
-        d
-      | _ -> Clique_core.decompose ~track_density:true gr psi
-    in
-    if d.Clique_core.mu_total = 0 then None
-    else begin
-      let size = Array.length d.Clique_core.order - d.Clique_core.best_residual_start in
-      let k = max 1 (Density.ceil_ratio d.Clique_core.best_residual_count size) in
-      Some (Array.map (Array.get map_r) (Clique_core.core_vertices d ~k))
-    end
+    let size = Array.length d.Clique_core.order - d.Clique_core.best_residual_start in
+    let k = max 1 (Density.ceil_ratio d.Clique_core.best_residual_count size) in
+    Some (Array.map (Array.get map_r) (Clique_core.core_vertices d ~k))
   end
 
 (* One extraction round: the maximal densest subgraph of G[rest], from
    one exact search over the candidate set that starts at the set's own
    density (the set itself is the region when no side beats it). *)
-let round ~prune ~decomp g psi rest ~iterations =
-  match candidates ~prune ~decomp g psi rest with
+let round ~decomp g psi rest ~iterations =
+  match candidates ~decomp g psi rest with
   | None -> None
   | Some set ->
     let arena =
@@ -54,7 +50,7 @@ let round ~prune ~decomp g psi rest ~iterations =
       Some (Density.of_count side c)
     end
 
-let run ?(prune = true) ?decomp ~k g psi =
+let run ?decomp ~k g psi =
   if k < 1 then invalid_arg "Topk_lds: k must be >= 1";
   Dsd_obs.Span.with_ Dsd_obs.Phase.topk @@ fun () ->
   let t0 = Dsd_util.Timer.now_s () in
@@ -72,7 +68,7 @@ let run ?(prune = true) ?decomp ~k g psi =
     (* A caller-supplied decomposition describes the full graph, so it
        only matches the first round. *)
     let decomp = if !rounds = 1 then decomp else None in
-    match round ~prune ~decomp g psi rest ~iterations with
+    match round ~decomp g psi rest ~iterations with
     | None -> stop := true
     | Some region ->
       regions := region :: !regions;

@@ -21,10 +21,11 @@
     solved by one max flow), and when no side beats the set, the set is
     D itself.
 
-    With [~prune:true] (the default) the candidate set is the
-    ceil(rho')-core of the remaining graph (every densest subset lives
-    there); with [~prune:false] it is the whole remaining graph.  The
-    two modes return bit-identical regions; only the work differs. *)
+    The candidate set is the ceil(rho')-core of the remaining graph
+    (every densest subset lives there).
+    [Dsd_check.Oracle.reference_topk] runs the same search over the
+    whole remaining graph and returns bit-identical regions; only the
+    work differs. *)
 
 type stats = {
   rounds : int;             (** extraction rounds run (>= number of regions) *)
@@ -41,16 +42,14 @@ type result = {
 
 (** [run ~k g psi] extracts up to [k] disjoint locally densest regions.
 
-    [prune] (default [true]) selects the core-pruned candidate set.
     [?decomp] drops in a cached density-tracked decomposition of [g]
     (the serving layer's prepared state) for the first round; like
     {!Core_exact.run} it is recomputed rather than trusted when it
-    lacks density tracking.  Results are bit-identical across every
-    combination of the options.
+    lacks density tracking.  Results are bit-identical with and
+    without it.
 
     @raise Invalid_argument when [k < 1]. *)
 val run :
-  ?prune:bool ->
   ?decomp:Clique_core.t ->
   k:int ->
   Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> result

@@ -1,6 +1,7 @@
 (* Top-k locally densest subgraphs (Dsd_core.Topk_lds) against the
-   exhaustive oracle, plus the pruning/warm-start bit-equality the
-   canonical-region construction promises.
+   exhaustive oracle, plus the bit-equality the canonical-region
+   construction promises against the whole-remaining-graph reference
+   (Dsd_check.Oracle.reference_topk) and with a cached decomposition.
 
    Every comparison here is EXACT — densities are quotients of small
    integers, so equal rationals divide to bit-identical floats and
@@ -91,7 +92,8 @@ let test_top1_matches_exact () =
 
 (* Iterated extraction is prefix-stable by construction on both sides,
    so one oracle run at k = 3 checks every k in {1, 2, 3} against its
-   prefix. *)
+   prefix, for the core-pruned top-k and the whole-remaining-graph
+   reference alike. *)
 let test_oracle_differential () =
   for seed = 0 to 29 do
     let g = Helpers.random_graph ~seed ~max_n:10 ~max_m:24 () in
@@ -104,14 +106,14 @@ let test_oracle_differential () =
               List.filteri (fun i _ -> i < k) truth
             in
             List.iter
-              (fun prune ->
-                let got = pairs_of (T.run ~prune ~k g psi) in
+              (fun (label, run) ->
                 check_same
                   ~ctx:
-                    (Printf.sprintf "%s %s k=%d prune=%b" (Helpers.seed_ctx seed)
-                       name k prune)
-                  got want)
-              [ true; false ])
+                    (Printf.sprintf "%s %s k=%d %s" (Helpers.seed_ctx seed)
+                       name k label)
+                  (pairs_of (run ~k g psi)) want)
+              [ ("pruned", fun ~k g psi -> T.run ~k g psi);
+                ("reference", O.reference_topk) ])
           [ 1; 2; 3 ])
       patterns
   done
@@ -131,7 +133,7 @@ let test_modes_bit_identical () =
                 (Printf.sprintf "%s %s vs %s" (Helpers.seed_ctx (1000 + seed))
                    name label)
               (pairs_of (run ())) reference)
-          [ ("no-prune", fun () -> T.run ~prune:false ~k:3 g psi);
+          [ ("reference", fun () -> O.reference_topk ~k:3 g psi);
             ( "cached decomp",
               fun () ->
                 let decomp =

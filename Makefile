@@ -52,8 +52,9 @@ test-incremental:
 	dune exec test/test_main.exe -- test incremental
 
 # The top-k suite on its own: the brute-force oracle differential
-# (h in {2,3}, k in {1,2,3}, pruning on and off bit-identical), the
-# canonical-region fixtures and the disjointness/monotonicity laws.
+# (h in {2,3}, k in {1,2,3}, the core-pruned search and the
+# whole-remaining-graph Dsd_check.Oracle.reference_topk bit-identical),
+# the canonical-region fixtures and the disjointness/monotonicity laws.
 test-topk:
 	dune exec test/test_main.exe -- test topk
 
@@ -181,9 +182,9 @@ bench-incremental:
 	dune exec bench/main.exe -- --only incremental
 	dune exec bench/compare.exe -- BENCH_incremental.json
 
-# Core-pruned vs whole-remaining-graph top-k extraction (writes
-# BENCH_topk.json), then the bit-identical-regions and never-slower
-# gate.
+# Core-pruned top-k extraction vs the whole-remaining-graph reference
+# of Dsd_check.Oracle (writes BENCH_topk.json), then the
+# bit-identical-regions and never-slower gate.
 bench-topk:
 	dune exec bench/main.exe -- --only topk
 	dune exec bench/compare.exe -- BENCH_topk.json

@@ -326,11 +326,10 @@ let reference_query g psi ~query =
     (!best, !probes)
   end
 
-(* Top-k's extraction before its rounds searched the core-pruned
-   candidate set: every round runs the same exact search as
-   Dsd_core.Topk_lds over the whole remaining graph, from its own
-   density; the last accepted side, or the remaining graph itself, is
-   the round's region. *)
+(* Top-k's iterated extraction with every round's candidate set the
+   whole remaining graph: the same exact search as Dsd_core.Topk_lds,
+   from the remaining graph's own density; the last accepted side, or
+   the remaining graph itself, is the round's region. *)
 let reference_topk ~k g psi =
   let module Pm = Dsd_core.Parametric in
   let module T = Dsd_core.Topk_lds in

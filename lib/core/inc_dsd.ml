@@ -135,7 +135,8 @@ let empty_arena () =
 (* The arena of the live instances: the source, the sink, every vertex
    in a live instance in ascending order (so the solver meets the
    source arcs in vertex order, as in [Flow_build]'s networks), then
-   the instances in id order. *)
+   the instances in id order.  Both callers build over a fresh store,
+   whose instances are all live. *)
 let build_arena t =
   t.arena <- empty_arena ();
   Array.fill t.node 0 (Array.length t.node) (-1);

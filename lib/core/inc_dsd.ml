@@ -6,10 +6,11 @@ module Store = Dsd_clique.Instance_store.Dyn
 module Vec = Dsd_util.Vec.Int
 module Counter = Dsd_obs.Counter
 
-(* An incremental DSD session: a mutable graph handle plus a live
-   h-clique instance store and a pds-style flow arena that are patched
-   in place as edge batches arrive, so each query re-solves from the
-   previous committed flow instead of rebuilding from scratch.
+(* An incremental DSD session: a live h-clique instance store and a
+   pds-style flow arena over a mutable graph handle, which sessions for
+   other patterns of the same graph may read too.  Store and arena are
+   patched in place as edge batches arrive, so each query re-solves
+   from the previous committed flow instead of rebuilding from scratch.
 
    The arena is the one-node-per-instance pds network (Section 7) over
    the vertices that lie in a live instance.  Node 0 is the source and
@@ -150,19 +151,17 @@ let build_arena t =
     arena_add_instance t id
   done
 
-let create g (psi : P.t) =
+let attach dyn (psi : P.t) =
   if psi.P.kind <> P.Clique then
-    invalid_arg "Inc_dsd.create: only h-clique patterns are supported";
-  let dyn = Dyn.of_graph g in
-  let instances = Enumerate.instances g psi in
+    invalid_arg "Inc_dsd.attach: only h-clique patterns are supported";
+  let g = Dyn.snapshot dyn in
   let n = G.n g in
-  let store = Store.create ~n instances in
   let t =
     {
       psi;
       h = psi.P.size;
       dyn;
-      store;
+      store = Store.create ~n (Enumerate.instances g psi);
       arena = empty_arena ();
       node = Array.make n (-1);
       src_arc = Array.make n (-1);
@@ -174,6 +173,8 @@ let create g (psi : P.t) =
   in
   build_arena t;
   t
+
+let create g psi = attach (Dyn.of_graph g) psi
 
 (* New h-clique instances created by inserting edge (u,v): {u,v} plus
    every (h-2)-subset of the common neighbourhood that is itself a
@@ -225,38 +226,50 @@ let maybe_compact t =
     build_arena t
   end
 
-let apply_op t op =
+(* Each op changes the handle once; every session is then patched for
+   it before the next op, so each discovers its instances on the graph
+   as it stands after that op, exactly as a session that owned the
+   handle would. *)
+let apply_op dyn sessions op =
   match op with
   | Dyn.Add (u, v) ->
-    if Dyn.add_edge t.dyn u v then begin
+    let changed = Dyn.add_edge dyn u v in
+    if changed then
       List.iter
-        (fun members ->
-          let id = Store.append t.store members in
-          arena_add_instance t id;
-          Counter.incr Counter.Delta_instances_added)
-        (discover_instances t u v);
-      true
-    end
-    else false
+        (fun t ->
+          List.iter
+            (fun members ->
+              let id = Store.append t.store members in
+              arena_add_instance t id;
+              Counter.incr Counter.Delta_instances_added)
+            (discover_instances t u v))
+        sessions;
+    changed
   | Dyn.Remove (u, v) ->
-    if Dyn.remove_edge t.dyn u v then begin
-      ignore
-        (Store.retire_edge t.store u v ~f:(fun id ->
-             arena_retire_instance t id;
-             Counter.incr Counter.Delta_instances_retired));
-      true
-    end
-    else false
+    let changed = Dyn.remove_edge dyn u v in
+    if changed then
+      List.iter
+        (fun t ->
+          ignore
+            (Store.retire_edge t.store u v ~f:(fun id ->
+                 arena_retire_instance t id;
+                 Counter.incr Counter.Delta_instances_retired)))
+        sessions;
+    changed
 
-let apply t ops =
+let apply_all dyn sessions ops =
+  if List.exists (fun t -> t.dyn != dyn) sessions then
+    invalid_arg "Inc_dsd.apply_all: a session reads another handle";
   Dsd_obs.Span.with_ Dsd_obs.Phase.incremental @@ fun () ->
   let applied =
     Array.fold_left
-      (fun acc op -> if apply_op t op then acc + 1 else acc)
+      (fun acc op -> if apply_op dyn sessions op then acc + 1 else acc)
       0 ops
   in
-  maybe_compact t;
+  List.iter maybe_compact sessions;
   applied
+
+let apply t ops = apply_all t.dyn [ t ] ops
 
 (* Only joined vertices can have a live instance. *)
 let max_live_degree t =

@@ -1,8 +1,10 @@
 (** Incremental exact DSD sessions over edge streams.
 
-    A session owns a {!Dsd_graph.Dynamic} handle, a growable h-clique
-    instance store and a pds-style flow arena.  {!apply} patches all
-    three in place per edge insert/delete — the adjacency change,
+    A session reads a {!Dsd_graph.Dynamic} handle, which it may share
+    with other sessions (one per pattern over the same graph), and
+    owns a growable h-clique instance store and a pds-style flow
+    arena.  {!apply_all} changes the handle once per edge
+    insert/delete and patches each session's store and arena for it —
     instance discovery/retirement localised to the changed edge, and
     arc surgery that keeps the committed flow feasible, every lowered
     capacity going through {!Dsd_flow.Flow_network.set_cap_warm} — and
@@ -31,20 +33,36 @@
     [test_incremental] differential battery and the
     [delta-equals-rebuild] fuzz relation enforce this.
 
-    Only h-clique patterns are supported ({!create} raises
+    Sessions that share a handle must change only through
+    {!apply_all} over all of them: a session whose handle changed
+    behind its back no longer matches the graph it reads.
+
+    Only h-clique patterns are supported ({!attach} raises
     [Invalid_argument] otherwise). *)
 
 type t
 
-(** [create g psi] starts a session on the current graph —
-    enumeration and arena build happen here, once.  The same
-    constructor is the rebuild oracle used by the differential
-    tests. *)
+(** [attach dyn psi] starts a session over [dyn], which it reads but
+    does not own: enumeration (of [dyn]'s cached snapshot) and arena
+    build happen here, once. *)
+val attach : Dsd_graph.Dynamic.t -> Dsd_pattern.Pattern.t -> t
+
+(** [create g psi] = [attach (Dynamic.of_graph g) psi]: a session over
+    a handle of its own.  The same constructor is the rebuild oracle
+    used by the differential tests. *)
 val create : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> t
 
-(** [apply t ops] applies a delta batch in order, patching graph,
-    store and arena; returns how many ops changed the graph.
-    Duplicate inserts and absent deletes are no-ops. *)
+(** [apply_all dyn sessions ops] applies a delta batch in order: each
+    op changes [dyn] once, then patches every session's store and
+    arena in list order before the next op; after the batch each
+    session compacts if its tombstones dominate.  Returns how many ops
+    changed the graph.  Duplicate inserts and absent deletes are
+    no-ops.
+    @raise Invalid_argument if a session was not attached to [dyn]. *)
+val apply_all :
+  Dsd_graph.Dynamic.t -> t list -> Dsd_graph.Dynamic.op array -> int
+
+(** [apply t ops] = [apply_all (dynamic t) [t] ops]. *)
 val apply : t -> Dsd_graph.Dynamic.op array -> int
 
 (** [query t] = the exact CDS of the current graph, solved warm from

@@ -72,6 +72,10 @@ let handle_connection ~state conn =
           with e ->
             Protocol.Error_r ("internal error: " ^ Printexc.to_string e)
         in
+        (* No endpoint reads the per-probe log, and a daemon records
+           for its whole life: drop each request's probes once it is
+           answered, so the log never outgrows one request. *)
+        Dsd_obs.Probe.reset ();
         respond resp;
         loop ())
   in

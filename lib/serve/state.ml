@@ -20,15 +20,16 @@ type psi_state = {
          requested level count) *)
 }
 
-(* [g] is the graph as registered; [dyn] (created on the first delta)
-   is the mutable source of truth once the graph starts moving, and
-   the current graph is then its CSR snapshot, which [Dynamic] caches
-   between changes and builds only when a request reads it (a
-   psi-state, a new incremental session), never on a delta.  [incs]
-   holds the per-psi incremental sessions, which are patched — never
-   dropped — by apply-delta and read no snapshot.  [psis] caches are a
-   pure function of the snapshot, so a delta resets them; [incs]
-   survives. *)
+(* [g] is the graph as registered; [dyn] is the graph's one mutable
+   handle, created from [g] by the first delta or the first incremental
+   session ([dynamic]).  The current graph is then its CSR snapshot,
+   which [Dynamic] caches between changes and builds only when a
+   request reads it (a psi-state, a new incremental session), never on
+   a delta.  [incs] holds the per-psi incremental sessions, all
+   attached to [dyn] and read no copy of it: apply-delta changes the
+   handle once per edge and patches every session with it, never
+   dropping one.  [psis] caches are a pure function of the snapshot,
+   so a delta resets them; [incs] survives. *)
 type graph_state = {
   g : G.t;
   psis : (string, psi_state) Hashtbl.t;
@@ -120,14 +121,22 @@ let with_psi t ~graph ~psi f =
 
 (* ---- solvers ---- *)
 
-(* The per-(graph, psi) incremental session: built once from the
-   current snapshot, then patched in place by apply-delta — across
-   deltas it keeps its flow arena warm, which is its whole point. *)
+let dynamic (gs : graph_state) =
+  match gs.dyn with
+  | Some d -> d
+  | None ->
+    let d = Dsd_graph.Dynamic.of_graph gs.g in
+    gs.dyn <- Some d;
+    d
+
+(* The per-(graph, psi) incremental session: attached once to the
+   graph's handle, then patched in place by apply-delta — across deltas
+   it keeps its flow arena warm, which is its whole point. *)
 let inc_session (gs : graph_state) (psi : P.t) =
   match Hashtbl.find_opt gs.incs psi.P.name with
   | Some s -> s
   | None ->
-    let s = Dsd_core.Inc_dsd.create (current gs) psi in
+    let s = Dsd_core.Inc_dsd.attach (dynamic gs) psi in
     Hashtbl.add gs.incs psi.P.name s;
     s
 
@@ -165,13 +174,13 @@ let densest (gs : graph_state) (psi : P.t) algorithm =
     with Invalid_argument msg -> Error (errorf "%s" msg))
   | other -> densest_static (psi_state gs psi) other
 
-(* The apply-delta endpoint: mutate the graph handle, patch every live
-   incremental session with the same ops, and invalidate only this
-   graph's derived state — its (graph, psi) prepared caches and its
-   result-LRU entries.  The changed handle drops its cached snapshot;
-   none is built here, so a delta costs the edge changes and the
-   session patches, not a CSR rebuild.  Other graphs' cached results
-   stay resident (and keep hitting). *)
+(* The apply-delta endpoint: change the graph's handle and patch every
+   live incremental session with the same ops, adds then removes, and
+   invalidate only this graph's derived state — its (graph, psi)
+   prepared caches and its result-LRU entries.  The changed handle
+   drops its cached snapshot; none is built here, so a delta costs the
+   edge changes and the session patches, not a CSR rebuild.  Other
+   graphs' cached results stay resident (and keep hitting). *)
 let apply_delta t ~graph ~adds ~removes =
   with_graph t graph @@ fun gs ->
   let n = G.n gs.g in
@@ -179,33 +188,21 @@ let apply_delta t ~graph ~adds ~removes =
   if Array.exists bad adds || Array.exists bad removes then
     errorf "delta vertex out of range (graph has %d vertices)" n
   else begin
-    let dyn =
-      match gs.dyn with
-      | Some d -> d
-      | None ->
-        let d = Dsd_graph.Dynamic.of_graph gs.g in
-        gs.dyn <- Some d;
-        d
+    let dyn = dynamic gs in
+    let sessions = Hashtbl.fold (fun _ s acc -> s :: acc) gs.incs [] in
+    let apply op pairs =
+      Dsd_core.Inc_dsd.apply_all dyn sessions (Array.map op pairs)
     in
-    let added = ref 0 and removed = ref 0 in
-    Array.iter
-      (fun (u, v) -> if Dsd_graph.Dynamic.add_edge dyn u v then incr added)
-      adds;
-    Array.iter
-      (fun (u, v) -> if Dsd_graph.Dynamic.remove_edge dyn u v then incr removed)
-      removes;
-    let ops =
-      Array.append
-        (Array.map (fun (u, v) -> Dsd_graph.Dynamic.Add (u, v)) adds)
-        (Array.map (fun (u, v) -> Dsd_graph.Dynamic.Remove (u, v)) removes)
+    let added = apply (fun (u, v) -> Dsd_graph.Dynamic.Add (u, v)) adds in
+    let removed =
+      apply (fun (u, v) -> Dsd_graph.Dynamic.Remove (u, v)) removes
     in
-    Hashtbl.iter (fun _ s -> ignore (Dsd_core.Inc_dsd.apply s ops)) gs.incs;
     Hashtbl.reset gs.psis;
     ignore
       (Lru.remove_where t.results ~f:(fun key ->
            Protocol.key_graph key = Some graph));
     Protocol.Apply_delta_r
-      { n; m = Dsd_graph.Dynamic.m dyn; added = !added; removed = !removed }
+      { n; m = Dsd_graph.Dynamic.m dyn; added; removed }
   end
 
 (* Every request kind's answer, uncached. *)

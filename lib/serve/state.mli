@@ -36,10 +36,12 @@ val graphs : t -> (string * Dsd_graph.Graph.t) list
     vertices come back as [Protocol.Error_r].
 
     [Apply_delta] mutates the named graph in place: edge inserts are
-    applied before deletes, each patching a {!Dsd_graph.Dynamic}
-    handle and every live incremental session for that graph
-    ({!Dsd_core.Inc_dsd}, created on the first
-    [algorithm = "incremental"] request and kept warm across deltas).
+    applied before deletes, each changing the graph's one
+    {!Dsd_graph.Dynamic} handle once and patching every live
+    incremental session for that graph ({!Dsd_core.Inc_dsd}, attached
+    to that handle on the first [algorithm = "incremental"] request
+    and kept warm across deltas) through
+    {!Dsd_core.Inc_dsd.apply_all}.
     Invalidation is targeted — only the mutated graph's prepared
     (graph, Psi) caches and its result-LRU entries are dropped; other
     graphs' cached results keep hitting.  No CSR snapshot is built on

@@ -83,6 +83,51 @@ let test_battery () =
     List.iter (fun h -> battery_one ~seed ~h) [ 2; 3 ]
   done
 
+(* Sessions for three patterns attached to one handle, patched
+   together by [apply_all] over the battery's streams: after every
+   batch each equals a rebuild, as a session that owns its handle
+   does.  A session of another handle is refused. *)
+let shared_one ~seed =
+  let g0 = Helpers.random_graph ~seed ~max_n:12 ~max_m:25 () in
+  let n = G.n g0 in
+  let dyn = Dyn.of_graph g0 in
+  let sessions =
+    List.map (Inc.attach dyn) [ P.edge; P.triangle; P.clique 4 ]
+  in
+  let rng = Helpers.rng ((seed * 1000) + 4) in
+  let edges = ref (G.edges g0) in
+  let batch_no = ref 0 in
+  for _round = 1 to 2 do
+    let script = Delta.generate rng (G.of_edges ~n !edges) in
+    Array.iter
+      (fun batch ->
+        incr batch_no;
+        ignore (Inc.apply_all dyn sessions batch);
+        edges := Delta.final_edges ~n !edges [| batch |];
+        let rebuilt = G.of_edges ~n !edges in
+        let ctx =
+          Printf.sprintf "%s shared batch=%d (%s)" (Helpers.seed_ctx seed)
+            !batch_no
+            (Delta.to_string [| batch |])
+        in
+        List.iter
+          (fun s ->
+            check_against_rebuild
+              ~ctx:(Printf.sprintf "%s %s" ctx (Inc.psi s).P.name)
+              s rebuilt)
+          sessions)
+      script
+  done;
+  let other = Inc.create g0 P.triangle in
+  Alcotest.check_raises "a session of another handle is refused"
+    (Invalid_argument "Inc_dsd.apply_all: a session reads another handle")
+    (fun () -> ignore (Inc.apply_all dyn (other :: sessions) [||]))
+
+let test_shared_battery () =
+  for seed = 1 to 35 do
+    shared_one ~seed
+  done
+
 (* ---- edge cases: empty graph, delete to empty ---- *)
 
 let test_empty_graph () =
@@ -308,4 +353,6 @@ let suite =
       test_repair_source_arc;
     Alcotest.test_case "a query allocates O(instances), not O(n)" `Quick
       test_query_allocation;
+    Alcotest.test_case "sessions sharing one handle equal rebuilds" `Slow
+      test_shared_battery;
   ]

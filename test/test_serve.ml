@@ -381,6 +381,77 @@ let test_delta_tick_allocation () =
   Alcotest.(check (float 0.)) "incremental = CoreExact on the moved graph"
     (read "coreexact") !last
 
+(* One graph served with triangle and 4-clique incremental sessions
+   over 24 Apply_delta ticks of random churn: the sessions read the graph's one handle, so the
+   Stats counters count each edge change once — their delta totals
+   equal the sums of the ticks' own [added]/[removed] — and every
+   incremental answer has CoreExact's density on the moved graph,
+   which the test tracks on its own edge set, and a fresh session's
+   vertex set (CoreExact may return another set of that density). *)
+let test_shared_handle_counts () =
+  let g = Dsd_data.Gen.barabasi_albert ~seed:2003 ~n:300 ~attach:5 in
+  let n = G.n g in
+  let state = Sv_state.create ~max_cached:8 [ ("s", g) ] in
+  let edges = ref (G.edges g) in
+  let check_answers tick =
+    let moved = G.of_edges ~n !edges in
+    List.iter
+      (fun psi ->
+        let ctx = Printf.sprintf "tick %d %s" tick psi.P.name in
+        match
+          Sv_state.handle state
+            (Pr.Cds { graph = "s"; psi = psi.P.name; algorithm = "incremental" })
+        with
+        | Pr.Cds_r { density; vertices } ->
+          let core =
+            (Dsd_core.Core_exact.run moved psi).Dsd_core.Core_exact.subgraph
+          in
+          Alcotest.(check (float 0.)) (ctx ^ ": density = CoreExact")
+            core.density density;
+          Alcotest.check subgraph (ctx ^ ": CDS = a fresh session's")
+            (Dsd_core.Inc_dsd.query (Dsd_core.Inc_dsd.create moved psi))
+            { Dsd_core.Density.density; vertices }
+        | _ -> Alcotest.failf "%s: incremental cds not answered" ctx)
+      [ P.triangle; P.clique 4 ]
+  in
+  Dsd_obs.Control.with_recording @@ fun () ->
+  let rng = Helpers.rng 31 in
+  let added = ref 0 and removed = ref 0 in
+  check_answers 0;
+  (* Churn among the 40 oldest vertices, where the densest regions
+     are, so the answers move; the repeated delete and any insert of a
+     present edge or a self-loop are no-ops. *)
+  let hub () = Prng.int rng 40 in
+  for tick = 1 to 24 do
+    let core = List.filter (fun (u, v) -> u < 40 && v < 40) (Array.to_list !edges) in
+    let pick () = List.nth core (Prng.int rng (List.length core)) in
+    let removes = Array.init 3 (fun _ -> pick ()) in
+    let removes = Array.append removes [| removes.(0) |] in
+    let adds = Array.init 4 (fun _ -> (hub (), hub ())) in
+    (match
+       Sv_state.handle state (Pr.Apply_delta { graph = "s"; adds; removes })
+     with
+     | Pr.Apply_delta_r r ->
+       added := !added + r.added;
+       removed := !removed + r.removed
+     | _ -> Alcotest.failf "tick %d: Apply_delta not answered" tick);
+    let op f pairs = Array.map (fun (u, v) -> f (u, v)) pairs in
+    edges :=
+      Dsd_check.Delta.final_edges ~n !edges
+        [| Array.append
+             (op (fun (u, v) -> Dsd_graph.Dynamic.Add (u, v)) adds)
+             (op (fun (u, v) -> Dsd_graph.Dynamic.Remove (u, v)) removes) |];
+    check_answers tick
+  done;
+  match Sv_state.handle state Pr.Stats with
+  | Pr.Stats_r { counters; _ } ->
+    Alcotest.(check int) "delta_edges_added = sum of the ticks' added" !added
+      (List.assoc "delta_edges_added" counters);
+    Alcotest.(check int) "delta_edges_removed = sum of the ticks' removed"
+      !removed
+      (List.assoc "delta_edges_removed" counters)
+  | _ -> Alcotest.fail "stats not answered"
+
 (* ---- the differential corpus over a live socket ---- *)
 
 (* Direct library answer for an endpoint, for comparison. *)
@@ -710,6 +781,37 @@ let test_path_appears_listening () =
     Option.iter (Alcotest.failf "start %d: connect failed: %s" i) failure
   done
 
+(* A daemon records for its whole life, and no endpoint reads the
+   per-probe log: with recording on, 12 ticks of an Apply_delta and an
+   incremental read through a live server leave [Probe.count ()] at no
+   more than the last read's probes (the first read alone, a cold
+   bisection, makes dozens). *)
+let test_probe_log_bounded () =
+  let g = Dsd_data.Gen.barabasi_albert ~seed:2003 ~n:300 ~attach:3 in
+  let edges = G.edges g in
+  Dsd_obs.Control.with_recording @@ fun () ->
+  with_server [ ("s", g) ] @@ fun addr _state ->
+  let probes () = Dsd_obs.Counter.get Dsd_obs.Counter.Core_iterations in
+  let last = ref 0 in
+  for i = 0 to 11 do
+    let adds = if i = 0 then [||] else [| edges.(i - 1) |] in
+    ignore
+      (Client.once addr
+         (Pr.Apply_delta { graph = "s"; adds; removes = [| edges.(i) |] }));
+    let before = probes () in
+    (match
+       Client.once addr
+         (Pr.Density { graph = "s"; psi = "triangle"; algorithm = "incremental" })
+     with
+     | Pr.Density_r _ -> ()
+     | _ -> Alcotest.failf "tick %d: incremental read not answered" i);
+    last := probes () - before
+  done;
+  let kept = Dsd_obs.Probe.count () in
+  if kept > !last then
+    Alcotest.failf "the probe log holds %d probes after 12 ticks (last read: %d)"
+      kept !last
+
 (* Targeted tag-0x0a (hierarchy) frame faults: a well-formed request
    must answer, and truncated / oversized / lying-body variants of the
    same frame must produce a structured error or a clean close, never a
@@ -1011,4 +1113,8 @@ let suite =
       test_delta_tick_allocation;
     Alcotest.test_case "socket: the path appears only once listening" `Quick
       test_path_appears_listening;
+    Alcotest.test_case "state: incremental sessions share one handle" `Quick
+      test_shared_handle_counts;
+    Alcotest.test_case "socket: the probe log holds one request" `Quick
+      test_probe_log_bounded;
   ]

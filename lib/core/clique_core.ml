@@ -88,6 +88,10 @@ type source =
 
 type engine = { n : int; deg : int array; source : source }
 
+let of_instances ~n instances =
+  let store = IS.create ~n instances in
+  { n; deg = IS.degrees store; source = Store store }
+
 let engine g (psi : P.t) =
   let n = G.n g in
   if psi.kind = P.Clique && psi.size = 2 then
@@ -98,10 +102,7 @@ let engine g (psi : P.t) =
           { g;
             retired = Bytes.make n '\000';
             rank = lazy (Dsd_graph.Degeneracy.compute g).rank } }
-  else begin
-    let store = IS.create ~n (Enumerate.instances g psi) in
-    { n; deg = IS.degrees store; source = Store store }
-  end
+  else of_instances ~n (Enumerate.instances g psi)
 
 let total e =
   match e.source with Store store -> IS.total store | Edges { g; _ } -> G.m g

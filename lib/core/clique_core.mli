@@ -63,6 +63,11 @@ type engine
     [Enumerate.instances g psi]. *)
 val engine : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> engine
 
+(** [of_instances ~n instances] is the instance-store engine over any
+    instance list on vertices [0 .. n-1] — what {!engine} builds for
+    every pattern but the edge. *)
+val of_instances : n:int -> Dsd_clique.Instances.t -> engine
+
 (** mu(G, Psi), live and dead instances together. *)
 val total : engine -> int
 

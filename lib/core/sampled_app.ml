@@ -8,46 +8,6 @@ type result = {
   elapsed_s : float;
 }
 
-(* Greedy peel over an arbitrary instance multiset on [n] vertices,
-   returning the best residual vertex suffix under the *sampled*
-   density. *)
-let peel_sampled ~n (instances : Dsd_clique.Instances.t) =
-  let store = Dsd_clique.Instance_store.create ~n instances in
-  let max_deg = ref 1 in
-  for v = 0 to n - 1 do
-    max_deg := max !max_deg (Dsd_clique.Instance_store.degree store v)
-  done;
-  let queue = Dsd_util.Bucket_queue.create ~n ~max_key:!max_deg in
-  for v = 0 to n - 1 do
-    Dsd_util.Bucket_queue.add queue ~item:v
-      ~key:(Dsd_clique.Instance_store.degree store v)
-  done;
-  let order = Array.make n 0 in
-  let mu_live = ref instances.count in
-  let best = ref (float_of_int !mu_live /. float_of_int (max 1 n)) in
-  let best_start = ref 0 in
-  for i = 0 to n - 1 do
-    match Dsd_util.Bucket_queue.pop_min queue with
-    | None -> assert false
-    | Some (v, _) ->
-      order.(i) <- v;
-      let killed =
-        Dsd_clique.Instance_store.kill_vertex store v ~on_comember:(fun u ->
-            if Dsd_util.Bucket_queue.mem queue u then
-              Dsd_util.Bucket_queue.update queue ~item:u
-                ~key:(Dsd_clique.Instance_store.degree store u))
-      in
-      mu_live := !mu_live - killed;
-      if i < n - 1 then begin
-        let d = float_of_int !mu_live /. float_of_int (n - i - 1) in
-        if d > !best then begin
-          best := d;
-          best_start := i + 1
-        end
-      end
-  done;
-  Array.sub order !best_start (n - !best_start)
-
 let run ?(core_first = true) ~seed ~p g (psi : P.t) =
   if not (p > 0. && p <= 1.) then invalid_arg "Sampled_app.run: p must be in (0, 1]";
   let t0 = Dsd_util.Timer.now_s () in
@@ -72,8 +32,13 @@ let run ?(core_first = true) ~seed ~p g (psi : P.t) =
   let subgraph =
     if sample.count = 0 then Density.empty
     else begin
-      let local = peel_sampled ~n:(G.n region) sample in
-      (* Re-score the candidate against the full graph. *)
+      (* The shared peel on the sample; its best residual suffix under
+         the sampled density is re-scored against the full graph. *)
+      let local =
+        Clique_core.best_residual
+          (Clique_core.peel_canonical ~track_density:true
+             (Clique_core.of_instances ~n:(G.n region) sample))
+      in
       Density.of_vertices g psi (Array.map (fun v -> map.(v)) local)
     end
   in

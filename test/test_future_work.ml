@@ -9,14 +9,25 @@ module D = Dsd_core.Density
 (* ---- Sampled_app ---- *)
 
 let test_sampling_p1_equals_peel () =
-  (* p = 1 keeps every instance: identical search to PeelApp. *)
-  let g = Helpers.random_graph ~seed:61 ~max_n:40 ~max_m:160 () in
-  let peel = (Dsd_core.Peel_app.run g P.triangle).Dsd_core.Peel_app.subgraph in
-  let sampled =
-    Dsd_core.Sampled_app.run ~core_first:false ~seed:1 ~p:1.0 g P.triangle
-  in
-  Helpers.check_float "same density" peel.D.density
-    sampled.Dsd_core.Sampled_app.subgraph.D.density
+  (* p = 1 keeps every instance, in listing order: the same peel as
+     PeelApp, so the same vertex set and the same density bits. *)
+  for seed = 61 to 70 do
+    let g = Helpers.random_graph ~seed ~max_n:40 ~max_m:160 () in
+    List.iter
+      (fun psi ->
+        let ctx = Printf.sprintf "%s %s" (Helpers.seed_ctx seed) psi.P.name in
+        let peel = (Dsd_core.Peel_app.run g psi).Dsd_core.Peel_app.subgraph in
+        let sampled =
+          (Dsd_core.Sampled_app.run ~core_first:false ~seed:1 ~p:1.0 g psi)
+            .Dsd_core.Sampled_app.subgraph
+        in
+        Alcotest.(check (array int)) (ctx ^ ": same vertex set")
+          peel.D.vertices sampled.D.vertices;
+        Alcotest.(check int64) (ctx ^ ": same density bits")
+          (Int64.bits_of_float peel.D.density)
+          (Int64.bits_of_float sampled.D.density))
+      [ P.edge; P.triangle; P.clique 4 ]
+  done
 
 let sampled_never_beats_optimum_prop psi (g, seed) =
   let opt, _ = Helpers.brute_force_densest g psi in

@@ -180,11 +180,3 @@ let malformed_frame rng =
 let sample rng =
   let gen = List.nth all (Prng.int rng (List.length all)) in
   gen.sample rng
-
-let pp_case fmt c =
-  Format.fprintf fmt "%s psi=%s n=%d m=%d%s@ %a" c.label c.psi.P.name
-    (G.n c.graph) (G.m c.graph)
-    (match c.cert with
-    | None -> ""
-    | Some vs -> Printf.sprintf " cert=%d" (Array.length vs))
-    G.pp c.graph

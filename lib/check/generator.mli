@@ -51,9 +51,6 @@ val all : t list
 (** [sample rng] picks a generator uniformly and samples one case. *)
 val sample : Dsd_util.Prng.t -> case
 
-(** [pp_case] for qcheck/alcotest diagnostics. *)
-val pp_case : Format.formatter -> case -> unit
-
 (** [malformed_frame rng] is [(label, bytes)] where [bytes] is a
     deliberately broken serve-protocol frame — truncated header or
     body, oversized or undersized length prefix, wrong version,

@@ -5,9 +5,6 @@ type subgraph = {
   density : float;
 }
 
-let edge_density g =
-  if G.n g = 0 then 0. else float_of_int (G.m g) /. float_of_int (G.n g)
-
 let empty = { vertices = [||]; density = 0. }
 
 let of_count vertices c =

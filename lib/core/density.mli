@@ -8,9 +8,6 @@ type subgraph = {
   density : float;       (** rho(G[vertices], Psi); 0 when empty *)
 }
 
-(** [edge_density g] = m / n (Definition 1); 0 on the empty graph. *)
-val edge_density : Dsd_graph.Graph.t -> float
-
 (** [count g psi vs] is c(S) = mu(G[vs], Psi), the instance count of
     the vertex set [vs]. *)
 val count : Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> int array -> int

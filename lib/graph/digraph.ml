@@ -21,11 +21,6 @@ let iter_out g v ~f =
     f g.out_col.(i)
   done
 
-let iter_in g v ~f =
-  for i = g.in_row.(v) to g.in_row.(v + 1) - 1 do
-    f g.in_col.(i)
-  done
-
 let mem_arc g ~src ~dst =
   let lo = ref g.out_row.(src) and hi = ref (g.out_row.(src + 1) - 1) in
   let found = ref false in

@@ -21,7 +21,6 @@ val in_degree : t -> int -> int
 val out_neighbors : t -> int -> int array
 val in_neighbors : t -> int -> int array
 val iter_out : t -> int -> f:(int -> unit) -> unit
-val iter_in : t -> int -> f:(int -> unit) -> unit
 val mem_arc : t -> src:int -> dst:int -> bool
 
 (** [iter_arcs t ~f] applies [f u v] once per arc u -> v. *)

@@ -1,5 +1,3 @@
-let is_enabled () = Atomic.get State.enabled
-
 let enable ?sink () =
   Option.iter Trace.set_sink sink;
   Atomic.set State.enabled true

@@ -3,8 +3,6 @@
     installs a trace sink for structured events; counters and spans
     accumulate regardless of the sink. *)
 
-val is_enabled : unit -> bool
-
 (** [enable ?sink ()] turns recording on.  With [~sink] that sink is
     installed; without it the current sink stays, so a sink installed
     earlier with {!Trace.set_sink} receives the events. *)

@@ -12,7 +12,6 @@ let median a =
   end
 
 let max_int_arr a = Array.fold_left max min_int a
-let min_int_arr a = Array.fold_left min max_int a
 
 let power_law_alpha degrees =
   let n = ref 0 and sum_log = ref 0. in

@@ -4,7 +4,6 @@
 val mean : float array -> float
 val median : float array -> float
 val max_int_arr : int array -> int
-val min_int_arr : int array -> int
 
 (** [power_law_alpha degrees] estimates the exponent alpha of
     f(x) ~ x^(-alpha) from the positive entries of a degree sequence

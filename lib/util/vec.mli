@@ -1,4 +1,4 @@
-(** Growable arrays of unboxed ints and floats.
+(** Growable arrays of unboxed ints.
 
     Used on hot paths (instance postings, network construction) where
     OCaml lists or [Buffer]-style structures would box or fragment. *)
@@ -18,19 +18,6 @@ module Int : sig
 
   val clear : t -> unit
   val to_array : t -> int array
-  val of_array : int array -> t
   val iter : (int -> unit) -> t -> unit
   val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
-end
-
-module Float : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  val length : t -> int
-  val get : t -> int -> float
-  val set : t -> int -> float -> unit
-  val push : t -> float -> unit
-  val clear : t -> unit
-  val to_array : t -> float array
 end

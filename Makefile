@@ -18,7 +18,9 @@ test:
 # The flow-layer suites on their own: solver invariants (conservation,
 # max-flow = min-cut, residuals, reset_flow), the network's own
 # capacity laws (a warm retarget and recapacitate against a fresh
-# build) and the retarget differential/accounting contracts.
+# build), the retarget differential/accounting contracts, and every
+# exact probe of an arena (warm on its grid or cold) against a fresh
+# cold probe, Dsd_check.Oracle.reference_probe.
 test-flow:
 	dune exec test/test_main.exe -- test flow
 	dune exec test/test_main.exe -- test flow-invariants
@@ -28,7 +30,8 @@ test-flow:
 # cases and its property against a fresh Edmonds-Karp solve), warm vs
 # reset differentials for both solvers (Flow_network.retarget, the path
 # Inc_dsd and the reference searches use), and the accounting
-# contracts of the exact solvers' cold probes (no warm starts, nothing
+# contracts of the exact solvers' probes (builds + retargets = probes,
+# a warm start in every search that probes one arena twice, nothing
 # drained).
 test-warmstart:
 	dune exec test/test_main.exe -- test flow-warmstart

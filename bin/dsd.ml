@@ -826,6 +826,19 @@ let client =
     | exception Dsd_serve.Protocol.Error msg ->
       Printf.eprintf "dsd client: %s\n" msg;
       exit 1
+    | exception Unix.Unix_error (err, fn, _) ->
+      let where =
+        match addr with
+        | Dsd_serve.Server.Unix_domain path -> path
+        | Dsd_serve.Server.Tcp { host; port } -> Printf.sprintf "%s:%d" host port
+      in
+      if fn = "connect" then
+        Printf.eprintf "dsd client: cannot connect to %s: %s\n" where
+          (Unix.error_message err)
+      else
+        Printf.eprintf "dsd client: %s: %s: %s\n" where fn
+          (Unix.error_message err);
+      exit 1
   in
   let run a b c d = or_die (fun () -> run a b c d) in
   C.Cmd.v

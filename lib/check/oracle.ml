@@ -225,6 +225,32 @@ let brute_force_ld_decomposition g psi =
   done;
   List.rev !levels
 
+(* One exact probe the way every probe ran before the grid: a fresh
+   network on G[within] with the pins in local ids, re-aimed cold at
+   num/den itself, solved by Dinic, and its residual source side read
+   back in caller ids. *)
+let reference_probe ?within ?pinned family g psi ~num ~den =
+  let module FB = Dsd_core.Flow_build in
+  let sub, map =
+    match within with
+    | None -> (g, Array.init (G.n g) Fun.id)
+    | Some vs -> G.induced g vs
+  in
+  let local = Array.make (G.n g) (-1) in
+  Array.iteri (fun i v -> local.(v) <- i) map;
+  let pinned = Option.map (Array.map (Array.get local)) pinned in
+  if Option.fold ~none:false ~some:(Array.exists (fun v -> v < 0)) pinned then
+    invalid_arg "Oracle.reference_probe: a pinned vertex lies outside [within]";
+  let instances =
+    match family with
+    | FB.Eds -> Dsd_clique.Instances.empty ~arity:psi.P.size
+    | _ -> Dsd_core.Enumerate.instances sub psi
+  in
+  let t = FB.prepare ?pinned family sub psi ~instances in
+  if Dsd_flow.Flow_network.recapacitate t.FB.net ~den ~num >= 0x1p53 then
+    invalid_arg "Oracle.reference_probe: the scaled capacities reach 2^53";
+  Array.map (Array.get map) (FB.solve t)
+
 (* The float searches the exact solvers ran before their exact
    Dinkelbach search, kept as references.  They share the flow layer
    with the code under test but none of its search: every probe is a

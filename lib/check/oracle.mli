@@ -69,6 +69,24 @@ val brute_force_topk :
 val brute_force_ld_decomposition :
   Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t -> (float * int array) list
 
+(** [reference_probe ?within ?pinned family g psi ~num ~den] is one
+    exact min-cut probe at alpha = num/den as
+    {!Dsd_core.Parametric.probe_rational} ran it before its grid: a
+    fresh {!Dsd_core.Flow_build.prepare} network of [family] on
+    G[[within]] (default all of [g]) with [pinned] forced onto the
+    source side, re-aimed cold by
+    {!Dsd_flow.Flow_network.recapacitate} at num/den itself, then Dinic
+    and the inclusion-minimal source side, as sorted vertex ids of
+    [g].  Every probe of an arena over the same arguments must return
+    it, whatever the arena's probes before.
+
+    @raise Invalid_argument if [den <= 0], [num < 0] or the scaled
+    finite capacities sum to 2^53 or more. *)
+val reference_probe :
+  ?within:int array -> ?pinned:int array ->
+  Dsd_core.Flow_build.family -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t ->
+  num:int -> den:int -> int array
+
 (** The float searches the exact solvers ran before their exact
     Dinkelbach search ({!Dsd_core.Parametric.dinkelbach}), kept as
     references.  Each bisects a float alpha over min cuts down to

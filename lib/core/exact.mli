@@ -10,17 +10,18 @@
     CoreExact ({!Core_exact}) is the paper's contribution that beats
     this baseline.
 
-    Size limit: every probe scales the capacities by its denominator
-    |S| <= n, and {!Parametric.probe_rational} refuses a network whose
-    scaled capacities sum to 2^53 or more.  The instance networks sum
+    Size limit: every probe scales the capacities by its grid
+    denominator D = n^2 + 1 ({!Parametric.probe_rational}), or, where
+    that would reach 2^53, by its own denominator |S| <= n; it raises
+    only when even that sum reaches 2^53.  The instance networks sum
     to about 2h * mu(G) * |S| + h * n * c at a witness with c
-    instances.  Goldberg's edge-density network ([Eds], the default
-    for the edge pattern) sums to about 2 * n * m * |S|; where that
-    could reach 2^53 (from roughly 10^5 vertices at average degree 10)
-    {!Parametric.arena} builds the h = 2 instance network instead,
-    which cuts out the same sides.  Edge-density Exact therefore raises
-    [Invalid_argument] only from roughly 1.7 * 10^7 vertices at average
-    degree 10. *)
+    instances, and the edge network ([Eds], the default for the edge
+    pattern) to about 4m * |S| + 2n * c; on the grid, with D in place
+    of |S| and c scaled to about D * c / |S|, an edge search keeps its
+    flow up to roughly 6 * 10^4 vertices at average degree 10 and
+    probes cold beyond.  Edge-density Exact raises
+    [Invalid_argument] only from roughly 1.7 * 10^7 vertices at
+    average degree 10. *)
 
 type stats = {
   iterations : int;        (** exact min-cut probes *)
@@ -41,8 +42,8 @@ type result = {
 
     Repeat-solve hooks (the serving layer's prepared-state cache):
     [?instances] supplies the Psi-instances of [g] enumerated earlier
-    (must equal [Enumerate.instances g psi]; ignored by the EDS
-    family), and [?prepared] a caller-owned slot for the built flow
+    (must equal [Enumerate.instances g psi]; ignored by the edge
+    network, [Eds]), and [?prepared] a caller-owned slot for the built flow
     network — empty on the first call, reused (re-capacitated, no
     rebuild) on every later call with the same [g], [psi] and
     [family].  Results are bit-identical with or without either

@@ -41,19 +41,34 @@ let vertices_of_side t side =
 
 let solve t = cut t ~f:vertices_of_side
 
-let eds_network g =
+(* The h = 2 instance network with its one-vertex subset layer
+   contracted, read off the CSR: the subset node {v} of an edge uv has
+   the one member v, so its infinite arc merges it into v, and u's unit
+   arc to it becomes a unit arc u -> v.  A source side S then cuts
+   2m - 2 (c(S) - alpha |S|). *)
+let edge_network ?(pinned = [||]) g =
   let n = G.n g in
-  let m = float_of_int (G.m g) in
   let size = n + 2 in
-  let net = F.create size ~edges:((2 * n) + (2 * G.m g)) in
+  let isolated = ref 0 in
+  for v = 0 to n - 1 do
+    if G.degree g v = 0 then incr isolated
+  done;
+  let net =
+    F.create size
+      ~edges:((2 * n) - !isolated + Array.length pinned + (2 * G.m g))
+  in
   let source = 0 and sink = size - 1 in
   for v = 0 to n - 1 do
-    ignore (F.add_edge net ~src:source ~dst:(vertex_node v) ~cap:m);
-    (* cap = m + 2 alpha - deg(v), clamped at 0. *)
-    ignore
-      (F.add_edge net ~coef:2. ~src:(vertex_node v) ~dst:sink
-         ~cap:(m -. float_of_int (G.degree g v)))
+    let d = G.degree g v in
+    if d > 0 then
+      ignore
+        (F.add_edge net ~src:source ~dst:(vertex_node v) ~cap:(float_of_int d));
+    ignore (F.add_edge net ~coef:2. ~src:(vertex_node v) ~dst:sink ~cap:0.)
   done;
+  Array.iter
+    (fun q ->
+      ignore (F.add_edge net ~src:source ~dst:(vertex_node q) ~cap:infinity))
+    pinned;
   G.iter_edges g ~f:(fun u v ->
       ignore (F.add_edge net ~src:(vertex_node u) ~dst:(vertex_node v) ~cap:1.);
       ignore (F.add_edge net ~src:(vertex_node v) ~dst:(vertex_node u) ~cap:1.));
@@ -234,15 +249,10 @@ let auto_family (psi : P.t) =
   | P.Star _ | P.Cycle4 | P.Generic -> Pds
 
 let prepare ?pinned family g (psi : P.t) ~instances =
-  (match (family, pinned) with
-   | Eds, Some pins when Array.length pins > 0 ->
-     (* The Goldberg construction has no pinning analysis. *)
-     invalid_arg "Flow_build.prepare: the Eds network cannot pin vertices"
-   | _ -> ());
   Dsd_obs.Span.with_ Dsd_obs.Phase.build_network @@ fun () ->
   Dsd_obs.Counter.incr Dsd_obs.Counter.Flow_networks_built;
   match family with
-  | Eds -> eds_network g
+  | Eds -> edge_network ?pinned g
   | Clique_flow -> clique_network ?pinned g ~h:psi.size ~instances
   | Pds -> pds_network ?pinned ~grouped:false g psi ~instances
   | Pds_grouped -> pds_network ?pinned ~grouped:true g psi ~instances

@@ -1,8 +1,12 @@
 (** Flow-network constructions for the min-cut-based exact algorithms.
 
     {!prepare} is the one constructor.  By family:
-    - [Eds]: Goldberg's simplified network for edge density (the [32]
-      construction quoted after Algorithm 1);
+    - [Eds]: the edge network, the h = 2 clique network with its
+      one-vertex subset layer contracted: s -> v at deg(v), v -> t at
+      2·alpha, both arcs of every edge at capacity 1, read off the
+      CSR.  A source side S cuts 2m - 2(c(S) - alpha·|S|), so it cuts
+      out the same sides as the clique network, and as Goldberg's
+      network (the [32] construction quoted after Algorithm 1);
     - [Clique_flow]: Algorithm 1 lines 5-15 — source, vertex nodes,
       (h-1)-clique nodes, sink.  (h-1)-cliques that extend to no
       h-clique are omitted: they can never lie on the source side and
@@ -24,8 +28,9 @@
     parametric-flow observation).  So every network is built once,
     with each arc's capacity law cap(alpha) = max(base + coef * alpha,
     0) kept in the network itself, and is then re-aimed there:
-    {!Dsd_flow.Flow_network.recapacitate} cold and exact (the exact
-    searches, through {!Parametric.probe_rational}), or
+    {!Dsd_flow.Flow_network.recapacitate} exact on an integer grid,
+    warm while the aim rises (the exact searches, through
+    {!Parametric.probe_rational}), or
     {!Dsd_flow.Flow_network.retarget} warm at a float alpha ({!Inc_dsd}
     and the float reference searches of [Dsd_check.Oracle]). *)
 
@@ -51,13 +56,13 @@ val cut : t -> f:(t -> bool array -> 'a) -> 'a
 val solve : t -> int array
 
 (** Which exact-network family an automatic solver should use for this
-    pattern: cliques get the clique/EDS networks, general patterns the
-    PDS ones. *)
+    pattern: cliques get the edge/clique networks, general patterns
+    the PDS ones. *)
 type family = Eds | Clique_flow | Pds | Pds_grouped
 
-(** [auto_family psi] follows the paper's defaults: h = 2 -> [Eds],
-    h-clique -> [Clique_flow], pattern -> [Pds].  Construct+
-    ([Pds_grouped]) is only ever chosen explicitly. *)
+(** [auto_family psi] follows the paper's defaults: h = 2 -> [Eds] (the
+    edge network), h-clique -> [Clique_flow], pattern -> [Pds].
+    Construct+ ([Pds_grouped]) is only ever chosen explicitly. *)
 val auto_family : Dsd_pattern.Pattern.t -> family
 
 (** [prepare family g psi ~instances] builds the network of [family]
@@ -65,9 +70,10 @@ val auto_family : Dsd_pattern.Pattern.t -> family
     capacities start at alpha = 0: the vertex-to-sink arcs carry the
     only non-zero [coef] (2 for [Eds], h or p otherwise), so aim it
     before the first solve.  [instances] must be the Psi-instances of
-    [g] (the h-cliques for [Clique_flow]; ignored by [Eds]).  [pinned] vertices get infinite-capacity source arcs,
-    forcing them onto the source side of every min cut (the
-    query-vertex variant, Section 6.3).
+    [g] (the h-cliques for [Clique_flow]; ignored by [Eds], which reads
+    the edges off [g]).  In every family, [pinned] vertices get
+    infinite-capacity source arcs, forcing them onto the source side
+    of every min cut (the query-vertex variant, Section 6.3).
 
     The network is tied to [g] and [instances]: when the vertex set
     changes (CoreExact's Optimisation-3 core shrink), discard it and
@@ -81,10 +87,7 @@ val auto_family : Dsd_pattern.Pattern.t -> family
     O(h) expected time per (instance, member) pair plus one int per
     pair for the subset ids.  Subset ids follow first-seen (instance, member) order;
     the v -> subset arcs are emitted in descending pair order and the
-    subset -> member arcs by subset id.
-
-    @raise Invalid_argument when [family] is [Eds] and [pinned] is
-    non-empty: the Goldberg construction has no pinning analysis. *)
+    subset -> member arcs by subset id. *)
 val prepare :
   ?pinned:int array ->
   family -> Dsd_graph.Graph.t -> Dsd_pattern.Pattern.t ->

@@ -39,8 +39,9 @@ module Counter = Dsd_obs.Counter
    Queries run the float bisection of Dsd_check.Oracle.reference_cds
    — bounds [0, max live instance-degree], stopping gap, probe
    decision (is the min-cut source side empty?) — rather than the
-   exact search, whose cold probes would reset the flow that must stay
-   warm across deltas (cold, a query took about 27 times the augmenting
+   exact search, whose probes keep their flow only while they rise on
+   one exact grid, so it would reset the flow that must stay warm
+   across deltas (cold, a query took about 27 times the augmenting
    paths, and a serve tick about 5 times as long: DESIGN §6); and a
    session which has answered before warm-brackets the search around
    its previous optimum (gallop out from [last_opt], then bisect),

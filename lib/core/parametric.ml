@@ -11,10 +11,12 @@ type arena = {
   instances : Dsd_clique.Instances.t;  (* of [graph]; empty for Eds *)
   inside : bool array;
   mutable probes : int;
+  mutable grid : int;  (* the probes' common denominator D; 0 = none yet *)
 }
 
 let pinned_family (psi : P.t) =
   match psi.kind with
+  | P.Clique when psi.size = 2 -> Flow_build.Eds
   | P.Clique -> Flow_build.Clique_flow
   | P.Star _ | P.Cycle4 | P.Generic -> Flow_build.Pds_grouped
 
@@ -37,22 +39,6 @@ let arena ?within ?pinned ?instances ?(slot = ref None) family g psi =
       Some pins
     | _ -> pinned
   in
-  (* Goldberg's network sums its scaled capacities to
-     2 n' m' den + 2 n' num over G[within] (n' vertices, m' edges), and
-     a witness of g has den <= n and num <= m.  Where that can reach
-     2^53 the instance network takes its place: its minimal min cut has
-     the same vertex side, and it sums to about 4 m' den + 2 n' num.
-     Either way the Eds family ignores caller instances. *)
-  let family, instances =
-    match family with
-    | Flow_build.Eds ->
-      let f = float_of_int in
-      let sum =
-        2. *. f (G.n graph) *. ((f (G.m graph) *. f (G.n g)) +. f (G.m g))
-      in
-      ((if sum < 0x1p53 then family else pinned_family psi), None)
-    | _ -> (family, instances)
-  in
   let eds = family = Flow_build.Eds in
   let instances =
     match instances with
@@ -69,9 +55,30 @@ let arena ?within ?pinned ?instances ?(slot = ref None) family g psi =
     eds;
     instances;
     inside = Array.make (max 1 (G.n graph)) false;
-    probes = 0 }
+    probes = 0;
+    grid = 0 }
 
 let total a = if a.eds then G.m a.graph else a.instances.count
+
+(* Past this a grid numerator or denominator could overflow an int
+   product below; the probe then aims cold at num/den. *)
+let grid_limit = 0x1p52
+
+(* The grid aim of a probe at num/den: k/D with D > den n' and
+   k = floor (num D / den) + 1, so that no breakpoint of the arena's
+   cut function lies in (num/den, k/D] (DESIGN section 6).  The arena
+   keeps its grid while D > den n' holds, so the probes of one search
+   share a denominator; a new grid is D = n' max(den, n') + 1.  None
+   where D or k would reach [grid_limit]. *)
+let grid_aim a ~num ~den =
+  let n' = G.n a.graph and f = float_of_int in
+  let wide = max den n' in
+  if f den *. f n' >= f a.grid then
+    a.grid <- (if f n' *. f wide < grid_limit then (n' * wide) + 1 else 0);
+  let d = a.grid in
+  if d = 0 || f num *. f d >= grid_limit *. f den || f den *. f d >= 0x1p61
+  then None
+  else Some (d, ((num / den) * d) + ((num mod den) * d / den) + 1)
 
 (* The source side in local ids. *)
 let probe_local a ~num ~den =
@@ -87,12 +94,20 @@ let probe_local a ~num ~den =
       a.slot := Some network;
       network
   in
-  (* Cold and scaled by [den]: the law base + coef * num / den becomes
-     base * den + coef * num, an integer like every other capacity.
-     Dinic stays exact while no flow value can reach 2^53, which the
-     sum of the finite capacities bounds. *)
+  (* Scaled by the aim's denominator, the law base + coef * alpha
+     becomes an integer like every other capacity, and Dinic stays
+     exact while no flow value can reach 2^53, which the sum of the
+     finite capacities bounds.  The grid aim keeps the flow from the
+     last probe when it rises on the same grid; where the grid's sum
+     would reach 2^53 the probe aims cold at num/den itself. *)
   Dsd_obs.Span.with_ Dsd_obs.Phase.retarget (fun () ->
-      if F.recapacitate network.Flow_build.net ~den ~num >= 0x1p53 then
+      let net = network.Flow_build.net in
+      let aimed =
+        match grid_aim a ~num ~den with
+        | Some (d, k) -> F.recapacitate net ~den:d ~num:k < 0x1p53
+        | None -> false
+      in
+      if (not aimed) && F.recapacitate net ~den ~num >= 0x1p53 then
         invalid_arg
           "Parametric.probe_rational: the scaled capacities reach 2^53");
   a.probes <- a.probes + 1;

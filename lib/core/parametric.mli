@@ -11,11 +11,12 @@
 
     Every probe is {!probe_rational}: exact, so every accept or stop
     decision is an integer comparison.  The network is built with
-    {!Flow_build.prepare} on the first probe and re-capacitated from
-    its own capacity laws on every later one.  {!Inc_dsd} (whose flow
-    stays warm across deltas), {!Directed} (whose capacities carry
-    square roots) and the reference searches of [Dsd_check.Oracle] keep
-    the float {!bisect}. *)
+    {!Flow_build.prepare} on the first probe and re-aimed from its own
+    capacity laws on every later one, on an exact integer grid that
+    lets a rising search keep its flow (DESIGN section 6).
+    {!Inc_dsd} (whose flow stays warm across deltas), {!Directed}
+    (whose capacities carry square roots) and the reference searches
+    of [Dsd_check.Oracle] keep the float {!bisect}. *)
 
 (** A flow network over one vertex set of a graph, unbuilt until the
     first probe.  Sides are reported in the graph's vertex ids. *)
@@ -24,17 +25,13 @@ type arena
 (** [arena family g psi] is an unbuilt handle over G[[within]]
     ([within] sorted, default all of [g]).  [?instances] are the
     Psi-instances of that induced graph enumerated earlier (enumerated
-    here otherwise; the [Eds] family counts edges instead).  [?pinned]
-    vertices of [within] are forced onto the source side of every cut.
-    A filled [?slot] is re-capacitated instead of rebuilt, and an empty
-    one is filled by the first probe; it must have been filled for the
-    same [g], [within], [psi] and [family].  The network carries its
-    own capacity laws, so a reused slot answers bit-identically.
-
-    Where the [Eds] network's scaled capacities could reach 2^53 (about
-    2·n'·m'·n over G[within], since a witness of [g] has up to n
-    vertices), the arena builds {!pinned_family}'s network instead: its
-    minimal min cut has the same vertex side. *)
+    here otherwise; the [Eds] family counts edges instead and ignores
+    them).  [?pinned] vertices of [within] are forced onto the source
+    side of every cut, in every family.  A filled [?slot] is re-aimed
+    instead of rebuilt, and an empty one is filled by the first probe;
+    it must have been filled for the same [g], [within], [psi] and
+    [family].  The network carries its own capacity laws, so a reused
+    slot answers bit-identically. *)
 val arena :
   ?within:int array ->
   ?pinned:int array ->
@@ -46,23 +43,35 @@ val arena :
     set U (its edge count for [Eds]). *)
 val total : arena -> int
 
-(** [probe_rational a ~num ~den] solves the min cut at alpha = num/den
-    and returns the vertices on its source side (sorted; empty iff the
-    side is just the source).  The probe is cold: the flow is zeroed
-    and the network's every capacity law base + coef·alpha is
-    rewritten as base·den + coef·num, so all finite capacities are
-    integer-valued doubles and Dinic is exact while they sum below
-    2^53.  A probe on a built network counts as a retarget.
+(** [probe_rational a ~num ~den] returns the source side of the
+    minimal min cut at alpha = num/den: the inclusion-minimal S (over
+    the arena's n' vertices, holding the pins) that maximises
+    c(S) - alpha·|S|, as sorted vertex ids, empty iff that is the
+    empty set.  A probe on a built network counts as a retarget.
 
-    Cost on a built network: one pass over the arc arrays
-    ({!Dsd_flow.Flow_network.recapacitate}: zero the flow, write each
-    capacity, sum the finite ones), then Dinic and the residual BFS on
-    the network's own scratch.  It allocates the node-side array, the
-    returned vertex array and a few closures: nothing per arc, and no
-    other per-node memory.
+    The network is aimed at k/D on the arena's grid instead: D is
+    fixed by the first probe as n'·max(den, n') + 1 and kept while
+    D > den·n', and k = floor(num·D/den) + 1.  No breakpoint of
+    max_S c(S) - alpha·|S| lies in (num/den, k/D] (DESIGN section 6),
+    so the side there is the same.  Every capacity law
+    base + coef·alpha is written as base·D + coef·k, an integer-valued
+    double, and Dinic is exact while the finite capacities sum below
+    2^53.  On one grid a probe at or above the last one keeps the flow
+    the last solve left ({!Dsd_flow.Flow_network.recapacitate} raises
+    only the vertex-to-sink arcs and counts a warm start), so a rising
+    Dinkelbach search augments only the difference; any other probe
+    zeroes the flow.  Where the grid's sum would reach 2^53, or D or k
+    would overflow, the probe aims cold at num/den itself, as every
+    probe did before the grid.
 
-    @raise Invalid_argument if [den <= 0], [num < 0], or the scaled
-    finite capacities sum to 2^53 or more. *)
+    Cost on a built network: a warm aim writes the sloped arcs only, a
+    cold one every arc (a fallback past 2^53 writes them twice), then
+    Dinic and the residual BFS on the network's own scratch.  It
+    allocates the node-side array, the returned vertex array and a few
+    closures: nothing per arc, and no other per-node memory.
+
+    @raise Invalid_argument if [den <= 0], [num < 0], or the finite
+    capacities scaled at num/den itself sum to 2^53 or more. *)
 val probe_rational : arena -> num:int -> den:int -> int array
 
 (** [dinkelbach a (s, c)] runs the exact search from the witness [s]
@@ -92,8 +101,10 @@ val nodes : arena -> int
 val bisect :
   gap:(unit -> float) -> l:float -> u:float -> (float -> float option) -> unit
 
-(** The instance network family: the generic clique or grouped pattern
-    network.  Pinned searches need it (the h = 2 Goldberg construction
-    has no pinning analysis); its scaled capacities sum to about
-    2h·mu·den + h·n·num, against 2·n·m·den in Goldberg's. *)
+(** The network family of a pinned search: the edge network ([Eds])
+    for h = 2, the clique network for larger cliques, construct+
+    ([Pds_grouped]) for other patterns.  Every family ties pinned
+    vertices to the source; on edges the contracted [Eds] network has
+    no subset layer, and on other patterns construct+ has no more
+    nodes than [Pds]. *)
 val pinned_family : Dsd_pattern.Pattern.t -> Flow_build.family

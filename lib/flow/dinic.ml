@@ -4,6 +4,14 @@ module F = Flow_network
    arc" optimisation), read straight off the network's CSR view.  Float
    capacities: an arc is usable while its residual exceeds [F.eps].
 
+   The BFS stops once it dequeues a node at the sink's level: a
+   shortest augmenting path visits no other node at or past that level,
+   so the DFS finds the same paths in the same order as over the whole
+   labelling.  The solve starts from whatever feasible flow the network
+   holds, so a caller that keeps the flow (a warm
+   [Flow_network.recapacitate] or [retarget]) pays only for the
+   difference.
+
    Nothing in the phase loop allocates, and no per-node array is
    allocated either: [level], [cursor], [lim] and [got] are the
    network's scratch.  The BFS queue is the cursor array, idle until
@@ -24,8 +32,8 @@ let max_flow net ~s ~t =
     let queue = cursor in
     level.(s) <- 0;
     queue.(0) <- s;
-    let head = ref 0 and tail = ref 1 in
-    while !head < !tail do
+    let head = ref 0 and tail = ref 1 and stop = ref n in
+    while !head < !tail && level.(queue.(!head)) < !stop do
       let u = queue.(!head) in
       incr head;
       let next = level.(u) + 1 in
@@ -34,6 +42,7 @@ let max_flow net ~s ~t =
         let v = dst.(e) in
         if level.(v) < 0 && cap.(e) -. flow.(e) > eps then begin
           level.(v) <- next;
+          if v = t then stop := next;
           queue.(!tail) <- v;
           incr tail
         end

@@ -20,8 +20,10 @@
     flow pushed {e by this call}.  The solver works purely on residual
     capacities, so it may be invoked on any feasible intermediate state
     — in particular on a warm-started network that still carries the
-    flow of a previous probe (after {!Flow_network.retarget} or
+    flow of a previous probe (after a warm {!Flow_network.recapacitate}
+    raised the sloped arcs, or {!Flow_network.retarget} or
     {!Flow_network.set_cap_warm} repaired any lowered arcs) — and will
-    augment it to a maximum flow.  Use {!Flow_network.flow_value} for
-    the total committed value. *)
+    augment it to a maximum flow.  Each level graph is labelled only up
+    to the sink's level.  Use {!Flow_network.flow_value} for the total
+    committed value. *)
 val max_flow : Flow_network.t -> s:int -> t:int -> float

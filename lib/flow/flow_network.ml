@@ -35,6 +35,13 @@ type t = {
      an O(n) allocation) per drained path. *)
   mutable drain_mark : int array;
   mutable drain_epoch : int;
+  (* The exact aim of the last [recapacitate], num/den, kept while the
+     committed flow is a solve's flow (or zero) at those capacities and
+     their finite sum [aim_sum] stays below 2^53; [aim_den = 0] once
+     anything else may have written a capacity or a flow. *)
+  mutable aim_den : int;
+  mutable aim_num : int;
+  mutable aim_sum : float;
 }
 
 let eps = Dsd_util.Float_guard.eps
@@ -58,16 +65,22 @@ let create ?(edges = 32) n =
     indexed = false;
     drain_mark = [||];
     drain_epoch = 0;
+    aim_den = 0;
+    aim_num = 0;
+    aim_sum = 0.;
   }
 
 let node_count t = t.n
 let edge_count t = t.m / 2
 let arc_count t = t.m
 
+let unaim t = t.aim_den <- 0
+
 let add_node t =
   let id = t.n in
   t.n <- t.n + 1;
   t.indexed <- false;
+  unaim t;
   id
 
 let grow_arcs t =
@@ -104,6 +117,7 @@ let add_edge ?(coef = 0.) t ~src ~dst ~cap =
   if coef <> 0. then Dsd_util.Vec.Int.push t.sloped id;
   t.m <- id + 2;
   t.indexed <- false;
+  unaim t;
   id
 
 (* Counting sort of arc ids by tail ([dst] of the twin).  Filling each
@@ -166,6 +180,7 @@ let arc_flow t e = check_arc "arc_flow" t e; t.flow.(e)
 
 (* A capacity write makes the arc constant at the written value. *)
 let write_cap t e cap =
+  unaim t;
   t.cap.(e) <- cap;
   t.base.(e) <- cap;
   t.coef.(e) <- 0.
@@ -184,6 +199,7 @@ let residual t e = check_arc "residual" t e; t.cap.(e) -. t.flow.(e)
 
 let push t e f =
   check_arc "push" t e;
+  unaim t;
   t.flow.(e) <- t.flow.(e) +. f;
   let twin = e lxor 1 in
   t.flow.(twin) <- t.flow.(twin) -. f
@@ -200,11 +216,16 @@ let arcs_from t v =
   let ix = view t in
   Array.sub ix.arcs ix.start.(v) (ix.start.(v + 1) - ix.start.(v))
 
-let reset_flow t = Array.fill t.flow 0 t.m 0.
+let reset_flow t =
+  unaim t;
+  Array.fill t.flow 0 t.m 0.
 
-let recapacitate t ~den ~num =
-  if den <= 0 || num < 0 then
-    invalid_arg "Flow_network.recapacitate: den <= 0 or num < 0";
+(* Beyond this sum of finite capacities a float flow stops being
+   exact, so no aim above it is kept. *)
+let exact_limit = 0x1p53
+
+(* Every law at num/den scaled by [den], every flow zeroed. *)
+let aim_cold t ~den ~num =
   let den = float_of_int den and num = float_of_int num in
   let cap = t.cap and flow = t.flow and base = t.base and coef = t.coef in
   let sum = ref 0. in
@@ -215,7 +236,41 @@ let recapacitate t ~den ~num =
     flow.(e) <- 0.;
     if c < infinity then sum := !sum +. c
   done;
-  !sum
+  t.aim_sum <- !sum
+
+(* The sloped arcs alone, re-aimed from the kept aim to [num] over the
+   same [den].  Every capacity rises (the slopes are positive), so the
+   flow stays feasible and the sum grows by the rises; a sum that
+   crosses 2^53 still reads at least 2^53, since float sums of
+   non-negative terms round monotonically.  False, leaving the arcs
+   for [aim_cold] to rewrite, if some capacity would fall (a negative
+   slope) or the sum reaches 2^53. *)
+let aim_warm t ~den ~num =
+  let den = float_of_int den and num = float_of_int num in
+  let cap = t.cap and base = t.base and coef = t.coef in
+  let sum = ref t.aim_sum and rises = ref true in
+  for i = 0 to Dsd_util.Vec.Int.length t.sloped - 1 do
+    let e = Dsd_util.Vec.Int.get t.sloped i in
+    let c = (base.(e) *. den) +. (coef.(e) *. num) in
+    let c = if c > 0. then c else 0. in
+    if c < cap.(e) then rises := false
+    else if c < infinity then sum := !sum +. (c -. cap.(e));
+    cap.(e) <- c
+  done;
+  t.aim_sum <- !sum;
+  !rises && !sum < exact_limit
+
+let recapacitate t ~den ~num =
+  if den <= 0 || num < 0 then
+    invalid_arg "Flow_network.recapacitate: den <= 0 or num < 0";
+  if den = t.aim_den && num >= t.aim_num && aim_warm t ~den ~num then
+    Dsd_obs.Counter.incr Dsd_obs.Counter.Flow_warm_starts
+  else begin
+    aim_cold t ~den ~num;
+    t.aim_den <- (if t.aim_sum < exact_limit then den else 0)
+  end;
+  t.aim_num <- num;
+  t.aim_sum
 
 let flow_value t ~s =
   (* Net outflow at [s]: twins of arcs into [s] carry the negated
@@ -359,6 +414,7 @@ let retarget t ~s ~sink ~alpha =
   Dsd_obs.Span.with_ Dsd_obs.Phase.retarget @@ fun () ->
   Dsd_obs.Counter.incr Dsd_obs.Counter.Flow_retargets;
   Dsd_obs.Counter.incr Dsd_obs.Counter.Flow_warm_starts;
+  unaim t;
   (* Only the sloped arcs move.  Each is re-aimed and repaired in
      turn: a drain walks committed flow, never capacities, so the
      order of the writes does not change the flow it leaves. *)

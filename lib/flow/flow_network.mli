@@ -20,9 +20,10 @@
     with [coef <> 0] change — Goldberg's parametric-flow observation —
     so the network re-aims itself from its own laws, in one of two
     ways:
-    - {!recapacitate}, cold and exact: zero the flow and write every
-      law at alpha = num/den, scaled by den, so every finite capacity
-      is an integer-valued double;
+    - {!recapacitate}, exact: write every law at alpha = num/den,
+      scaled by den, so every finite capacity is an integer-valued
+      double; it keeps the committed flow when the aim only rises over
+      the same den, and zeroes it otherwise;
     - {!retarget}, warm: write the sloped arcs at a float alpha and
       repair each one whose new capacity fell below its committed flow
       as {!set_cap_warm} does, so the next solve only augments the
@@ -178,14 +179,25 @@ val arcs_from : t -> int -> int array
 (** [reset_flow t] zeroes all flow, restoring initial capacities. *)
 val reset_flow : t -> unit
 
-(** [recapacitate t ~den ~num] re-aims the whole network cold at
-    alpha = num/den in one pass over the arc arrays: every flow is
-    zeroed and every arc's capacity becomes its law scaled by [den],
-    [max (base * den + coef * num) 0] (an infinite base stays
-    infinite).  The laws are left as they were.  Returns the sum of the
-    finite capacities, so a caller can refuse a scale at which float
-    flow sums stop being exact.  No allocation beyond the returned
-    float; the index stays valid.
+(** [recapacitate t ~den ~num] re-aims the network exactly at
+    alpha = num/den: every arc's capacity becomes its law scaled by
+    [den], [max (base * den + coef * num) 0] (an infinite base stays
+    infinite), and the laws are left as they were.  Returns the sum of
+    the finite capacities, so a caller can refuse a scale at which
+    float flow sums stop being exact.
+
+    Warm when the last re-aim was at the same [den], at a numerator no
+    larger than [num], and its sum stayed below 2^53, and no capacity
+    or flow was written since except by a solve: then only the arcs
+    created with a [coef] are rewritten, their capacities rise, and
+    the flow a solve left stays feasible, so the next solve augments
+    only the difference.  A warm re-aim counts [flow_warm_starts].  It
+    falls back to cold if some sloped capacity would fall (a negative
+    [coef]) or the sum reaches 2^53.  Cold otherwise: one pass over the
+    arc arrays writes every capacity and zeroes every flow.  Any
+    {!add_node}, {!add_edge}, {!set_cap}, {!set_cap_warm}, {!push},
+    {!reset_flow} or {!retarget} makes the next re-aim cold.  No
+    allocation per arc; the index stays valid.
 
     @raise Invalid_argument if [den <= 0] or [num < 0]. *)
 val recapacitate : t -> den:int -> num:int -> float

@@ -1,15 +1,18 @@
 type t = { fd : Unix.file_descr }
 
 let connect (addr : Server.address) =
-  match addr with
-  | Server.Unix_domain path ->
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX path);
-    { fd }
-  | Server.Tcp { host; port } ->
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-    { fd }
+  let domain, sockaddr =
+    match addr with
+    | Server.Unix_domain path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+    | Server.Tcp { host; port } ->
+      (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
+  in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  match Unix.connect fd sockaddr with
+  | () -> { fd }
+  | exception e ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise e
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 

@@ -7,7 +7,10 @@
 
 type t
 
-(** @raise Unix.Unix_error if the server is not reachable. *)
+(** [connect addr] opens one connection.  A failed connect closes the
+    socket it opened before raising.
+
+    @raise Unix.Unix_error if the server is not reachable. *)
 val connect : Server.address -> t
 
 val close : t -> unit

@@ -65,8 +65,8 @@ let arb_graph_alpha =
       pair (Helpers.small_graph_gen ~max_n:9 ~max_m:22 ()) (float_bound_inclusive 3.0))
 
 let test_eds_capacities () =
-  (* Goldberg network of a triangle at alpha = 1: s->v arcs carry m,
-     v->t arcs carry m + 2 alpha - deg = 3 + 2 - 2 = 3. *)
+  (* The edge network of a triangle at alpha = 1: s->v arcs carry
+     deg = 2, v->t arcs 2 alpha = 2, and each edge two unit arcs. *)
   let g = G.complete 3 in
   let fb = network FB.Eds g P.edge ~alpha:1.0 in
   Alcotest.(check int) "node count" 5 fb.FB.node_count;
@@ -109,15 +109,28 @@ let test_density_of_vertices () =
   let sg = D.of_vertices path P.edge [| 2; 0; 2 |] in
   Alcotest.(check (array int)) "duplicates dropped" [| 0; 2 |] sg.D.vertices
 
-(* Pinned searches use the generic networks (Parametric.pinned_family);
-   the Goldberg construction has no pinning analysis. *)
-let test_eds_rejects_pinned () =
+(* The edge network ties every pinned vertex to the source by one
+   infinite arc, so every cut's source side holds the pins. *)
+let test_eds_pins_vertices () =
+  let module F = Dsd_flow.Flow_network in
   let g = G.complete 3 in
   let instances = Dsd_clique.Instances.empty ~arity:2 in
-  Alcotest.check_raises "pinned Eds"
-    (Invalid_argument "Flow_build.prepare: the Eds network cannot pin vertices")
-    (fun () ->
-      ignore (FB.prepare ~pinned:[| 0 |] FB.Eds g P.edge ~instances));
+  let at ?pinned alpha =
+    Helpers.network_at ?pinned FB.Eds g P.edge ~instances ~alpha
+  in
+  let fb = at ~pinned:[| 0 |] 5. in
+  let tied = ref [] in
+  F.iter_arcs_from fb.FB.net fb.FB.source ~f:(fun e ->
+      if F.arc_cap fb.FB.net e = infinity then
+        tied := (F.arc_dst fb.FB.net e - 1) :: !tied);
+  Alcotest.(check (list int)) "one infinite source arc, to the pin" [ 0 ] !tied;
+  (* At alpha = 5 no set beats its own size, so the unpinned side is
+     empty and the pinned one is the pin alone; at alpha = 0.5 the
+     triangle (density 1) joins it. *)
+  Alcotest.(check (array int)) "unpinned side" [||] (FB.solve (at 5.));
+  Alcotest.(check (array int)) "pinned side holds the pin" [| 0 |] (FB.solve fb);
+  Alcotest.(check (array int)) "pinned side below rho" [| 0; 1; 2 |]
+    (FB.solve (at ~pinned:[| 0 |] 0.5));
   Alcotest.(check int) "empty pin set builds" 5
     (FB.prepare ~pinned:[||] FB.Eds g P.edge ~instances).FB.node_count
 
@@ -283,8 +296,8 @@ let suite =
         ("pds paw", FB.Pds, P.c3_star);
         ("pds-grouped C4", FB.Pds_grouped, P.diamond) ]
   @ [
-      Alcotest.test_case "eds network rejects pinned vertices" `Quick
-        test_eds_rejects_pinned;
+      Alcotest.test_case "eds network pins vertices to the source" `Quick
+        test_eds_pins_vertices;
       Alcotest.test_case "clique network shape equals brute force" `Quick
         test_clique_shape_brute;
     ]

@@ -290,6 +290,120 @@ let test_probe_rational_preconditions () =
   Alcotest.(check (array int)) "at rho" [||]
     (Parametric.probe_rational arena ~num:1 ~den:1)
 
+(* Every probe of one arena returns the side of a fresh cold probe at
+   the same num/den ([Dsd_check.Oracle.reference_probe]), whatever the
+   arena probed before.  Per graph and pattern, unpinned on all of G and
+   pinned on G[within], one arena runs a schedule that rises (a
+   Dinkelbach search from the arena's own density, warm on one grid),
+   repeats its last probe, then probes the hierarchy's chords between
+   the pins and the whole set, which rise and fall, and last a handful
+   of random subset densities and chords in ascending and then
+   descending order.  Exact subset densities and chords are where the
+   cut function breaks, so a grid too coarse to stay below the next
+   breakpoint returns a larger side there. *)
+let reference_patterns =
+  [ ("edge", P.edge); ("triangle", P.triangle); ("4-clique", P.clique 4);
+    ("C4", P.diamond); ("paw", P.c3_star) ]
+
+let probe_schedule_case ~seed ~pinned:pin (pname, psi) =
+  let module D = Dsd_core.Density in
+  let r = Helpers.rng (1000 + seed) in
+  let g = Helpers.random_graph ~seed ~max_n:10 ~max_m:30 () in
+  let n = G.n g in
+  let pick () = Dsd_util.Prng.int r n in
+  let within, pinned =
+    if (not pin) || n < 2 then (None, None)
+    else begin
+      let out = pick () in
+      let within = Array.of_list (List.filter (( <> ) out) (List.init n Fun.id)) in
+      let q = within.(Dsd_util.Prng.int r (Array.length within)) in
+      (Some within, Some [| q |])
+    end
+  in
+  let family =
+    if pin then Parametric.pinned_family psi else FB.auto_family psi
+  in
+  let arena = Parametric.arena ?within ?pinned family g psi in
+  let universe = Option.value within ~default:(Array.init n Fun.id) in
+  let base = Option.value pinned ~default:[||] in
+  let count s = D.count g psi s in
+  let step = ref 0 in
+  let probe ~num ~den =
+    incr step;
+    let got = Parametric.probe_rational arena ~num ~den in
+    let want =
+      Dsd_check.Oracle.reference_probe ?within ?pinned family g psi ~num ~den
+    in
+    if got <> want then
+      Alcotest.failf "%s psi=%s pinned=%b step %d at %d/%d: side [%s], reference [%s]"
+        (Helpers.seed_ctx seed) pname pin !step num den
+        (String.concat " " (Array.to_list (Array.map string_of_int got)))
+        (String.concat " " (Array.to_list (Array.map string_of_int want)));
+    got
+  in
+  let total = count universe in
+  if n > 0 && total > 0 then begin
+    (* Rising: the exact search's own probes. *)
+    let rec rise s c =
+      let side = probe ~num:c ~den:(Array.length s) in
+      let c' = count side in
+      if c' * Array.length s > c * Array.length side then rise side c'
+      else (c, Array.length s)
+    in
+    let num, den = rise universe total in
+    ignore (probe ~num ~den);
+    (* The chords between nested sets, split as the hierarchy splits. *)
+    let rec split a ca b cb =
+      let p = cb - ca and q = Array.length b - Array.length a in
+      let s = probe ~num:p ~den:q in
+      let cs = count s in
+      if Array.length a < Array.length s && Array.length s < Array.length b
+         && (cs - ca) * q > p * (Array.length s - Array.length a)
+      then begin
+        split a ca s cs;
+        split s cs b cb
+      end
+    in
+    split base (count base) universe total;
+    (* Random subset densities and chords, ascending then descending. *)
+    let subset () =
+      let m = Array.make n false in
+      Array.iter (fun v -> m.(v) <- true) base;
+      Array.iter (fun v -> if Dsd_util.Prng.int r 2 = 0 then m.(v) <- true) universe;
+      Array.of_list (List.filter (Array.get m) (List.init n Fun.id))
+    in
+    let points =
+      List.concat_map
+        (fun _ ->
+          let s = subset () in
+          let cs = count s and k = Array.length s in
+          let t = Array.of_list (List.sort_uniq compare (Array.to_list s @ Array.to_list (subset ()))) in
+          let ct = count t in
+          (if k > 0 then [ (cs, k) ] else [])
+          @ if Array.length t > k then [ (ct - cs, Array.length t - k) ] else [])
+        [ 1; 2; 3 ]
+    in
+    let ascending =
+      List.sort (fun (a, b) (c, d) -> compare (a * d) (c * b)) points
+    in
+    List.iter (fun (num, den) -> ignore (probe ~num ~den)) ascending;
+    List.iter (fun (num, den) -> ignore (probe ~num ~den)) (List.rev ascending)
+  end
+
+let test_probes_equal_reference () =
+  let warm =
+    Obs.with_recording (fun () ->
+        for seed = 1 to 200 do
+          List.iter
+            (fun pattern ->
+              probe_schedule_case ~seed ~pinned:false pattern;
+              probe_schedule_case ~seed ~pinned:true pattern)
+            reference_patterns
+        done;
+        Counter.get Counter.Flow_warm_starts)
+  in
+  Alcotest.(check bool) "warm probes ran" true (warm > 1000)
+
 (* [Parametric.bisect] on random threshold predicates: below a hidden
    threshold [t] the decision raises l to a point in [alpha, t), at or
    above it lowers u.  Mirroring those moves, every probe must lie
@@ -346,6 +460,8 @@ let suite =
       test_exact_slot_reuse;
     Alcotest.test_case "probe_rational refuses inexact probes" `Quick
       test_probe_rational_preconditions;
+    Alcotest.test_case "every probe equals a fresh cold probe" `Quick
+      test_probes_equal_reference;
     Helpers.qtest ~count:300 "bisect: probes inside (l, u), exits below gap"
       arb_bisect bisect_prop;
   ]

@@ -781,6 +781,38 @@ let test_path_appears_listening () =
     Option.iter (Alcotest.failf "start %d: connect failed: %s" i) failure
   done
 
+(* A connect that fails raises and closes the socket it opened: after
+   attempts on a missing path (ENOENT) and on a socket file no daemon
+   listens on (ECONNREFUSED), the next socket gets the same descriptor
+   as one opened before them. *)
+let test_client_connect_failure_closes () =
+  let missing = Server.Unix_domain (fresh_socket ()) in
+  let stale_path = fresh_socket () in
+  let bound = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind bound (Unix.ADDR_UNIX stale_path);
+  Unix.close bound;
+  let stale = Server.Unix_domain stale_path in
+  let next_fd () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.close fd;
+    fd
+  in
+  let before = next_fd () in
+  for _ = 1 to 3 do
+    List.iter
+      (fun (label, addr, expected) ->
+        match Client.connect addr with
+        | c ->
+          Client.close c;
+          Alcotest.failf "%s: connected" label
+        | exception Unix.Unix_error (e, "connect", _) ->
+          if e <> expected then
+            Alcotest.failf "%s: %s" label (Unix.error_message e))
+      [ ("missing path", missing, Unix.ENOENT);
+        ("stale socket", stale, Unix.ECONNREFUSED) ]
+  done;
+  Alcotest.(check bool) "no descriptor leaked" true (next_fd () = before)
+
 (* A daemon records for its whole life, and no endpoint reads the
    per-probe log: with recording on, 12 ticks of an Apply_delta and an
    incremental read through a live server leave [Probe.count ()] at no
@@ -1117,4 +1149,6 @@ let suite =
       test_shared_handle_counts;
     Alcotest.test_case "socket: the probe log holds one request" `Quick
       test_probe_log_bounded;
+    Alcotest.test_case "socket: a failed connect closes its socket" `Quick
+      test_client_connect_failure_closes;
   ]

@@ -16,9 +16,11 @@
    networks and by a property: lowering any flow-carrying arc of a
    random network keeps the flow feasible, and a re-solve reaches what
    Edmonds-Karp finds from scratch.  Warm retargets serve Inc_dsd and
-   the float reference searches; the exact solvers probe cold, and the
-   accounting contracts pin that: every probe is a build or a retarget,
-   none starts warm, and nothing is drained. *)
+   the float reference searches; the exact solvers re-aim with
+   [Flow_network.recapacitate], which keeps the flow while a search
+   rises on one exact grid, and the accounting contracts pin that:
+   every probe is a build or a retarget, a search that probes one arena
+   twice starts a probe warm, and nothing is drained. *)
 
 module G = Dsd_graph.Graph
 module P = Dsd_pattern.Pattern
@@ -258,15 +260,21 @@ let test_repair_property () =
 
 let counter = Counter.get
 
-(* Exact probes are cold: the first probe on an arena builds it, every
-   later one re-capacitates it, and no flow is carried or drained. *)
+(* Exact probes keep their flow on one grid: the first probe on an
+   arena builds it, every later one re-aims it (a retarget), and a
+   search that probes one arena twice rises on its grid, so it starts
+   at least one probe warm.  Nothing is ever drained: a warm aim only
+   raises capacities. *)
 let check_probe_accounting label ~probes =
+  let builds = counter Counter.Flow_networks_built in
   Alcotest.(check int)
     (label ^ ": builds + retargets = probes")
     probes
-    (counter Counter.Flow_networks_built + counter Counter.Flow_retargets);
-  Alcotest.(check int) (label ^ ": no warm starts") 0
-    (counter Counter.Flow_warm_starts);
+    (builds + counter Counter.Flow_retargets);
+  if probes > builds then
+    Alcotest.(check bool) (label ^ ": a second probe on one arena starts warm")
+      true
+      (counter Counter.Flow_warm_starts > 0);
   Alcotest.(check int) (label ^ ": nothing drained") 0
     (counter Counter.Flow_excess_drained)
 
